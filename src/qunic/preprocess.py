@@ -118,8 +118,8 @@ def default_prelude_text() -> str:
     return resources.files("qunic").joinpath("prelude.qunity").read_text(encoding="utf-8")
 
 
-def load_prelude_defs(text: str | None = None) -> tuple[surface.Def, ...]:
-    qf = parse_file(default_prelude_text() if text is None else text)
+def load_prelude_defs() -> tuple[surface.Def, ...]:
+    qf = parse_file(default_prelude_text())
     if qf.main is not None:
         raise PreprocessError("a prelude file must not contain a main expression")
     return qf.defs
@@ -141,15 +141,17 @@ class _Env:
 
 
 class Elaborator:
-    def __init__(self, defs: tuple[surface.Def, ...], budget: int = UNROLL_BUDGET) -> None:
+    def __init__(self, defs: tuple[surface.Def, ...]) -> None:
         self.type_defs: dict[str, TypeAliasDef | VariantDef] = {}
         self.expr_defs: dict[str, ExprDef] = {}
         self.prog_defs: dict[str, ProgDef] = {}
         self.real_defs: dict[str, RealDef] = {}
         self.ctors: dict[str, tuple[str, int]] = {}  # constructor -> (variant, alt index)
         self._memo: dict[object, object] = {}
-        self._in_progress: set[object] = set()
-        self._budget = budget
+        # Instantiations under way, innermost last, mapped to their names.  An
+        # entry stays when its instantiation raises, so after an error the
+        # table reads as the chain of instantiations that led to it.
+        self._in_progress: dict[object, str] = {}
         self._used = 0
         self._counter = itertools.count()
         for d in defs:
@@ -191,9 +193,9 @@ class Elaborator:
 
     def _tick(self, what: str) -> None:
         self._used += 1
-        if self._used > self._budget:
+        if self._used > UNROLL_BUDGET:
             raise CapacityError(
-                f"definition unrolling exceeded {self._budget} instantiations "
+                f"definition unrolling exceeded {UNROLL_BUDGET} instantiations "
                 f"(last at {what}); is a recursive definition missing its base case?"
             )
 
@@ -241,12 +243,10 @@ class Elaborator:
             raise PreprocessError(
                 f"{what} recursively instantiates itself at the same arguments"
             )
-        self._in_progress.add(memo_key)
+        self._in_progress[memo_key] = what
         self._tick(what)
-        try:
-            result = build()
-        finally:
-            self._in_progress.discard(memo_key)
+        result = build()
+        del self._in_progress[memo_key]
         self._memo[memo_key] = result
         return result
 
@@ -377,7 +377,7 @@ class Elaborator:
                     ("e", e.name, key), f"&{e.name}", lambda: self.elab_expr(d.body, inner)
                 )
             if e.name in self.ctors:
-                chain, payload = self._ctor_chain(e.name, e.args, env, want_payload=None)
+                chain = self._ctor_chain(e.name, e.args, env, want_payload=None)
                 return _apply_chain(chain, ExUnit())
             raise PreprocessError(f"unknown expression definition &{e.name}")
         raise PreprocessError(f"not an expression: {e!r}")
@@ -435,7 +435,7 @@ class Elaborator:
                     ("f", f.name, key), f"@{f.name}", lambda: self.elab_prog(d.body, inner)
                 )
             if f.name in self.ctors:
-                chain, payload = self._ctor_chain(f.name, f.args, env, want_payload=True)
+                chain = self._ctor_chain(f.name, f.args, env, want_payload=True)
                 if len(chain) == 1:
                     return chain[0]
                 v = ExVar(self._fresh("x"))
@@ -445,7 +445,7 @@ class Elaborator:
 
     def _ctor_chain(
         self, name: str, args: tuple[GenArg, ...], env: _Env, want_payload: bool | None
-    ) -> tuple[list[CoreProg], CoreType]:
+    ) -> list[CoreProg]:
         variant_name, idx = self.ctors[name]
         d = self.type_defs[variant_name]
         assert isinstance(d, VariantDef)
@@ -461,7 +461,7 @@ class Elaborator:
             chain.append(PrRight(payloads[j], self._sum_fold(payloads[j + 1 :])))
         if idx < len(payloads) - 1:
             chain.append(PrLeft(payloads[idx], self._sum_fold(payloads[idx + 1 :])))
-        return chain, payloads[idx]
+        return chain
 
 
 def _apply_chain(chain: list[CoreProg], e: CoreExpr) -> CoreExpr:
@@ -537,10 +537,18 @@ def elaborate_file(qf: QFile, prelude: tuple[surface.Def, ...] = ()) -> CoreExpr
     if qf.main is None:
         raise PreprocessError("program has no main expression")
     el = Elaborator(tuple(prelude) + qf.defs)
-    return el.elab_expr(qf.main, _Env())
+    try:
+        return el.elab_expr(qf.main, _Env())
+    except RecursionError:
+        where = next(reversed(el._in_progress.values()), "the main expression")
+        raise CapacityError(
+            f"elaboration nested too deeply (innermost at {where}, after {el._used} "
+            "instantiations): the program is too large, or a recursive definition "
+            "is missing its base case"
+        ) from None
 
 
-def core_of_source(source: str, use_prelude: bool = True, prelude_text: str | None = None) -> CoreExpr:
+def core_of_source(source: str, use_prelude: bool = True) -> CoreExpr:
     """Parse and elaborate source text in one step (the common entry point)."""
-    prelude = load_prelude_defs(prelude_text) if use_prelude else ()
+    prelude = load_prelude_defs() if use_prelude else ()
     return elaborate_file(parse_file(source), prelude)

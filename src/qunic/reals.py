@@ -2,10 +2,20 @@
 
 Angles and classical parameters in Qunity are written as closed real
 expressions over ``pi``, ``euler``, integer literals, arithmetic, and a fixed
-set of analytic functions.  This module defines the expression tree, an
-evaluator that stays in exact rational arithmetic whenever the expression
-permits it, and a recognizer for exact multiples of pi (used when printing
-gate angles).
+set of analytic functions.  This module defines the expression tree, its
+printer, and one evaluator.
+
+The evaluator computes a single kind of value.  It is either an exact pair
+``(a, b)`` standing for ``a + b*pi`` with rational ``a`` and ``b``, or a
+finite float.  Exactness ends at the first operation the pair cannot express:
+a transcendental function, a ``pi^2`` term, a non-integer power, a ``%`` or
+``sqrt`` involving ``pi``, an irrational ``sqrt``, or ``euler``.  From there
+on the value is a float.  :func:`evaluate_real`, :func:`as_rational` and
+:func:`as_pi_multiple` are views of that value; the last one is how the
+compiler knows that a gate angle is exactly a rational multiple of pi.  An
+undefined value (division by zero, ``ln`` of a negative number...) and a
+value too large for a float raise :class:`~qunic.errors.RealError` from all
+three.
 
 Two node kinds — :class:`RName` and :class:`RIf` — exist only in surface
 syntax.  The preprocessor substitutes definitions and resolves conditionals,
@@ -16,6 +26,7 @@ caller, reported as a :class:`~qunic.errors.RealError`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -119,108 +130,130 @@ BoolExpr = Union[BNot, BAnd, BOr, BCmp]
 
 Number = Union[Fraction, float]
 
+# An exact pair ``(a, b)`` stands for ``a + b*pi``; a float is always finite.
+Value = Union[tuple[Fraction, Fraction], float]
 
-def _is_int(x: Number) -> bool:
-    return isinstance(x, Fraction) and x.denominator == 1
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+_FLOAT_OPS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "arcsin": math.asin,
+    "arccos": math.acos,
+    "arctan": math.atan,
+    "exp": math.exp,
+    "ln": math.log,
+    "log2": math.log2,
+    "sqrt": math.sqrt,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,  # floored on floats too: the result has the sign of the divisor
+    "^": math.pow,  # unlike **, raises instead of returning a complex number
+}
+
+
+def _value(r: Real) -> Value:
+    """The value of ``r``: every exact rule and every domain check lives here.
+
+    ``ceil``/``floor`` are exact on any argument; every other operation with
+    no exact rule below is computed on floats.
+    """
+    if isinstance(r, RConst):
+        return Fraction(r.value), _ZERO
+    if isinstance(r, RPi):
+        return _ZERO, _ONE
+    if isinstance(r, REuler):
+        return math.e
+    if isinstance(r, RUnary):
+        x = _value(r.arg)
+        q = x[0] if isinstance(x, tuple) and x[1] == 0 else None
+        if r.op in ("ceil", "floor"):
+            rounded = math.ceil if r.op == "ceil" else math.floor
+            return Fraction(rounded(_to_float(x) if q is None else q)), _ZERO
+        if r.op == "sqrt" and q is not None and q >= 0:
+            ns, ds = math.isqrt(q.numerator), math.isqrt(q.denominator)
+            if ns * ns == q.numerator and ds * ds == q.denominator:
+                return Fraction(ns, ds), _ZERO
+        args = (x,)
+    elif isinstance(r, RBinary):
+        x, y = _value(r.left), _value(r.right)
+        if r.op in ("/", "%") and y in ((0, 0), 0.0):  # an exact or a float zero
+            what = "division" if r.op == "/" else "modulus"
+            raise RealError(f"{what} by zero in real expression")
+        if isinstance(x, tuple) and isinstance(y, tuple):
+            (a, b), (c, d) = x, y
+            if r.op == "+":
+                return a + c, b + d
+            if r.op == "-":
+                return a - c, b - d
+            if r.op == "*" and (b == 0 or d == 0):  # no pi^2 term
+                return a * c, a * d + b * c
+            if r.op == "/" and d == 0:
+                return a / c, b / c
+            if r.op == "/" and a == 0 and c == 0:  # a ratio of pi-multiples is rational
+                return b / d, _ZERO
+            if r.op == "%" and b == 0 and d == 0:
+                return a % c, _ZERO
+            if r.op == "^" and b == 0 and d == 0 and c.denominator == 1:
+                if a == 0 and c < 0:
+                    raise RealError("zero raised to a negative power")
+                return a**c.numerator, _ZERO
+        args = (x, y)
+    elif isinstance(r, RName):
+        raise RealError(f"unresolved real name #{r.name} (not substituted)")
+    elif isinstance(r, RIf):
+        raise RealError("unresolved conditional in real expression")
+    else:
+        raise RealError(f"not a real expression: {r!r}")
+    fn = _FLOAT_OPS.get(r.op)
+    if fn is None:
+        raise RealError(f"unknown real operation {r.op!r}")
+    fs = [_to_float(v) for v in args]
+    try:
+        v = fn(*fs)
+        if math.isfinite(v):
+            return v
+        problem = "overflows"
+    except ValueError:
+        problem = "is undefined"
+    except OverflowError:
+        problem = "overflows"
+    shown = f"{r.op}({fs[0]})" if len(fs) == 1 else f"{fs[0]} {r.op} {fs[1]}"
+    raise RealError(f"{shown} {problem}")
+
+
+def _to_float(v: Value) -> float:
+    """The one place where an exact value becomes a float."""
+    if isinstance(v, float):
+        return v
+    a, b = v
+    try:
+        f = float(a) + float(b) * math.pi
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise RealError("an exact value is too large for a float")
+    return f
 
 
 def evaluate_real(r: Real) -> Number:
     """Evaluate a closed real expression.
 
-    Returns a :class:`~fractions.Fraction` whenever every operation along the
-    way is rational-closed (including ``%``, integer powers, ``ceil``/``floor``
-    and perfect-square ``sqrt``); otherwise falls back to a float.
+    Returns a :class:`~fractions.Fraction` when the ``a + b*pi`` value is
+    exact with ``b = 0`` (so ``pi - pi`` and ``(2*pi) / (4*pi)`` are exact),
+    and a float otherwise: for an exact multiple of pi such as ``pi / 2``, and
+    for any value whose exactness ended at an operation with no exact rule
+    (a transcendental function, a ``pi^2`` term, a non-integer power,
+    ``euler``).  An undefined value, or one too large for a float, raises
+    :class:`~qunic.errors.RealError`.
     """
-    if isinstance(r, RConst):
-        return Fraction(r.value)
-    if isinstance(r, RPi):
-        return math.pi
-    if isinstance(r, REuler):
-        return math.e
-    if isinstance(r, RUnary):
-        return _eval_unary(r.op, evaluate_real(r.arg))
-    if isinstance(r, RBinary):
-        return _eval_binary(r.op, evaluate_real(r.left), evaluate_real(r.right))
-    if isinstance(r, RName):
-        raise RealError(f"unresolved real name #{r.name} (not substituted)")
-    if isinstance(r, RIf):
-        raise RealError("unresolved conditional in real expression")
-    raise RealError(f"not a real expression: {r!r}")
-
-
-def _eval_unary(op: str, x: Number) -> Number:
-    if op == "ceil":
-        return Fraction(math.ceil(x))
-    if op == "floor":
-        return Fraction(math.floor(x))
-    if op == "sqrt":
-        if isinstance(x, Fraction) and x >= 0:
-            ns, ds = math.isqrt(x.numerator), math.isqrt(x.denominator)
-            if ns * ns == x.numerator and ds * ds == x.denominator:
-                return Fraction(ns, ds)
-        if x < 0:
-            raise RealError(f"sqrt of negative value {x}")
-        return math.sqrt(x)
-    f = float(x)
-    try:
-        if op == "sin":
-            return math.sin(f)
-        if op == "cos":
-            return math.cos(f)
-        if op == "tan":
-            return math.tan(f)
-        if op == "arcsin":
-            return math.asin(f)
-        if op == "arccos":
-            return math.acos(f)
-        if op == "arctan":
-            return math.atan(f)
-        if op == "exp":
-            return math.exp(f)
-        if op == "ln":
-            return math.log(f)
-        if op == "log2":
-            return math.log2(f)
-    except ValueError as exc:
-        raise RealError(f"{op}({f}) is undefined") from exc
-    except OverflowError as exc:
-        raise RealError(f"{op}({f}) overflows") from exc
-    raise RealError(f"unknown real operation {op!r}")
-
-
-def _eval_binary(op: str, a: Number, b: Number) -> Number:
-    exact = isinstance(a, Fraction) and isinstance(b, Fraction)
-    if op == "+":
-        return a + b if exact else float(a) + float(b)
-    if op == "-":
-        return a - b if exact else float(a) - float(b)
-    if op == "*":
-        return a * b if exact else float(a) * float(b)
-    if op == "/":
-        if b == 0:
-            raise RealError("division by zero in real expression")
-        return a / b if exact else float(a) / float(b)
-    if op == "%":
-        # Floored modulus, so that the result has the sign of the divisor.
-        if b == 0:
-            raise RealError("modulus by zero in real expression")
-        if exact:
-            return a - b * math.floor(a / b)
-        fa, fb = float(a), float(b)
-        return fa - fb * math.floor(fa / fb)
-    if op == "^":
-        if exact and _is_int(b):
-            e = b.numerator
-            if a == 0 and e < 0:
-                raise RealError("zero raised to a negative power")
-            return a**e
-        try:
-            return math.pow(float(a), float(b))
-        except ValueError as exc:
-            raise RealError(f"{float(a)} ^ {float(b)} is undefined") from exc
-        except OverflowError as exc:
-            raise RealError(f"{float(a)} ^ {float(b)} overflows") from exc
-    raise RealError(f"unknown real operation {op!r}")
+    v = _value(r)
+    if isinstance(v, tuple) and v[1] == 0:
+        return v[0]
+    return _to_float(v)
 
 
 def evaluate_bool(b: BoolExpr) -> bool:
@@ -250,88 +283,24 @@ def evaluate_bool(b: BoolExpr) -> bool:
     raise RealError(f"not a boolean expression: {b!r}")
 
 
-def _pi_linear(r: Real) -> tuple[Fraction, Fraction] | None:
-    """Express ``r`` as ``a + b*pi`` with rational a, b, if possible."""
-    if isinstance(r, RConst):
-        return Fraction(r.value), Fraction(0)
-    if isinstance(r, RPi):
-        return Fraction(0), Fraction(1)
-    if isinstance(r, (RName, RIf)):
-        raise RealError("unresolved name or conditional in real expression")
-    if isinstance(r, RBinary):
-        lhs = _pi_linear(r.left)
-        rhs = _pi_linear(r.right)
-        if lhs is None or rhs is None:
-            return None
-        a, b = lhs
-        c, d = rhs
-        if r.op == "+":
-            return a + c, b + d
-        if r.op == "-":
-            return a - c, b - d
-        if r.op == "*":
-            if d == 0:
-                return a * c, b * c
-            if b == 0:
-                return a * c, a * d
-            return None  # would introduce a pi^2 term
-        if r.op == "/":
-            if d == 0 and c != 0:
-                return a / c, b / c
-            if a == 0 and c == 0 and d != 0:
-                return b / d, Fraction(0)  # a ratio of pi-multiples is rational
-            return None
-        if r.op == "%":
-            if b == 0 and d == 0 and c != 0:
-                return a - c * math.floor(a / c), Fraction(0)
-            return None
-        if r.op == "^":
-            if b == 0 and d == 0 and c.denominator == 1:
-                if a == 0 and c.numerator < 0:
-                    return None
-                return a**c.numerator, Fraction(0)
-            return None
-        return None
-    if isinstance(r, RUnary):
-        inner = _pi_linear(r.arg)
-        if inner is None or inner[1] != 0:
-            return None
-        a = inner[0]
-        if r.op == "ceil":
-            return Fraction(math.ceil(a)), Fraction(0)
-        if r.op == "floor":
-            return Fraction(math.floor(a)), Fraction(0)
-        if r.op == "sqrt" and a >= 0:
-            ns, ds = math.isqrt(a.numerator), math.isqrt(a.denominator)
-            if ns * ns == a.numerator and ds * ds == a.denominator:
-                return Fraction(ns, ds), Fraction(0)
-        return None
-    return None
-
-
 def as_pi_multiple(r: Real) -> Fraction | None:
     """Return ``q`` when ``r`` is *exactly* ``q * pi`` with nonzero q.
 
-    This is a structural check in the semiring of ``a + b*pi`` terms, so it
-    never mistakes a float that merely lands near a multiple of pi for the
-    exact thing.
+    The value is tracked as ``a + b*pi`` with rational a and b, so a float
+    that merely lands near a multiple of pi is never taken for the exact thing.
     """
-    lin = _pi_linear(r)
-    if lin is None:
-        return None
-    a, b = lin
-    if a == 0 and b != 0:
-        return b
+    v = _value(r)
+    if isinstance(v, tuple) and v[0] == 0 and v[1] != 0:
+        return v[1]
     return None
 
 
 def as_rational(r: Real) -> Fraction | None:
     """Return the exact rational value of ``r``, or None if it has none."""
-    lin = _pi_linear(r)
-    if lin is None:
-        return None
-    a, b = lin
-    return a if b == 0 else None
+    v = _value(r)
+    if isinstance(v, tuple) and v[1] == 0:
+        return v[0]
+    return None
 
 
 def require_int(r: Real, what: str) -> int:

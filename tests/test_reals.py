@@ -94,6 +94,27 @@ class TestExactEvaluation:
         assert ev("log2(8)") == pytest.approx(3.0)
         assert ev("arctan(1)") == pytest.approx(0.7853981633974483)
 
+    def test_cancelling_pi_parts_are_exact(self):
+        assert ev("pi - pi") == 0
+        assert isinstance(ev("pi - pi"), Fraction)
+        assert ev("(2 * pi) / (4 * pi)") == Fraction(1, 2)
+        assert isinstance(ev("(2 * pi) / (4 * pi)"), Fraction)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "sin(7 ^ 400)",
+            "sqrt(2 * 7 ^ 400)",
+            "7 ^ 400 + euler",
+            "pi * 7 ^ 400",
+            "(7 ^ 400) ^ (1 / 2)",
+            "exp(700) * exp(700)",  # a float that overflows to inf
+        ],
+    )
+    def test_too_large_for_a_float(self, src):
+        with pytest.raises(RealError):
+            ev(src)
+
     def test_unresolved_name_rejected(self):
         with pytest.raises(RealError):
             evaluate_real(RName("n"))
@@ -112,6 +133,7 @@ class TestPiMultiples:
             ("2 * pi / 2 ^ 3", Fraction(1, 4)),
             ("3 * pi / 4 - pi / 4", Fraction(1, 2)),
             ("0 - pi", Fraction(-1)),
+            ("pi * 7 ^ 400", Fraction(7**400)),  # never converted to a float
             ("pi % (2 * pi)", None),  # modulus with pi is out of the linear domain
             ("pi + 1", None),
             ("pi * pi", None),
@@ -127,6 +149,14 @@ class TestPiMultiples:
 
     def test_rational_of_pi_expression_is_none(self):
         assert as_rational(parse_real_string("pi / 2")) is None
+
+    def test_ceil_of_a_float_is_rational(self):
+        assert as_rational(parse_real_string("ceil(sqrt(2))")) == 2
+
+    @pytest.mark.parametrize("src", ["1 / (2 - 2)", "ln(0 - 1)", "sqrt(0 - 1)", "0 ^ -1"])
+    def test_undefined_value_is_an_error_not_none(self, src):
+        with pytest.raises(RealError):
+            as_rational(parse_real_string(src))
 
 
 class TestBooleans:
