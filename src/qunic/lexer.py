@@ -1,20 +1,36 @@
-"""Tokenizer for Qunity source text.
+r"""Tokenizer for Qunity source text.
 
-Names carry a sigil that puts them in separate namespaces: ``&`` for
-expression names, ``@`` for program names, ``#`` for real names, ``'`` for
-type variables.  Whitespace may separate ``&``, ``@`` or ``#`` from its name
-(``&  A`` lexes as ``&A``, at the sigil's position); a ``'`` must touch its
-name.  ``&&`` is always the boolean operator, never an ``&`` sigil.
-Capitalized bare identifiers are type names, lowercase (or underscore-initial)
-bare identifiers are quantum variables.  Apostrophes may appear *inside*
-identifiers (``l'``), which works out because a type variable only ever starts
-where an identifier cannot continue.
+The token grammar, tried in this order at each position (``_TOKEN``):
 
-Comments are C-style ``/* ... */`` and do not nest.
+* whitespace ``[ \t\r\n]+`` separates tokens and is skipped;
+* ``/* ... */`` is a comment, skipped; comments do not nest, and one with no
+  closing ``*/`` is an error at its ``/*``;
+* a number is ``\d+``, decimal digits of any script (``٣`` is 3); a digit
+  that is not decimal, such as ``²``, is an unexpected character;
+* punctuation is the longest of ``:= |> || && -> != <= >=`` and the single
+  characters ``{ } ( ) [ ] , ; : | = < > ! + - * / ^ %``, so ``&&`` is
+  always the boolean operator, never an ``&`` sigil;
+* a sigil ``&``, ``@`` or ``#`` followed by a name ``[\w']+`` is an
+  expression, program or real name (the token's text is the name alone);
+  whitespace may separate the sigil from its name, and the token sits at the
+  sigil's position;
+* ``'`` followed by a name ``[\w']+`` is a type variable; the ``'`` must
+  touch its name;
+* any other ``[\w']+`` is a word, which must start with a letter
+  (``str.isalpha``) or ``_``.  A word is a keyword if it is in ``KEYWORDS``,
+  a type name if it starts with an upper-case letter, and a quantum variable
+  otherwise.
+
+``[\w']`` is exactly the characters for which ``str.isalnum()`` holds, plus
+``_`` and ``'``.  Apostrophes may appear *inside* identifiers (``l'``),
+which works out because a type variable only ever starts where an identifier
+cannot continue.  Lines are counted at ``\n``; columns count characters from
+1, so a ``\r`` or ``\t`` is one column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -82,126 +98,63 @@ KEYWORDS = frozenset(
     ]
 )
 
-# Longest first, so ':=' wins over ':' and '|>' over '|'.
-_PUNCTS = (
-    ":=",
-    "|>",
-    "||",
-    "&&",
-    "->",
-    "!=",
-    "<=",
-    ">=",
-    "{",
-    "}",
-    "(",
-    ")",
-    "[",
-    "]",
-    ",",
-    ";",
-    ":",
-    "|",
-    "=",
-    "<",
-    ">",
-    "!",
-    "+",
-    "-",
-    "*",
-    "/",
-    "^",
-    "%",
+# The token grammar of the module docstring.  The first alternative that
+# matches wins, so order matters: '/*' before '/', '&&' before a sigil, and
+# multi-character punctuation before its one-character prefix.
+_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<comment>/\*)
+    | (?P<number>\d+)
+    | (?P<punct>:=|\|>|\|\||&&|->|!=|<=|>=|[{}()\[\],;:|=<>!+\-*/^%])
+    | [&@\#][ \t\r\n]*(?P<sigil>[\w']*)
+    | '(?P<tyvar>[\w']*)
+    | (?P<word>[\w']+)
+    """,
+    re.VERBOSE,
 )
 
-
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+_SIGIL_KINDS = {"&": TokKind.ENAME, "@": TokKind.FNAME, "#": TokKind.RNAME}
 
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise LexError("unterminated comment", start_line, start_col)
-            advance(2)
-            continue
-        tline, tcol = line, col
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(Token(TokKind.NUMBER, source[i:j], tline, tcol))
-            advance(j - i)
-            continue
-        if c in "&@#" and not source.startswith("&&", i):
-            start = i + 1
-            while start < n and source[start] in " \t\r\n":
-                start += 1
-            j = start
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            if j == start:
-                raise LexError(f"dangling {c!r} sigil", tline, tcol)
-            kind = {"&": TokKind.ENAME, "@": TokKind.FNAME, "#": TokKind.RNAME}[c]
-            toks.append(Token(kind, source[start:j], tline, tcol))
-            advance(j - i)
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            if j == i + 1:
-                raise LexError("dangling type-variable quote", tline, tcol)
-            toks.append(Token(TokKind.TYVAR, source[i + 1 : j], tline, tcol))
-            advance(j - i)
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            word = source[i:j]
-            if word in KEYWORDS:
+    pos, line, line_start = 0, 1, 0  # line_start: offset of the current line's first character
+    while pos < len(source):
+        col = pos - line_start + 1
+        m = _TOKEN.match(source, pos)
+        if m is None:
+            raise LexError(f"unexpected character {source[pos]!r}", line, col)
+        group, text, end = m.lastgroup, m[m.lastgroup], m.end()
+        if group == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(f"unexpected character {text[0]!r}", line, col)
+            if text in KEYWORDS:
                 kind = TokKind.KW
-            elif word[0].isupper():
-                kind = TokKind.TNAME
             else:
-                kind = TokKind.QVAR
-            toks.append(Token(kind, word, tline, tcol))
-            advance(j - i)
-            continue
-        for p in _PUNCTS:
-            if source.startswith(p, i):
-                toks.append(Token(TokKind.PUNCT, p, tline, tcol))
-                advance(len(p))
-                break
-        else:
-            raise LexError(f"unexpected character {c!r}", tline, tcol)
-    toks.append(Token(TokKind.EOF, "", line, col))
+                kind = TokKind.TNAME if text[0].isupper() else TokKind.QVAR
+            toks.append(Token(kind, text, line, col))
+        elif group == "punct":
+            toks.append(Token(TokKind.PUNCT, text, line, col))
+        elif group == "number":
+            toks.append(Token(TokKind.NUMBER, text, line, col))
+        elif group == "sigil":
+            if not text:
+                raise LexError(f"dangling {source[pos]!r} sigil", line, col)
+            toks.append(Token(_SIGIL_KINDS[source[pos]], text, line, col))
+        elif group == "tyvar":
+            if not text:
+                raise LexError("dangling type-variable quote", line, col)
+            toks.append(Token(TokKind.TYVAR, text, line, col))
+        elif group == "comment":
+            close = source.find("*/", end)
+            if close < 0:
+                raise LexError("unterminated comment", line, col)
+            end = close + 2
+        last_newline = source.rfind("\n", pos, end)
+        if last_newline >= 0:
+            line += source.count("\n", pos, end)
+            line_start = last_newline + 1
+        pos = end
+    toks.append(Token(TokKind.EOF, "", line, pos - line_start + 1))
     return toks

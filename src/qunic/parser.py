@@ -149,6 +149,17 @@ class _Parser:
             self.pos = snapshot
             return None
 
+    def _if(self, branch: Callable[[], _T], node: Callable[[BoolExpr, _T, _T], _T]) -> _T:
+        """``if cond then a else b endif``, with both branches read by ``branch``."""
+        self.expect_kw("if")
+        cond = self.parse_bool()
+        self.expect_kw("then")
+        then = branch()
+        self.expect_kw("else")
+        els = branch()
+        self.expect_kw("endif")
+        return node(cond, then, els)
+
     # -- reals and booleans -------------------------------------------------
 
     def parse_real(self) -> Real:
@@ -202,14 +213,7 @@ class _Parser:
             self.expect_punct(")")
             return r
         if self.at_kw("if"):
-            self.take()
-            cond = self.parse_bool()
-            self.expect_kw("then")
-            then = self.parse_real()
-            self.expect_kw("else")
-            els = self.parse_real()
-            self.expect_kw("endif")
-            return RIf(cond, then, els)
+            return self._if(self.parse_real, RIf)
         raise self._fail("expected a real expression")
 
     def parse_bool(self) -> BoolExpr:
@@ -279,14 +283,7 @@ class _Parser:
             self.expect_punct(")")
             return inner
         if self.at_kw("if"):
-            self.take()
-            cond = self.parse_bool()
-            self.expect_kw("then")
-            then = self.parse_type()
-            self.expect_kw("else")
-            els = self.parse_type()
-            self.expect_kw("endif")
-            return TIf(cond, then, els)
+            return self._if(self.parse_type, TIf)
         raise self._fail("expected a type")
 
     # -- expressions -----------------------------------------------------------
@@ -356,14 +353,7 @@ class _Parser:
             self.expect_kw("in")
             return ELet(pattern, value, self.parse_expr())
         if self.at_kw("if"):
-            self.take()
-            cond = self.parse_bool()
-            self.expect_kw("then")
-            then = self.parse_expr()
-            self.expect_kw("else")
-            els = self.parse_expr()
-            self.expect_kw("endif")
-            return EIf(cond, then, els)
+            return self._if(self.parse_expr, EIf)
         if t.kind is TokKind.FNAME or (t.kind is TokKind.KW and t.text in _PROG_START_KWS):
             f = self.parse_prog()
             return EApp(f, self._app_argument())
@@ -456,14 +446,7 @@ class _Parser:
             self.take()
             return PName(t.text, self.maybe_generic_args())
         if self.at_kw("if"):
-            self.take()
-            cond = self.parse_bool()
-            self.expect_kw("then")
-            then = self.parse_prog()
-            self.expect_kw("else")
-            els = self.parse_prog()
-            self.expect_kw("endif")
-            return PIf(cond, then, els)
+            return self._if(self.parse_prog, PIf)
         if self.at_punct("("):
             self.take()
             inner = self.parse_prog()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Callable
 
 from . import reals, surface
 from .core import (
@@ -388,7 +389,7 @@ class Elaborator:
 
     def _bind_pattern(self, pattern: Expr, env: _Env) -> _Env:
         rename = dict(env.qrename)
-        for name in _pattern_vars(pattern):
+        for name in _pattern_vars(pattern, lambda cond: self._bool(cond, env)):
             if name == "_" or env.fresh:
                 rename[name] = self._fresh(name)
             else:
@@ -490,45 +491,46 @@ def _frac_tree(q) -> Real:
     return RBinary("/", RConst(q.numerator), RConst(q.denominator))
 
 
-def _pattern_vars(pattern: Expr):
+def _pattern_vars(pattern: Expr, holds: Callable[[BoolExpr], bool]):
     """Iterate the variable names a pattern binds (free variables, surface side).
 
     Generic arguments of names are scanned too: an expression argument with a
     free variable makes that variable part of the pattern once the name is
-    inlined.  Programs are closed, so they contribute nothing.
+    inlined.  Programs are closed, so they contribute nothing.  Of an ``if``,
+    only the branch that ``holds`` chooses for its condition binds, as only
+    that branch is elaborated.
     """
     if isinstance(pattern, EVar):
         yield pattern.name
     elif isinstance(pattern, EPair):
-        yield from _pattern_vars(pattern.left)
-        yield from _pattern_vars(pattern.right)
+        yield from _pattern_vars(pattern.left, holds)
+        yield from _pattern_vars(pattern.right, holds)
     elif isinstance(pattern, EApp):
-        yield from _pattern_vars(pattern.arg)
+        yield from _pattern_vars(pattern.arg, holds)
     elif isinstance(pattern, EName):
         for a in pattern.args:
             if isinstance(a, _EXPR_NODES):
-                yield from _pattern_vars(a)
+                yield from _pattern_vars(a, holds)
     elif isinstance(pattern, ETry):
-        yield from _pattern_vars(pattern.attempt)
-        yield from _pattern_vars(pattern.fallback)
+        yield from _pattern_vars(pattern.attempt, holds)
+        yield from _pattern_vars(pattern.fallback, holds)
     elif isinstance(pattern, (ECtrl, EMatch)):
-        yield from _pattern_vars(pattern.scrutinee)
+        yield from _pattern_vars(pattern.scrutinee, holds)
         for arm in pattern.arms:
-            bound = set(_pattern_vars(arm.pattern))
-            for v in _pattern_vars(arm.body):
+            bound = set(_pattern_vars(arm.pattern, holds))
+            for v in _pattern_vars(arm.body, holds):
                 if v not in bound:
                     yield v
         if pattern.else_body is not None:
-            yield from _pattern_vars(pattern.else_body)
+            yield from _pattern_vars(pattern.else_body, holds)
     elif isinstance(pattern, ELet):
-        yield from _pattern_vars(pattern.value)
-        bound = set(_pattern_vars(pattern.pattern))
-        for v in _pattern_vars(pattern.body):
+        yield from _pattern_vars(pattern.value, holds)
+        bound = set(_pattern_vars(pattern.pattern, holds))
+        for v in _pattern_vars(pattern.body, holds):
             if v not in bound:
                 yield v
     elif isinstance(pattern, EIf):
-        yield from _pattern_vars(pattern.then)
-        yield from _pattern_vars(pattern.els)
+        yield from _pattern_vars(pattern.then if holds(pattern.cond) else pattern.els, holds)
     # EUnit and names without expression arguments bind nothing
 
 

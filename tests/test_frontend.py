@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qunic.errors import LexError, ParseError
-from qunic.lexer import TokKind, tokenize
+from qunic.lexer import KEYWORDS, TokKind, tokenize
 from qunic.parser import (
     parse_expr_string,
     parse_file,
@@ -91,15 +91,87 @@ class TestLexer:
         for src in ("x&&y", "#n < 1 && #k < 2"):
             ands = [t for t in tokenize(src) if t.text == "&&"]
             assert [t.kind for t in ands] == [TokKind.PUNCT]
-        toks = tokenize("&\n  A\nx")
-        first = toks[0]
-        assert (first.kind, first.text, first.line, first.column) == (TokKind.ENAME, "A", 1, 1)
-        assert (toks[1].text, toks[1].line, toks[1].column) == ("x", 3, 1)
+        assert [(t.kind, t.text) for t in tokenize("&&&x")[:-1]] == [
+            (TokKind.PUNCT, "&&"),
+            (TokKind.ENAME, "x"),
+        ]
+        for nl in ("\n", "\r\n"):
+            toks = tokenize(f"&{nl}  A{nl}x")
+            first = toks[0]
+            assert (first.kind, first.text, first.line, first.column) == (TokKind.ENAME, "A", 1, 1)
+            assert (toks[1].text, toks[1].line, toks[1].column) == ("x", 3, 1)
+
+    def test_non_decimal_digits_are_not_numbers(self):
+        # '²' passes str.isdigit() but not int(); a decimal digit of any
+        # script ('٣', ARABIC-INDIC DIGIT THREE) is a number.
+        with pytest.raises(LexError, match="unexpected character '²'"):
+            parse_real_string("²")
+        with pytest.raises(LexError) as err:
+            tokenize("1 + ²")
+        assert (err.value.line, err.value.column) == (1, 5)
+        assert parse_real_string("٣") == RConst(3)
 
     def test_keywords_not_identifiers(self):
         toks = tokenize("ctrl ctrlx")
         assert toks[0].kind is TokKind.KW
         assert toks[1].kind is TokKind.QVAR
+
+
+_SPACES = st.sampled_from([" ", "\t", "\n", "\r\n"])
+_COMMENTS = (
+    st.text(alphabet="ab *\n\r\t/&", max_size=8)
+    .filter(lambda body: "*/" not in body)
+    .map(lambda body: f"/*{body}*/")
+)
+_WORDS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_']{0,4}", fullmatch=True)
+_NAMES = st.from_regex(r"[A-Za-z0-9_'][A-Za-z0-9_']{0,3}", fullmatch=True)
+_PUNCT_TEXTS = ":= |> || && -> != <= >= { } ( ) [ ] , ; : | = < > ! + - * / ^ %".split()
+
+
+@st.composite
+def _lexemes(draw):
+    """A token's source text, and its kind and text as the lexer must report them."""
+    which = draw(st.sampled_from(["word", "number", "punct", "sigil", "tyvar"]))
+    if which == "word":
+        word = draw(_WORDS)
+        if word in KEYWORDS:
+            kind = TokKind.KW
+        else:
+            kind = TokKind.TNAME if word[0].isupper() else TokKind.QVAR
+        return word, kind, word
+    if which == "number":
+        digits = draw(st.from_regex(r"[0-9]{1,4}", fullmatch=True))
+        return digits, TokKind.NUMBER, digits
+    if which == "punct":
+        p = draw(st.sampled_from(_PUNCT_TEXTS))
+        return p, TokKind.PUNCT, p
+    name = draw(_NAMES)
+    if which == "tyvar":
+        return "'" + name, TokKind.TYVAR, name
+    sigil = draw(st.sampled_from("&@#"))
+    kind = {"&": TokKind.ENAME, "@": TokKind.FNAME, "#": TokKind.RNAME}[sigil]
+    gap = "".join(draw(st.lists(_SPACES, max_size=2)))
+    return sigil + gap + name, kind, name
+
+
+def _line_column(source: str, offset: int) -> tuple[int, int]:
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(st.one_of(_SPACES, _COMMENTS), min_size=1, max_size=3), _lexemes())),
+    st.lists(st.one_of(_SPACES, _COMMENTS), max_size=2),
+)
+def test_token_positions_point_at_their_text(pieces, trailer):
+    source, expected = "", []
+    for separators, (lexeme, kind, text) in pieces:
+        source += "".join(separators)
+        expected.append((kind, text, *_line_column(source, len(source))))
+        source += lexeme
+    source += "".join(trailer)
+    expected.append((TokKind.EOF, "", *_line_column(source, len(source))))
+    assert [(t.kind, t.text, t.line, t.column) for t in tokenize(source)] == expected
 
 
 class TestParser:

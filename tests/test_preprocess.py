@@ -60,3 +60,16 @@ class TestUnrollingLimits:
         monkeypatch.setattr(preprocess, "UNROLL_BUDGET", 5)
         with pytest.raises(CapacityError, match="exceeded 5 instantiations"):
             core_of_source("@qft{4}((&1, (&0, (&1, (&0, ())))))")
+
+
+class TestPatternBinding:
+    def test_if_in_a_pattern_binds_only_the_chosen_branch(self):
+        # The unchosen branch's `y` must not be renamed: the body's `y` is the
+        # lambda's own.
+        src = (
+            "def @f : Bit * Bit -> Bit * Bit := lambda (a, y) -> "
+            "ctrl a [ if 1 < 2 then x else y endif -> (x, y) ] end\n"
+            "@f(&0, &1)"
+        )
+        lam = core_of_source(src).fn
+        assert core.free_qvars(lam.body) <= core.free_qvars(lam.pattern)
