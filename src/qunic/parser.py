@@ -97,6 +97,15 @@ _PROG_START_KWS = ("u3", "lambda", "gphase", "rphase", "pmatch")
 _REAL_START_KWS = ("pi", "euler") + reals.UNARY_OPS
 
 
+def _integer(t: Token) -> int:
+    """The value of a NUMBER token; a literal too long for ``int`` is a ParseError."""
+    try:
+        return int(t.text)
+    except ValueError:  # over the interpreter's limit on integer-string conversion
+        message = f"numeric literal of {len(t.text)} digits is too long"
+        raise ParseError(message, t.line, t.column) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.toks = tokens
@@ -187,11 +196,11 @@ class _Parser:
         t = self.cur
         if t.kind is TokKind.NUMBER:
             self.take()
-            return RConst(int(t.text))
+            return RConst(_integer(t))
         if self.at_punct("-"):
             self.take()
             num = self.expect_kind(TokKind.NUMBER, "a number after '-'")
-            return RConst(-int(num.text))
+            return RConst(-_integer(num))
         if self.at_kw("pi"):
             self.take()
             return RPi()

@@ -22,6 +22,7 @@ them needs the scrutinee's type, which is the typechecker's business.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from importlib import resources
@@ -119,7 +120,14 @@ def default_prelude_text() -> str:
     return resources.files("qunic").joinpath("prelude.qunity").read_text(encoding="utf-8")
 
 
+@functools.cache
 def load_prelude_defs() -> tuple[surface.Def, ...]:
+    """The prelude's definitions, parsed on the first call and shared after it.
+
+    The prelude is parsed once per process, never at import.  Sharing is safe
+    because surface nodes are frozen dataclasses with tuple fields, and each
+    :class:`Elaborator` copies the definitions into tables of its own.
+    """
     qf = parse_file(default_prelude_text())
     if qf.main is not None:
         raise PreprocessError("a prelude file must not contain a main expression")
@@ -551,6 +559,10 @@ def elaborate_file(qf: QFile, prelude: tuple[surface.Def, ...] = ()) -> CoreExpr
 
 
 def core_of_source(source: str, use_prelude: bool = True) -> CoreExpr:
-    """Parse and elaborate source text in one step (the common entry point)."""
+    """Parse and elaborate source text in one step (the common entry point).
+
+    The prelude is parsed once per process, by the first call that uses it;
+    with ``use_prelude=False`` it is never read.
+    """
     prelude = load_prelude_defs() if use_prelude else ()
     return elaborate_file(parse_file(source), prelude)

@@ -258,6 +258,21 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_real_string("-pi")
 
+    @pytest.mark.parametrize(
+        "source, parse, column",
+        [
+            ("1" * 5000, parse_real_string, 1),
+            ("1 - -" + "1" * 5000, parse_real_string, 6),
+            ("&0 |> u3{" + "9" * 5000 + ", 0, 0}", parse_file, 10),
+        ],
+        ids=["literal", "negative_literal", "u3_argument"],
+    )
+    def test_overlong_literal_is_a_parse_error(self, source, parse, column):
+        # Longer than the interpreter's limit on integer-string conversion.
+        with pytest.raises(ParseError, match="5000 digits is too long") as exc:
+            parse(source)
+        assert (exc.value.line, exc.value.column) == (1, column)
+
     def test_unexpected_token_reports_position(self):
         with pytest.raises(ParseError) as exc:
             parse_expr_string("ctrl x [&0 -> ]")
