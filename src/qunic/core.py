@@ -15,6 +15,15 @@ sums list all ``left`` values before all ``right`` values, products are
 ordered lexicographically with the left component major — which everything
 downstream (interpreter matrices, circuit encodings, output distributions)
 relies on.
+
+Elaboration memoizes instantiations, so a core term is a DAG whose tree can
+be millions of times larger.  Every core node class derives from
+:class:`qunic.reals._Node` and is a slotted frozen dataclass: its hash is
+computed on first use and kept, and ``==`` is true on identity, else false on
+two kept hashes that differ, else decided by walking pairs of nodes, each
+``(id(a), id(b))`` pair once.  Both cost work in proportion to the DAG, not
+the tree, and neither recurses.  Nodes are not interned: equal terms built
+apart stay distinct objects and compare equal by that walk.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from functools import lru_cache
 from typing import Iterator, Union
 
 from .errors import CapacityError
-from .reals import Real, real_to_str
+from .reals import Real, _Node, real_to_str
 
 DIM_LIMIT = 2**62
 
@@ -32,24 +41,24 @@ DIM_LIMIT = 2**62
 # Types
 
 
-@dataclass(frozen=True)
-class TyVoid:
+@dataclass(frozen=True, eq=False, slots=True)
+class TyVoid(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class TySum:
+@dataclass(frozen=True, eq=False, slots=True)
+class TySum(_Node):
     left: "CoreType"
     right: "CoreType"
 
 
-@dataclass(frozen=True)
-class TyUnit:
+@dataclass(frozen=True, eq=False, slots=True)
+class TyUnit(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class TyProd:
+@dataclass(frozen=True, eq=False, slots=True)
+class TyProd(_Node):
     left: "CoreType"
     right: "CoreType"
 
@@ -173,50 +182,50 @@ def value_to_str(v: Value) -> str:
 # Expressions and programs
 
 
-@dataclass(frozen=True)
-class ExUnit:
+@dataclass(frozen=True, eq=False, slots=True)
+class ExUnit(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class ExVar:
+@dataclass(frozen=True, eq=False, slots=True)
+class ExVar(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class ExPair:
+@dataclass(frozen=True, eq=False, slots=True)
+class ExPair(_Node):
     left: "CoreExpr"
     right: "CoreExpr"
 
 
-@dataclass(frozen=True)
-class CoreArm:
+@dataclass(frozen=True, eq=False, slots=True)
+class CoreArm(_Node):
     pattern: "CoreExpr"
     body: "CoreExpr"
 
 
-@dataclass(frozen=True)
-class ExCtrl:
+@dataclass(frozen=True, eq=False, slots=True)
+class ExCtrl(_Node):
     scrutinee: "CoreExpr"
     arms: tuple[CoreArm, ...]
     else_body: "CoreExpr | None" = None
 
 
-@dataclass(frozen=True)
-class ExMatch:
+@dataclass(frozen=True, eq=False, slots=True)
+class ExMatch(_Node):
     scrutinee: "CoreExpr"
     arms: tuple[CoreArm, ...]
     else_body: "CoreExpr | None" = None
 
 
-@dataclass(frozen=True)
-class ExTry:
+@dataclass(frozen=True, eq=False, slots=True)
+class ExTry(_Node):
     attempt: "CoreExpr"
     fallback: "CoreExpr"
 
 
-@dataclass(frozen=True)
-class ExApp:
+@dataclass(frozen=True, eq=False, slots=True)
+class ExApp(_Node):
     fn: "CoreProg"
     arg: "CoreExpr"
 
@@ -224,40 +233,40 @@ class ExApp:
 CoreExpr = Union[ExUnit, ExVar, ExPair, ExCtrl, ExMatch, ExTry, ExApp]
 
 
-@dataclass(frozen=True)
-class PrU3:
+@dataclass(frozen=True, eq=False, slots=True)
+class PrU3(_Node):
     theta: Real
     phi: Real
     lam: Real
 
 
-@dataclass(frozen=True)
-class PrLeft:
+@dataclass(frozen=True, eq=False, slots=True)
+class PrLeft(_Node):
     left_ty: CoreType
     right_ty: CoreType
 
 
-@dataclass(frozen=True)
-class PrRight:
+@dataclass(frozen=True, eq=False, slots=True)
+class PrRight(_Node):
     left_ty: CoreType
     right_ty: CoreType
 
 
-@dataclass(frozen=True)
-class PrAbs:
+@dataclass(frozen=True, eq=False, slots=True)
+class PrAbs(_Node):
     pattern: CoreExpr
     body: CoreExpr
 
 
-@dataclass(frozen=True)
-class PrRphase:
+@dataclass(frozen=True, eq=False, slots=True)
+class PrRphase(_Node):
     pattern: CoreExpr
     on_phase: Real
     off_phase: Real
 
 
-@dataclass(frozen=True)
-class PrPmatch:
+@dataclass(frozen=True, eq=False, slots=True)
+class PrPmatch(_Node):
     arms: tuple[CoreArm, ...]
 
 

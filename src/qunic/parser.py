@@ -149,12 +149,20 @@ class _Parser:
             raise self._fail(f"expected {what}")
         return self.take()
 
-    def _attempt(self, fn: Callable[[], _T]) -> _T | None:
-        """Run ``fn``, rolling the token cursor back if it raises ParseError."""
+    def _attempt(
+        self, fn: Callable[[], _T], failures: list[tuple[int, ParseError]] | None = None
+    ) -> _T | None:
+        """Run ``fn``, rolling the token cursor back if it raises ParseError.
+
+        When ``failures`` is given, the error is appended to it together with
+        the cursor position that ``fn`` had reached when it raised.
+        """
         snapshot = self.pos
         try:
             return fn()
-        except ParseError:
+        except ParseError as e:
+            if failures is not None:
+                failures.append((self.pos, e))
             self.pos = snapshot
             return None
 
@@ -496,10 +504,16 @@ class _Parser:
         ):
             return self.parse_real()
         if self.at_punct("(") or self.at_kw("if"):
+            failures: list[tuple[int, ParseError]] = []
             for attempt in (self.parse_expr, self.parse_real, self.parse_type, self.parse_prog):
-                got = self._attempt(attempt)  # type: ignore[arg-type]
+                got = self._attempt(attempt, failures)  # type: ignore[arg-type]
                 if got is not None:
                     return got  # type: ignore[return-value]
+            # The trial that read furthest explains the failure best, unless
+            # none read a token past the opening one.
+            reached, error = max(failures, key=lambda f: f[0])
+            if reached > self.pos + 1:
+                raise error
         raise self._fail("expected a type, expression, program, or real argument")
 
     # -- definitions and files -----------------------------------------------------

@@ -21,6 +21,16 @@ Two node kinds — :class:`RName` and :class:`RIf` — exist only in surface
 syntax.  The preprocessor substitutes definitions and resolves conditionals,
 so evaluation rejects them: seeing one after preprocessing is a bug in the
 caller, reported as a :class:`~qunic.errors.RealError`.
+
+Exact parts of a value are ints while they are integral; ``/`` and a
+negative ``^`` go through :class:`~fractions.Fraction` and drop back to an
+int when the denominator is 1.  The three views still return Fractions.
+
+The closed nodes (:class:`RConst`, :class:`RPi`, :class:`REuler`,
+:class:`RUnary`, :class:`RBinary`) share one base with the core nodes,
+:class:`_Node`: a slotted frozen dataclass whose hash is computed on first
+use and kept, and whose ``==`` tries identity, then the kept hashes, then
+walks pairs of nodes, visiting each pair once.  There is no intern table.
 """
 
 from __future__ import annotations
@@ -51,29 +61,128 @@ UNARY_OPS = (
 BINARY_OPS = ("+", "-", "*", "/", "^", "%")
 
 
-@dataclass(frozen=True)
-class RConst:
+class _Node:
+    """Base of the closed real nodes here and of every core node in :mod:`core`.
+
+    Subclasses are ``@dataclass(frozen=True, eq=False, slots=True)``, so their
+    fields are their slots and the dataclass writes neither ``__eq__`` nor
+    ``__hash__``; the two below apply.  Elaboration shares subterms, so a term
+    is a DAG whose tree can be millions of times larger; both methods cost
+    work in proportion to the DAG.
+
+    * ``hash`` is computed on first use and kept in the ``_hash`` slot, which
+      is not a dataclass field.  Computing it visits only the nodes below
+      whose hash is not kept yet, in an explicit post-order with no recursion.
+    * ``==`` is true on identity and false on two kept hashes that differ;
+      otherwise it walks pairs of nodes with an explicit stack, visiting each
+      ``(id(a), id(b))`` pair once.
+
+    Nodes are not interned: equal nodes built apart stay distinct objects.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return _hash_dag(self)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        try:
+            if self._hash != other._hash:
+                return False
+        except AttributeError:  # a hash not computed yet
+            pass
+        return _eq_dag(self, other)
+
+
+def _hash_dag(root: _Node) -> int:
+    """Keep the hash of ``root`` and of every node below it that has none yet.
+
+    A stack entry ``(node, None)`` asks to visit ``node``; ``(node, values)``
+    sits below the entries of its children without a kept hash, and keeps
+    the hash of ``node`` once they have theirs.
+    """
+    stack: list[tuple[_Node, list | None]] = [(root, None)]
+    while stack:
+        node, values = stack.pop()
+        if values is None:
+            values = [getattr(node, name) for name in node.__slots__]
+            stack.append((node, values))
+            waiting = len(stack)
+            for v in values:
+                if isinstance(v, _Node):
+                    if not hasattr(v, "_hash"):
+                        stack.append((v, None))
+                elif type(v) is tuple:
+                    stack += [
+                        (c, None) for c in v if isinstance(c, _Node) and not hasattr(c, "_hash")
+                    ]
+            if len(stack) > waiting:
+                continue
+            stack.pop()
+        object.__setattr__(node, "_hash", hash((type(node), *values)))
+    return root._hash
+
+
+def _eq_dag(a: _Node, b: _Node) -> bool:
+    """Walk pairs of nodes of one type, each ``(id(x), id(y))`` pair once."""
+    seen: set[tuple[int, int]] = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        pair = (id(x), id(y))
+        if pair in seen:
+            continue
+        seen.add(pair)
+        for name in x.__slots__:
+            u, v = getattr(x, name), getattr(y, name)
+            if type(u) is tuple and type(v) is tuple:  # a field holding a tuple of arms
+                if len(u) != len(v):
+                    return False
+                pairs = zip(u, v)
+            else:
+                pairs = ((u, v),)
+            for c, d in pairs:
+                if c is d:
+                    continue
+                if type(c) is not type(d):
+                    return False
+                if isinstance(c, _Node):
+                    stack.append((c, d))
+                elif c != d:
+                    return False
+    return True
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class RConst(_Node):
     value: int
 
 
-@dataclass(frozen=True)
-class RPi:
+@dataclass(frozen=True, eq=False, slots=True)
+class RPi(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class REuler:
+@dataclass(frozen=True, eq=False, slots=True)
+class REuler(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class RUnary:
+@dataclass(frozen=True, eq=False, slots=True)
+class RUnary(_Node):
     op: str
     arg: "Real"
 
 
-@dataclass(frozen=True)
-class RBinary:
+@dataclass(frozen=True, eq=False, slots=True)
+class RBinary(_Node):
     op: str
     left: "Real"
     right: "Real"
@@ -131,9 +240,9 @@ BoolExpr = Union[BNot, BAnd, BOr, BCmp]
 Number = Union[Fraction, float]
 
 # An exact pair ``(a, b)`` stands for ``a + b*pi``; a float is always finite.
-Value = Union[tuple[Fraction, Fraction], float]
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
+# Exact parts are ints while they are integral, and Fractions otherwise.
+Rational = Union[int, Fraction]
+Value = Union[tuple[Rational, Rational], float]
 
 _FLOAT_OPS = {
     "sin": math.sin,
@@ -162,9 +271,9 @@ def _value(r: Real) -> Value:
     no exact rule below is computed on floats.
     """
     if isinstance(r, RConst):
-        return Fraction(r.value), _ZERO
+        return r.value, 0
     if isinstance(r, RPi):
-        return _ZERO, _ONE
+        return 0, 1
     if isinstance(r, REuler):
         return math.e
     if isinstance(r, RUnary):
@@ -172,11 +281,11 @@ def _value(r: Real) -> Value:
         q = x[0] if isinstance(x, tuple) and x[1] == 0 else None
         if r.op in ("ceil", "floor"):
             rounded = math.ceil if r.op == "ceil" else math.floor
-            return Fraction(rounded(_to_float(x) if q is None else q)), _ZERO
+            return rounded(_to_float(x) if q is None else q), 0
         if r.op == "sqrt" and q is not None and q >= 0:
             ns, ds = math.isqrt(q.numerator), math.isqrt(q.denominator)
             if ns * ns == q.numerator and ds * ds == q.denominator:
-                return Fraction(ns, ds), _ZERO
+                return _exact(Fraction(ns, ds)), 0
         args = (x,)
     elif isinstance(r, RBinary):
         x, y = _value(r.left), _value(r.right)
@@ -192,15 +301,17 @@ def _value(r: Real) -> Value:
             if r.op == "*" and (b == 0 or d == 0):  # no pi^2 term
                 return a * c, a * d + b * c
             if r.op == "/" and d == 0:
-                return a / c, b / c
+                return _exact(Fraction(a, c)), _exact(Fraction(b, c))
             if r.op == "/" and a == 0 and c == 0:  # a ratio of pi-multiples is rational
-                return b / d, _ZERO
+                return _exact(Fraction(b, d)), 0
             if r.op == "%" and b == 0 and d == 0:
-                return a % c, _ZERO
+                return a % c, 0
             if r.op == "^" and b == 0 and d == 0 and c.denominator == 1:
-                if a == 0 and c < 0:
+                if c >= 0:
+                    return a**c.numerator, 0
+                if a == 0:
                     raise RealError("zero raised to a negative power")
-                return a**c.numerator, _ZERO
+                return _exact(Fraction(a) ** c.numerator), 0
         args = (x, y)
     elif isinstance(r, RName):
         raise RealError(f"unresolved real name #{r.name} (not substituted)")
@@ -223,6 +334,11 @@ def _value(r: Real) -> Value:
         problem = "overflows"
     shown = f"{r.op}({fs[0]})" if len(fs) == 1 else f"{fs[0]} {r.op} {fs[1]}"
     raise RealError(f"{shown} {problem}")
+
+
+def _exact(q: Fraction) -> Rational:
+    """``q`` as an int when it is integral, so exact arithmetic stays on ints."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _to_float(v: Value) -> float:
@@ -252,7 +368,7 @@ def evaluate_real(r: Real) -> Number:
     """
     v = _value(r)
     if isinstance(v, tuple) and v[1] == 0:
-        return v[0]
+        return Fraction(v[0])
     return _to_float(v)
 
 
@@ -291,7 +407,7 @@ def as_pi_multiple(r: Real) -> Fraction | None:
     """
     v = _value(r)
     if isinstance(v, tuple) and v[0] == 0 and v[1] != 0:
-        return v[1]
+        return Fraction(v[1])
     return None
 
 
@@ -299,7 +415,7 @@ def as_rational(r: Real) -> Fraction | None:
     """Return the exact rational value of ``r``, or None if it has none."""
     v = _value(r)
     if isinstance(v, tuple) and v[1] == 0:
-        return v[0]
+        return Fraction(v[0])
     return None
 
 
@@ -311,6 +427,13 @@ def require_int(r: Real, what: str) -> int:
     raise RealError(f"{what} must be an integer, got {v}")
 
 
+def _digit_count(n: int) -> int:
+    """The number of decimal digits of ``n``, without converting it to a string."""
+    n = abs(n)
+    k = int((n.bit_length() - 1) * math.log10(2)) + 1  # the digits of 2^(bits - 1)
+    return k + (n >= 10**k)
+
+
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 _BIN_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "%": _PREC_MUL, "^": _PREC_POW}
 
@@ -319,10 +442,17 @@ def real_to_str(r: Real, _prec: int = 0) -> str:
     """Render a real expression in surface syntax, with minimal parentheses.
 
     ``+ - * / %`` print left-associatively and ``^`` right-associatively,
-    matching how the parser rebuilds them.
+    matching how the parser rebuilds them.  A constant longer than the
+    interpreter's limit on integer-to-string conversion raises
+    :class:`~qunic.errors.RealError`; the limit is not raised.
     """
     if isinstance(r, RConst):
-        s = str(r.value)
+        try:
+            s = str(r.value)
+        except ValueError:  # over the interpreter's limit on integer-string conversion
+            raise RealError(
+                f"a constant of {_digit_count(r.value)} digits is too long to print"
+            ) from None
         return s if r.value >= 0 or _prec == 0 else f"({s})"
     if isinstance(r, RPi):
         return "pi"

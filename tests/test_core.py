@@ -1,0 +1,184 @@
+"""Hashing and equality of shared core terms (the ``_Node`` contract)."""
+
+import dataclasses
+import time
+
+import pytest
+from hypothesis import given, strategies as st
+
+from qunic import core, reals
+from qunic.core import (
+    CoreArm,
+    ExApp,
+    ExCtrl,
+    ExMatch,
+    ExPair,
+    ExTry,
+    ExUnit,
+    ExVar,
+    PrAbs,
+    PrLeft,
+    PrPmatch,
+    PrRight,
+    PrRphase,
+    PrU3,
+    TyProd,
+    TySum,
+    TyUnit,
+    TyVoid,
+)
+from qunic.errors import RealError
+from qunic.preprocess import core_of_source
+from qunic.reals import RBinary, RConst, RPi, RUnary
+
+NODE_CLASSES = [
+    cls
+    for module in (core, reals)
+    for cls in vars(module).values()
+    if isinstance(cls, type) and issubclass(cls, reals._Node) and cls is not reals._Node
+]
+
+
+def _deep_u3(depth: int, theta: int) -> str:
+    """A program that nests ``depth`` lambdas around one ``u3`` leaf."""
+    return (
+        "def @deep{#n, #a} : Bit -> Bit := if #n = 0 then u3{#a, 0, 0} "
+        "else lambda x -> @deep{#n - 1, #a}(x) endif end\n"
+        f"&0 |> @deep{{{depth}, {theta}}}\n"
+    )
+
+
+class TestSharedCores:
+    def test_order_finding_20_hashes_fast_and_compares_equal(self):
+        a = core_of_source("&order_finding{20, 7}")
+        b = core_of_source("&order_finding{20, 7}")
+        assert a is not b
+        start = time.perf_counter()
+        h = hash(a)
+        assert time.perf_counter() - start < 1.0
+        assert a == b
+        assert hash(b) == h
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "&num_to_state{80, 5} |> @qft{80}",
+            "(&num_to_state{56, 5}, &num_to_state{56, 3}) |> @rev_adder{56}",
+        ],
+    )
+    def test_wide_circuits_compare_equal(self, source):
+        # Deeper than the interpreter's recursion limit as a tree.
+        assert core_of_source(source) == core_of_source(source)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ("&order_finding{8, 7}", "&order_finding{8, 11}"),
+            (_deep_u3(60, 1), _deep_u3(60, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_cores_differing_in_one_deep_leaf_are_unequal(self, left, right, hashed):
+        a, b = core_of_source(left), core_of_source(right)
+        if hashed:
+            hash(a), hash(b)
+        assert a != b
+        assert not a == b
+
+    def test_printing_an_overlong_constant_is_a_real_error(self):
+        c = core_of_source(
+            "def &z : Unit := () end\n&z |> lambda () -> () |> gphase{7 ^ 6000}",
+            use_prelude=False,
+        )
+        with pytest.raises(RealError, match="5071 digits"):
+            core.core_expr_to_str(c)
+
+    def test_nodes_have_no_dict_and_only_their_declared_fields(self):
+        assert len(NODE_CLASSES) == 23
+        for cls in NODE_CLASSES:
+            declared = list(cls.__annotations__)
+            assert [f.name for f in dataclasses.fields(cls)] == declared
+            node = cls(*[None] * len(declared))
+            assert not hasattr(node, "__dict__")
+            hash(node)
+            assert [f.name for f in dataclasses.fields(node)] == declared
+
+
+# ---------------------------------------------------------------------------
+# The DAG comparison agrees with a plain recursive one on small terms
+
+
+def _structural_eq(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple:
+        return len(a) == len(b) and all(_structural_eq(x, y) for x, y in zip(a, b))
+    if not dataclasses.is_dataclass(a):
+        return a == b
+    return all(
+        _structural_eq(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+    )
+
+
+def _rebuild(x):
+    """An equal term that shares no node with ``x``."""
+    if type(x) is tuple:
+        return tuple(_rebuild(v) for v in x)
+    if not dataclasses.is_dataclass(x):
+        return x
+    return type(x)(*[_rebuild(getattr(x, f.name)) for f in dataclasses.fields(x)])
+
+
+_types = st.recursive(
+    st.sampled_from([TyVoid(), TyUnit()]),
+    lambda sub: st.builds(TySum, sub, sub) | st.builds(TyProd, sub, sub),
+    max_leaves=4,
+)
+_reals = st.recursive(
+    st.integers(0, 2).map(RConst) | st.just(RPi()),
+    lambda sub: st.builds(RUnary, st.just("sin"), sub)
+    | st.builds(RBinary, st.sampled_from(["+", "*"]), sub, sub),
+    max_leaves=3,
+)
+
+
+def _exprs_and_progs():
+    leaves = st.just(ExUnit()) | st.sampled_from(["x", "y"]).map(ExVar)
+
+    def extend(sub):
+        arms = st.lists(st.builds(CoreArm, sub, sub), max_size=2).map(tuple)
+        progs = (
+            st.builds(PrU3, _reals, _reals, _reals)
+            | st.builds(PrLeft, _types, _types)
+            | st.builds(PrRight, _types, _types)
+            | st.builds(PrAbs, sub, sub)
+            | st.builds(PrRphase, sub, _reals, _reals)
+            | st.builds(PrPmatch, arms)
+        )
+        return (
+            st.builds(ExPair, sub, sub)
+            | sub.map(lambda x: ExPair(x, x))  # a shared child
+            | st.builds(ExCtrl, sub, arms, st.none() | sub)
+            | st.builds(ExMatch, sub, arms, st.none() | sub)
+            | st.builds(ExTry, sub, sub)
+            | st.builds(ExApp, progs, sub)
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+_terms = _exprs_and_progs() | _types | _reals
+
+
+@given(st.data())
+def test_dag_equality_agrees_with_structural_equality(data):
+    a = data.draw(_terms)
+    b = data.draw(_terms | st.just(a).map(_rebuild))
+    if data.draw(st.booleans()):
+        hash(a)
+    if data.draw(st.booleans()):
+        hash(b)
+    assert (a == b) is _structural_eq(a, b)
+    assert (a != b) is not _structural_eq(a, b)
+    if a == b:
+        assert hash(a) == hash(b)

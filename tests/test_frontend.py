@@ -273,6 +273,17 @@ class TestParser:
             parse(source)
         assert (exc.value.line, exc.value.column) == (1, column)
 
+    def test_generic_argument_reports_the_trial_that_read_furthest(self):
+        # Of the four trials of a parenthesised generic argument, only the
+        # real one reads the literal; its error is the one reported.
+        with pytest.raises(ParseError, match="5000 digits is too long") as exc:
+            parse_file("&0{(" + "9" * 5000 + ")}")
+        assert (exc.value.line, exc.value.column) == (1, 5)
+        # No trial reads past the "(": the generic message stays.
+        with pytest.raises(ParseError, match="expected a type, expression") as exc:
+            parse_file("&0{(}")
+        assert (exc.value.line, exc.value.column) == (1, 4)
+
     def test_unexpected_token_reports_position(self):
         with pytest.raises(ParseError) as exc:
             parse_expr_string("ctrl x [&0 -> ]")

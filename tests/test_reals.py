@@ -209,3 +209,70 @@ def _real_trees(depth: int):
 @given(_real_trees(4))
 def test_real_print_parse_round_trip(r):
     assert parse_real_string(real_to_str(r)) == r
+
+
+# ---------------------------------------------------------------------------
+# Exact arithmetic on ints agrees with Fractions
+
+
+def _integer_trees(depth: int):
+    if depth == 0:
+        return st.integers(-6, 6).map(RConst)
+    sub = _integer_trees(depth - 1)
+    return st.one_of(
+        sub,
+        st.builds(RBinary, st.sampled_from(["+", "-", "*", "/", "%"]), sub, sub),
+        st.builds(RBinary, st.just("^"), sub, st.integers(-3, 3).map(RConst)),
+    )
+
+
+def _reference(r) -> Fraction:
+    """Plain Fraction arithmetic; raises ZeroDivisionError where the value is undefined."""
+    if isinstance(r, RConst):
+        return Fraction(r.value)
+    x, y = _reference(r.left), _reference(r.right)
+    if r.op == "+":
+        return x + y
+    if r.op == "-":
+        return x - y
+    if r.op == "*":
+        return x * y
+    if r.op == "/":
+        return x / y
+    if r.op == "%":
+        return x % y
+    return x ** int(y)
+
+
+@given(_integer_trees(3))
+def test_exact_values_match_a_fraction_reference(r):
+    try:
+        expected = _reference(r)
+    except ZeroDivisionError:
+        with pytest.raises(RealError):
+            evaluate_real(r)
+        return
+    got = evaluate_real(r)
+    assert type(got) is Fraction
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "src, view",
+    [
+        ("3", as_rational),
+        ("6 / 3", as_rational),
+        ("2 * pi", as_pi_multiple),
+        ("(4 / 2) * pi", as_pi_multiple),
+    ],
+)
+def test_views_return_fractions_on_integral_values(src, view):
+    q = view(parse_real_string(src))
+    assert type(q) is Fraction
+    assert q.denominator == 1
+
+
+def test_constant_too_long_to_print_is_a_real_error():
+    # Longer than the interpreter's limit on integer-string conversion.
+    with pytest.raises(RealError, match="5071 digits"):
+        real_to_str(RConst(7**6000))
