@@ -22,7 +22,8 @@ be millions of times larger.  Every core node class derives from
 computed on first use and kept, and ``==`` is true on identity, else false on
 two kept hashes that differ, else decided by walking pairs of nodes, each
 ``(id(a), id(b))`` pair once.  Both cost work in proportion to the DAG, not
-the tree, and neither recurses.  Nodes are not interned: equal terms built
+the tree, and neither recurses.  ``repr`` prints the dataclass form down to a
+fixed depth and ``...`` below it.  Nodes are not interned: equal terms built
 apart stay distinct objects and compare equal by that walk.
 """
 
@@ -41,23 +42,23 @@ DIM_LIMIT = 2**62
 # Types
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class TyVoid(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class TySum(_Node):
     left: "CoreType"
     right: "CoreType"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class TyUnit(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class TyProd(_Node):
     left: "CoreType"
     right: "CoreType"
@@ -182,49 +183,49 @@ def value_to_str(v: Value) -> str:
 # Expressions and programs
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExUnit(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExVar(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExPair(_Node):
     left: "CoreExpr"
     right: "CoreExpr"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class CoreArm(_Node):
     pattern: "CoreExpr"
     body: "CoreExpr"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExCtrl(_Node):
     scrutinee: "CoreExpr"
     arms: tuple[CoreArm, ...]
     else_body: "CoreExpr | None" = None
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExMatch(_Node):
     scrutinee: "CoreExpr"
     arms: tuple[CoreArm, ...]
     else_body: "CoreExpr | None" = None
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExTry(_Node):
     attempt: "CoreExpr"
     fallback: "CoreExpr"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExApp(_Node):
     fn: "CoreProg"
     arg: "CoreExpr"
@@ -233,39 +234,39 @@ class ExApp(_Node):
 CoreExpr = Union[ExUnit, ExVar, ExPair, ExCtrl, ExMatch, ExTry, ExApp]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class PrU3(_Node):
     theta: Real
     phi: Real
     lam: Real
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class PrLeft(_Node):
     left_ty: CoreType
     right_ty: CoreType
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class PrRight(_Node):
     left_ty: CoreType
     right_ty: CoreType
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class PrAbs(_Node):
     pattern: CoreExpr
     body: CoreExpr
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class PrRphase(_Node):
     pattern: CoreExpr
     on_phase: Real
     off_phase: Real
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class PrPmatch(_Node):
     arms: tuple[CoreArm, ...]
 

@@ -1,28 +1,35 @@
 """Recursive-descent parser for Qunity surface syntax.
 
-Most of the grammar is predictive (one token of lookahead), with three
-documented exceptions that use bounded backtracking:
+The grammar is predictive, with no exception: one token of lookahead picks
+every alternative, and each token is read once.  Where that token does not
+tell the class of what follows, one routine reads the whole construct and
+returns whichever class it found, and the caller continues from that node:
 
-* a ``(`` at expression position may open a unit/pair/parenthesized
-  expression or a parenthesized program being applied;
-* a ``(`` in a boolean condition may parenthesize a sub-condition or the
-  real expression on the left of a comparison;
-* a ``(`` or ``if`` in a generic-argument list is tried as expression, real,
-  type, then program.
+* ``_group`` reads ``(`` ... ``)`` around any generic argument, unit, or a
+  pair.  At expression position a program in it is applied to the argument
+  after it (``(lambda x -> x)(e)``), and a real or a type is an error; the
+  argument of an application must be an expression.  In a generic argument a
+  real or a type continues as one (``&f{(#a - 1) / 2}``), an expression
+  continues through ``|>``, and a program followed by ``(`` is applied.
+* an ``if`` in a generic argument reads both branches as generic arguments,
+  which must be of one class; an ``if`` program is not applied.
+* a ``(`` in a condition reads a condition or a real; a real is then
+  continued and compared (``((1) + 2) < 3``).
 
-In a generic-argument list a program followed by ``(`` is read as an
-application expression (``&e{@f(x) |> @g}``), since that is how the printer
-writes an applied program there.
+An unparenthesized program followed by ``(`` in a generic argument is applied
+too (``&e{@f(x) |> @g}``), since that is how the printer writes an applied
+program there.
 
 Operator shapes not fully pinned down by the grammar are resolved as follows:
 ``*`` on types is left-associative (a product ``A * B * C`` means
 ``(A * B) * C``), arithmetic ``+ - * / %`` are left-associative with ``^``
-right-associative and tighter, ``!`` binds tighter than ``&&`` which binds
-tighter than ``||``, and a minus sign is only part of a numeric literal (there
-is no general unary minus).  ``x |> f`` applies ``f`` to ``x`` and chains
-left-associatively; a ``lambda`` on the right of ``|>`` takes everything to
-its right as its body, which reassociates pipelines but never changes their
-meaning.
+right-associative and tighter (the printer's table ``reals.BIN_PREC``), ``!``
+binds tighter than ``&&`` which binds tighter than ``||``, and a minus sign is
+only part of a numeric literal (there is no general unary minus).  ``x |> f``
+applies ``f`` to ``x`` and chains left-associatively; a ``lambda`` on the
+right of ``|>`` takes everything to its right as its body, which reassociates
+pipelines but never changes their meaning.  Nesting too deep for the
+interpreter's stack is a :class:`~qunic.errors.CapacityError`.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from __future__ import annotations
 from typing import Callable, TypeVar
 
 from . import reals, surface
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 from .lexer import Token, TokKind, tokenize
 from .reals import (
+    BIN_PREC,
     BAnd,
     BCmp,
     BNot,
@@ -149,23 +157,6 @@ class _Parser:
             raise self._fail(f"expected {what}")
         return self.take()
 
-    def _attempt(
-        self, fn: Callable[[], _T], failures: list[tuple[int, ParseError]] | None = None
-    ) -> _T | None:
-        """Run ``fn``, rolling the token cursor back if it raises ParseError.
-
-        When ``failures`` is given, the error is appended to it together with
-        the cursor position that ``fn`` had reached when it raised.
-        """
-        snapshot = self.pos
-        try:
-            return fn()
-        except ParseError as e:
-            if failures is not None:
-                failures.append((self.pos, e))
-            self.pos = snapshot
-            return None
-
     def _if(self, branch: Callable[[], _T], node: Callable[[BoolExpr, _T, _T], _T]) -> _T:
         """``if cond then a else b endif``, with both branches read by ``branch``."""
         self.expect_kw("if")
@@ -173,32 +164,24 @@ class _Parser:
         self.expect_kw("then")
         then = branch()
         self.expect_kw("else")
-        els = branch()
+        built = node(cond, then, branch())
         self.expect_kw("endif")
-        return node(cond, then, els)
+        return built
 
     # -- reals and booleans -------------------------------------------------
 
-    def parse_real(self) -> Real:
-        left = self._real_mul()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.take().text
-            left = RBinary(op, left, self._real_mul())
-        return left
+    def parse_real(self, left: Real | None = None, min_prec: int = 1) -> Real:
+        """A real whose operators bind at least ``min_prec`` tight (see ``BIN_PREC``).
 
-    def _real_mul(self) -> Real:
-        left = self._real_pow()
-        while self.at_punct("*") or self.at_punct("/") or self.at_punct("%"):
+        ``left``, when given, is its first operand, already read.
+        """
+        if left is None:
+            left = self._real_atom()
+        while self.cur.kind is TokKind.PUNCT and BIN_PREC.get(self.cur.text, 0) >= min_prec:
             op = self.take().text
-            left = RBinary(op, left, self._real_pow())
+            prec = BIN_PREC[op]  # '^' is right-associative, the others left
+            left = RBinary(op, left, self.parse_real(None, prec if op == "^" else prec + 1))
         return left
-
-    def _real_pow(self) -> Real:
-        base = self._real_atom()
-        if self.at_punct("^"):
-            self.take()
-            return RBinary("^", base, self._real_pow())
-        return base
 
     def _real_atom(self) -> Real:
         t = self.cur
@@ -233,15 +216,17 @@ class _Parser:
             return self._if(self.parse_real, RIf)
         raise self._fail("expected a real expression")
 
-    def parse_bool(self) -> BoolExpr:
-        left = self._bool_and()
+    def parse_bool(self, left: BoolExpr | None = None) -> BoolExpr:
+        """A condition; ``left``, when given, is its first operand, already read."""
+        left = self._bool_and(left)
         while self.at_punct("||"):
             self.take()
             left = BOr(left, self._bool_and())
         return left
 
-    def _bool_and(self) -> BoolExpr:
-        left = self._bool_not()
+    def _bool_and(self, left: BoolExpr | None = None) -> BoolExpr:
+        if left is None:
+            left = self._bool_not()
         while self.at_punct("&&"):
             self.take()
             left = BAnd(left, self._bool_not())
@@ -251,30 +236,34 @@ class _Parser:
         if self.at_punct("!"):
             self.take()
             return BNot(self._bool_not())
-        return self._bool_atom()
+        atom = self._comparison()
+        if not isinstance(atom, BoolExpr):
+            raise self._fail("expected a comparison operator")
+        return atom
 
-    def _bool_atom(self) -> BoolExpr:
+    def _comparison(self) -> BoolExpr | Real:
+        """A parenthesized condition, a comparison, or a real with no comparison after it."""
+        left = None
         if self.at_punct("("):
-
-            def paren_bool() -> BoolExpr:
-                self.expect_punct("(")
-                inner = self.parse_bool()
-                self.expect_punct(")")
-                return inner
-
-            got = self._attempt(paren_bool)
-            if got is not None:
-                return got
-        left = self.parse_real()
+            self.take()
+            left = self._bool_not() if self.at_punct("!") else self._comparison()
+            if isinstance(left, BoolExpr):
+                left = self.parse_bool(left)
+            self.expect_punct(")")
+            if isinstance(left, BoolExpr):
+                return left
+        left = self.parse_real(left)
         if self.cur.kind is TokKind.PUNCT and self.cur.text in _CMP_OPS:
             op = self.take().text
             return BCmp(op, left, self.parse_real())
-        raise self._fail("expected a comparison operator")
+        return left
 
     # -- types ---------------------------------------------------------------
 
-    def parse_type(self) -> Type:
-        left = self._type_atom()
+    def parse_type(self, left: Type | None = None) -> Type:
+        """A type; ``left``, when given, is its first operand, already read."""
+        if left is None:
+            left = self._type_atom()
         while self.at_punct("*"):
             self.take()
             left = TProd(left, self._type_atom())
@@ -318,45 +307,20 @@ class _Parser:
     def _expr_app(self) -> Expr:
         t = self.cur
         if self.at_punct("("):
-
-            def plain_group() -> Expr:
-                self.expect_punct("(")
-                if self.at_punct(")"):
-                    self.take()
-                    return EUnit()
-                first = self.parse_expr()
-                if self.at_punct(","):
-                    self.take()
-                    second = self.parse_expr()
-                    self.expect_punct(")")
-                    return EPair(first, second)
-                self.expect_punct(")")
-                return first
-
-            got = self._attempt(plain_group)
-            if got is not None:
-                return got
-            # A parenthesized program being applied: (lambda x -> ...)(e)
-            self.expect_punct("(")
-            f = self.parse_prog()
-            self.expect_punct(")")
-            return EApp(f, self._app_argument())
+            x = self._group()
+            if isinstance(x, Prog):  # a parenthesized program being applied: (lambda x -> ...)(e)
+                return EApp(x, self._app_argument())
+            return self._expression(x, t)
         if t.kind is TokKind.QVAR:
             self.take()
             return EVar(t.text)
         if t.kind is TokKind.ENAME:
             self.take()
             return EName(t.text, self.maybe_generic_args())
-        if self.at_kw("ctrl"):
-            self.take()
+        if self.at_kw("ctrl") or self.at_kw("match"):
+            node = ECtrl if self.take().text == "ctrl" else EMatch
             scrutinee = self.parse_expr()
-            arms, els = self._parse_arms(allow_else=True)
-            return ECtrl(scrutinee, arms, els)
-        if self.at_kw("match"):
-            self.take()
-            scrutinee = self.parse_expr()
-            arms, els = self._parse_arms(allow_else=True)
-            return EMatch(scrutinee, arms, els)
+            return node(scrutinee, *self._parse_arms(allow_else=True))
         if self.at_kw("try"):
             self.take()
             attempt = self.parse_expr()
@@ -382,18 +346,27 @@ class _Parser:
         The parentheses of ``f(a, b)`` double as the pair's, so this accepts
         unit, a single expression, or a comma pair inside one set of parens.
         """
+        t = self.cur
+        return self._expression(self._group(), t)
+
+    def _expression(self, x: GenArg, opening: Token) -> Expr:
+        """``x``, read by ``_group`` from the ``opening`` parenthesis, if it is an expression."""
+        if not isinstance(x, Expr):
+            raise ParseError("expected an expression in parentheses", opening.line, opening.column)
+        return x
+
+    def _group(self) -> GenArg:
+        """``(`` ... ``)`` around a generic argument of any class, or unit, or a pair."""
         self.expect_punct("(")
         if self.at_punct(")"):
             self.take()
             return EUnit()
-        first = self.parse_expr()
-        if self.at_punct(","):
+        x = self.parse_generic_arg()
+        if self.at_punct(",") and isinstance(x, Expr):
             self.take()
-            second = self.parse_expr()
-            self.expect_punct(")")
-            return EPair(first, second)
+            x = EPair(x, self.parse_expr())
         self.expect_punct(")")
-        return first
+        return x
 
     def _parse_arms(self, allow_else: bool) -> tuple[tuple[Arm, ...], Expr | None]:
         self.expect_punct("[")
@@ -474,60 +447,66 @@ class _Parser:
     # -- generic arguments ------------------------------------------------------
 
     def maybe_generic_args(self) -> tuple[GenArg, ...]:
+        return self._braced(self.parse_generic_arg)
+
+    def _braced(self, item: Callable[[], _T]) -> tuple[_T, ...]:
+        """``{a, b, ...}``, each read by ``item``; nothing if no ``{`` comes next."""
         if not self.at_punct("{"):
             return ()
         self.take()
-        args = [self.parse_generic_arg()]
+        items = [item()]
         while self.at_punct(","):
             self.take()
-            args.append(self.parse_generic_arg())
+            items.append(item())
         self.expect_punct("}")
-        return tuple(args)
+        return tuple(items)
 
     def parse_generic_arg(self) -> GenArg:
+        """A type, expression, program or real, whose class its first token tells.
+
+        A ``(`` or an ``if`` does not tell it: the group or the conditional
+        is read whole, and what follows continues the class it turned out to be.
+        """
         t = self.cur
         if t.kind in (TokKind.TYVAR, TokKind.TNAME) or self.at_kw("Void") or self.at_kw("Unit"):
-            return self.parse_type()
-        if t.kind in (TokKind.QVAR, TokKind.ENAME) or (
+            x: GenArg = self._type_atom()
+        elif t.kind in (TokKind.QVAR, TokKind.ENAME) or (
             t.kind is TokKind.KW and t.text in ("ctrl", "match", "try", "let")
         ):
-            return self.parse_expr()
-        if t.kind is TokKind.FNAME or (t.kind is TokKind.KW and t.text in _PROG_START_KWS):
-            f = self.parse_prog()
-            if not self.at_punct("("):
-                return f
-            return self._pipeline(EApp(f, self._app_argument()))
-        if (
+            x = self._expr_app()
+        elif (
             t.kind in (TokKind.NUMBER, TokKind.RNAME)
             or self.at_punct("-")
             or (t.kind is TokKind.KW and t.text in _REAL_START_KWS)
         ):
-            return self.parse_real()
-        if self.at_punct("(") or self.at_kw("if"):
-            failures: list[tuple[int, ParseError]] = []
-            for attempt in (self.parse_expr, self.parse_real, self.parse_type, self.parse_prog):
-                got = self._attempt(attempt, failures)  # type: ignore[arg-type]
-                if got is not None:
-                    return got  # type: ignore[return-value]
-            # The trial that read furthest explains the failure best, unless
-            # none read a token past the opening one.
-            reached, error = max(failures, key=lambda f: f[0])
-            if reached > self.pos + 1:
-                raise error
-        raise self._fail("expected a type, expression, program, or real argument")
+            x = self._real_atom()
+        elif t.kind is TokKind.FNAME or (t.kind is TokKind.KW and t.text in _PROG_START_KWS):
+            x = self.parse_prog()
+        elif self.at_punct("("):
+            x = self._group()
+        elif self.at_kw("if"):
+            x = self._if(self.parse_generic_arg, self._if_argument)
+            if isinstance(x, Prog):
+                return x  # not applied to a '(' after it
+        else:
+            raise self._fail("expected a type, expression, program, or real argument")
+        if isinstance(x, Real):
+            return self.parse_real(x)
+        if isinstance(x, Type):
+            return self.parse_type(x)
+        if isinstance(x, Prog) and self.at_punct("("):
+            x = EApp(x, self._app_argument())
+        return self._pipeline(x) if isinstance(x, Expr) else x
+
+    def _if_argument(self, cond: BoolExpr, then: GenArg, els: GenArg) -> GenArg:
+        """The ``if`` over two generic arguments, which must be of one class."""
+        for cls, node in ((Expr, EIf), (Prog, PIf), (Real, RIf), (Type, TIf)):
+            if isinstance(then, cls) and isinstance(els, cls):
+                return node(cond, then, els)  # type: ignore[arg-type]
+        t = self.cur
+        raise ParseError("the branches of an 'if' argument differ in class", t.line, t.column)
 
     # -- definitions and files -----------------------------------------------------
-
-    def _maybe_sig(self) -> tuple[Param, ...]:
-        if not self.at_punct("{"):
-            return ()
-        self.take()
-        params = [self._parse_param()]
-        while self.at_punct(","):
-            self.take()
-            params.append(self._parse_param())
-        self.expect_punct("}")
-        return tuple(params)
 
     def _parse_param(self) -> Param:
         t = self.cur
@@ -553,7 +532,7 @@ class _Parser:
         if self.at_kw("type"):
             self.take()
             name = self.expect_kind(TokKind.TNAME, "a type name").text
-            params = self._maybe_sig()
+            params = self._braced(self._parse_param)
             self.expect_punct(":=")
             if self.at_punct("|") or self.cur.kind in (TokKind.ENAME, TokKind.FNAME):
                 alts = self._parse_variant_alts()
@@ -566,7 +545,7 @@ class _Parser:
         t = self.cur
         if t.kind is TokKind.ENAME:
             self.take()
-            params = self._maybe_sig()
+            params = self._braced(self._parse_param)
             self.expect_punct(":")
             ty = self.parse_type()
             self.expect_punct(":=")
@@ -575,7 +554,7 @@ class _Parser:
             return ExprDef(t.text, params, ty, body)
         if t.kind is TokKind.FNAME:
             self.take()
-            params = self._maybe_sig()
+            params = self._braced(self._parse_param)
             self.expect_punct(":")
             dom = self.parse_type()
             self.expect_punct("->")
@@ -586,7 +565,7 @@ class _Parser:
             return ProgDef(t.text, params, dom, cod, body)
         if t.kind is TokKind.RNAME:
             self.take()
-            params = self._maybe_sig()
+            params = self._braced(self._parse_param)
             self.expect_punct(":=")
             body = self.parse_real()
             self.expect_kw("end")
@@ -620,7 +599,6 @@ class _Parser:
         main: Expr | None = None
         if self.cur.kind is not TokKind.EOF:
             main = self.parse_expr()
-        self.expect_eof()
         return QFile(tuple(defs), main)
 
     def expect_eof(self) -> None:
@@ -628,33 +606,33 @@ class _Parser:
             raise self._fail("unexpected trailing input")
 
 
+def _parse(source: str, parse: Callable[[_Parser], _T]) -> _T:
+    """Read all of ``source`` with ``parse``; nesting too deep is a CapacityError."""
+    p = _Parser(tokenize(source))
+    try:
+        x = parse(p)
+    except RecursionError:
+        t = p.cur
+        raise CapacityError(f"{t.line}:{t.column}: input nested too deeply to parse") from None
+    p.expect_eof()
+    return x
+
+
 def parse_file(source: str) -> QFile:
-    return _Parser(tokenize(source)).parse_file()
+    return _parse(source, _Parser.parse_file)
 
 
 def parse_expr_string(source: str) -> Expr:
-    p = _Parser(tokenize(source))
-    e = p.parse_expr()
-    p.expect_eof()
-    return e
+    return _parse(source, _Parser.parse_expr)
 
 
 def parse_prog_string(source: str) -> Prog:
-    p = _Parser(tokenize(source))
-    f = p.parse_prog()
-    p.expect_eof()
-    return f
+    return _parse(source, _Parser.parse_prog)
 
 
 def parse_type_string(source: str) -> Type:
-    p = _Parser(tokenize(source))
-    t = p.parse_type()
-    p.expect_eof()
-    return t
+    return _parse(source, _Parser.parse_type)
 
 
 def parse_real_string(source: str) -> Real:
-    p = _Parser(tokenize(source))
-    r = p.parse_real()
-    p.expect_eof()
-    return r
+    return _parse(source, _Parser.parse_real)

@@ -58,17 +58,15 @@ UNARY_OPS = (
     "floor",
 )
 
-BINARY_OPS = ("+", "-", "*", "/", "^", "%")
-
-
 class _Node:
     """Base of the closed real nodes here and of every core node in :mod:`core`.
 
-    Subclasses are ``@dataclass(frozen=True, eq=False, slots=True)``, so their
-    fields are their slots and the dataclass writes neither ``__eq__`` nor
-    ``__hash__``; the two below apply.  Elaboration shares subterms, so a term
-    is a DAG whose tree can be millions of times larger; both methods cost
-    work in proportion to the DAG.
+    Subclasses are ``@dataclass(frozen=True, eq=False, slots=True, repr=False)``,
+    so their fields are their slots and the dataclass writes none of
+    ``__eq__``, ``__hash__`` and ``__repr__``; the three below apply.
+    Elaboration shares subterms, so a term is a DAG whose tree can be millions
+    of times larger; ``hash`` and ``==`` cost work in proportion to the DAG,
+    and ``repr`` prints the dataclass form only ``_REPR_DEPTH`` nodes deep.
 
     * ``hash`` is computed on first use and kept in the ``_hash`` slot, which
       is not a dataclass field.  Computing it visits only the nodes below
@@ -99,6 +97,28 @@ class _Node:
         except AttributeError:  # a hash not computed yet
             pass
         return _eq_dag(self, other)
+
+    def __repr__(self) -> str:
+        return _repr(self, _REPR_DEPTH)
+
+
+_REPR_DEPTH = 6
+
+
+def _repr(x: object, depth: int) -> str:
+    """The dataclass form of ``x``, with ``...`` for the nodes more than ``depth`` below."""
+    if type(x) is tuple:  # a field holding a tuple of arms
+        items = ", ".join(_repr(c, depth) for c in x)
+        return f"({items},)" if len(x) == 1 else f"({items})"
+    if not isinstance(x, _Node):
+        try:
+            return repr(x)
+        except ValueError:  # an int over the interpreter's limit on integer-string conversion
+            return f"<an integer of {_digit_count(x)} digits>"
+    if depth == 0:
+        return "..."
+    fields = ", ".join(f"{name}={_repr(getattr(x, name), depth - 1)}" for name in x.__slots__)
+    return f"{type(x).__qualname__}({fields})"
 
 
 def _hash_dag(root: _Node) -> int:
@@ -160,28 +180,28 @@ def _eq_dag(a: _Node, b: _Node) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class RConst(_Node):
     value: int
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class RPi(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class REuler(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class RUnary(_Node):
     op: str
     arg: "Real"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class RBinary(_Node):
     op: str
     left: "Real"
@@ -435,7 +455,7 @@ def _digit_count(n: int) -> int:
 
 
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-_BIN_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "%": _PREC_MUL, "^": _PREC_POW}
+BIN_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "%": _PREC_MUL, "^": _PREC_POW}
 
 
 def real_to_str(r: Real, _prec: int = 0) -> str:
@@ -461,7 +481,7 @@ def real_to_str(r: Real, _prec: int = 0) -> str:
     if isinstance(r, RUnary):
         return f"{r.op}({real_to_str(r.arg)})"
     if isinstance(r, RBinary):
-        prec = _BIN_PREC[r.op]
+        prec = BIN_PREC[r.op]
         if r.op == "^":
             left = real_to_str(r.left, prec + 1)
             right = real_to_str(r.right, prec)

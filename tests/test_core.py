@@ -103,6 +103,21 @@ class TestSharedCores:
             hash(node)
             assert [f.name for f in dataclasses.fields(node)] == declared
 
+    def test_repr_is_the_dataclass_form_cut_at_a_fixed_depth(self):
+        assert repr(ExVar("x")) == "ExVar(name='x')"
+        assert repr(RConst(2)) == "RConst(value=2)"
+        arm = CoreArm(ExUnit(), ExVar("y"))
+        assert repr(arm) == "CoreArm(pattern=ExUnit(), body=ExVar(name='y'))"
+        deep = ExUnit()
+        for _ in range(reals._REPR_DEPTH):
+            deep = ExPair(deep, ExUnit())
+        assert repr(deep).startswith("ExPair(left=ExPair(left=")
+        assert "left=..., right=..." in repr(deep)
+        assert repr(RConst(7**6000)) == "RConst(value=<an integer of 5071 digits>)"
+        # Far deeper than the interpreter's stack as a tree walk.
+        text = repr(core_of_source("&num_to_state{80, 5} |> @qft{80}"))
+        assert text.startswith("ExApp(") and len(text) < 10_000
+
 
 # ---------------------------------------------------------------------------
 # The DAG comparison agrees with a plain recursive one on small terms

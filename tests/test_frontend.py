@@ -3,17 +3,18 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qunic.errors import LexError, ParseError
+from qunic.errors import CapacityError, LexError, ParseError
 from qunic.lexer import KEYWORDS, TokKind, tokenize
 from qunic.parser import (
+    _Parser,
     parse_expr_string,
     parse_file,
     parse_prog_string,
     parse_real_string,
     parse_type_string,
 )
-from qunic.preprocess import default_prelude_text
-from qunic.reals import BAnd, BCmp, RBinary, RConst, RName, RPi
+from qunic.preprocess import core_of_source, default_prelude_text
+from qunic.reals import BAnd, BCmp, BNot, RBinary, RConst, RIf, RName, RPi
 from qunic.surface import (
     Arm,
     ECtrl,
@@ -44,6 +45,7 @@ from qunic.surface import (
     VariantDef,
     expr_to_str,
     file_to_str,
+    generic_arg_to_str,
     prog_to_str,
     type_to_str,
 )
@@ -273,16 +275,87 @@ class TestParser:
             parse(source)
         assert (exc.value.line, exc.value.column) == (1, column)
 
-    def test_generic_argument_reports_the_trial_that_read_furthest(self):
-        # Of the four trials of a parenthesised generic argument, only the
-        # real one reads the literal; its error is the one reported.
+    def test_generic_argument_error_is_at_the_token_that_fails(self):
+        # A parenthesised generic argument is read once, so its error is the
+        # one at the token where reading it failed.
         with pytest.raises(ParseError, match="5000 digits is too long") as exc:
             parse_file("&0{(" + "9" * 5000 + ")}")
         assert (exc.value.line, exc.value.column) == (1, 5)
-        # No trial reads past the "(": the generic message stays.
+        # No argument starts with "}".
         with pytest.raises(ParseError, match="expected a type, expression") as exc:
             parse_file("&0{(}")
-        assert (exc.value.line, exc.value.column) == (1, 4)
+        assert (exc.value.line, exc.value.column) == (1, 5)
+
+    def test_each_prelude_token_is_taken_once(self, monkeypatch):
+        text = default_prelude_text()
+        taken = []
+        take = _Parser.take
+        monkeypatch.setattr(_Parser, "take", lambda self: taken.append(1) or take(self))
+        parse_file(text)
+        assert len(taken) == len(tokenize(text)) - 1  # every token but EOF
+
+    _BIT = TName("Bit")
+    _ONE_LT_TWO = BCmp("<", RConst(1), RConst(2))
+
+    @pytest.mark.parametrize(
+        "argument, tree",
+        [
+            ("(#a - 1) / 2", RBinary("/", RBinary("-", RName("a"), RConst(1)), RConst(2))),
+            ("(Bit) * Bit", TProd(_BIT, _BIT)),
+            ("((1))", RConst(1)),
+            ("()", EUnit()),
+            ("(@g)", PName("g")),
+            ("(@g)(x) |> @h", EApp(PName("h"), EApp(PName("g"), EVar("x")))),
+            ("(lambda x -> x)(y)", EApp(PLambda(EVar("x"), EVar("x")), EVar("y"))),
+            (
+                "if 1 < 2 then Bit else Unit endif * Bit",
+                TProd(TIf(_ONE_LT_TWO, _BIT, TUnit()), _BIT),
+            ),
+            (
+                "if 1 < 2 then 1 else 2 endif + 3",
+                RBinary("+", RIf(_ONE_LT_TWO, RConst(1), RConst(2)), RConst(3)),
+            ),
+        ],
+    )
+    def test_generic_argument_continues_its_class(self, argument, tree):
+        assert parse_expr_string("&f{" + argument + "}") == EName("f", (tree,))
+
+    @pytest.mark.parametrize(
+        "condition, tree",
+        [
+            ("((1) + 2) < 3", BCmp("<", RBinary("+", RConst(1), RConst(2)), RConst(3))),
+            ("((1 < 2)) && !(2 < 1)", BAnd(_ONE_LT_TWO, BNot(BCmp("<", RConst(2), RConst(1))))),
+        ],
+    )
+    def test_parenthesis_in_a_condition(self, condition, tree):
+        t = parse_type_string(f"if {condition} then Unit else Void endif")
+        assert t == TIf(tree, TUnit(), TVoid())
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "&z{if 1 < 2 then @f else @g endif(x)}",  # an 'if' program is not applied
+            "&z{(if 1 < 2 then @f else @g endif(x))}",
+            "&f{if 1 < 2 then Bit else 1 endif}",  # branches of two classes
+            "(1 + 2)",  # a real at expression position
+            "if (1 + 2) then x else y endif",  # a real with no comparison
+        ],
+    )
+    def test_ambiguous_prefix_rejected(self, source):
+        with pytest.raises(ParseError):
+            parse_expr_string(source)
+
+    @pytest.mark.parametrize(
+        "parse, source",
+        [
+            (parse_file, "(" * 5000 + "x" + ")" * 5000),
+            (core_of_source, "&0 |> u3{" + "(" * 5000 + "1" + ")" * 5000 + ", 0, 0}"),
+        ],
+        ids=["parse_file", "core_of_source"],
+    )
+    def test_deep_nesting_is_a_capacity_error(self, parse, source):
+        with pytest.raises(CapacityError, match=r"^1:\d+: input nested too deeply"):
+            parse(source)
 
     def test_unexpected_token_reports_position(self):
         with pytest.raises(ParseError) as exc:
@@ -462,3 +535,11 @@ def test_prog_print_parse_round_trip(f):
 @example(TIf(_BAND, TVoid(), TVoid()))
 def test_type_print_parse_round_trip(t):
     assert parse_type_string(type_to_str(t)) == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_genargs(2), st.integers(1, 3))
+def test_parenthesized_generic_argument_parses_unchanged(arg, depth):
+    text = generic_arg_to_str(arg)
+    wrapped = "(" * depth + text + ")" * depth
+    assert parse_expr_string("&z{" + wrapped + "}") == parse_expr_string("&z{" + text + "}")
