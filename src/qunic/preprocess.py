@@ -5,16 +5,24 @@ This stage resolves everything that is "compile time" in Qunity:
 * named definitions (``&x``, ``@f``, ``#r``, ``T{...}``) are instantiated at
   their concrete generic arguments and inlined, memoized per ``(name, args)``
   so recursive definitions unroll linearly, with a global budget guarding
-  against unbounded recursion;
+  against unbounded recursion.  All of them live in one table keyed by
+  ``(sort, name)`` and are instantiated by one routine,
+  :meth:`Elaborator._named`;
 * ``if .. then .. else .. endif`` conditionals are decided by evaluating
   their (closed, by the time substitution has happened) real comparisons;
 * ``let p = v in b`` becomes ``(lambda p -> b)(v)``;
 * ``gphase{r}`` becomes ``rphase{x, r, r}`` on a fresh variable pattern;
 * variant constructors become chains of sum injections (a single-alternative
   variant's constructor is the identity);
-* every binder inside an inlined definition body is renamed to a fresh name,
-  so expression arguments with free variables can never be captured, and each
-  ``_`` gets a fresh name per occurrence so it behaves as a throwaway.
+* a pattern is elaborated in *binding mode*: each variable it has not bound
+  yet is bound by it, in the same pass that builds the core pattern, so an
+  ``if`` in a pattern is decided once.  Every binder inside an inlined
+  definition body gets a fresh name, so expression arguments with free
+  variables can never be captured, and each ``_`` gets a fresh name per
+  occurrence so it behaves as a throwaway;
+* outside a pattern, a variable that no enclosing binder binds is an error
+  ("unbound variable"), so a definition body never picks up a variable of
+  the code that uses it.
 
 ``ctrl``/``match`` ``else`` arms survive into the core untouched: expanding
 them needs the scrutinee's type, which is the typechecker's business.
@@ -24,9 +32,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import ChainMap
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable
+from typing import Mapping
 
 from . import reals, surface
 from .core import (
@@ -110,10 +119,19 @@ from .surface import (
 
 UNROLL_BUDGET = 10_000
 
-_TYPE_NODES = surface._TYPE_NODES
-_EXPR_NODES = surface._EXPR_NODES
-_PROG_NODES = surface._PROG_NODES
-_REAL_NODES = (reals.RConst, reals.RPi, reals.REuler, reals.RUnary, reals.RBinary, RName, RIf)
+_REAL_NODES = (reals.RConst, reals.RPi, reals.REuler, reals.RUnary, RBinary, RName, RIf)
+
+# The sorts of names: "t" types, "e" expressions, "f" programs, "r" reals, and
+# "c" constructors, whose definition is their variant.
+_DEF_SORTS = {TypeAliasDef: "t", VariantDef: "t", ExprDef: "e", ProgDef: "f", RealDef: "r"}
+_OWNERS = {"t": "type ", "e": "&", "f": "@", "r": "#", "c": "constructor "}
+# Parameter class -> (sort, sigil, what an argument must be, its surface nodes).
+_PARAMS = {
+    TypeParam: ("t", "'", "a type", surface._TYPE_NODES),
+    ExprParam: ("e", "&", "an expression", surface._EXPR_NODES),
+    ProgParam: ("f", "@", "a program", surface._PROG_NODES),
+    RealParam: ("r", "#", "a real", _REAL_NODES),
+}
 
 
 def default_prelude_text() -> str:
@@ -126,7 +144,7 @@ def load_prelude_defs() -> tuple[surface.Def, ...]:
 
     The prelude is parsed once per process, never at import.  Sharing is safe
     because surface nodes are frozen dataclasses with tuple fields, and each
-    :class:`Elaborator` copies the definitions into tables of its own.
+    :class:`Elaborator` copies the definitions into a table of its own.
     """
     qf = parse_file(default_prelude_text())
     if qf.main is not None:
@@ -138,24 +156,29 @@ def load_prelude_defs() -> tuple[surface.Def, ...]:
 class _Env:
     """Scope for one elaboration region.
 
-    ``generics`` maps sigil-tagged names to already-elaborated values; it is
-    replaced wholesale when entering a definition body.  ``qrename`` tracks
-    variable renaming for the current region; ``fresh`` is set inside
-    definition bodies so that every binder gets a new name.
+    ``generics`` maps ``(sort, name)`` of generic parameters to their
+    already-elaborated values; it is replaced wholesale when entering a
+    definition body.  ``qrename`` maps each variable in scope to its core
+    name; ``fresh`` is set inside definition bodies so that every binder gets
+    a new name.
+
+    ``binds`` is set while a pattern is elaborated (binding mode) and collects
+    the names that pattern binds.  In binding mode ``qrename`` holds only what
+    the pattern, and binders nested inside it, have bound so far: a variable
+    not in it is bound by the pattern, and every ``_`` is bound afresh.
+    Outside binding mode a variable not in ``qrename`` is unbound, an error.
     """
 
     generics: dict[tuple[str, str], object] = field(default_factory=dict)
-    qrename: dict[str, str] = field(default_factory=dict)
+    qrename: Mapping[str, str] = field(default_factory=dict)
     fresh: bool = False
+    binds: dict[str, str] | None = None
 
 
 class Elaborator:
     def __init__(self, defs: tuple[surface.Def, ...]) -> None:
-        self.type_defs: dict[str, TypeAliasDef | VariantDef] = {}
-        self.expr_defs: dict[str, ExprDef] = {}
-        self.prog_defs: dict[str, ProgDef] = {}
-        self.real_defs: dict[str, RealDef] = {}
-        self.ctors: dict[str, tuple[str, int]] = {}  # constructor -> (variant, alt index)
+        self.defs: dict[tuple[str, str], surface.Def] = {}  # (sort, name) -> definition
+        self.ctors: dict[str, int] = {}  # constructor -> its alternative's index
         self._memo: dict[object, object] = {}
         # Instantiations under way, innermost last, mapped to their names.  An
         # entry stays when its instantiation raises, so after an error the
@@ -169,33 +192,31 @@ class Elaborator:
     # -- definition table ----------------------------------------------------
 
     def _register(self, d: surface.Def) -> None:
-        if isinstance(d, (TypeAliasDef, VariantDef)):
-            if d.name in self.type_defs:
-                raise PreprocessError(f"duplicate type definition {d.name}")
-            self.type_defs[d.name] = d
-            if isinstance(d, VariantDef):
-                for i, alt in enumerate(d.alts):
-                    table = self.expr_defs if alt.payload is None else self.prog_defs
-                    sig = "&" if alt.payload is None else "@"
-                    if alt.name in self.ctors or alt.name in table:
-                        raise PreprocessError(
-                            f"constructor {sig}{alt.name} clashes with an existing name"
-                        )
-                    self.ctors[alt.name] = (d.name, i)
-        elif isinstance(d, ExprDef):
-            if d.name in self.expr_defs or d.name in self.ctors:
-                raise PreprocessError(f"duplicate definition &{d.name}")
-            self.expr_defs[d.name] = d
-        elif isinstance(d, ProgDef):
-            if d.name in self.prog_defs or d.name in self.ctors:
-                raise PreprocessError(f"duplicate definition @{d.name}")
-            self.prog_defs[d.name] = d
-        elif isinstance(d, RealDef):
-            if d.name in self.real_defs:
-                raise PreprocessError(f"duplicate definition #{d.name}")
-            self.real_defs[d.name] = d
-        else:
+        sort = _DEF_SORTS.get(type(d))
+        if sort is None:
             raise PreprocessError(f"unknown definition form: {d!r}")
+        what = _OWNERS[sort] + d.name
+        if (sort, d.name) in self.defs or (sort in "ef" and d.name in self.ctors):
+            kind = f"type definition {d.name}" if sort == "t" else f"definition {what}"
+            raise PreprocessError(f"duplicate {kind}")
+        seen = set()
+        for p in d.params:
+            if type(p) not in _PARAMS:
+                raise PreprocessError(f"unknown parameter form: {p!r}")
+            psort, sigil = _PARAMS[type(p)][:2]
+            if (psort, p.name) in seen:
+                raise PreprocessError(f"duplicate parameter {sigil}{p.name} in {what}")
+            seen.add((psort, p.name))
+        self.defs[sort, d.name] = d
+        if isinstance(d, VariantDef):
+            for i, alt in enumerate(d.alts):
+                sort = "e" if alt.payload is None else "f"
+                if alt.name in self.ctors or (sort, alt.name) in self.defs:
+                    raise PreprocessError(
+                        f"constructor {_OWNERS[sort]}{alt.name} clashes with an existing name"
+                    )
+                self.ctors[alt.name] = i
+                self.defs["c", alt.name] = d
 
     def _fresh(self, base: str) -> str:
         return f"{base}%{next(self._counter)}"
@@ -208,7 +229,51 @@ class Elaborator:
                 f"(last at {what}); is a recursive definition missing its base case?"
             )
 
-    # -- generic arguments ---------------------------------------------------
+    # -- names and generic arguments -------------------------------------------
+
+    def _named(self, sort: str, name: str, args: tuple[GenArg, ...], env: _Env):
+        """The value of the name ``name`` of ``sort`` at ``args``, or None if
+        there is neither a generic parameter nor a definition of that name.
+
+        A definition is instantiated once per elaborated argument tuple, in a
+        scope of its own, and memoized under ``(sort, name, args)``; a
+        variant's payload types, reached from a type name or a constructor,
+        under ``("v", variant, args)``.  The body is elaborated from this
+        frame, with no helper between, because every frame per instantiation
+        level lowers the largest program that compiles.
+        """
+        got = env.generics.get((sort, name)) if sort in "efr" else None
+        if got is not None:
+            if args:
+                raise PreprocessError(f"parameter {_OWNERS[sort]}{name} takes no arguments")
+            return got
+        d = self.defs.get((sort, name))
+        if d is None:
+            return None
+        what = _OWNERS[sort] + name
+        bound, key = self._elab_args(what, d.params, args, env)
+        variant = isinstance(d, VariantDef)
+        if variant:
+            memo_key, what = ("v", d.name, key), f"type {d.name}"
+        else:
+            memo_key = (sort, name, key)
+        if memo_key in self._memo:
+            return self._memo[memo_key]
+        if memo_key in self._in_progress:
+            raise PreprocessError(f"{what} recursively instantiates itself at the same arguments")
+        self._in_progress[memo_key] = what
+        self._tick(what)
+        inner = _Env(bound, fresh=sort in "ef")
+        if variant:
+            result = tuple(
+                TyUnit() if alt.payload is None else self.elab_type(alt.payload, inner)
+                for alt in d.alts
+            )
+        else:
+            result = _ELAB[sort](self, d.body, inner)
+        del self._in_progress[memo_key]
+        self._memo[memo_key] = result
+        return result
 
     def _elab_args(
         self, owner: str, params: tuple[Param, ...], args: tuple[GenArg, ...], env: _Env
@@ -218,46 +283,13 @@ class Elaborator:
                 f"{owner} expects {len(params)} generic argument(s), got {len(args)}"
             )
         bound: dict[tuple[str, str], object] = {}
-        key: list[object] = []
         for p, a in zip(params, args):
-            if isinstance(p, TypeParam):
-                if not isinstance(a, _TYPE_NODES):
-                    raise PreprocessError(f"{owner}: argument for '{p.name} must be a type")
-                v: object = self.elab_type(a, env)
-                bound[("t", p.name)] = v
-            elif isinstance(p, ExprParam):
-                if not isinstance(a, _EXPR_NODES):
-                    raise PreprocessError(f"{owner}: argument for &{p.name} must be an expression")
-                v = self.elab_expr(a, env)
-                bound[("e", p.name)] = v
-            elif isinstance(p, ProgParam):
-                if not isinstance(a, _PROG_NODES):
-                    raise PreprocessError(f"{owner}: argument for @{p.name} must be a program")
-                v = self.elab_prog(a, env)
-                bound[("f", p.name)] = v
-            elif isinstance(p, RealParam):
-                if not isinstance(a, _REAL_NODES):
-                    raise PreprocessError(f"{owner}: argument for #{p.name} must be a real")
-                v = self.elab_real(a, env)
-                bound[("r", p.name)] = v
-            else:
-                raise PreprocessError(f"unknown parameter form: {p!r}")
-            key.append(v)
-        return bound, tuple(key)
-
-    def _instantiate(self, memo_key: object, what: str, build):
-        if memo_key in self._memo:
-            return self._memo[memo_key]
-        if memo_key in self._in_progress:
-            raise PreprocessError(
-                f"{what} recursively instantiates itself at the same arguments"
-            )
-        self._in_progress[memo_key] = what
-        self._tick(what)
-        result = build()
-        del self._in_progress[memo_key]
-        self._memo[memo_key] = result
-        return result
+            sort, sigil, kind, nodes = _PARAMS[type(p)]
+            if not isinstance(a, nodes):
+                raise PreprocessError(f"{owner}: argument for {sigil}{p.name} must be {kind}")
+            bound[sort, p.name] = _ELAB[sort](self, a, env)
+        # _register rejects repeated parameters, so there is one value per argument
+        return bound, tuple(bound.values())
 
     # -- types ----------------------------------------------------------------
 
@@ -276,33 +308,11 @@ class Elaborator:
         if isinstance(t, TIf):
             return self.elab_type(t.then if self._bool(t.cond, env) else t.els, env)
         if isinstance(t, TName):
-            d = self.type_defs.get(t.name)
-            if d is None:
+            got = self._named("t", t.name, t.args, env)
+            if got is None:
                 raise PreprocessError(f"unknown type {t.name}")
-            bound, key = self._elab_args(f"type {t.name}", d.params, t.args, env)
-            inner = _Env(generics=bound)
-            if isinstance(d, TypeAliasDef):
-                return self._instantiate(
-                    ("t", t.name, key), f"type {t.name}", lambda: self.elab_type(d.body, inner)
-                )
-            return self._sum_fold(self._variant_payloads(d, key, inner))
+            return _sum_fold(got) if isinstance(got, tuple) else got
         raise PreprocessError(f"not a type: {t!r}")
-
-    def _variant_payloads(self, d: VariantDef, key: tuple, env: _Env) -> tuple[CoreType, ...]:
-        def build() -> tuple[CoreType, ...]:
-            out = []
-            for alt in d.alts:
-                out.append(TyUnit() if alt.payload is None else self.elab_type(alt.payload, env))
-            return tuple(out)
-
-        return self._instantiate(("v", d.name, key), f"type {d.name}", build)
-
-    @staticmethod
-    def _sum_fold(payloads: tuple[CoreType, ...]) -> CoreType:
-        acc = payloads[-1]
-        for p in reversed(payloads[:-1]):
-            acc = TySum(p, acc)
-        return acc
 
     # -- reals and booleans ------------------------------------------------------
 
@@ -318,19 +328,10 @@ class Elaborator:
         if isinstance(r, RIf):
             return self.elab_real(r.then if self._bool(r.cond, env) else r.els, env)
         if isinstance(r, RName):
-            got = env.generics.get(("r", r.name))
-            if got is not None:
-                if r.args:
-                    raise PreprocessError(f"parameter #{r.name} takes no arguments")
-                return got  # type: ignore[return-value]
-            d = self.real_defs.get(r.name)
-            if d is None:
+            got = self._named("r", r.name, r.args, env)
+            if got is None:
                 raise PreprocessError(f"unknown real definition #{r.name}")
-            bound, key = self._elab_args(f"#{r.name}", d.params, r.args, env)
-            inner = _Env(generics=bound)
-            return self._instantiate(
-                ("r", r.name, key), f"#{r.name}", lambda: self.elab_real(d.body, inner)
-            )
+            return got
         raise PreprocessError(f"not a real expression: {r!r}")
 
     def _bool(self, b: BoolExpr, env: _Env) -> bool:
@@ -351,7 +352,13 @@ class Elaborator:
         if isinstance(e, EUnit):
             return ExUnit()
         if isinstance(e, EVar):
-            return ExVar(env.qrename.get(e.name, e.name))
+            name = env.qrename.get(e.name)
+            if env.binds is not None and (name is None or e.name == "_"):
+                name = self._fresh(e.name) if env.fresh or e.name == "_" else e.name
+                env.binds[e.name] = name
+            elif name is None:
+                raise PreprocessError(f"unbound variable {e.name}")
+            return ExVar(name)
         if isinstance(e, EPair):
             return ExPair(self.elab_expr(e.left, env), self.elab_expr(e.right, env))
         if isinstance(e, (ECtrl, EMatch)):
@@ -366,43 +373,34 @@ class Elaborator:
             return ExApp(self.elab_prog(e.fn, env), self.elab_expr(e.arg, env))
         if isinstance(e, ELet):
             value = self.elab_expr(e.value, env)
-            inner = self._bind_pattern(e.pattern, env)
-            pattern = self.elab_expr(e.pattern, inner)
-            body = self.elab_expr(e.body, inner)
-            return ExApp(PrAbs(pattern, body), value)
+            pattern, inner = self._pattern(e.pattern, env)
+            return ExApp(PrAbs(pattern, self.elab_expr(e.body, inner)), value)
         if isinstance(e, EIf):
             return self.elab_expr(e.then if self._bool(e.cond, env) else e.els, env)
         if isinstance(e, EName):
-            got = env.generics.get(("e", e.name))
+            got = self._named("e", e.name, e.args, env)
             if got is not None:
-                if e.args:
-                    raise PreprocessError(f"parameter &{e.name} takes no arguments")
-                return got  # type: ignore[return-value]
-            d = self.expr_defs.get(e.name)
-            if d is not None:
-                bound, key = self._elab_args(f"&{e.name}", d.params, e.args, env)
-                inner = _Env(generics=bound, fresh=True)
-                return self._instantiate(
-                    ("e", e.name, key), f"&{e.name}", lambda: self.elab_expr(d.body, inner)
-                )
+                return got
             if e.name in self.ctors:
-                chain = self._ctor_chain(e.name, e.args, env, want_payload=None)
-                return _apply_chain(chain, ExUnit())
+                return _apply_chain(self._ctor_chain(e.name, e.args, env, False), ExUnit())
             raise PreprocessError(f"unknown expression definition &{e.name}")
         raise PreprocessError(f"not an expression: {e!r}")
 
-    def _elab_arm(self, arm: Arm, env: _Env) -> CoreArm:
-        inner = self._bind_pattern(arm.pattern, env)
-        return CoreArm(self.elab_expr(arm.pattern, inner), self.elab_expr(arm.body, inner))
+    def _pattern(self, p: Expr, env: _Env) -> tuple[CoreExpr, _Env]:
+        """Elaborate ``p`` in binding mode; return it and the scope it opens.
 
-    def _bind_pattern(self, pattern: Expr, env: _Env) -> _Env:
-        rename = dict(env.qrename)
-        for name in _pattern_vars(pattern, lambda cond: self._bool(cond, env)):
-            if name == "_" or env.fresh:
-                rename[name] = self._fresh(name)
-            else:
-                rename[name] = name
-        return _Env(generics=env.generics, qrename=rename, fresh=env.fresh)
+        A pattern nested in another one (an arm or a ``let`` inside a pattern)
+        opens its scope over the enclosing pattern's, which is still binding.
+        """
+        binds: dict[str, str] = {}
+        pattern = self.elab_expr(p, _Env(env.generics, binds, env.fresh, binds))
+        if env.binds is None:
+            return pattern, _Env(env.generics, {**env.qrename, **binds}, env.fresh)
+        return pattern, _Env(env.generics, ChainMap(binds, env.qrename), env.fresh, env.binds)
+
+    def _elab_arm(self, arm: Arm, env: _Env) -> CoreArm:
+        pattern, inner = self._pattern(arm.pattern, env)
+        return CoreArm(pattern, self.elab_expr(arm.body, inner))
 
     # -- programs ----------------------------------------------------------------
 
@@ -414,37 +412,26 @@ class Elaborator:
                 self.elab_real(f.lam, env),
             )
         if isinstance(f, PLambda):
-            inner = self._bind_pattern(f.pattern, env)
-            return PrAbs(self.elab_expr(f.pattern, inner), self.elab_expr(f.body, inner))
+            pattern, inner = self._pattern(f.pattern, env)
+            return PrAbs(pattern, self.elab_expr(f.body, inner))
         if isinstance(f, PGphase):
             phase = self.elab_real(f.phase, env)
             return PrRphase(ExVar(self._fresh("_")), phase, phase)
         if isinstance(f, PRphase):
-            inner = self._bind_pattern(f.pattern, env)
+            pattern, _ = self._pattern(f.pattern, env)
             return PrRphase(
-                self.elab_expr(f.pattern, inner),
-                self.elab_real(f.on_phase, env),
-                self.elab_real(f.off_phase, env),
+                pattern, self.elab_real(f.on_phase, env), self.elab_real(f.off_phase, env)
             )
         if isinstance(f, PPmatch):
             return PrPmatch(tuple(self._elab_arm(a, env) for a in f.arms))
         if isinstance(f, PIf):
             return self.elab_prog(f.then if self._bool(f.cond, env) else f.els, env)
         if isinstance(f, PName):
-            got = env.generics.get(("f", f.name))
+            got = self._named("f", f.name, f.args, env)
             if got is not None:
-                if f.args:
-                    raise PreprocessError(f"parameter @{f.name} takes no arguments")
-                return got  # type: ignore[return-value]
-            d = self.prog_defs.get(f.name)
-            if d is not None:
-                bound, key = self._elab_args(f"@{f.name}", d.params, f.args, env)
-                inner = _Env(generics=bound, fresh=True)
-                return self._instantiate(
-                    ("f", f.name, key), f"@{f.name}", lambda: self.elab_prog(d.body, inner)
-                )
+                return got
             if f.name in self.ctors:
-                chain = self._ctor_chain(f.name, f.args, env, want_payload=True)
+                chain = self._ctor_chain(f.name, f.args, env, True)
                 if len(chain) == 1:
                     return chain[0]
                 v = ExVar(self._fresh("x"))
@@ -453,24 +440,36 @@ class Elaborator:
         raise PreprocessError(f"not a program: {f!r}")
 
     def _ctor_chain(
-        self, name: str, args: tuple[GenArg, ...], env: _Env, want_payload: bool | None
+        self, name: str, args: tuple[GenArg, ...], env: _Env, applied: bool
     ) -> list[CoreProg]:
-        variant_name, idx = self.ctors[name]
-        d = self.type_defs[variant_name]
-        assert isinstance(d, VariantDef)
-        has_payload = d.alts[idx].payload is not None
-        if want_payload is True and not has_payload:
-            raise PreprocessError(f"&{name} is a nullary constructor, not a program")
-        if want_payload is None and has_payload:
+        idx = self.ctors[name]
+        has_payload = self.defs["c", name].alts[idx].payload is not None
+        if has_payload and not applied:
             raise PreprocessError(f"@{name} carries a payload and must be applied")
-        bound, key = self._elab_args(f"constructor {name}", d.params, args, env)
-        payloads = self._variant_payloads(d, key, _Env(generics=bound))
+        if applied and not has_payload:
+            raise PreprocessError(f"&{name} is a nullary constructor, not a program")
+        payloads = self._named("c", name, args, env)
         chain: list[CoreProg] = []
         for j in range(idx):
-            chain.append(PrRight(payloads[j], self._sum_fold(payloads[j + 1 :])))
+            chain.append(PrRight(payloads[j], _sum_fold(payloads[j + 1 :])))
         if idx < len(payloads) - 1:
-            chain.append(PrLeft(payloads[idx], self._sum_fold(payloads[idx + 1 :])))
+            chain.append(PrLeft(payloads[idx], _sum_fold(payloads[idx + 1 :])))
         return chain
+
+
+_ELAB = {
+    "t": Elaborator.elab_type,
+    "e": Elaborator.elab_expr,
+    "f": Elaborator.elab_prog,
+    "r": Elaborator.elab_real,
+}
+
+
+def _sum_fold(payloads: tuple[CoreType, ...]) -> CoreType:
+    acc = payloads[-1]
+    for p in reversed(payloads[:-1]):
+        acc = TySum(p, acc)
+    return acc
 
 
 def _apply_chain(chain: list[CoreProg], e: CoreExpr) -> CoreExpr:
@@ -497,49 +496,6 @@ def _frac_tree(q) -> Real:
     if q.denominator == 1:
         return RConst(q.numerator)
     return RBinary("/", RConst(q.numerator), RConst(q.denominator))
-
-
-def _pattern_vars(pattern: Expr, holds: Callable[[BoolExpr], bool]):
-    """Iterate the variable names a pattern binds (free variables, surface side).
-
-    Generic arguments of names are scanned too: an expression argument with a
-    free variable makes that variable part of the pattern once the name is
-    inlined.  Programs are closed, so they contribute nothing.  Of an ``if``,
-    only the branch that ``holds`` chooses for its condition binds, as only
-    that branch is elaborated.
-    """
-    if isinstance(pattern, EVar):
-        yield pattern.name
-    elif isinstance(pattern, EPair):
-        yield from _pattern_vars(pattern.left, holds)
-        yield from _pattern_vars(pattern.right, holds)
-    elif isinstance(pattern, EApp):
-        yield from _pattern_vars(pattern.arg, holds)
-    elif isinstance(pattern, EName):
-        for a in pattern.args:
-            if isinstance(a, _EXPR_NODES):
-                yield from _pattern_vars(a, holds)
-    elif isinstance(pattern, ETry):
-        yield from _pattern_vars(pattern.attempt, holds)
-        yield from _pattern_vars(pattern.fallback, holds)
-    elif isinstance(pattern, (ECtrl, EMatch)):
-        yield from _pattern_vars(pattern.scrutinee, holds)
-        for arm in pattern.arms:
-            bound = set(_pattern_vars(arm.pattern, holds))
-            for v in _pattern_vars(arm.body, holds):
-                if v not in bound:
-                    yield v
-        if pattern.else_body is not None:
-            yield from _pattern_vars(pattern.else_body, holds)
-    elif isinstance(pattern, ELet):
-        yield from _pattern_vars(pattern.value, holds)
-        bound = set(_pattern_vars(pattern.pattern, holds))
-        for v in _pattern_vars(pattern.body, holds):
-            if v not in bound:
-                yield v
-    elif isinstance(pattern, EIf):
-        yield from _pattern_vars(pattern.then if holds(pattern.cond) else pattern.els, holds)
-    # EUnit and names without expression arguments bind nothing
 
 
 def elaborate_file(qf: QFile, prelude: tuple[surface.Def, ...] = ()) -> CoreExpr:

@@ -1,9 +1,13 @@
-"""Elaboration into the core: gate angles, the limits on unrolling, the shared
-prelude, and prelude definitions checked against reference copies."""
+"""Elaboration into the core: gate angles, the limits on unrolling, error
+texts, pattern binding and scope, the shared prelude, and prelude definitions
+checked against reference copies."""
 
 import dataclasses
+import itertools
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qunic import core, parser, preprocess
 from qunic.errors import CapacityError, PreprocessError, RealError
@@ -74,6 +78,227 @@ class TestPatternBinding:
         )
         lam = core_of_source(src).fn
         assert core.free_qvars(lam.body) <= core.free_qvars(lam.pattern)
+
+    @pytest.mark.parametrize(
+        "main",
+        ["(&0, &1) |> lambda (_, _) -> ()", "(&0, &1) |> rphase{(_, _), 0, pi}"],
+        ids=["lambda", "rphase"],
+    )
+    def test_each_underscore_is_a_variable_of_its_own(self, main):
+        pattern = core_of_source(main).fn.pattern
+        assert pattern.left.name != pattern.right.name
+
+    def test_a_definition_cannot_capture_a_variable_of_its_caller(self):
+        src = "def @f : Bit -> Bit := lambda x -> y end\n&0 |> lambda y -> @f(y)"
+        with pytest.raises(PreprocessError, match="^unbound variable y$"):
+            core_of_source(src)
+
+    def test_a_free_variable_in_the_main_expression_is_unbound(self):
+        with pytest.raises(PreprocessError, match="^unbound variable y$"):
+            core_of_source("y")
+
+    # Patterns whose fresh names are numbered differently from an elaborator
+    # that collected a pattern's variables before elaborating it; the cores
+    # must stay alpha-equivalent to what that elaborator produced.
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            pytest.param(
+                "def @f : Bit * Bit -> Bit := "
+                "lambda (ctrl s [&0 -> (s, y); &1 -> (s, y)]) -> y end\n(&0, &0) |> @f",
+                "(lambda ctrl v0 [left{Unit, Unit}(()) -> (v0, v1); "
+                "right{Unit, Unit}(()) -> (v0, v1)] -> v1)"
+                "((left{Unit, Unit}(()), left{Unit, Unit}(())))",
+                id="nested-ctrl",
+            ),
+            pytest.param(
+                "def @f : Bit * Bit -> Bit * Bit := "
+                "lambda (let (a, b) = (x, y) in (b, a)) -> (x, y) end\n(&0, &0) |> @f",
+                "(lambda (lambda (v0, v1) -> (v1, v0))((v0, v1)) -> (v0, v1))"
+                "((left{Unit, Unit}(()), left{Unit, Unit}(())))",
+                id="let",
+            ),
+            pytest.param(
+                "type T := &A | &B | @C of Bit * Bit end\n"
+                "def @f : T -> Bit * Bit := lambda @C(x, y) -> (x, y) end\n&A |> @f",
+                "(lambda (lambda v0 -> right{Unit, (Unit + ((Unit + Unit) * (Unit + Unit)))}"
+                "(right{Unit, ((Unit + Unit) * (Unit + Unit))}(v0)))((v0, v1)) -> (v0, v1))"
+                "(left{Unit, (Unit + ((Unit + Unit) * (Unit + Unit)))}(()))",
+                id="multi-injection-constructor",
+            ),
+            pytest.param(
+                "def &p{&v : Bit} : Bit * Bit := (&v, &0) end\n"
+                "def @f : Bit * Bit -> Bit := lambda &p{x} -> x end\n(&0, &0) |> @f",
+                "(lambda (v0, left{Unit, Unit}(())) -> v0)"
+                "((left{Unit, Unit}(()), left{Unit, Unit}(())))",
+                id="expression-argument",
+            ),
+            pytest.param(
+                "def @g{&e : Bit} : Bit * Bit -> Bit := lambda (&e, y) -> y end\n"
+                "(&0, &1) |> @g{&plus}",
+                "(lambda (u3{1 / 2 * pi, 0, pi}(left{Unit, Unit}(())), v0) -> v0)"
+                "((left{Unit, Unit}(()), right{Unit, Unit}(())))",
+                id="generic-expression",
+            ),
+            pytest.param(
+                "def @f : Bit * Bit -> Bit * Bit := lambda (a, y) -> "
+                "ctrl a [ if 1 < 2 then x else y endif -> (x, y) ] end\n@f(&0, &1)",
+                "(lambda (v0, v1) -> ctrl v0 [v2 -> (v2, v1)])"
+                "((left{Unit, Unit}(()), right{Unit, Unit}(())))",
+                id="if",
+            ),
+        ],
+    )
+    def test_pattern_elaborates_alpha_equal_to_collecting_first(self, src, expected):
+        assert core.core_expr_to_str(alpha_normal(core_of_source(src))) == expected
+
+
+def _pattern_shapes():
+    """Pattern trees: "v" a variable, "_" a throwaway, pairs, and ``@had``."""
+    leaf = st.sampled_from(["v", "_"])
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(st.tuples(inner, inner), st.tuples(st.just("had"), inner)),
+        max_leaves=8,
+    )
+
+
+def _render(shape, names) -> str:
+    """Source of a pattern tree, giving each "v" the next of ``names``."""
+    if shape == "v":
+        return next(names)
+    if shape == "_":
+        return "_"
+    if shape[0] == "had":
+        return f"@had({_render(shape[1], names)})"
+    return f"({_render(shape[0], names)}, {_render(shape[1], names)})"
+
+
+def _leaves(shape) -> int:
+    if isinstance(shape, str):
+        return 1
+    return _leaves(shape[1]) if shape[0] == "had" else _leaves(shape[0]) + _leaves(shape[1])
+
+
+def _var_occurrences(e) -> list[str]:
+    if isinstance(e, core.ExVar):
+        return [e.name]
+    if isinstance(e, core.ExPair):
+        return _var_occurrences(e.left) + _var_occurrences(e.right)
+    if isinstance(e, core.ExApp):
+        return _var_occurrences(e.arg)
+    return []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pattern_shapes())
+def test_each_name_and_underscore_of_a_pattern_binds_one_variable(shape):
+    p = _render(shape, (f"x{i}" for i in itertools.count()))
+    lam = core_of_source(f"def @f : Unit -> Unit := lambda {p} -> {p} end\n@f(())").fn
+    names = _var_occurrences(lam.pattern)
+    assert len(names) == len(set(names)) == _leaves(shape)
+    assert core.free_qvars(lam.body) <= set(names)
+
+
+# Every error the elaborator raises on a file that parses, with its text.
+ERRORS = [
+    ("dup-type", "type Bit := &0 | &1 end\n&0", "duplicate type definition Bit"),
+    ("dup-expr", "def &plus : Bit := &0 end\n&plus", "duplicate definition &plus"),
+    ("dup-prog", "def @had : Bit -> Bit := @not end\n&0", "duplicate definition @had"),
+    ("dup-real", "def #a := 1 end\ndef #a := 2 end\n()", "duplicate definition #a"),
+    ("dup-expr-ctor", "def &Nothing : Bit := &0 end\n&0", "duplicate definition &Nothing"),
+    ("dup-prog-ctor", "def @Just : Bit -> Bit := @not end\n&0", "duplicate definition @Just"),
+    ("clash-expr", "type T := &plus | &q end\n()", "constructor &plus clashes with an existing name"),
+    ("clash-ctor", "type T := &0 | &q end\n()", "constructor &0 clashes with an existing name"),
+    ("clash-prog", "type T := @had of Bit end\n()", "constructor @had clashes with an existing name"),
+    ("class-type", "&0 |> @id{&0}", "@id: argument for 'a must be a type"),
+    ("class-expr", "&repeated{2, Bit, @had}", "&repeated: argument for &x must be an expression"),
+    ("class-prog", "&0 |> @adjoint{Bit, Bit, &0}", "@adjoint: argument for @f must be a program"),
+    ("class-real", "&0 |> @qft{Bit}", "@qft: argument for #n must be a real"),
+    ("arity", "&0 |> @qft{1, 2}", "@qft expects 1 generic argument(s), got 2"),
+    ("arity-type", "&0 |> @id{Maybe}", "type Maybe expects 1 generic argument(s), got 0"),
+    ("arity-ctor", "&Nothing", "constructor Nothing expects 1 generic argument(s), got 0"),
+    (
+        "no-args-prog",
+        "def @f{@g : Bit -> Bit} : Bit -> Bit := @g{1} end\n&0 |> @f{@had}",
+        "parameter @g takes no arguments",
+    ),
+    (
+        "no-args-expr",
+        "def &f{&g : Bit} : Bit := &g{1} end\n&f{&0}",
+        "parameter &g takes no arguments",
+    ),
+    (
+        "no-args-real",
+        "def @f{#g} : Bit -> Bit := u3{#g{1}, 0, 0} end\n&0 |> @f{1}",
+        "parameter #g takes no arguments",
+    ),
+    ("unknown-type", "&0 |> @id{Foo}", "unknown type Foo"),
+    ("unknown-expr", "&nope", "unknown expression definition &nope"),
+    ("unknown-prog", "&0 |> @nope", "unknown program definition @nope"),
+    ("unknown-real", "&0 |> u3{#nope, 0, 0}", "unknown real definition #nope"),
+    ("unbound-type-var", "&0 |> @id{'a}", "unbound type variable 'a"),
+    (
+        "self-instantiation",
+        "def @loop : Bit -> Bit := @loop end\n&0 |> @loop",
+        "@loop recursively instantiates itself at the same arguments",
+    ),
+    (
+        "self-instantiation-type",
+        "type T := @C of T end\n&0 |> @C",
+        "type T recursively instantiates itself at the same arguments",
+    ),
+    ("nullary-as-program", "&0 |> @0", "&0 is a nullary constructor, not a program"),
+    ("unapplied-payload", "&Just{Bit}", "@Just carries a payload and must be applied"),
+]
+
+DUPLICATE_PARAMETERS = [
+    ("alias", "type T{'a, 'a} := 'a end\n()", "duplicate parameter 'a in type T"),
+    ("variant", "type V{'a, 'a} := &Q | @R of 'a end\n()", "duplicate parameter 'a in type V"),
+    ("expr", "def &e{&x : Bit, &x : Bit} : Bit := &x end\n()", "duplicate parameter &x in &e"),
+    (
+        "prog",
+        "def @f{#n, #n} : Bit -> Bit := u3{#n, 0, 0} end\n&0 |> @f{1, 2}",
+        "duplicate parameter #n in @f",
+    ),
+    ("real", "def #r{#n, #n} := #n end\n()", "duplicate parameter #n in #r"),
+]
+
+
+class TestErrors:
+    @pytest.mark.parametrize("src, message", [pytest.param(*e[1:], id=e[0]) for e in ERRORS])
+    def test_error_text(self, src, message):
+        with pytest.raises(PreprocessError) as info:
+            core_of_source(src)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "src, message", [pytest.param(*e[1:], id=e[0]) for e in DUPLICATE_PARAMETERS]
+    )
+    def test_repeated_parameter_is_rejected(self, src, message):
+        with pytest.raises(PreprocessError) as info:
+            core_of_source(src)
+        assert str(info.value) == message
+
+
+class TestDepth:
+    """Each frame per instantiation level lowers the largest circuit that
+    elaborates within the default recursion limit; n = 96 keeps a margin."""
+
+    @pytest.mark.parametrize(
+        "main",
+        [
+            "&num_to_state{96, 1} |> @qft{96}",
+            "(&num_to_state{96, 1}, &num_to_state{96, 1}) |> @rev_adder{96}",
+        ],
+    )
+    def test_wide_circuit_compiles_and_prints_at_the_default_limit(self, main):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert core.core_expr_to_str(core_of_source(main))
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def alpha_normal(root):
