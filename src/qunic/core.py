@@ -1,10 +1,21 @@
-"""The core language: what survives preprocessing.
+"""The syntax tree of Qunity, with the core language as its sugar-free subset.
 
-Types are built from Void, Unit, sums, and products; named types, variants,
-and compile-time conditionals are gone.  Expressions keep only the quantum
-constructs (unit, variables, pairs, ``ctrl``, ``match``, ``try``, application)
-and programs keep only the primitives (``u3``, the two sum injections,
-abstraction, ``rphase``, ``pmatch``).
+Every construct has one node class here.  The parser builds these nodes and
+the preprocessor elaborates them; the *core* is what elaboration leaves: the
+terms with no sugar node in them.  Core types are built from Void, Unit,
+sums, and products; core expressions keep only the quantum constructs (unit,
+variables, pairs, ``ctrl``, ``match``, ``try``, application) and core
+programs only the primitives (``u3``, the two sum injections, abstraction,
+``rphase``, ``pmatch``).  The sugar nodes are type variables, names with
+generic arguments (of types, expressions, programs, and variant
+constructors), compile-time conditionals (``if .. then .. else .. endif``),
+``let`` bindings and ``gphase``; :data:`CoreType`, :data:`CoreExpr` and
+:data:`CoreProg` exclude them, :data:`Type`, :data:`Expr` and :data:`Prog`
+do not.  The sum injections never come from parsed input.
+
+Patterns are not a separate syntactic class: the expressions to the left of
+``->`` in ``ctrl``/``match``/``pmatch`` arms and under ``lambda`` are ordinary
+expressions, restricted later by the typechecker.
 
 ``ctrl`` and ``match`` nodes may still carry an ``else`` body: expanding it
 into concrete arms needs the scrutinee's type, so the typechecker does that
@@ -16,8 +27,14 @@ ordered lexicographically with the left component major — which everything
 downstream (interpreter matrices, circuit encodings, output distributions)
 relies on.
 
+One printer renders every node as single-line syntax (``--dump-core`` and
+error messages use it): products always in parentheses, ``lambda`` and an
+``if`` program always in parentheses, and an application's argument in
+parentheses of its own, so a pair argument prints as ``f((a, b))``.  The
+parser reads back everything it prints from parsed input.
+
 Elaboration memoizes instantiations, so a core term is a DAG whose tree can
-be millions of times larger.  Every core node class derives from
+be millions of times larger.  Every node class derives from
 :class:`qunic.reals._Node` and is a slotted frozen dataclass: its hash is
 computed on first use and kept, and ``==`` is true on identity, else false on
 two kept hashes that differ, else decided by walking pairs of nodes, each
@@ -34,7 +51,7 @@ from functools import lru_cache
 from typing import Iterator, Union
 
 from .errors import CapacityError
-from .reals import Real, _Node, real_to_str
+from .reals import BoolExpr, Real, _Node, bool_to_str, real_to_str
 
 DIM_LIMIT = 2**62
 
@@ -49,8 +66,8 @@ class TyVoid(_Node):
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class TySum(_Node):
-    left: "CoreType"
-    right: "CoreType"
+    left: "Type"
+    right: "Type"
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
@@ -60,11 +77,34 @@ class TyUnit(_Node):
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class TyProd(_Node):
-    left: "CoreType"
-    right: "CoreType"
+    left: "Type"
+    right: "Type"
+
+
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class TVar(_Node):
+    """A type variable ``'a`` bound by a definition's parameter list."""
+
+    name: str
+
+
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class TName(_Node):
+    """A named type ``T{args}`` — an alias or a variant declaration."""
+
+    name: str
+    args: tuple["GenArg", ...] = ()
+
+
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class TIf(_Node):
+    cond: BoolExpr
+    then: "Type"
+    els: "Type"
 
 
 CoreType = Union[TyVoid, TyUnit, TySum, TyProd]
+Type = Union[CoreType, TVar, TName, TIf]
 
 
 @lru_cache(maxsize=None)
@@ -195,43 +235,66 @@ class ExVar(_Node):
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExPair(_Node):
-    left: "CoreExpr"
-    right: "CoreExpr"
+    left: "Expr"
+    right: "Expr"
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class CoreArm(_Node):
-    pattern: "CoreExpr"
-    body: "CoreExpr"
+    pattern: "Expr"
+    body: "Expr"
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExCtrl(_Node):
-    scrutinee: "CoreExpr"
+    scrutinee: "Expr"
     arms: tuple[CoreArm, ...]
-    else_body: "CoreExpr | None" = None
+    else_body: "Expr | None" = None
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExMatch(_Node):
-    scrutinee: "CoreExpr"
+    scrutinee: "Expr"
     arms: tuple[CoreArm, ...]
-    else_body: "CoreExpr | None" = None
+    else_body: "Expr | None" = None
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExTry(_Node):
-    attempt: "CoreExpr"
-    fallback: "CoreExpr"
+    attempt: "Expr"
+    fallback: "Expr"
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class ExApp(_Node):
-    fn: "CoreProg"
-    arg: "CoreExpr"
+    fn: "Prog"
+    arg: "Expr"
+
+
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class ELet(_Node):
+    pattern: "Expr"
+    value: "Expr"
+    body: "Expr"
+
+
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class EName(_Node):
+    """Reference to an ``&name`` definition or nullary variant constructor."""
+
+    name: str
+    args: tuple["GenArg", ...] = ()
+
+
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class EIf(_Node):
+    cond: BoolExpr
+    then: "Expr"
+    els: "Expr"
 
 
 CoreExpr = Union[ExUnit, ExVar, ExPair, ExCtrl, ExMatch, ExTry, ExApp]
+Expr = Union[CoreExpr, ELet, EName, EIf]
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
@@ -255,13 +318,16 @@ class PrRight(_Node):
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class PrAbs(_Node):
-    pattern: CoreExpr
-    body: CoreExpr
+    pattern: Expr
+    body: Expr
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class PrRphase(_Node):
-    pattern: CoreExpr
+    """``rphase{e, r, r'}``: phase ``e^(i r)`` on the image of the pattern
+    ``e``, phase ``e^(i r')`` on its orthogonal complement."""
+
+    pattern: Expr
     on_phase: Real
     off_phase: Real
 
@@ -271,7 +337,34 @@ class PrPmatch(_Node):
     arms: tuple[CoreArm, ...]
 
 
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class PGphase(_Node):
+    phase: Real
+
+
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class PName(_Node):
+    """Reference to an ``@name`` definition or payload variant constructor."""
+
+    name: str
+    args: tuple["GenArg", ...] = ()
+
+
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class PIf(_Node):
+    cond: BoolExpr
+    then: "Prog"
+    els: "Prog"
+
+
 CoreProg = Union[PrU3, PrLeft, PrRight, PrAbs, PrRphase, PrPmatch]
+Prog = Union[CoreProg, PGphase, PName, PIf]
+
+GenArg = Union[Type, Expr, Prog, Real]
+
+_TYPE_NODES = (TyVoid, TyUnit, TySum, TyProd, TVar, TName, TIf)
+_EXPR_NODES = (ExUnit, ExVar, ExPair, ExCtrl, ExMatch, ExTry, ExApp, ELet, EName, EIf)
+_PROG_NODES = (PrU3, PrLeft, PrRight, PrAbs, PrRphase, PrPmatch, PGphase, PName, PIf)
 
 # --------------------------------------------------------------------------
 # Syntactic predicates
@@ -333,7 +426,23 @@ def _prog_classical(f: CoreProg) -> bool:
 # Printers (used by --dump-core and error messages)
 
 
-def core_type_to_str(t: CoreType) -> str:
+def generic_arg_to_str(arg: GenArg) -> str:
+    if isinstance(arg, _TYPE_NODES):
+        return core_type_to_str(arg)
+    if isinstance(arg, _EXPR_NODES):
+        return core_expr_to_str(arg)
+    if isinstance(arg, _PROG_NODES):
+        return core_prog_to_str(arg)
+    return real_to_str(arg)
+
+
+def generic_args_to_str(args: tuple[GenArg, ...]) -> str:
+    if not args:
+        return ""
+    return "{" + ", ".join(generic_arg_to_str(a) for a in args) + "}"
+
+
+def core_type_to_str(t: Type) -> str:
     if isinstance(t, TyVoid):
         return "Void"
     if isinstance(t, TyUnit):
@@ -342,17 +451,24 @@ def core_type_to_str(t: CoreType) -> str:
         return f"({core_type_to_str(t.left)} + {core_type_to_str(t.right)})"
     if isinstance(t, TyProd):
         return f"({core_type_to_str(t.left)} * {core_type_to_str(t.right)})"
+    if isinstance(t, TVar):
+        return f"'{t.name}"
+    if isinstance(t, TName):
+        return f"{t.name}{generic_args_to_str(t.args)}"
+    if isinstance(t, TIf):
+        then, els = core_type_to_str(t.then), core_type_to_str(t.els)
+        return f"if {bool_to_str(t.cond)} then {then} else {els} endif"
     raise TypeError(f"not a core type: {t!r}")
 
 
-def _core_arms_to_str(arms: tuple[CoreArm, ...], else_body: CoreExpr | None) -> str:
+def _core_arms_to_str(arms: tuple[CoreArm, ...], else_body: Expr | None) -> str:
     parts = [f"{core_expr_to_str(a.pattern)} -> {core_expr_to_str(a.body)}" for a in arms]
     if else_body is not None:
         parts.append(f"else -> {core_expr_to_str(else_body)}")
     return "[" + "; ".join(parts) + "]"
 
 
-def core_expr_to_str(e: CoreExpr) -> str:
+def core_expr_to_str(e: Expr) -> str:
     if isinstance(e, ExUnit):
         return "()"
     if isinstance(e, ExVar):
@@ -367,10 +483,18 @@ def core_expr_to_str(e: CoreExpr) -> str:
         return f"try {core_expr_to_str(e.attempt)} catch {core_expr_to_str(e.fallback)}"
     if isinstance(e, ExApp):
         return f"{core_prog_to_str(e.fn)}({core_expr_to_str(e.arg)})"
+    if isinstance(e, ELet):
+        pattern, value = core_expr_to_str(e.pattern), core_expr_to_str(e.value)
+        return f"let {pattern} = {value} in {core_expr_to_str(e.body)}"
+    if isinstance(e, EName):
+        return f"&{e.name}{generic_args_to_str(e.args)}"
+    if isinstance(e, EIf):
+        then, els = core_expr_to_str(e.then), core_expr_to_str(e.els)
+        return f"if {bool_to_str(e.cond)} then {then} else {els} endif"
     raise TypeError(f"not a core expression: {e!r}")
 
 
-def core_prog_to_str(f: CoreProg) -> str:
+def core_prog_to_str(f: Prog) -> str:
     if isinstance(f, PrU3):
         return f"u3{{{real_to_str(f.theta)}, {real_to_str(f.phi)}, {real_to_str(f.lam)}}}"
     if isinstance(f, PrLeft):
@@ -385,8 +509,12 @@ def core_prog_to_str(f: CoreProg) -> str:
             f"{real_to_str(f.on_phase)}, {real_to_str(f.off_phase)}}}"
         )
     if isinstance(f, PrPmatch):
-        arms = "; ".join(
-            f"{core_expr_to_str(a.pattern)} -> {core_expr_to_str(a.body)}" for a in f.arms
-        )
-        return f"pmatch [{arms}]"
+        return f"pmatch {_core_arms_to_str(f.arms, None)}"
+    if isinstance(f, PGphase):
+        return f"gphase{{{real_to_str(f.phase)}}}"
+    if isinstance(f, PName):
+        return f"@{f.name}{generic_args_to_str(f.args)}"
+    if isinstance(f, PIf):
+        then, els = core_prog_to_str(f.then), core_prog_to_str(f.els)
+        return f"(if {bool_to_str(f.cond)} then {then} else {els} endif)"
     raise TypeError(f"not a core program: {f!r}")

@@ -1,4 +1,8 @@
-"""Recursive-descent parser for Qunity surface syntax.
+"""Recursive-descent parser for Qunity source text.
+
+It builds the one syntax tree of :mod:`qunic.core` (with the reals of
+:mod:`qunic.reals` and the definitions of :mod:`qunic.surface`); the nodes of
+the core language are built directly, the sugar nodes beside them.
 
 The grammar is predictive, with no exception: one token of lookahead picks
 every alternative, and each token is read once.  Where that token does not
@@ -16,9 +20,13 @@ returns whichever class it found, and the caller continues from that node:
 * a ``(`` in a condition reads a condition or a real; a real is then
   continued and compared (``((1) + 2) < 3``).
 
-An unparenthesized program followed by ``(`` in a generic argument is applied
-too (``&e{@f(x) |> @g}``), since that is how the printer writes an applied
-program there.
+The printer (:func:`qunic.core.core_expr_to_str` and its companions) writes
+an applied program as the program followed by its argument in parentheses,
+so an unparenthesized program followed by ``(`` in a generic argument is
+applied too (``&e{@f(x) |> @g}``).  It puts every ``lambda`` and every
+``if`` program in parentheses, so an applied one reads back through
+``_group``, and every product in parentheses, which the left-associative
+``*`` reads back unchanged.
 
 Operator shapes not fully pinned down by the grammar are resolved as follows:
 ``*`` on types is left-associative (a product ``A * B * C`` means
@@ -37,6 +45,36 @@ from __future__ import annotations
 from typing import Callable, TypeVar
 
 from . import reals, surface
+from .core import (
+    CoreArm,
+    EIf,
+    ELet,
+    EName,
+    ExApp,
+    ExCtrl,
+    ExMatch,
+    ExPair,
+    Expr,
+    ExTry,
+    ExUnit,
+    ExVar,
+    GenArg,
+    PGphase,
+    PIf,
+    PName,
+    PrAbs,
+    PrPmatch,
+    Prog,
+    PrRphase,
+    PrU3,
+    TIf,
+    TName,
+    TVar,
+    TyProd,
+    Type,
+    TyUnit,
+    TyVoid,
+)
 from .errors import CapacityError, ParseError
 from .lexer import Token, TokKind, tokenize
 from .reals import (
@@ -56,42 +94,14 @@ from .reals import (
     Real,
 )
 from .surface import (
-    Arm,
-    ECtrl,
-    EIf,
-    ELet,
-    EMatch,
-    EName,
-    EPair,
-    ETry,
-    EUnit,
-    EVar,
-    EApp,
-    Expr,
     ExprDef,
     ExprParam,
-    GenArg,
-    PGphase,
-    PIf,
-    PLambda,
-    PName,
-    PPmatch,
-    PRphase,
-    PU3,
     Param,
-    Prog,
     ProgDef,
     ProgParam,
     QFile,
     RealDef,
     RealParam,
-    TIf,
-    TName,
-    TProd,
-    TUnit,
-    TVar,
-    TVoid,
-    Type,
     TypeAliasDef,
     TypeParam,
     VariantAlt,
@@ -266,17 +276,17 @@ class _Parser:
             left = self._type_atom()
         while self.at_punct("*"):
             self.take()
-            left = TProd(left, self._type_atom())
+            left = TyProd(left, self._type_atom())
         return left
 
     def _type_atom(self) -> Type:
         t = self.cur
         if self.at_kw("Void"):
             self.take()
-            return TVoid()
+            return TyVoid()
         if self.at_kw("Unit"):
             self.take()
-            return TUnit()
+            return TyUnit()
         if t.kind is TokKind.TYVAR:
             self.take()
             return TVar(t.text)
@@ -301,7 +311,7 @@ class _Parser:
         """Apply the programs of a trailing ``|> f |> g`` chain to ``e``."""
         while self.at_punct("|>"):
             self.take()
-            e = EApp(self.parse_prog(), e)
+            e = ExApp(self.parse_prog(), e)
         return e
 
     def _expr_app(self) -> Expr:
@@ -309,23 +319,23 @@ class _Parser:
         if self.at_punct("("):
             x = self._group()
             if isinstance(x, Prog):  # a parenthesized program being applied: (lambda x -> ...)(e)
-                return EApp(x, self._app_argument())
+                return ExApp(x, self._app_argument())
             return self._expression(x, t)
         if t.kind is TokKind.QVAR:
             self.take()
-            return EVar(t.text)
+            return ExVar(t.text)
         if t.kind is TokKind.ENAME:
             self.take()
             return EName(t.text, self.maybe_generic_args())
         if self.at_kw("ctrl") or self.at_kw("match"):
-            node = ECtrl if self.take().text == "ctrl" else EMatch
+            node = ExCtrl if self.take().text == "ctrl" else ExMatch
             scrutinee = self.parse_expr()
             return node(scrutinee, *self._parse_arms(allow_else=True))
         if self.at_kw("try"):
             self.take()
             attempt = self.parse_expr()
             self.expect_kw("catch")
-            return ETry(attempt, self.parse_expr())
+            return ExTry(attempt, self.parse_expr())
         if self.at_kw("let"):
             self.take()
             pattern = self.parse_expr()
@@ -337,7 +347,7 @@ class _Parser:
             return self._if(self.parse_expr, EIf)
         if t.kind is TokKind.FNAME or (t.kind is TokKind.KW and t.text in _PROG_START_KWS):
             f = self.parse_prog()
-            return EApp(f, self._app_argument())
+            return ExApp(f, self._app_argument())
         raise self._fail("expected an expression")
 
     def _app_argument(self) -> Expr:
@@ -360,17 +370,17 @@ class _Parser:
         self.expect_punct("(")
         if self.at_punct(")"):
             self.take()
-            return EUnit()
+            return ExUnit()
         x = self.parse_generic_arg()
         if self.at_punct(",") and isinstance(x, Expr):
             self.take()
-            x = EPair(x, self.parse_expr())
+            x = ExPair(x, self.parse_expr())
         self.expect_punct(")")
         return x
 
-    def _parse_arms(self, allow_else: bool) -> tuple[tuple[Arm, ...], Expr | None]:
+    def _parse_arms(self, allow_else: bool) -> tuple[tuple[CoreArm, ...], Expr | None]:
         self.expect_punct("[")
-        arms: list[Arm] = []
+        arms: list[CoreArm] = []
         else_body: Expr | None = None
         while not self.at_punct("]"):
             if self.at_kw("else"):
@@ -385,7 +395,7 @@ class _Parser:
             pattern = self.parse_expr()
             self.expect_punct("->")
             body = self.parse_expr()
-            arms.append(Arm(pattern, body))
+            arms.append(CoreArm(pattern, body))
             if self.at_punct(";"):
                 self.take()
             else:
@@ -406,12 +416,12 @@ class _Parser:
             self.expect_punct(",")
             lam = self.parse_real()
             self.expect_punct("}")
-            return PU3(theta, phi, lam)
+            return PrU3(theta, phi, lam)
         if self.at_kw("lambda"):
             self.take()
             pattern = self.parse_expr()
             self.expect_punct("->")
-            return PLambda(pattern, self.parse_expr())
+            return PrAbs(pattern, self.parse_expr())
         if self.at_kw("gphase"):
             self.take()
             self.expect_punct("{")
@@ -427,11 +437,11 @@ class _Parser:
             self.expect_punct(",")
             off_phase = self.parse_real()
             self.expect_punct("}")
-            return PRphase(pattern, on_phase, off_phase)
+            return PrRphase(pattern, on_phase, off_phase)
         if self.at_kw("pmatch"):
             self.take()
             arms, _ = self._parse_arms(allow_else=False)
-            return PPmatch(arms)
+            return PrPmatch(arms)
         if t.kind is TokKind.FNAME:
             self.take()
             return PName(t.text, self.maybe_generic_args())
@@ -495,7 +505,7 @@ class _Parser:
         if isinstance(x, Type):
             return self.parse_type(x)
         if isinstance(x, Prog) and self.at_punct("("):
-            x = EApp(x, self._app_argument())
+            x = ExApp(x, self._app_argument())
         return self._pipeline(x) if isinstance(x, Expr) else x
 
     def _if_argument(self, cond: BoolExpr, then: GenArg, els: GenArg) -> GenArg:

@@ -1,4 +1,4 @@
-"""Elaboration of surface syntax into the core language.
+"""Elaboration of the syntax tree into its core subset, which has no sugar node.
 
 This stage resolves everything that is "compile time" in Qunity:
 
@@ -22,7 +22,11 @@ This stage resolves everything that is "compile time" in Qunity:
   occurrence so it behaves as a throwaway;
 * outside a pattern, a variable that no enclosing binder binds is an error
   ("unbound variable"), so a definition body never picks up a variable of
-  the code that uses it.
+  the code that uses it;
+* programs are closed: a ``lambda`` and the arms of a ``pmatch`` are
+  elaborated from a scope with no variables, so a variable of the code
+  around them is unbound inside them.  An ``rphase`` needs no such scope:
+  it has no body, and a pattern sees no variable it has not bound itself.
 
 ``ctrl``/``match`` ``else`` arms survive into the core untouched: expanding
 them needs the scrutinee's type, which is the typechecker's business.
@@ -39,24 +43,40 @@ from typing import Mapping
 
 from . import reals, surface
 from .core import (
+    _EXPR_NODES,
+    _PROG_NODES,
+    _TYPE_NODES,
     CoreArm,
     CoreExpr,
     CoreProg,
     CoreType,
+    EIf,
+    ELet,
+    EName,
     ExApp,
     ExCtrl,
     ExMatch,
     ExPair,
+    Expr,
     ExTry,
     ExUnit,
     ExVar,
+    GenArg,
+    PGphase,
+    PIf,
+    PName,
     PrAbs,
     PrLeft,
     PrPmatch,
+    Prog,
     PrRight,
     PrRphase,
     PrU3,
+    TIf,
+    TName,
+    TVar,
     TyProd,
+    Type,
     TySum,
     TyUnit,
     TyVoid,
@@ -76,42 +96,14 @@ from .reals import (
     evaluate_bool,
 )
 from .surface import (
-    Arm,
-    ECtrl,
-    EIf,
-    ELet,
-    EMatch,
-    EName,
-    EPair,
-    ETry,
-    EUnit,
-    EVar,
-    EApp,
-    Expr,
     ExprDef,
     ExprParam,
-    GenArg,
-    PGphase,
-    PIf,
-    PLambda,
-    PName,
-    PPmatch,
-    PRphase,
-    PU3,
     Param,
-    Prog,
     ProgDef,
     ProgParam,
     QFile,
     RealDef,
     RealParam,
-    TIf,
-    TName,
-    TProd,
-    TUnit,
-    TVar,
-    TVoid,
-    Type,
     TypeAliasDef,
     TypeParam,
     VariantDef,
@@ -125,11 +117,11 @@ _REAL_NODES = (reals.RConst, reals.RPi, reals.REuler, reals.RUnary, RBinary, RNa
 # "c" constructors, whose definition is their variant.
 _DEF_SORTS = {TypeAliasDef: "t", VariantDef: "t", ExprDef: "e", ProgDef: "f", RealDef: "r"}
 _OWNERS = {"t": "type ", "e": "&", "f": "@", "r": "#", "c": "constructor "}
-# Parameter class -> (sort, sigil, what an argument must be, its surface nodes).
+# Parameter class -> (sort, sigil, what an argument must be, its node classes).
 _PARAMS = {
-    TypeParam: ("t", "'", "a type", surface._TYPE_NODES),
-    ExprParam: ("e", "&", "an expression", surface._EXPR_NODES),
-    ProgParam: ("f", "@", "a program", surface._PROG_NODES),
+    TypeParam: ("t", "'", "a type", _TYPE_NODES),
+    ExprParam: ("e", "&", "an expression", _EXPR_NODES),
+    ProgParam: ("f", "@", "a program", _PROG_NODES),
     RealParam: ("r", "#", "a real", _REAL_NODES),
 }
 
@@ -294,16 +286,16 @@ class Elaborator:
     # -- types ----------------------------------------------------------------
 
     def elab_type(self, t: Type, env: _Env) -> CoreType:
-        if isinstance(t, TVoid):
+        if isinstance(t, TyVoid):
             return TyVoid()
-        if isinstance(t, TUnit):
+        if isinstance(t, TyUnit):
             return TyUnit()
         if isinstance(t, TVar):
             got = env.generics.get(("t", t.name))
             if got is None:
                 raise PreprocessError(f"unbound type variable '{t.name}")
             return got  # type: ignore[return-value]
-        if isinstance(t, TProd):
+        if isinstance(t, TyProd):
             return TyProd(self.elab_type(t.left, env), self.elab_type(t.right, env))
         if isinstance(t, TIf):
             return self.elab_type(t.then if self._bool(t.cond, env) else t.els, env)
@@ -349,9 +341,9 @@ class Elaborator:
     # -- expressions ----------------------------------------------------------------
 
     def elab_expr(self, e: Expr, env: _Env) -> CoreExpr:
-        if isinstance(e, EUnit):
+        if isinstance(e, ExUnit):
             return ExUnit()
-        if isinstance(e, EVar):
+        if isinstance(e, ExVar):
             name = env.qrename.get(e.name)
             if env.binds is not None and (name is None or e.name == "_"):
                 name = self._fresh(e.name) if env.fresh or e.name == "_" else e.name
@@ -359,17 +351,16 @@ class Elaborator:
             elif name is None:
                 raise PreprocessError(f"unbound variable {e.name}")
             return ExVar(name)
-        if isinstance(e, EPair):
+        if isinstance(e, ExPair):
             return ExPair(self.elab_expr(e.left, env), self.elab_expr(e.right, env))
-        if isinstance(e, (ECtrl, EMatch)):
+        if isinstance(e, (ExCtrl, ExMatch)):
             scrutinee = self.elab_expr(e.scrutinee, env)
             arms = tuple(self._elab_arm(a, env) for a in e.arms)
             els = None if e.else_body is None else self.elab_expr(e.else_body, env)
-            node = ExCtrl if isinstance(e, ECtrl) else ExMatch
-            return node(scrutinee, arms, els)
-        if isinstance(e, ETry):
+            return type(e)(scrutinee, arms, els)
+        if isinstance(e, ExTry):
             return ExTry(self.elab_expr(e.attempt, env), self.elab_expr(e.fallback, env))
-        if isinstance(e, EApp):
+        if isinstance(e, ExApp):
             return ExApp(self.elab_prog(e.fn, env), self.elab_expr(e.arg, env))
         if isinstance(e, ELet):
             value = self.elab_expr(e.value, env)
@@ -398,32 +389,33 @@ class Elaborator:
             return pattern, _Env(env.generics, {**env.qrename, **binds}, env.fresh)
         return pattern, _Env(env.generics, ChainMap(binds, env.qrename), env.fresh, env.binds)
 
-    def _elab_arm(self, arm: Arm, env: _Env) -> CoreArm:
+    def _elab_arm(self, arm: CoreArm, env: _Env) -> CoreArm:
         pattern, inner = self._pattern(arm.pattern, env)
         return CoreArm(pattern, self.elab_expr(arm.body, inner))
 
     # -- programs ----------------------------------------------------------------
 
     def elab_prog(self, f: Prog, env: _Env) -> CoreProg:
-        if isinstance(f, PU3):
+        if isinstance(f, PrU3):
             return PrU3(
                 self.elab_real(f.theta, env),
                 self.elab_real(f.phi, env),
                 self.elab_real(f.lam, env),
             )
-        if isinstance(f, PLambda):
-            pattern, inner = self._pattern(f.pattern, env)
+        if isinstance(f, PrAbs):
+            pattern, inner = self._pattern(f.pattern, _Env(env.generics, {}, env.fresh))
             return PrAbs(pattern, self.elab_expr(f.body, inner))
         if isinstance(f, PGphase):
             phase = self.elab_real(f.phase, env)
             return PrRphase(ExVar(self._fresh("_")), phase, phase)
-        if isinstance(f, PRphase):
+        if isinstance(f, PrRphase):
             pattern, _ = self._pattern(f.pattern, env)
             return PrRphase(
                 pattern, self.elab_real(f.on_phase, env), self.elab_real(f.off_phase, env)
             )
-        if isinstance(f, PPmatch):
-            return PrPmatch(tuple(self._elab_arm(a, env) for a in f.arms))
+        if isinstance(f, PrPmatch):
+            closed = _Env(env.generics, {}, env.fresh)
+            return PrPmatch(tuple(self._elab_arm(a, closed) for a in f.arms))
         if isinstance(f, PIf):
             return self.elab_prog(f.then if self._bool(f.cond, env) else f.els, env)
         if isinstance(f, PName):

@@ -59,7 +59,7 @@ UNARY_OPS = (
 )
 
 class _Node:
-    """Base of the closed real nodes here and of every core node in :mod:`core`.
+    """Base of the closed real nodes here and of every node in :mod:`core`.
 
     Subclasses are ``@dataclass(frozen=True, eq=False, slots=True, repr=False)``,
     so their fields are their slots and the dataclass writes none of
@@ -212,9 +212,9 @@ class RBinary(_Node):
 class RName:
     """Reference to a ``#name`` definition, with generic arguments.
 
-    The arguments are surface-syntax nodes (types, expressions, programs, or
-    reals); they are typed loosely here to keep this module independent of the
-    surface AST.
+    The arguments are syntax-tree nodes (types, expressions, programs, or
+    reals); they are typed loosely here to keep this module independent of
+    :mod:`qunic.core`.
     """
 
     name: str
@@ -439,14 +439,6 @@ def as_rational(r: Real) -> Fraction | None:
     return None
 
 
-def require_int(r: Real, what: str) -> int:
-    """Evaluate ``r`` and insist on an exact integer (for sizes, indices...)."""
-    v = evaluate_real(r)
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
-    raise RealError(f"{what} must be an integer, got {v}")
-
-
 def _digit_count(n: int) -> int:
     """The number of decimal digits of ``n``, without converting it to a string."""
     n = abs(n)
@@ -491,7 +483,7 @@ def real_to_str(r: Real, _prec: int = 0) -> str:
         s = f"{left} {r.op} {right}"
         return f"({s})" if prec < _prec else s
     if isinstance(r, RName):
-        from .surface import generic_args_to_str  # late import, printer lives there
+        from .core import generic_args_to_str  # late import, printer lives there
 
         return f"#{r.name}{generic_args_to_str(r.args)}"
     if isinstance(r, RIf):

@@ -1,18 +1,13 @@
-"""Surface abstract syntax and its pretty-printer.
+"""Definitions and files, and their printer.
 
-The surface language is what the parser produces and what definitions are
-written in: it still contains names with generic arguments, compile-time
-conditionals (``if .. then .. else .. endif``), ``let`` bindings, ``gphase``,
-and variant constructors.  The preprocessor eliminates all of these, leaving
-the small core language in :mod:`qunic.core`.
+A file is a sequence of definitions (type aliases, variant types, and
+expression, program and real definitions, each with its generic parameters)
+and an optional main expression.  The types, expressions, programs and reals
+inside them are nodes of the one syntax tree in :mod:`qunic.core` and
+:mod:`qunic.reals`, and print with its printer.
 
-Patterns are not a separate syntactic class — the expressions to the left of
-``->`` in ``ctrl``/``match``/``pmatch`` arms and under ``lambda`` are ordinary
-expressions, restricted later by the typechecker.
-
-``expr_to_str`` and friends render canonical single-line surface syntax; the
-parser accepts everything they produce, which is what the round-trip tests
-lean on.
+``file_to_str`` and friends render canonical single-line syntax; the parser
+accepts everything they produce, which is what the round-trip tests lean on.
 """
 
 from __future__ import annotations
@@ -20,183 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .reals import BoolExpr, Real, bool_to_str, real_to_str
-
-# --------------------------------------------------------------------------
-# Types
-
-
-@dataclass(frozen=True)
-class TVoid:
-    pass
-
-
-@dataclass(frozen=True)
-class TUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class TVar:
-    """A type variable ``'a`` bound by a definition's parameter list."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class TProd:
-    left: "Type"
-    right: "Type"
-
-
-@dataclass(frozen=True)
-class TName:
-    """A named type ``T{args}`` — an alias or a variant declaration."""
-
-    name: str
-    args: tuple["GenArg", ...] = ()
-
-
-@dataclass(frozen=True)
-class TIf:
-    cond: BoolExpr
-    then: "Type"
-    els: "Type"
-
-
-Type = Union[TVoid, TUnit, TVar, TProd, TName, TIf]
-
-# --------------------------------------------------------------------------
-# Expressions
-
-
-@dataclass(frozen=True)
-class EUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class EVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class EPair:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Arm:
-    pattern: "Expr"
-    body: "Expr"
-
-
-@dataclass(frozen=True)
-class ECtrl:
-    scrutinee: "Expr"
-    arms: tuple[Arm, ...]
-    else_body: "Expr | None" = None
-
-
-@dataclass(frozen=True)
-class EMatch:
-    scrutinee: "Expr"
-    arms: tuple[Arm, ...]
-    else_body: "Expr | None" = None
-
-
-@dataclass(frozen=True)
-class ETry:
-    attempt: "Expr"
-    fallback: "Expr"
-
-
-@dataclass(frozen=True)
-class EApp:
-    fn: "Prog"
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class ELet:
-    pattern: "Expr"
-    value: "Expr"
-    body: "Expr"
-
-
-@dataclass(frozen=True)
-class EName:
-    """Reference to an ``&name`` definition or nullary variant constructor."""
-
-    name: str
-    args: tuple["GenArg", ...] = ()
-
-
-@dataclass(frozen=True)
-class EIf:
-    cond: BoolExpr
-    then: "Expr"
-    els: "Expr"
-
-
-Expr = Union[EUnit, EVar, EPair, ECtrl, EMatch, ETry, EApp, ELet, EName, EIf]
-
-# --------------------------------------------------------------------------
-# Programs
-
-
-@dataclass(frozen=True)
-class PU3:
-    theta: Real
-    phi: Real
-    lam: Real
-
-
-@dataclass(frozen=True)
-class PLambda:
-    pattern: "Expr"
-    body: "Expr"
-
-
-@dataclass(frozen=True)
-class PGphase:
-    phase: Real
-
-
-@dataclass(frozen=True)
-class PRphase:
-    """``rphase{e, r, r'}``: phase ``e^(i r)`` on the image of the pattern
-    ``e``, phase ``e^(i r')`` on its orthogonal complement."""
-
-    pattern: "Expr"
-    on_phase: Real
-    off_phase: Real
-
-
-@dataclass(frozen=True)
-class PPmatch:
-    arms: tuple[Arm, ...]
-
-
-@dataclass(frozen=True)
-class PName:
-    """Reference to an ``@name`` definition or payload variant constructor."""
-
-    name: str
-    args: tuple["GenArg", ...] = ()
-
-
-@dataclass(frozen=True)
-class PIf:
-    cond: BoolExpr
-    then: "Prog"
-    els: "Prog"
-
-
-Prog = Union[PU3, PLambda, PGphase, PRphase, PPmatch, PName, PIf]
-
-GenArg = Union[Type, Expr, Prog, Real]
+from .core import Expr, Prog, Type, core_expr_to_str, core_prog_to_str, core_type_to_str
+from .reals import Real, real_to_str
 
 # --------------------------------------------------------------------------
 # Definitions and files
@@ -290,112 +110,14 @@ class QFile:
 # --------------------------------------------------------------------------
 # Pretty-printer
 
-_TYPE_NODES = (TVoid, TUnit, TVar, TProd, TName, TIf)
-_EXPR_NODES = (EUnit, EVar, EPair, ECtrl, EMatch, ETry, EApp, ELet, EName, EIf)
-_PROG_NODES = (PU3, PLambda, PGphase, PRphase, PPmatch, PName, PIf)
-
-
-def generic_arg_to_str(arg: object) -> str:
-    if isinstance(arg, _TYPE_NODES):
-        return type_to_str(arg)
-    if isinstance(arg, _EXPR_NODES):
-        return expr_to_str(arg)
-    if isinstance(arg, _PROG_NODES):
-        return prog_to_str(arg)
-    return real_to_str(arg)  # type: ignore[arg-type]
-
-
-def generic_args_to_str(args: tuple[object, ...]) -> str:
-    if not args:
-        return ""
-    return "{" + ", ".join(generic_arg_to_str(a) for a in args) + "}"
-
-
-def type_to_str(t: Type, _in_prod_right: bool = False) -> str:
-    if isinstance(t, TVoid):
-        return "Void"
-    if isinstance(t, TUnit):
-        return "Unit"
-    if isinstance(t, TVar):
-        return f"'{t.name}"
-    if isinstance(t, TProd):
-        # '*' is left-associative, so a product on the right needs parentheses
-        s = f"{type_to_str(t.left)} * {type_to_str(t.right, True)}"
-        return f"({s})" if _in_prod_right else s
-    if isinstance(t, TName):
-        return f"{t.name}{generic_args_to_str(t.args)}"
-    if isinstance(t, TIf):
-        return f"if {bool_to_str(t.cond)} then {type_to_str(t.then)} else {type_to_str(t.els)} endif"
-    raise TypeError(f"not a type: {t!r}")
-
-
-def _arms_to_str(arms: tuple[Arm, ...], else_body: Expr | None) -> str:
-    parts = [f"{expr_to_str(a.pattern)} -> {expr_to_str(a.body)}" for a in arms]
-    if else_body is not None:
-        parts.append(f"else -> {expr_to_str(else_body)}")
-    return "[" + "; ".join(parts) + "]"
-
-
-def expr_to_str(e: Expr) -> str:
-    if isinstance(e, EUnit):
-        return "()"
-    if isinstance(e, EVar):
-        return e.name
-    if isinstance(e, EPair):
-        return f"({expr_to_str(e.left)}, {expr_to_str(e.right)})"
-    if isinstance(e, ECtrl):
-        return f"ctrl {expr_to_str(e.scrutinee)} {_arms_to_str(e.arms, e.else_body)}"
-    if isinstance(e, EMatch):
-        return f"match {expr_to_str(e.scrutinee)} {_arms_to_str(e.arms, e.else_body)}"
-    if isinstance(e, ETry):
-        return f"try {expr_to_str(e.attempt)} catch {expr_to_str(e.fallback)}"
-    if isinstance(e, EApp):
-        fn = prog_to_str(e.fn)
-        if isinstance(e.fn, (PLambda, PIf)):
-            fn = f"({fn})"  # their bodies would otherwise swallow the argument
-        if isinstance(e.arg, EPair):  # application parens double as the pair's
-            return f"{fn}({expr_to_str(e.arg.left)}, {expr_to_str(e.arg.right)})"
-        return f"{fn}({expr_to_str(e.arg)})"
-    if isinstance(e, ELet):
-        return (
-            f"let {expr_to_str(e.pattern)} = {expr_to_str(e.value)} in {expr_to_str(e.body)}"
-        )
-    if isinstance(e, EName):
-        return f"&{e.name}{generic_args_to_str(e.args)}"
-    if isinstance(e, EIf):
-        return f"if {bool_to_str(e.cond)} then {expr_to_str(e.then)} else {expr_to_str(e.els)} endif"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def prog_to_str(f: Prog) -> str:
-    if isinstance(f, PU3):
-        return f"u3{{{real_to_str(f.theta)}, {real_to_str(f.phi)}, {real_to_str(f.lam)}}}"
-    if isinstance(f, PLambda):
-        return f"lambda {expr_to_str(f.pattern)} -> {expr_to_str(f.body)}"
-    if isinstance(f, PGphase):
-        return f"gphase{{{real_to_str(f.phase)}}}"
-    if isinstance(f, PRphase):
-        return (
-            f"rphase{{{expr_to_str(f.pattern)}, "
-            f"{real_to_str(f.on_phase)}, {real_to_str(f.off_phase)}}}"
-        )
-    if isinstance(f, PPmatch):
-        arms = "; ".join(f"{expr_to_str(a.pattern)} -> {expr_to_str(a.body)}" for a in f.arms)
-        return f"pmatch [{arms}]"
-    if isinstance(f, PName):
-        return f"@{f.name}{generic_args_to_str(f.args)}"
-    if isinstance(f, PIf):
-        return f"if {bool_to_str(f.cond)} then {prog_to_str(f.then)} else {prog_to_str(f.els)} endif"
-    raise TypeError(f"not a program: {f!r}")
-
 
 def param_to_str(p: Param) -> str:
     if isinstance(p, TypeParam):
         return f"'{p.name}"
     if isinstance(p, ExprParam):
-        return f"&{p.name} : {type_to_str(p.ty)}"
+        return f"&{p.name} : {core_type_to_str(p.ty)}"
     if isinstance(p, ProgParam):
-        return f"@{p.name} : {type_to_str(p.dom)} -> {type_to_str(p.cod)}"
+        return f"@{p.name} : {core_type_to_str(p.dom)} -> {core_type_to_str(p.cod)}"
     if isinstance(p, RealParam):
         return f"#{p.name}"
     raise TypeError(f"not a parameter: {p!r}")
@@ -409,24 +131,24 @@ def _sig_to_str(params: tuple[Param, ...]) -> str:
 
 def def_to_str(d: Def) -> str:
     if isinstance(d, TypeAliasDef):
-        return f"type {d.name}{_sig_to_str(d.params)} := {type_to_str(d.body)} end"
+        return f"type {d.name}{_sig_to_str(d.params)} := {core_type_to_str(d.body)} end"
     if isinstance(d, VariantDef):
         alts = []
         for alt in d.alts:
             if alt.payload is None:
                 alts.append(f"&{alt.name}")
             else:
-                alts.append(f"@{alt.name} of {type_to_str(alt.payload)}")
+                alts.append(f"@{alt.name} of {core_type_to_str(alt.payload)}")
         return f"type {d.name}{_sig_to_str(d.params)} := {' | '.join(alts)} end"
     if isinstance(d, ExprDef):
         return (
-            f"def &{d.name}{_sig_to_str(d.params)} : {type_to_str(d.ty)} := "
-            f"{expr_to_str(d.body)} end"
+            f"def &{d.name}{_sig_to_str(d.params)} : {core_type_to_str(d.ty)} := "
+            f"{core_expr_to_str(d.body)} end"
         )
     if isinstance(d, ProgDef):
         return (
-            f"def @{d.name}{_sig_to_str(d.params)} : {type_to_str(d.dom)} -> "
-            f"{type_to_str(d.cod)} := {prog_to_str(d.body)} end"
+            f"def @{d.name}{_sig_to_str(d.params)} : {core_type_to_str(d.dom)} -> "
+            f"{core_type_to_str(d.cod)} := {core_prog_to_str(d.body)} end"
         )
     if isinstance(d, RealDef):
         return f"def #{d.name}{_sig_to_str(d.params)} := {real_to_str(d.body)} end"
@@ -436,5 +158,5 @@ def def_to_str(d: Def) -> str:
 def file_to_str(qf: QFile) -> str:
     chunks = [def_to_str(d) for d in qf.defs]
     if qf.main is not None:
-        chunks.append(expr_to_str(qf.main))
+        chunks.append(core_expr_to_str(qf.main))
     return "\n\n".join(chunks) + "\n"

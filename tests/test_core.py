@@ -1,6 +1,10 @@
 """Hashing and equality of shared core terms (the ``_Node`` contract)."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -94,7 +98,7 @@ class TestSharedCores:
             core.core_expr_to_str(c)
 
     def test_nodes_have_no_dict_and_only_their_declared_fields(self):
-        assert len(NODE_CLASSES) == 23
+        assert len(NODE_CLASSES) == 32
         for cls in NODE_CLASSES:
             declared = list(cls.__annotations__)
             assert [f.name for f in dataclasses.fields(cls)] == declared
@@ -102,6 +106,28 @@ class TestSharedCores:
             assert not hasattr(node, "__dict__")
             hash(node)
             assert [f.name for f in dataclasses.fields(node)] == declared
+
+    @pytest.mark.parametrize(
+        "first", ["qunic.reals", "qunic.core", "qunic.surface", "qunic.parser", "qunic.preprocess"]
+    )
+    def test_each_module_imports_first_without_a_cycle(self, first):
+        # A real name in a generic argument prints through a late import of
+        # the core's printer from reals.
+        script = (
+            f"import {first}\n"
+            "from qunic.core import EName, TName, core_expr_to_str\n"
+            "from qunic.reals import RName\n"
+            "print(core_expr_to_str(EName('f', (RName('n', (TName('Bit'),)),))))\n"
+        )
+        src = str(pathlib.Path(core.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (out.returncode, out.stderr, out.stdout) == (0, "", "&f{#n{Bit}}\n")
 
     def test_repr_is_the_dataclass_form_cut_at_a_fixed_depth(self):
         assert repr(ExVar("x")) == "ExVar(name='x')"

@@ -3,6 +3,36 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qunic.core import (
+    CoreArm,
+    EIf,
+    ELet,
+    EName,
+    ExApp,
+    ExCtrl,
+    ExMatch,
+    ExPair,
+    ExTry,
+    ExUnit,
+    ExVar,
+    PGphase,
+    PIf,
+    PName,
+    PrAbs,
+    PrPmatch,
+    PrRphase,
+    PrU3,
+    TIf,
+    TName,
+    TVar,
+    TyProd,
+    TyUnit,
+    TyVoid,
+    core_expr_to_str,
+    core_prog_to_str,
+    core_type_to_str,
+    generic_arg_to_str,
+)
 from qunic.errors import CapacityError, LexError, ParseError
 from qunic.lexer import KEYWORDS, TokKind, tokenize
 from qunic.parser import (
@@ -15,40 +45,7 @@ from qunic.parser import (
 )
 from qunic.preprocess import core_of_source, default_prelude_text
 from qunic.reals import BAnd, BCmp, BNot, RBinary, RConst, RIf, RName, RPi
-from qunic.surface import (
-    Arm,
-    ECtrl,
-    EIf,
-    ELet,
-    EMatch,
-    EName,
-    EPair,
-    ETry,
-    EUnit,
-    EVar,
-    EApp,
-    PGphase,
-    PIf,
-    PLambda,
-    PName,
-    PPmatch,
-    PRphase,
-    PU3,
-    ProgDef,
-    TIf,
-    TName,
-    TProd,
-    TUnit,
-    TVar,
-    TVoid,
-    TypeAliasDef,
-    VariantDef,
-    expr_to_str,
-    file_to_str,
-    generic_arg_to_str,
-    prog_to_str,
-    type_to_str,
-)
+from qunic.surface import ProgDef, TypeAliasDef, VariantDef, file_to_str
 
 
 class TestLexer:
@@ -179,61 +176,61 @@ def test_token_positions_point_at_their_text(pieces, trailer):
 class TestParser:
     def test_pipe_desugars_to_application(self):
         e = parse_expr_string("x |> @f |> @g")
-        assert e == EApp(PName("g"), EApp(PName("f"), EVar("x")))
+        assert e == ExApp(PName("g"), ExApp(PName("f"), ExVar("x")))
 
     def test_application_parens_double_as_pair(self):
         assert parse_expr_string("@f(a, b)") == parse_expr_string("@f((a, b))")
 
     def test_unit_argument(self):
-        assert parse_expr_string("@f(())") == EApp(PName("f"), EUnit())
+        assert parse_expr_string("@f(())") == ExApp(PName("f"), ExUnit())
 
     def test_ctrl_with_else_and_trailing_semicolon(self):
         e = parse_expr_string("ctrl (a, b) [(&1, &1) -> ((a, b), @not(c)); else -> ((a, b), c);]")
-        assert isinstance(e, ECtrl)
+        assert isinstance(e, ExCtrl)
         assert len(e.arms) == 1
         assert e.else_body is not None
 
     def test_match_arms(self):
         e = parse_expr_string("match x [(&1, &1) -> &1; else -> &0;]")
-        assert isinstance(e, EMatch)
-        assert e.arms[0].pattern == EPair(EName("1"), EName("1"))
+        assert isinstance(e, ExMatch)
+        assert e.arms[0].pattern == ExPair(EName("1"), EName("1"))
 
     def test_lambda_body_extends_through_pipes(self):
         f = parse_prog_string("lambda x -> x |> @f |> @g")
-        assert isinstance(f, PLambda)
-        assert f.body == EApp(PName("g"), EApp(PName("f"), EVar("x")))
+        assert isinstance(f, PrAbs)
+        assert f.body == ExApp(PName("g"), ExApp(PName("f"), ExVar("x")))
 
     def test_parenthesized_lambda_application(self):
         e = parse_expr_string("(lambda x -> x)(&0)")
-        assert isinstance(e, EApp) and isinstance(e.fn, PLambda)
+        assert isinstance(e, ExApp) and isinstance(e.fn, PrAbs)
 
     def test_let_binding(self):
         e = parse_expr_string("let (x, y) = p in (y, x)")
         assert isinstance(e, ELet)
-        assert e.pattern == EPair(EVar("x"), EVar("y"))
+        assert e.pattern == ExPair(ExVar("x"), ExVar("y"))
 
     def test_try_catch(self):
         e = parse_expr_string("try @f(x) catch &0")
-        assert isinstance(e, ETry)
+        assert isinstance(e, ExTry)
 
     def test_type_product_left_associative(self):
         t = parse_type_string("Bit * Bit * Bit")
-        assert t == TProd(TProd(TName("Bit"), TName("Bit")), TName("Bit"))
+        assert t == TyProd(TyProd(TName("Bit"), TName("Bit")), TName("Bit"))
 
     def test_tuple_pattern_matches_left_associated_product(self):
         # ((a, b), c) is the pattern shape for Bit * Bit * Bit
         e = parse_expr_string("((a, b), c)")
-        assert e == EPair(EPair(EVar("a"), EVar("b")), EVar("c"))
+        assert e == ExPair(ExPair(ExVar("a"), ExVar("b")), ExVar("c"))
 
     def test_type_conditional(self):
         t = parse_type_string("if #n <= 0 then Unit else 'a * Array{#n - 1, 'a} endif")
         assert isinstance(t, TIf)
-        assert isinstance(t.els, TProd)
+        assert isinstance(t.els, TyProd)
 
     def test_rphase_shape(self):
         f = parse_prog_string("rphase{(&1, &1), 2 * pi / 2 ^ #k, 0}")
-        assert isinstance(f, PRphase)
-        assert f.pattern == EPair(EName("1"), EName("1"))
+        assert isinstance(f, PrRphase)
+        assert f.pattern == ExPair(EName("1"), EName("1"))
         assert f.off_phase == RConst(0)
 
     def test_expression_if(self):
@@ -246,9 +243,9 @@ class TestParser:
         assert e.args == (RConst(5), TName("Bit"), EName("plus"))
 
     def test_generic_arg_applied_program(self):
-        assert parse_expr_string("&0{@f(())}") == EName("0", (EApp(PName("f"), EUnit()),))
+        assert parse_expr_string("&0{@f(())}") == EName("0", (ExApp(PName("f"), ExUnit()),))
         e = parse_expr_string("&0{@f(x) |> @g}")
-        assert e == EName("0", (EApp(PName("g"), EApp(PName("f"), EVar("x"))),))
+        assert e == EName("0", (ExApp(PName("g"), ExApp(PName("f"), ExVar("x"))),))
 
     def test_generic_arg_parenthesized_real(self):
         e = parse_expr_string("&f{(#a - 1) / 2}")
@@ -301,15 +298,15 @@ class TestParser:
         "argument, tree",
         [
             ("(#a - 1) / 2", RBinary("/", RBinary("-", RName("a"), RConst(1)), RConst(2))),
-            ("(Bit) * Bit", TProd(_BIT, _BIT)),
+            ("(Bit) * Bit", TyProd(_BIT, _BIT)),
             ("((1))", RConst(1)),
-            ("()", EUnit()),
+            ("()", ExUnit()),
             ("(@g)", PName("g")),
-            ("(@g)(x) |> @h", EApp(PName("h"), EApp(PName("g"), EVar("x")))),
-            ("(lambda x -> x)(y)", EApp(PLambda(EVar("x"), EVar("x")), EVar("y"))),
+            ("(@g)(x) |> @h", ExApp(PName("h"), ExApp(PName("g"), ExVar("x")))),
+            ("(lambda x -> x)(y)", ExApp(PrAbs(ExVar("x"), ExVar("x")), ExVar("y"))),
             (
                 "if 1 < 2 then Bit else Unit endif * Bit",
-                TProd(TIf(_ONE_LT_TWO, _BIT, TUnit()), _BIT),
+                TyProd(TIf(_ONE_LT_TWO, _BIT, TyUnit()), _BIT),
             ),
             (
                 "if 1 < 2 then 1 else 2 endif + 3",
@@ -329,7 +326,7 @@ class TestParser:
     )
     def test_parenthesis_in_a_condition(self, condition, tree):
         t = parse_type_string(f"if {condition} then Unit else Void endif")
-        assert t == TIf(tree, TUnit(), TVoid())
+        assert t == TIf(tree, TyUnit(), TyVoid())
 
     @pytest.mark.parametrize(
         "source",
@@ -395,13 +392,37 @@ class TestPrettyPrinter:
         assert parse_file(file_to_str(qf)) == qf
 
     def test_product_needs_parens_on_right(self):
-        t = TProd(TName("Bit"), TProd(TName("Bit"), TName("Bit")))
-        assert type_to_str(t) == "Bit * (Bit * Bit)"
-        assert parse_type_string(type_to_str(t)) == t
+        t = TyProd(TName("Bit"), TyProd(TName("Bit"), TName("Bit")))
+        assert core_type_to_str(t) == "(Bit * (Bit * Bit))"
+        assert parse_type_string(core_type_to_str(t)) == t
 
     def test_applied_lambda_is_parenthesized(self):
-        e = EApp(PLambda(EVar("x"), EVar("x")), EName("0"))
-        assert expr_to_str(e) == "(lambda x -> x)(&0)"
+        e = ExApp(PrAbs(ExVar("x"), ExVar("x")), EName("0"))
+        assert core_expr_to_str(e) == "(lambda x -> x)(&0)"
+
+    @pytest.mark.parametrize(
+        "source, printed",
+        [
+            ("(if 1 < 2 then @f else @g endif)(x)", "(if 1 < 2 then @f else @g endif)(x)"),
+            (
+                "def @f : Bit -> Bit := lambda x -> x end",
+                "def @f : Bit -> Bit := (lambda x -> x) end",
+            ),
+            ("&z{lambda x -> x}", "&z{(lambda x -> x)}"),
+            ("&z{if 1 < 2 then @f else @g endif}", "&z{(if 1 < 2 then @f else @g endif)}"),
+            ("x |> lambda y -> y |> @f", "(lambda y -> @f(y))(x)"),
+            (
+                "type T := Bit * Bit * (Bit * Bit) end",
+                "type T := ((Bit * Bit) * (Bit * Bit)) end",
+            ),
+            ("&z{Unit * (Unit * Unit), Unit}", "&z{(Unit * (Unit * Unit)), Unit}"),
+            ("@f(a, b)", "@f((a, b))"),
+        ],
+    )
+    def test_printed_text_parses_back(self, source, printed):
+        qf = parse_file(source)
+        assert file_to_str(qf) == printed + "\n"
+        assert parse_file(printed) == qf
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +466,8 @@ def _bools(depth: int):
 
 def _types(depth: int):
     base = st.one_of(
-        st.just(TVoid()),
-        st.just(TUnit()),
+        st.just(TyVoid()),
+        st.just(TyUnit()),
         _tyvars.map(TVar),
         _tnames.map(lambda n: TName(n, ())),
     )
@@ -455,7 +476,7 @@ def _types(depth: int):
     sub = _types(depth - 1)
     return st.one_of(
         base,
-        st.builds(TProd, sub, sub),
+        st.builds(TyProd, sub, sub),
         st.builds(TIf, _bools(1), sub, sub),
         st.builds(TName, _tnames, st.tuples(sub)),
     )
@@ -467,22 +488,22 @@ def _genargs(depth: int):
 
 def _exprs(depth: int):
     base = st.one_of(
-        st.just(EUnit()),
-        _qvars.map(EVar),
+        st.just(ExUnit()),
+        _qvars.map(ExVar),
         _enames.map(lambda n: EName(n, ())),
     )
     if depth == 0:
         return base
     sub = _exprs(depth - 1)
-    arms = st.lists(st.builds(Arm, sub, sub), min_size=1, max_size=2).map(tuple)
+    arms = st.lists(st.builds(CoreArm, sub, sub), min_size=1, max_size=2).map(tuple)
     maybe_else = st.one_of(st.none(), sub)
     return st.one_of(
         base,
-        st.builds(EPair, sub, sub),
-        st.builds(ECtrl, sub, arms, maybe_else),
-        st.builds(EMatch, sub, arms, maybe_else),
-        st.builds(ETry, sub, sub),
-        st.builds(EApp, _progs(depth - 1), sub),
+        st.builds(ExPair, sub, sub),
+        st.builds(ExCtrl, sub, arms, maybe_else),
+        st.builds(ExMatch, sub, arms, maybe_else),
+        st.builds(ExTry, sub, sub),
+        st.builds(ExApp, _progs(depth - 1), sub),
         st.builds(ELet, sub, sub, sub),
         st.builds(EIf, _bools(1), sub, sub),
         st.builds(EName, _enames, st.tuples(_genargs(depth - 1))),
@@ -492,18 +513,18 @@ def _exprs(depth: int):
 def _progs(depth: int):
     base = st.one_of(
         _fnames.map(lambda n: PName(n, ())),
-        st.builds(PU3, _reals(1), _reals(1), _reals(1)),
+        st.builds(PrU3, _reals(1), _reals(1), _reals(1)),
         st.builds(PGphase, _reals(1)),
     )
     if depth == 0:
         return base
     sub = _exprs(depth - 1)
-    arms = st.lists(st.builds(Arm, sub, sub), min_size=1, max_size=2).map(tuple)
+    arms = st.lists(st.builds(CoreArm, sub, sub), min_size=1, max_size=2).map(tuple)
     return st.one_of(
         base,
-        st.builds(PLambda, sub, sub),
-        st.builds(PRphase, sub, _reals(1), _reals(1)),
-        st.builds(PPmatch, arms),
+        st.builds(PrAbs, sub, sub),
+        st.builds(PrRphase, sub, _reals(1), _reals(1)),
+        st.builds(PrPmatch, arms),
         st.builds(PIf, _bools(1), _progs(depth - 1), _progs(depth - 1)),
         st.builds(PName, _fnames, st.tuples(_genargs(depth - 1))),
     )
@@ -516,25 +537,25 @@ _BAND = BAnd(BCmp(">", RPi(), RPi()), BCmp("=", RConst(0), RPi()))
 
 @settings(max_examples=300, deadline=None)
 @given(_exprs(3))
-@example(EIf(_BAND, EUnit(), EUnit()))
-@example(EName("0", (EApp(PName("f", ()), EUnit()),)))
+@example(EIf(_BAND, ExUnit(), ExUnit()))
+@example(EName("0", (ExApp(PName("f", ()), ExUnit()),)))
 def test_expr_print_parse_round_trip(e):
-    assert parse_expr_string(expr_to_str(e)) == e
+    assert parse_expr_string(core_expr_to_str(e)) == e
 
 
 @settings(max_examples=200, deadline=None)
 @given(_progs(3))
 @example(PIf(_BAND, PName("f"), PName("f")))
-@example(PName("f", (EApp(PName("f", ()), EUnit()),)))
+@example(PName("f", (ExApp(PName("f", ()), ExUnit()),)))
 def test_prog_print_parse_round_trip(f):
-    assert parse_prog_string(prog_to_str(f)) == f
+    assert parse_prog_string(core_prog_to_str(f)) == f
 
 
 @settings(max_examples=200, deadline=None)
 @given(_types(3))
-@example(TIf(_BAND, TVoid(), TVoid()))
+@example(TIf(_BAND, TyVoid(), TyVoid()))
 def test_type_print_parse_round_trip(t):
-    assert parse_type_string(type_to_str(t)) == t
+    assert parse_type_string(core_type_to_str(t)) == t
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qunic import core, parser, preprocess
+from qunic import core, parser, preprocess, reals
 from qunic.errors import CapacityError, PreprocessError, RealError
 from qunic.preprocess import core_of_source, load_prelude_defs
 from qunic.reals import RBinary, RConst, RPi
@@ -96,6 +96,22 @@ class TestPatternBinding:
     def test_a_free_variable_in_the_main_expression_is_unbound(self):
         with pytest.raises(PreprocessError, match="^unbound variable y$"):
             core_of_source("y")
+
+    @pytest.mark.parametrize(
+        "main, name",
+        [
+            ("&0 |> lambda x -> (lambda y -> x)(x)", "x"),
+            ("&0 |> lambda x -> (pmatch [y -> x])(x)", "x"),
+            ("&0 |> lambda (lambda y -> z)(x) -> x", "z"),
+            ("&0 |> rphase{(lambda y -> z)(x), 0, pi}", "z"),
+        ],
+        ids=["lambda-body", "pmatch-body", "lambda-in-pattern", "lambda-in-rphase"],
+    )
+    def test_a_program_sees_no_variable_around_it(self, main, name):
+        # Programs are closed: a lambda or a pmatch sees no variable of the
+        # code around it, also when it sits in a pattern that is binding.
+        with pytest.raises(PreprocessError, match=f"^unbound variable {name}$"):
+            core_of_source(main)
 
     # Patterns whose fresh names are numbered differently from an elaborator
     # that collected a pattern's variables before elaborating it; the cores
@@ -326,6 +342,56 @@ def alpha_normal(root):
         return type(x)(*(walk(getattr(x, f.name), names) for f in dataclasses.fields(x)))
 
     return walk(root, {})
+
+
+_SUGAR = (
+    core.TVar,
+    core.TName,
+    core.TIf,
+    core.ELet,
+    core.EName,
+    core.EIf,
+    core.PGphase,
+    core.PName,
+    core.PIf,
+    reals.RName,
+    reals.RIf,
+)
+
+# Every prelude family, and the prelude definitions no family reaches.
+PRELUDE_MAINS = [
+    main.format(n=n)
+    for n in range(1, 5)
+    for main in (
+        "&num_to_state{{{n}, 1}} |> @qft{{{n}}}",
+        "&num_to_state{{{n}, 1}} |> @add_const{{{n}, 3}}",
+        "(&num_to_state{{{n}, 1}}, &num_to_state{{{n}, 2}}) |> @rev_adder{{{n}}}",
+        "&phase_estimation{{{n}, 1 / 2 ^ {n}}}",
+        "&grover{{List{{{n}, Bit}}, &equal_superpos_list{{{n}}}, @is_odd_sum{{{n}}}, 1}}",
+        "&order_finding{{{n}, 7}}",
+    )
+] + [
+    "&minus",
+    "(&0, &1) |> @snd{Bit, Bit}",
+    "(&1, &1) |> @and",
+    "&num_to_state{3, 7} |> @multi_and{3}",
+    "(&0 |> @Just{Bit}, &Nothing{Bit})",
+]
+
+
+@pytest.mark.parametrize("main", PRELUDE_MAINS)
+def test_elaborated_core_has_no_sugar_node(main):
+    root = core_of_source(main)
+    seen, stack = {id(root)}, [root]
+    while stack:
+        x = stack.pop()
+        assert not isinstance(x, _SUGAR), f"{type(x).__name__} in the core of {main}"
+        for f in dataclasses.fields(x):
+            v = getattr(x, f.name)
+            for c in v if isinstance(v, tuple) else (v,):
+                if dataclasses.is_dataclass(c) and id(c) not in seen:
+                    seen.add(id(c))
+                    stack.append(c)
 
 
 class TestSharedPrelude:
