@@ -31,7 +31,12 @@ One printer renders every node as single-line syntax (``--dump-core`` and
 error messages use it): products always in parentheses, ``lambda`` and an
 ``if`` program always in parentheses, and an application's argument in
 parentheses of its own, so a pair argument prints as ``f((a, b))``.  The
-parser reads back everything it prints from parsed input.
+parser reads back everything it prints from parsed input.  Within one call,
+the text of a node with more than one parent is built once and reused at each
+later occurrence: a walk without recursion first finds those nodes, and a
+dict that lives for the call keeps only their texts, so printing costs the
+DAG plus the output rather than the tree.  A term nested too deeply for the
+interpreter's stack raises :class:`~qunic.errors.CapacityError`.
 
 Elaboration memoizes instantiations, so a core term is a DAG whose tree can
 be millions of times larger.  Every node class derives from
@@ -51,6 +56,7 @@ from functools import lru_cache
 from typing import Iterator, Union
 
 from .errors import CapacityError
+from . import reals
 from .reals import BoolExpr, Real, _Node, bool_to_str, real_to_str
 
 DIM_LIMIT = 2**62
@@ -423,98 +429,149 @@ def _prog_classical(f: CoreProg) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Printers (used by --dump-core and error messages)
+# Printer (used by --dump-core and error messages)
 
-
-def generic_arg_to_str(arg: GenArg) -> str:
-    if isinstance(arg, _TYPE_NODES):
-        return core_type_to_str(arg)
-    if isinstance(arg, _EXPR_NODES):
-        return core_expr_to_str(arg)
-    if isinstance(arg, _PROG_NODES):
-        return core_prog_to_str(arg)
-    return real_to_str(arg)
-
-
-def generic_args_to_str(args: tuple[GenArg, ...]) -> str:
-    if not args:
-        return ""
-    return "{" + ", ".join(generic_arg_to_str(a) for a in args) + "}"
+# The closed reals print through real_to_str; the sharing walk does not enter them.
+_REAL_NODES = (reals.RConst, reals.RPi, reals.REuler, reals.RUnary, reals.RBinary)
+_REAL_TYPES = frozenset((*_REAL_NODES, reals.RName, reals.RIf))
 
 
 def core_type_to_str(t: Type) -> str:
-    if isinstance(t, TyVoid):
-        return "Void"
-    if isinstance(t, TyUnit):
-        return "Unit"
-    if isinstance(t, TySum):
-        return f"({core_type_to_str(t.left)} + {core_type_to_str(t.right)})"
-    if isinstance(t, TyProd):
-        return f"({core_type_to_str(t.left)} * {core_type_to_str(t.right)})"
-    if isinstance(t, TVar):
-        return f"'{t.name}"
-    if isinstance(t, TName):
-        return f"{t.name}{generic_args_to_str(t.args)}"
-    if isinstance(t, TIf):
-        then, els = core_type_to_str(t.then), core_type_to_str(t.els)
-        return f"if {bool_to_str(t.cond)} then {then} else {els} endif"
-    raise TypeError(f"not a core type: {t!r}")
-
-
-def _core_arms_to_str(arms: tuple[CoreArm, ...], else_body: Expr | None) -> str:
-    parts = [f"{core_expr_to_str(a.pattern)} -> {core_expr_to_str(a.body)}" for a in arms]
-    if else_body is not None:
-        parts.append(f"else -> {core_expr_to_str(else_body)}")
-    return "[" + "; ".join(parts) + "]"
+    return _to_str(t)
 
 
 def core_expr_to_str(e: Expr) -> str:
-    if isinstance(e, ExUnit):
-        return "()"
-    if isinstance(e, ExVar):
-        return e.name
-    if isinstance(e, ExPair):
-        return f"({core_expr_to_str(e.left)}, {core_expr_to_str(e.right)})"
-    if isinstance(e, ExCtrl):
-        return f"ctrl {core_expr_to_str(e.scrutinee)} {_core_arms_to_str(e.arms, e.else_body)}"
-    if isinstance(e, ExMatch):
-        return f"match {core_expr_to_str(e.scrutinee)} {_core_arms_to_str(e.arms, e.else_body)}"
-    if isinstance(e, ExTry):
-        return f"try {core_expr_to_str(e.attempt)} catch {core_expr_to_str(e.fallback)}"
-    if isinstance(e, ExApp):
-        return f"{core_prog_to_str(e.fn)}({core_expr_to_str(e.arg)})"
-    if isinstance(e, ELet):
-        pattern, value = core_expr_to_str(e.pattern), core_expr_to_str(e.value)
-        return f"let {pattern} = {value} in {core_expr_to_str(e.body)}"
-    if isinstance(e, EName):
-        return f"&{e.name}{generic_args_to_str(e.args)}"
-    if isinstance(e, EIf):
-        then, els = core_expr_to_str(e.then), core_expr_to_str(e.els)
-        return f"if {bool_to_str(e.cond)} then {then} else {els} endif"
-    raise TypeError(f"not a core expression: {e!r}")
+    return _to_str(e)
 
 
 def core_prog_to_str(f: Prog) -> str:
-    if isinstance(f, PrU3):
-        return f"u3{{{real_to_str(f.theta)}, {real_to_str(f.phi)}, {real_to_str(f.lam)}}}"
-    if isinstance(f, PrLeft):
-        return f"left{{{core_type_to_str(f.left_ty)}, {core_type_to_str(f.right_ty)}}}"
-    if isinstance(f, PrRight):
-        return f"right{{{core_type_to_str(f.left_ty)}, {core_type_to_str(f.right_ty)}}}"
-    if isinstance(f, PrAbs):
-        return f"(lambda {core_expr_to_str(f.pattern)} -> {core_expr_to_str(f.body)})"
-    if isinstance(f, PrRphase):
-        return (
-            f"rphase{{{core_expr_to_str(f.pattern)}, "
-            f"{real_to_str(f.on_phase)}, {real_to_str(f.off_phase)}}}"
-        )
-    if isinstance(f, PrPmatch):
-        return f"pmatch {_core_arms_to_str(f.arms, None)}"
-    if isinstance(f, PGphase):
-        return f"gphase{{{real_to_str(f.phase)}}}"
-    if isinstance(f, PName):
-        return f"@{f.name}{generic_args_to_str(f.args)}"
-    if isinstance(f, PIf):
-        then, els = core_prog_to_str(f.then), core_prog_to_str(f.els)
-        return f"(if {bool_to_str(f.cond)} then {then} else {els} endif)"
-    raise TypeError(f"not a core program: {f!r}")
+    return _to_str(f)
+
+
+def generic_arg_to_str(arg: GenArg) -> str:
+    return _to_str(arg)
+
+
+def generic_args_to_str(args: tuple[GenArg, ...]) -> str:
+    """``{a, b}`` for the arguments ``(a, b)``, and nothing for none."""
+    return _to_str(args)
+
+
+def _to_str(root: GenArg | tuple[GenArg, ...]) -> str:
+    """The text of ``root``, built once for each node reached along two edges or more."""
+    try:
+        return _show(root, _shared(root), {})
+    except RecursionError:
+        raise CapacityError("term nested too deeply to print") from None
+
+
+def _shared(root: GenArg | tuple[GenArg, ...]) -> set[int]:
+    """The ids of the nodes below ``root`` that the printer reaches along more
+    than one edge: a node that two parents hold, or one parent holds twice.
+
+    The walk has no recursion and enters each node once.  A tuple field (the
+    arms, the generic arguments) is entered once per parent that holds it, so
+    its items count an edge for each; the walk does not enter a real.
+    """
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack: list = [(root,)]
+    while stack:
+        x = stack.pop()
+        for c in x if type(x) is tuple else [getattr(x, name) for name in x.__slots__]:
+            if type(c) is tuple:
+                stack.append(c)
+            elif isinstance(c, _Node):
+                key = id(c)
+                if key in seen:
+                    shared.add(key)
+                else:
+                    seen.add(key)
+                    if not isinstance(c, _REAL_NODES):
+                        stack.append(c)
+    return shared
+
+
+def _show(x: GenArg | tuple[GenArg, ...], shared: set[int], memo: dict[int, str]) -> str:
+    """The text of ``x``; ``memo`` keeps the text of each node of ``shared``.
+
+    Checking the memo, dispatching and storing sit in this one body, so each
+    level of the term costs one frame.  The sugar cases follow the core ones.
+    """
+    key = id(x)
+    if key in memo:
+        return memo[key]
+    t = type(x)
+    if t is ExVar:
+        s = x.name
+    elif t is ExPair:
+        s = f"({_show(x.left, shared, memo)}, {_show(x.right, shared, memo)})"
+    elif t is ExApp:
+        s = f"{_show(x.fn, shared, memo)}({_show(x.arg, shared, memo)})"
+    elif t is PrAbs:
+        s = f"(lambda {_show(x.pattern, shared, memo)} -> {_show(x.body, shared, memo)})"
+    elif t is ExUnit:
+        s = "()"
+    elif t is PrLeft or t is PrRight:
+        left, right = _show(x.left_ty, shared, memo), _show(x.right_ty, shared, memo)
+        s = f"{'left' if t is PrLeft else 'right'}{{{left}, {right}}}"
+    elif t is PrRphase:
+        pattern = _show(x.pattern, shared, memo)
+        on, off = _show(x.on_phase, shared, memo), _show(x.off_phase, shared, memo)
+        s = f"rphase{{{pattern}, {on}, {off}}}"
+    elif t is CoreArm:
+        s = f"{_show(x.pattern, shared, memo)} -> {_show(x.body, shared, memo)}"
+    elif t is ExCtrl or t is ExMatch or t is PrPmatch:
+        if t is PrPmatch:
+            head = "pmatch"
+        else:
+            head = f"{'ctrl' if t is ExCtrl else 'match'} {_show(x.scrutinee, shared, memo)}"
+        parts = []
+        for arm in x.arms:
+            parts.append(_show(arm, shared, memo))
+        if t is not PrPmatch and x.else_body is not None:
+            parts.append(f"else -> {_show(x.else_body, shared, memo)}")
+        s = f"{head} [{'; '.join(parts)}]"
+    elif t is ExTry:
+        s = f"try {_show(x.attempt, shared, memo)} catch {_show(x.fallback, shared, memo)}"
+    elif t is TyUnit:
+        s = "Unit"
+    elif t is TyVoid:
+        s = "Void"
+    elif t is TySum or t is TyProd:
+        op = "+" if t is TySum else "*"
+        s = f"({_show(x.left, shared, memo)} {op} {_show(x.right, shared, memo)})"
+    elif t is PrU3:
+        theta, phi = _show(x.theta, shared, memo), _show(x.phi, shared, memo)
+        s = f"u3{{{theta}, {phi}, {_show(x.lam, shared, memo)}}}"
+    elif t in _REAL_TYPES:
+        s = real_to_str(x)
+    elif t is TVar:
+        s = f"'{x.name}"
+    elif t is TName:
+        s = f"{x.name}{_show(x.args, shared, memo)}"
+    elif t is EName:
+        s = f"&{x.name}{_show(x.args, shared, memo)}"
+    elif t is PName:
+        s = f"@{x.name}{_show(x.args, shared, memo)}"
+    elif t is tuple:  # generic arguments
+        parts = []
+        for arg in x:
+            parts.append(_show(arg, shared, memo))
+        s = f"{{{', '.join(parts)}}}" if parts else ""
+    elif t is ELet:
+        pattern, value = _show(x.pattern, shared, memo), _show(x.value, shared, memo)
+        s = f"let {pattern} = {value} in {_show(x.body, shared, memo)}"
+    elif t is PGphase:
+        s = f"gphase{{{_show(x.phase, shared, memo)}}}"
+    elif t is TIf or t is EIf or t is PIf:
+        then, els = _show(x.then, shared, memo), _show(x.els, shared, memo)
+        s = f"if {bool_to_str(x.cond)} then {then} else {els} endif"
+        if t is PIf:
+            s = f"({s})"
+    else:
+        raise TypeError(f"not a node of the syntax tree: {x!r}")
+    if key in shared:
+        memo[key] = s
+    return s
+

@@ -23,10 +23,12 @@ This stage resolves everything that is "compile time" in Qunity:
 * outside a pattern, a variable that no enclosing binder binds is an error
   ("unbound variable"), so a definition body never picks up a variable of
   the code that uses it;
-* programs are closed: a ``lambda`` and the arms of a ``pmatch`` are
-  elaborated from a scope with no variables, so a variable of the code
-  around them is unbound inside them.  An ``rphase`` needs no such scope:
-  it has no body, and a pattern sees no variable it has not bound itself.
+* programs are closed: a ``lambda``, the arms of a ``pmatch`` and the
+  pattern and body of a ``let`` (which become a ``lambda``) are elaborated
+  from a scope with no variables, so a variable of the code around them is
+  unbound inside them; a ``let`` passes what its body needs through its
+  value and pattern.  An ``rphase`` needs no such scope: it has no body, and
+  a pattern sees no variable it has not bound itself.
 
 ``ctrl``/``match`` ``else`` arms survive into the core untouched: expanding
 them needs the scrutinee's type, which is the typechecker's business.
@@ -364,7 +366,7 @@ class Elaborator:
             return ExApp(self.elab_prog(e.fn, env), self.elab_expr(e.arg, env))
         if isinstance(e, ELet):
             value = self.elab_expr(e.value, env)
-            pattern, inner = self._pattern(e.pattern, env)
+            pattern, inner = self._pattern(e.pattern, _Env(env.generics, {}, env.fresh))
             return ExApp(PrAbs(pattern, self.elab_expr(e.body, inner)), value)
         if isinstance(e, EIf):
             return self.elab_expr(e.then if self._bool(e.cond, env) else e.els, env)
@@ -380,8 +382,8 @@ class Elaborator:
     def _pattern(self, p: Expr, env: _Env) -> tuple[CoreExpr, _Env]:
         """Elaborate ``p`` in binding mode; return it and the scope it opens.
 
-        A pattern nested in another one (an arm or a ``let`` inside a pattern)
-        opens its scope over the enclosing pattern's, which is still binding.
+        A pattern nested in another one (an arm inside a pattern) opens its
+        scope over the enclosing pattern's, which is still binding.
         """
         binds: dict[str, str] = {}
         pattern = self.elab_expr(p, _Env(env.generics, binds, env.fresh, binds))

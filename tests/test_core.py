@@ -1,4 +1,4 @@
-"""Hashing and equality of shared core terms (the ``_Node`` contract)."""
+"""Hashing, equality and printing of shared core terms (the ``_Node`` contract)."""
 
 import dataclasses
 import os
@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from qunic import core, reals
+from qunic import core, reals, surface
 from qunic.core import (
     CoreArm,
     ExApp,
@@ -26,12 +26,14 @@ from qunic.core import (
     PrRight,
     PrRphase,
     PrU3,
+    TName,
+    TVar,
     TyProd,
     TySum,
     TyUnit,
     TyVoid,
 )
-from qunic.errors import RealError
+from qunic.errors import CapacityError, RealError
 from qunic.preprocess import core_of_source
 from qunic.reals import RBinary, RConst, RPi, RUnary
 
@@ -129,6 +131,21 @@ class TestSharedCores:
         )
         assert (out.returncode, out.stderr, out.stdout) == (0, "", "&f{#n{Bit}}\n")
 
+    def test_a_term_too_deep_to_print_is_a_capacity_error(self):
+        def chain():
+            e = ExUnit()
+            for _ in range(5000):
+                e = ExPair(e, ExVar("x"))
+            return e
+
+        deep = chain()
+        with pytest.raises(CapacityError, match="nested too deeply to print"):
+            core.core_expr_to_str(deep)
+        with pytest.raises(CapacityError, match="nested too deeply to print"):
+            surface.file_to_str(surface.QFile((), deep))
+        assert hash(deep) == hash(chain())
+        assert deep == chain()
+
     def test_repr_is_the_dataclass_form_cut_at_a_fixed_depth(self):
         assert repr(ExVar("x")) == "ExVar(name='x')"
         assert repr(RConst(2)) == "RConst(value=2)"
@@ -223,3 +240,32 @@ def test_dag_equality_agrees_with_structural_equality(data):
     assert (a != b) is not _structural_eq(a, b)
     if a == b:
         assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# The printer builds a shared node's text once and reuses it; the text is that
+# of the tree, which a copy sharing no node prints node by node.
+
+
+@given(_terms)
+def test_a_term_prints_as_its_copy_that_shares_no_node(term):
+    assert core.generic_arg_to_str(term) == core.generic_arg_to_str(_rebuild(term))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "&num_to_state{12, 5} |> @qft{12}",
+        "(&num_to_state{8, 5}, &num_to_state{8, 3}) |> @rev_adder{8}",
+        "&phase_estimation{6, 1/8}",
+    ],
+)
+def test_a_core_prints_as_its_copy_that_shares_no_node(source):
+    c = core_of_source(source)
+    assert core.core_expr_to_str(c) == core.core_expr_to_str(_rebuild(c))
+
+
+def test_a_shared_generic_argument_prints_at_every_position():
+    arg = TyProd(TVar("a"), TyUnit())
+    t = TName("Pair", (arg, TName("List", (RConst(3), arg)), arg))
+    assert core.core_type_to_str(t) == "Pair{('a * Unit), List{3, ('a * Unit)}, ('a * Unit)}"

@@ -104,14 +104,30 @@ class TestPatternBinding:
             ("&0 |> lambda x -> (pmatch [y -> x])(x)", "x"),
             ("&0 |> lambda (lambda y -> z)(x) -> x", "z"),
             ("&0 |> rphase{(lambda y -> z)(x), 0, pi}", "z"),
+            ("&0 |> lambda x -> let y = &1 in (x, y)", "x"),
+            ("&0 |> lambda (let y = x in (y, z)) -> x", "z"),
         ],
-        ids=["lambda-body", "pmatch-body", "lambda-in-pattern", "lambda-in-rphase"],
+        ids=[
+            "lambda-body",
+            "pmatch-body",
+            "lambda-in-pattern",
+            "lambda-in-rphase",
+            "let-body",
+            "let-in-pattern",
+        ],
     )
     def test_a_program_sees_no_variable_around_it(self, main, name):
-        # Programs are closed: a lambda or a pmatch sees no variable of the
-        # code around it, also when it sits in a pattern that is binding.
+        # Programs are closed: a lambda, a pmatch or the body of a let sees no
+        # variable of the code around it, also when it sits in a pattern that
+        # is binding.
         with pytest.raises(PreprocessError, match=f"^unbound variable {name}$"):
             core_of_source(main)
+
+    def test_a_let_in_a_pattern_binds_through_its_value(self):
+        # The value of a let in a pattern is part of the binding pattern; its
+        # own pattern and body see only the let's variables.
+        c = core_of_source("(&0, &1) |> lambda (a, let y = b in y) -> (a, b)")
+        assert core.core_expr_to_str(c.fn) == "(lambda (a, (lambda y -> y)(b)) -> (a, b))"
 
     # Patterns whose fresh names are numbered differently from an elaborator
     # that collected a pattern's variables before elaborating it; the cores
