@@ -21,12 +21,6 @@ expressions, restricted later by the typechecker.
 into concrete arms needs the scrutinee's type, so the typechecker does that
 expansion while building the typing derivation.
 
-This module also fixes the canonical enumeration of a type's basis values —
-sums list all ``left`` values before all ``right`` values, products are
-ordered lexicographically with the left component major — which everything
-downstream (interpreter matrices, circuit encodings, output distributions)
-relies on.
-
 One printer renders every node as single-line syntax (``--dump-core`` and
 error messages use it): products always in parentheses, ``lambda`` and an
 ``if`` program always in parentheses, and an application's argument in
@@ -52,14 +46,10 @@ apart stay distinct objects and compare equal by that walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import CapacityError
-from . import reals
-from .reals import BoolExpr, Real, _Node, bool_to_str, real_to_str
-
-DIM_LIMIT = 2**62
+from .reals import CLOSED_REAL_NODES, REAL_NODES, BoolExpr, Real, _Node, bool_to_str, real_to_str
 
 # --------------------------------------------------------------------------
 # Types
@@ -111,118 +101,6 @@ class TIf(_Node):
 
 CoreType = Union[TyVoid, TyUnit, TySum, TyProd]
 Type = Union[CoreType, TVar, TName, TIf]
-
-
-@lru_cache(maxsize=None)
-def dim(t: CoreType) -> int:
-    """Dimension of the Hilbert space for ``t``."""
-    if isinstance(t, TyVoid):
-        return 0
-    if isinstance(t, TyUnit):
-        return 1
-    if isinstance(t, TySum):
-        d = dim(t.left) + dim(t.right)
-    elif isinstance(t, TyProd):
-        d = dim(t.left) * dim(t.right)
-    else:
-        raise TypeError(f"not a core type: {t!r}")
-    if d > DIM_LIMIT:
-        raise CapacityError(f"type dimension exceeds {DIM_LIMIT}")
-    return d
-
-
-@lru_cache(maxsize=None)
-def qubit_size(t: CoreType) -> int:
-    """Number of qubits in the binary encoding of ``t``.
-
-    Void and Unit need none; a sum spends one qubit on the tag and pads the
-    shorter branch; a product concatenates.
-    """
-    if isinstance(t, (TyVoid, TyUnit)):
-        return 0
-    if isinstance(t, TySum):
-        return 1 + max(qubit_size(t.left), qubit_size(t.right))
-    if isinstance(t, TyProd):
-        return qubit_size(t.left) + qubit_size(t.right)
-    raise TypeError(f"not a core type: {t!r}")
-
-
-# --------------------------------------------------------------------------
-# Values
-
-
-@dataclass(frozen=True)
-class VUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class VLeft:
-    value: "Value"
-
-
-@dataclass(frozen=True)
-class VRight:
-    value: "Value"
-
-
-@dataclass(frozen=True)
-class VPair:
-    left: "Value"
-    right: "Value"
-
-
-Value = Union[VUnit, VLeft, VRight, VPair]
-
-
-def iter_values(t: CoreType) -> Iterator[Value]:
-    if isinstance(t, TyVoid):
-        return
-    elif isinstance(t, TyUnit):
-        yield VUnit()
-    elif isinstance(t, TySum):
-        for v in iter_values(t.left):
-            yield VLeft(v)
-        for v in iter_values(t.right):
-            yield VRight(v)
-    elif isinstance(t, TyProd):
-        for l in iter_values(t.left):
-            for r in iter_values(t.right):
-                yield VPair(l, r)
-    else:
-        raise TypeError(f"not a core type: {t!r}")
-
-
-@lru_cache(maxsize=None)
-def enumerate_values(t: CoreType) -> tuple[Value, ...]:
-    """All basis values of ``t`` in canonical order (index = basis index)."""
-    return tuple(iter_values(t))
-
-
-def value_index(t: CoreType, v: Value) -> int:
-    """Position of ``v`` in ``enumerate_values(t)``, computed structurally."""
-    if isinstance(t, TyUnit) and isinstance(v, VUnit):
-        return 0
-    if isinstance(t, TySum):
-        if isinstance(v, VLeft):
-            return value_index(t.left, v.value)
-        if isinstance(v, VRight):
-            return dim(t.left) + value_index(t.right, v.value)
-    if isinstance(t, TyProd) and isinstance(v, VPair):
-        return value_index(t.left, v.left) * dim(t.right) + value_index(t.right, v.right)
-    raise ValueError(f"value {v!r} does not inhabit type {core_type_to_str(t)}")
-
-
-def value_to_str(v: Value) -> str:
-    if isinstance(v, VUnit):
-        return "()"
-    if isinstance(v, VLeft):
-        return f"left {value_to_str(v.value)}"
-    if isinstance(v, VRight):
-        return f"right {value_to_str(v.value)}"
-    if isinstance(v, VPair):
-        return f"({value_to_str(v.left)}, {value_to_str(v.right)})"
-    raise TypeError(f"not a value: {v!r}")
 
 
 # --------------------------------------------------------------------------
@@ -397,43 +275,8 @@ def free_qvars(e: CoreExpr) -> frozenset[str]:
     raise TypeError(f"not a core expression: {e!r}")
 
 
-def is_classical(e: CoreExpr) -> bool:
-    """True when ``e`` contains no ``u3`` and no ``rphase``, anywhere."""
-    if isinstance(e, (ExUnit, ExVar)):
-        return True
-    if isinstance(e, ExPair):
-        return is_classical(e.left) and is_classical(e.right)
-    if isinstance(e, (ExCtrl, ExMatch)):
-        return (
-            is_classical(e.scrutinee)
-            and all(is_classical(a.pattern) and is_classical(a.body) for a in e.arms)
-            and (e.else_body is None or is_classical(e.else_body))
-        )
-    if isinstance(e, ExTry):
-        return is_classical(e.attempt) and is_classical(e.fallback)
-    if isinstance(e, ExApp):
-        return _prog_classical(e.fn) and is_classical(e.arg)
-    raise TypeError(f"not a core expression: {e!r}")
-
-
-def _prog_classical(f: CoreProg) -> bool:
-    if isinstance(f, (PrU3, PrRphase)):
-        return False
-    if isinstance(f, (PrLeft, PrRight)):
-        return True
-    if isinstance(f, PrAbs):
-        return is_classical(f.pattern) and is_classical(f.body)
-    if isinstance(f, PrPmatch):
-        return all(is_classical(a.pattern) and is_classical(a.body) for a in f.arms)
-    raise TypeError(f"not a core program: {f!r}")
-
-
 # --------------------------------------------------------------------------
 # Printer (used by --dump-core and error messages)
-
-# The closed reals print through real_to_str; the sharing walk does not enter them.
-_REAL_NODES = (reals.RConst, reals.RPi, reals.REuler, reals.RUnary, reals.RBinary)
-_REAL_TYPES = frozenset((*_REAL_NODES, reals.RName, reals.RIf))
 
 
 def core_type_to_str(t: Type) -> str:
@@ -487,7 +330,7 @@ def _shared(root: GenArg | tuple[GenArg, ...]) -> set[int]:
                     shared.add(key)
                 else:
                     seen.add(key)
-                    if not isinstance(c, _REAL_NODES):
+                    if not isinstance(c, CLOSED_REAL_NODES):
                         stack.append(c)
     return shared
 
@@ -544,7 +387,7 @@ def _show(x: GenArg | tuple[GenArg, ...], shared: set[int], memo: dict[int, str]
     elif t is PrU3:
         theta, phi = _show(x.theta, shared, memo), _show(x.phi, shared, memo)
         s = f"u3{{{theta}, {phi}, {_show(x.lam, shared, memo)}}}"
-    elif t in _REAL_TYPES:
+    elif t in REAL_NODES:
         s = real_to_str(x)
     elif t is TVar:
         s = f"'{x.name}"

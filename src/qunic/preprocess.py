@@ -13,7 +13,8 @@ This stage resolves everything that is "compile time" in Qunity:
 * ``let p = v in b`` becomes ``(lambda p -> b)(v)``;
 * ``gphase{r}`` becomes ``rphase{x, r, r}`` on a fresh variable pattern;
 * variant constructors become chains of sum injections (a single-alternative
-  variant's constructor is the identity);
+  variant's constructor is the identity), built once per instantiation of
+  their variant and shared by every use;
 * a pattern is elaborated in *binding mode*: each variable it has not bound
   yet is bound by it, in the same pass that builds the core pattern, so an
   ``if`` in a pattern is decided once.  Every binder inside an inlined
@@ -86,6 +87,7 @@ from .core import (
 from .errors import CapacityError, PreprocessError
 from .parser import parse_file
 from .reals import (
+    REAL_NODES,
     BoolExpr,
     RBinary,
     RConst,
@@ -113,8 +115,6 @@ from .surface import (
 
 UNROLL_BUDGET = 10_000
 
-_REAL_NODES = (reals.RConst, reals.RPi, reals.REuler, reals.RUnary, RBinary, RName, RIf)
-
 # The sorts of names: "t" types, "e" expressions, "f" programs, "r" reals, and
 # "c" constructors, whose definition is their variant.
 _DEF_SORTS = {TypeAliasDef: "t", VariantDef: "t", ExprDef: "e", ProgDef: "f", RealDef: "r"}
@@ -124,7 +124,7 @@ _PARAMS = {
     TypeParam: ("t", "'", "a type", _TYPE_NODES),
     ExprParam: ("e", "&", "an expression", _EXPR_NODES),
     ProgParam: ("f", "@", "a program", _PROG_NODES),
-    RealParam: ("r", "#", "a real", _REAL_NODES),
+    RealParam: ("r", "#", "a real", REAL_NODES),
 }
 
 
@@ -231,10 +231,11 @@ class Elaborator:
 
         A definition is instantiated once per elaborated argument tuple, in a
         scope of its own, and memoized under ``(sort, name, args)``; a
-        variant's payload types, reached from a type name or a constructor,
-        under ``("v", variant, args)``.  The body is elaborated from this
-        frame, with no helper between, because every frame per instantiation
-        level lowers the largest program that compiles.
+        variant, reached from a type name or a constructor, under ``("v",
+        variant, args)`` as its sum type and its constructors' core values.
+        The body is elaborated from this frame, with no helper between, because
+        every frame per instantiation level lowers the largest program that
+        compiles.
         """
         got = env.generics.get((sort, name)) if sort in "efr" else None
         if got is not None:
@@ -259,15 +260,44 @@ class Elaborator:
         self._tick(what)
         inner = _Env(bound, fresh=sort in "ef")
         if variant:
-            result = tuple(
+            payloads = tuple(
                 TyUnit() if alt.payload is None else self.elab_type(alt.payload, inner)
                 for alt in d.alts
             )
+            result = self._variant(d, payloads)
         else:
             result = _ELAB[sort](self, d.body, inner)
         del self._in_progress[memo_key]
         self._memo[memo_key] = result
         return result
+
+    def _variant(self, d: VariantDef, payloads: tuple[CoreType, ...]) -> tuple[CoreType, tuple]:
+        """The sum type of ``d`` at these payload types and each constructor's core value.
+
+        Alternatives nest to the right, ``A + (B + C)``: constructor ``i`` is
+        ``i`` ``right`` injections, then a ``left`` unless it is the last,
+        applied to ``()`` when nullary.  With a payload it is its one
+        injection, or its injections under one ``lambda`` (the identity when
+        there is one alternative).
+        """
+        tails = [payloads[-1]]  # tails[i]: the sum of the alternatives from i on
+        for p in reversed(payloads[:-1]):
+            tails.insert(0, TySum(p, tails[0]))
+        rights = [PrRight(p, tail) for p, tail in zip(payloads, tails[1:])]
+        unit, values = ExUnit(), []
+        for i, alt in enumerate(d.alts):
+            chain = rights[:i]
+            if i < len(rights):
+                chain.append(PrLeft(payloads[i], tails[i + 1]))
+            if alt.payload is not None and len(chain) == 1:
+                values.append(chain[0])
+                continue
+            x = unit if alt.payload is None else ExVar(self._fresh("x"))
+            e = x
+            for f in reversed(chain):
+                e = ExApp(f, e)
+            values.append(e if x is unit else PrAbs(x, e))
+        return tails[0], tuple(values)
 
     def _elab_args(
         self, owner: str, params: tuple[Param, ...], args: tuple[GenArg, ...], env: _Env
@@ -305,7 +335,7 @@ class Elaborator:
             got = self._named("t", t.name, t.args, env)
             if got is None:
                 raise PreprocessError(f"unknown type {t.name}")
-            return _sum_fold(got) if isinstance(got, tuple) else got
+            return got[0] if isinstance(got, tuple) else got
         raise PreprocessError(f"not a type: {t!r}")
 
     # -- reals and booleans ------------------------------------------------------
@@ -375,7 +405,10 @@ class Elaborator:
             if got is not None:
                 return got
             if e.name in self.ctors:
-                return _apply_chain(self._ctor_chain(e.name, e.args, env, False), ExUnit())
+                i = self.ctors[e.name]
+                if self.defs["c", e.name].alts[i].payload is not None:
+                    raise PreprocessError(f"@{e.name} carries a payload and must be applied")
+                return self._named("c", e.name, e.args, env)[1][i]
             raise PreprocessError(f"unknown expression definition &{e.name}")
         raise PreprocessError(f"not an expression: {e!r}")
 
@@ -425,30 +458,12 @@ class Elaborator:
             if got is not None:
                 return got
             if f.name in self.ctors:
-                chain = self._ctor_chain(f.name, f.args, env, True)
-                if len(chain) == 1:
-                    return chain[0]
-                v = ExVar(self._fresh("x"))
-                return PrAbs(v, _apply_chain(chain, v))
+                i = self.ctors[f.name]
+                if self.defs["c", f.name].alts[i].payload is None:
+                    raise PreprocessError(f"&{f.name} is a nullary constructor, not a program")
+                return self._named("c", f.name, f.args, env)[1][i]
             raise PreprocessError(f"unknown program definition @{f.name}")
         raise PreprocessError(f"not a program: {f!r}")
-
-    def _ctor_chain(
-        self, name: str, args: tuple[GenArg, ...], env: _Env, applied: bool
-    ) -> list[CoreProg]:
-        idx = self.ctors[name]
-        has_payload = self.defs["c", name].alts[idx].payload is not None
-        if has_payload and not applied:
-            raise PreprocessError(f"@{name} carries a payload and must be applied")
-        if applied and not has_payload:
-            raise PreprocessError(f"&{name} is a nullary constructor, not a program")
-        payloads = self._named("c", name, args, env)
-        chain: list[CoreProg] = []
-        for j in range(idx):
-            chain.append(PrRight(payloads[j], _sum_fold(payloads[j + 1 :])))
-        if idx < len(payloads) - 1:
-            chain.append(PrLeft(payloads[idx], _sum_fold(payloads[idx + 1 :])))
-        return chain
 
 
 _ELAB = {
@@ -457,19 +472,6 @@ _ELAB = {
     "f": Elaborator.elab_prog,
     "r": Elaborator.elab_real,
 }
-
-
-def _sum_fold(payloads: tuple[CoreType, ...]) -> CoreType:
-    acc = payloads[-1]
-    for p in reversed(payloads[:-1]):
-        acc = TySum(p, acc)
-    return acc
-
-
-def _apply_chain(chain: list[CoreProg], e: CoreExpr) -> CoreExpr:
-    for f in reversed(chain):
-        e = ExApp(f, e)
-    return e
 
 
 def _canonical(r: Real) -> Real:

@@ -230,6 +230,10 @@ class RIf:
 
 Real = Union[RConst, RPi, REuler, RUnary, RBinary, RName, RIf]
 
+# The real node classes: the closed ones, which elaboration leaves, then all.
+CLOSED_REAL_NODES = (RConst, RPi, REuler, RUnary, RBinary)
+REAL_NODES = (*CLOSED_REAL_NODES, RName, RIf)
+
 
 @dataclass(frozen=True)
 class BNot:

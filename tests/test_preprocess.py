@@ -333,6 +333,42 @@ class TestDepth:
             sys.setrecursionlimit(limit)
 
 
+def reachable(root):
+    """The distinct nodes of a core term, each once."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        x = stack.pop()
+        for f in dataclasses.fields(x):
+            v = getattr(x, f.name)
+            for c in v if isinstance(v, tuple) else (v,):
+                if dataclasses.is_dataclass(c) and id(c) not in seen:
+                    seen[id(c)] = c
+                    stack.append(c)
+    return seen.values()
+
+
+class TestConstructors:
+    """A variant's constructors are built once per instantiation of the
+    variant, so every use within one compile is the same object."""
+
+    def test_every_use_of_a_constructor_is_one_object(self):
+        pair = core_of_source("(&0, &0)")
+        assert pair.left is pair.right
+        cons = "@ListCons{2, Bit}((&0, &ListEmpty{1, Bit}))"
+        pair = core_of_source(f"({cons}, {cons})")
+        assert pair.left is not pair.right
+        assert pair.left.fn is pair.right.fn
+
+    def test_instantiations_at_other_arguments_stay_distinct(self):
+        pair = core_of_source("(&ListEmpty{1, Bit}, &ListEmpty{2, Bit})")
+        assert pair.left != pair.right
+
+    def test_order_finding_reaches_one_object_per_injection(self):
+        nodes = reachable(core_of_source("&order_finding{6, 7}"))
+        assert sum(isinstance(x, core.PrLeft) for x in nodes) == 1
+        assert sum(isinstance(x, core.PrRight) for x in nodes) == 1
+
+
 def alpha_normal(root):
     """``root`` with its variables renamed ``v0``, ``v1``, ... by first appearance.
 
@@ -397,17 +433,8 @@ PRELUDE_MAINS = [
 
 @pytest.mark.parametrize("main", PRELUDE_MAINS)
 def test_elaborated_core_has_no_sugar_node(main):
-    root = core_of_source(main)
-    seen, stack = {id(root)}, [root]
-    while stack:
-        x = stack.pop()
+    for x in reachable(core_of_source(main)):
         assert not isinstance(x, _SUGAR), f"{type(x).__name__} in the core of {main}"
-        for f in dataclasses.fields(x):
-            v = getattr(x, f.name)
-            for c in v if isinstance(v, tuple) else (v,):
-                if dataclasses.is_dataclass(c) and id(c) not in seen:
-                    seen.add(id(c))
-                    stack.append(c)
 
 
 class TestSharedPrelude:

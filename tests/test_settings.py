@@ -1,0 +1,36 @@
+"""The test settings in ``pyproject.toml``: warnings are errors, and a failing
+Hypothesis property still lets every later test report."""
+
+import pathlib
+import subprocess
+import sys
+
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+FAILING_PROPERTY_THEN_PASSING_TEST = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_lets_later_tests_report(tmp_path):
+    (tmp_path / "test_pair.py").write_text(FAILING_PROPERTY_THEN_PASSING_TEST)
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        + ["-c", str(PYPROJECT), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=300,
+    )
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout
