@@ -1,8 +1,8 @@
 """Recursive-descent parser for Qunity source text.
 
-It builds the one syntax tree of :mod:`qunic.core` (with the reals of
-:mod:`qunic.reals` and the definitions of :mod:`qunic.surface`); the nodes of
-the core language are built directly, the sugar nodes beside them.
+It builds the one syntax tree of :mod:`qunic.core`, from reals to whole
+files; the nodes of the core language are built directly, the sugar nodes
+beside them.
 
 The grammar is predictive, with no exception: one token of lookahead picks
 every alternative, and each token is read once.  Where that token does not
@@ -20,33 +20,40 @@ returns whichever class it found, and the caller continues from that node:
 * a ``(`` in a condition reads a condition or a real; a real is then
   continued and compared (``((1) + 2) < 3``).
 
-The printer (:func:`qunic.core.core_expr_to_str` and its companions) writes
-an applied program as the program followed by its argument in parentheses,
-so an unparenthesized program followed by ``(`` in a generic argument is
-applied too (``&e{@f(x) |> @g}``).  It puts every ``lambda`` and every
-``if`` program in parentheses, so an applied one reads back through
-``_group``, and every product in parentheses, which the left-associative
-``*`` reads back unchanged.
+The printer, :func:`qunic.core.to_str`, writes an applied program as the
+program followed by its argument in parentheses, so an unparenthesized
+program followed by ``(`` in a generic argument is applied too
+(``&e{@f(x) |> @g}``).  It puts every ``lambda`` and every ``if`` program in
+parentheses, so an applied one reads back through ``_group``, and every
+product in parentheses, which the left-associative ``*`` reads back unchanged.
 
 Operator shapes not fully pinned down by the grammar are resolved as follows:
 ``*`` on types is left-associative (a product ``A * B * C`` means
 ``(A * B) * C``), arithmetic ``+ - * / %`` are left-associative with ``^``
-right-associative and tighter (the printer's table ``reals.BIN_PREC``), ``!``
-binds tighter than ``&&`` which binds tighter than ``||``, and a minus sign is
-only part of a numeric literal (there is no general unary minus).  ``x |> f``
-applies ``f`` to ``x`` and chains left-associatively; a ``lambda`` on the
-right of ``|>`` takes everything to its right as its body, which reassociates
-pipelines but never changes their meaning.  Nesting too deep for the
-interpreter's stack is a :class:`~qunic.errors.CapacityError`.
+right-associative and tighter (the table ``core.BIN_PREC``, which the printer
+reads too), ``!`` binds tighter than ``&&`` which binds tighter than ``||``,
+and a minus sign is only part of a numeric literal (there is no general
+unary minus).  ``x |> f`` applies ``f`` to ``x`` and chains
+left-associatively; a ``lambda`` on the right of ``|>`` takes everything to
+its right as its body, which reassociates pipelines but never changes their
+meaning.  Nesting too deep for the interpreter's stack is a
+:class:`~qunic.errors.CapacityError`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, TypeVar
 
-from . import reals, surface
 from .core import (
+    BIN_PREC,
+    UNARY_OPS,
+    BAnd,
+    BCmp,
+    BNot,
+    BoolExpr,
+    BOr,
     CoreArm,
+    Def,
     EIf,
     ELet,
     EName,
@@ -55,64 +62,54 @@ from .core import (
     ExMatch,
     ExPair,
     Expr,
+    ExprDef,
+    ExprParam,
     ExTry,
     ExUnit,
     ExVar,
     GenArg,
+    Param,
     PGphase,
     PIf,
     PName,
     PrAbs,
-    PrPmatch,
     Prog,
+    ProgDef,
+    ProgParam,
+    PrPmatch,
     PrRphase,
     PrU3,
-    TIf,
-    TName,
-    TVar,
-    TyProd,
-    Type,
-    TyUnit,
-    TyVoid,
-)
-from .errors import CapacityError, ParseError
-from .lexer import Token, TokKind, tokenize
-from .reals import (
-    BIN_PREC,
-    BAnd,
-    BCmp,
-    BNot,
-    BOr,
-    BoolExpr,
+    QFile,
     RBinary,
     RConst,
+    Real,
+    RealDef,
+    RealParam,
     REuler,
     RIf,
     RName,
     RPi,
     RUnary,
-    Real,
-)
-from .surface import (
-    ExprDef,
-    ExprParam,
-    Param,
-    ProgDef,
-    ProgParam,
-    QFile,
-    RealDef,
-    RealParam,
+    TIf,
+    TName,
+    TVar,
+    Type,
     TypeAliasDef,
     TypeParam,
+    TyProd,
+    TyUnit,
+    TyVoid,
     VariantAlt,
     VariantDef,
 )
+from .errors import CapacityError, ParseError
+from .lexer import Token, TokKind, tokenize
 
 _T = TypeVar("_T")
 
 _CMP_OPS = ("=", "!=", "<=", "<", ">=", ">")
 _PROG_START_KWS = ("u3", "lambda", "gphase", "rphase", "pmatch")
-_REAL_START_KWS = ("pi", "euler") + reals.UNARY_OPS
+_REAL_START_KWS = ("pi", "euler") + UNARY_OPS
 
 
 def _integer(t: Token) -> int:
@@ -208,7 +205,7 @@ class _Parser:
         if self.at_kw("euler"):
             self.take()
             return REuler()
-        if t.kind is TokKind.KW and t.text in reals.UNARY_OPS:
+        if t.kind is TokKind.KW and t.text in UNARY_OPS:
             self.take()
             self.expect_punct("(")
             arg = self.parse_real()
@@ -538,7 +535,7 @@ class _Parser:
             return RealParam(t.text)
         raise self._fail("expected a parameter")
 
-    def parse_def(self) -> surface.Def:
+    def parse_def(self) -> Def:
         if self.at_kw("type"):
             self.take()
             name = self.expect_kind(TokKind.TNAME, "a type name").text
@@ -603,7 +600,7 @@ class _Parser:
         raise self._fail("expected a variant alternative")
 
     def parse_file(self) -> QFile:
-        defs: list[surface.Def] = []
+        defs: list[Def] = []
         while self.at_kw("type") or self.at_kw("def"):
             defs.append(self.parse_def())
         main: Expr | None = None

@@ -1,9 +1,10 @@
-"""Symbolic real-number expressions.
+"""The evaluator of real-number expressions and conditions.
 
 Angles and classical parameters in Qunity are written as closed real
 expressions over ``pi``, ``euler``, integer literals, arithmetic, and a fixed
-set of analytic functions.  This module defines the expression tree, its
-printer, and one evaluator.
+set of analytic functions.  Their nodes, like every other node of the syntax
+tree, and their printer live in :mod:`qunic.core`; this module only
+evaluates them.
 
 The evaluator computes a single kind of value.  It is either an exact pair
 ``(a, b)`` standing for ``a + b*pi`` with rational ``a`` and ``b``, or a
@@ -17,249 +18,28 @@ undefined value (division by zero, ``ln`` of a negative number...) and a
 value too large for a float raise :class:`~qunic.errors.RealError` from all
 three.
 
-Two node kinds — :class:`RName` and :class:`RIf` — exist only in surface
-syntax.  The preprocessor substitutes definitions and resolves conditionals,
-so evaluation rejects them: seeing one after preprocessing is a bug in the
-caller, reported as a :class:`~qunic.errors.RealError`.
+Two node kinds — :class:`~qunic.core.RName` and :class:`~qunic.core.RIf` —
+exist only in surface syntax.  The preprocessor substitutes definitions and
+resolves conditionals, so evaluation rejects them: seeing one after
+preprocessing is a bug in the caller, reported as a
+:class:`~qunic.errors.RealError`.
 
 Exact parts of a value are ints while they are integral; ``/`` and a
 negative ``^`` go through :class:`~fractions.Fraction` and drop back to an
 int when the denominator is 1.  The three views still return Fractions.
-
-The closed nodes (:class:`RConst`, :class:`RPi`, :class:`REuler`,
-:class:`RUnary`, :class:`RBinary`) share one base with the core nodes,
-:class:`_Node`: a slotted frozen dataclass whose hash is computed on first
-use and kept, and whose ``==`` tries identity, then the kept hashes, then
-walks pairs of nodes, visiting each pair once.  There is no intern table.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import RealError
-
-UNARY_OPS = (
-    "sin",
-    "cos",
-    "tan",
-    "arcsin",
-    "arccos",
-    "arctan",
-    "exp",
-    "ln",
-    "log2",
-    "sqrt",
-    "ceil",
-    "floor",
+from .core import (
+    BAnd, BCmp, BNot, BoolExpr, BOr, Real, RBinary, RConst, REuler, RIf, RName, RPi, RUnary,
 )
-
-class _Node:
-    """Base of the closed real nodes here and of every node in :mod:`core`.
-
-    Subclasses are ``@dataclass(frozen=True, eq=False, slots=True, repr=False)``,
-    so their fields are their slots and the dataclass writes none of
-    ``__eq__``, ``__hash__`` and ``__repr__``; the three below apply.
-    Elaboration shares subterms, so a term is a DAG whose tree can be millions
-    of times larger; ``hash`` and ``==`` cost work in proportion to the DAG,
-    and ``repr`` prints the dataclass form only ``_REPR_DEPTH`` nodes deep.
-
-    * ``hash`` is computed on first use and kept in the ``_hash`` slot, which
-      is not a dataclass field.  Computing it visits only the nodes below
-      whose hash is not kept yet, in an explicit post-order with no recursion.
-    * ``==`` is true on identity and false on two kept hashes that differ;
-      otherwise it walks pairs of nodes with an explicit stack, visiting each
-      ``(id(a), id(b))`` pair once.
-
-    Nodes are not interned: equal nodes built apart stay distinct objects.
-    """
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return _hash_dag(self)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        try:
-            if self._hash != other._hash:
-                return False
-        except AttributeError:  # a hash not computed yet
-            pass
-        return _eq_dag(self, other)
-
-    def __repr__(self) -> str:
-        return _repr(self, _REPR_DEPTH)
-
-
-_REPR_DEPTH = 6
-
-
-def _repr(x: object, depth: int) -> str:
-    """The dataclass form of ``x``, with ``...`` for the nodes more than ``depth`` below."""
-    if type(x) is tuple:  # a field holding a tuple of arms
-        items = ", ".join(_repr(c, depth) for c in x)
-        return f"({items},)" if len(x) == 1 else f"({items})"
-    if not isinstance(x, _Node):
-        try:
-            return repr(x)
-        except ValueError:  # an int over the interpreter's limit on integer-string conversion
-            return f"<an integer of {_digit_count(x)} digits>"
-    if depth == 0:
-        return "..."
-    fields = ", ".join(f"{name}={_repr(getattr(x, name), depth - 1)}" for name in x.__slots__)
-    return f"{type(x).__qualname__}({fields})"
-
-
-def _hash_dag(root: _Node) -> int:
-    """Keep the hash of ``root`` and of every node below it that has none yet.
-
-    A stack entry ``(node, None)`` asks to visit ``node``; ``(node, values)``
-    sits below the entries of its children without a kept hash, and keeps
-    the hash of ``node`` once they have theirs.
-    """
-    stack: list[tuple[_Node, list | None]] = [(root, None)]
-    while stack:
-        node, values = stack.pop()
-        if values is None:
-            values = [getattr(node, name) for name in node.__slots__]
-            stack.append((node, values))
-            waiting = len(stack)
-            for v in values:
-                if isinstance(v, _Node):
-                    if not hasattr(v, "_hash"):
-                        stack.append((v, None))
-                elif type(v) is tuple:
-                    stack += [
-                        (c, None) for c in v if isinstance(c, _Node) and not hasattr(c, "_hash")
-                    ]
-            if len(stack) > waiting:
-                continue
-            stack.pop()
-        object.__setattr__(node, "_hash", hash((type(node), *values)))
-    return root._hash
-
-
-def _eq_dag(a: _Node, b: _Node) -> bool:
-    """Walk pairs of nodes of one type, each ``(id(x), id(y))`` pair once."""
-    seen: set[tuple[int, int]] = set()
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        pair = (id(x), id(y))
-        if pair in seen:
-            continue
-        seen.add(pair)
-        for name in x.__slots__:
-            u, v = getattr(x, name), getattr(y, name)
-            if type(u) is tuple and type(v) is tuple:  # a field holding a tuple of arms
-                if len(u) != len(v):
-                    return False
-                pairs = zip(u, v)
-            else:
-                pairs = ((u, v),)
-            for c, d in pairs:
-                if c is d:
-                    continue
-                if type(c) is not type(d):
-                    return False
-                if isinstance(c, _Node):
-                    stack.append((c, d))
-                elif c != d:
-                    return False
-    return True
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class RConst(_Node):
-    value: int
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class RPi(_Node):
-    pass
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class REuler(_Node):
-    pass
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class RUnary(_Node):
-    op: str
-    arg: "Real"
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class RBinary(_Node):
-    op: str
-    left: "Real"
-    right: "Real"
-
-
-@dataclass(frozen=True)
-class RName:
-    """Reference to a ``#name`` definition, with generic arguments.
-
-    The arguments are syntax-tree nodes (types, expressions, programs, or
-    reals); they are typed loosely here to keep this module independent of
-    :mod:`qunic.core`.
-    """
-
-    name: str
-    args: tuple[object, ...] = ()
-
-
-@dataclass(frozen=True)
-class RIf:
-    cond: "BoolExpr"
-    then: "Real"
-    els: "Real"
-
-
-Real = Union[RConst, RPi, REuler, RUnary, RBinary, RName, RIf]
-
-# The real node classes: the closed ones, which elaboration leaves, then all.
-CLOSED_REAL_NODES = (RConst, RPi, REuler, RUnary, RBinary)
-REAL_NODES = (*CLOSED_REAL_NODES, RName, RIf)
-
-
-@dataclass(frozen=True)
-class BNot:
-    arg: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class BAnd:
-    left: "BoolExpr"
-    right: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class BOr:
-    left: "BoolExpr"
-    right: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class BCmp:
-    op: str  # one of = != <= < >= >
-    left: Real
-    right: Real
-
-
-BoolExpr = Union[BNot, BAnd, BOr, BCmp]
+from .errors import RealError
 
 Number = Union[Fraction, float]
 
@@ -441,70 +221,3 @@ def as_rational(r: Real) -> Fraction | None:
     if isinstance(v, tuple) and v[1] == 0:
         return Fraction(v[0])
     return None
-
-
-def _digit_count(n: int) -> int:
-    """The number of decimal digits of ``n``, without converting it to a string."""
-    n = abs(n)
-    k = int((n.bit_length() - 1) * math.log10(2)) + 1  # the digits of 2^(bits - 1)
-    return k + (n >= 10**k)
-
-
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-BIN_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "%": _PREC_MUL, "^": _PREC_POW}
-
-
-def real_to_str(r: Real, _prec: int = 0) -> str:
-    """Render a real expression in surface syntax, with minimal parentheses.
-
-    ``+ - * / %`` print left-associatively and ``^`` right-associatively,
-    matching how the parser rebuilds them.  A constant longer than the
-    interpreter's limit on integer-to-string conversion raises
-    :class:`~qunic.errors.RealError`; the limit is not raised.
-    """
-    if isinstance(r, RConst):
-        try:
-            s = str(r.value)
-        except ValueError:  # over the interpreter's limit on integer-string conversion
-            raise RealError(
-                f"a constant of {_digit_count(r.value)} digits is too long to print"
-            ) from None
-        return s if r.value >= 0 or _prec == 0 else f"({s})"
-    if isinstance(r, RPi):
-        return "pi"
-    if isinstance(r, REuler):
-        return "euler"
-    if isinstance(r, RUnary):
-        return f"{r.op}({real_to_str(r.arg)})"
-    if isinstance(r, RBinary):
-        prec = BIN_PREC[r.op]
-        if r.op == "^":
-            left = real_to_str(r.left, prec + 1)
-            right = real_to_str(r.right, prec)
-        else:
-            left = real_to_str(r.left, prec)
-            right = real_to_str(r.right, prec + 1)
-        s = f"{left} {r.op} {right}"
-        return f"({s})" if prec < _prec else s
-    if isinstance(r, RName):
-        from .core import generic_args_to_str  # late import, printer lives there
-
-        return f"#{r.name}{generic_args_to_str(r.args)}"
-    if isinstance(r, RIf):
-        return f"if {bool_to_str(r.cond)} then {real_to_str(r.then)} else {real_to_str(r.els)} endif"
-    raise RealError(f"not a real expression: {r!r}")
-
-
-def bool_to_str(b: BoolExpr, _prec: int = 0) -> str:
-    # precedence: ! binds tightest, then &&, then ||
-    if isinstance(b, BNot):
-        return f"!{bool_to_str(b.arg, 3)}"
-    if isinstance(b, BAnd):
-        s = f"{bool_to_str(b.left, 2)} && {bool_to_str(b.right, 3)}"
-        return f"({s})" if _prec > 2 else s
-    if isinstance(b, BOr):
-        s = f"{bool_to_str(b.left, 1)} || {bool_to_str(b.right, 2)}"
-        return f"({s})" if _prec > 1 else s
-    if isinstance(b, BCmp):
-        return f"{real_to_str(b.left)} {b.op} {real_to_str(b.right)}"
-    raise RealError(f"not a boolean expression: {b!r}")

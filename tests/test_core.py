@@ -10,8 +10,12 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from qunic import core, reals, surface
+from qunic import core
 from qunic.core import (
+    BAnd,
+    BCmp,
+    BNot,
+    BOr,
     CoreArm,
     ExApp,
     ExCtrl,
@@ -26,6 +30,12 @@ from qunic.core import (
     PrRight,
     PrRphase,
     PrU3,
+    QFile,
+    RBinary,
+    RConst,
+    RPi,
+    RUnary,
+    TIf,
     TName,
     TVar,
     TyProd,
@@ -34,14 +44,14 @@ from qunic.core import (
     TyVoid,
 )
 from qunic.errors import CapacityError, RealError
+from qunic.parser import parse_type_string
 from qunic.preprocess import core_of_source
-from qunic.reals import RBinary, RConst, RPi, RUnary
 
+# From core alone: other modules import some of these classes again.
 NODE_CLASSES = [
     cls
-    for module in (core, reals)
-    for cls in vars(module).values()
-    if isinstance(cls, type) and issubclass(cls, reals._Node) and cls is not reals._Node
+    for cls in vars(core).values()
+    if isinstance(cls, type) and issubclass(cls, core._Node) and cls is not core._Node
 ]
 
 
@@ -97,10 +107,10 @@ class TestSharedCores:
             use_prelude=False,
         )
         with pytest.raises(RealError, match="5071 digits"):
-            core.core_expr_to_str(c)
+            core.to_str(c)
 
     def test_nodes_have_no_dict_and_only_their_declared_fields(self):
-        assert len(NODE_CLASSES) == 32
+        assert len(NODE_CLASSES) == 49
         for cls in NODE_CLASSES:
             declared = list(cls.__annotations__)
             assert [f.name for f in dataclasses.fields(cls)] == declared
@@ -113,13 +123,12 @@ class TestSharedCores:
         "first", ["qunic.reals", "qunic.core", "qunic.surface", "qunic.parser", "qunic.preprocess"]
     )
     def test_each_module_imports_first_without_a_cycle(self, first):
-        # A real name in a generic argument prints through a late import of
-        # the core's printer from reals.
+        # Whichever module comes first, the tree and its printer are whole:
+        # a real name in a generic argument prints with the rest.
         script = (
             f"import {first}\n"
-            "from qunic.core import EName, TName, core_expr_to_str\n"
-            "from qunic.reals import RName\n"
-            "print(core_expr_to_str(EName('f', (RName('n', (TName('Bit'),)),))))\n"
+            "from qunic.core import EName, RName, TName, to_str\n"
+            "print(to_str(EName('f', (RName('n', (TName('Bit'),)),))))\n"
         )
         src = str(pathlib.Path(core.__file__).parents[1])
         out = subprocess.run(
@@ -140,9 +149,9 @@ class TestSharedCores:
 
         deep = chain()
         with pytest.raises(CapacityError, match="nested too deeply to print"):
-            core.core_expr_to_str(deep)
+            core.to_str(deep)
         with pytest.raises(CapacityError, match="nested too deeply to print"):
-            surface.file_to_str(surface.QFile((), deep))
+            core.to_str(QFile((), deep))
         assert hash(deep) == hash(chain())
         assert deep == chain()
 
@@ -152,7 +161,7 @@ class TestSharedCores:
         arm = CoreArm(ExUnit(), ExVar("y"))
         assert repr(arm) == "CoreArm(pattern=ExUnit(), body=ExVar(name='y'))"
         deep = ExUnit()
-        for _ in range(reals._REPR_DEPTH):
+        for _ in range(core._REPR_DEPTH):
             deep = ExPair(deep, ExUnit())
         assert repr(deep).startswith("ExPair(left=ExPair(left=")
         assert "left=..., right=..." in repr(deep)
@@ -249,7 +258,7 @@ def test_dag_equality_agrees_with_structural_equality(data):
 
 @given(_terms)
 def test_a_term_prints_as_its_copy_that_shares_no_node(term):
-    assert core.generic_arg_to_str(term) == core.generic_arg_to_str(_rebuild(term))
+    assert core.to_str(term) == core.to_str(_rebuild(term))
 
 
 @pytest.mark.parametrize(
@@ -262,10 +271,65 @@ def test_a_term_prints_as_its_copy_that_shares_no_node(term):
 )
 def test_a_core_prints_as_its_copy_that_shares_no_node(source):
     c = core_of_source(source)
-    assert core.core_expr_to_str(c) == core.core_expr_to_str(_rebuild(c))
+    assert core.to_str(c) == core.to_str(_rebuild(c))
 
 
 def test_a_shared_generic_argument_prints_at_every_position():
     arg = TyProd(TVar("a"), TyUnit())
     t = TName("Pair", (arg, TName("List", (RConst(3), arg)), arg))
-    assert core.core_type_to_str(t) == "Pair{('a * Unit), List{3, ('a * Unit)}, ('a * Unit)}"
+    assert core.to_str(t) == "Pair{('a * Unit), List{3, ('a * Unit)}, ('a * Unit)}"
+
+
+# ---------------------------------------------------------------------------
+# A node's text does not depend on its parent: the parent adds the parentheses.
+
+
+def test_a_shared_sum_is_parenthesized_only_as_an_operand():
+    total = RBinary("+", RConst(1), RConst(2))
+    assert core.to_str(RBinary("*", total, RUnary("sin", total))) == "(1 + 2) * sin(1 + 2)"
+
+
+def test_a_shared_negative_constant_is_never_a_bare_operand():
+    c = RConst(-1)
+    assert core.to_str(RBinary("-", c, RUnary("cos", c))) == "(-1) - cos(-1)"
+
+
+def test_a_shared_disjunction_is_bare_as_a_condition_and_parenthesized_under_and():
+    either = BOr(BCmp("<", RConst(1), RConst(2)), BCmp("=", RPi(), RPi()))
+    t = TIf(either, TIf(BAnd(either, either), TyUnit(), TyVoid()), TyUnit())
+    text = core.to_str(t)
+    inner = "if (1 < 2 || pi = pi) && (1 < 2 || pi = pi) then Unit else Void endif"
+    assert text == f"if 1 < 2 || pi = pi then {inner} else Unit endif"
+    assert parse_type_string(text) == t
+
+
+def _sum_of_sines(n):
+    r = RUnary("sin", RConst(1))
+    for _ in range(n - 1):
+        r = RBinary("+", r, RUnary("sin", RConst(1)))
+    return r
+
+
+def _tower_of_twos(n):
+    r = RConst(2)
+    for _ in range(n):
+        r = RBinary("^", RConst(2), r)
+    return r
+
+
+def _negated_conjunctions(n):
+    b = BCmp("<", RConst(1), RConst(2))
+    for i in range(n):
+        b = BNot(b) if i % 2 else BAnd(b, BCmp("<", RConst(1), RConst(2)))
+    return b
+
+
+@pytest.mark.parametrize("build", [_sum_of_sines, _tower_of_twos, _negated_conjunctions])
+def test_an_operand_chain_costs_one_frame_per_level(build):
+    term = build(900)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert core.to_str(term)
+    finally:
+        sys.setrecursionlimit(limit)

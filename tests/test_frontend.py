@@ -4,6 +4,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qunic.core import (
+    BAnd,
+    BCmp,
+    BNot,
+    BOr,
     CoreArm,
     EIf,
     ELet,
@@ -19,19 +23,25 @@ from qunic.core import (
     PIf,
     PName,
     PrAbs,
+    ProgDef,
     PrPmatch,
     PrRphase,
     PrU3,
+    RBinary,
+    RConst,
+    RIf,
+    RName,
+    RPi,
+    RUnary,
     TIf,
     TName,
     TVar,
+    TypeAliasDef,
     TyProd,
     TyUnit,
     TyVoid,
-    core_expr_to_str,
-    core_prog_to_str,
-    core_type_to_str,
-    generic_arg_to_str,
+    VariantDef,
+    to_str,
 )
 from qunic.errors import CapacityError, LexError, ParseError
 from qunic.lexer import KEYWORDS, TokKind, tokenize
@@ -44,8 +54,6 @@ from qunic.parser import (
     parse_type_string,
 )
 from qunic.preprocess import core_of_source, default_prelude_text
-from qunic.reals import BAnd, BCmp, BNot, RBinary, RConst, RIf, RName, RPi
-from qunic.surface import ProgDef, TypeAliasDef, VariantDef, file_to_str
 
 
 class TestLexer:
@@ -389,16 +397,16 @@ class TestParser:
 class TestPrettyPrinter:
     def test_prelude_round_trips(self):
         qf = parse_file(default_prelude_text())
-        assert parse_file(file_to_str(qf)) == qf
+        assert parse_file(to_str(qf)) == qf
 
     def test_product_needs_parens_on_right(self):
         t = TyProd(TName("Bit"), TyProd(TName("Bit"), TName("Bit")))
-        assert core_type_to_str(t) == "(Bit * (Bit * Bit))"
-        assert parse_type_string(core_type_to_str(t)) == t
+        assert to_str(t) == "(Bit * (Bit * Bit))"
+        assert parse_type_string(to_str(t)) == t
 
     def test_applied_lambda_is_parenthesized(self):
         e = ExApp(PrAbs(ExVar("x"), ExVar("x")), EName("0"))
-        assert core_expr_to_str(e) == "(lambda x -> x)(&0)"
+        assert to_str(e) == "(lambda x -> x)(&0)"
 
     @pytest.mark.parametrize(
         "source, printed",
@@ -421,7 +429,7 @@ class TestPrettyPrinter:
     )
     def test_printed_text_parses_back(self, source, printed):
         qf = parse_file(source)
-        assert file_to_str(qf) == printed + "\n"
+        assert to_str(qf) == printed + "\n"
         assert parse_file(printed) == qf
 
 
@@ -445,8 +453,6 @@ def _reals(depth: int):
     if depth == 0:
         return base
     sub = _reals(depth - 1)
-    from qunic.reals import RUnary
-
     return st.one_of(
         base,
         st.builds(RUnary, st.sampled_from(["sqrt", "cos"]), sub),
@@ -458,8 +464,6 @@ def _bools(depth: int):
     cmp = st.builds(BCmp, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), _reals(1), _reals(1))
     if depth == 0:
         return cmp
-    from qunic.reals import BAnd, BNot, BOr
-
     sub = _bools(depth - 1)
     return st.one_of(cmp, st.builds(BNot, sub), st.builds(BAnd, sub, sub), st.builds(BOr, sub, sub))
 
@@ -540,7 +544,7 @@ _BAND = BAnd(BCmp(">", RPi(), RPi()), BCmp("=", RConst(0), RPi()))
 @example(EIf(_BAND, ExUnit(), ExUnit()))
 @example(EName("0", (ExApp(PName("f", ()), ExUnit()),)))
 def test_expr_print_parse_round_trip(e):
-    assert parse_expr_string(core_expr_to_str(e)) == e
+    assert parse_expr_string(to_str(e)) == e
 
 
 @settings(max_examples=200, deadline=None)
@@ -548,19 +552,19 @@ def test_expr_print_parse_round_trip(e):
 @example(PIf(_BAND, PName("f"), PName("f")))
 @example(PName("f", (ExApp(PName("f", ()), ExUnit()),)))
 def test_prog_print_parse_round_trip(f):
-    assert parse_prog_string(core_prog_to_str(f)) == f
+    assert parse_prog_string(to_str(f)) == f
 
 
 @settings(max_examples=200, deadline=None)
 @given(_types(3))
 @example(TIf(_BAND, TyVoid(), TyVoid()))
 def test_type_print_parse_round_trip(t):
-    assert parse_type_string(core_type_to_str(t)) == t
+    assert parse_type_string(to_str(t)) == t
 
 
 @settings(max_examples=200, deadline=None)
 @given(_genargs(2), st.integers(1, 3))
 def test_parenthesized_generic_argument_parses_unchanged(arg, depth):
-    text = generic_arg_to_str(arg)
+    text = to_str(arg)
     wrapped = "(" * depth + text + ")" * depth
     assert parse_expr_string("&z{" + wrapped + "}") == parse_expr_string("&z{" + text + "}")

@@ -9,10 +9,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qunic import core, parser, preprocess, reals
+from qunic import core, parser, preprocess
+from qunic.core import RBinary, RConst, RPi
 from qunic.errors import CapacityError, PreprocessError, RealError
 from qunic.preprocess import core_of_source, load_prelude_defs
-from qunic.reals import RBinary, RConst, RPi
 
 
 def gate_angles(root) -> set:
@@ -127,7 +127,7 @@ class TestPatternBinding:
         # The value of a let in a pattern is part of the binding pattern; its
         # own pattern and body see only the let's variables.
         c = core_of_source("(&0, &1) |> lambda (a, let y = b in y) -> (a, b)")
-        assert core.core_expr_to_str(c.fn) == "(lambda (a, (lambda y -> y)(b)) -> (a, b))"
+        assert core.to_str(c.fn) == "(lambda (a, (lambda y -> y)(b)) -> (a, b))"
 
     # Patterns whose fresh names are numbered differently from an elaborator
     # that collected a pattern's variables before elaborating it; the cores
@@ -182,7 +182,7 @@ class TestPatternBinding:
         ],
     )
     def test_pattern_elaborates_alpha_equal_to_collecting_first(self, src, expected):
-        assert core.core_expr_to_str(alpha_normal(core_of_source(src))) == expected
+        assert core.to_str(alpha_normal(core_of_source(src))) == expected
 
 
 def _pattern_shapes():
@@ -328,7 +328,7 @@ class TestDepth:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            assert core.core_expr_to_str(core_of_source(main))
+            assert core.to_str(core_of_source(main))
         finally:
             sys.setrecursionlimit(limit)
 
@@ -406,8 +406,8 @@ _SUGAR = (
     core.PGphase,
     core.PName,
     core.PIf,
-    reals.RName,
-    reals.RIf,
+    core.RName,
+    core.RIf,
 )
 
 # Every prelude family, and the prelude definitions no family reaches.
@@ -462,8 +462,8 @@ class TestSharedPrelude:
     def test_no_elaborator_state_leaks_between_compiles(self):
         src = "@qft{3}((&1, (&0, (&1, ()))))"
         first, second = core_of_source(src), core_of_source(src)
-        assert "%" in core.core_expr_to_str(first)  # fresh names are printed
-        assert core.core_expr_to_str(first) == core.core_expr_to_str(second)
+        assert "%" in core.to_str(first)  # fresh names are printed
+        assert core.to_str(first) == core.to_str(second)
 
     def test_shared_definitions_are_deeply_immutable(self):
         hash(load_prelude_defs())

@@ -5,23 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qunic.core import BCmp, RBinary, RConst, REuler, RIf, RName, RPi, RUnary, to_str
 from qunic.errors import RealError
 from qunic.parser import parse_real_string
-from qunic.reals import (
-    BCmp,
-    RBinary,
-    RConst,
-    REuler,
-    RIf,
-    RName,
-    RPi,
-    RUnary,
-    as_pi_multiple,
-    as_rational,
-    evaluate_bool,
-    evaluate_real,
-    real_to_str,
-)
+from qunic.reals import as_pi_multiple, as_rational, evaluate_bool, evaluate_real
 
 
 def ev(src: str):
@@ -208,7 +195,7 @@ def _real_trees(depth: int):
 
 @given(_real_trees(4))
 def test_real_print_parse_round_trip(r):
-    assert parse_real_string(real_to_str(r)) == r
+    assert parse_real_string(to_str(r)) == r
 
 
 # ---------------------------------------------------------------------------
@@ -275,4 +262,4 @@ def test_views_return_fractions_on_integral_values(src, view):
 def test_constant_too_long_to_print_is_a_real_error():
     # Longer than the interpreter's limit on integer-string conversion.
     with pytest.raises(RealError, match="5071 digits"):
-        real_to_str(RConst(7**6000))
+        to_str(RConst(7**6000))

@@ -1,9 +1,13 @@
-"""The test settings in ``pyproject.toml``: warnings are errors, and a failing
-Hypothesis property still lets every later test report."""
+"""The settings in ``pyproject.toml``: warnings are errors, a failing
+Hypothesis property still lets every later test report, and every declared
+console script exists."""
 
+import importlib
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -34,3 +38,11 @@ def test_a_failing_property_lets_later_tests_report(tmp_path):
     )
     assert "INTERNALERROR" not in out.stdout + out.stderr
     assert "1 failed, 1 passed" in out.stdout
+
+
+def test_every_console_script_is_a_callable():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(PYPROJECT.read_text())["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
