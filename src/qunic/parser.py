@@ -42,7 +42,7 @@ meaning.  Nesting too deep for the interpreter's stack is a
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from typing import Callable, TypeVar, get_args
 
 from .core import (
     BIN_PREC,
@@ -110,6 +110,9 @@ _T = TypeVar("_T")
 _CMP_OPS = ("=", "!=", "<=", "<", ">=", ">")
 _PROG_START_KWS = ("u3", "lambda", "gphase", "rphase", "pmatch")
 _REAL_START_KWS = ("pi", "euler") + UNARY_OPS
+# The node classes of each syntactic class: ``isinstance`` checks a tuple of
+# classes about four times faster than the ``Union`` alias it comes from.
+_BOOLS, _REALS, _TYPES, _PROGS, _EXPRS = map(get_args, (BoolExpr, Real, Type, Prog, Expr))
 
 
 def _integer(t: Token) -> int:
@@ -244,7 +247,7 @@ class _Parser:
             self.take()
             return BNot(self._bool_not())
         atom = self._comparison()
-        if not isinstance(atom, BoolExpr):
+        if not isinstance(atom, _BOOLS):
             raise self._fail("expected a comparison operator")
         return atom
 
@@ -254,10 +257,10 @@ class _Parser:
         if self.at_punct("("):
             self.take()
             left = self._bool_not() if self.at_punct("!") else self._comparison()
-            if isinstance(left, BoolExpr):
+            if isinstance(left, _BOOLS):
                 left = self.parse_bool(left)
             self.expect_punct(")")
-            if isinstance(left, BoolExpr):
+            if isinstance(left, _BOOLS):
                 return left
         left = self.parse_real(left)
         if self.cur.kind is TokKind.PUNCT and self.cur.text in _CMP_OPS:
@@ -315,7 +318,7 @@ class _Parser:
         t = self.cur
         if self.at_punct("("):
             x = self._group()
-            if isinstance(x, Prog):  # a parenthesized program being applied: (lambda x -> ...)(e)
+            if isinstance(x, _PROGS):  # a parenthesized program being applied: (lambda x -> ...)(e)
                 return ExApp(x, self._app_argument())
             return self._expression(x, t)
         if t.kind is TokKind.QVAR:
@@ -358,7 +361,7 @@ class _Parser:
 
     def _expression(self, x: GenArg, opening: Token) -> Expr:
         """``x``, read by ``_group`` from the ``opening`` parenthesis, if it is an expression."""
-        if not isinstance(x, Expr):
+        if not isinstance(x, _EXPRS):
             raise ParseError("expected an expression in parentheses", opening.line, opening.column)
         return x
 
@@ -369,7 +372,7 @@ class _Parser:
             self.take()
             return ExUnit()
         x = self.parse_generic_arg()
-        if self.at_punct(",") and isinstance(x, Expr):
+        if self.at_punct(",") and isinstance(x, _EXPRS):
             self.take()
             x = ExPair(x, self.parse_expr())
         self.expect_punct(")")
@@ -493,21 +496,21 @@ class _Parser:
             x = self._group()
         elif self.at_kw("if"):
             x = self._if(self.parse_generic_arg, self._if_argument)
-            if isinstance(x, Prog):
+            if isinstance(x, _PROGS):
                 return x  # not applied to a '(' after it
         else:
             raise self._fail("expected a type, expression, program, or real argument")
-        if isinstance(x, Real):
+        if isinstance(x, _REALS):
             return self.parse_real(x)
-        if isinstance(x, Type):
+        if isinstance(x, _TYPES):
             return self.parse_type(x)
-        if isinstance(x, Prog) and self.at_punct("("):
+        if isinstance(x, _PROGS) and self.at_punct("("):
             x = ExApp(x, self._app_argument())
-        return self._pipeline(x) if isinstance(x, Expr) else x
+        return self._pipeline(x) if isinstance(x, _EXPRS) else x
 
     def _if_argument(self, cond: BoolExpr, then: GenArg, els: GenArg) -> GenArg:
         """The ``if`` over two generic arguments, which must be of one class."""
-        for cls, node in ((Expr, EIf), (Prog, PIf), (Real, RIf), (Type, TIf)):
+        for cls, node in ((_EXPRS, EIf), (_PROGS, PIf), (_REALS, RIf), (_TYPES, TIf)):
             if isinstance(then, cls) and isinstance(els, cls):
                 return node(cond, then, els)  # type: ignore[arg-type]
         t = self.cur

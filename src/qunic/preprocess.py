@@ -8,8 +8,16 @@ This stage resolves everything that is "compile time" in Qunity:
   against unbounded recursion.  All of them live in one table keyed by
   ``(sort, name)`` and are instantiated by one routine,
   :meth:`Elaborator._named`;
-* ``if .. then .. else .. endif`` conditionals are decided by evaluating
-  their (closed, by the time substitution has happened) real comparisons;
+* a real elaborates to its value, computed by one evaluator step
+  (:func:`~qunic.reals.step`) per node from its children's values, so no
+  subtree is evaluated twice.  A rational or an exact nonzero multiple of pi
+  is a plain ``(a, b)`` pair for ``a + b*pi``, which generic arguments and
+  memo keys hold; any other value keeps its tree.  A node is built only
+  where the core needs one, an angle of ``u3``, ``rphase`` or ``gphase``,
+  and each exact value becomes one node per compile, its canonical tree
+  ``p``, ``p / q``, ``pi`` or ``q * pi``, so equal angles are one object;
+* ``if .. then .. else .. endif`` conditionals are decided by comparing the
+  values of their (closed, by the time substitution has happened) reals;
 * ``let p = v in b`` becomes ``(lambda p -> b)(v)``;
 * ``gphase{r}`` becomes ``rphase{x, r, r}`` on a fresh variable pattern;
 * variant constructors become chains of sum injections (a single-alternative
@@ -39,10 +47,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import ChainMap
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Mapping, get_args
+from typing import Mapping, Union, get_args
 
 from .core import (
     BAnd,
@@ -107,7 +116,11 @@ from .core import (
 )
 from .errors import CapacityError, PreprocessError
 from .parser import parse_file
-from .reals import as_pi_multiple, as_rational, evaluate_bool
+from .reals import Rational, Value, compare, step
+
+# Not called here: the benchmark's tracer hooks these three names on this
+# module, so they stay importable from it.
+from .reals import as_pi_multiple, as_rational, evaluate_bool  # noqa: F401
 
 UNROLL_BUDGET = 10_000
 
@@ -167,11 +180,44 @@ class _Env:
     binds: dict[str, str] | None = None
 
 
+class _Inexact:
+    """An elaborated real with no canonical tree: a float, or an exact
+    ``a + b*pi`` with ``a`` and ``b`` both nonzero.
+
+    It keeps its tree, whose exact subtrees are canonical, with its value, and
+    compares and hashes by the tree alone, so two such reals are one memo key
+    exactly when their trees are equal.
+    """
+
+    __slots__ = ("node", "value")
+
+    def __init__(self, node: Real, value: Value) -> None:
+        self.node = node
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is _Inexact and self.node == other.node
+
+    def __hash__(self) -> int:
+        return hash(self.node)
+
+
+RealValue = Union[tuple[Rational, Rational], _Inexact]
+
+
+def _plain(v: RealValue) -> Value:
+    """The value of an elaborated real, as :func:`~qunic.reals.step` takes it."""
+    return v.value if type(v) is _Inexact else v
+
+
 class Elaborator:
     def __init__(self, defs: tuple[Def, ...]) -> None:
         self.defs: dict[tuple[str, str], Def] = {}  # (sort, name) -> definition
         self.ctors: dict[str, int] = {}  # constructor -> its alternative's index
         self._memo: dict[object, object] = {}
+        # The node of each exact real value that the core holds, so that equal
+        # angles of one compile are one object.
+        self._reals: dict[tuple[Rational, Rational], Real] = {}
         # Instantiations under way, innermost last, mapped to their names.  An
         # entry stays when its instantiation raises, so after an error the
         # table reads as the chain of instantiations that led to it.
@@ -338,23 +384,58 @@ class Elaborator:
 
     # -- reals and booleans ------------------------------------------------------
 
-    def elab_real(self, r: Real, env: _Env) -> Real:
-        if isinstance(r, (RConst, RPi, REuler)):
-            return r
-        if isinstance(r, RUnary):
-            return _canonical(RUnary(r.op, self.elab_real(r.arg, env)))
+    def elab_real(self, r: Real, env: _Env) -> RealValue:
+        """The value of ``r``, at one :func:`~qunic.reals.step` per node.
+
+        A rational or an exact nonzero multiple of pi is its plain ``(a, b)``
+        pair for ``a + b*pi``; any other value is an :class:`_Inexact` that
+        keeps the tree of ``r``, built over its children's nodes.
+        """
         if isinstance(r, RBinary):
-            return _canonical(
-                RBinary(r.op, self.elab_real(r.left, env), self.elab_real(r.right, env))
-            )
-        if isinstance(r, RIf):
-            return self.elab_real(r.then if self._bool(r.cond, env) else r.els, env)
+            x, y = self.elab_real(r.left, env), self.elab_real(r.right, env)
+            v = step(r.op, _plain(x), _plain(y))
+            if type(v) is tuple and (v[1] == 0 or v[0] == 0):
+                return v
+            return _Inexact(RBinary(r.op, self._real_node(x), self._real_node(y)), v)
+        if isinstance(r, RConst):
+            return r.value, 0
         if isinstance(r, RName):
             got = self._named("r", r.name, r.args, env)
             if got is None:
                 raise PreprocessError(f"unknown real definition #{r.name}")
             return got
+        if isinstance(r, RUnary):
+            x = self.elab_real(r.arg, env)
+            v = step(r.op, _plain(x))
+            if type(v) is tuple and (v[1] == 0 or v[0] == 0):
+                return v
+            return _Inexact(RUnary(r.op, self._real_node(x)), v)
+        if isinstance(r, RPi):
+            return 0, 1
+        if isinstance(r, REuler):
+            return _Inexact(r, math.e)
+        if isinstance(r, RIf):
+            return self.elab_real(r.then if self._bool(r.cond, env) else r.els, env)
         raise PreprocessError(f"not a real expression: {r!r}")
+
+    def _angle(self, r: Real, env: _Env) -> Real:
+        """The node of the angle ``r`` in the core."""
+        return self._real_node(self.elab_real(r, env))
+
+    def _real_node(self, v: RealValue) -> Real:
+        """The node of the value ``v``: an inexact value's own tree, or the
+        canonical tree of an exact one, built once per compile."""
+        if type(v) is _Inexact:
+            return v.node
+        node = self._reals.get(v)
+        if node is None:
+            a, b = v
+            if b == 0:
+                node = _frac_tree(a)
+            else:
+                node = RPi() if b == 1 else RBinary("*", _frac_tree(b), RPi())
+            self._reals[v] = node
+        return node
 
     def _bool(self, b: BoolExpr, env: _Env) -> bool:
         if isinstance(b, BNot):
@@ -364,8 +445,8 @@ class Elaborator:
         if isinstance(b, BOr):
             return self._bool(b.left, env) or self._bool(b.right, env)
         if isinstance(b, BCmp):
-            resolved = BCmp(b.op, self.elab_real(b.left, env), self.elab_real(b.right, env))
-            return evaluate_bool(resolved)
+            x, y = self.elab_real(b.left, env), self.elab_real(b.right, env)
+            return compare(b.op, _plain(x), _plain(y))
         raise PreprocessError(f"not a boolean expression: {b!r}")
 
     # -- expressions ----------------------------------------------------------------
@@ -430,22 +511,16 @@ class Elaborator:
 
     def elab_prog(self, f: Prog, env: _Env) -> CoreProg:
         if isinstance(f, PrU3):
-            return PrU3(
-                self.elab_real(f.theta, env),
-                self.elab_real(f.phi, env),
-                self.elab_real(f.lam, env),
-            )
+            return PrU3(self._angle(f.theta, env), self._angle(f.phi, env), self._angle(f.lam, env))
         if isinstance(f, PrAbs):
             pattern, inner = self._pattern(f.pattern, _Env(env.generics, {}, env.fresh))
             return PrAbs(pattern, self.elab_expr(f.body, inner))
         if isinstance(f, PGphase):
-            phase = self.elab_real(f.phase, env)
+            phase = self._angle(f.phase, env)
             return PrRphase(ExVar(self._fresh("_")), phase, phase)
         if isinstance(f, PrRphase):
             pattern, _ = self._pattern(f.pattern, env)
-            return PrRphase(
-                pattern, self.elab_real(f.on_phase, env), self.elab_real(f.off_phase, env)
-            )
+            return PrRphase(pattern, self._angle(f.on_phase, env), self._angle(f.off_phase, env))
         if isinstance(f, PrPmatch):
             closed = _Env(env.generics, {}, env.fresh)
             return PrPmatch(tuple(self._elab_arm(a, closed) for a in f.arms))
@@ -472,21 +547,7 @@ _ELAB = {
 }
 
 
-def _canonical(r: Real) -> Real:
-    """Collapse a closed real tree to a canonical form when it is exactly
-    rational or exactly a rational multiple of pi; leave it alone otherwise."""
-    q = as_rational(r)
-    if q is not None:
-        return _frac_tree(q)
-    p = as_pi_multiple(r)
-    if p is not None:
-        if p == 1:
-            return RPi()
-        return RBinary("*", _frac_tree(p), RPi())
-    return r
-
-
-def _frac_tree(q) -> Real:
+def _frac_tree(q: Rational) -> Real:
     if q.denominator == 1:
         return RConst(q.numerator)
     return RBinary("/", RConst(q.numerator), RConst(q.denominator))

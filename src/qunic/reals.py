@@ -18,6 +18,13 @@ undefined value (division by zero, ``ln`` of a negative number...) and a
 value too large for a float raise :class:`~qunic.errors.RealError` from all
 three.
 
+:func:`step` is the evaluator: it computes the value of one operation from
+the values of its operands, and every exact rule and domain check is there.
+:func:`_value` is its fold over a tree.  The preprocessor calls :func:`step`
+itself, once per node as it elaborates, so it never evaluates a subtree
+twice, and decides a condition with :func:`compare`, which
+:func:`evaluate_bool` uses too.
+
 Two node kinds — :class:`~qunic.core.RName` and :class:`~qunic.core.RIf` —
 exist only in surface syntax.  The preprocessor substitutes definitions and
 resolves conditionals, so evaluation rejects them: seeing one after
@@ -66,66 +73,61 @@ _FLOAT_OPS = {
     "%": operator.mod,  # floored on floats too: the result has the sign of the divisor
     "^": math.pow,  # unlike **, raises instead of returning a complex number
 }
+_COMPARISONS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<=": operator.le,
+    "<": operator.lt,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
 
 
-def _value(r: Real) -> Value:
-    """The value of ``r``: every exact rule and every domain check lives here.
+def step(op: str, x: Value, y: Value | None = None) -> Value:
+    """The value of ``op`` on the values ``x`` and, for a binary operator,
+    ``y``: every exact rule and every domain check lives here.
 
     ``ceil``/``floor`` are exact on any argument; every other operation with
     no exact rule below is computed on floats.
     """
-    if isinstance(r, RConst):
-        return r.value, 0
-    if isinstance(r, RPi):
-        return 0, 1
-    if isinstance(r, REuler):
-        return math.e
-    if isinstance(r, RUnary):
-        x = _value(r.arg)
+    if y is None:
         q = x[0] if isinstance(x, tuple) and x[1] == 0 else None
-        if r.op in ("ceil", "floor"):
-            rounded = math.ceil if r.op == "ceil" else math.floor
+        if op in ("ceil", "floor"):
+            rounded = math.ceil if op == "ceil" else math.floor
             return rounded(_to_float(x) if q is None else q), 0
-        if r.op == "sqrt" and q is not None and q >= 0:
+        if op == "sqrt" and q is not None and q >= 0:
             ns, ds = math.isqrt(q.numerator), math.isqrt(q.denominator)
             if ns * ns == q.numerator and ds * ds == q.denominator:
                 return _exact(Fraction(ns, ds)), 0
         args = (x,)
-    elif isinstance(r, RBinary):
-        x, y = _value(r.left), _value(r.right)
-        if r.op in ("/", "%") and y in ((0, 0), 0.0):  # an exact or a float zero
-            what = "division" if r.op == "/" else "modulus"
+    else:
+        if op in ("/", "%") and y in ((0, 0), 0.0):  # an exact or a float zero
+            what = "division" if op == "/" else "modulus"
             raise RealError(f"{what} by zero in real expression")
         if isinstance(x, tuple) and isinstance(y, tuple):
             (a, b), (c, d) = x, y
-            if r.op == "+":
+            if op == "+":
                 return a + c, b + d
-            if r.op == "-":
+            if op == "-":
                 return a - c, b - d
-            if r.op == "*" and (b == 0 or d == 0):  # no pi^2 term
+            if op == "*" and (b == 0 or d == 0):  # no pi^2 term
                 return a * c, a * d + b * c
-            if r.op == "/" and d == 0:
+            if op == "/" and d == 0:
                 return _exact(Fraction(a, c)), _exact(Fraction(b, c))
-            if r.op == "/" and a == 0 and c == 0:  # a ratio of pi-multiples is rational
+            if op == "/" and a == 0 and c == 0:  # a ratio of pi-multiples is rational
                 return _exact(Fraction(b, d)), 0
-            if r.op == "%" and b == 0 and d == 0:
+            if op == "%" and b == 0 and d == 0:
                 return a % c, 0
-            if r.op == "^" and b == 0 and d == 0 and c.denominator == 1:
+            if op == "^" and b == 0 and d == 0 and c.denominator == 1:
                 if c >= 0:
                     return a**c.numerator, 0
                 if a == 0:
                     raise RealError("zero raised to a negative power")
                 return _exact(Fraction(a) ** c.numerator), 0
         args = (x, y)
-    elif isinstance(r, RName):
-        raise RealError(f"unresolved real name #{r.name} (not substituted)")
-    elif isinstance(r, RIf):
-        raise RealError("unresolved conditional in real expression")
-    else:
-        raise RealError(f"not a real expression: {r!r}")
-    fn = _FLOAT_OPS.get(r.op)
+    fn = _FLOAT_OPS.get(op)
     if fn is None:
-        raise RealError(f"unknown real operation {r.op!r}")
+        raise RealError(f"unknown real operation {op!r}")
     fs = [_to_float(v) for v in args]
     try:
         v = fn(*fs)
@@ -136,8 +138,27 @@ def _value(r: Real) -> Value:
         problem = "is undefined"
     except OverflowError:
         problem = "overflows"
-    shown = f"{r.op}({fs[0]})" if len(fs) == 1 else f"{fs[0]} {r.op} {fs[1]}"
+    shown = f"{op}({fs[0]})" if len(fs) == 1 else f"{fs[0]} {op} {fs[1]}"
     raise RealError(f"{shown} {problem}")
+
+
+def _value(r: Real) -> Value:
+    """The value of ``r``: :func:`step` folded over the tree, leaves up."""
+    if isinstance(r, RBinary):
+        return step(r.op, _value(r.left), _value(r.right))
+    if isinstance(r, RUnary):
+        return step(r.op, _value(r.arg))
+    if isinstance(r, RConst):
+        return r.value, 0
+    if isinstance(r, RPi):
+        return 0, 1
+    if isinstance(r, REuler):
+        return math.e
+    if isinstance(r, RName):
+        raise RealError(f"unresolved real name #{r.name} (not substituted)")
+    if isinstance(r, RIf):
+        raise RealError("unresolved conditional in real expression")
+    raise RealError(f"not a real expression: {r!r}")
 
 
 def _exact(q: Fraction) -> Rational:
@@ -170,10 +191,27 @@ def evaluate_real(r: Real) -> Number:
     ``euler``).  An undefined value, or one too large for a float, raises
     :class:`~qunic.errors.RealError`.
     """
-    v = _value(r)
-    if isinstance(v, tuple) and v[1] == 0:
-        return Fraction(v[0])
-    return _to_float(v)
+    n = _number(_value(r))
+    return n if isinstance(n, float) else Fraction(n)
+
+
+def _number(v: Value) -> Rational | float:
+    """``v`` as a number: exact when it is rational, its float otherwise."""
+    return v[0] if isinstance(v, tuple) and v[1] == 0 else _to_float(v)
+
+
+def compare(op: str, x: Value, y: Value) -> bool:
+    """Whether ``x op y`` holds, for ``op`` one of ``= != <= < >= >``.
+
+    A rational value compares as itself and any other value as its float;
+    comparisons between ints, Fractions and floats are exact in Python, with
+    no rounding step.
+    """
+    x, y = _number(x), _number(y)
+    fn = _COMPARISONS.get(op)
+    if fn is None:
+        raise RealError(f"unknown comparison {op!r}")
+    return fn(x, y)
 
 
 def evaluate_bool(b: BoolExpr) -> bool:
@@ -185,21 +223,7 @@ def evaluate_bool(b: BoolExpr) -> bool:
     if isinstance(b, BOr):
         return evaluate_bool(b.left) or evaluate_bool(b.right)
     if isinstance(b, BCmp):
-        x, y = evaluate_real(b.left), evaluate_real(b.right)
-        # Fraction/float comparisons in Python are exact, no rounding step.
-        if b.op == "=":
-            return x == y
-        if b.op == "!=":
-            return x != y
-        if b.op == "<=":
-            return x <= y
-        if b.op == "<":
-            return x < y
-        if b.op == ">=":
-            return x >= y
-        if b.op == ">":
-            return x > y
-        raise RealError(f"unknown comparison {b.op!r}")
+        return compare(b.op, _value(b.left), _value(b.right))
     raise RealError(f"not a boolean expression: {b!r}")
 
 

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qunic import core, parser, preprocess
-from qunic.core import RBinary, RConst, RPi
+from qunic.core import RBinary, RConst, REuler, RPi, RUnary
 from qunic.errors import CapacityError, PreprocessError, RealError
 from qunic.preprocess import core_of_source, load_prelude_defs
+from qunic.reals import as_pi_multiple, as_rational
 
 
 def gate_angles(root) -> set:
@@ -367,6 +368,100 @@ class TestConstructors:
         nodes = reachable(core_of_source("&order_finding{6, 7}"))
         assert sum(isinstance(x, core.PrLeft) for x in nodes) == 1
         assert sum(isinstance(x, core.PrRight) for x in nodes) == 1
+
+
+class TestRealElaboration:
+    """A real elaborates to its value at one evaluator step per node, and
+    equal exact angles of one compile are one node."""
+
+    def test_one_step_per_real_node(self, monkeypatch):
+        step, calls = preprocess.step, []
+
+        def counting(*args):
+            calls.append(args[0])
+            return step(*args)
+
+        monkeypatch.setattr(preprocess, "step", counting)
+        extra = set()
+        for d in (50, 200, 400):
+            calls.clear()
+            core_of_source(f"&0 |> u3{{{'sin(' * d}1{')' * d}, 0, 0}}")
+            extra.add(len(calls) - d)
+        assert len(extra) == 1
+
+    @pytest.mark.parametrize("main", ["&order_finding{8, 7}", "&num_to_state{12, 1} |> @qft{12}"])
+    def test_equal_exact_angles_are_one_object(self, main):
+        angles = []
+        for x in reachable(core_of_source(main)):
+            if isinstance(x, core.PrU3):
+                angles += [x.theta, x.phi, x.lam]
+            elif isinstance(x, core.PrRphase):
+                angles += [x.on_phase, x.off_phase]
+        by_value: dict = {}
+        for a in angles:
+            value = (as_rational(a), as_pi_multiple(a))
+            if value != (None, None):
+                by_value.setdefault(value, set()).add(id(a))
+        assert len(by_value) > 1
+        assert all(len(ids) == 1 for ids in by_value.values())
+        assert len(angles) > len(by_value)
+
+
+def _canonical(r):
+    """The canonical tree of the closed real ``r``, computed from the
+    evaluator's views: a leaf stays itself; any other node is rebuilt on its
+    children's canonical trees and then collapsed to ``p``, ``p / q``, ``pi``
+    or ``q * pi`` when it is exactly rational or exactly a nonzero multiple of
+    pi."""
+    if isinstance(r, RUnary):
+        r = RUnary(r.op, _canonical(r.arg))
+    elif isinstance(r, RBinary):
+        r = RBinary(r.op, _canonical(r.left), _canonical(r.right))
+    else:
+        return r
+
+    def fraction(q):
+        if q.denominator == 1:
+            return RConst(q.numerator)
+        return RBinary("/", RConst(q.numerator), RConst(q.denominator))
+
+    q = as_rational(r)
+    if q is not None:
+        return fraction(q)
+    p = as_pi_multiple(r)
+    if p is not None:
+        return RPi() if p == 1 else RBinary("*", fraction(p), RPi())
+    return r
+
+
+def _closed_reals(depth: int):
+    leaves = st.one_of(st.integers(-9, 9).map(RConst), st.just(RPi()), st.just(REuler()))
+    if depth == 0:
+        return leaves
+    sub = _closed_reals(depth - 1)
+    return st.one_of(
+        sub,
+        st.builds(RUnary, st.sampled_from(["sin", "sqrt", "ceil", "floor"]), sub),
+        st.builds(RBinary, st.sampled_from(["+", "-", "*", "/", "%"]), sub, sub),
+        # a small exponent keeps exact powers small
+        st.builds(RBinary, st.just("^"), sub, leaves),
+    )
+
+
+def _text_or_error(make):
+    try:
+        return core.to_str(make())
+    except RealError:
+        return RealError
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closed_reals(4))
+def test_an_angle_elaborates_to_its_canonical_tree(r):
+    """An angle elaborates to a node that prints as its canonical tree, and
+    raises RealError exactly when building that tree does."""
+    elaborated = lambda: core_of_source(f"&0 |> u3{{{core.to_str(r)}, 0, 0}}").fn.theta
+    assert _text_or_error(elaborated) == _text_or_error(lambda: _canonical(r))
 
 
 def alpha_normal(root):
