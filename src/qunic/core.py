@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 from .errors import CapacityError, RealError
 
@@ -240,6 +240,9 @@ class RIf(_Node):
 
 
 Real = Union[RConst, RPi, REuler, RUnary, RBinary, RName, RIf]
+# Each syntactic class also as the tuple of its node classes: ``isinstance``
+# checks a tuple about four times faster than the ``Union`` alias.
+REALS = get_args(Real)
 
 # How tightly each arithmetic operator binds: ``+ -`` group to the left, then
 # ``* / %`` to the left, then ``^`` to the right.  The parser reads by it too.
@@ -271,6 +274,7 @@ class BCmp(_Node):
 
 
 BoolExpr = Union[BNot, BAnd, BOr, BCmp]
+BOOLS = get_args(BoolExpr)
 
 # --------------------------------------------------------------------------
 # Types
@@ -322,6 +326,7 @@ class TIf(_Node):
 
 CoreType = Union[TyVoid, TyUnit, TySum, TyProd]
 Type = Union[CoreType, TVar, TName, TIf]
+TYPES = get_args(Type)
 
 
 # --------------------------------------------------------------------------
@@ -400,6 +405,7 @@ class EIf(_Node):
 
 CoreExpr = Union[ExUnit, ExVar, ExPair, ExCtrl, ExMatch, ExTry, ExApp]
 Expr = Union[CoreExpr, ELet, EName, EIf]
+EXPRS = get_args(Expr)
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
@@ -464,6 +470,7 @@ class PIf(_Node):
 
 CoreProg = Union[PrU3, PrLeft, PrRight, PrAbs, PrRphase, PrPmatch]
 Prog = Union[CoreProg, PGphase, PName, PIf]
+PROGS = get_args(Prog)
 
 GenArg = Union[Type, Expr, Prog, Real]
 

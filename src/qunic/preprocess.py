@@ -1,6 +1,10 @@
 """Elaboration of the syntax tree into its core subset, which has no sugar node.
 
-This stage resolves everything that is "compile time" in Qunity:
+Elaboration is one structural recursion, :meth:`Elaborator.elab`, with one
+case per node class: a type, an expression or a program elaborates to its
+core node, a real to its value and a condition to a bool.  The ``if`` of
+every sort is one case, and so is a name of every sort.  It resolves all that
+is "compile time" in Qunity:
 
 * named definitions (``&x``, ``@f``, ``#r``, ``T{...}``) are instantiated at
   their concrete generic arguments and inlined, memoized per ``(name, args)``
@@ -51,17 +55,19 @@ import math
 from collections import ChainMap
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Mapping, Union, get_args
+from typing import Mapping, Union
 
 from .core import (
+    EXPRS,
+    PROGS,
+    REALS,
+    TYPES,
     BAnd,
     BCmp,
     BNot,
-    BoolExpr,
     BOr,
     CoreArm,
     CoreExpr,
-    CoreProg,
     CoreType,
     Def,
     EIf,
@@ -84,7 +90,6 @@ from .core import (
     PName,
     PrAbs,
     PrLeft,
-    Prog,
     ProgDef,
     ProgParam,
     PrPmatch,
@@ -105,7 +110,6 @@ from .core import (
     TIf,
     TName,
     TVar,
-    Type,
     TypeAliasDef,
     TypeParam,
     TyProd,
@@ -129,12 +133,19 @@ UNROLL_BUDGET = 10_000
 _DEF_SORTS = {TypeAliasDef: "t", VariantDef: "t", ExprDef: "e", ProgDef: "f", RealDef: "r"}
 _OWNERS = {"t": "type ", "e": "&", "f": "@", "r": "#", "c": "constructor "}
 # Parameter class -> (sort, sigil, what an argument must be, the node classes
-# of its syntactic class; a tuple is checked about four times faster than a Union).
+# of its syntactic class).
 _PARAMS = {
-    TypeParam: ("t", "'", "a type", get_args(Type)),
-    ExprParam: ("e", "&", "an expression", get_args(Expr)),
-    ProgParam: ("f", "@", "a program", get_args(Prog)),
-    RealParam: ("r", "#", "a real", get_args(Real)),
+    TypeParam: ("t", "'", "a type", TYPES),
+    ExprParam: ("e", "&", "an expression", EXPRS),
+    ProgParam: ("f", "@", "a program", PROGS),
+    RealParam: ("r", "#", "a real", REALS),
+}
+# Name class -> (its sort, what an unknown name of that class is called).
+_NAMES = {
+    RName: ("r", "real definition #"),
+    EName: ("e", "expression definition &"),
+    PName: ("f", "program definition @"),
+    TName: ("t", "type "),
 }
 
 
@@ -305,12 +316,12 @@ class Elaborator:
         inner = _Env(bound, fresh=sort in "ef")
         if variant:
             payloads = tuple(
-                TyUnit() if alt.payload is None else self.elab_type(alt.payload, inner)
+                TyUnit() if alt.payload is None else self.elab(alt.payload, inner)
                 for alt in d.alts
             )
             result = self._variant(d, payloads)
         else:
-            result = _ELAB[sort](self, d.body, inner)
+            result = self.elab(d.body, inner)
         del self._in_progress[memo_key]
         self._memo[memo_key] = result
         return result
@@ -355,72 +366,114 @@ class Elaborator:
             sort, sigil, kind, nodes = _PARAMS[type(p)]
             if not isinstance(a, nodes):
                 raise PreprocessError(f"{owner}: argument for {sigil}{p.name} must be {kind}")
-            bound[sort, p.name] = _ELAB[sort](self, a, env)
+            bound[sort, p.name] = self.elab(a, env)
         # _register rejects repeated parameters, so there is one value per argument
         return bound, tuple(bound.values())
 
-    # -- types ----------------------------------------------------------------
+    # -- the one recursion ---------------------------------------------------------
 
-    def elab_type(self, t: Type, env: _Env) -> CoreType:
-        if isinstance(t, TyVoid):
-            return TyVoid()
-        if isinstance(t, TyUnit):
-            return TyUnit()
-        if isinstance(t, TVar):
-            got = env.generics.get(("t", t.name))
-            if got is None:
-                raise PreprocessError(f"unbound type variable '{t.name}")
-            return got  # type: ignore[return-value]
-        if isinstance(t, TyProd):
-            return TyProd(self.elab_type(t.left, env), self.elab_type(t.right, env))
-        if isinstance(t, TIf):
-            return self.elab_type(t.then if self._bool(t.cond, env) else t.els, env)
-        if isinstance(t, TName):
-            got = self._named("t", t.name, t.args, env)
-            if got is None:
-                raise PreprocessError(f"unknown type {t.name}")
-            return got[0] if isinstance(got, tuple) else got
-        raise PreprocessError(f"not a type: {t!r}")
+    def elab(self, x, env: _Env):
+        """The core node of a type, expression or program ``x``, the
+        :data:`RealValue` of a real, or the bool of a condition.
 
-    # -- reals and booleans ------------------------------------------------------
-
-    def elab_real(self, r: Real, env: _Env) -> RealValue:
-        """The value of ``r``, at one :func:`~qunic.reals.step` per node.
-
-        A rational or an exact nonzero multiple of pi is its plain ``(a, b)``
-        pair for ``a + b*pi``; any other value is an :class:`_Inexact` that
-        keeps the tree of ``r``, built over its children's nodes.
+        One case per node class, most frequent first.  A core leaf is returned
+        as it is; an inexact real keeps the tree of ``x`` over its children's
+        nodes.  Callers call this directly, so each level of the term costs
+        one frame.
         """
-        if isinstance(r, RBinary):
-            x, y = self.elab_real(r.left, env), self.elab_real(r.right, env)
-            v = step(r.op, _plain(x), _plain(y))
+        # Every call sets up a slot for each local, and this recursion is as
+        # deep as the term, so the cases share ``left``, ``right`` and ``v``.
+        t = type(x)
+        if t is RConst:
+            return x.value, 0
+        if t is RBinary:
+            left, right = self.elab(x.left, env), self.elab(x.right, env)
+            v = step(x.op, _plain(left), _plain(right))
             if type(v) is tuple and (v[1] == 0 or v[0] == 0):
                 return v
-            return _Inexact(RBinary(r.op, self._real_node(x), self._real_node(y)), v)
-        if isinstance(r, RConst):
-            return r.value, 0
-        if isinstance(r, RName):
-            got = self._named("r", r.name, r.args, env)
-            if got is None:
-                raise PreprocessError(f"unknown real definition #{r.name}")
-            return got
-        if isinstance(r, RUnary):
-            x = self.elab_real(r.arg, env)
-            v = step(r.op, _plain(x))
-            if type(v) is tuple and (v[1] == 0 or v[0] == 0):
-                return v
-            return _Inexact(RUnary(r.op, self._real_node(x)), v)
-        if isinstance(r, RPi):
+            return _Inexact(RBinary(x.op, self._real_node(left), self._real_node(right)), v)
+        if t is RName or t is EName or t is PName or t is TName:
+            left, right = _NAMES[t]  # the sort, and what an unknown name is called
+            v = self._named(left, x.name, x.args, env)
+            if v is not None:
+                return v[0] if t is TName and type(v) is tuple else v  # a variant: its sum type
+            if left in "ef" and x.name in self.ctors:
+                v = self.ctors[x.name]
+                if (self.defs["c", x.name].alts[v].payload is None) == (left == "f"):
+                    raise PreprocessError(
+                        f"&{x.name} is a nullary constructor, not a program"
+                        if left == "f"
+                        else f"@{x.name} carries a payload and must be applied"
+                    )
+                return self._named("c", x.name, x.args, env)[1][v]
+            raise PreprocessError(f"unknown {right}{x.name}")
+        if t is ExVar:
+            v = env.qrename.get(x.name)
+            if env.binds is not None and (v is None or x.name == "_"):
+                v = self._fresh(x.name) if env.fresh or x.name == "_" else x.name
+                env.binds[x.name] = v
+            elif v is None:
+                raise PreprocessError(f"unbound variable {x.name}")
+            return ExVar(v)
+        if t is ExPair:
+            return ExPair(self.elab(x.left, env), self.elab(x.right, env))
+        if t is BCmp:
+            return compare(x.op, _plain(self.elab(x.left, env)), _plain(self.elab(x.right, env)))
+        if t is ExApp:
+            return ExApp(self.elab(x.fn, env), self.elab(x.arg, env))
+        if t is EIf or t is PIf or t is RIf or t is TIf:
+            return self.elab(x.then if self.elab(x.cond, env) else x.els, env)
+        if t is PrPmatch:
+            return PrPmatch(self._elab_arms(x.arms, _Env(env.generics, {}, env.fresh)))
+        if t is PrAbs:
+            left, right = self._pattern(x.pattern, _Env(env.generics, {}, env.fresh))
+            return PrAbs(left, self.elab(x.body, right))
+        if t is ELet:
+            v = self.elab(x.value, env)
+            left, right = self._pattern(x.pattern, _Env(env.generics, {}, env.fresh))
+            return ExApp(PrAbs(left, self.elab(x.body, right)), v)
+        if t is ExCtrl or t is ExMatch:
+            left, right = self.elab(x.scrutinee, env), self._elab_arms(x.arms, env)
+            v = None if x.else_body is None else self.elab(x.else_body, env)
+            return t(left, right, v)
+        if t is TVar:
+            v = env.generics.get(("t", x.name))
+            if v is None:
+                raise PreprocessError(f"unbound type variable '{x.name}")
+            return v
+        if t is RPi:
             return 0, 1
-        if isinstance(r, REuler):
-            return _Inexact(r, math.e)
-        if isinstance(r, RIf):
-            return self.elab_real(r.then if self._bool(r.cond, env) else r.els, env)
-        raise PreprocessError(f"not a real expression: {r!r}")
-
-    def _angle(self, r: Real, env: _Env) -> Real:
-        """The node of the angle ``r`` in the core."""
-        return self._real_node(self.elab_real(r, env))
+        if t is PrRphase:
+            left = self._pattern(x.pattern, env)[0]
+            right, v = self.elab(x.on_phase, env), self.elab(x.off_phase, env)
+            return PrRphase(left, self._real_node(right), self._real_node(v))
+        if t is TyProd:
+            return TyProd(self.elab(x.left, env), self.elab(x.right, env))
+        if t is PGphase:
+            v = self._real_node(self.elab(x.phase, env))
+            return PrRphase(ExVar(self._fresh("_")), v, v)
+        if t is ExUnit or t is TyUnit or t is TyVoid:
+            return x
+        if t is PrU3:
+            left, right, v = self.elab(x.theta, env), self.elab(x.phi, env), self.elab(x.lam, env)
+            return PrU3(self._real_node(left), self._real_node(right), self._real_node(v))
+        if t is RUnary:
+            left = self.elab(x.arg, env)
+            v = step(x.op, _plain(left))
+            if type(v) is tuple and (v[1] == 0 or v[0] == 0):
+                return v
+            return _Inexact(RUnary(x.op, self._real_node(left)), v)
+        if t is ExTry:
+            return ExTry(self.elab(x.attempt, env), self.elab(x.fallback, env))
+        if t is BNot:
+            return not self.elab(x.arg, env)
+        if t is BAnd:
+            return self.elab(x.left, env) and self.elab(x.right, env)
+        if t is BOr:
+            return self.elab(x.left, env) or self.elab(x.right, env)
+        if t is REuler:
+            return _Inexact(x, math.e)
+        raise PreprocessError(f"cannot elaborate {x!r}")
 
     def _real_node(self, v: RealValue) -> Real:
         """The node of the value ``v``: an inexact value's own tree, or the
@@ -437,60 +490,6 @@ class Elaborator:
             self._reals[v] = node
         return node
 
-    def _bool(self, b: BoolExpr, env: _Env) -> bool:
-        if isinstance(b, BNot):
-            return not self._bool(b.arg, env)
-        if isinstance(b, BAnd):
-            return self._bool(b.left, env) and self._bool(b.right, env)
-        if isinstance(b, BOr):
-            return self._bool(b.left, env) or self._bool(b.right, env)
-        if isinstance(b, BCmp):
-            x, y = self.elab_real(b.left, env), self.elab_real(b.right, env)
-            return compare(b.op, _plain(x), _plain(y))
-        raise PreprocessError(f"not a boolean expression: {b!r}")
-
-    # -- expressions ----------------------------------------------------------------
-
-    def elab_expr(self, e: Expr, env: _Env) -> CoreExpr:
-        if isinstance(e, ExUnit):
-            return ExUnit()
-        if isinstance(e, ExVar):
-            name = env.qrename.get(e.name)
-            if env.binds is not None and (name is None or e.name == "_"):
-                name = self._fresh(e.name) if env.fresh or e.name == "_" else e.name
-                env.binds[e.name] = name
-            elif name is None:
-                raise PreprocessError(f"unbound variable {e.name}")
-            return ExVar(name)
-        if isinstance(e, ExPair):
-            return ExPair(self.elab_expr(e.left, env), self.elab_expr(e.right, env))
-        if isinstance(e, (ExCtrl, ExMatch)):
-            scrutinee = self.elab_expr(e.scrutinee, env)
-            arms = tuple(self._elab_arm(a, env) for a in e.arms)
-            els = None if e.else_body is None else self.elab_expr(e.else_body, env)
-            return type(e)(scrutinee, arms, els)
-        if isinstance(e, ExTry):
-            return ExTry(self.elab_expr(e.attempt, env), self.elab_expr(e.fallback, env))
-        if isinstance(e, ExApp):
-            return ExApp(self.elab_prog(e.fn, env), self.elab_expr(e.arg, env))
-        if isinstance(e, ELet):
-            value = self.elab_expr(e.value, env)
-            pattern, inner = self._pattern(e.pattern, _Env(env.generics, {}, env.fresh))
-            return ExApp(PrAbs(pattern, self.elab_expr(e.body, inner)), value)
-        if isinstance(e, EIf):
-            return self.elab_expr(e.then if self._bool(e.cond, env) else e.els, env)
-        if isinstance(e, EName):
-            got = self._named("e", e.name, e.args, env)
-            if got is not None:
-                return got
-            if e.name in self.ctors:
-                i = self.ctors[e.name]
-                if self.defs["c", e.name].alts[i].payload is not None:
-                    raise PreprocessError(f"@{e.name} carries a payload and must be applied")
-                return self._named("c", e.name, e.args, env)[1][i]
-            raise PreprocessError(f"unknown expression definition &{e.name}")
-        raise PreprocessError(f"not an expression: {e!r}")
-
     def _pattern(self, p: Expr, env: _Env) -> tuple[CoreExpr, _Env]:
         """Elaborate ``p`` in binding mode; return it and the scope it opens.
 
@@ -498,53 +497,17 @@ class Elaborator:
         scope over the enclosing pattern's, which is still binding.
         """
         binds: dict[str, str] = {}
-        pattern = self.elab_expr(p, _Env(env.generics, binds, env.fresh, binds))
+        pattern = self.elab(p, _Env(env.generics, binds, env.fresh, binds))
         if env.binds is None:
             return pattern, _Env(env.generics, {**env.qrename, **binds}, env.fresh)
         return pattern, _Env(env.generics, ChainMap(binds, env.qrename), env.fresh, env.binds)
 
-    def _elab_arm(self, arm: CoreArm, env: _Env) -> CoreArm:
-        pattern, inner = self._pattern(arm.pattern, env)
-        return CoreArm(pattern, self.elab_expr(arm.body, inner))
-
-    # -- programs ----------------------------------------------------------------
-
-    def elab_prog(self, f: Prog, env: _Env) -> CoreProg:
-        if isinstance(f, PrU3):
-            return PrU3(self._angle(f.theta, env), self._angle(f.phi, env), self._angle(f.lam, env))
-        if isinstance(f, PrAbs):
-            pattern, inner = self._pattern(f.pattern, _Env(env.generics, {}, env.fresh))
-            return PrAbs(pattern, self.elab_expr(f.body, inner))
-        if isinstance(f, PGphase):
-            phase = self._angle(f.phase, env)
-            return PrRphase(ExVar(self._fresh("_")), phase, phase)
-        if isinstance(f, PrRphase):
-            pattern, _ = self._pattern(f.pattern, env)
-            return PrRphase(pattern, self._angle(f.on_phase, env), self._angle(f.off_phase, env))
-        if isinstance(f, PrPmatch):
-            closed = _Env(env.generics, {}, env.fresh)
-            return PrPmatch(tuple(self._elab_arm(a, closed) for a in f.arms))
-        if isinstance(f, PIf):
-            return self.elab_prog(f.then if self._bool(f.cond, env) else f.els, env)
-        if isinstance(f, PName):
-            got = self._named("f", f.name, f.args, env)
-            if got is not None:
-                return got
-            if f.name in self.ctors:
-                i = self.ctors[f.name]
-                if self.defs["c", f.name].alts[i].payload is None:
-                    raise PreprocessError(f"&{f.name} is a nullary constructor, not a program")
-                return self._named("c", f.name, f.args, env)[1][i]
-            raise PreprocessError(f"unknown program definition @{f.name}")
-        raise PreprocessError(f"not a program: {f!r}")
-
-
-_ELAB = {
-    "t": Elaborator.elab_type,
-    "e": Elaborator.elab_expr,
-    "f": Elaborator.elab_prog,
-    "r": Elaborator.elab_real,
-}
+    def _elab_arms(self, arms: tuple[CoreArm, ...], env: _Env) -> tuple[CoreArm, ...]:
+        out = []
+        for arm in arms:  # a loop, not a generator, so an arm costs no frame of its own
+            pattern, inner = self._pattern(arm.pattern, env)
+            out.append(CoreArm(pattern, self.elab(arm.body, inner)))
+        return tuple(out)
 
 
 def _frac_tree(q: Rational) -> Real:
@@ -559,7 +522,7 @@ def elaborate_file(qf: QFile, prelude: tuple[Def, ...] = ()) -> CoreExpr:
         raise PreprocessError("program has no main expression")
     el = Elaborator(tuple(prelude) + qf.defs)
     try:
-        return el.elab_expr(qf.main, _Env())
+        return el.elab(qf.main, _Env())
     except RecursionError:
         where = next(reversed(el._in_progress.values()), "the main expression")
         raise CapacityError(

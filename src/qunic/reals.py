@@ -31,9 +31,9 @@ resolves conditionals, so evaluation rejects them: seeing one after
 preprocessing is a bug in the caller, reported as a
 :class:`~qunic.errors.RealError`.
 
-Exact parts of a value are ints while they are integral; ``/`` and a
-negative ``^`` go through :class:`~fractions.Fraction` and drop back to an
-int when the denominator is 1.  The three views still return Fractions.
+Exact parts of a value are ints while they are integral: every exact rule
+drops a :class:`~fractions.Fraction` result whose denominator is 1 back to an
+int.  The three views still return Fractions.
 """
 
 from __future__ import annotations
@@ -107,20 +107,20 @@ def step(op: str, x: Value, y: Value | None = None) -> Value:
         if isinstance(x, tuple) and isinstance(y, tuple):
             (a, b), (c, d) = x, y
             if op == "+":
-                return a + c, b + d
+                return _exact(a + c), _exact(b + d)
             if op == "-":
-                return a - c, b - d
+                return _exact(a - c), _exact(b - d)
             if op == "*" and (b == 0 or d == 0):  # no pi^2 term
-                return a * c, a * d + b * c
+                return _exact(a * c), _exact(a * d + b * c)
             if op == "/" and d == 0:
                 return _exact(Fraction(a, c)), _exact(Fraction(b, c))
             if op == "/" and a == 0 and c == 0:  # a ratio of pi-multiples is rational
                 return _exact(Fraction(b, d)), 0
             if op == "%" and b == 0 and d == 0:
-                return a % c, 0
+                return _exact(a % c), 0
             if op == "^" and b == 0 and d == 0 and c.denominator == 1:
                 if c >= 0:
-                    return a**c.numerator, 0
+                    return _exact(a**c.numerator), 0  # (1/2)^0 is Fraction(1, 1)
                 if a == 0:
                     raise RealError("zero raised to a negative power")
                 return _exact(Fraction(a) ** c.numerator), 0

@@ -50,7 +50,13 @@ class TestGateAngles:
     def test_ceil_of_a_float_elaborates_to_a_constant(self):
         assert u3_theta("ceil(sqrt(2))") == RConst(2)
 
-    @pytest.mark.parametrize("theta", ["1 / (2 - 2)", "ln(0 - 1)", "sqrt(0 - 1)"])
+    def test_an_angle_chosen_by_a_condition(self):
+        assert u3_theta("if 1 < 2 && !(2 < 1) || 0 > 1 then pi else 0 endif") == RPi()
+
+    @pytest.mark.parametrize(
+        "theta",
+        ["1 / (2 - 2)", "ln(0 - 1)", "sqrt(0 - 1)", "if 2 > 1 && 1 / 0 > 0 then pi else 0 endif"],
+    )
     def test_undefined_angle_is_rejected(self, theta):
         with pytest.raises(RealError):
             core_of_source(f"&0 |> u3{{{theta}, 0, 0}}")
@@ -505,7 +511,9 @@ _SUGAR = (
     core.RIf,
 )
 
-# Every prelude family, and the prelude definitions no family reaches.
+# Every prelude family, the prelude definitions no family reaches, and the
+# forms the prelude does not use: conditions over !, && and || (whose right
+# operand, undefined here, must not be evaluated) and try.
 PRELUDE_MAINS = [
     main.format(n=n)
     for n in range(1, 5)
@@ -523,6 +531,10 @@ PRELUDE_MAINS = [
     "(&1, &1) |> @and",
     "&num_to_state{3, 7} |> @multi_and{3}",
     "(&0 |> @Just{Bit}, &Nothing{Bit})",
+    "&0 |> u3{if 1 < 2 && !(2 < 1) || 0 > 1 then pi else 0 endif, 0, 0}",
+    "if 1 > 2 && 1 / 0 > 0 then &1 else &0 endif",
+    "if 2 > 1 || 1 / 0 > 0 then &1 else &0 endif",
+    "&0 |> lambda x -> try @had(x) catch x",
 ]
 
 
@@ -530,6 +542,10 @@ PRELUDE_MAINS = [
 def test_elaborated_core_has_no_sugar_node(main):
     for x in reachable(core_of_source(main)):
         assert not isinstance(x, _SUGAR), f"{type(x).__name__} in the core of {main}"
+
+
+def test_try_elaborates_to_a_try():
+    assert isinstance(core_of_source("&0 |> lambda x -> try @had(x) catch x").fn.body, core.ExTry)
 
 
 class TestSharedPrelude:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from qunic.core import BCmp, RBinary, RConst, REuler, RIf, RName, RPi, RUnary, to_str
 from qunic.errors import RealError
 from qunic.parser import parse_real_string
-from qunic.reals import as_pi_multiple, as_rational, evaluate_bool, evaluate_real
+from qunic.reals import as_pi_multiple, as_rational, evaluate_bool, evaluate_real, step
 
 
 def ev(src: str):
@@ -257,6 +257,23 @@ def test_views_return_fractions_on_integral_values(src, view):
     q = view(parse_real_string(src))
     assert type(q) is Fraction
     assert q.denominator == 1
+
+
+@pytest.mark.parametrize(
+    "op, x, y, expected",
+    [
+        ("+", (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)), (1, 1)),
+        ("-", (Fraction(3, 2), Fraction(3, 2)), (Fraction(1, 2), Fraction(1, 2)), (1, 1)),
+        ("*", (Fraction(1, 2), 0), (4, 0), (2, 0)),
+        ("%", (Fraction(3, 2), 0), (Fraction(1, 2), 0), (0, 0)),
+        ("^", (Fraction(1, 2), 0), (0, 0), (1, 0)),
+    ],
+    ids=["add", "sub", "mul", "mod", "pow"],
+)
+def test_integral_exact_parts_come_back_as_ints(op, x, y, expected):
+    got = step(op, x, y)
+    assert got == expected
+    assert [type(part) for part in got] == [int, int]
 
 
 def test_constant_too_long_to_print_is_a_real_error():

@@ -1,7 +1,8 @@
 """The settings in ``pyproject.toml``: warnings are errors, a failing
 Hypothesis property still lets every later test report, and every declared
-console script exists."""
+console script exists; and every module of ``qunic`` uses what it imports."""
 
+import ast
 import importlib
 import pathlib
 import subprocess
@@ -46,3 +47,24 @@ def test_every_console_script_is_a_callable():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+SOURCES = sorted((PYPROJECT.parent / "src" / "qunic").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    # An import marked "# noqa: F401" is kept on purpose for other modules.
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in tree.body:
+        future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.partition(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+    assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
