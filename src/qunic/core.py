@@ -570,24 +570,44 @@ class QFile(_Node):
 
 
 def free_qvars(e: CoreExpr) -> frozenset[str]:
-    if isinstance(e, ExUnit):
-        return frozenset()
-    if isinstance(e, ExVar):
-        return frozenset((e.name,))
-    if isinstance(e, ExPair):
-        return free_qvars(e.left) | free_qvars(e.right)
-    if isinstance(e, (ExCtrl, ExMatch)):
-        out = free_qvars(e.scrutinee)
-        for arm in e.arms:
-            out |= free_qvars(arm.body) - free_qvars(arm.pattern)
-        if e.else_body is not None:
-            out |= free_qvars(e.else_body)
-        return out
-    if isinstance(e, ExTry):
-        return free_qvars(e.attempt) | free_qvars(e.fallback)
-    if isinstance(e, ExApp):
-        return free_qvars(e.arg)  # programs are closed
-    raise TypeError(f"not a core expression: {e!r}")
+    """The variables free in ``e``; programs are closed, so an application's
+    are its argument's.  The walk has no recursion and finishes each node
+    once, keeping its set by ``id`` for the call, as :func:`_shared` does."""
+    memo: dict[int, frozenset[str]] = {}
+    stack: list[CoreExpr] = [e]
+    while stack:
+        x = stack[-1]
+        t = type(x)
+        if t is ExCtrl or t is ExMatch:
+            parts = [x.scrutinee, *(c for arm in x.arms for c in (arm.pattern, arm.body))]
+            if x.else_body is not None:
+                parts.append(x.else_body)
+        elif t is ExPair:
+            parts = [x.left, x.right]
+        elif t is ExApp:
+            parts = [x.arg]
+        elif t is ExTry:
+            parts = [x.attempt, x.fallback]
+        elif t is ExVar or t is ExUnit:
+            parts = []
+        else:
+            raise TypeError(f"not a core expression: {x!r}")
+        waiting = [c for c in parts if id(c) not in memo]
+        if waiting:
+            stack += waiting
+            continue
+        stack.pop()
+        if t is ExVar:
+            free = frozenset((x.name,))
+        elif t is ExCtrl or t is ExMatch:
+            arms = [memo[id(arm.body)] - memo[id(arm.pattern)] for arm in x.arms]
+            free = memo[id(x.scrutinee)].union(*arms)
+            if x.else_body is not None:
+                free |= memo[id(x.else_body)]
+        else:
+            free = frozenset().union(*[memo[id(c)] for c in parts])
+        memo[id(x)] = free
+    return memo[id(e)]
 
 
 # --------------------------------------------------------------------------

@@ -5,20 +5,35 @@ files; the nodes of the core language are built directly, the sugar nodes
 beside them.
 
 The grammar is predictive, with no exception: one token of lookahead picks
-every alternative, and each token is read once.  Where that token does not
-tell the class of what follows, one routine reads the whole construct and
-returns whichever class it found, and the caller continues from that node:
+every alternative, and each token is read once.  Types, expressions,
+programs and reals share one atom reader, ``_Parser._atom(what, classes)``.
+``classes`` is the string of the classes an atom may have at its position:
+``"r"``, ``"t"``, ``"f"`` for a real, a type, a program, ``"ef"`` for an
+expression (a program there is applied to the argument after it), and
+``"tefr"`` for a generic argument.  One table, ``_STARTS``, maps each first
+token to the class of the atom it starts; where that is not one of
+``classes``, ``_atom`` fails at once, at that token, with the message
+``what`` of the reader that called it.  Each reader calls ``_atom`` and
+continues by class: ``parse_real`` with arithmetic, ``parse_type`` with
+``*``, ``parse_expr`` with ``|>``, ``parse_prog`` with nothing, and
+``parse_generic_arg`` with whichever of these the atom's class takes
+(``_REST``).  ``_atom`` reads the two first tokens that do not tell the class
+whole, each with the same ``classes``:
 
-* ``_group`` reads ``(`` ... ``)`` around any generic argument, unit, or a
-  pair.  At expression position a program in it is applied to the argument
-  after it (``(lambda x -> x)(e)``), and a real or a type is an error; the
-  argument of an application must be an expression.  In a generic argument a
-  real or a type continues as one (``&f{(#a - 1) / 2}``), an expression
-  continues through ``|>``, and a program followed by ``(`` is applied.
-* an ``if`` in a generic argument reads both branches as generic arguments,
-  which must be of one class; an ``if`` program is not applied.
-* a ``(`` in a condition reads a condition or a real; a real is then
-  continued and compared (``((1) + 2) < 3``).
+* ``_group`` reads ``(`` ... ``)``.  At a real, type or program position it
+  holds an atom of that class and what continues it.  Where an expression
+  may stand it holds unit, a pair, or a generic argument of any class, which
+  must then be of ``classes``; a program in it is applied to the argument
+  after it (``(lambda x -> x)(e)``), and the argument of an application
+  must be an expression.  In a generic argument a real or a type continues
+  as one (``&f{(#a - 1) / 2}``).
+* ``_if`` reads each branch as an atom of ``classes`` and what continues it;
+  in a generic argument they must be of one class.  An ``if`` program is not
+  applied to a ``(`` after it.
+
+A ``(`` in a condition reads a condition or a real; a real is then continued
+and compared (``((1) + 2) < 3``).  A level of ``(`` or ``if`` nesting costs
+two frames, ``_atom`` and ``_group`` or ``_if``.
 
 The printer, :func:`qunic.core.to_str`, writes an applied program as the
 program followed by its argument in parentheses, so an unparenthesized
@@ -28,16 +43,16 @@ parentheses, so an applied one reads back through ``_group``, and every
 product in parentheses, which the left-associative ``*`` reads back unchanged.
 
 Operator shapes not fully pinned down by the grammar are resolved as follows:
-``*`` on types is left-associative (a product ``A * B * C`` means
-``(A * B) * C``), arithmetic ``+ - * / %`` are left-associative with ``^``
-right-associative and tighter (the table ``core.BIN_PREC``, which the printer
-reads too), ``!`` binds tighter than ``&&`` which binds tighter than ``||``,
-and a minus sign is only part of a numeric literal (there is no general
-unary minus).  ``x |> f`` applies ``f`` to ``x`` and chains
-left-associatively; a ``lambda`` on the right of ``|>`` takes everything to
-its right as its body, which reassociates pipelines but never changes their
-meaning.  Nesting too deep for the interpreter's stack is a
-:class:`~qunic.errors.CapacityError`.
+``*`` on types is left-associative (``A * B * C`` means ``(A * B) * C``),
+arithmetic ``+ - * / %`` are left-associative with ``^`` right-associative
+and tighter (the table ``core.BIN_PREC``, which the printer reads too;
+``parse_real`` groups them on an explicit stack, with no frame per operator),
+``!`` binds tighter than ``&&`` which binds tighter than ``||``, and a minus
+sign is only part of a numeric literal (there is no general unary minus).
+``x |> f`` applies ``f`` to ``x`` and chains left-associatively; a ``lambda``
+on the right of ``|>`` takes everything to its right as its body, which
+reassociates pipelines but never changes their meaning.  Nesting too deep
+for the interpreter's stack is a :class:`~qunic.errors.CapacityError`.
 """
 
 from __future__ import annotations
@@ -113,8 +128,29 @@ from .lexer import Token, TokKind, tokenize
 _T = TypeVar("_T")
 
 _CMP_OPS = ("=", "!=", "<=", "<", ">=", ">")
-_PROG_START_KWS = ("u3", "lambda", "gphase", "rphase", "pmatch")
-_REAL_START_KWS = ("pi", "euler") + UNARY_OPS
+
+# The classes an atom may have at each position, by the letters of the
+# elaborator's sorts (see the module docstring).
+_REAL, _TYPE, _PROG, _EXPR, _ARG = "r", "t", "f", "ef", "tefr"
+_EXPECTED_ARG = "expected a type, expression, program, or real argument"
+
+# The class of the atom that each first token starts; keywords and
+# punctuation are keyed by their text, the other tokens by their kind.  "("
+# and "if" may start an atom of any class, and "" is in every ``classes``.
+_STARTS: dict[TokKind | str, str] = {
+    TokKind.QVAR: "e", TokKind.ENAME: "e", "ctrl": "e", "match": "e", "try": "e", "let": "e",
+    TokKind.FNAME: "f", "u3": "f", "lambda": "f", "gphase": "f", "rphase": "f", "pmatch": "f",
+    TokKind.TNAME: "t", TokKind.TYVAR: "t", "Void": "t", "Unit": "t",
+    TokKind.RNAME: "r", TokKind.NUMBER: "r", "-": "r", "pi": "r", "euler": "r",
+    **dict.fromkeys(UNARY_OPS, "r"),
+    "(": "", "if": "",
+}
+_NAMES = {TokKind.TNAME: TName, TokKind.ENAME: EName, TokKind.FNAME: PName, TokKind.RNAME: RName}
+_CLASS = {
+    **dict.fromkeys(TYPES, "t"), **dict.fromkeys(EXPRS, "e"),
+    **dict.fromkeys(PROGS, "f"), **dict.fromkeys(REALS, "r"),
+}
+_IF = {"t": TIf, "e": EIf, "f": PIf, "r": RIf}
 
 
 def _integer(t: Token) -> int:
@@ -169,64 +205,145 @@ class _Parser:
             raise self._fail(f"expected {what}")
         return self.take()
 
-    def _if(self, branch: Callable[[], _T], node: Callable[[BoolExpr, _T, _T], _T]) -> _T:
-        """``if cond then a else b endif``, with both branches read by ``branch``."""
-        self.expect_kw("if")
+    # -- atoms -----------------------------------------------------------------
+
+    def _atom(self, what: str, classes: str) -> GenArg:
+        """An atom of one of ``classes``, told by its first token.
+
+        A first token that starts no atom of ``classes`` fails at once with
+        ``what``.  Where an expression may stand, a program is applied to a
+        ``(`` after it, and at expression position it must be; an ``if``
+        program is never applied.
+        """
+        t = self.cur
+        k = t.text if t.kind is TokKind.KW or t.kind is TokKind.PUNCT else t.kind
+        if _STARTS.get(k, "?") not in classes:
+            raise self._fail(what)
+        if k is TokKind.QVAR:
+            self.take()
+            return ExVar(t.text)
+        node = _NAMES.get(k)
+        if node is not None:
+            self.take()
+            x = node(t.text, self.maybe_generic_args())
+        elif k is TokKind.NUMBER:
+            self.take()
+            return RConst(_integer(t))
+        elif k == "(":
+            x = self._group(what, classes)
+        elif k == "if":
+            return self._if(what, classes)
+        elif k is TokKind.TYVAR:
+            self.take()
+            return TVar(t.text)
+        else:
+            self.take()
+            if k == "lambda":
+                pattern = self.parse_expr()
+                self.expect_punct("->")
+                x = PrAbs(pattern, self.parse_expr())
+            elif k == "ctrl" or k == "match":
+                node = ExCtrl if k == "ctrl" else ExMatch
+                return node(self.parse_expr(), *self._parse_arms(allow_else=True))
+            elif k == "u3":
+                x = PrU3(*self._fields(self.parse_real, self.parse_real, self.parse_real))
+            elif k == "-":
+                return RConst(-_integer(self.expect_kind(TokKind.NUMBER, "a number after '-'")))
+            elif k == "Unit" or k == "Void":
+                return TyUnit() if k == "Unit" else TyVoid()
+            elif k == "pi" or k == "euler":
+                return RPi() if k == "pi" else REuler()
+            elif k == "try":
+                attempt = self.parse_expr()
+                self.expect_kw("catch")
+                return ExTry(attempt, self.parse_expr())
+            elif k == "let":
+                pattern = self.parse_expr()
+                self.expect_punct("=")
+                value = self.parse_expr()
+                self.expect_kw("in")
+                return ELet(pattern, value, self.parse_expr())
+            elif k == "gphase":
+                x = PGphase(*self._fields(self.parse_real))
+            elif k == "rphase":
+                x = PrRphase(*self._fields(self.parse_expr, self.parse_real, self.parse_real))
+            elif k == "pmatch":
+                x = PrPmatch(self._parse_arms(allow_else=False)[0])
+            else:  # a unary function
+                self.expect_punct("(")
+                arg = self.parse_real()
+                self.expect_punct(")")
+                return RUnary(k, arg)
+        if "e" in classes and _CLASS[type(x)] == "f":  # a program where an expression may stand
+            if self.at_punct("("):
+                return ExApp(x, self._group("expected an expression", "e"))
+            if classes == _EXPR:
+                raise self._fail("expected '('")
+        return x
+
+    def _group(self, what: str, classes: str) -> GenArg:
+        """``(`` ... ``)`` around an atom of ``classes`` and what continues it.
+
+        Where an expression may stand, the parentheses hold unit, a pair, or
+        an argument of any class, which must then be of ``classes``.
+        """
+        opening = self.take()
+        if "e" not in classes:
+            x = self._atom(what, classes)
+        elif self.at_punct(")"):
+            self.take()
+            return ExUnit()
+        else:
+            x = self._atom(_EXPECTED_ARG, _ARG)
+        x = _REST[type(x)](self, x)
+        if self.at_punct(",") and _CLASS[type(x)] == "e":
+            self.take()
+            x = ExPair(x, self.parse_expr())
+        self.expect_punct(")")
+        if _CLASS[type(x)] not in classes:
+            raise ParseError(f"{what} in parentheses", opening.line, opening.column)
+        return x
+
+    def _if(self, what: str, classes: str) -> GenArg:
+        """``if cond then a else b endif``, each branch an atom of ``classes``
+        and what continues it; the branches must be of one class."""
+        self.take()
         cond = self.parse_bool()
         self.expect_kw("then")
-        then = branch()
+        then = self._atom(what, classes)
+        then = _REST[type(then)](self, then)
         self.expect_kw("else")
-        built = node(cond, then, branch())
+        els = self._atom(what, classes)
+        els = _REST[type(els)](self, els)
+        cls = _CLASS[type(then)]
+        if _CLASS[type(els)] != cls:
+            t = self.cur
+            raise ParseError("the branches of an 'if' argument differ in class", t.line, t.column)
         self.expect_kw("endif")
-        return built
+        return _IF[cls](cond, then, els)
 
     # -- reals and booleans -------------------------------------------------
 
-    def parse_real(self, left: Real | None = None, min_prec: int = 1) -> Real:
-        """A real whose operators bind at least ``min_prec`` tight (see ``BIN_PREC``).
+    def parse_real(self, left: Real | None = None) -> Real:
+        """A real; ``left``, when given, is its first operand, already read.
 
-        ``left``, when given, is its first operand, already read.
+        The binary operators (``BIN_PREC``) are grouped on an explicit stack,
+        so a chain of them costs no frame.
         """
         if left is None:
-            left = self._real_atom()
-        while self.cur.kind is TokKind.PUNCT and BIN_PREC.get(self.cur.text, 0) >= min_prec:
+            left = self._atom("expected a real expression", _REAL)
+        operands, ops = [left], []
+        while self.cur.kind is TokKind.PUNCT and self.cur.text in BIN_PREC:
             op = self.take().text
-            prec = BIN_PREC[op]  # '^' is right-associative, the others left
-            left = RBinary(op, left, self.parse_real(None, prec if op == "^" else prec + 1))
-        return left
-
-    def _real_atom(self) -> Real:
-        t = self.cur
-        if t.kind is TokKind.NUMBER:
-            self.take()
-            return RConst(_integer(t))
-        if self.at_punct("-"):
-            self.take()
-            num = self.expect_kind(TokKind.NUMBER, "a number after '-'")
-            return RConst(-_integer(num))
-        if self.at_kw("pi"):
-            self.take()
-            return RPi()
-        if self.at_kw("euler"):
-            self.take()
-            return REuler()
-        if t.kind is TokKind.KW and t.text in UNARY_OPS:
-            self.take()
-            self.expect_punct("(")
-            arg = self.parse_real()
-            self.expect_punct(")")
-            return RUnary(t.text, arg)
-        if t.kind is TokKind.RNAME:
-            self.take()
-            return RName(t.text, self.maybe_generic_args())
-        if self.at_punct("("):
-            self.take()
-            r = self.parse_real()
-            self.expect_punct(")")
-            return r
-        if self.at_kw("if"):
-            return self._if(self.parse_real, RIf)
-        raise self._fail("expected a real expression")
+            while ops and BIN_PREC[ops[-1]] >= BIN_PREC[op] + (op == "^"):  # '^' groups right
+                right = operands.pop()
+                operands[-1] = RBinary(ops.pop(), operands[-1], right)
+            ops.append(op)
+            operands.append(self._atom("expected a real expression", _REAL))
+        while ops:
+            right = operands.pop()
+            operands[-1] = RBinary(ops.pop(), operands[-1], right)
+        return operands[0]
 
     def parse_bool(self, left: BoolExpr | None = None) -> BoolExpr:
         """A condition; ``left``, when given, is its first operand, already read."""
@@ -270,115 +387,29 @@ class _Parser:
             return BCmp(op, left, self.parse_real())
         return left
 
-    # -- types ---------------------------------------------------------------
+    # -- types, expressions and programs -------------------------------------
 
     def parse_type(self, left: Type | None = None) -> Type:
         """A type; ``left``, when given, is its first operand, already read."""
         if left is None:
-            left = self._type_atom()
+            left = self._atom("expected a type", _TYPE)
         while self.at_punct("*"):
             self.take()
-            left = TyProd(left, self._type_atom())
+            left = TyProd(left, self._atom("expected a type", _TYPE))
         return left
 
-    def _type_atom(self) -> Type:
-        t = self.cur
-        if self.at_kw("Void"):
-            self.take()
-            return TyVoid()
-        if self.at_kw("Unit"):
-            self.take()
-            return TyUnit()
-        if t.kind is TokKind.TYVAR:
-            self.take()
-            return TVar(t.text)
-        if t.kind is TokKind.TNAME:
-            self.take()
-            return TName(t.text, self.maybe_generic_args())
-        if self.at_punct("("):
-            self.take()
-            inner = self.parse_type()
-            self.expect_punct(")")
-            return inner
-        if self.at_kw("if"):
-            return self._if(self.parse_type, TIf)
-        raise self._fail("expected a type")
-
-    # -- expressions -----------------------------------------------------------
-
     def parse_expr(self) -> Expr:
-        return self._pipeline(self._expr_app())
+        return self._pipeline(self._atom("expected an expression", _EXPR))
 
     def _pipeline(self, e: Expr) -> Expr:
         """Apply the programs of a trailing ``|> f |> g`` chain to ``e``."""
         while self.at_punct("|>"):
             self.take()
-            e = ExApp(self.parse_prog(), e)
+            e = ExApp(self._atom("expected a program", _PROG), e)
         return e
 
-    def _expr_app(self) -> Expr:
-        t = self.cur
-        if self.at_punct("("):
-            x = self._group()
-            if isinstance(x, PROGS):  # a parenthesized program being applied: (lambda x -> ...)(e)
-                return ExApp(x, self._app_argument())
-            return self._expression(x, t)
-        if t.kind is TokKind.QVAR:
-            self.take()
-            return ExVar(t.text)
-        if t.kind is TokKind.ENAME:
-            self.take()
-            return EName(t.text, self.maybe_generic_args())
-        if self.at_kw("ctrl") or self.at_kw("match"):
-            node = ExCtrl if self.take().text == "ctrl" else ExMatch
-            scrutinee = self.parse_expr()
-            return node(scrutinee, *self._parse_arms(allow_else=True))
-        if self.at_kw("try"):
-            self.take()
-            attempt = self.parse_expr()
-            self.expect_kw("catch")
-            return ExTry(attempt, self.parse_expr())
-        if self.at_kw("let"):
-            self.take()
-            pattern = self.parse_expr()
-            self.expect_punct("=")
-            value = self.parse_expr()
-            self.expect_kw("in")
-            return ELet(pattern, value, self.parse_expr())
-        if self.at_kw("if"):
-            return self._if(self.parse_expr, EIf)
-        if t.kind is TokKind.FNAME or (t.kind is TokKind.KW and t.text in _PROG_START_KWS):
-            f = self.parse_prog()
-            return ExApp(f, self._app_argument())
-        raise self._fail("expected an expression")
-
-    def _app_argument(self) -> Expr:
-        """The argument of an application.
-
-        The parentheses of ``f(a, b)`` double as the pair's, so this accepts
-        unit, a single expression, or a comma pair inside one set of parens.
-        """
-        t = self.cur
-        return self._expression(self._group(), t)
-
-    def _expression(self, x: GenArg, opening: Token) -> Expr:
-        """``x``, read by ``_group`` from the ``opening`` parenthesis, if it is an expression."""
-        if not isinstance(x, EXPRS):
-            raise ParseError("expected an expression in parentheses", opening.line, opening.column)
-        return x
-
-    def _group(self) -> GenArg:
-        """``(`` ... ``)`` around a generic argument of any class, or unit, or a pair."""
-        self.expect_punct("(")
-        if self.at_punct(")"):
-            self.take()
-            return ExUnit()
-        x = self.parse_generic_arg()
-        if self.at_punct(",") and isinstance(x, EXPRS):
-            self.take()
-            x = ExPair(x, self.parse_expr())
-        self.expect_punct(")")
-        return x
+    def parse_prog(self) -> Prog:
+        return self._atom("expected a program", _PROG)
 
     def _parse_arms(self, allow_else: bool) -> tuple[tuple[CoreArm, ...], Expr | None]:
         self.expect_punct("[")
@@ -405,57 +436,6 @@ class _Parser:
         self.expect_punct("]")
         return tuple(arms), else_body
 
-    # -- programs -----------------------------------------------------------
-
-    def parse_prog(self) -> Prog:
-        t = self.cur
-        if self.at_kw("u3"):
-            self.take()
-            self.expect_punct("{")
-            theta = self.parse_real()
-            self.expect_punct(",")
-            phi = self.parse_real()
-            self.expect_punct(",")
-            lam = self.parse_real()
-            self.expect_punct("}")
-            return PrU3(theta, phi, lam)
-        if self.at_kw("lambda"):
-            self.take()
-            pattern = self.parse_expr()
-            self.expect_punct("->")
-            return PrAbs(pattern, self.parse_expr())
-        if self.at_kw("gphase"):
-            self.take()
-            self.expect_punct("{")
-            phase = self.parse_real()
-            self.expect_punct("}")
-            return PGphase(phase)
-        if self.at_kw("rphase"):
-            self.take()
-            self.expect_punct("{")
-            pattern = self.parse_expr()
-            self.expect_punct(",")
-            on_phase = self.parse_real()
-            self.expect_punct(",")
-            off_phase = self.parse_real()
-            self.expect_punct("}")
-            return PrRphase(pattern, on_phase, off_phase)
-        if self.at_kw("pmatch"):
-            self.take()
-            arms, _ = self._parse_arms(allow_else=False)
-            return PrPmatch(arms)
-        if t.kind is TokKind.FNAME:
-            self.take()
-            return PName(t.text, self.maybe_generic_args())
-        if self.at_kw("if"):
-            return self._if(self.parse_prog, PIf)
-        if self.at_punct("("):
-            self.take()
-            inner = self.parse_prog()
-            self.expect_punct(")")
-            return inner
-        raise self._fail("expected a program")
-
     # -- generic arguments ------------------------------------------------------
 
     def maybe_generic_args(self) -> tuple[GenArg, ...]:
@@ -473,72 +453,42 @@ class _Parser:
         self.expect_punct("}")
         return tuple(items)
 
+    def _fields(self, *items: Callable[[], GenArg]) -> list[GenArg]:
+        """``{a, b, ...}``, with one item read by each of ``items`` in turn."""
+        self.expect_punct("{")
+        values = [items[0]()]
+        for item in items[1:]:
+            self.expect_punct(",")
+            values.append(item())
+        self.expect_punct("}")
+        return values
+
     def parse_generic_arg(self) -> GenArg:
-        """A type, expression, program or real, whose class its first token tells.
-
-        A ``(`` or an ``if`` does not tell it: the group or the conditional
-        is read whole, and what follows continues the class it turned out to be.
-        """
-        t = self.cur
-        if t.kind in (TokKind.TYVAR, TokKind.TNAME) or self.at_kw("Void") or self.at_kw("Unit"):
-            x: GenArg = self._type_atom()
-        elif t.kind in (TokKind.QVAR, TokKind.ENAME) or (
-            t.kind is TokKind.KW and t.text in ("ctrl", "match", "try", "let")
-        ):
-            x = self._expr_app()
-        elif (
-            t.kind in (TokKind.NUMBER, TokKind.RNAME)
-            or self.at_punct("-")
-            or (t.kind is TokKind.KW and t.text in _REAL_START_KWS)
-        ):
-            x = self._real_atom()
-        elif t.kind is TokKind.FNAME or (t.kind is TokKind.KW and t.text in _PROG_START_KWS):
-            x = self.parse_prog()
-        elif self.at_punct("("):
-            x = self._group()
-        elif self.at_kw("if"):
-            x = self._if(self.parse_generic_arg, self._if_argument)
-            if isinstance(x, PROGS):
-                return x  # not applied to a '(' after it
-        else:
-            raise self._fail("expected a type, expression, program, or real argument")
-        if isinstance(x, REALS):
-            return self.parse_real(x)
-        if isinstance(x, TYPES):
-            return self.parse_type(x)
-        if isinstance(x, PROGS) and self.at_punct("("):
-            x = ExApp(x, self._app_argument())
-        return self._pipeline(x) if isinstance(x, EXPRS) else x
-
-    def _if_argument(self, cond: BoolExpr, then: GenArg, els: GenArg) -> GenArg:
-        """The ``if`` over two generic arguments, which must be of one class."""
-        for cls, node in ((EXPRS, EIf), (PROGS, PIf), (REALS, RIf), (TYPES, TIf)):
-            if isinstance(then, cls) and isinstance(els, cls):
-                return node(cond, then, els)  # type: ignore[arg-type]
-        t = self.cur
-        raise ParseError("the branches of an 'if' argument differ in class", t.line, t.column)
+        """A type, expression, program or real: an atom and what continues it."""
+        x = self._atom(_EXPECTED_ARG, _ARG)
+        return _REST[type(x)](self, x)
 
     # -- definitions and files -----------------------------------------------------
 
+    def _signature(self, kind: TokKind) -> tuple[Type, ...]:
+        """What follows the name of a parameter or definition of ``kind``:
+        ``: T`` after ``&``, ``: A -> B`` after ``@``, and nothing after ``#``
+        or a type variable."""
+        if kind is not TokKind.ENAME and kind is not TokKind.FNAME:
+            return ()
+        self.expect_punct(":")
+        ty = self.parse_type()
+        if kind is TokKind.ENAME:
+            return (ty,)
+        self.expect_punct("->")
+        return ty, self.parse_type()
+
     def _parse_param(self) -> Param:
         t = self.cur
-        if t.kind is TokKind.TYVAR:
-            self.take()
-            return TypeParam(t.text)
-        if t.kind is TokKind.ENAME:
-            self.take()
-            self.expect_punct(":")
-            return ExprParam(t.text, self.parse_type())
-        if t.kind is TokKind.FNAME:
-            self.take()
-            self.expect_punct(":")
-            dom = self.parse_type()
-            self.expect_punct("->")
-            return ProgParam(t.text, dom, self.parse_type())
-        if t.kind is TokKind.RNAME:
-            self.take()
-            return RealParam(t.text)
-        raise self._fail("expected a parameter")
+        if t.kind not in _PARAMS:
+            raise self._fail("expected a parameter")
+        self.take()
+        return _PARAMS[t.kind](t.text, *self._signature(t.kind))
 
     def parse_def(self) -> Def:
         if self.at_kw("type"):
@@ -555,34 +505,16 @@ class _Parser:
             return TypeAliasDef(name, params, body)
         self.expect_kw("def")
         t = self.cur
-        if t.kind is TokKind.ENAME:
-            self.take()
-            params = self._braced(self._parse_param)
-            self.expect_punct(":")
-            ty = self.parse_type()
-            self.expect_punct(":=")
-            body = self.parse_expr()
-            self.expect_kw("end")
-            return ExprDef(t.text, params, ty, body)
-        if t.kind is TokKind.FNAME:
-            self.take()
-            params = self._braced(self._parse_param)
-            self.expect_punct(":")
-            dom = self.parse_type()
-            self.expect_punct("->")
-            cod = self.parse_type()
-            self.expect_punct(":=")
-            body = self.parse_prog()
-            self.expect_kw("end")
-            return ProgDef(t.text, params, dom, cod, body)
-        if t.kind is TokKind.RNAME:
-            self.take()
-            params = self._braced(self._parse_param)
-            self.expect_punct(":=")
-            body = self.parse_real()
-            self.expect_kw("end")
-            return RealDef(t.text, params, body)
-        raise self._fail("expected '&', '@', or '#' after 'def'")
+        if t.kind not in _DEFS:
+            raise self._fail("expected '&', '@', or '#' after 'def'")
+        node, read = _DEFS[t.kind]
+        self.take()
+        params = self._braced(self._parse_param)
+        signature = self._signature(t.kind)
+        self.expect_punct(":=")
+        body = read(self)
+        self.expect_kw("end")
+        return node(t.text, params, *signature, body)
 
     def _parse_variant_alts(self) -> tuple[VariantAlt, ...]:
         if self.at_punct("|"):
@@ -616,6 +548,24 @@ class _Parser:
     def expect_eof(self) -> None:
         if self.cur.kind is not TokKind.EOF:
             raise self._fail("unexpected trailing input")
+
+
+# What continues an atom, by its class: the operators after a real or a
+# type, a ``|>`` chain after an expression, and nothing after a program.
+# Readers look it up in place, so that a level of nesting costs no frame more.
+_REST: dict[type, Callable[[_Parser, GenArg], GenArg]] = {
+    **dict.fromkeys(REALS, _Parser.parse_real), **dict.fromkeys(TYPES, _Parser.parse_type),
+    **dict.fromkeys(EXPRS, _Parser._pipeline), **dict.fromkeys(PROGS, lambda p, x: x),
+}
+_PARAMS = {
+    TokKind.TYVAR: TypeParam, TokKind.ENAME: ExprParam,
+    TokKind.FNAME: ProgParam, TokKind.RNAME: RealParam,
+}
+_DEFS = {
+    TokKind.ENAME: (ExprDef, _Parser.parse_expr),
+    TokKind.FNAME: (ProgDef, _Parser.parse_prog),
+    TokKind.RNAME: (RealDef, _Parser.parse_real),
+}
 
 
 def _parse(source: str, parse: Callable[[_Parser], _T]) -> _T:

@@ -33,7 +33,10 @@ preprocessing is a bug in the caller, reported as a
 
 Exact parts of a value are ints while they are integral: every exact rule
 drops a :class:`~fractions.Fraction` result whose denominator is 1 back to an
-int.  The three views still return Fractions.
+int.  The three views still return Fractions.  An exact part may have at most
+``EXACT_BITS`` bits: a ``^`` that would go over raises
+:class:`~qunic.errors.CapacityError` before it is computed, and a ``*``,
+``/`` or ``^`` that went over raises it after.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Union
 from .core import (
     BAnd, BCmp, BNot, BoolExpr, BOr, Real, RBinary, RConst, REuler, RIf, RName, RPi, RUnary,
 )
-from .errors import RealError
+from .errors import CapacityError, RealError
 
 Number = Union[Fraction, float]
 
@@ -54,6 +57,11 @@ Number = Union[Fraction, float]
 # Exact parts are ints while they are integral, and Fractions otherwise.
 Rational = Union[int, Fraction]
 Value = Union[tuple[Rational, Rational], float]
+
+# The most bits an exact part may have (the larger of a fraction's numerator
+# and denominator): well above the longest literal the parser takes (4,300
+# digits, 14,284 bits) and a printable constant like 7 ^ 6000 (16,844 bits).
+EXACT_BITS = 1 << 16
 
 _FLOAT_OPS = {
     "sin": math.sin,
@@ -111,19 +119,23 @@ def step(op: str, x: Value, y: Value | None = None) -> Value:
             if op == "-":
                 return _exact(a - c), _exact(b - d)
             if op == "*" and (b == 0 or d == 0):  # no pi^2 term
-                return _exact(a * c), _exact(a * d + b * c)
+                return _capped(a * c), _capped(a * d + b * c)
             if op == "/" and d == 0:
-                return _exact(Fraction(a, c)), _exact(Fraction(b, c))
+                return _capped(Fraction(a, c)), _capped(Fraction(b, c))
             if op == "/" and a == 0 and c == 0:  # a ratio of pi-multiples is rational
-                return _exact(Fraction(b, d)), 0
+                return _capped(Fraction(b, d)), 0
             if op == "%" and b == 0 and d == 0:
                 return _exact(a % c), 0
             if op == "^" and b == 0 and d == 0 and c.denominator == 1:
-                if c >= 0:
-                    return _exact(a**c.numerator), 0  # (1/2)^0 is Fraction(1, 1)
+                n = c.numerator
+                bits = (max(a.numerator.bit_length(), a.denominator.bit_length()) - 1) * abs(n)
+                if bits > EXACT_BITS:  # a^n has at least this many: refuse it before computing it
+                    raise _too_large(bits)
+                if n >= 0:
+                    return _capped(a**n), 0  # (1/2)^0 is Fraction(1, 1)
                 if a == 0:
                     raise RealError("zero raised to a negative power")
-                return _exact(Fraction(a) ** c.numerator), 0
+                return _capped(Fraction(a) ** n), 0
         args = (x, y)
     fn = _FLOAT_OPS.get(op)
     if fn is None:
@@ -164,6 +176,23 @@ def _value(r: Real) -> Value:
 def _exact(q: Fraction) -> Rational:
     """``q`` as an int when it is integral, so exact arithmetic stays on ints."""
     return q.numerator if q.denominator == 1 else q
+
+
+def _capped(q: Rational) -> Rational:
+    """``_exact(q)``, if it has at most ``EXACT_BITS`` bits (the more of its
+    numerator's and denominator's); a CapacityError otherwise."""
+    if type(q) is int:
+        bits = q.bit_length()
+    else:
+        n, d = q.numerator, q.denominator
+        q, bits = (n, n.bit_length()) if d == 1 else (q, max(n.bit_length(), d.bit_length()))
+    if bits > EXACT_BITS:
+        raise _too_large(bits)
+    return q
+
+
+def _too_large(bits: int) -> CapacityError:
+    return CapacityError(f"an exact real of at least {bits} bits is over the limit of {EXACT_BITS}")
 
 
 def _to_float(v: Value) -> float:

@@ -75,6 +75,22 @@ class TestSharedCores:
         assert a == b
         assert hash(b) == h
 
+    def test_free_variables_of_a_shared_core_cost_the_dag(self):
+        # Each level holds its subterm twice, so the tree has 2^22 leaves.
+        c = core_of_source(
+            "def &e{#n} : Bit := if #n = 0 then &0 "
+            "else match (&e{#n - 1}, &e{#n - 1}) [(x, y) -> x] endif end\n&e{22}"
+        )
+        start = time.perf_counter()
+        assert core.free_qvars(c) == frozenset()
+        assert time.perf_counter() - start < 1.0
+
+    def test_free_variables_of_a_deep_chain_need_no_recursion(self):
+        e = ExVar("y")
+        for _ in range(5000):
+            e = ExPair(ExVar("x"), e)
+        assert core.free_qvars(e) == {"x", "y"}
+
     @pytest.mark.parametrize(
         "source",
         [

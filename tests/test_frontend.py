@@ -1,5 +1,7 @@
 """Lexer, parser, and pretty-printer behavior on surface syntax."""
 
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -362,6 +364,38 @@ class TestParser:
         with pytest.raises(CapacityError, match=r"^1:\d+: input nested too deeply"):
             parse(source)
 
+    @pytest.mark.parametrize(
+        "parse, source, message",
+        [
+            (parse_type_string, "rphase{x, 0, 0}", "1:1: expected a type, got 'rphase'"),
+            (parse_type_string, "Bit * sin(1)", "1:7: expected a type, got 'sin'"),
+            (parse_type_string, "(x)", "1:2: expected a type, got 'x'"),
+            (parse_type_string, "if 1 < 2 then Bit else 1 endif", "1:24: expected a type, got '1'"),
+            (parse_real_string, "T{Bit}", "1:1: expected a real expression, got 'T'"),
+            (parse_real_string, "1 + @f", "1:5: expected a real expression, got 'f'"),
+            (parse_prog_string, "ctrl x [&0 -> x]", "1:1: expected a program, got 'ctrl'"),
+            (parse_prog_string, "#n", "1:1: expected a program, got 'n'"),
+            (parse_expr_string, "Unit", "1:1: expected an expression, got 'Unit'"),
+            (parse_expr_string, "#n{Bit}", "1:1: expected an expression, got 'n'"),
+            (parse_expr_string, "x |> &y", "1:6: expected a program, got 'y'"),
+            (parse_expr_string, "(1 + 2)", "1:1: expected an expression in parentheses"),
+            (
+                parse_expr_string,
+                "&f{]}",
+                "1:4: expected a type, expression, program, or real argument, got ']'",
+            ),
+            (
+                parse_expr_string,
+                "&f{if 1 < 2 then Bit else 1 endif}",
+                "1:29: the branches of an 'if' argument differ in class",
+            ),
+        ],
+    )
+    def test_an_atom_of_the_wrong_class_is_rejected_where_it_starts(self, parse, source, message):
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert str(exc.value) == message
+
     def test_unexpected_token_reports_position(self):
         with pytest.raises(ParseError) as exc:
             parse_expr_string("ctrl x [&0 -> ]")
@@ -392,6 +426,50 @@ class TestParser:
     def test_prog_if(self):
         f = parse_prog_string("if #n = 0 then @id{Unit} else @f endif")
         assert isinstance(f, PIf)
+
+
+def _nested(head, middle, tail):
+    return lambda n: head * n + middle + tail * n
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+# Each shape parses at this depth when the parser has the default recursion
+# limit of 1000 frames to itself, as it has when a script calls it; the floors
+# sit a little below what it reaches, so that a change that costs one more
+# frame per level of any shape fails here.
+@pytest.mark.parametrize(
+    "parse, build, depth",
+    [
+        (parse_real_string, _nested("sin(", "1", ")"), 480),
+        (parse_real_string, _nested("(", "1", ")"), 480),
+        (parse_expr_string, _nested("(", "x", ")"), 480),
+        (parse_type_string, _nested("(", "Bit", ")"), 480),
+        (parse_expr_string, lambda n: "&0 |> u3{" + "(" * n + "1" + ")" * n + ", 0, 0}", 480),
+        (parse_expr_string, _nested("@f(", "x", ")"), 320),
+        (parse_type_string, _nested("if 1 < 2 then ", "Bit", " else Unit endif"), 320),
+        (parse_type_string, _nested("T{", "Bit", "}"), 240),
+        (parse_prog_string, _nested("lambda x -> (", "lambda x -> x", ")(x)"), 190),
+        (parse_real_string, _nested("2 ^ ", "2", ""), 980),
+    ],
+    ids=[
+        "sin", "real_parens", "expr_parens", "type_parens", "u3_parens", "application",
+        "type_if", "type_args", "applied_lambda", "power_tower",
+    ],
+)
+def test_each_nesting_shape_parses_at_its_floor(parse, build, depth):
+    text = build(depth)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000 + _stack_depth())  # not counting pytest's own frames
+    try:
+        assert parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestPrettyPrinter:

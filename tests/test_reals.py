@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qunic.core import BCmp, RBinary, RConst, REuler, RIf, RName, RPi, RUnary, to_str
-from qunic.errors import RealError
+from qunic.errors import CapacityError, RealError
 from qunic.parser import parse_real_string
+from qunic.preprocess import core_of_source
 from qunic.reals import as_pi_multiple, as_rational, evaluate_bool, evaluate_real, step
 
 
@@ -280,3 +281,17 @@ def test_constant_too_long_to_print_is_a_real_error():
     # Longer than the interpreter's limit on integer-string conversion.
     with pytest.raises(RealError, match="5071 digits"):
         to_str(RConst(7**6000))
+
+
+_SQUARE = "def #sq{#n, #x} := if #n = 0 then #x else #sq{#n - 1, #x * #x} endif end\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["&0 |> u3{3 ^ 2 ^ 24 % 2, 0, 0}", _SQUARE + "&0 |> u3{#sq{24, 3} % 2, 0, 0}"],
+    ids=["power", "repeated_square"],
+)
+def test_an_exact_value_too_large_is_a_capacity_error(source):
+    # 3^(2^24) has about 26.6 million bits; the bound stops it long before.
+    with pytest.raises(CapacityError, match=r"exact real of at least \d+ bits"):
+        core_of_source(source)
