@@ -44,9 +44,14 @@ over :class:`_Node`: its hash is computed on first use and kept, and ``==``
 is true on identity, else false on two kept hashes that differ, else decided
 by walking pairs of nodes, each ``(id(a), id(b))`` pair once.  Both cost work
 in proportion to the DAG, not the tree, and neither recurses.  ``repr``
-prints the dataclass form down to a fixed depth and ``...`` below it.  Nodes
-are not interned: equal terms built apart stay distinct objects and compare
-equal by that walk.
+prints the dataclass form down to a fixed depth and ``...`` below it.  The
+elaborator interns every node it builds, once per compile
+(:meth:`qunic.preprocess.Elaborator._make`), so the core of one compile has
+one object per distinct node and ``==`` within it is true on identity.  The
+parser does not intern, and separate compiles share nothing: equal terms
+built apart stay distinct objects and compare equal by the walk.
+:func:`node_counts` counts a core's distinct nodes and the nodes of the tree
+it stands for.
 """
 
 from __future__ import annotations
@@ -75,7 +80,9 @@ class _Node:
       otherwise it walks pairs of nodes with an explicit stack, visiting each
       ``(id(a), id(b))`` pair once.
 
-    Nodes are not interned: equal nodes built apart stay distinct objects.
+    This class does not intern: equal nodes built apart are distinct objects,
+    equal by the walk.  The elaborator interns what it builds, so within one
+    compile equal nodes are one object.
     """
 
     __slots__ = ("_hash",)
@@ -608,6 +615,36 @@ def free_qvars(e: CoreExpr) -> frozenset[str]:
             free = frozenset().union(*[memo[id(c)] for c in parts])
         memo[id(x)] = free
     return memo[id(e)]
+
+
+def node_counts(root: _Node) -> tuple[int, int]:
+    """The number of distinct nodes of ``root`` by identity, and the number of
+    nodes of the tree it stands for.
+
+    The tree count is a sum memoized by ``id`` over the DAG, in a walk with no
+    recursion that finishes each node once, so it costs the DAG, not the tree.
+    """
+    tree: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        x = stack[-1]
+        if id(x) in tree:
+            stack.pop()
+            continue
+        parts = []
+        for name in x.__slots__:
+            v = getattr(x, name)
+            if type(v) is tuple:  # a field holding a tuple of arms
+                parts += [c for c in v if isinstance(c, _Node)]
+            elif isinstance(v, _Node):
+                parts.append(v)
+        waiting = [c for c in parts if id(c) not in tree]
+        if waiting:
+            stack += waiting
+            continue
+        stack.pop()
+        tree[id(x)] = 1 + sum([tree[id(c)] for c in parts])
+    return len(tree), tree[id(root)]
 
 
 # --------------------------------------------------------------------------

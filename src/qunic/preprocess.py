@@ -23,16 +23,23 @@ is "compile time" in Qunity:
 * ``if .. then .. else .. endif`` conditionals are decided by comparing the
   values of their (closed, by the time substitution has happened) reals;
 * ``let p = v in b`` becomes ``(lambda p -> b)(v)``;
-* ``gphase{r}`` becomes ``rphase{x, r, r}`` on a fresh variable pattern;
+* ``gphase{r}`` becomes ``rphase{_%0, r, r}``;
 * variant constructors become chains of sum injections (a single-alternative
   variant's constructor is the identity), built once per instantiation of
   their variant and shared by every use;
 * a pattern is elaborated in *binding mode*: each variable it has not bound
   yet is bound by it, in the same pass that builds the core pattern, so an
-  ``if`` in a pattern is decided once.  Every binder inside an inlined
-  definition body gets a fresh name, so expression arguments with free
-  variables can never be captured, and each ``_`` gets a fresh name per
-  occurrence so it behaves as a throwaway;
+  ``if`` in a pattern is decided once.  A binder inside an inlined
+  definition body, and each ``_``, is named ``x%k`` from its source name
+  ``x`` and the number ``k`` of binders numbered before it in its closed
+  program, the innermost ``lambda``, ``pmatch`` or ``let``, so alpha-equal
+  programs get equal names and a ``_`` is a throwaway of its own.  Such a
+  binder is numbered past every variable in scope, so it never captures a
+  free variable of an expression argument.  A memoized expression reused in
+  another program keeps the names it got in the first one.  That captures
+  nothing either: its free variables are those of its arguments, which are
+  the same objects, and its binders were numbered past them; at most it
+  shadows a variable of the new program that it never mentions;
 * outside a pattern, a variable that no enclosing binder binds is an error
   ("unbound variable"), so a definition body never picks up a variable of
   the code that uses it;
@@ -41,7 +48,14 @@ is "compile time" in Qunity:
   from a scope with no variables, so a variable of the code around them is
   unbound inside them; a ``let`` passes what its body needs through its
   value and pattern.  An ``rphase`` needs no such scope: it has no body, and
-  a pattern sees no variable it has not bound itself.
+  a pattern sees no variable it has not bound itself;
+* every node is built by :meth:`Elaborator._make`, which keeps one node per
+  class and fields for the compile, under the class, the ids of the
+  children (which are canonical already) and the scalar fields.  So a
+  compile's core has exactly one object per distinct node, equal subterms
+  are one object, and elaboration never hashes or compares two nodes.
+  Separate compiles share nothing, and compare by the structural ``==`` of
+  :class:`~qunic.core._Node`.
 
 ``ctrl``/``match`` ``else`` arms survive into the core untouched: expanding
 them needs the scrutinee's type, which is the typechecker's business.
@@ -50,12 +64,10 @@ them needs the scrutinee's type, which is the typechecker's business.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import ChainMap
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .core import (
     EXPRS,
@@ -117,6 +129,7 @@ from .core import (
     TyUnit,
     TyVoid,
     VariantDef,
+    free_qvars,
 )
 from .errors import CapacityError, PreprocessError
 from .parser import parse_file
@@ -168,36 +181,44 @@ def load_prelude_defs() -> tuple[Def, ...]:
     return qf.defs
 
 
-@dataclass(frozen=True)
-class _Env:
-    """Scope for one elaboration region.
+class _Env(NamedTuple):
+    """Scope for one elaboration region.  Elaboration builds one for every
+    pattern and program, and a named tuple costs less than half as much to
+    build as a frozen dataclass.
 
     ``generics`` maps ``(sort, name)`` of generic parameters to their
     already-elaborated values; it is replaced wholesale when entering a
     definition body.  ``qrename`` maps each variable in scope to its core
-    name; ``fresh`` is set inside definition bodies so that every binder gets
-    a new name.
+    variable; ``fresh`` is set inside definition bodies so that every binder
+    gets a name numbered in its program.
 
     ``binds`` is set while a pattern is elaborated (binding mode) and collects
     the names that pattern binds.  In binding mode ``qrename`` holds only what
     the pattern, and binders nested inside it, have bound so far: a variable
     not in it is bound by the pattern, and every ``_`` is bound afresh.
     Outside binding mode a variable not in ``qrename`` is unbound, an error.
+
+    ``closed`` is set inside a program, which is closed.  The expression
+    arguments of the definition whose body holds the program were elaborated
+    outside it, so one with a variable of its caller in it must not be used
+    there: the program's binders are numbered from 0 again, and one of them
+    could capture that variable.
     """
 
-    generics: dict[tuple[str, str], object] = field(default_factory=dict)
-    qrename: Mapping[str, str] = field(default_factory=dict)
+    generics: dict[tuple[str, str], object]
+    qrename: Mapping[str, ExVar]
     fresh: bool = False
-    binds: dict[str, str] | None = None
+    binds: dict[str, ExVar] | None = None
+    closed: bool = False
 
 
 class _Inexact:
     """An elaborated real with no canonical tree: a float, or an exact
     ``a + b*pi`` with ``a`` and ``b`` both nonzero.
 
-    It keeps its tree, whose exact subtrees are canonical, with its value, and
-    compares and hashes by the tree alone, so two such reals are one memo key
-    exactly when their trees are equal.
+    It keeps its tree, whose exact subtrees are canonical, with its value.
+    The tree is the one node of its kind in the compile, so a memo key holds
+    its id, and two such reals are one key exactly when their trees are equal.
     """
 
     __slots__ = ("node", "value")
@@ -206,14 +227,12 @@ class _Inexact:
         self.node = node
         self.value = value
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is _Inexact and self.node == other.node
-
-    def __hash__(self) -> int:
-        return hash(self.node)
-
 
 RealValue = Union[tuple[Rational, Rational], _Inexact]
+
+# The node classes of the core whose first field is not a node: a variable's
+# name, a constant, or an operator.
+_NAMED = frozenset({ExVar, RConst, RBinary, RUnary})
 
 
 def _plain(v: RealValue) -> Value:
@@ -226,17 +245,33 @@ class Elaborator:
         self.defs: dict[tuple[str, str], Def] = {}  # (sort, name) -> definition
         self.ctors: dict[str, int] = {}  # constructor -> its alternative's index
         self._memo: dict[object, object] = {}
-        # The node of each exact real value that the core holds, so that equal
-        # angles of one compile are one object.
-        self._reals: dict[tuple[Rational, Rational], Real] = {}
+        # The one node of each distinct node this compile builds, under its
+        # class, its children's ids and its other fields (see _make).
+        self._nodes: dict[tuple, object] = {}
         # Instantiations under way, innermost last, mapped to their names.  An
         # entry stays when its instantiation raises, so after an error the
         # table reads as the chain of instantiations that led to it.
         self._in_progress: dict[object, str] = {}
-        self._used = 0
-        self._counter = itertools.count()
+        self.instantiations = 0
+        self._binders = 0  # binders numbered so far in the innermost program
         for d in defs:
             self._register(d)
+
+    def elaborate(self, main: Expr | None) -> CoreExpr:
+        """The core of a file's main expression ``main``, against this
+        elaborator's definitions; a term nested too deeply for the
+        interpreter's stack raises :class:`~qunic.errors.CapacityError`."""
+        if main is None:
+            raise PreprocessError("program has no main expression")
+        try:
+            return self.elab(main, _Env({}, {}))
+        except RecursionError:
+            where = next(reversed(self._in_progress.values()), "the main expression")
+            raise CapacityError(
+                f"elaboration nested too deeply (innermost at {where}, after "
+                f"{self.instantiations} instantiations): the program is too large, "
+                "or a recursive definition is missing its base case"
+            ) from None
 
     # -- definition table ----------------------------------------------------
 
@@ -268,11 +303,29 @@ class Elaborator:
                 self.defs["c", alt.name] = d
 
     def _fresh(self, base: str) -> str:
-        return f"{base}%{next(self._counter)}"
+        n = self._binders
+        self._binders = n + 1
+        return f"{base}%{n}"
+
+    def _make(self, cls: type, a=None, b=None, c=None):
+        """The one node of class ``cls`` with the fields ``a``, ``b``, ``c``
+        (as many as it has) in this compile, built on the first request.
+
+        The first field of a class in ``_NAMED`` is a string or an int, and the
+        key holds it as it is.  Every other field is a node of this compile,
+        the canonical tuple of a node's arms, or None, so the key holds its id
+        and never hashes a node.  The fields are named, not ``*fields``, as
+        that halves the cost of a call.
+        """
+        key = (cls, a if cls in _NAMED else id(a), id(b), id(c))
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = cls(*(a, b, c)[: len(cls.__slots__)])
+        return node
 
     def _tick(self, what: str) -> None:
-        self._used += 1
-        if self._used > UNROLL_BUDGET:
+        self.instantiations += 1
+        if self.instantiations > UNROLL_BUDGET:
             raise CapacityError(
                 f"definition unrolling exceeded {UNROLL_BUDGET} instantiations "
                 f"(last at {what}); is a recursive definition missing its base case?"
@@ -285,9 +338,11 @@ class Elaborator:
         there is neither a generic parameter nor a definition of that name.
 
         A definition is instantiated once per elaborated argument tuple, in a
-        scope of its own, and memoized under ``(sort, name, args)``; a
-        variant, reached from a type name or a constructor, under ``("v",
-        variant, args)`` as its sum type and its constructors' core values.
+        scope of its own, and memoized under ``(sort, name, key)``, where
+        ``key`` holds the id of each argument that is a node and the value of
+        each real; a variant, reached from a type name or a constructor, under
+        ``("v", variant, key)`` as its sum type and its constructors' core
+        values.
         The body is elaborated from this frame, with no helper between, because
         every frame per instantiation level lowers the largest program that
         compiles.
@@ -296,6 +351,13 @@ class Elaborator:
         if got is not None:
             if args:
                 raise PreprocessError(f"parameter {_OWNERS[sort]}{name} takes no arguments")
+            if sort == "e" and env.closed:
+                free = free_qvars(got)
+                if free:
+                    raise PreprocessError(
+                        f"&{name} is used inside a program but has the free "
+                        f"variable(s) {', '.join(sorted(free))} of its caller"
+                    )
             return got
         d = self.defs.get((sort, name))
         if d is None:
@@ -313,10 +375,10 @@ class Elaborator:
             raise PreprocessError(f"{what} recursively instantiates itself at the same arguments")
         self._in_progress[memo_key] = what
         self._tick(what)
-        inner = _Env(bound, fresh=sort in "ef")
+        inner = _Env(bound, {}, sort in "ef")
         if variant:
             payloads = tuple(
-                TyUnit() if alt.payload is None else self.elab(alt.payload, inner)
+                self._make(TyUnit) if alt.payload is None else self.elab(alt.payload, inner)
                 for alt in d.alts
             )
             result = self._variant(d, payloads)
@@ -335,23 +397,25 @@ class Elaborator:
         injection, or its injections under one ``lambda`` (the identity when
         there is one alternative).
         """
+        make = self._make
         tails = [payloads[-1]]  # tails[i]: the sum of the alternatives from i on
         for p in reversed(payloads[:-1]):
-            tails.insert(0, TySum(p, tails[0]))
-        rights = [PrRight(p, tail) for p, tail in zip(payloads, tails[1:])]
-        unit, values = ExUnit(), []
+            tails.insert(0, make(TySum, p, tails[0]))
+        rights = [make(PrRight, p, tail) for p, tail in zip(payloads, tails[1:])]
+        unit, values = make(ExUnit), []
         for i, alt in enumerate(d.alts):
             chain = rights[:i]
             if i < len(rights):
-                chain.append(PrLeft(payloads[i], tails[i + 1]))
+                chain.append(make(PrLeft, payloads[i], tails[i + 1]))
             if alt.payload is not None and len(chain) == 1:
                 values.append(chain[0])
                 continue
-            x = unit if alt.payload is None else ExVar(self._fresh("x"))
+            # the one binder of a closed program, so numbered 0
+            x = unit if alt.payload is None else make(ExVar, "x%0")
             e = x
             for f in reversed(chain):
-                e = ExApp(f, e)
-            values.append(e if x is unit else PrAbs(x, e))
+                e = make(ExApp, f, e)
+            values.append(e if x is unit else make(PrAbs, x, e))
         return tails[0], tuple(values)
 
     def _elab_args(
@@ -362,13 +426,14 @@ class Elaborator:
                 f"{owner} expects {len(params)} generic argument(s), got {len(args)}"
             )
         bound: dict[tuple[str, str], object] = {}
+        key = []  # a node is canonical, so the key holds its id
         for p, a in zip(params, args):
             sort, sigil, kind, nodes = _PARAMS[type(p)]
             if not isinstance(a, nodes):
                 raise PreprocessError(f"{owner}: argument for {sigil}{p.name} must be {kind}")
-            bound[sort, p.name] = self.elab(a, env)
-        # _register rejects repeated parameters, so there is one value per argument
-        return bound, tuple(bound.values())
+            v = bound[sort, p.name] = self.elab(a, env)
+            key.append(v if type(v) is tuple else id(v.node if type(v) is _Inexact else v))
+        return bound, tuple(key)
 
     # -- the one recursion ---------------------------------------------------------
 
@@ -376,13 +441,14 @@ class Elaborator:
         """The core node of a type, expression or program ``x``, the
         :data:`RealValue` of a real, or the bool of a condition.
 
-        One case per node class, most frequent first.  A core leaf is returned
-        as it is; an inexact real keeps the tree of ``x`` over its children's
-        nodes.  Callers call this directly, so each level of the term costs
-        one frame.
+        One case per node class, most frequent first.  Every node is built
+        by :meth:`_make`, so each is the compile's one node of its kind; an
+        inexact real keeps the tree of ``x`` over its children's nodes.
+        Callers call this directly, so each level of the term costs one frame.
         """
         # Every call sets up a slot for each local, and this recursion is as
-        # deep as the term, so the cases share ``left``, ``right`` and ``v``.
+        # deep as the term, so the cases share ``left``, ``right``, ``v`` and
+        # ``n``.
         t = type(x)
         if t is RConst:
             return x.value, 0
@@ -391,7 +457,8 @@ class Elaborator:
             v = step(x.op, _plain(left), _plain(right))
             if type(v) is tuple and (v[1] == 0 or v[0] == 0):
                 return v
-            return _Inexact(RBinary(x.op, self._real_node(left), self._real_node(right)), v)
+            left, right = self._real_node(left), self._real_node(right)
+            return _Inexact(self._make(RBinary, x.op, left, right), v)
         if t is RName or t is EName or t is PName or t is TName:
             left, right = _NAMES[t]  # the sort, and what an unknown name is called
             v = self._named(left, x.name, x.args, env)
@@ -411,31 +478,45 @@ class Elaborator:
             v = env.qrename.get(x.name)
             if env.binds is not None and (v is None or x.name == "_"):
                 v = self._fresh(x.name) if env.fresh or x.name == "_" else x.name
-                env.binds[x.name] = v
+                v = env.binds[x.name] = self._make(ExVar, v)
             elif v is None:
                 raise PreprocessError(f"unbound variable {x.name}")
-            return ExVar(v)
+            return v
         if t is ExPair:
-            return ExPair(self.elab(x.left, env), self.elab(x.right, env))
+            return self._make(ExPair, self.elab(x.left, env), self.elab(x.right, env))
         if t is BCmp:
             return compare(x.op, _plain(self.elab(x.left, env)), _plain(self.elab(x.right, env)))
         if t is ExApp:
-            return ExApp(self.elab(x.fn, env), self.elab(x.arg, env))
+            return self._make(ExApp, self.elab(x.fn, env), self.elab(x.arg, env))
         if t is EIf or t is PIf or t is RIf or t is TIf:
             return self.elab(x.then if self.elab(x.cond, env) else x.els, env)
+        # A program numbers its binders from 0, and the program around it
+        # goes on from where it was after.
         if t is PrPmatch:
-            return PrPmatch(self._elab_arms(x.arms, _Env(env.generics, {}, env.fresh)))
+            n, self._binders = self._binders, 0
+            env = _Env(env.generics, {}, env.fresh, None, True)
+            v = self._make(PrPmatch, self._elab_arms(x.arms, env))
+            self._binders = n
+            return v
         if t is PrAbs:
-            left, right = self._pattern(x.pattern, _Env(env.generics, {}, env.fresh))
-            return PrAbs(left, self.elab(x.body, right))
+            n, self._binders = self._binders, 0
+            env = _Env(env.generics, {}, env.fresh, None, True)
+            left, right = self._pattern(x.pattern, env)
+            v = self._make(PrAbs, left, self.elab(x.body, right))
+            self._binders = n
+            return v
         if t is ELet:
             v = self.elab(x.value, env)
-            left, right = self._pattern(x.pattern, _Env(env.generics, {}, env.fresh))
-            return ExApp(PrAbs(left, self.elab(x.body, right)), v)
+            n, self._binders = self._binders, 0
+            env = _Env(env.generics, {}, env.fresh, None, True)
+            left, right = self._pattern(x.pattern, env)
+            left = self._make(PrAbs, left, self.elab(x.body, right))
+            self._binders = n
+            return self._make(ExApp, left, v)
         if t is ExCtrl or t is ExMatch:
             left, right = self.elab(x.scrutinee, env), self._elab_arms(x.arms, env)
             v = None if x.else_body is None else self.elab(x.else_body, env)
-            return t(left, right, v)
+            return self._make(t, left, right, v)
         if t is TVar:
             v = env.generics.get(("t", x.name))
             if v is None:
@@ -446,25 +527,28 @@ class Elaborator:
         if t is PrRphase:
             left = self._pattern(x.pattern, env)[0]
             right, v = self.elab(x.on_phase, env), self.elab(x.off_phase, env)
-            return PrRphase(left, self._real_node(right), self._real_node(v))
+            return self._make(PrRphase, left, self._real_node(right), self._real_node(v))
         if t is TyProd:
-            return TyProd(self.elab(x.left, env), self.elab(x.right, env))
+            return self._make(TyProd, self.elab(x.left, env), self.elab(x.right, env))
         if t is PGphase:
             v = self._real_node(self.elab(x.phase, env))
-            return PrRphase(ExVar(self._fresh("_")), v, v)
+            # the one binder of a closed program, so numbered 0
+            return self._make(PrRphase, self._make(ExVar, "_%0"), v, v)
         if t is ExUnit or t is TyUnit or t is TyVoid:
-            return x
+            return self._make(t)
         if t is PrU3:
             left, right, v = self.elab(x.theta, env), self.elab(x.phi, env), self.elab(x.lam, env)
-            return PrU3(self._real_node(left), self._real_node(right), self._real_node(v))
+            return self._make(
+                PrU3, self._real_node(left), self._real_node(right), self._real_node(v)
+            )
         if t is RUnary:
             left = self.elab(x.arg, env)
             v = step(x.op, _plain(left))
             if type(v) is tuple and (v[1] == 0 or v[0] == 0):
                 return v
-            return _Inexact(RUnary(x.op, self._real_node(left)), v)
+            return _Inexact(self._make(RUnary, x.op, self._real_node(left)), v)
         if t is ExTry:
-            return ExTry(self.elab(x.attempt, env), self.elab(x.fallback, env))
+            return self._make(ExTry, self.elab(x.attempt, env), self.elab(x.fallback, env))
         if t is BNot:
             return not self.elab(x.arg, env)
         if t is BAnd:
@@ -472,23 +556,25 @@ class Elaborator:
         if t is BOr:
             return self.elab(x.left, env) or self.elab(x.right, env)
         if t is REuler:
-            return _Inexact(x, math.e)
+            return _Inexact(self._make(REuler), math.e)
         raise PreprocessError(f"cannot elaborate {x!r}")
 
     def _real_node(self, v: RealValue) -> Real:
         """The node of the value ``v``: an inexact value's own tree, or the
-        canonical tree of an exact one, built once per compile."""
+        canonical tree of an exact one, ``p``, ``p / q``, ``pi`` or ``q * pi``."""
         if type(v) is _Inexact:
             return v.node
-        node = self._reals.get(v)
-        if node is None:
-            a, b = v
-            if b == 0:
-                node = _frac_tree(a)
-            else:
-                node = RPi() if b == 1 else RBinary("*", _frac_tree(b), RPi())
-            self._reals[v] = node
-        return node
+        a, b = v
+        if b == 0:
+            return self._fraction(a)
+        pi = self._make(RPi)
+        return pi if b == 1 else self._make(RBinary, "*", self._fraction(b), pi)
+
+    def _fraction(self, q: Rational) -> Real:
+        p = self._make(RConst, q.numerator)
+        if q.denominator == 1:
+            return p
+        return self._make(RBinary, "/", p, self._make(RConst, q.denominator))
 
     def _pattern(self, p: Expr, env: _Env) -> tuple[CoreExpr, _Env]:
         """Elaborate ``p`` in binding mode; return it and the scope it opens.
@@ -496,40 +582,25 @@ class Elaborator:
         A pattern nested in another one (an arm inside a pattern) opens its
         scope over the enclosing pattern's, which is still binding.
         """
-        binds: dict[str, str] = {}
-        pattern = self.elab(p, _Env(env.generics, binds, env.fresh, binds))
+        binds: dict[str, ExVar] = {}
+        g, fresh, closed = env.generics, env.fresh, env.closed
+        pattern = self.elab(p, _Env(g, binds, fresh, binds, closed))
         if env.binds is None:
-            return pattern, _Env(env.generics, {**env.qrename, **binds}, env.fresh)
-        return pattern, _Env(env.generics, ChainMap(binds, env.qrename), env.fresh, env.binds)
+            return pattern, _Env(g, {**env.qrename, **binds}, fresh, None, closed)
+        return pattern, _Env(g, ChainMap(binds, env.qrename), fresh, env.binds, closed)
 
     def _elab_arms(self, arms: tuple[CoreArm, ...], env: _Env) -> tuple[CoreArm, ...]:
         out = []
         for arm in arms:  # a loop, not a generator, so an arm costs no frame of its own
             pattern, inner = self._pattern(arm.pattern, env)
-            out.append(CoreArm(pattern, self.elab(arm.body, inner)))
-        return tuple(out)
-
-
-def _frac_tree(q: Rational) -> Real:
-    if q.denominator == 1:
-        return RConst(q.numerator)
-    return RBinary("/", RConst(q.numerator), RConst(q.denominator))
+            out.append(self._make(CoreArm, pattern, self.elab(arm.body, inner)))
+        arms = tuple(out)
+        return self._nodes.setdefault((tuple, *map(id, arms)), arms)
 
 
 def elaborate_file(qf: QFile, prelude: tuple[Def, ...] = ()) -> CoreExpr:
     """Elaborate a parsed file's main expression against its definitions."""
-    if qf.main is None:
-        raise PreprocessError("program has no main expression")
-    el = Elaborator(tuple(prelude) + qf.defs)
-    try:
-        return el.elab(qf.main, _Env())
-    except RecursionError:
-        where = next(reversed(el._in_progress.values()), "the main expression")
-        raise CapacityError(
-            f"elaboration nested too deeply (innermost at {where}, after {el._used} "
-            "instantiations): the program is too large, or a recursive definition "
-            "is missing its base case"
-        ) from None
+    return Elaborator(tuple(prelude) + qf.defs).elaborate(qf.main)
 
 
 def core_of_source(source: str, use_prelude: bool = True) -> CoreExpr:

@@ -1,0 +1,118 @@
+"""The ``qunic`` command: its exit codes, ``--dump-core`` and ``--stats``, and
+the one deep stack on which it runs every pass."""
+
+import io
+import json
+import sys
+import threading
+
+import pytest
+
+from qunic import cli, core, preprocess
+from qunic.errors import CapacityError
+from qunic.preprocess import core_of_source
+
+
+def qunic(tmp_path, capsys, source, *flags):
+    """The exit code, standard output and standard error of ``qunic FILE``."""
+    path = tmp_path / "main.qunity"
+    path.write_text(source, encoding="utf-8")
+    code = cli.main([*flags, str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# Inputs that pass through every stage but are nested too deeply for the
+# interpreter's default stack: a wide circuit, a flat chain of 5,000 terms,
+# and a type 1,000 levels deep.
+DEEP = [
+    pytest.param("&num_to_state{128, 1} |> @qft{128}", id="qft-128"),
+    pytest.param("&0 |> u3{" + " - ".join(["1"] * 5000) + ", 0, 0}", id="flat-angle"),
+    pytest.param("&Nothing{" + "(Bit * " * 1000 + "Bit" + ")" * 1000 + "}", id="deep-type"),
+]
+
+
+@pytest.mark.parametrize("source", DEEP)
+def test_what_the_default_stack_refuses_compiles_on_the_worker_stack(tmp_path, capsys, source):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(CapacityError):
+            core.to_str(core_of_source(source))
+    finally:
+        sys.setrecursionlimit(limit)
+    code, out, err = qunic(tmp_path, capsys, source, "--dump-core")
+    assert (code, err) == (0, "")
+    assert out.endswith(")\n")
+
+
+def test_input_too_deep_for_the_worker_stack_exits_2(tmp_path, capsys):
+    code, out, err = qunic(tmp_path, capsys, "(" * 150_000 + ")" * 150_000, "--no-prelude")
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "source, code, message",
+    [
+        ("&0 |> u3{3 ^ 2 ^ 30, 0, 0}", 2, "CapacityError: an exact real"),
+        ("y", 1, "PreprocessError: unbound variable y"),
+        ("&0 |>", 1, "ParseError: 1:6"),
+    ],
+    ids=["capacity", "program", "parse"],
+)
+def test_an_error_in_the_program_exits_with_its_code(tmp_path, capsys, source, code, message):
+    got, out, err = qunic(tmp_path, capsys, source)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"qunic: {message}")
+
+
+def test_an_internal_error_ends_in_its_traceback(tmp_path, capsys, monkeypatch):
+    def broken(source):
+        raise RuntimeError("internal")
+
+    monkeypatch.setattr(cli, "parse_file", broken)
+    with pytest.raises(RuntimeError, match="internal"):
+        qunic(tmp_path, capsys, "&0")
+
+
+def test_an_unreadable_file_exits_1(tmp_path, capsys):
+    assert cli.main([str(tmp_path / "missing.qunity")]) == 1
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
+    source = "&num_to_state{8, 1} |> @qft{8}"
+    code, out, _ = qunic(tmp_path, capsys, source, "--dump-core", "--stats")
+    text, record = out.rstrip("\n").split("\n")
+    stats = json.loads(record)
+    c = core_of_source(source)
+    assert code == 0
+    assert text == core.to_str(c)
+    assert (stats["core_dag_nodes"], stats["core_tree_nodes"]) == core.node_counts(c)
+    assert 0 < stats["instantiations"] < stats["unroll_budget"] == preprocess.UNROLL_BUDGET
+    assert min(stats["parse_ms"], stats["elaborate_ms"], stats["print_ms"]) >= 0
+
+
+def test_standard_input_without_the_prelude(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("def &z : Unit := () end\n&z"))
+    assert cli.main(["--no-prelude", "--stats", "-"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["print_ms"] is None
+    assert (stats["core_dag_nodes"], stats["instantiations"]) == (1, 1)
+
+
+def test_the_pipeline_runs_on_one_worker_thread_with_the_deep_stack(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def probe(*args):
+        thread = threading.current_thread()
+        seen.append((thread is threading.main_thread(), sys.getrecursionlimit()))
+        return None, None
+
+    monkeypatch.setattr(cli, "_compile", probe)
+    limit, threads = sys.getrecursionlimit(), threading.active_count()
+    assert qunic(tmp_path, capsys, "&0")[0] == 0
+    assert seen == [(False, cli.RECURSION_LIMIT)]
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, 0)
+    assert threading.active_count() == threads

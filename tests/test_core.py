@@ -85,6 +85,15 @@ class TestSharedCores:
         assert core.free_qvars(c) == frozenset()
         assert time.perf_counter() - start < 1.0
 
+    def test_node_counts_sum_the_tree_over_the_dag(self):
+        # A tree of 2^41 - 1 nodes, which no walk of the tree would finish.
+        e = ExVar("x")
+        for _ in range(40):
+            e = ExPair(e, e)
+        assert core.node_counts(e) == (41, 2**41 - 1)
+        y = ExVar("y")
+        assert core.node_counts(ExCtrl(y, (CoreArm(ExUnit(), y),))) == (4, 5)
+
     def test_free_variables_of_a_deep_chain_need_no_recursion(self):
         e = ExVar("y")
         for _ in range(5000):

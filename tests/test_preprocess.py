@@ -289,6 +289,14 @@ ERRORS = [
     ),
     ("nullary-as-program", "&0 |> @0", "&0 is a nullary constructor, not a program"),
     ("unapplied-payload", "&Just{Bit}", "@Just carries a payload and must be applied"),
+    (
+        # Inside the lambda of @f, binders are numbered from 0 again, so the
+        # lambda's x would capture the x of @g that &v holds.
+        "open-argument-in-a-program",
+        "def @f{&v : Bit} : Bit -> Bit * Bit := lambda x -> (x, &v) end\n"
+        "def @g : Bit -> Bit * Bit := lambda x -> @f{x}(x) end\n&0 |> @g",
+        "&v is used inside a program but has the free variable(s) x%0 of its caller",
+    ),
 ]
 
 DUPLICATE_PARAMETERS = [
@@ -363,7 +371,7 @@ class TestConstructors:
         assert pair.left is pair.right
         cons = "@ListCons{2, Bit}((&0, &ListEmpty{1, Bit}))"
         pair = core_of_source(f"({cons}, {cons})")
-        assert pair.left is not pair.right
+        assert pair.left is pair.right
         assert pair.left.fn is pair.right.fn
 
     def test_instantiations_at_other_arguments_stay_distinct(self):
@@ -546,6 +554,77 @@ def test_elaborated_core_has_no_sugar_node(main):
 
 def test_try_elaborates_to_a_try():
     assert isinstance(core_of_source("&0 |> lambda x -> try @had(x) catch x").fn.body, core.ExTry)
+
+
+# An expression definition whose ctrl arm binds x, called with the variable x
+# of three programs: @h passes the same variable object as @g, so it reuses
+# @g's instantiation, and @k passes another one.
+NO_CAPTURE = """
+def &f{&v : Bit} : Bit * Bit := ctrl &v [x -> (x, &v)] end
+def @g : Bit -> Bit * Bit := lambda x -> &f{x} end
+def @h : Bit * Bit -> (Bit * Bit) * Bit := lambda (x, y) -> (&f{x}, y) end
+def @k : Bit * Bit -> (Bit * Bit) * Bit := lambda (y, x) -> (&f{x}, y) end
+(@g(&0), (@h(&0, &1), @k(&0, &1)))
+"""
+
+
+class TestInterning:
+    """One compile has one object per distinct node, and binders are numbered
+    within their closed program, so alpha-equal programs are one object."""
+
+    MAINS = PRELUDE_MAINS + ["&order_finding{8, 7}"]
+
+    @pytest.mark.parametrize("main", MAINS)
+    def test_equal_nodes_are_one_object(self, main):
+        nodes = list(reachable(core_of_source(main)))
+        assert len(set(nodes)) == len(nodes)
+
+    @pytest.mark.parametrize("main", MAINS)
+    def test_alpha_equal_programs_are_one_object(self, main):
+        programs = [
+            x
+            for x in reachable(core_of_source(main))
+            if isinstance(x, (core.PrAbs, core.PrPmatch, core.PrRphase))
+        ]
+        assert len({alpha_normal(p) for p in programs}) == len(programs)
+
+    def test_programs_of_two_definitions_are_one_object(self):
+        src = (
+            "def @f : Bit -> Bit := lambda x -> @had(x) end\n"
+            "def @g : Bit -> Bit := lambda x -> @had(x) end\n(@f(&0), @g(&0))"
+        )
+        pair = core_of_source(src)
+        assert pair.left.fn is pair.right.fn
+
+    def test_a_memoized_expression_captures_no_variable(self):
+        c = core_of_source(NO_CAPTURE)
+        g, h = c.left.fn, c.right.left.fn
+        assert g.body is h.body.left
+        # the text of this core when binders were numbered once per compile
+        assert core.to_str(alpha_normal(c)) == (
+            "((lambda v0 -> ctrl v0 [v1 -> (v1, v0)])(left{Unit, Unit}(())), "
+            "((lambda (v0, v1) -> (ctrl v0 [v2 -> (v2, v0)], v1))"
+            "((left{Unit, Unit}(()), right{Unit, Unit}(()))), "
+            "(lambda (v0, v1) -> (ctrl v1 [v2 -> (v2, v1)], v0))"
+            "((left{Unit, Unit}(()), right{Unit, Unit}(())))))"
+        )
+
+    def test_elaboration_never_hashes_or_compares_nodes(self, monkeypatch):
+        def structural(*args):
+            raise AssertionError("a node was hashed or compared structurally")
+
+        monkeypatch.setattr(core, "_hash_dag", structural)
+        monkeypatch.setattr(core, "_eq_dag", structural)
+        load_prelude_defs.cache_clear()
+        for main in [
+            "&order_finding{6, 7}",
+            "&grover{List{3, Bit}, &equal_superpos_list{3}, @is_odd_sum{3}, 2}",
+            # an inexact real as a memo key, twice
+            "(&0 |> @had_then{sin(1)}, &1 |> @had_then{sin(1)})",
+        ]:
+            src = "def @had_then{#t} : Bit -> Bit := lambda x -> u3{#t, 0, 0}(@had(x)) end\n"
+            c = core_of_source(src + main)
+        assert c.left.fn is c.right.fn
 
 
 class TestSharedPrelude:
