@@ -13,6 +13,9 @@ definitions, and ``--stats`` prints one JSON object as the last line:
   and how many the elaborator allows.
 * ``core_dag_nodes`` and ``core_tree_nodes``: the distinct nodes of the core,
   and the nodes of the tree it stands for, counted over the DAG.
+* ``peak_rss_mb``: the peak resident memory of the ``qunic`` process so far,
+  in MiB, from ``resource.getrusage`` (``ru_maxrss`` is in KiB on Linux and
+  in bytes on macOS); null where the ``resource`` module does not exist.
 
 The exit status is 0 on success, 1 for an error in the program
 (:class:`~qunic.errors.QunityError`) and 2 for a program too large to compile
@@ -34,6 +37,11 @@ import threading
 import time
 from pathlib import Path
 
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:  # Windows has no resource module
+    getrusage = None
+
 from .core import node_counts, to_str
 from .errors import CapacityError, QunityError
 from .parser import parse_file
@@ -41,6 +49,7 @@ from .preprocess import UNROLL_BUDGET, Elaborator, load_prelude_defs
 
 STACK_BYTES = 512 * 2**20
 RECURSION_LIMIT = 200_000
+_MAXRSS_PER_MIB = 2**20 if sys.platform == "darwin" else 2**10  # bytes on macOS, KiB on Linux
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,6 +104,7 @@ def _compile(source: str, use_prelude: bool, dump: bool, stats: bool):
         "unroll_budget": UNROLL_BUDGET,
         "core_dag_nodes": dag,
         "core_tree_nodes": tree,
+        "peak_rss_mb": getrusage(RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MIB if getrusage else None,
     }
 
 

@@ -34,6 +34,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
+from .core import UNARY_OPS
 from .errors import LexError
 
 
@@ -60,41 +61,9 @@ class Token:
 
 KEYWORDS = frozenset(
     [
-        "type",
-        "def",
-        "end",
-        "if",
-        "then",
-        "else",
-        "endif",
-        "ctrl",
-        "match",
-        "try",
-        "catch",
-        "let",
-        "in",
-        "lambda",
-        "of",
-        "u3",
-        "gphase",
-        "rphase",
-        "pmatch",
-        "pi",
-        "euler",
-        "sin",
-        "cos",
-        "tan",
-        "arcsin",
-        "arccos",
-        "arctan",
-        "exp",
-        "ln",
-        "log2",
-        "sqrt",
-        "ceil",
-        "floor",
-        "Void",
-        "Unit",
+        "type", "def", "end", "if", "then", "else", "endif", "ctrl", "match", "try", "catch",
+        "let", "in", "lambda", "of", "u3", "gphase", "rphase", "pmatch", "pi", "euler",
+        *UNARY_OPS, "Void", "Unit",
     ]
 )
 

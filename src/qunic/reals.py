@@ -20,9 +20,10 @@ three.
 
 :func:`step` is the evaluator: it computes the value of one operation from
 the values of its operands, and every exact rule and domain check is there.
-:func:`_value` is its fold over a tree.  The preprocessor calls :func:`step`
-itself, once per node as it elaborates, so it never evaluates a subtree
-twice, and decides a condition with :func:`compare`, which
+:func:`_value` folds it over a term with :func:`qunic.core.fold`, without
+recursion, so a flat chain of any length evaluates.  The preprocessor calls
+:func:`step` itself, once per node as it elaborates, so it never evaluates a
+subtree twice, and decides a condition with :func:`compare`, which
 :func:`evaluate_bool` uses too.
 
 Two node kinds — :class:`~qunic.core.RName` and :class:`~qunic.core.RIf` —
@@ -47,7 +48,7 @@ from fractions import Fraction
 from typing import Union
 
 from .core import (
-    BAnd, BCmp, BNot, BoolExpr, BOr, Real, RBinary, RConst, REuler, RIf, RName, RPi, RUnary,
+    BAnd, BCmp, BNot, BoolExpr, BOr, Real, RBinary, RConst, REuler, RIf, RName, RPi, RUnary, fold,
 )
 from .errors import CapacityError, RealError
 
@@ -155,20 +156,29 @@ def step(op: str, x: Value, y: Value | None = None) -> Value:
 
 
 def _value(r: Real) -> Value:
-    """The value of ``r``: :func:`step` folded over the tree, leaves up."""
-    if isinstance(r, RBinary):
-        return step(r.op, _value(r.left), _value(r.right))
-    if isinstance(r, RUnary):
-        return step(r.op, _value(r.arg))
-    if isinstance(r, RConst):
+    """The value of ``r``: :func:`step` folded over the DAG, leaves up, with
+    :func:`~qunic.core.fold`, so a flat chain of any length needs no recursion
+    and a shared operand is evaluated once."""
+    return fold(r, _node_value, _operands)
+
+
+def _operands(r: Real) -> tuple[Real, ...]:
+    return (r.left, r.right) if type(r) is RBinary else (r.arg,) if type(r) is RUnary else ()
+
+
+def _node_value(r: Real, operands: list[Value]) -> Value:
+    t = type(r)
+    if t is RBinary or t is RUnary:
+        return step(r.op, *operands)
+    if t is RConst:
         return r.value, 0
-    if isinstance(r, RPi):
+    if t is RPi:
         return 0, 1
-    if isinstance(r, REuler):
+    if t is REuler:
         return math.e
-    if isinstance(r, RName):
+    if t is RName:
         raise RealError(f"unresolved real name #{r.name} (not substituted)")
-    if isinstance(r, RIf):
+    if t is RIf:
         raise RealError("unresolved conditional in real expression")
     raise RealError(f"not a real expression: {r!r}")
 
@@ -244,7 +254,10 @@ def compare(op: str, x: Value, y: Value) -> bool:
 
 
 def evaluate_bool(b: BoolExpr) -> bool:
-    """Evaluate a closed boolean expression over real comparisons."""
+    """Evaluate a closed boolean expression over real comparisons.
+
+    Recursive, not a :func:`~qunic.core.fold`: ``&&`` and ``||`` short-circuit,
+    so an operand that the left one decides is not evaluated, nor its errors raised."""
     if isinstance(b, BNot):
         return not evaluate_bool(b.arg)
     if isinstance(b, BAnd):

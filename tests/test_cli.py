@@ -92,6 +92,7 @@ def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
     assert (stats["core_dag_nodes"], stats["core_tree_nodes"]) == core.node_counts(c)
     assert 0 < stats["instantiations"] < stats["unroll_budget"] == preprocess.UNROLL_BUDGET
     assert min(stats["parse_ms"], stats["elaborate_ms"], stats["print_ms"]) >= 0
+    assert stats["peak_rss_mb"] > 0
 
 
 def test_standard_input_without_the_prelude(capsys, monkeypatch):

@@ -10,13 +10,15 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from qunic import core
+from qunic import core, reals
 from qunic.core import (
     BAnd,
     BCmp,
     BNot,
     BOr,
     CoreArm,
+    ELet,
+    EName,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -33,6 +35,7 @@ from qunic.core import (
     QFile,
     RBinary,
     RConst,
+    RName,
     RPi,
     RUnary,
     TIf,
@@ -94,11 +97,12 @@ class TestSharedCores:
         y = ExVar("y")
         assert core.node_counts(ExCtrl(y, (CoreArm(ExUnit(), y),))) == (4, 5)
 
-    def test_free_variables_of_a_deep_chain_need_no_recursion(self):
+    def test_folds_over_a_chain_deeper_than_the_stack_need_no_recursion(self):
         e = ExVar("y")
-        for _ in range(5000):
+        for _ in range(100_000):
             e = ExPair(ExVar("x"), e)
         assert core.free_qvars(e) == {"x", "y"}
+        assert core.node_counts(e) == (200_001, 200_001)
 
     @pytest.mark.parametrize(
         "source",
@@ -274,6 +278,86 @@ def test_dag_equality_agrees_with_structural_equality(data):
     assert (a != b) is not _structural_eq(a, b)
     if a == b:
         assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# The one fold, and the walks on it, agree with plain recursive references
+
+
+def _parts(x) -> list:
+    """The nodes in the fields of ``x``, with the items of a tuple field."""
+    out = []
+    for f in dataclasses.fields(x):
+        v = getattr(x, f.name)
+        out += [c for c in (v if type(v) is tuple else (v,)) if isinstance(c, core._Node)]
+    return out
+
+
+def _tree_size(x) -> int:
+    return 1 + sum(_tree_size(c) for c in _parts(x))
+
+
+def _distinct(x, seen: dict) -> dict:
+    if id(x) not in seen:
+        seen[id(x)] = x
+        for c in _parts(x):
+            _distinct(c, seen)
+    return seen
+
+
+def _free_ref(e) -> set:
+    if isinstance(e, ExVar):
+        return {e.name}
+    if isinstance(e, ExApp):
+        return _free_ref(e.arg)
+    if isinstance(e, (ExCtrl, ExMatch)):
+        free = _free_ref(e.scrutinee)
+        for arm in e.arms:
+            free |= _free_ref(arm.body) - _free_ref(arm.pattern)
+        return free | (set() if e.else_body is None else _free_ref(e.else_body))
+    return set().union(*[_free_ref(c) for c in _parts(e)])  # (), pairs, try
+
+
+def _value_ref(r):
+    if isinstance(r, RBinary):
+        return reals.step(r.op, _value_ref(r.left), _value_ref(r.right))
+    if isinstance(r, RUnary):
+        return reals.step(r.op, _value_ref(r.arg))
+    return (0, 1) if isinstance(r, RPi) else (r.value, 0)
+
+
+@given(_terms)
+def test_node_counts_match_a_recursive_count(term):
+    assert core.node_counts(term) == (len(_distinct(term, {})), _tree_size(term))
+
+
+@given(_exprs_and_progs())
+def test_free_variables_match_a_recursive_reference(e):
+    assert core.free_qvars(e) == _free_ref(e)
+
+
+@given(_terms)
+def test_shared_nodes_are_those_with_two_incoming_edges(term):
+    indegree: dict[int, int] = {}
+    for x in _distinct(term, {}).values():
+        for c in _parts(x):
+            indegree[id(c)] = indegree.get(id(c), 0) + 1
+    assert core._shared(term) == {k for k, n in indegree.items() if n >= 2}
+
+
+@given(_reals)
+def test_real_values_are_step_folded_recursively(r):
+    for term in (r, RBinary("*", r, RUnary("sin", r))):  # the second shares r
+        assert reals._value(term) == _value_ref(term)
+
+
+@pytest.mark.parametrize(
+    "e", [ELet(ExVar("x"), ExUnit(), ExVar("x")), EName("z", (RName("n"),))], ids=["let", "name"]
+)
+def test_free_variables_of_sugar_are_a_type_error(e):
+    for term in (e, ExPair(ExUnit(), e)):
+        with pytest.raises(TypeError, match="not a core expression"):
+            core.free_qvars(term)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exactness and printing of symbolic real expressions."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,13 @@ class TestExactEvaluation:
     def test_ln_domain_error(self):
         with pytest.raises(RealError):
             ev("ln(0 - 1)")
+
+    def test_operands_are_evaluated_left_to_right(self):
+        # Both operands are undefined: the error is the left one's.
+        with pytest.raises(RealError, match="division by zero"):
+            ev("1 / (2 - 2) + ln(0 - 1)")
+        with pytest.raises(RealError, match="undefined"):
+            ev("ln(0 - 1) + 1 / (2 - 2)")
 
     def test_transcendentals(self):
         assert ev("sin(pi / 2)") == pytest.approx(1.0)
@@ -295,3 +303,12 @@ def test_an_exact_value_too_large_is_a_capacity_error(source):
     # 3^(2^24) has about 26.6 million bits; the bound stops it long before.
     with pytest.raises(CapacityError, match=r"exact real of at least \d+ bits"):
         core_of_source(source)
+
+
+def test_a_flat_chain_evaluates_at_the_default_recursion_limit():
+    # 5,000 terms, which the parser reads without recursion; each view folds
+    # the chain without recursion too.
+    r = parse_real_string(" - ".join(["1"] * 5000))
+    assert sys.getrecursionlimit() < 5000
+    assert evaluate_real(r) == as_rational(r) == -4998
+    assert as_pi_multiple(r) is None
