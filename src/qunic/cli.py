@@ -35,6 +35,7 @@ import json
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 try:
@@ -112,28 +113,17 @@ def _on_deep_stack(fn, *args):
     """``fn(*args)``, run on one new thread with a stack of ``STACK_BYTES`` and
     the recursion limit at ``RECURSION_LIMIT``; what it raises is raised here.
 
-    Both settings are the process's own, and are restored after."""
-    outcome: list = [None, None]  # the result, or the exception
-
-    def run() -> None:
-        try:
-            outcome[0] = fn(*args)
-        except BaseException as exc:  # re-raised on the calling thread
-            outcome[1] = exc
-
+    Both settings are the process's own: they are set before the thread
+    starts, and restored after it has ended."""
     limit = sys.getrecursionlimit()
     size = threading.stack_size(STACK_BYTES)
     try:
         sys.setrecursionlimit(RECURSION_LIMIT)
-        worker = threading.Thread(target=run, name="qunic-pipeline")
-        worker.start()
-        worker.join()
+        with ThreadPoolExecutor(1, "qunic-pipeline") as worker:
+            return worker.submit(fn, *args).result()
     finally:
         sys.setrecursionlimit(limit)
         threading.stack_size(size)
-    if outcome[1] is not None:
-        raise outcome[1]
-    return outcome[0]
 
 
 if __name__ == "__main__":

@@ -17,6 +17,13 @@ constructors), compile-time conditionals (``if .. then .. else .. endif``),
 :data:`Real` do not.  The sum injections never come from parsed input.
 :mod:`qunic.reals` evaluates the reals and conditions.
 
+Types, expressions, programs and reals are the four *sorts*, ``"t"``,
+``"e"``, ``"f"`` and ``"r"``.  A name and a conditional have the same fields
+in every sort, so each is one class, :class:`Name` and :class:`If`, that
+carries its sort in a field; every other class has one sort or none.
+:func:`sort_of` is the one reader of a node's sort, and this module the one
+place that maps a class to its sort.
+
 Patterns are not a separate syntactic class: the expressions to the left of
 ``->`` in ``ctrl``/``match``/``pmatch`` arms and under ``lambda`` are ordinary
 expressions, restricted later by the typechecker.
@@ -202,6 +209,35 @@ def _eq_dag(a: _Node, b: _Node) -> bool:
 
 
 # --------------------------------------------------------------------------
+# Names and conditionals, of every sort (see sort_of)
+
+
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class Name(_Node):
+    """A reference ``T{args}``, ``&name{args}``, ``@name{args}`` or
+    ``#name{args}``: to a definition, a generic parameter or a variant
+    constructor of sort ``sort``."""
+
+    sort: str  # "t", "e", "f" or "r"
+    name: str
+    args: tuple["GenArg", ...] = ()
+
+
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
+class If(_Node):
+    """``if cond then then else els endif``, both branches of sort ``sort``."""
+
+    sort: str  # "t", "e", "f" or "r"
+    cond: "BoolExpr"
+    then: "GenArg"
+    els: "GenArg"
+
+
+# The sigil before a name of each sort; a type's name has none.
+SIGILS = {"t": "", "e": "&", "f": "@", "r": "#"}
+
+
+# --------------------------------------------------------------------------
 # Reals and conditions
 
 
@@ -238,25 +274,7 @@ class RBinary(_Node):
     right: "Real"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class RName(_Node):
-    """Reference to a ``#name`` definition, with generic arguments."""
-
-    name: str
-    args: tuple["GenArg", ...] = ()
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class RIf(_Node):
-    cond: "BoolExpr"
-    then: "Real"
-    els: "Real"
-
-
-Real = Union[RConst, RPi, REuler, RUnary, RBinary, RName, RIf]
-# Each syntactic class also as the tuple of its node classes: ``isinstance``
-# checks a tuple about four times faster than the ``Union`` alias.
-REALS = get_args(Real)
+Real = Union[RConst, RPi, REuler, RUnary, RBinary, Name, If]
 
 # How tightly each arithmetic operator binds: ``+ -`` group to the left, then
 # ``* / %`` to the left, then ``^`` to the right.  The parser reads by it too.
@@ -288,6 +306,7 @@ class BCmp(_Node):
 
 
 BoolExpr = Union[BNot, BAnd, BOr, BCmp]
+# ``isinstance`` checks a tuple about four times faster than the ``Union`` alias.
 BOOLS = get_args(BoolExpr)
 
 # --------------------------------------------------------------------------
@@ -323,24 +342,8 @@ class TVar(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class TName(_Node):
-    """A named type ``T{args}`` — an alias or a variant declaration."""
-
-    name: str
-    args: tuple["GenArg", ...] = ()
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class TIf(_Node):
-    cond: BoolExpr
-    then: "Type"
-    els: "Type"
-
-
 CoreType = Union[TyVoid, TyUnit, TySum, TyProd]
-Type = Union[CoreType, TVar, TName, TIf]
-TYPES = get_args(Type)
+Type = Union[CoreType, TVar, Name, If]
 
 
 # --------------------------------------------------------------------------
@@ -402,24 +405,8 @@ class ELet(_Node):
     body: "Expr"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class EName(_Node):
-    """Reference to an ``&name`` definition or nullary variant constructor."""
-
-    name: str
-    args: tuple["GenArg", ...] = ()
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class EIf(_Node):
-    cond: BoolExpr
-    then: "Expr"
-    els: "Expr"
-
-
 CoreExpr = Union[ExUnit, ExVar, ExPair, ExCtrl, ExMatch, ExTry, ExApp]
-Expr = Union[CoreExpr, ELet, EName, EIf]
-EXPRS = get_args(Expr)
+Expr = Union[CoreExpr, ELet, Name, If]
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
@@ -467,26 +454,27 @@ class PGphase(_Node):
     phase: Real
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class PName(_Node):
-    """Reference to an ``@name`` definition or payload variant constructor."""
-
-    name: str
-    args: tuple["GenArg", ...] = ()
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class PIf(_Node):
-    cond: BoolExpr
-    then: "Prog"
-    els: "Prog"
-
-
 CoreProg = Union[PrU3, PrLeft, PrRight, PrAbs, PrRphase, PrPmatch]
-Prog = Union[CoreProg, PGphase, PName, PIf]
-PROGS = get_args(Prog)
+Prog = Union[CoreProg, PGphase, Name, If]
 
 GenArg = Union[Type, Expr, Prog, Real]
+
+# The sort of each node class of one sort.
+_SORTS = {
+    cls: sort
+    for sort, union in (("t", Type), ("e", Expr), ("f", Prog), ("r", Real))
+    for cls in get_args(union)
+    if cls is not Name and cls is not If
+}
+
+
+def sort_of(x: _Node) -> str | None:
+    """The sort of ``x``: ``"t"``, ``"e"``, ``"f"`` or ``"r"`` for a type, an
+    expression, a program or a real, and None for a node of no sort (a
+    condition, an arm, a parameter, a definition or a file)."""
+    t = type(x)
+    return x.sort if t is Name or t is If else _SORTS.get(t)
+
 
 # --------------------------------------------------------------------------
 # Definitions and files
@@ -631,7 +619,7 @@ def free_qvars(e: CoreExpr) -> frozenset[str]:
 def _qvar_parts(x: _Node) -> list[_Node]:
     if type(x) in _QVAR_NODES:
         return children(x)
-    if isinstance(x, PROGS):
+    if sort_of(x) == "f":
         return []
     raise TypeError(f"not a core expression: {x!r}")
 
@@ -798,14 +786,8 @@ def _show(x: _Node | tuple[GenArg, ...], shared: set[int], memo: dict[int, str])
         s = f"!{arg}" if _binds(x.arg) == _ATOM else f"!({arg})"
     elif t is TVar or t is TypeParam:
         s = f"'{x.name}"
-    elif t is TName:
-        s = f"{x.name}{_show(x.args, shared, memo)}"
-    elif t is EName:
-        s = f"&{x.name}{_show(x.args, shared, memo)}"
-    elif t is PName:
-        s = f"@{x.name}{_show(x.args, shared, memo)}"
-    elif t is RName:
-        s = f"#{x.name}{_show(x.args, shared, memo)}"
+    elif t is Name:
+        s = f"{SIGILS[x.sort]}{x.name}{_show(x.args, shared, memo)}"
     elif t is tuple:  # generic arguments, or a definition's parameters
         parts = []
         for arg in x:
@@ -816,10 +798,10 @@ def _show(x: _Node | tuple[GenArg, ...], shared: set[int], memo: dict[int, str])
         s = f"let {pattern} = {value} in {_show(x.body, shared, memo)}"
     elif t is PGphase:
         s = f"gphase{{{_show(x.phase, shared, memo)}}}"
-    elif t is TIf or t is EIf or t is PIf or t is RIf:
+    elif t is If:
         cond, then = _show(x.cond, shared, memo), _show(x.then, shared, memo)
         s = f"if {cond} then {then} else {_show(x.els, shared, memo)} endif"
-        if t is PIf:
+        if x.sort == "f":
             s = f"({s})"
     elif t is ExprParam:
         s = f"&{x.name} : {_show(x.ty, shared, memo)}"

@@ -6,30 +6,32 @@ beside them.
 
 The grammar is predictive, with no exception: one token of lookahead picks
 every alternative, and each token is read once.  Types, expressions,
-programs and reals share one atom reader, ``_Parser._atom(what, classes)``.
-``classes`` is the string of the classes an atom may have at its position:
-``"r"``, ``"t"``, ``"f"`` for a real, a type, a program, ``"ef"`` for an
-expression (a program there is applied to the argument after it), and
-``"tefr"`` for a generic argument.  One table, ``_STARTS``, maps each first
-token to the class of the atom it starts; where that is not one of
-``classes``, ``_atom`` fails at once, at that token, with the message
-``what`` of the reader that called it.  Each reader calls ``_atom`` and
-continues by class: ``parse_real`` with arithmetic, ``parse_type`` with
+programs and reals share one atom reader, ``_Parser._atom(what, sorts)``.
+``sorts`` is the string of the sorts (:func:`qunic.core.sort_of`) an atom
+may have at its position: ``"r"``, ``"t"``, ``"f"`` for a real, a type, a
+program, ``"ef"`` for an expression (a program there is applied to the
+argument after it), and ``"tefr"`` for a generic argument.  One table,
+``_STARTS``, maps each first token to the sort of the atom it starts; where
+that is not one of ``sorts``, ``_atom`` fails at once, at that token, with
+the message ``what`` of the reader that called it.  A name token becomes a
+:class:`~qunic.core.Name` of that sort.  Each reader calls ``_atom`` and
+continues by sort: ``parse_real`` with arithmetic, ``parse_type`` with
 ``*``, ``parse_expr`` with ``|>``, ``parse_prog`` with nothing, and
-``parse_generic_arg`` with whichever of these the atom's class takes
-(``_REST``).  ``_atom`` reads the two first tokens that do not tell the class
-whole, each with the same ``classes``:
+``parse_generic_arg`` with whichever of these the atom's sort takes
+(``_REST``, keyed by sort).  ``_atom`` reads the two first tokens that do
+not tell the sort whole, each with the same ``sorts``:
 
 * ``_group`` reads ``(`` ... ``)``.  At a real, type or program position it
-  holds an atom of that class and what continues it.  Where an expression
-  may stand it holds unit, a pair, or a generic argument of any class, which
-  must then be of ``classes``; a program in it is applied to the argument
+  holds an atom of that sort and what continues it.  Where an expression
+  may stand it holds unit, a pair, or a generic argument of any sort, which
+  must then be of ``sorts``; a program in it is applied to the argument
   after it (``(lambda x -> x)(e)``), and the argument of an application
   must be an expression.  In a generic argument a real or a type continues
   as one (``&f{(#a - 1) / 2}``).
-* ``_if`` reads each branch as an atom of ``classes`` and what continues it;
-  in a generic argument they must be of one class.  An ``if`` program is not
-  applied to a ``(`` after it.
+* ``_if`` reads each branch as an atom of ``sorts`` and what continues it;
+  in a generic argument they must be of one sort, which becomes the sort of
+  the :class:`~qunic.core.If`.  An ``if`` program is not applied to a ``(``
+  after it.
 
 A ``(`` in a condition reads a condition or a real; a real is then continued
 and compared (``((1) + 2) < 3``).  A level of ``(`` or ``if`` nesting costs
@@ -62,10 +64,6 @@ from typing import Callable, TypeVar
 from .core import (
     BIN_PREC,
     BOOLS,
-    EXPRS,
-    PROGS,
-    REALS,
-    TYPES,
     UNARY_OPS,
     BAnd,
     BCmp,
@@ -74,9 +72,7 @@ from .core import (
     BOr,
     CoreArm,
     Def,
-    EIf,
     ELet,
-    EName,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -88,10 +84,10 @@ from .core import (
     ExUnit,
     ExVar,
     GenArg,
+    If,
+    Name,
     Param,
     PGphase,
-    PIf,
-    PName,
     PrAbs,
     Prog,
     ProgDef,
@@ -106,12 +102,8 @@ from .core import (
     RealDef,
     RealParam,
     REuler,
-    RIf,
-    RName,
     RPi,
     RUnary,
-    TIf,
-    TName,
     TVar,
     Type,
     TypeAliasDef,
@@ -121,6 +113,7 @@ from .core import (
     TyVoid,
     VariantAlt,
     VariantDef,
+    sort_of,
 )
 from .errors import CapacityError, ParseError
 from .lexer import Token, TokKind, tokenize
@@ -129,14 +122,13 @@ _T = TypeVar("_T")
 
 _CMP_OPS = ("=", "!=", "<=", "<", ">=", ">")
 
-# The classes an atom may have at each position, by the letters of the
-# elaborator's sorts (see the module docstring).
+# The sorts an atom may have at each position (see the module docstring).
 _REAL, _TYPE, _PROG, _EXPR, _ARG = "r", "t", "f", "ef", "tefr"
 _EXPECTED_ARG = "expected a type, expression, program, or real argument"
 
-# The class of the atom that each first token starts; keywords and
+# The sort of the atom that each first token starts; keywords and
 # punctuation are keyed by their text, the other tokens by their kind.  "("
-# and "if" may start an atom of any class, and "" is in every ``classes``.
+# and "if" may start an atom of any sort, and "" is in every ``sorts``.
 _STARTS: dict[TokKind | str, str] = {
     TokKind.QVAR: "e", TokKind.ENAME: "e", "ctrl": "e", "match": "e", "try": "e", "let": "e",
     TokKind.FNAME: "f", "u3": "f", "lambda": "f", "gphase": "f", "rphase": "f", "pmatch": "f",
@@ -145,12 +137,8 @@ _STARTS: dict[TokKind | str, str] = {
     **dict.fromkeys(UNARY_OPS, "r"),
     "(": "", "if": "",
 }
-_NAMES = {TokKind.TNAME: TName, TokKind.ENAME: EName, TokKind.FNAME: PName, TokKind.RNAME: RName}
-_CLASS = {
-    **dict.fromkeys(TYPES, "t"), **dict.fromkeys(EXPRS, "e"),
-    **dict.fromkeys(PROGS, "f"), **dict.fromkeys(REALS, "r"),
-}
-_IF = {"t": TIf, "e": EIf, "f": PIf, "r": RIf}
+# The tokens of names, each of the sort that ``_STARTS`` gives it.
+_NAMES = frozenset((TokKind.TNAME, TokKind.ENAME, TokKind.FNAME, TokKind.RNAME))
 
 
 def _integer(t: Token) -> int:
@@ -207,32 +195,33 @@ class _Parser:
 
     # -- atoms -----------------------------------------------------------------
 
-    def _atom(self, what: str, classes: str) -> GenArg:
-        """An atom of one of ``classes``, told by its first token.
+    def _atom(self, what: str, sorts: str) -> GenArg:
+        """An atom of one of ``sorts``, told by its first token.
 
-        A first token that starts no atom of ``classes`` fails at once with
+        A first token that starts no atom of ``sorts`` fails at once with
         ``what``.  Where an expression may stand, a program is applied to a
         ``(`` after it, and at expression position it must be; an ``if``
         program is never applied.
         """
         t = self.cur
         k = t.text if t.kind is TokKind.KW or t.kind is TokKind.PUNCT else t.kind
-        if _STARTS.get(k, "?") not in classes:
+        sort = _STARTS.get(k, "?")
+        if sort not in sorts:
             raise self._fail(what)
         if k is TokKind.QVAR:
             self.take()
             return ExVar(t.text)
-        node = _NAMES.get(k)
-        if node is not None:
+        if k in _NAMES:
             self.take()
-            x = node(t.text, self.maybe_generic_args())
+            x = Name(sort, t.text, self.maybe_generic_args())
         elif k is TokKind.NUMBER:
             self.take()
             return RConst(_integer(t))
         elif k == "(":
-            x = self._group(what, classes)
+            x = self._group(what, sorts)
+            sort = sort_of(x)
         elif k == "if":
-            return self._if(what, classes)
+            return self._if(what, sorts)
         elif k is TokKind.TYVAR:
             self.take()
             return TVar(t.text)
@@ -274,53 +263,54 @@ class _Parser:
                 arg = self.parse_real()
                 self.expect_punct(")")
                 return RUnary(k, arg)
-        if "e" in classes and _CLASS[type(x)] == "f":  # a program where an expression may stand
+        if sort == "f" and "e" in sorts:  # a program where an expression may stand
             if self.at_punct("("):
                 return ExApp(x, self._group("expected an expression", "e"))
-            if classes == _EXPR:
+            if sorts == _EXPR:
                 raise self._fail("expected '('")
         return x
 
-    def _group(self, what: str, classes: str) -> GenArg:
-        """``(`` ... ``)`` around an atom of ``classes`` and what continues it.
+    def _group(self, what: str, sorts: str) -> GenArg:
+        """``(`` ... ``)`` around an atom of ``sorts`` and what continues it.
 
         Where an expression may stand, the parentheses hold unit, a pair, or
-        an argument of any class, which must then be of ``classes``.
+        an argument of any sort, which must then be of ``sorts``.
         """
         opening = self.take()
-        if "e" not in classes:
-            x = self._atom(what, classes)
+        if "e" not in sorts:
+            x = self._atom(what, sorts)
         elif self.at_punct(")"):
             self.take()
             return ExUnit()
         else:
             x = self._atom(_EXPECTED_ARG, _ARG)
-        x = _REST[type(x)](self, x)
-        if self.at_punct(",") and _CLASS[type(x)] == "e":
+        sort = sort_of(x)
+        x = _REST[sort](self, x)
+        if self.at_punct(",") and sort == "e":
             self.take()
             x = ExPair(x, self.parse_expr())
         self.expect_punct(")")
-        if _CLASS[type(x)] not in classes:
+        if sort not in sorts:
             raise ParseError(f"{what} in parentheses", opening.line, opening.column)
         return x
 
-    def _if(self, what: str, classes: str) -> GenArg:
-        """``if cond then a else b endif``, each branch an atom of ``classes``
-        and what continues it; the branches must be of one class."""
+    def _if(self, what: str, sorts: str) -> GenArg:
+        """``if cond then a else b endif``, each branch an atom of ``sorts``
+        and what continues it; the branches must be of one sort."""
         self.take()
         cond = self.parse_bool()
         self.expect_kw("then")
-        then = self._atom(what, classes)
-        then = _REST[type(then)](self, then)
+        then = self._atom(what, sorts)
+        sort = sort_of(then)
+        then = _REST[sort](self, then)
         self.expect_kw("else")
-        els = self._atom(what, classes)
-        els = _REST[type(els)](self, els)
-        cls = _CLASS[type(then)]
-        if _CLASS[type(els)] != cls:
+        els = self._atom(what, sorts)
+        els = _REST[sort_of(els)](self, els)
+        if sort_of(els) != sort:
             t = self.cur
             raise ParseError("the branches of an 'if' argument differ in class", t.line, t.column)
         self.expect_kw("endif")
-        return _IF[cls](cond, then, els)
+        return If(sort, cond, then, els)
 
     # -- reals and booleans -------------------------------------------------
 
@@ -466,7 +456,7 @@ class _Parser:
     def parse_generic_arg(self) -> GenArg:
         """A type, expression, program or real: an atom and what continues it."""
         x = self._atom(_EXPECTED_ARG, _ARG)
-        return _REST[type(x)](self, x)
+        return _REST[sort_of(x)](self, x)
 
     # -- definitions and files -----------------------------------------------------
 
@@ -550,12 +540,12 @@ class _Parser:
             raise self._fail("unexpected trailing input")
 
 
-# What continues an atom, by its class: the operators after a real or a
+# What continues an atom, by its sort: the operators after a real or a
 # type, a ``|>`` chain after an expression, and nothing after a program.
 # Readers look it up in place, so that a level of nesting costs no frame more.
-_REST: dict[type, Callable[[_Parser, GenArg], GenArg]] = {
-    **dict.fromkeys(REALS, _Parser.parse_real), **dict.fromkeys(TYPES, _Parser.parse_type),
-    **dict.fromkeys(EXPRS, _Parser._pipeline), **dict.fromkeys(PROGS, lambda p, x: x),
+_REST: dict[str, Callable[[_Parser, GenArg], GenArg]] = {
+    "r": _Parser.parse_real, "t": _Parser.parse_type,
+    "e": _Parser._pipeline, "f": lambda p, x: x,
 }
 _PARAMS = {
     TokKind.TYVAR: TypeParam, TokKind.ENAME: ExprParam,

@@ -2,9 +2,12 @@
 
 Elaboration is one structural recursion, :meth:`Elaborator.elab`, with one
 case per node class: a type, an expression or a program elaborates to its
-core node, a real to its value and a condition to a bool.  The ``if`` of
-every sort is one case, and so is a name of every sort.  It resolves all that
-is "compile time" in Qunity:
+core node, a real to its value and a condition to a bool.  A name of every
+sort is one class, :class:`~qunic.core.Name`, and one case, which looks the
+name up under the sort in its field; an ``if`` of every sort is one class,
+:class:`~qunic.core.If`, and one case.  A generic argument must have the sort
+of its parameter, by :func:`~qunic.core.sort_of`.  It resolves all that is
+"compile time" in Qunity:
 
 * named definitions (``&x``, ``@f``, ``#r``, ``T{...}``) are instantiated at
   their concrete generic arguments and inlined, memoized per ``(name, args)``
@@ -70,10 +73,7 @@ from importlib import resources
 from typing import Mapping, NamedTuple, Union
 
 from .core import (
-    EXPRS,
-    PROGS,
-    REALS,
-    TYPES,
+    SIGILS,
     BAnd,
     BCmp,
     BNot,
@@ -82,9 +82,7 @@ from .core import (
     CoreExpr,
     CoreType,
     Def,
-    EIf,
     ELet,
-    EName,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -96,10 +94,10 @@ from .core import (
     ExUnit,
     ExVar,
     GenArg,
+    If,
+    Name,
     Param,
     PGphase,
-    PIf,
-    PName,
     PrAbs,
     PrLeft,
     ProgDef,
@@ -115,12 +113,8 @@ from .core import (
     RealDef,
     RealParam,
     REuler,
-    RIf,
-    RName,
     RPi,
     RUnary,
-    TIf,
-    TName,
     TVar,
     TypeAliasDef,
     TypeParam,
@@ -130,6 +124,7 @@ from .core import (
     TyVoid,
     VariantDef,
     free_qvars,
+    sort_of,
 )
 from .errors import CapacityError, PreprocessError
 from .parser import parse_file
@@ -144,21 +139,20 @@ UNROLL_BUDGET = 10_000
 # The sorts of names: "t" types, "e" expressions, "f" programs, "r" reals, and
 # "c" constructors, whose definition is their variant.
 _DEF_SORTS = {TypeAliasDef: "t", VariantDef: "t", ExprDef: "e", ProgDef: "f", RealDef: "r"}
-_OWNERS = {"t": "type ", "e": "&", "f": "@", "r": "#", "c": "constructor "}
-# Parameter class -> (sort, sigil, what an argument must be, the node classes
-# of its syntactic class).
+_OWNERS = {**SIGILS, "t": "type ", "c": "constructor "}
+# Parameter class -> (the sort of its argument, its sigil, what an argument must be).
 _PARAMS = {
-    TypeParam: ("t", "'", "a type", TYPES),
-    ExprParam: ("e", "&", "an expression", EXPRS),
-    ProgParam: ("f", "@", "a program", PROGS),
-    RealParam: ("r", "#", "a real", REALS),
+    TypeParam: ("t", "'", "a type"),
+    ExprParam: ("e", "&", "an expression"),
+    ProgParam: ("f", "@", "a program"),
+    RealParam: ("r", "#", "a real"),
 }
-# Name class -> (its sort, what an unknown name of that class is called).
-_NAMES = {
-    RName: ("r", "real definition #"),
-    EName: ("e", "expression definition &"),
-    PName: ("f", "program definition @"),
-    TName: ("t", "type "),
+# What an unknown name of each sort is called.
+_UNKNOWN = {
+    "t": "type ",
+    "e": "expression definition &",
+    "f": "program definition @",
+    "r": "real definition #",
 }
 
 
@@ -428,8 +422,8 @@ class Elaborator:
         bound: dict[tuple[str, str], object] = {}
         key = []  # a node is canonical, so the key holds its id
         for p, a in zip(params, args):
-            sort, sigil, kind, nodes = _PARAMS[type(p)]
-            if not isinstance(a, nodes):
+            sort, sigil, kind = _PARAMS[type(p)]
+            if sort_of(a) != sort:
                 raise PreprocessError(f"{owner}: argument for {sigil}{p.name} must be {kind}")
             v = bound[sort, p.name] = self.elab(a, env)
             key.append(v if type(v) is tuple else id(v.node if type(v) is _Inexact else v))
@@ -459,11 +453,11 @@ class Elaborator:
                 return v
             left, right = self._real_node(left), self._real_node(right)
             return _Inexact(self._make(RBinary, x.op, left, right), v)
-        if t is RName or t is EName or t is PName or t is TName:
-            left, right = _NAMES[t]  # the sort, and what an unknown name is called
+        if t is Name:
+            left = x.sort
             v = self._named(left, x.name, x.args, env)
             if v is not None:
-                return v[0] if t is TName and type(v) is tuple else v  # a variant: its sum type
+                return v[0] if left == "t" and type(v) is tuple else v  # a variant: its sum type
             if left in "ef" and x.name in self.ctors:
                 v = self.ctors[x.name]
                 if (self.defs["c", x.name].alts[v].payload is None) == (left == "f"):
@@ -473,7 +467,7 @@ class Elaborator:
                         else f"@{x.name} carries a payload and must be applied"
                     )
                 return self._named("c", x.name, x.args, env)[1][v]
-            raise PreprocessError(f"unknown {right}{x.name}")
+            raise PreprocessError(f"unknown {_UNKNOWN[left]}{x.name}")
         if t is ExVar:
             v = env.qrename.get(x.name)
             if env.binds is not None and (v is None or x.name == "_"):
@@ -488,7 +482,7 @@ class Elaborator:
             return compare(x.op, _plain(self.elab(x.left, env)), _plain(self.elab(x.right, env)))
         if t is ExApp:
             return self._make(ExApp, self.elab(x.fn, env), self.elab(x.arg, env))
-        if t is EIf or t is PIf or t is RIf or t is TIf:
+        if t is If:
             return self.elab(x.then if self.elab(x.cond, env) else x.els, env)
         # A program numbers its binders from 0, and the program around it
         # goes on from where it was after.

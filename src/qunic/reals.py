@@ -26,11 +26,11 @@ recursion, so a flat chain of any length evaluates.  The preprocessor calls
 subtree twice, and decides a condition with :func:`compare`, which
 :func:`evaluate_bool` uses too.
 
-Two node kinds — :class:`~qunic.core.RName` and :class:`~qunic.core.RIf` —
-exist only in surface syntax.  The preprocessor substitutes definitions and
-resolves conditionals, so evaluation rejects them: seeing one after
-preprocessing is a bug in the caller, reported as a
-:class:`~qunic.errors.RealError`.
+A real may also be a :class:`~qunic.core.Name` or an
+:class:`~qunic.core.If` of sort ``"r"``, which exist only in surface syntax.
+The preprocessor substitutes definitions and resolves conditionals, so
+evaluation rejects them: seeing one after preprocessing is a bug in the
+caller, reported as a :class:`~qunic.errors.RealError`.
 
 Exact parts of a value are ints while they are integral: every exact rule
 drops a :class:`~fractions.Fraction` result whose denominator is 1 back to an
@@ -48,7 +48,8 @@ from fractions import Fraction
 from typing import Union
 
 from .core import (
-    BAnd, BCmp, BNot, BoolExpr, BOr, Real, RBinary, RConst, REuler, RIf, RName, RPi, RUnary, fold,
+    BAnd, BCmp, BNot, BoolExpr, BOr, Name, Real, RBinary, RConst, REuler, RPi, RUnary, fold,
+    sort_of,
 )
 from .errors import CapacityError, RealError
 
@@ -176,9 +177,9 @@ def _node_value(r: Real, operands: list[Value]) -> Value:
         return 0, 1
     if t is REuler:
         return math.e
-    if t is RName:
-        raise RealError(f"unresolved real name #{r.name} (not substituted)")
-    if t is RIf:
+    if sort_of(r) == "r":  # a name or an ``if``, which elaboration removes
+        if t is Name:
+            raise RealError(f"unresolved real name #{r.name} (not substituted)")
         raise RealError("unresolved conditional in real expression")
     raise RealError(f"not a real expression: {r!r}")
 

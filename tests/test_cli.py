@@ -88,6 +88,11 @@ def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
     stats = json.loads(record)
     c = core_of_source(source)
     assert code == 0
+    # Exactly the keys that the qunic.cli docstring documents.
+    assert set(stats) == {
+        "parse_ms", "elaborate_ms", "print_ms", "instantiations", "unroll_budget",
+        "core_dag_nodes", "core_tree_nodes", "peak_rss_mb",
+    }
     assert text == core.to_str(c)
     assert (stats["core_dag_nodes"], stats["core_tree_nodes"]) == core.node_counts(c)
     assert 0 < stats["instantiations"] < stats["unroll_budget"] == preprocess.UNROLL_BUDGET

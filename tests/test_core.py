@@ -18,7 +18,6 @@ from qunic.core import (
     BOr,
     CoreArm,
     ELet,
-    EName,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -26,6 +25,8 @@ from qunic.core import (
     ExTry,
     ExUnit,
     ExVar,
+    If,
+    Name,
     PrAbs,
     PrLeft,
     PrPmatch,
@@ -35,11 +36,8 @@ from qunic.core import (
     QFile,
     RBinary,
     RConst,
-    RName,
     RPi,
     RUnary,
-    TIf,
-    TName,
     TVar,
     TyProd,
     TySum,
@@ -139,7 +137,7 @@ class TestSharedCores:
             core.to_str(c)
 
     def test_nodes_have_no_dict_and_only_their_declared_fields(self):
-        assert len(NODE_CLASSES) == 49
+        assert len(NODE_CLASSES) == 43
         for cls in NODE_CLASSES:
             declared = list(cls.__annotations__)
             assert [f.name for f in dataclasses.fields(cls)] == declared
@@ -156,8 +154,8 @@ class TestSharedCores:
         # a real name in a generic argument prints with the rest.
         script = (
             f"import {first}\n"
-            "from qunic.core import EName, RName, TName, to_str\n"
-            "print(to_str(EName('f', (RName('n', (TName('Bit'),)),))))\n"
+            "from qunic.core import Name, to_str\n"
+            "print(to_str(Name('e', 'f', (Name('r', 'n', (Name('t', 'Bit'),)),))))\n"
         )
         src = str(pathlib.Path(core.__file__).parents[1])
         out = subprocess.run(
@@ -352,12 +350,25 @@ def test_real_values_are_step_folded_recursively(r):
 
 
 @pytest.mark.parametrize(
-    "e", [ELet(ExVar("x"), ExUnit(), ExVar("x")), EName("z", (RName("n"),))], ids=["let", "name"]
+    "e",
+    [
+        ELet(ExVar("x"), ExUnit(), ExVar("x")),
+        Name("e", "z", (Name("r", "n"),)),
+        If("e", BCmp("<", RConst(1), RConst(2)), ExVar("x"), ExVar("y")),
+    ],
+    ids=["let", "name", "if"],
 )
 def test_free_variables_of_sugar_are_a_type_error(e):
     for term in (e, ExPair(ExUnit(), e)):
         with pytest.raises(TypeError, match="not a core expression"):
             core.free_qvars(term)
+
+
+def test_a_program_name_or_if_is_a_leaf_of_free_variables():
+    # Programs are closed, so a program name or ``if`` has none, like a lambda.
+    cond = BCmp("<", RConst(1), RConst(2))
+    for f in (Name("f", "g", (ExVar("y"),)), If("f", cond, Name("f", "g"), Name("f", "h"))):
+        assert core.free_qvars(ExApp(f, ExVar("x"))) == {"x"}
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +396,7 @@ def test_a_core_prints_as_its_copy_that_shares_no_node(source):
 
 def test_a_shared_generic_argument_prints_at_every_position():
     arg = TyProd(TVar("a"), TyUnit())
-    t = TName("Pair", (arg, TName("List", (RConst(3), arg)), arg))
+    t = Name("t", "Pair", (arg, Name("t", "List", (RConst(3), arg)), arg))
     assert core.to_str(t) == "Pair{('a * Unit), List{3, ('a * Unit)}, ('a * Unit)}"
 
 
@@ -405,7 +416,7 @@ def test_a_shared_negative_constant_is_never_a_bare_operand():
 
 def test_a_shared_disjunction_is_bare_as_a_condition_and_parenthesized_under_and():
     either = BOr(BCmp("<", RConst(1), RConst(2)), BCmp("=", RPi(), RPi()))
-    t = TIf(either, TIf(BAnd(either, either), TyUnit(), TyVoid()), TyUnit())
+    t = If("t", either, If("t", BAnd(either, either), TyUnit(), TyVoid()), TyUnit())
     text = core.to_str(t)
     inner = "if (1 < 2 || pi = pi) && (1 < 2 || pi = pi) then Unit else Void endif"
     assert text == f"if 1 < 2 || pi = pi then {inner} else Unit endif"

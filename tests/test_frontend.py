@@ -11,9 +11,7 @@ from qunic.core import (
     BNot,
     BOr,
     CoreArm,
-    EIf,
     ELet,
-    EName,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -21,9 +19,9 @@ from qunic.core import (
     ExTry,
     ExUnit,
     ExVar,
+    If,
+    Name,
     PGphase,
-    PIf,
-    PName,
     PrAbs,
     ProgDef,
     PrPmatch,
@@ -31,18 +29,15 @@ from qunic.core import (
     PrU3,
     RBinary,
     RConst,
-    RIf,
-    RName,
     RPi,
     RUnary,
-    TIf,
-    TName,
     TVar,
     TypeAliasDef,
     TyProd,
     TyUnit,
     TyVoid,
     VariantDef,
+    sort_of,
     to_str,
 )
 from qunic.errors import CapacityError, LexError, ParseError
@@ -186,13 +181,13 @@ def test_token_positions_point_at_their_text(pieces, trailer):
 class TestParser:
     def test_pipe_desugars_to_application(self):
         e = parse_expr_string("x |> @f |> @g")
-        assert e == ExApp(PName("g"), ExApp(PName("f"), ExVar("x")))
+        assert e == ExApp(Name("f", "g"), ExApp(Name("f", "f"), ExVar("x")))
 
     def test_application_parens_double_as_pair(self):
         assert parse_expr_string("@f(a, b)") == parse_expr_string("@f((a, b))")
 
     def test_unit_argument(self):
-        assert parse_expr_string("@f(())") == ExApp(PName("f"), ExUnit())
+        assert parse_expr_string("@f(())") == ExApp(Name("f", "f"), ExUnit())
 
     def test_ctrl_with_else_and_trailing_semicolon(self):
         e = parse_expr_string("ctrl (a, b) [(&1, &1) -> ((a, b), @not(c)); else -> ((a, b), c);]")
@@ -203,12 +198,12 @@ class TestParser:
     def test_match_arms(self):
         e = parse_expr_string("match x [(&1, &1) -> &1; else -> &0;]")
         assert isinstance(e, ExMatch)
-        assert e.arms[0].pattern == ExPair(EName("1"), EName("1"))
+        assert e.arms[0].pattern == ExPair(Name("e", "1"), Name("e", "1"))
 
     def test_lambda_body_extends_through_pipes(self):
         f = parse_prog_string("lambda x -> x |> @f |> @g")
         assert isinstance(f, PrAbs)
-        assert f.body == ExApp(PName("g"), ExApp(PName("f"), ExVar("x")))
+        assert f.body == ExApp(Name("f", "g"), ExApp(Name("f", "f"), ExVar("x")))
 
     def test_parenthesized_lambda_application(self):
         e = parse_expr_string("(lambda x -> x)(&0)")
@@ -225,7 +220,7 @@ class TestParser:
 
     def test_type_product_left_associative(self):
         t = parse_type_string("Bit * Bit * Bit")
-        assert t == TyProd(TyProd(TName("Bit"), TName("Bit")), TName("Bit"))
+        assert t == TyProd(TyProd(Name("t", "Bit"), Name("t", "Bit")), Name("t", "Bit"))
 
     def test_tuple_pattern_matches_left_associated_product(self):
         # ((a, b), c) is the pattern shape for Bit * Bit * Bit
@@ -234,33 +229,34 @@ class TestParser:
 
     def test_type_conditional(self):
         t = parse_type_string("if #n <= 0 then Unit else 'a * Array{#n - 1, 'a} endif")
-        assert isinstance(t, TIf)
+        assert (type(t), t.sort) == (If, "t")
         assert isinstance(t.els, TyProd)
 
     def test_rphase_shape(self):
         f = parse_prog_string("rphase{(&1, &1), 2 * pi / 2 ^ #k, 0}")
         assert isinstance(f, PrRphase)
-        assert f.pattern == ExPair(EName("1"), EName("1"))
+        assert f.pattern == ExPair(Name("e", "1"), Name("e", "1"))
         assert f.off_phase == RConst(0)
 
     def test_expression_if(self):
         e = parse_expr_string("if #a % 2 = 1 then &1 else &0 endif")
-        assert isinstance(e, EIf)
+        assert (type(e), e.sort) == (If, "e")
 
     def test_generic_args_mixed_classes(self):
         e = parse_expr_string("&repeated{5, Bit, &plus}")
-        assert isinstance(e, EName)
-        assert e.args == (RConst(5), TName("Bit"), EName("plus"))
+        assert (type(e), e.sort) == (Name, "e")
+        assert e.args == (RConst(5), Name("t", "Bit"), Name("e", "plus"))
 
     def test_generic_arg_applied_program(self):
-        assert parse_expr_string("&0{@f(())}") == EName("0", (ExApp(PName("f"), ExUnit()),))
+        e = parse_expr_string("&0{@f(())}")
+        assert e == Name("e", "0", (ExApp(Name("f", "f"), ExUnit()),))
         e = parse_expr_string("&0{@f(x) |> @g}")
-        assert e == EName("0", (ExApp(PName("g"), ExApp(PName("f"), ExVar("x"))),))
+        assert e == Name("e", "0", (ExApp(Name("f", "g"), ExApp(Name("f", "f"), ExVar("x"))),))
 
     def test_generic_arg_parenthesized_real(self):
         e = parse_expr_string("&f{(#a - 1) / 2}")
         (arg,) = e.args
-        assert arg == RBinary("/", RBinary("-", RName("a"), RConst(1)), RConst(2))
+        assert arg == RBinary("/", RBinary("-", Name("r", "a"), RConst(1)), RConst(2))
 
     def test_negative_literal_only_on_constants(self):
         assert parse_real_string("1 - -2") == RBinary("-", RConst(1), RConst(-2))
@@ -301,31 +297,52 @@ class TestParser:
         parse_file(text)
         assert len(taken) == len(tokenize(text)) - 1  # every token but EOF
 
-    _BIT = TName("Bit")
+    _BIT = Name("t", "Bit")
     _ONE_LT_TWO = BCmp("<", RConst(1), RConst(2))
 
     @pytest.mark.parametrize(
         "argument, tree",
         [
-            ("(#a - 1) / 2", RBinary("/", RBinary("-", RName("a"), RConst(1)), RConst(2))),
+            ("(#a - 1) / 2", RBinary("/", RBinary("-", Name("r", "a"), RConst(1)), RConst(2))),
             ("(Bit) * Bit", TyProd(_BIT, _BIT)),
             ("((1))", RConst(1)),
             ("()", ExUnit()),
-            ("(@g)", PName("g")),
-            ("(@g)(x) |> @h", ExApp(PName("h"), ExApp(PName("g"), ExVar("x")))),
+            ("(@g)", Name("f", "g")),
+            ("(@g)(x) |> @h", ExApp(Name("f", "h"), ExApp(Name("f", "g"), ExVar("x")))),
             ("(lambda x -> x)(y)", ExApp(PrAbs(ExVar("x"), ExVar("x")), ExVar("y"))),
             (
                 "if 1 < 2 then Bit else Unit endif * Bit",
-                TyProd(TIf(_ONE_LT_TWO, _BIT, TyUnit()), _BIT),
+                TyProd(If("t", _ONE_LT_TWO, _BIT, TyUnit()), _BIT),
             ),
             (
                 "if 1 < 2 then 1 else 2 endif + 3",
-                RBinary("+", RIf(_ONE_LT_TWO, RConst(1), RConst(2)), RConst(3)),
+                RBinary("+", If("r", _ONE_LT_TWO, RConst(1), RConst(2)), RConst(3)),
             ),
         ],
     )
     def test_generic_argument_continues_its_class(self, argument, tree):
-        assert parse_expr_string("&f{" + argument + "}") == EName("f", (tree,))
+        assert parse_expr_string("&f{" + argument + "}") == Name("e", "f", (tree,))
+
+    @pytest.mark.parametrize(
+        "argument, node, sort",
+        [
+            ("T{Bit, 3}", Name, "t"),
+            ("&x{@f, Unit}", Name, "e"),
+            ("@f{#r, &x}", Name, "f"),
+            ("#r{1, 2}", Name, "r"),
+            ("if 1 < 2 then T{Bit} else Unit * Bit endif", If, "t"),
+            ("if 1 < 2 then &x else (x, ()) endif", If, "e"),
+            ("if 1 < 2 then @f{3} else lambda x -> x endif", If, "f"),
+            ("if 1 < 2 then #r else 2 * pi endif", If, "r"),
+        ],
+    )
+    def test_a_name_or_if_argument_has_its_sort_and_round_trips(self, argument, node, sort):
+        e = parse_expr_string("&z{" + argument + "}")
+        (arg,) = e.args
+        assert (type(arg), arg.sort, sort_of(arg)) == (node, sort, sort)
+        if node is If:
+            assert sort_of(arg.then) == sort_of(arg.els) == sort
+        assert parse_expr_string(to_str(e)) == e
 
     @pytest.mark.parametrize(
         "condition, tree",
@@ -336,7 +353,7 @@ class TestParser:
     )
     def test_parenthesis_in_a_condition(self, condition, tree):
         t = parse_type_string(f"if {condition} then Unit else Void endif")
-        assert t == TIf(tree, TyUnit(), TyVoid())
+        assert t == If("t", tree, TyUnit(), TyVoid())
 
     @pytest.mark.parametrize(
         "source",
@@ -421,11 +438,11 @@ class TestParser:
 
     def test_file_requires_defs_then_main(self):
         qf = parse_file("def &one : Bit := &1 end &one")
-        assert qf.main == EName("one")
+        assert qf.main == Name("e", "one")
 
     def test_prog_if(self):
         f = parse_prog_string("if #n = 0 then @id{Unit} else @f endif")
-        assert isinstance(f, PIf)
+        assert (type(f), f.sort) == (If, "f")
 
 
 def _nested(head, middle, tail):
@@ -478,12 +495,12 @@ class TestPrettyPrinter:
         assert parse_file(to_str(qf)) == qf
 
     def test_product_needs_parens_on_right(self):
-        t = TyProd(TName("Bit"), TyProd(TName("Bit"), TName("Bit")))
+        t = TyProd(Name("t", "Bit"), TyProd(Name("t", "Bit"), Name("t", "Bit")))
         assert to_str(t) == "(Bit * (Bit * Bit))"
         assert parse_type_string(to_str(t)) == t
 
     def test_applied_lambda_is_parenthesized(self):
-        e = ExApp(PrAbs(ExVar("x"), ExVar("x")), EName("0"))
+        e = ExApp(PrAbs(ExVar("x"), ExVar("x")), Name("e", "0"))
         assert to_str(e) == "(lambda x -> x)(&0)"
 
     @pytest.mark.parametrize(
@@ -526,7 +543,7 @@ def _reals(depth: int):
     base = st.one_of(
         st.integers(-20, 20).map(RConst),
         st.just(RPi()),
-        _rnames.map(lambda n: RName(n, ())),
+        _rnames.map(lambda n: Name("r", n, ())),
     )
     if depth == 0:
         return base
@@ -551,7 +568,7 @@ def _types(depth: int):
         st.just(TyVoid()),
         st.just(TyUnit()),
         _tyvars.map(TVar),
-        _tnames.map(lambda n: TName(n, ())),
+        _tnames.map(lambda n: Name("t", n, ())),
     )
     if depth == 0:
         return base
@@ -559,8 +576,8 @@ def _types(depth: int):
     return st.one_of(
         base,
         st.builds(TyProd, sub, sub),
-        st.builds(TIf, _bools(1), sub, sub),
-        st.builds(TName, _tnames, st.tuples(sub)),
+        st.builds(If, st.just("t"), _bools(1), sub, sub),
+        st.builds(Name, st.just("t"), _tnames, st.tuples(sub)),
     )
 
 
@@ -572,7 +589,7 @@ def _exprs(depth: int):
     base = st.one_of(
         st.just(ExUnit()),
         _qvars.map(ExVar),
-        _enames.map(lambda n: EName(n, ())),
+        _enames.map(lambda n: Name("e", n, ())),
     )
     if depth == 0:
         return base
@@ -587,14 +604,14 @@ def _exprs(depth: int):
         st.builds(ExTry, sub, sub),
         st.builds(ExApp, _progs(depth - 1), sub),
         st.builds(ELet, sub, sub, sub),
-        st.builds(EIf, _bools(1), sub, sub),
-        st.builds(EName, _enames, st.tuples(_genargs(depth - 1))),
+        st.builds(If, st.just("e"), _bools(1), sub, sub),
+        st.builds(Name, st.just("e"), _enames, st.tuples(_genargs(depth - 1))),
     )
 
 
 def _progs(depth: int):
     base = st.one_of(
-        _fnames.map(lambda n: PName(n, ())),
+        _fnames.map(lambda n: Name("f", n, ())),
         st.builds(PrU3, _reals(1), _reals(1), _reals(1)),
         st.builds(PGphase, _reals(1)),
     )
@@ -607,8 +624,8 @@ def _progs(depth: int):
         st.builds(PrAbs, sub, sub),
         st.builds(PrRphase, sub, _reals(1), _reals(1)),
         st.builds(PrPmatch, arms),
-        st.builds(PIf, _bools(1), _progs(depth - 1), _progs(depth - 1)),
-        st.builds(PName, _fnames, st.tuples(_genargs(depth - 1))),
+        st.builds(If, st.just("f"), _bools(1), _progs(depth - 1), _progs(depth - 1)),
+        st.builds(Name, st.just("f"), _fnames, st.tuples(_genargs(depth - 1))),
     )
 
 
@@ -619,29 +636,32 @@ _BAND = BAnd(BCmp(">", RPi(), RPi()), BCmp("=", RConst(0), RPi()))
 
 @settings(max_examples=300, deadline=None)
 @given(_exprs(3))
-@example(EIf(_BAND, ExUnit(), ExUnit()))
-@example(EName("0", (ExApp(PName("f", ()), ExUnit()),)))
+@example(If("e", _BAND, ExUnit(), ExUnit()))
+@example(Name("e", "0", (ExApp(Name("f", "f", ()), ExUnit()),)))
+@example(Name("e", "z", (If("r", _BAND, Name("r", "n"), RConst(2)), Name("r", "k", (RPi(),)))))
 def test_expr_print_parse_round_trip(e):
     assert parse_expr_string(to_str(e)) == e
 
 
 @settings(max_examples=200, deadline=None)
 @given(_progs(3))
-@example(PIf(_BAND, PName("f"), PName("f")))
-@example(PName("f", (ExApp(PName("f", ()), ExUnit()),)))
+@example(If("f", _BAND, Name("f", "f"), Name("f", "f")))
+@example(Name("f", "f", (ExApp(Name("f", "f", ()), ExUnit()),)))
 def test_prog_print_parse_round_trip(f):
     assert parse_prog_string(to_str(f)) == f
 
 
 @settings(max_examples=200, deadline=None)
 @given(_types(3))
-@example(TIf(_BAND, TyVoid(), TyVoid()))
+@example(If("t", _BAND, TyVoid(), TyVoid()))
 def test_type_print_parse_round_trip(t):
     assert parse_type_string(to_str(t)) == t
 
 
 @settings(max_examples=200, deadline=None)
 @given(_genargs(2), st.integers(1, 3))
+@example(If("r", _BAND, Name("r", "n", (Name("t", "Bit"),)), RConst(2)), 1)
+@example(RBinary("-", RConst(1), If("r", _BAND, RPi(), Name("r", "k"))), 2)
 def test_parenthesized_generic_argument_parses_unchanged(arg, depth):
     text = to_str(arg)
     wrapped = "(" * depth + text + ")" * depth

@@ -4,9 +4,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from qunic.core import BCmp, RBinary, RConst, REuler, RIf, RName, RPi, RUnary, to_str
+from qunic.core import BAnd, BCmp, If, Name, RBinary, RConst, REuler, RPi, RUnary, to_str
 from qunic.errors import CapacityError, RealError
 from qunic.parser import parse_real_string
 from qunic.preprocess import core_of_source
@@ -113,11 +113,11 @@ class TestExactEvaluation:
 
     def test_unresolved_name_rejected(self):
         with pytest.raises(RealError):
-            evaluate_real(RName("n"))
+            evaluate_real(Name("r", "n"))
 
     def test_unresolved_conditional_rejected(self):
         with pytest.raises(RealError):
-            evaluate_real(RIf(BCmp("=", RConst(0), RConst(0)), RConst(1), RConst(2)))
+            evaluate_real(If("r", BCmp("=", RConst(0), RConst(0)), RConst(1), RConst(2)))
 
 
 class TestPiMultiples:
@@ -192,7 +192,7 @@ def _real_trees(depth: int):
             st.integers(-50, 50).map(RConst),
             st.just(RPi()),
             st.just(REuler()),
-            _rnames.map(lambda n: RName(n, ())),
+            _rnames.map(lambda n: Name("r", n, ())),
         )
     sub = _real_trees(depth - 1)
     return st.one_of(
@@ -202,7 +202,12 @@ def _real_trees(depth: int):
     )
 
 
+_BOTH = BAnd(BCmp("<", RConst(1), RConst(2)), BCmp(">=", RPi(), Name("r", "k")))
+
+
 @given(_real_trees(4))
+@example(If("r", _BOTH, Name("r", "n", (Name("t", "Bit"), RConst(2))), RConst(-1)))
+@example(RBinary("^", Name("r", "a'"), If("r", _BOTH, RPi(), RBinary("-", RConst(1), RPi()))))
 def test_real_print_parse_round_trip(r):
     assert parse_real_string(to_str(r)) == r
 
