@@ -20,9 +20,12 @@ constructors), compile-time conditionals (``if .. then .. else .. endif``),
 Types, expressions, programs and reals are the four *sorts*, ``"t"``,
 ``"e"``, ``"f"`` and ``"r"``.  A name and a conditional have the same fields
 in every sort, so each is one class, :class:`Name` and :class:`If`, that
-carries its sort in a field; every other class has one sort or none.
-:func:`sort_of` is the one reader of a node's sort, and this module the one
-place that maps a class to its sort.
+carries its sort in a field.  So do a generic parameter and a definition,
+:class:`Param` and :class:`Def`, whose declared signature is one field,
+``sig``; but a ``sort`` there is the sort of what they declare, and they have
+none themselves.  Every other class has one sort or none.  :func:`sort_of` is
+the one reader of a node's sort, and this module the one place that maps a
+class to its sort.
 
 Patterns are not a separate syntactic class: the expressions to the left of
 ``->`` in ``ctrl``/``match``/``pmatch`` arms and under ``lambda`` are ordinary
@@ -233,8 +236,10 @@ class If(_Node):
     els: "GenArg"
 
 
-# The sigil before a name of each sort; a type's name has none.
+# The sigil before a name of each sort; a type's name has none.  A type
+# parameter's has one, as the type variable it binds.
 SIGILS = {"t": "", "e": "&", "f": "@", "r": "#"}
+PARAM_SIGILS = {**SIGILS, "t": "'"}
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +476,8 @@ _SORTS = {
 def sort_of(x: _Node) -> str | None:
     """The sort of ``x``: ``"t"``, ``"e"``, ``"f"`` or ``"r"`` for a type, an
     expression, a program or a real, and None for a node of no sort (a
-    condition, an arm, a parameter, a definition or a file)."""
+    condition, an arm, a parameter, a definition or a file: the ``sort`` of a
+    :class:`Param` or a :class:`Def` is that of what it declares)."""
     t = type(x)
     return x.sort if t is Name or t is If else _SORTS.get(t)
 
@@ -481,29 +487,28 @@ def sort_of(x: _Node) -> str | None:
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
-class TypeParam(_Node):
-    name: str  # without the leading apostrophe
+class Param(_Node):
+    """A generic parameter of a definition: ``'a``, ``&x : T``, ``@f : A -> B``
+    or ``#n``, of sort ``sort``, with its signature ``sig``, ``(T,)`` or
+    ``(A, B)`` for an expression or a program and ``()`` otherwise."""
+
+    sort: str  # "t", "e", "f" or "r"
+    name: str  # without the sigil
+    sig: tuple[Type, ...] = ()
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
-class ExprParam(_Node):
-    name: str  # without the leading &
-    ty: Type
+class Def(_Node):
+    """A type alias ``type T{params} := body end``, or a definition ``def
+    &x{params} : T := body end``, ``def @f{params} : A -> B := body end`` or
+    ``def #r{params} := body end``, of sort ``sort``; ``sig`` is as a
+    :class:`Param`'s."""
 
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class ProgParam(_Node):
-    name: str  # without the leading @
-    dom: Type
-    cod: Type
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class RealParam(_Node):
-    name: str  # without the leading #
-
-
-Param = Union[TypeParam, ExprParam, ProgParam, RealParam]
+    sort: str  # "t", "e", "f" or "r"
+    name: str
+    params: tuple[Param, ...]
+    sig: tuple[Type, ...]
+    body: GenArg
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
@@ -519,13 +524,6 @@ class VariantAlt(_Node):
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
-class TypeAliasDef(_Node):
-    name: str
-    params: tuple[Param, ...]
-    body: Type
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class VariantDef(_Node):
     name: str
     params: tuple[Param, ...]
@@ -533,37 +531,10 @@ class VariantDef(_Node):
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
-class ExprDef(_Node):
-    name: str
-    params: tuple[Param, ...]
-    ty: Type
-    body: Expr
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class ProgDef(_Node):
-    name: str
-    params: tuple[Param, ...]
-    dom: Type
-    cod: Type
-    body: Prog
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class RealDef(_Node):
-    name: str
-    params: tuple[Param, ...]
-    body: Real
-
-
-Def = Union[TypeAliasDef, VariantDef, ExprDef, ProgDef, RealDef]
-
-
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class QFile(_Node):
     """A sequence of definitions and an optional main expression."""
 
-    defs: tuple[Def, ...]
+    defs: tuple[Def | VariantDef, ...]
     main: Expr | None
 
 
@@ -573,7 +544,7 @@ class QFile(_Node):
 
 def children(x: _Node) -> list[_Node]:
     """The nodes in ``x``'s fields, in field order; a tuple field (arms,
-    generic arguments, parameters) gives its nodes in order."""
+    generic arguments, parameters, a signature) gives its nodes in order."""
     parts = []
     for name in x.__slots__:
         v = getattr(x, name)
@@ -784,7 +755,7 @@ def _show(x: _Node | tuple[GenArg, ...], shared: set[int], memo: dict[int, str])
     elif t is BNot:
         arg = _show(x.arg, shared, memo)
         s = f"!{arg}" if _binds(x.arg) == _ATOM else f"!({arg})"
-    elif t is TVar or t is TypeParam:
+    elif t is TVar:
         s = f"'{x.name}"
     elif t is Name:
         s = f"{SIGILS[x.sort]}{x.name}{_show(x.args, shared, memo)}"
@@ -803,29 +774,21 @@ def _show(x: _Node | tuple[GenArg, ...], shared: set[int], memo: dict[int, str])
         s = f"if {cond} then {then} else {_show(x.els, shared, memo)} endif"
         if x.sort == "f":
             s = f"({s})"
-    elif t is ExprParam:
-        s = f"&{x.name} : {_show(x.ty, shared, memo)}"
-    elif t is ProgParam:
-        s = f"@{x.name} : {_show(x.dom, shared, memo)} -> {_show(x.cod, shared, memo)}"
-    elif t is RealParam:
-        s = f"#{x.name}"
+    elif t is Param or t is Def:
+        if t is Param:
+            s = PARAM_SIGILS[x.sort] + x.name
+        else:
+            keyword = "type " if x.sort == "t" else "def "
+            s = f"{keyword}{SIGILS[x.sort]}{x.name}{_show(x.params, shared, memo)}"
+        if x.sig:
+            s += " : " + " -> ".join([_show(ty, shared, memo) for ty in x.sig])
+        if t is Def:
+            s += f" := {_show(x.body, shared, memo)} end"
     elif t is VariantAlt:
         s = f"&{x.name}" if x.payload is None else f"@{x.name} of {_show(x.payload, shared, memo)}"
-    elif t is TypeAliasDef or t is VariantDef:
-        if t is VariantDef:
-            body = " | ".join([_show(alt, shared, memo) for alt in x.alts])
-        else:
-            body = _show(x.body, shared, memo)
+    elif t is VariantDef:
+        body = " | ".join([_show(alt, shared, memo) for alt in x.alts])
         s = f"type {x.name}{_show(x.params, shared, memo)} := {body} end"
-    elif t is ExprDef:
-        head = f"def &{x.name}{_show(x.params, shared, memo)} : {_show(x.ty, shared, memo)}"
-        s = f"{head} := {_show(x.body, shared, memo)} end"
-    elif t is ProgDef:
-        dom, cod = _show(x.dom, shared, memo), _show(x.cod, shared, memo)
-        head = f"def @{x.name}{_show(x.params, shared, memo)} : {dom} -> {cod}"
-        s = f"{head} := {_show(x.body, shared, memo)} end"
-    elif t is RealDef:
-        s = f"def #{x.name}{_show(x.params, shared, memo)} := {_show(x.body, shared, memo)} end"
     elif t is QFile:
         chunks = [_show(d, shared, memo) for d in x.defs]
         if x.main is not None:

@@ -33,6 +33,12 @@ not tell the sort whole, each with the same ``sorts``:
   the :class:`~qunic.core.If`.  An ``if`` program is not applied to a ``(``
   after it.
 
+A parameter or a definition of every sort is one class,
+:class:`~qunic.core.Param` or :class:`~qunic.core.Def`: ``_STARTS`` gives the
+sort of its name token, and ``_signature`` reads its signature by that sort,
+``: T`` for an expression and ``: A -> B`` for a program.  A variant type is
+a :class:`~qunic.core.VariantDef`.
+
 A ``(`` in a condition reads a condition or a real; a real is then continued
 and compared (``((1) + 2) < 3``).  A level of ``(`` or ``if`` nesting costs
 two frames, ``_atom`` and ``_group`` or ``_if``.
@@ -78,8 +84,6 @@ from .core import (
     ExMatch,
     ExPair,
     Expr,
-    ExprDef,
-    ExprParam,
     ExTry,
     ExUnit,
     ExVar,
@@ -90,8 +94,6 @@ from .core import (
     PGphase,
     PrAbs,
     Prog,
-    ProgDef,
-    ProgParam,
     PrPmatch,
     PrRphase,
     PrU3,
@@ -99,15 +101,11 @@ from .core import (
     RBinary,
     RConst,
     Real,
-    RealDef,
-    RealParam,
     REuler,
     RPi,
     RUnary,
     TVar,
     Type,
-    TypeAliasDef,
-    TypeParam,
     TyProd,
     TyUnit,
     TyVoid,
@@ -460,15 +458,15 @@ class _Parser:
 
     # -- definitions and files -----------------------------------------------------
 
-    def _signature(self, kind: TokKind) -> tuple[Type, ...]:
-        """What follows the name of a parameter or definition of ``kind``:
-        ``: T`` after ``&``, ``: A -> B`` after ``@``, and nothing after ``#``
-        or a type variable."""
-        if kind is not TokKind.ENAME and kind is not TokKind.FNAME:
+    def _signature(self, sort: str) -> tuple[Type, ...]:
+        """What follows the name of a parameter or definition of ``sort``:
+        ``: T`` for an expression, ``: A -> B`` for a program, and nothing
+        for a type or a real."""
+        if sort != "e" and sort != "f":
             return ()
         self.expect_punct(":")
         ty = self.parse_type()
-        if kind is TokKind.ENAME:
+        if sort == "e":
             return (ty,)
         self.expect_punct("->")
         return ty, self.parse_type()
@@ -478,9 +476,10 @@ class _Parser:
         if t.kind not in _PARAMS:
             raise self._fail("expected a parameter")
         self.take()
-        return _PARAMS[t.kind](t.text, *self._signature(t.kind))
+        sort = _STARTS[t.kind]
+        return Param(sort, t.text, self._signature(sort))
 
-    def parse_def(self) -> Def:
+    def parse_def(self) -> Def | VariantDef:
         if self.at_kw("type"):
             self.take()
             name = self.expect_kind(TokKind.TNAME, "a type name").text
@@ -492,19 +491,19 @@ class _Parser:
                 return VariantDef(name, params, alts)
             body = self.parse_type()
             self.expect_kw("end")
-            return TypeAliasDef(name, params, body)
+            return Def("t", name, params, (), body)
         self.expect_kw("def")
         t = self.cur
         if t.kind not in _DEFS:
             raise self._fail("expected '&', '@', or '#' after 'def'")
-        node, read = _DEFS[t.kind]
         self.take()
+        sort = _STARTS[t.kind]
         params = self._braced(self._parse_param)
-        signature = self._signature(t.kind)
+        sig = self._signature(sort)
         self.expect_punct(":=")
-        body = read(self)
+        body = _DEFS[t.kind](self)
         self.expect_kw("end")
-        return node(t.text, params, *signature, body)
+        return Def(sort, t.text, params, sig, body)
 
     def _parse_variant_alts(self) -> tuple[VariantAlt, ...]:
         if self.at_punct("|"):
@@ -527,7 +526,7 @@ class _Parser:
         raise self._fail("expected a variant alternative")
 
     def parse_file(self) -> QFile:
-        defs: list[Def] = []
+        defs: list[Def | VariantDef] = []
         while self.at_kw("type") or self.at_kw("def"):
             defs.append(self.parse_def())
         main: Expr | None = None
@@ -547,14 +546,13 @@ _REST: dict[str, Callable[[_Parser, GenArg], GenArg]] = {
     "r": _Parser.parse_real, "t": _Parser.parse_type,
     "e": _Parser._pipeline, "f": lambda p, x: x,
 }
-_PARAMS = {
-    TokKind.TYVAR: TypeParam, TokKind.ENAME: ExprParam,
-    TokKind.FNAME: ProgParam, TokKind.RNAME: RealParam,
-}
+# The tokens that start a parameter, and the body reader of each token that
+# names a definition; ``_STARTS`` gives the sort of either.
+_PARAMS = frozenset((TokKind.TYVAR, TokKind.ENAME, TokKind.FNAME, TokKind.RNAME))
 _DEFS = {
-    TokKind.ENAME: (ExprDef, _Parser.parse_expr),
-    TokKind.FNAME: (ProgDef, _Parser.parse_prog),
-    TokKind.RNAME: (RealDef, _Parser.parse_real),
+    TokKind.ENAME: _Parser.parse_expr,
+    TokKind.FNAME: _Parser.parse_prog,
+    TokKind.RNAME: _Parser.parse_real,
 }
 
 

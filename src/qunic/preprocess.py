@@ -5,8 +5,11 @@ case per node class: a type, an expression or a program elaborates to its
 core node, a real to its value and a condition to a bool.  A name of every
 sort is one class, :class:`~qunic.core.Name`, and one case, which looks the
 name up under the sort in its field; an ``if`` of every sort is one class,
-:class:`~qunic.core.If`, and one case.  A generic argument must have the sort
-of its parameter, by :func:`~qunic.core.sort_of`.  It resolves all that is
+:class:`~qunic.core.If`, and one case.  A definition and a generic
+parameter of every sort are one class each, :class:`~qunic.core.Def` and
+:class:`~qunic.core.Param`, read by their ``sort`` field, and a generic
+argument must have its parameter's sort, by :func:`~qunic.core.sort_of`.  A
+variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
 "compile time" in Qunity:
 
 * named definitions (``&x``, ``@f``, ``#r``, ``T{...}``) are instantiated at
@@ -14,7 +17,9 @@ of its parameter, by :func:`~qunic.core.sort_of`.  It resolves all that is
   so recursive definitions unroll linearly, with a global budget guarding
   against unbounded recursion.  All of them live in one table keyed by
   ``(sort, name)`` and are instantiated by one routine,
-  :meth:`Elaborator._named`;
+  :meth:`Elaborator._named`.  A variant constructor is used as an expression
+  or a program, so its name may be that of no other constructor and of no
+  expression or program definition, whichever comes first;
 * a real elaborates to its value, computed by one evaluator step
   (:func:`~qunic.reals.step`) per node from its children's values, so no
   subtree is evaluated twice.  A rational or an exact nonzero multiple of pi
@@ -73,6 +78,7 @@ from importlib import resources
 from typing import Mapping, NamedTuple, Union
 
 from .core import (
+    PARAM_SIGILS,
     SIGILS,
     BAnd,
     BCmp,
@@ -88,8 +94,6 @@ from .core import (
     ExMatch,
     ExPair,
     Expr,
-    ExprDef,
-    ExprParam,
     ExTry,
     ExUnit,
     ExVar,
@@ -100,8 +104,6 @@ from .core import (
     PGphase,
     PrAbs,
     PrLeft,
-    ProgDef,
-    ProgParam,
     PrPmatch,
     PrRight,
     PrRphase,
@@ -110,14 +112,10 @@ from .core import (
     RBinary,
     RConst,
     Real,
-    RealDef,
-    RealParam,
     REuler,
     RPi,
     RUnary,
     TVar,
-    TypeAliasDef,
-    TypeParam,
     TyProd,
     TySum,
     TyUnit,
@@ -136,17 +134,12 @@ from .reals import as_pi_multiple, as_rational, evaluate_bool  # noqa: F401
 
 UNROLL_BUDGET = 10_000
 
-# The sorts of names: "t" types, "e" expressions, "f" programs, "r" reals, and
-# "c" constructors, whose definition is their variant.
-_DEF_SORTS = {TypeAliasDef: "t", VariantDef: "t", ExprDef: "e", ProgDef: "f", RealDef: "r"}
+# The owner of a name of each sort in a message: "t" types, "e" expressions,
+# "f" programs, "r" reals, and "c" constructors, whose definition is their
+# variant.
 _OWNERS = {**SIGILS, "t": "type ", "c": "constructor "}
-# Parameter class -> (the sort of its argument, its sigil, what an argument must be).
-_PARAMS = {
-    TypeParam: ("t", "'", "a type"),
-    ExprParam: ("e", "&", "an expression"),
-    ProgParam: ("f", "@", "a program"),
-    RealParam: ("r", "#", "a real"),
-}
+# What an argument of each sort is called.
+_KINDS = {"t": "a type", "e": "an expression", "f": "a program", "r": "a real"}
 # What an unknown name of each sort is called.
 _UNKNOWN = {
     "t": "type ",
@@ -161,7 +154,7 @@ def default_prelude_text() -> str:
 
 
 @functools.cache
-def load_prelude_defs() -> tuple[Def, ...]:
+def load_prelude_defs() -> tuple[Def | VariantDef, ...]:
     """The prelude's definitions, parsed on the first call and shared after it.
 
     The prelude is parsed once per process, never at import.  Sharing is safe
@@ -235,8 +228,8 @@ def _plain(v: RealValue) -> Value:
 
 
 class Elaborator:
-    def __init__(self, defs: tuple[Def, ...]) -> None:
-        self.defs: dict[tuple[str, str], Def] = {}  # (sort, name) -> definition
+    def __init__(self, defs: tuple[Def | VariantDef, ...]) -> None:
+        self.defs: dict[tuple[str, str], Def | VariantDef] = {}  # (sort, name) -> definition
         self.ctors: dict[str, int] = {}  # constructor -> its alternative's index
         self._memo: dict[object, object] = {}
         # The one node of each distinct node this compile builds, under its
@@ -269,27 +262,26 @@ class Elaborator:
 
     # -- definition table ----------------------------------------------------
 
-    def _register(self, d: Def) -> None:
-        sort = _DEF_SORTS.get(type(d))
-        if sort is None:
-            raise PreprocessError(f"unknown definition form: {d!r}")
+    def _register(self, d: Def | VariantDef) -> None:
+        sort = "t" if type(d) is VariantDef else d.sort
         what = _OWNERS[sort] + d.name
         if (sort, d.name) in self.defs or (sort in "ef" and d.name in self.ctors):
             kind = f"type definition {d.name}" if sort == "t" else f"definition {what}"
             raise PreprocessError(f"duplicate {kind}")
         seen = set()
         for p in d.params:
-            if type(p) not in _PARAMS:
-                raise PreprocessError(f"unknown parameter form: {p!r}")
-            psort, sigil = _PARAMS[type(p)][:2]
-            if (psort, p.name) in seen:
-                raise PreprocessError(f"duplicate parameter {sigil}{p.name} in {what}")
-            seen.add((psort, p.name))
+            if (p.sort, p.name) in seen:
+                raise PreprocessError(
+                    f"duplicate parameter {PARAM_SIGILS[p.sort]}{p.name} in {what}"
+                )
+            seen.add((p.sort, p.name))
         self.defs[sort, d.name] = d
         if isinstance(d, VariantDef):
             for i, alt in enumerate(d.alts):
                 sort = "e" if alt.payload is None else "f"
-                if alt.name in self.ctors or (sort, alt.name) in self.defs:
+                # a constructor's name is looked up under both "e" and "f" (see
+                # elab), so it clashes with a definition of either sort
+                if alt.name in self.ctors or any((s, alt.name) in self.defs for s in "ef"):
                     raise PreprocessError(
                         f"constructor {_OWNERS[sort]}{alt.name} clashes with an existing name"
                     )
@@ -422,10 +414,10 @@ class Elaborator:
         bound: dict[tuple[str, str], object] = {}
         key = []  # a node is canonical, so the key holds its id
         for p, a in zip(params, args):
-            sort, sigil, kind = _PARAMS[type(p)]
-            if sort_of(a) != sort:
-                raise PreprocessError(f"{owner}: argument for {sigil}{p.name} must be {kind}")
-            v = bound[sort, p.name] = self.elab(a, env)
+            if sort_of(a) != p.sort:
+                where = f"{owner}: argument for {PARAM_SIGILS[p.sort]}{p.name}"
+                raise PreprocessError(f"{where} must be {_KINDS[p.sort]}")
+            v = bound[p.sort, p.name] = self.elab(a, env)
             key.append(v if type(v) is tuple else id(v.node if type(v) is _Inexact else v))
         return bound, tuple(key)
 
@@ -592,7 +584,7 @@ class Elaborator:
         return self._nodes.setdefault((tuple, *map(id, arms)), arms)
 
 
-def elaborate_file(qf: QFile, prelude: tuple[Def, ...] = ()) -> CoreExpr:
+def elaborate_file(qf: QFile, prelude: tuple[Def | VariantDef, ...] = ()) -> CoreExpr:
     """Elaborate a parsed file's main expression against its definitions."""
     return Elaborator(tuple(prelude) + qf.defs).elaborate(qf.main)
 

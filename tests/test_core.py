@@ -137,7 +137,7 @@ class TestSharedCores:
             core.to_str(c)
 
     def test_nodes_have_no_dict_and_only_their_declared_fields(self):
-        assert len(NODE_CLASSES) == 43
+        assert len(NODE_CLASSES) == 37
         for cls in NODE_CLASSES:
             declared = list(cls.__annotations__)
             assert [f.name for f in dataclasses.fields(cls)] == declared

@@ -11,6 +11,7 @@ from qunic.core import (
     BNot,
     BOr,
     CoreArm,
+    Def,
     ELet,
     ExApp,
     ExCtrl,
@@ -21,21 +22,22 @@ from qunic.core import (
     ExVar,
     If,
     Name,
+    Param,
     PGphase,
     PrAbs,
-    ProgDef,
     PrPmatch,
     PrRphase,
     PrU3,
+    QFile,
     RBinary,
     RConst,
     RPi,
     RUnary,
     TVar,
-    TypeAliasDef,
     TyProd,
     TyUnit,
     TyVoid,
+    VariantAlt,
     VariantDef,
     sort_of,
     to_str,
@@ -432,8 +434,8 @@ class TestParser:
             def #half{#x} := #x / 2 end
             """
         )
-        kinds = [type(d).__name__ for d in qf.defs]
-        assert kinds == ["TypeAliasDef", "ExprDef", "ProgDef", "RealDef"]
+        kinds = [(type(d), d.sort, len(d.sig)) for d in qf.defs]
+        assert kinds == [(Def, "t", 0), (Def, "e", 1), (Def, "f", 2), (Def, "r", 0)]
         assert qf.main is None
 
     def test_file_requires_defs_then_main(self):
@@ -666,3 +668,53 @@ def test_parenthesized_generic_argument_parses_unchanged(arg, depth):
     text = to_str(arg)
     wrapped = "(" * depth + text + ")" * depth
     assert parse_expr_string("&z{" + wrapped + "}") == parse_expr_string("&z{" + text + "}")
+
+
+def _params(depth: int):
+    return st.one_of(
+        st.builds(Param, st.just("t"), _tyvars),
+        st.builds(Param, st.just("e"), _enames, st.tuples(_types(depth))),
+        st.builds(Param, st.just("f"), _fnames, st.tuples(_types(depth), _types(depth))),
+        st.builds(Param, st.just("r"), _rnames),
+    )
+
+
+def _defs(depth: int):
+    params = st.lists(_params(depth), max_size=3).map(tuple)
+    alts = st.one_of(
+        st.builds(VariantAlt, _enames, st.none()),
+        st.builds(VariantAlt, _fnames, _types(depth)),
+    )
+    return st.one_of(
+        st.builds(Def, st.just("t"), _tnames, params, st.just(()), _types(depth)),
+        st.builds(Def, st.just("e"), _enames, params, st.tuples(_types(depth)), _exprs(depth)),
+        st.builds(
+            Def, st.just("f"), _fnames, params, st.tuples(_types(depth), _types(depth)),
+            _progs(depth),
+        ),
+        st.builds(Def, st.just("r"), _rnames, params, st.just(()), _reals(depth)),
+        st.builds(VariantDef, _tnames, params, st.lists(alts, min_size=1, max_size=3).map(tuple)),
+    )
+
+
+# One parameter of each sort: the examples below give it to a definition of each sort.
+_EVERY_PARAM = (
+    Param("t", "a"),
+    Param("e", "x", (Name("t", "Bit"),)),
+    Param("f", "f", (TVar("a"), TyProd(TVar("a"), TyUnit()))),
+    Param("r", "n"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_defs(2), max_size=3).map(tuple), st.none() | _exprs(2))
+@example((Def("t", "T0", _EVERY_PARAM, (), TVar("a")),), None)
+@example((Def("e", "e", _EVERY_PARAM, (TVar("a"),), Name("e", "x")),), ExUnit())
+@example((Def("f", "g", _EVERY_PARAM, (TVar("a"), TVar("a")), Name("f", "f")),), None)
+@example((Def("r", "k", _EVERY_PARAM, (), Name("r", "n")),), None)
+@example(
+    (VariantDef("T0", _EVERY_PARAM, (VariantAlt("q", None), VariantAlt("g", TVar("a")))),), None
+)
+def test_definitions_print_parse_round_trip(defs, main):
+    qf = QFile(defs, main)
+    assert parse_file(to_str(qf)) == qf

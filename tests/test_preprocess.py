@@ -250,6 +250,27 @@ ERRORS = [
     ("clash-expr", "type T := &plus | &q end\n()", "constructor &plus clashes with an existing name"),
     ("clash-ctor", "type T := &0 | &q end\n()", "constructor &0 clashes with an existing name"),
     ("clash-prog", "type T := @had of Bit end\n()", "constructor @had clashes with an existing name"),
+    # A constructor clashes with a definition of either sort, in either order.
+    (
+        "clash-after-prog",
+        "def @A : Bit -> Bit := @not end\ntype T := &A | &B end\n()",
+        "constructor &A clashes with an existing name",
+    ),
+    (
+        "clash-prog-as-expr",
+        "type T := &had | &q end\n()",
+        "constructor &had clashes with an existing name",
+    ),
+    (
+        "clash-expr-as-prog",
+        "type T := @plus of Bit end\n()",
+        "constructor @plus clashes with an existing name",
+    ),
+    (
+        "dup-prog-after-ctor",
+        "type T := &A | &B end\ndef @A : Bit -> Bit := @not end\n()",
+        "duplicate definition @A",
+    ),
     ("class-type", "&0 |> @id{&0}", "@id: argument for 'a must be a type"),
     ("class-expr", "&repeated{2, Bit, @had}", "&repeated: argument for &x must be an expression"),
     ("class-prog", "&0 |> @adjoint{Bit, Bit, &0}", "@adjoint: argument for @f must be a program"),
