@@ -1,0 +1,105 @@
+"""The classical evaluator: a closed core program run on one basis value.
+
+A program is *classical* when it maps basis states to basis states: every
+``u3`` in it is exactly ``u3{pi, 0, pi}``, the X gate, and it has no
+``rphase`` (so no ``gphase``) and no ``try``.  Such a program is a function
+on basis values, and :func:`run` computes it without building an operator,
+so it reaches sizes no dense matrix does: ``@rev_adder{16}`` acts on 2^32
+basis states.
+
+A basis value is a nested tuple: ``()`` of ``Unit``, a pair ``(a, b)`` of a
+product, and ``(LEFT, v)`` or ``(RIGHT, v)`` of a sum.  No types are needed:
+a program is run on a value of its input type, which the patterns read as
+they meet it, and an injection carries its own type.
+
+:func:`run` is one structural recursion with one case per core node class.
+A program maps a value to a value, or to None where no pattern of its
+``lambda`` or ``pmatch`` matches (the program maps that state to nothing);
+an expression maps an environment, a dict from variable names to values, to
+a value or None.  ``ctrl`` and ``match`` take the first arm whose pattern
+matches the scrutinee, else the ``else`` body, else None.  A pattern binds
+its variables by :func:`_match`; it is built from variables, pairs, ``()``
+and sum injections.
+
+What is not classical is refused with :class:`~qunic.errors.ClassicalError`
+where the evaluation meets it, never answered: an ``rphase``, any other
+``u3``, a ``try``, and a pattern that applies a program other than an
+injection (``@adjoint``'s ``pmatch``, or a variant constructor built as a
+``lambda``).  An arm that a basis value does not take is not evaluated, so
+it is not checked either: on a basis value, it contributes nothing.
+"""
+
+from __future__ import annotations
+
+from .core import (
+    ExApp,
+    ExCtrl,
+    ExMatch,
+    ExPair,
+    ExUnit,
+    ExVar,
+    PrAbs,
+    PrLeft,
+    PrPmatch,
+    PrRight,
+    PrU3,
+    to_str,
+)
+from .errors import ClassicalError
+from .reals import as_pi_multiple, as_rational
+
+LEFT, RIGHT = "left", "right"
+_TAGS = {PrLeft: LEFT, PrRight: RIGHT}
+
+
+def run(x, arg):
+    """The value of the program ``x`` at the value ``arg``, or of the
+    expression ``x`` in the environment ``arg``; None for no value."""
+    t = type(x)
+    if t is ExVar:
+        return arg[x.name]
+    if t is ExApp:
+        v = run(x.arg, arg)
+        return None if v is None else run(x.fn, v)
+    if t is ExPair:
+        left, right = run(x.left, arg), run(x.right, arg)
+        return None if left is None or right is None else (left, right)
+    if t is PrAbs:
+        binds = {}
+        return run(x.body, binds) if _match(x.pattern, arg, binds) else None
+    if t is PrLeft or t is PrRight:
+        return _TAGS[t], arg
+    if t is ExCtrl or t is ExMatch or t is PrPmatch:
+        v = arg if t is PrPmatch else run(x.scrutinee, arg)
+        if v is None:
+            return None
+        for arm in x.arms:
+            binds = {}
+            if _match(arm.pattern, v, binds):
+                return run(arm.body, binds if t is PrPmatch else {**arg, **binds})
+        return None if t is PrPmatch or x.else_body is None else run(x.else_body, arg)
+    if t is ExUnit:
+        return ()
+    if t is PrU3:
+        if as_pi_multiple(x.theta) == 1 == as_pi_multiple(x.lam) and as_rational(x.phi) == 0:
+            return (RIGHT if arg[0] == LEFT else LEFT), ()
+        raise ClassicalError(f"{to_str(x)} is not u3{{pi, 0, pi}}, so it is not classical")
+    raise ClassicalError(f"{type(x).__name__} is not classical")
+
+
+def _match(p, v, binds: dict) -> bool:
+    """Whether the value ``v`` matches the pattern ``p``, binding its variables
+    in ``binds``; a variable bound twice must match equal values."""
+    t = type(p)
+    if t is ExVar:
+        return binds.setdefault(p.name, v) == v
+    if t is ExPair:
+        return _match(p.left, v[0], binds) and _match(p.right, v[1], binds)
+    if t is ExApp:
+        tag = _TAGS.get(type(p.fn))
+        if tag is None:
+            raise ClassicalError(f"a pattern applies a {type(p.fn).__name__}, not an injection")
+        return v[0] == tag and _match(p.arg, v[1], binds)
+    if t is ExUnit:
+        return v == ()
+    raise ClassicalError(f"{type(p).__name__} is not a pattern")

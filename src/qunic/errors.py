@@ -57,3 +57,8 @@ class CompileError(QunityError):
 
 class CapacityError(QunityError):
     """Raised when a dimension, qubit count, or unrolling budget is exceeded."""
+
+
+class ClassicalError(QunityError):
+    """Raised when the classical evaluator meets a program that is not
+    classical: one that need not map basis states to basis states."""

@@ -1,0 +1,143 @@
+"""The classical evaluator: prelude arithmetic computes what its comments say,
+at sizes no dense operator reaches, and what is not classical is refused."""
+
+import random
+import sys
+
+import pytest
+
+from qunic.classical import LEFT, RIGHT, run
+from qunic.errors import ClassicalError
+from qunic.preprocess import core_of_source
+
+N = 16
+SAMPLES = 25
+
+
+@pytest.fixture(autouse=True)
+def default_recursion_limit():
+    """Every test here runs at the interpreter's default recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def num(n: int, k: int):
+    """The little-endian ``Num{n}`` value of ``k mod 2^n``."""
+    v = ()
+    for i in reversed(range(n)):
+        v = ((RIGHT if k >> i & 1 else LEFT, ()), v)
+    return v
+
+
+def to_int(v) -> int:
+    """The number a ``Num{n}`` value encodes, little-endian."""
+    k, i = 0, 0
+    while v != ():
+        k |= (v[0][0] == RIGHT) << i
+        v, i = v[1], i + 1
+    return k
+
+
+def program(name: str, *inputs: int):
+    """The core program ``name``, applied to ``&num_to_state`` inputs of these widths."""
+    states = [f"&num_to_state{{{n}, 0}}" for n in inputs]
+    arg = states[0] if len(states) == 1 else f"({', '.join(states)})"
+    return core_of_source(f"{arg} |> {name}").fn
+
+
+@pytest.mark.parametrize("a", [0, 1, 5, 12345, 2**N - 1, 2**N + 3, -3])
+def test_add_const_adds_mod_2_to_the_n(a):
+    f, rng = program(f"@add_const{{{N}, {a}}}", N), random.Random(a)
+    for _ in range(SAMPLES):
+        x = rng.randrange(2**N)
+        assert to_int(run(f, num(N, x))) == (x + a) % 2**N
+
+
+@pytest.mark.parametrize("a", [1, 3, 7, 12345, 2**N - 1, -5])
+def test_mod_mult_multiplies_by_an_odd_constant_mod_2_to_the_n(a):
+    f, rng = program(f"@mod_mult{{{N}, {a}}}", N), random.Random(a)
+    for _ in range(SAMPLES):
+        x = rng.randrange(2**N)
+        assert to_int(run(f, num(N, x))) == x * a % 2**N
+
+
+def test_rev_adder_adds_its_first_register_into_its_second():
+    f, rng = program(f"@rev_adder{{{N}}}", N, N), random.Random(1)
+    for _ in range(SAMPLES):
+        a, b = rng.randrange(2**N), rng.randrange(2**N)
+        out = run(f, (num(N, a), num(N, b)))
+        assert (to_int(out[0]), to_int(out[1])) == (a, (a + b) % 2**N)
+
+
+def test_mod_exp_multiplies_by_a_power_of_its_constant():
+    m = 8
+    f, rng = program(f"@mod_exp{{{m}, {N}, 7}}", m, N), random.Random(2)
+    for _ in range(SAMPLES):
+        x, y = rng.randrange(2**m), rng.randrange(2**N)
+        out = run(f, (num(m, x), num(N, y)))
+        assert (to_int(out[0]), to_int(out[1])) == (x, y * pow(7, x, 2**N) % 2**N)
+
+
+def test_a_main_expression_runs_in_an_empty_environment():
+    assert to_int(run(core_of_source(f"&num_to_state{{{N}, 3}} |> @add_const{{{N}, 4}}"), {})) == 7
+
+
+def test_a_lambda_whose_pattern_does_not_match_gives_none():
+    f = core_of_source("(&0, &1) |> lambda (x, &0) -> x").fn
+    assert run(f, ((LEFT, ()), (RIGHT, ()))) is None
+    assert run(f, ((RIGHT, ()), (LEFT, ()))) == (RIGHT, ())
+
+
+def test_nothing_passes_through_an_application_and_a_pair():
+    f = core_of_source("(&0, &1) |> lambda p -> (@not((lambda (x, &0) -> x)(p)), &0)").fn
+    assert run(f, ((LEFT, ()), (RIGHT, ()))) is None
+    assert run(f, ((LEFT, ()), (LEFT, ()))) == ((RIGHT, ()), (LEFT, ()))
+
+
+def test_a_variable_twice_in_a_pattern_matches_equal_values():
+    f = core_of_source("(&0, &0) |> lambda (x, x) -> x").fn
+    assert run(f, ((RIGHT, ()), (RIGHT, ()))) == (RIGHT, ())
+    assert run(f, ((RIGHT, ()), (LEFT, ()))) is None
+
+
+def test_match_takes_the_first_arm_that_matches_else_the_else_body():
+    f = core_of_source("&0 |> lambda x -> match x [y -> &1; &0 -> &0]").fn
+    assert run(f, (LEFT, ())) == (RIGHT, ())
+    f = program("@and", 1, 1)  # match [(&1, &1) -> &1; else -> &0]
+    table = {(a, b): run(f, ((a, ()), (b, ()))) for a in (LEFT, RIGHT) for b in (LEFT, RIGHT)}
+    assert table == {
+        (LEFT, LEFT): (LEFT, ()),
+        (LEFT, RIGHT): (LEFT, ()),
+        (RIGHT, LEFT): (LEFT, ()),
+        (RIGHT, RIGHT): (RIGHT, ()),
+    }
+
+
+def test_ctrl_keeps_the_variables_of_its_scope_and_its_arms_shadow_them():
+    f = core_of_source("(&1, &0) |> lambda (c, x) -> ctrl c [&0 -> (c, x); x -> (x, @not(c))]").fn
+    assert run(f, ((RIGHT, ()), (LEFT, ()))) == ((RIGHT, ()), (LEFT, ()))
+    assert run(f, ((LEFT, ()), (RIGHT, ()))) == ((LEFT, ()), (RIGHT, ()))
+
+
+def test_x_is_recognized_by_its_exact_angles():
+    assert run(core_of_source("&0 |> u3{2 * pi / 2, 0 * pi, 3 * pi - 2 * pi}"), {}) == (RIGHT, ())
+
+
+@pytest.mark.parametrize(
+    "source, what",
+    [
+        ("&0 |> @had", "not u3{pi, 0, pi}"),
+        ("&0 |> u3{pi + 0 * sin(1), 0, pi}", "not u3{pi, 0, pi}"),  # a float near pi
+        ("&0 |> u3{3 * pi, 0, pi}", "not u3{pi, 0, pi}"),  # -X
+        ("&0 |> gphase{pi}", "PrRphase is not classical"),
+        ("&0 |> @reflect{Bit, &1}", "PrRphase is not classical"),
+        ("&0 |> lambda x -> try @not(x) catch x", "ExTry is not classical"),
+        ("&num_to_state{2, 1} |> @adjoint{Num{2}, Num{2}, @add_const{2, 1}}", "not an injection"),
+        ("&order_finding{3, 7}", "not u3{pi, 0, pi}"),
+    ],
+)
+def test_what_is_not_classical_is_refused(source, what):
+    with pytest.raises(ClassicalError, match=what):
+        run(core_of_source(source), {})

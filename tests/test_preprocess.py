@@ -725,3 +725,74 @@ class TestModExp:
 
     def test_constants_distinct_mod_2_to_the_n_differ(self):
         assert self.mod_exp("mod_exp", 3, 3) != self.mod_exp("mod_exp", 3, 5)
+
+
+# @add_const and @mod_mult as they were before the constants they pass down
+# were reduced mod 2^(#n - 1).
+ARITH_UNREDUCED = """
+def @add_const_unreduced{#n, #a} : Num{#n} -> Num{#n} :=
+  if #n <= 0 then @id{Unit}
+  else pmatch [
+    (&0, x) -> (if #a % 2 = 1 then &1 else &0 endif,
+                @add_const_unreduced{#n - 1, (#a - #a % 2) / 2}(x));
+    (&1, x) -> (if #a % 2 = 1 then &0 else &1 endif,
+                @add_const_unreduced{#n - 1, (#a - #a % 2) / 2 + #a % 2}(x))
+  ]
+  endif
+end
+
+def @mod_mult_unreduced{#n, #a} : Num{#n} -> Num{#n} :=
+  if #n = 1 then @id{Num{#n}}
+  else lambda (x0, x1) ->
+    let (x0, x1) = (x0, @mod_mult_unreduced{#n - 1, #a}(x1)) in
+    ctrl x0 [
+      &0 -> (x0, x1);
+      &1 -> (x0, @add_const_unreduced{#n - 1, (#a - 1) / 2}(x1))
+    ]
+  endif
+end
+"""
+
+
+def _elaborated(main: str) -> preprocess.Elaborator:
+    """The elaborator that compiled ``main`` against the prelude."""
+    qf = parser.parse_file(main)
+    elaborator = preprocess.Elaborator(load_prelude_defs() + qf.defs)
+    elaborator.elaborate(qf.main)
+    return elaborator
+
+
+class TestModularArithmetic:
+    """@add_const and @mod_mult reduce the constant they pass down mod
+    2^(#n - 1), so each residue is instantiated once."""
+
+    @staticmethod
+    def program(name, n, a):
+        main = f"&num_to_state{{{n}, 0}} |> @{name}{{{n}, {a}}}"
+        return alpha_normal(core_of_source(ARITH_UNREDUCED + main))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reduced_constants_elaborate_alpha_equal(self, n):
+        for a in (-5, -1, 0, 1, 2, 3, 7, 2**n - 1, 2**n, 2**n + 3, 3 * 2**n + 5, 12345):
+            assert self.program("add_const", n, a) == self.program("add_const_unreduced", n, a)
+            if a % 2:
+                assert self.program("mod_mult", n, a) == self.program("mod_mult_unreduced", n, a)
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_every_memoized_constant_is_a_residue(self, n):
+        memo = _elaborated(f"&order_finding{{{n}, 7}}")._memo
+        for name in ("add_const", "mod_mult"):
+            # a program's memo key is ("f", name, args), and a rational argument a is (a, 0)
+            args = [key[2] for key in memo if key[:2] == ("f", name)]
+            assert args
+            for (k, _), (c, _) in args:
+                assert 0 <= c < 2**k, f"@{name}{{{k}, {c}}}"
+
+    def test_order_finding_instantiates_each_residue_once(self):
+        # 697 with unreduced constants
+        assert _elaborated("&order_finding{12, 7}").instantiations <= 317
+
+    def test_mod_mult_of_no_bits_is_the_identity(self):
+        c = core_of_source("&num_to_state{0, 0} |> @mod_mult{0, 3}")
+        assert c.fn == core_of_source("() |> @id{Unit}").fn
+        core_of_source("(&repeated{1, Bit, &plus}, &num_to_state{0, 1}) |> @mod_exp{1, 0, 3}")
