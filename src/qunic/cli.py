@@ -86,10 +86,11 @@ def _compile(source: str, use_prelude: bool, dump: bool, stats: bool):
     """The core's text if ``dump``, and the ``--stats`` record if ``stats``."""
     clock = time.perf_counter
     start = clock()
-    prelude = load_prelude_defs() if use_prelude else ()
+    if use_prelude:
+        load_prelude_defs()  # parsed here, so that parse_ms counts it
     qf = parse_file(source)
     parsed = clock()
-    elaborator = Elaborator(prelude + qf.defs)
+    elaborator = Elaborator(qf.defs, use_prelude)
     core = elaborator.elaborate(qf.main)
     elaborated = clock()
     text = to_str(core) if dump else None

@@ -49,8 +49,10 @@ goes in parentheses.  A term nested too deeply for the interpreter's stack
 raises :class:`~qunic.errors.CapacityError`.
 
 Elaboration memoizes instantiations, so a core term is a DAG whose tree can
-be millions of times larger.  Every node class is a slotted frozen dataclass
-over :class:`_Node`: its hash is computed on first use and kept, and ``==``
+be millions of times larger.  Every node class is a slotted dataclass made by
+:func:`_node`, with one generated ``__init__``, and is frozen by
+:class:`_Node`, which refuses every assignment and deletion; nothing copies
+or pickles a node.  A node's hash is computed on first use and kept, and ``==``
 is true on identity, else false on two kept hashes that differ, else decided
 by walking pairs of nodes, each ``(id(a), id(b))`` pair once.  Both cost work
 in proportion to the DAG, not the tree, and neither recurses.  ``repr``
@@ -71,7 +73,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Union, get_args
 
 from .errors import CapacityError, RealError
@@ -80,9 +82,14 @@ from .errors import CapacityError, RealError
 class _Node:
     """Base of every node of the syntax tree.
 
-    Subclasses are ``@dataclass(frozen=True, eq=False, slots=True, repr=False)``,
-    so their fields are their slots and the dataclass writes none of
-    ``__eq__``, ``__hash__`` and ``__repr__``; the three below apply.
+    Subclasses are made by :func:`_node`: slotted dataclasses whose fields are
+    their slots, with one generated ``__init__`` and none of the dataclass's
+    ``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__`` and
+    ``__delattr__``; the five below apply.  Nodes are frozen here, once for
+    every class: assigning or deleting any attribute raises
+    :class:`dataclasses.FrozenInstanceError`, and only ``__init__`` and the
+    kept hash write a slot, through ``object.__setattr__``.  Nothing copies
+    or pickles a node, so no class has ``__getstate__``/``__setstate__``.
     Elaboration shares subterms, so a term is a DAG whose tree can be millions
     of times larger; ``hash`` and ``==`` cost work in proportion to the DAG,
     and ``repr`` prints the dataclass form only ``_REPR_DEPTH`` nodes deep.
@@ -121,6 +128,31 @@ class _Node:
 
     def __repr__(self) -> str:
         return _repr(self, _REPR_DEPTH)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _node(cls: type) -> type:
+    """``cls`` as a slotted dataclass with one generated ``__init__``.
+
+    ``dataclass`` writes no method here; the ``__init__`` takes the fields
+    in order, with their defaults, and sets each through
+    ``object.__setattr__``, as :class:`_Node` forbids assignment.
+    """
+    cls = dataclass(init=False, eq=False, repr=False, slots=True)(cls)
+    names = cls.__slots__
+    body = "".join(f"\n _set(self, {n!r}, {n})" for n in names) or "\n pass"
+    scope: dict = {}
+    exec(f"def __init__(self, {', '.join(names)}):{body}", {"_set": object.__setattr__}, scope)
+    init = scope["__init__"]
+    init.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING) or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
 
 
 _REPR_DEPTH = 6
@@ -215,7 +247,7 @@ def _eq_dag(a: _Node, b: _Node) -> bool:
 # Names and conditionals, of every sort (see sort_of)
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class Name(_Node):
     """A reference ``T{args}``, ``&name{args}``, ``@name{args}`` or
     ``#name{args}``: to a definition, a generic parameter or a variant
@@ -226,7 +258,7 @@ class Name(_Node):
     args: tuple["GenArg", ...] = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class If(_Node):
     """``if cond then then else els endif``, both branches of sort ``sort``."""
 
@@ -246,23 +278,27 @@ PARAM_SIGILS = {**SIGILS, "t": "'"}
 # Reals and conditions
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class RConst(_Node):
+    """An integer constant."""
+
     value: int
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class RPi(_Node):
-    pass
+    """``pi``."""
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class REuler(_Node):
-    pass
+    """``euler``, the base of the natural logarithm."""
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class RUnary(_Node):
+    """``op(arg)``, a function of :data:`UNARY_OPS` applied to a real."""
+
     op: str  # one of UNARY_OPS
     arg: "Real"
 
@@ -272,8 +308,10 @@ UNARY_OPS = (
 )
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class RBinary(_Node):
+    """``left op right``, an arithmetic operator of :data:`BIN_PREC`."""
+
     op: str
     left: "Real"
     right: "Real"
@@ -286,25 +324,33 @@ Real = Union[RConst, RPi, REuler, RUnary, RBinary, Name, If]
 BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2, "^": 3}
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class BNot(_Node):
+    """``!arg``."""
+
     arg: "BoolExpr"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class BAnd(_Node):
+    """``left && right``."""
+
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class BOr(_Node):
+    """``left || right``."""
+
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class BCmp(_Node):
+    """``left op right``, a comparison of two reals."""
+
     op: str  # one of = != <= < >= >
     left: Real
     right: Real
@@ -318,29 +364,33 @@ BOOLS = get_args(BoolExpr)
 # Types
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class TyVoid(_Node):
-    pass
+    """``Void``, the empty type."""
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class TySum(_Node):
+    """``left + right``, the sum type."""
+
     left: "Type"
     right: "Type"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class TyUnit(_Node):
-    pass
+    """``Unit``."""
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class TyProd(_Node):
+    """``left * right``, the product type."""
+
     left: "Type"
     right: "Type"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class TVar(_Node):
     """A type variable ``'a`` bound by a definition's parameter list."""
 
@@ -355,56 +405,72 @@ Type = Union[CoreType, TVar, Name, If]
 # Expressions and programs
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class ExUnit(_Node):
-    pass
+    """``()``."""
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class ExVar(_Node):
+    """A variable."""
+
     name: str
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class ExPair(_Node):
+    """``(left, right)``."""
+
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class CoreArm(_Node):
+    """``pattern -> body``, an arm of ``ctrl``, ``match`` or ``pmatch``."""
+
     pattern: "Expr"
     body: "Expr"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class ExCtrl(_Node):
+    """``ctrl scrutinee [arms; else -> else_body]``."""
+
     scrutinee: "Expr"
     arms: tuple[CoreArm, ...]
     else_body: "Expr | None" = None
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class ExMatch(_Node):
+    """``match scrutinee [arms; else -> else_body]``."""
+
     scrutinee: "Expr"
     arms: tuple[CoreArm, ...]
     else_body: "Expr | None" = None
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class ExTry(_Node):
+    """``try attempt catch fallback``."""
+
     attempt: "Expr"
     fallback: "Expr"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class ExApp(_Node):
+    """``fn(arg)``, a program applied to an expression."""
+
     fn: "Prog"
     arg: "Expr"
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class ELet(_Node):
+    """``let pattern = value in body``."""
+
     pattern: "Expr"
     value: "Expr"
     body: "Expr"
@@ -414,32 +480,40 @@ CoreExpr = Union[ExUnit, ExVar, ExPair, ExCtrl, ExMatch, ExTry, ExApp]
 Expr = Union[CoreExpr, ELet, Name, If]
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class PrU3(_Node):
+    """``u3{theta, phi, lam}``, a one-qubit gate on ``Bit``."""
+
     theta: Real
     phi: Real
     lam: Real
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class PrLeft(_Node):
+    """``left{left_ty, right_ty}``, the left injection into a sum."""
+
     left_ty: CoreType
     right_ty: CoreType
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class PrRight(_Node):
+    """``right{left_ty, right_ty}``, the right injection into a sum."""
+
     left_ty: CoreType
     right_ty: CoreType
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class PrAbs(_Node):
+    """``lambda pattern -> body``."""
+
     pattern: Expr
     body: Expr
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class PrRphase(_Node):
     """``rphase{e, r, r'}``: phase ``e^(i r)`` on the image of the pattern
     ``e``, phase ``e^(i r')`` on its orthogonal complement."""
@@ -449,13 +523,17 @@ class PrRphase(_Node):
     off_phase: Real
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class PrPmatch(_Node):
+    """``pmatch [arms]``."""
+
     arms: tuple[CoreArm, ...]
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class PGphase(_Node):
+    """``gphase{phase}``, a global phase."""
+
     phase: Real
 
 
@@ -486,7 +564,7 @@ def sort_of(x: _Node) -> str | None:
 # Definitions and files
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class Param(_Node):
     """A generic parameter of a definition: ``'a``, ``&x : T``, ``@f : A -> B``
     or ``#n``, of sort ``sort``, with its signature ``sig``, ``(T,)`` or
@@ -497,7 +575,7 @@ class Param(_Node):
     sig: tuple[Type, ...] = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class Def(_Node):
     """A type alias ``type T{params} := body end``, or a definition ``def
     &x{params} : T := body end``, ``def @f{params} : A -> B := body end`` or
@@ -511,7 +589,7 @@ class Def(_Node):
     body: GenArg
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class VariantAlt(_Node):
     """One alternative of a variant type.
 
@@ -523,14 +601,16 @@ class VariantAlt(_Node):
     payload: Type | None
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class VariantDef(_Node):
+    """``type name{params} := alts end``, a variant type."""
+
     name: str
     params: tuple[Param, ...]
     alts: tuple[VariantAlt, ...]
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
+@_node
 class QFile(_Node):
     """A sequence of definitions and an optional main expression."""
 

@@ -62,3 +62,9 @@ class CapacityError(QunityError):
 class ClassicalError(QunityError):
     """Raised when the classical evaluator meets a program that is not
     classical: one that need not map basis states to basis states."""
+
+
+class SemanticsError(QunityError):
+    """Raised when the reference semantics meets what it does not define:
+    a ``try``, an expression in a pattern that is no pattern, or the
+    adjoint of a program that erases a variable."""

@@ -21,6 +21,8 @@ The token grammar, tried in this order at each position (``_TOKEN``):
   a type name if it starts with an upper-case letter, and a quantum variable
   otherwise.
 
+A token is a named tuple ``(kind, text, line, column)``.
+
 ``[\w']`` is exactly the characters for which ``str.isalnum()`` holds, plus
 ``_`` and ``'``.  Apostrophes may appear *inside* identifiers (``l'``),
 which works out because a type variable only ever starts where an identifier
@@ -31,8 +33,8 @@ cannot continue.  Lines are counted at ``\n``; columns count characters from
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .core import UNARY_OPS
 from .errors import LexError
@@ -50,9 +52,12 @@ class TokKind(Enum):
     PUNCT = auto()
     EOF = auto()
 
+    # Members are singletons, so they hash by identity, in C; the parser keys
+    # tables by them, and ``Enum.__hash__`` is written in Python.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: TokKind
     text: str
     line: int
@@ -69,61 +74,67 @@ KEYWORDS = frozenset(
 
 # The token grammar of the module docstring.  The first alternative that
 # matches wins, so order matters: '/*' before '/', '&&' before a sigil, and
-# multi-character punctuation before its one-character prefix.
+# multi-character punctuation before its one-character prefix.  A group that
+# makes a token is named after its kind.
 _TOKEN = re.compile(
     r"""
       (?P<space>[ \t\r\n]+)
     | (?P<comment>/\*)
-    | (?P<number>\d+)
-    | (?P<punct>:=|\|>|\|\||&&|->|!=|<=|>=|[{}()\[\],;:|=<>!+\-*/^%])
-    | [&@\#][ \t\r\n]*(?P<sigil>[\w']*)
-    | '(?P<tyvar>[\w']*)
+    | (?P<NUMBER>\d+)
+    | (?P<PUNCT>:=|\|>|\|\||&&|->|!=|<=|>=|[{}()\[\],;:|=<>!+\-*/^%])
+    | &[ \t\r\n]*(?P<ENAME>[\w']*)
+    | @[ \t\r\n]*(?P<FNAME>[\w']*)
+    | \#[ \t\r\n]*(?P<RNAME>[\w']*)
+    | '(?P<TYVAR>[\w']*)
     | (?P<word>[\w']+)
     """,
     re.VERBOSE,
 )
 
-_SIGIL_KINDS = {"&": TokKind.ENAME, "@": TokKind.FNAME, "#": TokKind.RNAME}
+_KINDS = {kind.name: kind for kind in TokKind}
+# The groups whose match may span a newline: whitespace, a comment (to its
+# ``*/``), and a sigil with the whitespace after it.
+_NEWLINES = frozenset(("space", "comment", "ENAME", "FNAME", "RNAME"))
 
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
+    append, match = toks.append, _TOKEN.match
+    KW, TNAME, QVAR = TokKind.KW, TokKind.TNAME, TokKind.QVAR
+    # ``Token(...)`` runs the named tuple's ``__new__``, a Python function
+    # that makes the tuple this makes in C: half the cost of a token.
+    new = tuple.__new__
     pos, line, line_start = 0, 1, 0  # line_start: offset of the current line's first character
     while pos < len(source):
-        col = pos - line_start + 1
-        m = _TOKEN.match(source, pos)
+        m = match(source, pos)
         if m is None:
-            raise LexError(f"unexpected character {source[pos]!r}", line, col)
-        group, text, end = m.lastgroup, m[m.lastgroup], m.end()
+            raise LexError(f"unexpected character {source[pos]!r}", line, pos - line_start + 1)
+        group, end = m.lastgroup, m.end()
         if group == "word":
-            if not (text[0].isalpha() or text[0] == "_"):
-                raise LexError(f"unexpected character {text[0]!r}", line, col)
+            text = m[group]
             if text in KEYWORDS:
-                kind = TokKind.KW
+                kind = KW
+            elif not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(f"unexpected character {text[0]!r}", line, pos - line_start + 1)
             else:
-                kind = TokKind.TNAME if text[0].isupper() else TokKind.QVAR
-            toks.append(Token(kind, text, line, col))
-        elif group == "punct":
-            toks.append(Token(TokKind.PUNCT, text, line, col))
-        elif group == "number":
-            toks.append(Token(TokKind.NUMBER, text, line, col))
-        elif group == "sigil":
-            if not text:
-                raise LexError(f"dangling {source[pos]!r} sigil", line, col)
-            toks.append(Token(_SIGIL_KINDS[source[pos]], text, line, col))
-        elif group == "tyvar":
-            if not text:
-                raise LexError("dangling type-variable quote", line, col)
-            toks.append(Token(TokKind.TYVAR, text, line, col))
+                kind = TNAME if text[0].isupper() else QVAR
+            append(new(Token, (kind, text, line, pos - line_start + 1)))
         elif group == "comment":
             close = source.find("*/", end)
             if close < 0:
-                raise LexError("unterminated comment", line, col)
+                raise LexError("unterminated comment", line, pos - line_start + 1)
             end = close + 2
-        last_newline = source.rfind("\n", pos, end)
-        if last_newline >= 0:
-            line += source.count("\n", pos, end)
-            line_start = last_newline + 1
+        elif group != "space":
+            text = m[group]
+            if not text:
+                what = "type-variable quote" if group == "TYVAR" else f"{source[pos]!r} sigil"
+                raise LexError(f"dangling {what}", line, pos - line_start + 1)
+            append(new(Token, (_KINDS[group], text, line, pos - line_start + 1)))
+        if group in _NEWLINES:
+            last_newline = source.rfind("\n", pos, end)
+            if last_newline >= 0:
+                line += source.count("\n", pos, end)
+                line_start = last_newline + 1
         pos = end
     toks.append(Token(TokKind.EOF, "", line, pos - line_start + 1))
     return toks

@@ -137,6 +137,13 @@ _STARTS: dict[TokKind | str, str] = {
 }
 # The tokens of names, each of the sort that ``_STARTS`` gives it.
 _NAMES = frozenset((TokKind.TNAME, TokKind.ENAME, TokKind.FNAME, TokKind.RNAME))
+# The members of TokKind that the parser's methods read: reading one from its
+# class runs Python code, about 120 ns on CPython 3.11, and the parser reads
+# one or two per token.
+_ENAME, _EOF, _FNAME, _KW, _NUMBER, _PUNCT = (
+    TokKind.ENAME, TokKind.EOF, TokKind.FNAME, TokKind.KW, TokKind.NUMBER, TokKind.PUNCT,
+)
+_QVAR, _TNAME, _TYVAR = TokKind.QVAR, TokKind.TNAME, TokKind.TYVAR
 
 
 def _integer(t: Token) -> int:
@@ -152,29 +159,29 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.toks = tokens
         self.pos = 0
+        # The token at ``pos``: an attribute, not a property, as the parser
+        # reads it about four times per token.
+        self.cur = tokens[0]
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.pos]
-
     def _fail(self, message: str) -> "ParseError":
         t = self.cur
-        got = f"'{t.text}'" if t.kind is not TokKind.EOF else "end of input"
+        got = f"'{t.text}'" if t.kind is not _EOF else "end of input"
         return ParseError(f"{message}, got {got}", t.line, t.column)
 
     def take(self) -> Token:
         t = self.cur
-        if t.kind is not TokKind.EOF:
+        if t.kind is not _EOF:
             self.pos += 1
+            self.cur = self.toks[self.pos]
         return t
 
     def at_punct(self, text: str) -> bool:
-        return self.cur.kind is TokKind.PUNCT and self.cur.text == text
+        return self.cur.kind is _PUNCT and self.cur.text == text
 
     def at_kw(self, text: str) -> bool:
-        return self.cur.kind is TokKind.KW and self.cur.text == text
+        return self.cur.kind is _KW and self.cur.text == text
 
     def expect_punct(self, text: str) -> Token:
         if not self.at_punct(text):
@@ -202,17 +209,17 @@ class _Parser:
         program is never applied.
         """
         t = self.cur
-        k = t.text if t.kind is TokKind.KW or t.kind is TokKind.PUNCT else t.kind
+        k = t.text if t.kind is _KW or t.kind is _PUNCT else t.kind
         sort = _STARTS.get(k, "?")
         if sort not in sorts:
             raise self._fail(what)
-        if k is TokKind.QVAR:
+        if k is _QVAR:
             self.take()
             return ExVar(t.text)
         if k in _NAMES:
             self.take()
             x = Name(sort, t.text, self.maybe_generic_args())
-        elif k is TokKind.NUMBER:
+        elif k is _NUMBER:
             self.take()
             return RConst(_integer(t))
         elif k == "(":
@@ -220,7 +227,7 @@ class _Parser:
             sort = sort_of(x)
         elif k == "if":
             return self._if(what, sorts)
-        elif k is TokKind.TYVAR:
+        elif k is _TYVAR:
             self.take()
             return TVar(t.text)
         else:
@@ -235,7 +242,7 @@ class _Parser:
             elif k == "u3":
                 x = PrU3(*self._fields(self.parse_real, self.parse_real, self.parse_real))
             elif k == "-":
-                return RConst(-_integer(self.expect_kind(TokKind.NUMBER, "a number after '-'")))
+                return RConst(-_integer(self.expect_kind(_NUMBER, "a number after '-'")))
             elif k == "Unit" or k == "Void":
                 return TyUnit() if k == "Unit" else TyVoid()
             elif k == "pi" or k == "euler":
@@ -321,7 +328,7 @@ class _Parser:
         if left is None:
             left = self._atom("expected a real expression", _REAL)
         operands, ops = [left], []
-        while self.cur.kind is TokKind.PUNCT and self.cur.text in BIN_PREC:
+        while self.cur.kind is _PUNCT and self.cur.text in BIN_PREC:
             op = self.take().text
             while ops and BIN_PREC[ops[-1]] >= BIN_PREC[op] + (op == "^"):  # '^' groups right
                 right = operands.pop()
@@ -370,7 +377,7 @@ class _Parser:
             if isinstance(left, BOOLS):
                 return left
         left = self.parse_real(left)
-        if self.cur.kind is TokKind.PUNCT and self.cur.text in _CMP_OPS:
+        if self.cur.kind is _PUNCT and self.cur.text in _CMP_OPS:
             op = self.take().text
             return BCmp(op, left, self.parse_real())
         return left
@@ -482,10 +489,10 @@ class _Parser:
     def parse_def(self) -> Def | VariantDef:
         if self.at_kw("type"):
             self.take()
-            name = self.expect_kind(TokKind.TNAME, "a type name").text
+            name = self.expect_kind(_TNAME, "a type name").text
             params = self._braced(self._parse_param)
             self.expect_punct(":=")
-            if self.at_punct("|") or self.cur.kind in (TokKind.ENAME, TokKind.FNAME):
+            if self.at_punct("|") or self.cur.kind in (_ENAME, _FNAME):
                 alts = self._parse_variant_alts()
                 self.expect_kw("end")
                 return VariantDef(name, params, alts)
@@ -516,10 +523,10 @@ class _Parser:
 
     def _parse_variant_alt(self) -> VariantAlt:
         t = self.cur
-        if t.kind is TokKind.ENAME:
+        if t.kind is _ENAME:
             self.take()
             return VariantAlt(t.text, None)
-        if t.kind is TokKind.FNAME:
+        if t.kind is _FNAME:
             self.take()
             self.expect_kw("of")
             return VariantAlt(t.text, self.parse_type())
@@ -530,12 +537,12 @@ class _Parser:
         while self.at_kw("type") or self.at_kw("def"):
             defs.append(self.parse_def())
         main: Expr | None = None
-        if self.cur.kind is not TokKind.EOF:
+        if self.cur.kind is not _EOF:
             main = self.parse_expr()
         return QFile(tuple(defs), main)
 
     def expect_eof(self) -> None:
-        if self.cur.kind is not TokKind.EOF:
+        if self.cur.kind is not _EOF:
             raise self._fail("unexpected trailing input")
 
 

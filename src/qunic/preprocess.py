@@ -159,13 +159,29 @@ def load_prelude_defs() -> tuple[Def | VariantDef, ...]:
 
     The prelude is parsed once per process, never at import.  Sharing is safe
     because definitions, like every node, are frozen ``core._Node`` dataclasses
-    with tuple fields, and each :class:`Elaborator` copies the definitions
-    into a table of its own.
+    with tuple fields.  Their table is built once too, by
+    :func:`_prelude_table`, and each :class:`Elaborator` copies it.
     """
     qf = parse_file(default_prelude_text())
     if qf.main is not None:
         raise PreprocessError("a prelude file must not contain a main expression")
     return qf.defs
+
+
+# The definitions of the prelude's table and the table, built once per process.
+_prelude: tuple = ((), {}, {})
+
+
+def _prelude_table() -> tuple[dict, dict]:
+    """``Elaborator.defs`` and ``Elaborator.ctors`` with the prelude's
+    definitions alone, built on the first call for the tuple
+    :func:`load_prelude_defs` returns, and shared after it: callers copy them."""
+    global _prelude
+    defs = load_prelude_defs()
+    if _prelude[0] is not defs:
+        elaborator = Elaborator(defs)
+        _prelude = defs, elaborator.defs, elaborator.ctors
+    return _prelude[1], _prelude[2]
 
 
 class _Env(NamedTuple):
@@ -228,9 +244,13 @@ def _plain(v: RealValue) -> Value:
 
 
 class Elaborator:
-    def __init__(self, defs: tuple[Def | VariantDef, ...]) -> None:
-        self.defs: dict[tuple[str, str], Def | VariantDef] = {}  # (sort, name) -> definition
-        self.ctors: dict[str, int] = {}  # constructor -> its alternative's index
+    def __init__(self, defs: tuple[Def | VariantDef, ...], use_prelude: bool = False) -> None:
+        """An elaborator of ``defs``, registered on top of a copy of the
+        prelude's table if ``use_prelude``, so they clash with its names."""
+        table, ctors = _prelude_table() if use_prelude else ({}, {})
+        # (sort, name) -> definition, and constructor -> its alternative's index
+        self.defs: dict[tuple[str, str], Def | VariantDef] = dict(table)
+        self.ctors: dict[str, int] = dict(ctors)
         self._memo: dict[object, object] = {}
         # The one node of each distinct node this compile builds, under its
         # class, its children's ids and its other fields (see _make).
@@ -584,16 +604,16 @@ class Elaborator:
         return self._nodes.setdefault((tuple, *map(id, arms)), arms)
 
 
-def elaborate_file(qf: QFile, prelude: tuple[Def | VariantDef, ...] = ()) -> CoreExpr:
-    """Elaborate a parsed file's main expression against its definitions."""
-    return Elaborator(tuple(prelude) + qf.defs).elaborate(qf.main)
+def elaborate_file(qf: QFile, use_prelude: bool = False) -> CoreExpr:
+    """Elaborate a parsed file's main expression against its definitions,
+    and the prelude's if ``use_prelude``."""
+    return Elaborator(qf.defs, use_prelude).elaborate(qf.main)
 
 
 def core_of_source(source: str, use_prelude: bool = True) -> CoreExpr:
     """Parse and elaborate source text in one step (the common entry point).
 
-    The prelude is parsed once per process, by the first call that uses it;
-    with ``use_prelude=False`` it is never read.
+    The prelude is parsed, and its table built, once per process, by the
+    first call that uses it; with ``use_prelude=False`` it is never read.
     """
-    prelude = load_prelude_defs() if use_prelude else ()
-    return elaborate_file(parse_file(source), prelude)
+    return elaborate_file(parse_file(source), use_prelude)

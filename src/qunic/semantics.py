@@ -1,0 +1,301 @@
+"""The reference semantics: a closed core program run on sparse states, with no types.
+
+This follows the semantics of Qunity (Voichick, Li, Rand, Hicks, "Qunity: A
+Unified Language for Quantum and Classical Computing", POPL 2023), on basis
+values instead of typed vectors, so that it reaches the prelude's workloads:
+a state holds only the basis values that have an amplitude.
+
+A basis value is :mod:`qunic.classical`'s: a nested tuple, ``()`` of
+``Unit``, a pair ``(a, b)`` of a product, and ``(LEFT, v)`` or ``(RIGHT, v)``
+of a sum, so ``&0`` is ``(LEFT, ())`` and ``&1`` is ``(RIGHT, ())``.  No
+types are needed: a program runs on a value of its input type, which the
+patterns read as they meet it, and an injection carries its own type.
+
+A *state* is a dict from ``(value, garbage)`` to a complex amplitude, where
+the garbage is a tuple of erased basis values: the state is a purification,
+and the probability of an output ``w`` is the sum of ``|a(w, g)|^2`` over the
+garbage ``g`` (:func:`probabilities`).  By linearity, it is enough to run a
+program on one basis value and an expression in one basis environment, a
+dict from variable names to values.
+
+:func:`run` is one structural recursion with one case per core node class,
+memoized on ``(id(program), basis value)`` for one run
+(:class:`Semantics`).  Its rules:
+
+* ``u3`` is its matrix, and exactly ``u3{pi, 0, pi}`` is X with no rounding;
+  an injection tags its value; a pair is the product of its two states; an
+  application runs the program on each value of its argument's state.
+* A pattern ``p`` is matched against ``v`` by computing ``[[p]]^dagger v``
+  (:meth:`Semantics.match`): variables, pairs, ``()`` and injections bind or
+  fail, and an application ``f(e)`` matches ``e`` against ``f^dagger v``.
+  So ``@adjoint``'s ``pmatch [@f(x) -> x]`` needs no type.
+* ``f^dagger`` (:meth:`Semantics.adjoint`) is built from the same pieces:
+  ``u3`` becomes its conjugate transpose, an injection strips its tag,
+  ``rphase`` negates both phases, and ``lambda`` and ``pmatch`` swap pattern
+  and body.  The adjoint of a program whose body erases a variable is
+  refused.
+* ``lambda``, ``pmatch``, ``ctrl`` and ``match`` take, for each arm, the
+  body at what the pattern binds, weighted by the match's amplitude, and stop
+  at the first arm that takes all of ``v``; so on basis patterns the first
+  arm that matches is taken.  ``else`` is taken where no pattern takes any
+  of ``v``, which on basis patterns is ``I - sum_j [[p_j]][[p_j]]^dagger``;
+  after a superposed pattern that takes part of ``v``, the ``else`` body
+  would need the rest expanded into patterns by its type, so it is refused.
+* ``rphase{e, r, r'}`` maps ``v`` to
+  ``e^(i r') v + (e^(i r) - e^(i r')) [[e]][[e]]^dagger v``; the pattern
+  ``e`` may be a superposition, as in ``@reflect{&equal_superpos}``.
+* Erasure: a ``lambda`` or ``pmatch`` variable that is bound but not free in
+  its body goes to the garbage, in the order of the variables' names.  A
+  ``match`` puts its scrutinee's value in the garbage.  A ``ctrl`` drops its
+  scrutinee's garbage: the scrutinee is uncomputed, as its context is
+  classical.  (The typing rules of Qunity are to confirm both readings.)
+* ``try`` is refused.
+
+What the semantics does not define is refused with
+:class:`~qunic.errors.SemanticsError`, never answered.  Amplitudes below
+``EPS`` in magnitude are dropped, so cancelled branches leave the state.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+from .classical import LEFT, RIGHT
+from .core import (
+    ExApp,
+    ExCtrl,
+    ExMatch,
+    ExPair,
+    ExTry,
+    ExUnit,
+    ExVar,
+    PrAbs,
+    PrLeft,
+    PrPmatch,
+    PrRight,
+    PrRphase,
+    PrU3,
+    free_qvars,
+)
+from .errors import SemanticsError
+from .reals import as_pi_multiple, as_rational, evaluate_real
+
+ZERO, ONE = (LEFT, ()), (RIGHT, ())
+EPS = 1e-12
+
+_TAGS = {PrLeft: LEFT, PrRight: RIGHT}
+_PROGRAMS = frozenset((PrU3, PrLeft, PrRight, PrAbs, PrRphase, PrPmatch))
+
+
+def run(x, arg) -> dict:
+    """The state of the program ``x`` at the value ``arg``, or of the
+    expression ``x`` in the environment ``arg``, by a :class:`Semantics` of
+    its own."""
+    return Semantics().run(x, arg)
+
+
+def probabilities(state: dict) -> dict:
+    """The probability of each value of ``state``, its garbage traced out."""
+    out: dict = {}
+    for (v, _), a in state.items():
+        out[v] = out.get(v, 0.0) + abs(a) ** 2
+    return out
+
+
+def _phase(r) -> complex:
+    """``e^(i r)``, exact where ``r`` is a multiple of ``pi / 2``."""
+    if as_rational(r) == 0:
+        return 1
+    q = as_pi_multiple(r)
+    if q is not None and (2 * q).denominator == 1:
+        return (1, 1j, -1, -1j)[int(2 * q) % 4]
+    return cmath.exp(1j * float(evaluate_real(r)))
+
+
+def _add(out: dict, key, a) -> None:
+    out[key] = out.get(key, 0) + a
+
+
+def _pruned(out: dict) -> dict:
+    return {k: a for k, a in out.items() if abs(a) > EPS}
+
+
+class Semantics:
+    """The memos of one run: one call of :func:`run`, or the calls of one
+    object's :meth:`run`, which share them (on several inputs of a program).
+
+    A memo is keyed by a node's ``id``, so the nodes must live as long as
+    the object does.
+    """
+
+    def __init__(self) -> None:
+        self.memo: dict = {}  # (id(program), value) -> its state
+        self.adjoints: dict = {}  # (id(program), value) -> {value: amplitude} of its adjoint
+        self.gates: dict = {}  # id(u3 or rphase) -> its columns or phases
+        self.erased: dict = {}  # id(arm) -> names its pattern binds that its body does not use
+
+    def run(self, x, arg) -> dict:
+        t = type(x)
+        if t in _PROGRAMS:
+            key = (id(x), arg)
+            state = self.memo.get(key)
+            if state is None:
+                state = self.memo[key] = self._program(x, t, arg)
+            return state
+        if t is ExVar:
+            return {(arg[x.name], ()): 1}
+        if t is ExApp:
+            out: dict = {}
+            for (v, g), a in self.run(x.arg, arg).items():
+                for (w, h), b in self.run(x.fn, v).items():
+                    _add(out, (w, g + h), a * b)
+            return _pruned(out)
+        if t is ExPair:
+            right = self.run(x.right, arg)
+            out = {}
+            for (v, g), a in self.run(x.left, arg).items():
+                for (w, h), b in right.items():
+                    _add(out, ((v, w), g + h), a * b)
+            return out
+        if t is ExUnit:
+            return {((), ()): 1}
+        if t is ExCtrl or t is ExMatch:
+            out = {}
+            for (v, g), a in self.run(x.scrutinee, arg).items():
+                kept = () if t is ExCtrl else (*g, v)
+                for (w, h), b in self._arms(x.arms, v, arg, x.else_body).items():
+                    _add(out, (w, kept + h), a * b)
+            return _pruned(out)
+        if t is ExTry:
+            raise SemanticsError("try is not defined on sparse states yet")
+        raise SemanticsError(f"{t.__name__} is not a core expression or program")
+
+    def _program(self, x, t, v) -> dict:
+        if t is PrAbs or t is PrPmatch:
+            arms = (x,) if t is PrAbs else x.arms
+            return self._arms(arms, v, None, None)
+        if t is PrU3:
+            return {(w, ()): a for w, a in self._u3(x)[v == ONE].items()}
+        if t is PrLeft or t is PrRight:
+            return {((_TAGS[t], v), ()): 1}
+        return {(w, ()): a for w, a in self._rphase(x, v, 1).items()}
+
+    def _arms(self, arms, v, env, else_body, adjoint=False) -> dict:
+        """``sum_j [[body_j]][[pattern_j]]^dagger v`` over ``arms``, or the
+        ``else`` body where no pattern takes any of ``v``.
+
+        ``env`` is None for the arms of a program, which erase what their
+        body does not use, else the scope of a ``ctrl`` or ``match``.  With
+        ``adjoint``, each arm runs from its body to its pattern.  The arms
+        stop at the first one that takes all of ``v``.
+        """
+        out: dict = {}
+        weight = 0.0
+        for arm in arms:
+            pattern, body = (arm.body, arm.pattern) if adjoint else (arm.pattern, arm.body)
+            erased = self._erased(arm) if env is None else ()
+            if adjoint and erased:
+                raise SemanticsError(f"no adjoint: a pattern variable is erased ({erased[0]})")
+            for binds, a in self.match(pattern, v):
+                kept = tuple(binds[name] for name in erased)
+                for (w, h), b in self.run(body, binds if env is None else {**env, **binds}).items():
+                    _add(out, (w, kept + h), a * b)
+                weight += abs(a) ** 2
+            if weight > 1 - EPS:
+                return _pruned(out)
+        if else_body is not None:
+            if weight > EPS:
+                raise SemanticsError("an else arm after a pattern that takes part of a value")
+            out = self.run(else_body, env)
+        return _pruned(out)
+
+    def _erased(self, arm) -> tuple[str, ...]:
+        got = self.erased.get(id(arm))
+        if got is None:
+            got = tuple(sorted(free_qvars(arm.pattern) - free_qvars(arm.body)))
+            self.erased[id(arm)] = got
+        return got
+
+    def _u3(self, x) -> tuple[dict, dict]:
+        """The columns of ``x``'s matrix, for ``&0`` and ``&1``."""
+        got = self.gates.get(id(x))
+        if got is None:
+            if as_pi_multiple(x.theta) == 1 == as_pi_multiple(x.lam) and as_rational(x.phi) == 0:
+                got = {ONE: 1}, {ZERO: 1}  # X, exactly
+            else:
+                theta = float(evaluate_real(x.theta))
+                c, s = math.cos(theta / 2), math.sin(theta / 2)
+                phi, lam = _phase(x.phi), _phase(x.lam)
+                got = (
+                    _pruned({ZERO: c, ONE: phi * s}),
+                    _pruned({ZERO: -lam * s, ONE: phi * lam * c}),
+                )
+            self.gates[id(x)] = got
+        return got
+
+    def _rphase(self, x, v, sign: int) -> dict:
+        """``rphase``'s image of ``v``, or its adjoint's with ``sign`` -1."""
+        got = self.gates.get(id(x))
+        if got is None:
+            got = self.gates[id(x)] = _phase(x.on_phase), _phase(x.off_phase)
+        on, off = got if sign == 1 else (got[0].conjugate(), got[1].conjugate())
+        out = {v: off}
+        if on != off:
+            for binds, a in self.match(x.pattern, v):
+                for (w, _), b in self.run(x.pattern, binds).items():
+                    _add(out, w, (on - off) * a * b)
+        return _pruned(out)
+
+    def match(self, p, v) -> list[tuple[dict, complex]]:
+        """``[[p]]^dagger v``: each binding of ``p``'s variables with its amplitude."""
+        t = type(p)
+        if t is ExVar:
+            return [({p.name: v}, 1)]
+        if t is ExPair:
+            out = []
+            for left, a in self.match(p.left, v[0]):
+                for right, b in self.match(p.right, v[1]):
+                    # a variable twice must match equal values
+                    if all(left.get(name, w) == w for name, w in right.items()):
+                        out.append(({**left, **right}, a * b))
+            return out
+        if t is ExApp:
+            tag = _TAGS.get(type(p.fn))
+            if tag is not None:
+                return self.match(p.arg, v[1]) if v[0] == tag else []
+            return [
+                (binds, a * b)
+                for w, a in self.adjoint(p.fn, v).items()
+                for binds, b in self.match(p.arg, w)
+            ]
+        if t is ExUnit:
+            return [({}, 1)] if v == () else []
+        raise SemanticsError(f"{t.__name__} is not a pattern")
+
+    def adjoint(self, f, v) -> dict:
+        """``f^dagger v``, a dict from values to amplitudes."""
+        key = (id(f), v)
+        got = self.adjoints.get(key)
+        if got is None:
+            got = self.adjoints[key] = self._adjoint(f, v)
+        return got
+
+    def _adjoint(self, f, v) -> dict:
+        t = type(f)
+        if t is PrAbs or t is PrPmatch:
+            out: dict = {}
+            arms = (f,) if t is PrAbs else f.arms
+            for (w, g), a in self._arms(arms, v, None, None, True).items():
+                if g:
+                    raise SemanticsError("no adjoint: a pattern erases a value")
+                out[w] = a
+            return out
+        if t is PrU3:
+            columns = self._u3(f)
+            return _pruned({w: col.get(v, 0).conjugate() for w, col in zip((ZERO, ONE), columns)})
+        if t is PrLeft or t is PrRight:
+            return {v[1]: 1} if v[0] == _TAGS[t] else {}
+        if t is PrRphase:
+            return self._rphase(f, v, -1)
+        raise SemanticsError(f"{t.__name__} is not a core program")

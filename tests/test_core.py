@@ -1,6 +1,7 @@
 """Hashing, equality and printing of shared core terms (the ``_Node`` contract)."""
 
 import dataclasses
+import inspect
 import os
 import pathlib
 import subprocess
@@ -145,6 +146,47 @@ class TestSharedCores:
             assert not hasattr(node, "__dict__")
             hash(node)
             assert [f.name for f in dataclasses.fields(node)] == declared
+
+    def test_every_node_class_is_a_documented_dataclass_with_its_fields_as_slots(self):
+        for cls in NODE_CLASSES:
+            assert dataclasses.is_dataclass(cls)
+            assert tuple(f.name for f in dataclasses.fields(cls)) == cls.__slots__
+            assert cls.__doc__ and cls.__doc__.strip(), cls.__name__
+            # __init__ takes the fields in order, with their defaults
+            params = list(inspect.signature(cls).parameters.values())
+            assert [(p.name, p.default) for p in params] == [
+                (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+                for f in dataclasses.fields(cls)
+            ]
+        assert ExCtrl(scrutinee=ExVar("x"), arms=()).else_body is None
+        assert Name("e", "x") == Name(sort="e", name="x", args=())
+
+    def test_assigning_or_deleting_any_field_is_refused(self):
+        for cls in NODE_CLASSES:
+            node = cls(*[None] * len(cls.__slots__))
+            hash(node)  # kept in the _hash slot, which is no field either
+            for name in (*cls.__slots__, "_hash", "not_a_field"):
+                frozen = dataclasses.FrozenInstanceError
+                with pytest.raises(frozen, match=f"cannot assign to field '{name}'"):
+                    setattr(node, name, None)
+                with pytest.raises(frozen, match=f"cannot delete field '{name}'"):
+                    delattr(node, name)
+            assert [getattr(node, name) for name in cls.__slots__] == [None] * len(cls.__slots__)
+
+    def test_importing_the_compiler_loads_no_later_stage(self):
+        script = "import sys, qunic.preprocess\nprint(*sys.modules)\n"
+        src = str(pathlib.Path(core.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        loaded = set(out.stdout.split())
+        assert "qunic.preprocess" in loaded
+        assert not loaded & {"qunic.semantics", "qunic.classical", "qunic.cli"}
 
     @pytest.mark.parametrize(
         "first", ["qunic.reals", "qunic.core", "qunic.surface", "qunic.parser", "qunic.preprocess"]

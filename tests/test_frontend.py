@@ -107,6 +107,23 @@ class TestLexer:
             assert (first.kind, first.text, first.line, first.column) == (TokKind.ENAME, "A", 1, 1)
             assert (toks[1].text, toks[1].line, toks[1].column) == ("x", 3, 1)
 
+    def test_positions_across_multi_line_comments_and_a_sigil_before_a_newline(self):
+        source = "a /* one\ntwo\n  three */ b\n/*\n*/c &\nx @\n\n  f #\tn /**/'t"
+        assert [tuple(t) for t in tokenize(source)] == [
+            (TokKind.QVAR, "a", 1, 1),
+            (TokKind.QVAR, "b", 3, 12),
+            (TokKind.QVAR, "c", 5, 3),
+            (TokKind.ENAME, "x", 5, 5),
+            (TokKind.FNAME, "f", 6, 3),
+            (TokKind.RNAME, "n", 8, 5),
+            (TokKind.TYVAR, "t", 8, 13),
+            (TokKind.EOF, "", 8, 15),
+        ]
+        assert tuple(tokenize("&\nx y")[1]) == (TokKind.QVAR, "y", 2, 3)
+        with pytest.raises(LexError) as error:
+            tokenize(source + " /* never\nclosed")
+        assert (error.value.line, error.value.column) == (8, 16)
+
     def test_non_decimal_digits_are_not_numbers(self):
         # '²' passes str.isdigit() but not int(); a decimal digit of any
         # script ('٣', ARABIC-INDIC DIGIT THREE) is a number.
@@ -116,6 +133,9 @@ class TestLexer:
             tokenize("1 + ²")
         assert (err.value.line, err.value.column) == (1, 5)
         assert parse_real_string("٣") == RConst(3)
+        # an upper-case character that is no letter starts no type name
+        with pytest.raises(LexError, match="unexpected character 'Ⅻ'"):
+            tokenize("Ⅻ")
 
     def test_keywords_not_identifiers(self):
         toks = tokenize("ctrl ctrlx")

@@ -684,6 +684,29 @@ class TestSharedPrelude:
     def test_shared_definitions_are_deeply_immutable(self):
         hash(load_prelude_defs())
 
+    def test_the_prelude_table_is_built_once_and_user_definitions_stay_out_of_it(
+        self, monkeypatch
+    ):
+        core_of_source("@had(&0)")
+        registered = []
+        register = preprocess.Elaborator._register
+
+        def counting(self, d):
+            registered.append(d.name)
+            return register(self, d)
+
+        monkeypatch.setattr(preprocess.Elaborator, "_register", counting)
+        mine = "def @mine : Bit -> Bit := @not end\n@mine(&0)"
+        for _ in range(2):  # no duplicate: the first compile's @mine is gone
+            core_of_source(mine)
+        assert registered == ["mine", "mine"]
+        with pytest.raises(PreprocessError, match="unknown program definition @mine"):
+            core_of_source("@mine(&0)")
+        clash = "type T := &ListEmpty | &Other end\n&Other"
+        with pytest.raises(PreprocessError, match="constructor &ListEmpty clashes"):
+            core_of_source(clash)
+        core_of_source(clash, use_prelude=False)  # no prelude, no clash
+
     def test_no_prelude_means_the_prelude_is_never_read(self, monkeypatch):
         def unread():
             raise AssertionError("the prelude was read")
@@ -757,7 +780,7 @@ end
 def _elaborated(main: str) -> preprocess.Elaborator:
     """The elaborator that compiled ``main`` against the prelude."""
     qf = parser.parse_file(main)
-    elaborator = preprocess.Elaborator(load_prelude_defs() + qf.defs)
+    elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
     elaborator.elaborate(qf.main)
     return elaborator
 
@@ -788,11 +811,18 @@ class TestModularArithmetic:
             for (k, _), (c, _) in args:
                 assert 0 <= c < 2**k, f"@{name}{{{k}, {c}}}"
 
+    @pytest.mark.parametrize("n, a", [(4, 2), (1, 2), (1, 0), (3, -4), (8, 2**8)])
+    def test_mod_mult_refuses_an_even_constant(self, n, a):
+        # an even constant is no bijection: it was the identity on all inputs
+        with pytest.raises(PreprocessError, match="mod_mult_needs_an_odd_constant"):
+            core_of_source(f"&num_to_state{{{n}, 0}} |> @mod_mult{{{n}, {a}}}")
+
     def test_order_finding_instantiates_each_residue_once(self):
         # 697 with unreduced constants
         assert _elaborated("&order_finding{12, 7}").instantiations <= 317
 
     def test_mod_mult_of_no_bits_is_the_identity(self):
-        c = core_of_source("&num_to_state{0, 0} |> @mod_mult{0, 3}")
-        assert c.fn == core_of_source("() |> @id{Unit}").fn
+        for a in (3, 2):
+            c = core_of_source(f"&num_to_state{{0, 0}} |> @mod_mult{{0, {a}}}")
+            assert c.fn == core_of_source("() |> @id{Unit}").fn
         core_of_source("(&repeated{1, Bit, &plus}, &num_to_state{0, 1}) |> @mod_exp{1, 0, 3}")
