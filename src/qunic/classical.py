@@ -49,7 +49,12 @@ from .errors import ClassicalError
 from .reals import as_pi_multiple, as_rational
 
 LEFT, RIGHT = "left", "right"
-_TAGS = {PrLeft: LEFT, PrRight: RIGHT}
+TAGS = {PrLeft: LEFT, PrRight: RIGHT}  # the tag of each injection
+
+
+def is_x(x: PrU3) -> bool:
+    """Whether the ``u3`` node ``x`` is exactly ``u3{pi, 0, pi}``, the X gate."""
+    return as_pi_multiple(x.theta) == 1 == as_pi_multiple(x.lam) and as_rational(x.phi) == 0
 
 
 def run(x, arg):
@@ -68,7 +73,7 @@ def run(x, arg):
         binds = {}
         return run(x.body, binds) if _match(x.pattern, arg, binds) else None
     if t is PrLeft or t is PrRight:
-        return _TAGS[t], arg
+        return TAGS[t], arg
     if t is ExCtrl or t is ExMatch or t is PrPmatch:
         v = arg if t is PrPmatch else run(x.scrutinee, arg)
         if v is None:
@@ -81,7 +86,7 @@ def run(x, arg):
     if t is ExUnit:
         return ()
     if t is PrU3:
-        if as_pi_multiple(x.theta) == 1 == as_pi_multiple(x.lam) and as_rational(x.phi) == 0:
+        if is_x(x):
             return (RIGHT if arg[0] == LEFT else LEFT), ()
         raise ClassicalError(f"{to_str(x)} is not u3{{pi, 0, pi}}, so it is not classical")
     raise ClassicalError(f"{type(x).__name__} is not classical")
@@ -96,7 +101,7 @@ def _match(p, v, binds: dict) -> bool:
     if t is ExPair:
         return _match(p.left, v[0], binds) and _match(p.right, v[1], binds)
     if t is ExApp:
-        tag = _TAGS.get(type(p.fn))
+        tag = TAGS.get(type(p.fn))
         if tag is None:
             raise ClassicalError(f"a pattern applies a {type(p.fn).__name__}, not an injection")
         return v[0] == tag and _match(p.arg, v[1], binds)

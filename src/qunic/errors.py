@@ -12,22 +12,22 @@ class QunityError(Exception):
     """Base class for all errors raised on account of the input program."""
 
 
-class LexError(QunityError):
+class LocatedError(QunityError):
+    """An error at a position in the source text, which its message starts
+    with as ``line:column:``."""
+
+    def __init__(self, message: str, line: int, column: int) -> None:
+        super().__init__(f"{line}:{column}: {message}")
+        self.line = line
+        self.column = column
+
+
+class LexError(LocatedError):
     """Raised when the source text cannot be tokenized."""
 
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
 
-
-class ParseError(QunityError):
+class ParseError(LocatedError):
     """Raised when the token stream does not match the grammar."""
-
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
 
 
 class PreprocessError(QunityError):

@@ -21,7 +21,10 @@ The token grammar, tried in this order at each position (``_TOKEN``):
   a type name if it starts with an upper-case letter, and a quantum variable
   otherwise.
 
-A token is a named tuple ``(kind, text, line, column)``.
+A token is a named tuple ``(kind, text, line, column)``.  Its kind is what
+the parser dispatches on: a keyword's or punctuation's text, a name's sort
+(``"t" "e" "f" "r"``, as :func:`qunic.core.sort_of`), or another string of
+:class:`TokKind`, which is never a keyword's or punctuation's text.
 
 ``[\w']`` is exactly the characters for which ``str.isalnum()`` holds, plus
 ``_`` and ``'``.  Apostrophes may appear *inside* identifiers (``l'``),
@@ -33,32 +36,24 @@ cannot continue.  Lines are counted at ``\n``; columns count characters from
 from __future__ import annotations
 
 import re
-from enum import Enum, auto
 from typing import NamedTuple
 
 from .core import UNARY_OPS
 from .errors import LexError
 
 
-class TokKind(Enum):
-    NUMBER = auto()
-    QVAR = auto()
-    TNAME = auto()
-    ENAME = auto()  # &name, text stored without the sigil
-    FNAME = auto()  # @name
-    RNAME = auto()  # #name
-    TYVAR = auto()  # 'name
-    KW = auto()
-    PUNCT = auto()
-    EOF = auto()
+class TokKind:
+    """The kinds of the tokens that are not a keyword or punctuation."""
 
-    # Members are singletons, so they hash by identity, in C; the parser keys
-    # tables by them, and ``Enum.__hash__`` is written in Python.
-    __hash__ = object.__hash__
+    TNAME, ENAME, FNAME, RNAME = "t", "e", "f", "r"  # a name's sort; &name's text has no sigil
+    NUMBER = "a number"
+    QVAR = "a variable"
+    TYVAR = "a type variable"  # 'name, text stored without the quote
+    EOF = "end of input"
 
 
 class Token(NamedTuple):
-    kind: TokKind
+    kind: str
     text: str
     line: int
     column: int
@@ -74,33 +69,34 @@ KEYWORDS = frozenset(
 
 # The token grammar of the module docstring.  The first alternative that
 # matches wins, so order matters: '/*' before '/', '&&' before a sigil, and
-# multi-character punctuation before its one-character prefix.  A group that
-# makes a token is named after its kind.
+# multi-character punctuation before its one-character prefix.  ``_KINDS``
+# gives the kind of the token that each group makes, where that is not its
+# text: a name's group is named after its sort.
 _TOKEN = re.compile(
     r"""
       (?P<space>[ \t\r\n]+)
     | (?P<comment>/\*)
     | (?P<NUMBER>\d+)
-    | (?P<PUNCT>:=|\|>|\|\||&&|->|!=|<=|>=|[{}()\[\],;:|=<>!+\-*/^%])
-    | &[ \t\r\n]*(?P<ENAME>[\w']*)
-    | @[ \t\r\n]*(?P<FNAME>[\w']*)
-    | \#[ \t\r\n]*(?P<RNAME>[\w']*)
+    | (?P<punct>:=|\|>|\|\||&&|->|!=|<=|>=|[{}()\[\],;:|=<>!+\-*/^%])
+    | &[ \t\r\n]*(?P<e>[\w']*)
+    | @[ \t\r\n]*(?P<f>[\w']*)
+    | \#[ \t\r\n]*(?P<r>[\w']*)
     | '(?P<TYVAR>[\w']*)
     | (?P<word>[\w']+)
     """,
     re.VERBOSE,
 )
 
-_KINDS = {kind.name: kind for kind in TokKind}
+_KINDS = {"NUMBER": TokKind.NUMBER, "TYVAR": TokKind.TYVAR, "e": "e", "f": "f", "r": "r"}
 # The groups whose match may span a newline: whitespace, a comment (to its
 # ``*/``), and a sigil with the whitespace after it.
-_NEWLINES = frozenset(("space", "comment", "ENAME", "FNAME", "RNAME"))
+_NEWLINES = frozenset(("space", "comment", "e", "f", "r"))
 
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
     append, match = toks.append, _TOKEN.match
-    KW, TNAME, QVAR = TokKind.KW, TokKind.TNAME, TokKind.QVAR
+    QVAR, kinds = TokKind.QVAR, _KINDS.get
     # ``Token(...)`` runs the named tuple's ``__new__``, a Python function
     # that makes the tuple this makes in C: half the cost of a token.
     new = tuple.__new__
@@ -113,11 +109,11 @@ def tokenize(source: str) -> list[Token]:
         if group == "word":
             text = m[group]
             if text in KEYWORDS:
-                kind = KW
+                kind = text
             elif not (text[0].isalpha() or text[0] == "_"):
                 raise LexError(f"unexpected character {text[0]!r}", line, pos - line_start + 1)
             else:
-                kind = TNAME if text[0].isupper() else QVAR
+                kind = "t" if text[0].isupper() else QVAR
             append(new(Token, (kind, text, line, pos - line_start + 1)))
         elif group == "comment":
             close = source.find("*/", end)
@@ -129,7 +125,7 @@ def tokenize(source: str) -> list[Token]:
             if not text:
                 what = "type-variable quote" if group == "TYVAR" else f"{source[pos]!r} sigil"
                 raise LexError(f"dangling {what}", line, pos - line_start + 1)
-            append(new(Token, (_KINDS[group], text, line, pos - line_start + 1)))
+            append(new(Token, (kinds(group, text), text, line, pos - line_start + 1)))
         if group in _NEWLINES:
             last_newline = source.rfind("\n", pos, end)
             if last_newline >= 0:

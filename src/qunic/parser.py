@@ -11,15 +11,16 @@ programs and reals share one atom reader, ``_Parser._atom(what, sorts)``.
 may have at its position: ``"r"``, ``"t"``, ``"f"`` for a real, a type, a
 program, ``"ef"`` for an expression (a program there is applied to the
 argument after it), and ``"tefr"`` for a generic argument.  One table,
-``_STARTS``, maps each first token to the sort of the atom it starts; where
-that is not one of ``sorts``, ``_atom`` fails at once, at that token, with
-the message ``what`` of the reader that called it.  A name token becomes a
-:class:`~qunic.core.Name` of that sort.  Each reader calls ``_atom`` and
-continues by sort: ``parse_real`` with arithmetic, ``parse_type`` with
-``*``, ``parse_expr`` with ``|>``, ``parse_prog`` with nothing, and
-``parse_generic_arg`` with whichever of these the atom's sort takes
-(``_REST``, keyed by sort).  ``_atom`` reads the two first tokens that do
-not tell the sort whole, each with the same ``sorts``:
+``_STARTS``, maps each token kind (:mod:`qunic.lexer`: a keyword's or
+punctuation's text, a name's sort, or a ``TokKind`` string) to the sort of
+the atom it starts; where that is not one of ``sorts``, ``_atom`` fails at
+once, at that token, with the message ``what`` of the reader that called it.
+A name token becomes a :class:`~qunic.core.Name` of its sort.  Each reader
+calls ``_atom`` and continues by sort: ``parse_real`` with arithmetic,
+``parse_type`` with ``*``, ``parse_expr`` with ``|>``, ``parse_prog`` with
+nothing, and ``parse_generic_arg`` with whichever of these the atom's sort
+takes (``_REST``, keyed by sort).  ``_atom`` reads the two first tokens that
+do not tell the sort whole, each with the same ``sorts``:
 
 * ``_group`` reads ``(`` ... ``)``.  At a real, type or program position it
   holds an atom of that sort and what continues it.  Where an expression
@@ -34,14 +35,16 @@ not tell the sort whole, each with the same ``sorts``:
   after it.
 
 A parameter or a definition of every sort is one class,
-:class:`~qunic.core.Param` or :class:`~qunic.core.Def`: ``_STARTS`` gives the
-sort of its name token, and ``_signature`` reads its signature by that sort,
-``: T`` for an expression and ``: A -> B`` for a program.  A variant type is
-a :class:`~qunic.core.VariantDef`.
+:class:`~qunic.core.Param` or :class:`~qunic.core.Def`: its sort is the kind
+of its name token (``_PARAMS`` gives a type variable's), and ``_signature``
+reads its signature by that sort, ``: T`` for an expression and ``: A -> B``
+for a program.  A variant type is a :class:`~qunic.core.VariantDef`.
 
 A ``(`` in a condition reads a condition or a real; a real is then continued
 and compared (``((1) + 2) < 3``).  A level of ``(`` or ``if`` nesting costs
-two frames, ``_atom`` and ``_group`` or ``_if``.
+two frames, ``_atom`` and ``_group`` or ``_if``, as the first operand of
+what holds it, and three after an operator: a level of
+``(Bit * (Bit * ...))`` costs ``_atom``, ``_group`` and ``parse_type``.
 
 The printer, :func:`qunic.core.to_str`, writes an applied program as the
 program followed by its argument in parentheses, so an unparenthesized
@@ -104,6 +107,7 @@ from .core import (
     REuler,
     RPi,
     RUnary,
+    SIGILS,
     TVar,
     Type,
     TyProd,
@@ -124,26 +128,16 @@ _CMP_OPS = ("=", "!=", "<=", "<", ">=", ">")
 _REAL, _TYPE, _PROG, _EXPR, _ARG = "r", "t", "f", "ef", "tefr"
 _EXPECTED_ARG = "expected a type, expression, program, or real argument"
 
-# The sort of the atom that each first token starts; keywords and
-# punctuation are keyed by their text, the other tokens by their kind.  "("
-# and "if" may start an atom of any sort, and "" is in every ``sorts``.
-_STARTS: dict[TokKind | str, str] = {
-    TokKind.QVAR: "e", TokKind.ENAME: "e", "ctrl": "e", "match": "e", "try": "e", "let": "e",
-    TokKind.FNAME: "f", "u3": "f", "lambda": "f", "gphase": "f", "rphase": "f", "pmatch": "f",
-    TokKind.TNAME: "t", TokKind.TYVAR: "t", "Void": "t", "Unit": "t",
-    TokKind.RNAME: "r", TokKind.NUMBER: "r", "-": "r", "pi": "r", "euler": "r",
+# The sort of the atom that each token kind starts; a name's kind is its
+# sort.  "(" and "if" may start an atom of any sort, and "" is in every ``sorts``.
+_STARTS = {
+    "e": "e", TokKind.QVAR: "e", "ctrl": "e", "match": "e", "try": "e", "let": "e",
+    "f": "f", "u3": "f", "lambda": "f", "gphase": "f", "rphase": "f", "pmatch": "f",
+    "t": "t", TokKind.TYVAR: "t", "Void": "t", "Unit": "t",
+    "r": "r", TokKind.NUMBER: "r", "-": "r", "pi": "r", "euler": "r",
     **dict.fromkeys(UNARY_OPS, "r"),
     "(": "", "if": "",
 }
-# The tokens of names, each of the sort that ``_STARTS`` gives it.
-_NAMES = frozenset((TokKind.TNAME, TokKind.ENAME, TokKind.FNAME, TokKind.RNAME))
-# The members of TokKind that the parser's methods read: reading one from its
-# class runs Python code, about 120 ns on CPython 3.11, and the parser reads
-# one or two per token.
-_ENAME, _EOF, _FNAME, _KW, _NUMBER, _PUNCT = (
-    TokKind.ENAME, TokKind.EOF, TokKind.FNAME, TokKind.KW, TokKind.NUMBER, TokKind.PUNCT,
-)
-_QVAR, _TNAME, _TYVAR = TokKind.QVAR, TokKind.TNAME, TokKind.TYVAR
 
 
 def _integer(t: Token) -> int:
@@ -167,35 +161,24 @@ class _Parser:
 
     def _fail(self, message: str) -> "ParseError":
         t = self.cur
-        got = f"'{t.text}'" if t.kind is not _EOF else "end of input"
+        got = "end of input" if t.kind == TokKind.EOF else f"'{t.text}'"
         return ParseError(f"{message}, got {got}", t.line, t.column)
 
     def take(self) -> Token:
         t = self.cur
-        if t.kind is not _EOF:
+        if t.kind != TokKind.EOF:
             self.pos += 1
             self.cur = self.toks[self.pos]
         return t
 
-    def at_punct(self, text: str) -> bool:
-        return self.cur.kind is _PUNCT and self.cur.text == text
+    def at(self, kind: str) -> bool:
+        return self.cur.kind == kind
 
-    def at_kw(self, text: str) -> bool:
-        return self.cur.kind is _KW and self.cur.text == text
-
-    def expect_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
-            raise self._fail(f"expected '{text}'")
-        return self.take()
-
-    def expect_kw(self, text: str) -> Token:
-        if not self.at_kw(text):
-            raise self._fail(f"expected '{text}'")
-        return self.take()
-
-    def expect_kind(self, kind: TokKind, what: str) -> Token:
-        if self.cur.kind is not kind:
-            raise self._fail(f"expected {what}")
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        """Take a token of ``kind``; ``what`` names it in the error, which
+        otherwise quotes ``kind``, the text of a keyword or punctuation."""
+        if self.cur.kind != kind:
+            raise self._fail(f"expected {what}" if what else f"expected '{kind}'")
         return self.take()
 
     # -- atoms -----------------------------------------------------------------
@@ -209,17 +192,17 @@ class _Parser:
         program is never applied.
         """
         t = self.cur
-        k = t.text if t.kind is _KW or t.kind is _PUNCT else t.kind
+        k = t.kind
         sort = _STARTS.get(k, "?")
         if sort not in sorts:
             raise self._fail(what)
-        if k is _QVAR:
+        if k == TokKind.QVAR:
             self.take()
             return ExVar(t.text)
-        if k in _NAMES:
+        if k in SIGILS:
             self.take()
-            x = Name(sort, t.text, self.maybe_generic_args())
-        elif k is _NUMBER:
+            x = Name(k, t.text, self.maybe_generic_args())
+        elif k == TokKind.NUMBER:
             self.take()
             return RConst(_integer(t))
         elif k == "(":
@@ -227,14 +210,14 @@ class _Parser:
             sort = sort_of(x)
         elif k == "if":
             return self._if(what, sorts)
-        elif k is _TYVAR:
+        elif k == TokKind.TYVAR:
             self.take()
             return TVar(t.text)
         else:
             self.take()
             if k == "lambda":
                 pattern = self.parse_expr()
-                self.expect_punct("->")
+                self.expect("->")
                 x = PrAbs(pattern, self.parse_expr())
             elif k == "ctrl" or k == "match":
                 node = ExCtrl if k == "ctrl" else ExMatch
@@ -242,20 +225,20 @@ class _Parser:
             elif k == "u3":
                 x = PrU3(*self._fields(self.parse_real, self.parse_real, self.parse_real))
             elif k == "-":
-                return RConst(-_integer(self.expect_kind(_NUMBER, "a number after '-'")))
+                return RConst(-_integer(self.expect(TokKind.NUMBER, "a number after '-'")))
             elif k == "Unit" or k == "Void":
                 return TyUnit() if k == "Unit" else TyVoid()
             elif k == "pi" or k == "euler":
                 return RPi() if k == "pi" else REuler()
             elif k == "try":
                 attempt = self.parse_expr()
-                self.expect_kw("catch")
+                self.expect("catch")
                 return ExTry(attempt, self.parse_expr())
             elif k == "let":
                 pattern = self.parse_expr()
-                self.expect_punct("=")
+                self.expect("=")
                 value = self.parse_expr()
-                self.expect_kw("in")
+                self.expect("in")
                 return ELet(pattern, value, self.parse_expr())
             elif k == "gphase":
                 x = PGphase(*self._fields(self.parse_real))
@@ -264,12 +247,12 @@ class _Parser:
             elif k == "pmatch":
                 x = PrPmatch(self._parse_arms(allow_else=False)[0])
             else:  # a unary function
-                self.expect_punct("(")
+                self.expect("(")
                 arg = self.parse_real()
-                self.expect_punct(")")
+                self.expect(")")
                 return RUnary(k, arg)
         if sort == "f" and "e" in sorts:  # a program where an expression may stand
-            if self.at_punct("("):
+            if self.at("("):
                 return ExApp(x, self._group("expected an expression", "e"))
             if sorts == _EXPR:
                 raise self._fail("expected '('")
@@ -284,17 +267,17 @@ class _Parser:
         opening = self.take()
         if "e" not in sorts:
             x = self._atom(what, sorts)
-        elif self.at_punct(")"):
+        elif self.at(")"):
             self.take()
             return ExUnit()
         else:
             x = self._atom(_EXPECTED_ARG, _ARG)
         sort = sort_of(x)
         x = _REST[sort](self, x)
-        if self.at_punct(",") and sort == "e":
+        if self.at(",") and sort == "e":
             self.take()
             x = ExPair(x, self.parse_expr())
-        self.expect_punct(")")
+        self.expect(")")
         if sort not in sorts:
             raise ParseError(f"{what} in parentheses", opening.line, opening.column)
         return x
@@ -304,17 +287,17 @@ class _Parser:
         and what continues it; the branches must be of one sort."""
         self.take()
         cond = self.parse_bool()
-        self.expect_kw("then")
+        self.expect("then")
         then = self._atom(what, sorts)
         sort = sort_of(then)
         then = _REST[sort](self, then)
-        self.expect_kw("else")
+        self.expect("else")
         els = self._atom(what, sorts)
         els = _REST[sort_of(els)](self, els)
         if sort_of(els) != sort:
             t = self.cur
             raise ParseError("the branches of an 'if' argument differ in class", t.line, t.column)
-        self.expect_kw("endif")
+        self.expect("endif")
         return If(sort, cond, then, els)
 
     # -- reals and booleans -------------------------------------------------
@@ -328,7 +311,7 @@ class _Parser:
         if left is None:
             left = self._atom("expected a real expression", _REAL)
         operands, ops = [left], []
-        while self.cur.kind is _PUNCT and self.cur.text in BIN_PREC:
+        while self.cur.kind in BIN_PREC:
             op = self.take().text
             while ops and BIN_PREC[ops[-1]] >= BIN_PREC[op] + (op == "^"):  # '^' groups right
                 right = operands.pop()
@@ -343,7 +326,7 @@ class _Parser:
     def parse_bool(self, left: BoolExpr | None = None) -> BoolExpr:
         """A condition; ``left``, when given, is its first operand, already read."""
         left = self._bool_and(left)
-        while self.at_punct("||"):
+        while self.at("||"):
             self.take()
             left = BOr(left, self._bool_and())
         return left
@@ -351,13 +334,13 @@ class _Parser:
     def _bool_and(self, left: BoolExpr | None = None) -> BoolExpr:
         if left is None:
             left = self._bool_not()
-        while self.at_punct("&&"):
+        while self.at("&&"):
             self.take()
             left = BAnd(left, self._bool_not())
         return left
 
     def _bool_not(self) -> BoolExpr:
-        if self.at_punct("!"):
+        if self.at("!"):
             self.take()
             return BNot(self._bool_not())
         atom = self._comparison()
@@ -368,16 +351,16 @@ class _Parser:
     def _comparison(self) -> BoolExpr | Real:
         """A parenthesized condition, a comparison, or a real with no comparison after it."""
         left = None
-        if self.at_punct("("):
+        if self.at("("):
             self.take()
-            left = self._bool_not() if self.at_punct("!") else self._comparison()
+            left = self._bool_not() if self.at("!") else self._comparison()
             if isinstance(left, BOOLS):
                 left = self.parse_bool(left)
-            self.expect_punct(")")
+            self.expect(")")
             if isinstance(left, BOOLS):
                 return left
         left = self.parse_real(left)
-        if self.cur.kind is _PUNCT and self.cur.text in _CMP_OPS:
+        if self.cur.kind in _CMP_OPS:
             op = self.take().text
             return BCmp(op, left, self.parse_real())
         return left
@@ -388,7 +371,7 @@ class _Parser:
         """A type; ``left``, when given, is its first operand, already read."""
         if left is None:
             left = self._atom("expected a type", _TYPE)
-        while self.at_punct("*"):
+        while self.at("*"):
             self.take()
             left = TyProd(left, self._atom("expected a type", _TYPE))
         return left
@@ -398,7 +381,7 @@ class _Parser:
 
     def _pipeline(self, e: Expr) -> Expr:
         """Apply the programs of a trailing ``|> f |> g`` chain to ``e``."""
-        while self.at_punct("|>"):
+        while self.at("|>"):
             self.take()
             e = ExApp(self._atom("expected a program", _PROG), e)
         return e
@@ -407,28 +390,28 @@ class _Parser:
         return self._atom("expected a program", _PROG)
 
     def _parse_arms(self, allow_else: bool) -> tuple[tuple[CoreArm, ...], Expr | None]:
-        self.expect_punct("[")
+        self.expect("[")
         arms: list[CoreArm] = []
         else_body: Expr | None = None
-        while not self.at_punct("]"):
-            if self.at_kw("else"):
+        while not self.at("]"):
+            if self.at("else"):
                 if not allow_else:
                     raise self._fail("'else' arm is not allowed here")
                 self.take()
-                self.expect_punct("->")
+                self.expect("->")
                 else_body = self.parse_expr()
-                if self.at_punct(";"):
+                if self.at(";"):
                     self.take()
                 break
             pattern = self.parse_expr()
-            self.expect_punct("->")
+            self.expect("->")
             body = self.parse_expr()
             arms.append(CoreArm(pattern, body))
-            if self.at_punct(";"):
+            if self.at(";"):
                 self.take()
             else:
                 break
-        self.expect_punct("]")
+        self.expect("]")
         return tuple(arms), else_body
 
     # -- generic arguments ------------------------------------------------------
@@ -438,24 +421,24 @@ class _Parser:
 
     def _braced(self, item: Callable[[], _T]) -> tuple[_T, ...]:
         """``{a, b, ...}``, each read by ``item``; nothing if no ``{`` comes next."""
-        if not self.at_punct("{"):
+        if not self.at("{"):
             return ()
         self.take()
         items = [item()]
-        while self.at_punct(","):
+        while self.at(","):
             self.take()
             items.append(item())
-        self.expect_punct("}")
+        self.expect("}")
         return tuple(items)
 
     def _fields(self, *items: Callable[[], GenArg]) -> list[GenArg]:
         """``{a, b, ...}``, with one item read by each of ``items`` in turn."""
-        self.expect_punct("{")
+        self.expect("{")
         values = [items[0]()]
         for item in items[1:]:
-            self.expect_punct(",")
+            self.expect(",")
             values.append(item())
-        self.expect_punct("}")
+        self.expect("}")
         return values
 
     def parse_generic_arg(self) -> GenArg:
@@ -471,78 +454,78 @@ class _Parser:
         for a type or a real."""
         if sort != "e" and sort != "f":
             return ()
-        self.expect_punct(":")
+        self.expect(":")
         ty = self.parse_type()
         if sort == "e":
             return (ty,)
-        self.expect_punct("->")
+        self.expect("->")
         return ty, self.parse_type()
 
     def _parse_param(self) -> Param:
         t = self.cur
-        if t.kind not in _PARAMS:
+        sort = _PARAMS.get(t.kind)
+        if sort is None:
             raise self._fail("expected a parameter")
         self.take()
-        sort = _STARTS[t.kind]
         return Param(sort, t.text, self._signature(sort))
 
     def parse_def(self) -> Def | VariantDef:
-        if self.at_kw("type"):
+        if self.at("type"):
             self.take()
-            name = self.expect_kind(_TNAME, "a type name").text
+            name = self.expect("t", "a type name").text
             params = self._braced(self._parse_param)
-            self.expect_punct(":=")
-            if self.at_punct("|") or self.cur.kind in (_ENAME, _FNAME):
+            self.expect(":=")
+            if self.cur.kind in ("|", "e", "f"):
                 alts = self._parse_variant_alts()
-                self.expect_kw("end")
+                self.expect("end")
                 return VariantDef(name, params, alts)
             body = self.parse_type()
-            self.expect_kw("end")
+            self.expect("end")
             return Def("t", name, params, (), body)
-        self.expect_kw("def")
+        self.expect("def")
         t = self.cur
-        if t.kind not in _DEFS:
+        sort = t.kind
+        if sort not in _DEFS:
             raise self._fail("expected '&', '@', or '#' after 'def'")
         self.take()
-        sort = _STARTS[t.kind]
         params = self._braced(self._parse_param)
         sig = self._signature(sort)
-        self.expect_punct(":=")
-        body = _DEFS[t.kind](self)
-        self.expect_kw("end")
+        self.expect(":=")
+        body = _DEFS[sort](self)
+        self.expect("end")
         return Def(sort, t.text, params, sig, body)
 
     def _parse_variant_alts(self) -> tuple[VariantAlt, ...]:
-        if self.at_punct("|"):
+        if self.at("|"):
             self.take()  # a leading bar before the first alternative is optional
         alts = [self._parse_variant_alt()]
-        while self.at_punct("|"):
+        while self.at("|"):
             self.take()
             alts.append(self._parse_variant_alt())
         return tuple(alts)
 
     def _parse_variant_alt(self) -> VariantAlt:
         t = self.cur
-        if t.kind is _ENAME:
+        if t.kind == "e":
             self.take()
             return VariantAlt(t.text, None)
-        if t.kind is _FNAME:
+        if t.kind == "f":
             self.take()
-            self.expect_kw("of")
+            self.expect("of")
             return VariantAlt(t.text, self.parse_type())
         raise self._fail("expected a variant alternative")
 
     def parse_file(self) -> QFile:
         defs: list[Def | VariantDef] = []
-        while self.at_kw("type") or self.at_kw("def"):
+        while self.cur.kind in ("type", "def"):
             defs.append(self.parse_def())
         main: Expr | None = None
-        if self.cur.kind is not _EOF:
+        if self.cur.kind != TokKind.EOF:
             main = self.parse_expr()
         return QFile(tuple(defs), main)
 
     def expect_eof(self) -> None:
-        if self.cur.kind is not _EOF:
+        if self.cur.kind != TokKind.EOF:
             raise self._fail("unexpected trailing input")
 
 
@@ -553,14 +536,10 @@ _REST: dict[str, Callable[[_Parser, GenArg], GenArg]] = {
     "r": _Parser.parse_real, "t": _Parser.parse_type,
     "e": _Parser._pipeline, "f": lambda p, x: x,
 }
-# The tokens that start a parameter, and the body reader of each token that
-# names a definition; ``_STARTS`` gives the sort of either.
-_PARAMS = frozenset((TokKind.TYVAR, TokKind.ENAME, TokKind.FNAME, TokKind.RNAME))
-_DEFS = {
-    TokKind.ENAME: _Parser.parse_expr,
-    TokKind.FNAME: _Parser.parse_prog,
-    TokKind.RNAME: _Parser.parse_real,
-}
+# The sort of each token kind that starts a parameter, and the body reader
+# of a definition of each sort that a ``def`` declares.
+_PARAMS = {TokKind.TYVAR: "t", "e": "e", "f": "f", "r": "r"}
+_DEFS = {"e": _Parser.parse_expr, "f": _Parser.parse_prog, "r": _Parser.parse_real}
 
 
 def _parse(source: str, parse: Callable[[_Parser], _T]) -> _T:

@@ -61,7 +61,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .classical import LEFT, RIGHT
+from .classical import LEFT, RIGHT, TAGS, is_x
 from .core import (
     ExApp,
     ExCtrl,
@@ -84,7 +84,6 @@ from .reals import as_pi_multiple, as_rational, evaluate_real
 ZERO, ONE = (LEFT, ()), (RIGHT, ())
 EPS = 1e-12
 
-_TAGS = {PrLeft: LEFT, PrRight: RIGHT}
 _PROGRAMS = frozenset((PrU3, PrLeft, PrRight, PrAbs, PrRphase, PrPmatch))
 
 
@@ -178,7 +177,7 @@ class Semantics:
         if t is PrU3:
             return {(w, ()): a for w, a in self._u3(x)[v == ONE].items()}
         if t is PrLeft or t is PrRight:
-            return {((_TAGS[t], v), ()): 1}
+            return {((TAGS[t], v), ()): 1}
         return {(w, ()): a for w, a in self._rphase(x, v, 1).items()}
 
     def _arms(self, arms, v, env, else_body, adjoint=False) -> dict:
@@ -221,7 +220,7 @@ class Semantics:
         """The columns of ``x``'s matrix, for ``&0`` and ``&1``."""
         got = self.gates.get(id(x))
         if got is None:
-            if as_pi_multiple(x.theta) == 1 == as_pi_multiple(x.lam) and as_rational(x.phi) == 0:
+            if is_x(x):
                 got = {ONE: 1}, {ZERO: 1}  # X, exactly
             else:
                 theta = float(evaluate_real(x.theta))
@@ -261,7 +260,7 @@ class Semantics:
                         out.append(({**left, **right}, a * b))
             return out
         if t is ExApp:
-            tag = _TAGS.get(type(p.fn))
+            tag = TAGS.get(type(p.fn))
             if tag is not None:
                 return self.match(p.arg, v[1]) if v[0] == tag else []
             return [
@@ -295,7 +294,7 @@ class Semantics:
             columns = self._u3(f)
             return _pruned({w: col.get(v, 0).conjugate() for w, col in zip((ZERO, ONE), columns)})
         if t is PrLeft or t is PrRight:
-            return {v[1]: 1} if v[0] == _TAGS[t] else {}
+            return {v[1]: 1} if v[0] == TAGS[t] else {}
         if t is PrRphase:
             return self._rphase(f, v, -1)
         raise SemanticsError(f"{t.__name__} is not a core program")

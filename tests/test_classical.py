@@ -131,6 +131,7 @@ def test_x_is_recognized_by_its_exact_angles():
         ("&0 |> @had", "not u3{pi, 0, pi}"),
         ("&0 |> u3{pi + 0 * sin(1), 0, pi}", "not u3{pi, 0, pi}"),  # a float near pi
         ("&0 |> u3{3 * pi, 0, pi}", "not u3{pi, 0, pi}"),  # -X
+        ("&0 |> u3{pi, pi, pi}", "not u3{pi, 0, pi}"),  # X up to a phase
         ("&0 |> gphase{pi}", "PrRphase is not classical"),
         ("&0 |> @reflect{Bit, &1}", "PrRphase is not classical"),
         ("&0 |> lambda x -> try @not(x) catch x", "ExTry is not classical"),

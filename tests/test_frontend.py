@@ -96,9 +96,9 @@ class TestLexer:
     def test_and_operator_and_spaced_sigil(self):
         for src in ("x&&y", "#n < 1 && #k < 2"):
             ands = [t for t in tokenize(src) if t.text == "&&"]
-            assert [t.kind for t in ands] == [TokKind.PUNCT]
+            assert [t.kind for t in ands] == ["&&"]
         assert [(t.kind, t.text) for t in tokenize("&&&x")[:-1]] == [
-            (TokKind.PUNCT, "&&"),
+            ("&&", "&&"),
             (TokKind.ENAME, "x"),
         ]
         for nl in ("\n", "\r\n"):
@@ -139,8 +139,8 @@ class TestLexer:
 
     def test_keywords_not_identifiers(self):
         toks = tokenize("ctrl ctrlx")
-        assert toks[0].kind is TokKind.KW
-        assert toks[1].kind is TokKind.QVAR
+        assert (toks[0].kind, toks[0].text) == ("ctrl", "ctrl")
+        assert (toks[1].kind, toks[1].text) == (TokKind.QVAR, "ctrlx")
 
 
 _SPACES = st.sampled_from([" ", "\t", "\n", "\r\n"])
@@ -161,7 +161,7 @@ def _lexemes(draw):
     if which == "word":
         word = draw(_WORDS)
         if word in KEYWORDS:
-            kind = TokKind.KW
+            kind = word
         else:
             kind = TokKind.TNAME if word[0].isupper() else TokKind.QVAR
         return word, kind, word
@@ -170,7 +170,7 @@ def _lexemes(draw):
         return digits, TokKind.NUMBER, digits
     if which == "punct":
         p = draw(st.sampled_from(_PUNCT_TEXTS))
-        return p, TokKind.PUNCT, p
+        return p, p, p
     name = draw(_NAMES)
     if which == "tyvar":
         return "'" + name, TokKind.TYVAR, name
@@ -198,6 +198,18 @@ def test_token_positions_point_at_their_text(pieces, trailer):
     source += "".join(trailer)
     expected.append((TokKind.EOF, "", *_line_column(source, len(source))))
     assert [(t.kind, t.text, t.line, t.column) for t in tokenize(source)] == expected
+
+
+def test_no_kind_is_a_text_and_a_names_kind_is_its_sort():
+    # A kind that is not a keyword's or punctuation's text must differ from
+    # every such text, or the parser would take the one for the other.
+    kinds = {v for k, v in vars(TokKind).items() if not k.startswith("_")}
+    assert len(kinds) == 8
+    assert not kinds & KEYWORDS and not kinds & set(_PUNCT_TEXTS)
+    for source in ("&x", "@f", "#n", "Bit", "&f{1}", "@g{Bit, #n}", "List{2, Bit}"):
+        token = tokenize(source)[0]
+        name = _Parser(tokenize(source)).parse_generic_arg()
+        assert type(name) is Name and (token.kind, token.text) == (sort_of(name), name.name)
 
 
 class TestParser:
@@ -439,6 +451,16 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse_expr_string("ctrl x [&0 -> ]")
         assert exc.value.line == 1
+        # An expected keyword or punctuation is quoted, another kind is named.
+        for parse, source, message in [
+            (parse_expr_string, "let x = &0 x", "1:12: expected 'in', got 'x'"),
+            (parse_prog_string, "lambda x", "1:9: expected '->', got end of input"),
+            (parse_real_string, "- x", "1:3: expected a number after '-', got 'x'"),
+            (parse_file, "type &T := Bit end", "1:6: expected a type name, got 'T'"),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse(source)
+            assert str(exc.value) == message
 
     def test_variant_def_leading_bar_optional(self):
         with_bar = parse_file("type T := | &    A | @B of Unit end x")
