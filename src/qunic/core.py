@@ -11,10 +11,11 @@ keep only the quantum constructs (unit, variables, pairs, ``ctrl``,
 (``u3``, the two sum injections, abstraction, ``rphase``, ``pmatch``), whose
 angles are closed reals.  The sugar nodes are type variables, names with
 generic arguments (of types, expressions, programs, reals, and variant
-constructors), compile-time conditionals (``if .. then .. else .. endif``),
-``let`` bindings and ``gphase``; :data:`CoreType`, :data:`CoreExpr` and
+constructors) and compile-time conditionals (``if .. then .. else .. endif``),
+the three that need compile-time values; :data:`CoreType`, :data:`CoreExpr` and
 :data:`CoreProg` exclude them, :data:`Type`, :data:`Expr`, :data:`Prog` and
-:data:`Real` do not.  The sum injections never come from parsed input.
+:data:`Real` do not.  ``let`` and ``gphase`` have no class: the parser reads
+them as their core forms.  The sum injections never come from parsed input.
 :mod:`qunic.reals` evaluates the reals and conditions.
 
 Types, expressions, programs and reals are the four *sorts*, ``"t"``,
@@ -467,17 +468,8 @@ class ExApp(_Node):
     arg: "Expr"
 
 
-@_node
-class ELet(_Node):
-    """``let pattern = value in body``."""
-
-    pattern: "Expr"
-    value: "Expr"
-    body: "Expr"
-
-
 CoreExpr = Union[ExUnit, ExVar, ExPair, ExCtrl, ExMatch, ExTry, ExApp]
-Expr = Union[CoreExpr, ELet, Name, If]
+Expr = Union[CoreExpr, Name, If]
 
 
 @_node
@@ -530,15 +522,8 @@ class PrPmatch(_Node):
     arms: tuple[CoreArm, ...]
 
 
-@_node
-class PGphase(_Node):
-    """``gphase{phase}``, a global phase."""
-
-    phase: Real
-
-
 CoreProg = Union[PrU3, PrLeft, PrRight, PrAbs, PrRphase, PrPmatch]
-Prog = Union[CoreProg, PGphase, Name, If]
+Prog = Union[CoreProg, Name, If]
 
 GenArg = Union[Type, Expr, Prog, Real]
 
@@ -844,11 +829,6 @@ def _show(x: _Node | tuple[GenArg, ...], shared: set[int], memo: dict[int, str])
         for arg in x:
             parts.append(_show(arg, shared, memo))
         s = f"{{{', '.join(parts)}}}" if parts else ""
-    elif t is ELet:
-        pattern, value = _show(x.pattern, shared, memo), _show(x.value, shared, memo)
-        s = f"let {pattern} = {value} in {_show(x.body, shared, memo)}"
-    elif t is PGphase:
-        s = f"gphase{{{_show(x.phase, shared, memo)}}}"
     elif t is If:
         cond, then = _show(x.cond, shared, memo), _show(x.then, shared, memo)
         s = f"if {cond} then {then} else {_show(x.els, shared, memo)} endif"

@@ -2,7 +2,9 @@
 
 It builds the one syntax tree of :mod:`qunic.core`, from reals to whole
 files; the nodes of the core language are built directly, the sugar nodes
-beside them.
+beside them.  ``let`` and ``gphase`` are abbreviations, read as their core
+forms: ``let p = v in b`` as ``(lambda p -> b)(v)`` and ``gphase{r}`` as
+``rphase{_, r, r}``.  The printer writes those forms back.
 
 The grammar is predictive, with no exception: one token of lookahead picks
 every alternative, and each token is read once.  Types, expressions,
@@ -81,7 +83,6 @@ from .core import (
     BOr,
     CoreArm,
     Def,
-    ELet,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -94,7 +95,6 @@ from .core import (
     If,
     Name,
     Param,
-    PGphase,
     PrAbs,
     Prog,
     PrPmatch,
@@ -239,9 +239,10 @@ class _Parser:
                 self.expect("=")
                 value = self.parse_expr()
                 self.expect("in")
-                return ELet(pattern, value, self.parse_expr())
+                return ExApp(PrAbs(pattern, self.parse_expr()), value)
             elif k == "gphase":
-                x = PGphase(*self._fields(self.parse_real))
+                phase = self._fields(self.parse_real)[0]
+                x = PrRphase(ExVar("_"), phase, phase)
             elif k == "rphase":
                 x = PrRphase(*self._fields(self.parse_expr, self.parse_real, self.parse_real))
             elif k == "pmatch":

@@ -5,7 +5,7 @@ case per node class: a type, an expression or a program elaborates to its
 core node, a real to its value and a condition to a bool.  A name of every
 sort is one class, :class:`~qunic.core.Name`, and one case, which looks the
 name up under the sort in its field; an ``if`` of every sort is one class,
-:class:`~qunic.core.If`, and one case.  A definition and a generic
+:class:`~qunic.core.If`, and one loop.  A definition and a generic
 parameter of every sort are one class each, :class:`~qunic.core.Def` and
 :class:`~qunic.core.Param`, read by their ``sort`` field, and a generic
 argument must have its parameter's sort, by :func:`~qunic.core.sort_of`.  A
@@ -25,13 +25,11 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   subtree is evaluated twice.  A rational or an exact nonzero multiple of pi
   is a plain ``(a, b)`` pair for ``a + b*pi``, which generic arguments and
   memo keys hold; any other value keeps its tree.  A node is built only
-  where the core needs one, an angle of ``u3``, ``rphase`` or ``gphase``,
-  and each exact value becomes one node per compile, its canonical tree
-  ``p``, ``p / q``, ``pi`` or ``q * pi``, so equal angles are one object;
+  where the core needs one, an angle of ``u3`` or ``rphase``, and each
+  exact value becomes one node per compile, its canonical tree ``p``,
+  ``p / q``, ``pi`` or ``q * pi``, so equal angles are one object;
 * ``if .. then .. else .. endif`` conditionals are decided by comparing the
   values of their (closed, by the time substitution has happened) reals;
-* ``let p = v in b`` becomes ``(lambda p -> b)(v)``;
-* ``gphase{r}`` becomes ``rphase{_%0, r, r}``;
 * variant constructors become chains of sum injections (a single-alternative
   variant's constructor is the identity), built once per instantiation of
   their variant and shared by every use;
@@ -40,7 +38,7 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   ``if`` in a pattern is decided once.  A binder inside an inlined
   definition body, and each ``_``, is named ``x%k`` from its source name
   ``x`` and the number ``k`` of binders numbered before it in its closed
-  program, the innermost ``lambda``, ``pmatch`` or ``let``, so alpha-equal
+  program, the innermost ``lambda``, ``pmatch`` or ``rphase``, so alpha-equal
   programs get equal names and a ``_`` is a throwaway of its own.  Such a
   binder is numbered past every variable in scope, so it never captures a
   free variable of an expression argument.  A memoized expression reused in
@@ -52,11 +50,12 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   ("unbound variable"), so a definition body never picks up a variable of
   the code that uses it;
 * programs are closed: a ``lambda``, the arms of a ``pmatch`` and the
-  pattern and body of a ``let`` (which become a ``lambda``) are elaborated
-  from a scope with no variables, so a variable of the code around them is
-  unbound inside them; a ``let`` passes what its body needs through its
-  value and pattern.  An ``rphase`` needs no such scope: it has no body, and
-  a pattern sees no variable it has not bound itself;
+  pattern of an ``rphase`` are elaborated from a scope with no variables,
+  with their binders numbered from 0, so a variable of the code around them
+  is unbound inside them.  The parser reads ``let p = v in b`` as
+  ``(lambda p -> b)(v)``, which passes what its body needs through its value
+  and pattern, and ``gphase{r}`` as ``rphase{_, r, r}``, whose ``_`` is
+  ``_%0``;
 * every node is built by :meth:`Elaborator._make`, which keeps one node per
   class and fields for the compile, under the class, the ids of the
   children (which are canonical already) and the scalar fields.  So a
@@ -88,7 +87,6 @@ from .core import (
     CoreExpr,
     CoreType,
     Def,
-    ELet,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -101,7 +99,6 @@ from .core import (
     If,
     Name,
     Param,
-    PGphase,
     PrAbs,
     PrLeft,
     PrPmatch,
@@ -450,12 +447,17 @@ class Elaborator:
         One case per node class, most frequent first.  Every node is built
         by :meth:`_make`, so each is the compile's one node of its kind; an
         inexact real keeps the tree of ``x`` over its children's nodes.
-        Callers call this directly, so each level of the term costs one frame.
+        Callers call this directly, so each level of the term costs one frame,
+        and an ``if`` none: the loop at the top replaces it by the branch its
+        condition picks, in this frame.
         """
         # Every call sets up a slot for each local, and this recursion is as
         # deep as the term, so the cases share ``left``, ``right``, ``v`` and
         # ``n``.
         t = type(x)
+        while t is If:
+            x = x.then if self.elab(x.cond, env) else x.els
+            t = type(x)
         if t is RConst:
             return x.value, 0
         if t is RBinary:
@@ -494,8 +496,6 @@ class Elaborator:
             return compare(x.op, _plain(self.elab(x.left, env)), _plain(self.elab(x.right, env)))
         if t is ExApp:
             return self._make(ExApp, self.elab(x.fn, env), self.elab(x.arg, env))
-        if t is If:
-            return self.elab(x.then if self.elab(x.cond, env) else x.els, env)
         # A program numbers its binders from 0, and the program around it
         # goes on from where it was after.
         if t is PrPmatch:
@@ -511,14 +511,6 @@ class Elaborator:
             v = self._make(PrAbs, left, self.elab(x.body, right))
             self._binders = n
             return v
-        if t is ELet:
-            v = self.elab(x.value, env)
-            n, self._binders = self._binders, 0
-            env = _Env(env.generics, {}, env.fresh, None, True)
-            left, right = self._pattern(x.pattern, env)
-            left = self._make(PrAbs, left, self.elab(x.body, right))
-            self._binders = n
-            return self._make(ExApp, left, v)
         if t is ExCtrl or t is ExMatch:
             left, right = self.elab(x.scrutinee, env), self._elab_arms(x.arms, env)
             v = None if x.else_body is None else self.elab(x.else_body, env)
@@ -530,16 +522,14 @@ class Elaborator:
             return v
         if t is RPi:
             return 0, 1
-        if t is PrRphase:
-            left = self._pattern(x.pattern, env)[0]
+        if t is PrRphase:  # a closed program, like a lambda with no body
+            n, self._binders = self._binders, 0
+            left = self._pattern(x.pattern, _Env(env.generics, {}, env.fresh, None, True))[0]
+            self._binders = n
             right, v = self.elab(x.on_phase, env), self.elab(x.off_phase, env)
             return self._make(PrRphase, left, self._real_node(right), self._real_node(v))
         if t is TyProd:
             return self._make(TyProd, self.elab(x.left, env), self.elab(x.right, env))
-        if t is PGphase:
-            v = self._real_node(self.elab(x.phase, env))
-            # the one binder of a closed program, so numbered 0
-            return self._make(PrRphase, self._make(ExVar, "_%0"), v, v)
         if t is ExUnit or t is TyUnit or t is TyVoid:
             return self._make(t)
         if t is PrU3:

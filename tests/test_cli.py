@@ -26,7 +26,7 @@ def qunic(tmp_path, capsys, source, *flags):
 # interpreter's default stack: a wide circuit, a flat chain of 5,000 terms,
 # and a type 1,000 levels deep.
 DEEP = [
-    pytest.param("&num_to_state{128, 1} |> @qft{128}", id="qft-128"),
+    pytest.param("&num_to_state{192, 1} |> @qft{192}", id="qft-192"),
     pytest.param("&0 |> u3{" + " - ".join(["1"] * 5000) + ", 0, 0}", id="flat-angle"),
     pytest.param("&Nothing{" + "(Bit * " * 1000 + "Bit" + ")" * 1000 + "}", id="deep-type"),
 ]
@@ -98,6 +98,18 @@ def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
     assert 0 < stats["instantiations"] < stats["unroll_budget"] == preprocess.UNROLL_BUDGET
     assert min(stats["parse_ms"], stats["elaborate_ms"], stats["print_ms"]) >= 0
     assert stats["peak_rss_mb"] > 0
+
+
+def test_the_prelude_as_user_source_gives_the_packaged_core(tmp_path, capsys):
+    # Every definition and parameter form goes through the command, and the
+    # prelude's lets and gphases are read as their core forms.
+    main = "(&num_to_state{4, 5} |> @qft{4}, &phase_estimation{2, 1 / 4})"
+    packaged = qunic(tmp_path, capsys, main, "--dump-core")
+    user = qunic(
+        tmp_path, capsys, preprocess.default_prelude_text() + main, "--no-prelude", "--dump-core"
+    )
+    assert packaged[0] == 0 and packaged[1].startswith("(")
+    assert user == packaged
 
 
 def test_standard_input_without_the_prelude(capsys, monkeypatch):

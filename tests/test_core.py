@@ -18,7 +18,6 @@ from qunic.core import (
     BNot,
     BOr,
     CoreArm,
-    ELet,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -138,7 +137,7 @@ class TestSharedCores:
             core.to_str(c)
 
     def test_nodes_have_no_dict_and_only_their_declared_fields(self):
-        assert len(NODE_CLASSES) == 37
+        assert len(NODE_CLASSES) == 35
         for cls in NODE_CLASSES:
             declared = list(cls.__annotations__)
             assert [f.name for f in dataclasses.fields(cls)] == declared
@@ -394,11 +393,11 @@ def test_real_values_are_step_folded_recursively(r):
 @pytest.mark.parametrize(
     "e",
     [
-        ELet(ExVar("x"), ExUnit(), ExVar("x")),
+        TVar("a"),
         Name("e", "z", (Name("r", "n"),)),
         If("e", BCmp("<", RConst(1), RConst(2)), ExVar("x"), ExVar("y")),
     ],
-    ids=["let", "name", "if"],
+    ids=["type-variable", "name", "if"],
 )
 def test_free_variables_of_sugar_are_a_type_error(e):
     for term in (e, ExPair(ExUnit(), e)):

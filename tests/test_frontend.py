@@ -12,7 +12,6 @@ from qunic.core import (
     BOr,
     CoreArm,
     Def,
-    ELet,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -23,7 +22,6 @@ from qunic.core import (
     If,
     Name,
     Param,
-    PGphase,
     PrAbs,
     PrPmatch,
     PrRphase,
@@ -245,8 +243,7 @@ class TestParser:
 
     def test_let_binding(self):
         e = parse_expr_string("let (x, y) = p in (y, x)")
-        assert isinstance(e, ELet)
-        assert e.pattern == ExPair(ExVar("x"), ExVar("y"))
+        assert e == parse_expr_string("(lambda (x, y) -> (y, x))(p)")
 
     def test_try_catch(self):
         e = parse_expr_string("try @f(x) catch &0")
@@ -647,7 +644,6 @@ def _exprs(depth: int):
         st.builds(ExMatch, sub, arms, maybe_else),
         st.builds(ExTry, sub, sub),
         st.builds(ExApp, _progs(depth - 1), sub),
-        st.builds(ELet, sub, sub, sub),
         st.builds(If, st.just("e"), _bools(1), sub, sub),
         st.builds(Name, st.just("e"), _enames, st.tuples(_genargs(depth - 1))),
     )
@@ -657,7 +653,6 @@ def _progs(depth: int):
     base = st.one_of(
         _fnames.map(lambda n: Name("f", n, ())),
         st.builds(PrU3, _reals(1), _reals(1), _reals(1)),
-        st.builds(PGphase, _reals(1)),
     )
     if depth == 0:
         return base
@@ -678,13 +673,26 @@ def _progs(depth: int):
 _BAND = BAnd(BCmp(">", RPi(), RPi()), BCmp("=", RConst(0), RPi()))
 
 
+# Parts of a ``let`` and a ``gphase``: a pattern, a value, a body and a phase.
+_SUGARED = st.tuples(_exprs(2), _exprs(2), _exprs(2), _reals(1))
+_UNIT_PARTS = (ExUnit(), ExUnit(), ExUnit(), RPi())
+
+
 @settings(max_examples=300, deadline=None)
-@given(_exprs(3))
-@example(If("e", _BAND, ExUnit(), ExUnit()))
-@example(Name("e", "0", (ExApp(Name("f", "f", ()), ExUnit()),)))
-@example(Name("e", "z", (If("r", _BAND, Name("r", "n"), RConst(2)), Name("r", "k", (RPi(),)))))
-def test_expr_print_parse_round_trip(e):
+@given(_exprs(3), _SUGARED)
+@example(If("e", _BAND, ExUnit(), ExUnit()), _UNIT_PARTS)
+@example(Name("e", "0", (ExApp(Name("f", "f", ()), ExUnit()),)), _UNIT_PARTS)
+@example(
+    Name("e", "z", (If("r", _BAND, Name("r", "n"), RConst(2)), Name("r", "k", (RPi(),)))),
+    _UNIT_PARTS,
+)
+def test_expr_print_parse_round_trip(e, sugared):
     assert parse_expr_string(to_str(e)) == e
+    # ``let`` and ``gphase`` are read as their core forms.
+    p, v, b, r = sugared
+    let = f"let {to_str(p)} = {to_str(v)} in {to_str(b)}"
+    assert parse_expr_string(let) == ExApp(PrAbs(p, b), v)
+    assert parse_prog_string(f"gphase{{{to_str(r)}}}") == PrRphase(ExVar("_"), r, r)
 
 
 @settings(max_examples=200, deadline=None)
