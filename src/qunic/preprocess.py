@@ -22,7 +22,10 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   expression or program definition, whichever comes first;
 * a real elaborates to its value, computed by one evaluator step
   (:func:`~qunic.reals.step`) per node from its children's values, so no
-  subtree is evaluated twice.  A rational or an exact nonzero multiple of pi
+  subtree is evaluated twice.  A left-nested operator chain, such as a flat
+  ``1 - 1 - ... - 1``, is elaborated in a loop down its left spine, so it
+  takes one frame however long it is; ``gphase{r}``'s one ``r`` is
+  elaborated once.  A rational or an exact nonzero multiple of pi
   is a plain ``(a, b)`` pair for ``a + b*pi``, which generic arguments and
   memo keys hold; any other value keeps its tree.  A node is built only
   where the core needs one, an angle of ``u3`` or ``rphase``, and each
@@ -233,11 +236,6 @@ RealValue = Union[tuple[Rational, Rational], _Inexact]
 # The node classes of the core whose first field is not a node: a variable's
 # name, a constant, or an operator.
 _NAMED = frozenset({ExVar, RConst, RBinary, RUnary})
-
-
-def _plain(v: RealValue) -> Value:
-    """The value of an elaborated real, as :func:`~qunic.reals.step` takes it."""
-    return v.value if type(v) is _Inexact else v
 
 
 class Elaborator:
@@ -461,14 +459,36 @@ class Elaborator:
         if t is RConst:
             return x.value, 0
         if t is RBinary:
-            left, right = self.elab(x.left, env), self.elab(x.right, env)
-            v = step(x.op, _plain(left), _plain(right))
-            if type(v) is tuple and (v[1] == 0 or v[0] == 0):
-                return v
-            left, right = self._real_node(left), self._real_node(right)
-            return _Inexact(self._make(RBinary, x.op, left, right), v)
+            # A left-nested chain in a loop, so a flat ``1 - 1 - ... - 1``
+            # takes no frame per operator: down its left spine, keeping the
+            # way back in ``n`` as nested pairs (no list, which would cost
+            # every lone operator more), then its leftmost operand, then each
+            # right operand and its step, in order.
+            n = None
+            while type(x.left) is RBinary:
+                n, x = (x, n), x.left
+            left = self.elab(x.left, env)
+            while True:
+                right = self.elab(x.right, env)
+                v = step(
+                    x.op,
+                    left.value if type(left) is _Inexact else left,
+                    right.value if type(right) is _Inexact else right,
+                )
+                if type(v) is tuple and (v[1] == 0 or v[0] == 0):
+                    left = v
+                else:
+                    left, right = self._real_node(left), self._real_node(right)
+                    left = _Inexact(self._make(RBinary, x.op, left, right), v)
+                if n is None:
+                    return left
+                x, n = n
         if t is Name:
             left = x.sort
+            if left == "r" and not x.args:  # most often a real parameter
+                v = env.generics.get(("r", x.name))
+                if v is not None:
+                    return v
             v = self._named(left, x.name, x.args, env)
             if v is not None:
                 return v[0] if left == "t" and type(v) is tuple else v  # a variant: its sum type
@@ -493,7 +513,12 @@ class Elaborator:
         if t is ExPair:
             return self._make(ExPair, self.elab(x.left, env), self.elab(x.right, env))
         if t is BCmp:
-            return compare(x.op, _plain(self.elab(x.left, env)), _plain(self.elab(x.right, env)))
+            left, right = self.elab(x.left, env), self.elab(x.right, env)
+            return compare(
+                x.op,
+                left.value if type(left) is _Inexact else left,
+                right.value if type(right) is _Inexact else right,
+            )
         if t is ExApp:
             return self._make(ExApp, self.elab(x.fn, env), self.elab(x.arg, env))
         # A program numbers its binders from 0, and the program around it
@@ -526,7 +551,9 @@ class Elaborator:
             n, self._binders = self._binders, 0
             left = self._pattern(x.pattern, _Env(env.generics, {}, env.fresh, None, True))[0]
             self._binders = n
-            right, v = self.elab(x.on_phase, env), self.elab(x.off_phase, env)
+            # ``gphase{r}`` is ``rphase{_, r, r}`` with one ``r``, elaborated once
+            right = self.elab(x.on_phase, env)
+            v = right if x.off_phase is x.on_phase else self.elab(x.off_phase, env)
             return self._make(PrRphase, left, self._real_node(right), self._real_node(v))
         if t is TyProd:
             return self._make(TyProd, self.elab(x.left, env), self.elab(x.right, env))
@@ -539,7 +566,7 @@ class Elaborator:
             )
         if t is RUnary:
             left = self.elab(x.arg, env)
-            v = step(x.op, _plain(left))
+            v = step(x.op, left.value if type(left) is _Inexact else left)
             if type(v) is tuple and (v[1] == 0 or v[0] == 0):
                 return v
             return _Inexact(self._make(RUnary, x.op, self._real_node(left)), v)

@@ -20,6 +20,11 @@ three.
 
 :func:`step` is the evaluator: it computes the value of one operation from
 the values of its operands, and every exact rule and domain check is there.
+Its first exact rule is the integer rule: on two pi-free int operands it
+computes ``+ - * %``, a ``/`` that divides and a ``^`` with an exponent of at
+least 0 on ints directly, and leaves every other case to the general rules
+on ``a + b*pi``.  It gives what they give, the same value and types or the
+same error, and a property test in ``tests/test_reals.py`` pins it to them.
 :func:`_value` folds it over a term with :func:`qunic.core.fold`, without
 recursion, so a flat chain of any length evaluates.  The preprocessor calls
 :func:`step` itself, once per node as it elaborates, so it never evaluates a
@@ -98,7 +103,11 @@ def step(op: str, x: Value, y: Value | None = None) -> Value:
     ``y``: every exact rule and every domain check lives here.
 
     ``ceil``/``floor`` are exact on any argument; every other operation with
-    no exact rule below is computed on floats.
+    no exact rule below is computed on floats.  Two pi-free int operands take
+    the integer rule first, which equals the general rules on those ints (a
+    property test pins it) without building a Fraction; a zero divisor, a
+    ``/`` that does not divide and a negative exponent are left to the
+    general rules.
     """
     if y is None:
         q = x[0] if isinstance(x, tuple) and x[1] == 0 else None
@@ -111,11 +120,30 @@ def step(op: str, x: Value, y: Value | None = None) -> Value:
                 return _exact(Fraction(ns, ds)), 0
         args = (x,)
     else:
+        exact = type(x) is tuple and type(y) is tuple
+        if exact:
+            (a, b), (c, d) = x, y
+            if type(a) is int and type(c) is int and b == 0 and d == 0:
+                # The integer rule; what it leaves falls through to the general rules.
+                if op == "-":
+                    return a - c, 0
+                if op == "%" and c:
+                    return a % c, 0
+                if op == "^" and c >= 0:
+                    bits = (a.bit_length() - 1) * c  # the bound below, for an int base
+                    if bits > EXACT_BITS:
+                        raise _too_large(bits)
+                    return _capped(a**c), 0
+                if op == "/" and c and a % c == 0:
+                    return _capped(a // c), 0
+                if op == "+":
+                    return a + c, 0
+                if op == "*":
+                    return _capped(a * c), 0
         if op in ("/", "%") and y in ((0, 0), 0.0):  # an exact or a float zero
             what = "division" if op == "/" else "modulus"
             raise RealError(f"{what} by zero in real expression")
-        if isinstance(x, tuple) and isinstance(y, tuple):
-            (a, b), (c, d) = x, y
+        if exact:
             if op == "+":
                 return _exact(a + c), _exact(b + d)
             if op == "-":
@@ -243,11 +271,14 @@ def _number(v: Value) -> Rational | float:
 def compare(op: str, x: Value, y: Value) -> bool:
     """Whether ``x op y`` holds, for ``op`` one of ``= != <= < >= >``.
 
-    A rational value compares as itself and any other value as its float;
-    comparisons between ints, Fractions and floats are exact in Python, with
-    no rounding step.
+    A rational value compares as itself, read straight from two pi-free
+    values, and any other value as its float; comparisons between ints,
+    Fractions and floats are exact in Python, with no rounding step.
     """
-    x, y = _number(x), _number(y)
+    if type(x) is tuple and type(y) is tuple and x[1] == 0 and y[1] == 0:
+        x, y = x[0], y[0]
+    else:
+        x, y = _number(x), _number(y)
     fn = _COMPARISONS.get(op)
     if fn is None:
         raise RealError(f"unknown comparison {op!r}")

@@ -23,11 +23,12 @@ def qunic(tmp_path, capsys, source, *flags):
 
 
 # Inputs that pass through every stage but are nested too deeply for the
-# interpreter's default stack: a wide circuit, a flat chain of 5,000 terms,
-# and a type 1,000 levels deep.
+# interpreter's default stack: a wide circuit, a right-nested chain of 5,000
+# powers, and a type 1,000 levels deep.  (A flat, left-nested chain compiles
+# at the default stack: see tests/test_preprocess.py.)
 DEEP = [
     pytest.param("&num_to_state{192, 1} |> @qft{192}", id="qft-192"),
-    pytest.param("&0 |> u3{" + " - ".join(["1"] * 5000) + ", 0, 0}", id="flat-angle"),
+    pytest.param("&0 |> u3{" + " ^ ".join(["1"] * 5000) + ", 0, 0}", id="power-angle"),
     pytest.param("&Nothing{" + "(Bit * " * 1000 + "Bit" + ")" * 1000 + "}", id="deep-type"),
 ]
 

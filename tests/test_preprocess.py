@@ -4,6 +4,7 @@ checked against reference copies."""
 
 import dataclasses
 import itertools
+import math
 import sys
 
 import pytest
@@ -13,7 +14,7 @@ from qunic import core, parser, preprocess
 from qunic.core import RBinary, RConst, REuler, RPi, RUnary
 from qunic.errors import CapacityError, PreprocessError, RealError
 from qunic.preprocess import core_of_source, load_prelude_defs
-from qunic.reals import as_pi_multiple, as_rational
+from qunic.reals import as_pi_multiple, as_rational, evaluate_real
 
 
 def gate_angles(root) -> set:
@@ -394,6 +395,24 @@ class TestDepth:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_a_flat_chain_compiles_at_the_default_limit(self):
+        # The left spine of an operator chain is a loop in the elaborator,
+        # as it is in the parser and in reals._value.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            flat = core_of_source("&0 |> u3{" + " - ".join(["1"] * 20_000) + ", 0, 0}")
+            # pi - pi is exact, so only the last node is neither rational nor
+            # a multiple of pi; in 1 + pi + ... + pi every node is inexact.
+            last = core_of_source("&0 |> u3{" + " - ".join(["pi"] * 2_999) + " + 1, 0, 0}")
+            every = core_of_source("&0 |> u3{1 + " + " + ".join(["pi"] * 2_999) + ", 0, 0}")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert core.to_str(flat.fn) == "u3{-19998, 0, 0}"
+        assert core.to_str(last.fn) == "u3{(-2997) * pi + 1, 0, 0}"
+        assert isinstance(every.fn.theta, RBinary)
+        assert evaluate_real(every.fn.theta) == pytest.approx(1 + 2_999 * math.pi)
+
 
 def reachable(root):
     """The distinct nodes of a core term, each once."""
@@ -435,7 +454,9 @@ class TestRealElaboration:
     """A real elaborates to its value at one evaluator step per node, and
     equal exact angles of one compile are one node."""
 
-    def test_one_step_per_real_node(self, monkeypatch):
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The operators of the evaluator steps elaboration takes, in order."""
         step, calls = preprocess.step, []
 
         def counting(*args):
@@ -443,12 +464,23 @@ class TestRealElaboration:
             return step(*args)
 
         monkeypatch.setattr(preprocess, "step", counting)
+        return calls
+
+    def test_one_step_per_real_node(self, steps):
         extra = set()
         for d in (50, 200, 400):
-            calls.clear()
+            steps.clear()
             core_of_source(f"&0 |> u3{{{'sin(' * d}1{')' * d}, 0, 0}}")
-            extra.add(len(calls) - d)
+            extra.add(len(steps) - d)
         assert len(extra) == 1
+
+    def test_a_gphase_evaluates_its_phase_once(self, steps):
+        counts = []
+        for main in ("&0 |> gphase{2 * pi * 3 / 8}", "&0 |> u3{2 * pi * 3 / 8, 0, 0}"):
+            steps.clear()
+            core_of_source(main)
+            counts.append(len(steps))
+        assert counts[0] == counts[1] == 3
 
     @pytest.mark.parametrize("main", ["&order_finding{8, 7}", "&num_to_state{12, 1} |> @qft{12}"])
     def test_equal_exact_angles_are_one_object(self, main):

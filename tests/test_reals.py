@@ -1,5 +1,6 @@
 """Exactness and printing of symbolic real expressions."""
 
+import operator
 import sys
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from qunic.core import BAnd, BCmp, If, Name, RBinary, RConst, REuler, RPi, RUnar
 from qunic.errors import CapacityError, RealError
 from qunic.parser import parse_real_string
 from qunic.preprocess import core_of_source
-from qunic.reals import as_pi_multiple, as_rational, evaluate_bool, evaluate_real, step
+from qunic.reals import (
+    as_pi_multiple, as_rational, compare, evaluate_bool, evaluate_real, step,
+)
 
 
 def ev(src: str):
@@ -288,6 +291,53 @@ def test_integral_exact_parts_come_back_as_ints(op, x, y, expected):
     got = step(op, x, y)
     assert got == expected
     assert [type(part) for part in got] == [int, int]
+
+
+# Integers of zero, one and several machine words, of both signs.
+_ints = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40), st.integers(-(2**200), 2**200))
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value and the types of its parts, or the
+    class and message of what it raises."""
+    try:
+        v = fn(*args)
+    except (RealError, CapacityError) as e:
+        return type(e), str(e)
+    return v, [type(part) for part in v]
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "%", "^"])
+@given(_ints, _ints)
+@example(1, 0)  # division or modulus by zero
+@example(0, -1)  # zero to a negative power
+@example(2, -3)
+@example(2, 70_000)  # over EXACT_BITS before it is computed
+@example(2**40, 2**40)
+@example(7, 3)  # a / that does not divide
+def test_the_integer_rule_equals_the_general_rules(op, a, c):
+    # Fraction operands never take the integer rule.
+    general = _outcome(step, op, (Fraction(a), 0), (Fraction(c), 0))
+    assert _outcome(step, op, (a, 0), (c, 0)) == general
+
+
+@pytest.mark.parametrize(
+    "op, holds",
+    [
+        ("=", operator.eq),
+        ("!=", operator.ne),
+        ("<=", operator.le),
+        ("<", operator.lt),
+        (">=", operator.ge),
+        (">", operator.gt),
+    ],
+)
+@given(_ints, _ints)
+@example(0, 0)
+@example(2**200, 2**200 + 1)
+def test_comparing_two_integers_equals_comparing_their_fractions(op, holds, a, c):
+    got = compare(op, (a, 0), (c, 0))
+    assert got == compare(op, (Fraction(a), 0), (Fraction(c), 0)) == holds(a, c)
 
 
 def test_constant_too_long_to_print_is_a_real_error():
