@@ -40,14 +40,18 @@ One printer, :func:`to_str`, renders every node, whole files included, as
 single-line syntax that the parser reads back for every term it parsed:
 products, ``lambda`` and ``if`` programs always in parentheses, an
 application's argument in parentheses of its own (``f((a, b))``), and
-arithmetic and conditions with minimal parentheses.  Within one call, the
-text of a node with more than one parent is built once and reused at each
-later occurrence: a walk without recursion first finds those nodes, and a
-dict that lives for the call keeps only their texts, so printing costs the
-DAG plus the output rather than the tree.  Hence a node's text must not
+arithmetic and conditions with minimal parentheses.  It is a writer: it
+appends pieces of text to one list and joins that list once, at the end.  A
+walk without recursion first finds the nodes with more than one parent; on
+its first occurrence such a node writes into a list of its own, joins it
+once and keeps the string, in a dict that lives for the call, and every
+later occurrence appends that string.  So printing visits each distinct node
+once, copies each shared text once per reference to it and joins the output
+once; a printer that returned each node's text with its children's inside
+would copy every character once per ancestor.  Hence a node's text must not
 depend on where the node appears: the parent decides whether a child's text
-goes in parentheses.  A term nested too deeply for the interpreter's stack
-raises :class:`~qunic.errors.CapacityError`.
+goes in parentheses, and writes them.  A term nested too deeply for the
+interpreter's stack raises :class:`~qunic.errors.CapacityError`.
 
 Elaboration memoizes instantiations, so a core term is a DAG whose tree can
 be millions of times larger.  Every node class is a slotted dataclass made by
@@ -685,14 +689,20 @@ def node_counts(root: _Node) -> tuple[int, int]:
 
 
 def to_str(root: _Node) -> str:
-    """The text of ``root``, built once for each node reached along two edges or more.
+    """The text of ``root``, written as pieces into one list and joined once.
 
-    A constant too long for ``str`` raises :class:`~qunic.errors.RealError`.
+    Each distinct node is visited once: the text of a node reached along two
+    edges or more is joined once and its string reused at every later
+    occurrence, so a character is copied about once per reference to a shared
+    node that holds it, not once per ancestor.  A constant too long for
+    ``str`` raises :class:`~qunic.errors.RealError`.
     """
+    out: list[str] = []
     try:
-        return _show(root, _shared(root), {})
+        _show(root, _shared(root), {}, out)
     except RecursionError:
         raise CapacityError("term nested too deeply to print") from None
+    return "".join(out)
 
 
 core_expr_to_str = to_str  # the name the benchmark calls
@@ -739,123 +749,207 @@ def _binds(x: _Node) -> int:
     return 2 if t is BAnd else _ATOM
 
 
-def _show(x: _Node | tuple[GenArg, ...], shared: set[int], memo: dict[int, str]) -> str:
-    """The text of ``x``; ``memo`` keeps the text of each node of ``shared``.
+def _show(
+    x: _Node | tuple[GenArg, ...], shared: set[int], texts: dict[int, str], out: list[str]
+) -> None:
+    """Append the text of ``x`` to ``out``; ``texts`` keeps the text of each
+    node of ``shared`` once it is built.
 
-    Checking the memo, dispatching and storing sit in this one body, so each
-    level of the term costs one frame.  A parent wraps a child's text in
-    parentheses where :func:`_binds` says it must.  The core cases come
-    first, then reals and conditions, sugar, and definitions and files.
+    A node of ``shared`` whose text is kept appends that string.  One whose
+    text is not built yet writes into a fresh list of its own, joins it once
+    on the way out, keeps the string and appends it to ``out``.  Checking,
+    dispatching and storing sit in this one body, so each level of the term
+    costs one frame.  A parent writes the parentheses around a child's text,
+    before and after it, where :func:`_binds` says it must.  The core cases
+    come first, then reals and conditions, sugar, and definitions and files.
     """
     key = id(x)
-    if key in memo:
-        return memo[key]
+    if key in shared:
+        s = texts.get(key)
+        if s is not None:
+            out.append(s)
+            return
+        parent, out = out, []
+    else:
+        parent = None
+    w = out.append
     t = type(x)
     if t is ExVar:
-        s = x.name
+        w(x.name)
     elif t is ExPair:
-        s = f"({_show(x.left, shared, memo)}, {_show(x.right, shared, memo)})"
+        w("(")
+        _show(x.left, shared, texts, out)
+        w(", ")
+        _show(x.right, shared, texts, out)
+        w(")")
     elif t is ExApp:
-        s = f"{_show(x.fn, shared, memo)}({_show(x.arg, shared, memo)})"
+        _show(x.fn, shared, texts, out)
+        w("(")
+        _show(x.arg, shared, texts, out)
+        w(")")
     elif t is PrAbs:
-        s = f"(lambda {_show(x.pattern, shared, memo)} -> {_show(x.body, shared, memo)})"
+        w("(lambda ")
+        _show(x.pattern, shared, texts, out)
+        w(" -> ")
+        _show(x.body, shared, texts, out)
+        w(")")
     elif t is ExUnit:
-        s = "()"
+        w("()")
     elif t is PrLeft or t is PrRight:
-        left, right = _show(x.left_ty, shared, memo), _show(x.right_ty, shared, memo)
-        s = f"{'left' if t is PrLeft else 'right'}{{{left}, {right}}}"
+        w("left{" if t is PrLeft else "right{")
+        _show(x.left_ty, shared, texts, out)
+        w(", ")
+        _show(x.right_ty, shared, texts, out)
+        w("}")
     elif t is PrRphase:
-        pattern = _show(x.pattern, shared, memo)
-        on, off = _show(x.on_phase, shared, memo), _show(x.off_phase, shared, memo)
-        s = f"rphase{{{pattern}, {on}, {off}}}"
+        w("rphase{")
+        _show(x.pattern, shared, texts, out)
+        w(", ")
+        _show(x.on_phase, shared, texts, out)
+        w(", ")
+        _show(x.off_phase, shared, texts, out)
+        w("}")
     elif t is CoreArm:
-        s = f"{_show(x.pattern, shared, memo)} -> {_show(x.body, shared, memo)}"
+        _show(x.pattern, shared, texts, out)
+        w(" -> ")
+        _show(x.body, shared, texts, out)
     elif t is ExCtrl or t is ExMatch or t is PrPmatch:
         if t is PrPmatch:
-            head = "pmatch"
+            w("pmatch [")
         else:
-            head = f"{'ctrl' if t is ExCtrl else 'match'} {_show(x.scrutinee, shared, memo)}"
-        parts = []
-        for arm in x.arms:
-            parts.append(_show(arm, shared, memo))
+            w("ctrl " if t is ExCtrl else "match ")
+            _show(x.scrutinee, shared, texts, out)
+            w(" [")
+        for i, arm in enumerate(x.arms):
+            if i:
+                w("; ")
+            _show(arm, shared, texts, out)
         if t is not PrPmatch and x.else_body is not None:
-            parts.append(f"else -> {_show(x.else_body, shared, memo)}")
-        s = f"{head} [{'; '.join(parts)}]"
+            w("; else -> " if x.arms else "else -> ")
+            _show(x.else_body, shared, texts, out)
+        w("]")
     elif t is ExTry:
-        s = f"try {_show(x.attempt, shared, memo)} catch {_show(x.fallback, shared, memo)}"
+        w("try ")
+        _show(x.attempt, shared, texts, out)
+        w(" catch ")
+        _show(x.fallback, shared, texts, out)
     elif t is TyUnit:
-        s = "Unit"
+        w("Unit")
     elif t is TyVoid:
-        s = "Void"
+        w("Void")
     elif t is TySum or t is TyProd:
-        op = "+" if t is TySum else "*"
-        s = f"({_show(x.left, shared, memo)} {op} {_show(x.right, shared, memo)})"
+        w("(")
+        _show(x.left, shared, texts, out)
+        w(" + " if t is TySum else " * ")
+        _show(x.right, shared, texts, out)
+        w(")")
     elif t is PrU3:
-        theta, phi = _show(x.theta, shared, memo), _show(x.phi, shared, memo)
-        s = f"u3{{{theta}, {phi}, {_show(x.lam, shared, memo)}}}"
+        w("u3{")
+        _show(x.theta, shared, texts, out)
+        w(", ")
+        _show(x.phi, shared, texts, out)
+        w(", ")
+        _show(x.lam, shared, texts, out)
+        w("}")
     elif t is RConst:
         try:
-            s = str(x.value)
+            w(str(x.value))
         except ValueError:  # over the interpreter's limit on integer-string conversion
             raise RealError(
                 f"a constant of {_digit_count(x.value)} digits is too long to print"
             ) from None
     elif t is RBinary or t is BAnd or t is BOr:  # '^' groups to the right, the others left
         op = x.op if t is RBinary else "&&" if t is BAnd else "||"
-        left, right = _show(x.left, shared, memo), _show(x.right, shared, memo)
         prec = _binds(x)
-        if _binds(x.left) < prec + (op == "^"):
-            left = f"({left})"
-        if _binds(x.right) < prec + (op != "^"):
-            right = f"({right})"
-        s = f"{left} {op} {right}"
+        wrap_left = _binds(x.left) < prec + (op == "^")
+        wrap_right = _binds(x.right) < prec + (op != "^")
+        if wrap_left:
+            w("(")
+        _show(x.left, shared, texts, out)
+        w((") " if wrap_left else " ") + op + (" (" if wrap_right else " "))
+        _show(x.right, shared, texts, out)
+        if wrap_right:
+            w(")")
     elif t is RPi:
-        s = "pi"
+        w("pi")
     elif t is RUnary:
-        s = f"{x.op}({_show(x.arg, shared, memo)})"
+        w(x.op + "(")
+        _show(x.arg, shared, texts, out)
+        w(")")
     elif t is REuler:
-        s = "euler"
+        w("euler")
     elif t is BCmp:
-        s = f"{_show(x.left, shared, memo)} {x.op} {_show(x.right, shared, memo)}"
+        _show(x.left, shared, texts, out)
+        w(f" {x.op} ")
+        _show(x.right, shared, texts, out)
     elif t is BNot:
-        arg = _show(x.arg, shared, memo)
-        s = f"!{arg}" if _binds(x.arg) == _ATOM else f"!({arg})"
+        wrap_left = _binds(x.arg) < _ATOM
+        w("!(" if wrap_left else "!")
+        _show(x.arg, shared, texts, out)
+        if wrap_left:
+            w(")")
     elif t is TVar:
-        s = f"'{x.name}"
+        w("'" + x.name)
     elif t is Name:
-        s = f"{SIGILS[x.sort]}{x.name}{_show(x.args, shared, memo)}"
+        w(SIGILS[x.sort] + x.name)
+        if x.args:
+            _show(x.args, shared, texts, out)
     elif t is tuple:  # generic arguments, or a definition's parameters
-        parts = []
-        for arg in x:
-            parts.append(_show(arg, shared, memo))
-        s = f"{{{', '.join(parts)}}}" if parts else ""
+        if x:
+            w("{")
+            for i, arg in enumerate(x):
+                if i:
+                    w(", ")
+                _show(arg, shared, texts, out)
+            w("}")
     elif t is If:
-        cond, then = _show(x.cond, shared, memo), _show(x.then, shared, memo)
-        s = f"if {cond} then {then} else {_show(x.els, shared, memo)} endif"
-        if x.sort == "f":
-            s = f"({s})"
+        w("(if " if x.sort == "f" else "if ")
+        _show(x.cond, shared, texts, out)
+        w(" then ")
+        _show(x.then, shared, texts, out)
+        w(" else ")
+        _show(x.els, shared, texts, out)
+        w(" endif)" if x.sort == "f" else " endif")
     elif t is Param or t is Def:
         if t is Param:
-            s = PARAM_SIGILS[x.sort] + x.name
+            w(PARAM_SIGILS[x.sort] + x.name)
         else:
-            keyword = "type " if x.sort == "t" else "def "
-            s = f"{keyword}{SIGILS[x.sort]}{x.name}{_show(x.params, shared, memo)}"
-        if x.sig:
-            s += " : " + " -> ".join([_show(ty, shared, memo) for ty in x.sig])
+            w(("type " if x.sort == "t" else "def ") + SIGILS[x.sort] + x.name)
+            _show(x.params, shared, texts, out)
+        for i, ty in enumerate(x.sig):
+            w(" -> " if i else " : ")
+            _show(ty, shared, texts, out)
         if t is Def:
-            s += f" := {_show(x.body, shared, memo)} end"
+            w(" := ")
+            _show(x.body, shared, texts, out)
+            w(" end")
     elif t is VariantAlt:
-        s = f"&{x.name}" if x.payload is None else f"@{x.name} of {_show(x.payload, shared, memo)}"
+        if x.payload is None:
+            w("&" + x.name)
+        else:
+            w(f"@{x.name} of ")
+            _show(x.payload, shared, texts, out)
     elif t is VariantDef:
-        body = " | ".join([_show(alt, shared, memo) for alt in x.alts])
-        s = f"type {x.name}{_show(x.params, shared, memo)} := {body} end"
+        w("type " + x.name)
+        _show(x.params, shared, texts, out)
+        w(" := ")
+        for i, alt in enumerate(x.alts):
+            if i:
+                w(" | ")
+            _show(alt, shared, texts, out)
+        w(" end")
     elif t is QFile:
-        chunks = [_show(d, shared, memo) for d in x.defs]
+        for i, d in enumerate(x.defs):
+            if i:
+                w("\n\n")
+            _show(d, shared, texts, out)
         if x.main is not None:
-            chunks.append(_show(x.main, shared, memo))
-        s = "\n\n".join(chunks) + "\n"
+            if x.defs:
+                w("\n\n")
+            _show(x.main, shared, texts, out)
+        w("\n")
     else:
         raise TypeError(f"not a node of the syntax tree: {x!r}")
-    if key in shared:
-        memo[key] = s
-    return s
+    if parent is not None:
+        s = texts[key] = "".join(out)
+        parent.append(s)

@@ -19,7 +19,11 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   ``(sort, name)`` and are instantiated by one routine,
   :meth:`Elaborator._named`.  A variant constructor is used as an expression
   or a program, so its name may be that of no other constructor and of no
-  expression or program definition, whichever comes first;
+  expression or program definition, whichever comes first.  A generic
+  parameter in scope comes before both, except for a type name, which is
+  never a type parameter.  An argless name that is no parameter in scope
+  (``&0``, ``Bit``, ``#r``) means the same wherever it appears, so it is
+  resolved once per compile and its value kept for later uses;
 * a real elaborates to its value, computed by one evaluator step
   (:func:`~qunic.reals.step`) per node from its children's values, so no
   subtree is evaluated twice.  A left-nested operator chain, such as a flat
@@ -247,6 +251,9 @@ class Elaborator:
         self.defs: dict[tuple[str, str], Def | VariantDef] = dict(table)
         self.ctors: dict[str, int] = dict(ctors)
         self._memo: dict[object, object] = {}
+        # (sort, name) -> the value of an argless name that is no generic
+        # parameter, resolved on its first use in the compile (see elab)
+        self._argless: dict[tuple[str, str], object] = {}
         # The one node of each distinct node this compile builds, under its
         # class, its children's ids and its other fields (see _make).
         self._nodes: dict[tuple, object] = {}
@@ -335,8 +342,8 @@ class Elaborator:
     # -- names and generic arguments -------------------------------------------
 
     def _named(self, sort: str, name: str, args: tuple[GenArg, ...], env: _Env):
-        """The value of the name ``name`` of ``sort`` at ``args``, or None if
-        there is neither a generic parameter nor a definition of that name.
+        """The value of the definition ``name`` of ``sort`` at ``args``, or
+        None if there is none; :meth:`elab` looks up a generic parameter first.
 
         A definition is instantiated once per elaborated argument tuple, in a
         scope of its own, and memoized under ``(sort, name, key)``, where
@@ -348,18 +355,6 @@ class Elaborator:
         every frame per instantiation level lowers the largest program that
         compiles.
         """
-        got = env.generics.get((sort, name)) if sort in "efr" else None
-        if got is not None:
-            if args:
-                raise PreprocessError(f"parameter {_OWNERS[sort]}{name} takes no arguments")
-            if sort == "e" and env.closed:
-                free = free_qvars(got)
-                if free:
-                    raise PreprocessError(
-                        f"&{name} is used inside a program but has the free "
-                        f"variable(s) {', '.join(sorted(free))} of its caller"
-                    )
-            return got
         d = self.defs.get((sort, name))
         if d is None:
             return None
@@ -484,24 +479,46 @@ class Elaborator:
                     return left
                 x, n = n
         if t is Name:
-            left = x.sort
-            if left == "r" and not x.args:  # most often a real parameter
-                v = env.generics.get(("r", x.name))
+            # A generic parameter in scope (never for a type name), else the
+            # value of an argless name as this compile first resolved it, else
+            # a definition, else a constructor.
+            left, right = x.sort, (x.sort, x.name)
+            v = env.generics.get(right) if left != "t" else None
+            if v is not None:
+                if x.args:
+                    raise PreprocessError(f"parameter {_OWNERS[left]}{x.name} takes no arguments")
+                if left == "e" and env.closed:
+                    n = free_qvars(v)
+                    if n:
+                        raise PreprocessError(
+                            f"&{x.name} is used inside a program but has the free "
+                            f"variable(s) {', '.join(sorted(n))} of its caller"
+                        )
+                return v
+            if x.args:
+                right = None
+            else:
+                v = self._argless.get(right)
                 if v is not None:
                     return v
             v = self._named(left, x.name, x.args, env)
             if v is not None:
-                return v[0] if left == "t" and type(v) is tuple else v  # a variant: its sum type
-            if left in "ef" and x.name in self.ctors:
-                v = self.ctors[x.name]
-                if (self.defs["c", x.name].alts[v].payload is None) == (left == "f"):
+                if left == "t" and type(v) is tuple:  # a variant: its sum type
+                    v = v[0]
+            elif left in "ef" and x.name in self.ctors:
+                n = self.ctors[x.name]
+                if (self.defs["c", x.name].alts[n].payload is None) == (left == "f"):
                     raise PreprocessError(
                         f"&{x.name} is a nullary constructor, not a program"
                         if left == "f"
                         else f"@{x.name} carries a payload and must be applied"
                     )
-                return self._named("c", x.name, x.args, env)[1][v]
-            raise PreprocessError(f"unknown {_UNKNOWN[left]}{x.name}")
+                v = self._named("c", x.name, x.args, env)[1][n]
+            else:
+                raise PreprocessError(f"unknown {_UNKNOWN[left]}{x.name}")
+            if right is not None:
+                self._argless[right] = v
+            return v
         if t is ExVar:
             v = env.qrename.get(x.name)
             if env.binds is not None and (v is None or x.name == "_"):

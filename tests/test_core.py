@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from qunic import core, reals
+from qunic import cli, core, reals
 from qunic.core import (
     BAnd,
     BCmp,
@@ -127,6 +127,17 @@ class TestSharedCores:
             hash(a), hash(b)
         assert a != b
         assert not a == b
+
+    def test_printing_copies_each_text_once(self):
+        # A text built from its children's texts would copy the long leaf once
+        # per level above it.
+        e = ExVar("v" * 1_000_000)
+        for _ in range(50_000):
+            e = ExPair(ExUnit(), e)
+        start = time.perf_counter()
+        text = cli._on_deep_stack(core.to_str, e)
+        assert time.perf_counter() - start < 1.0
+        assert text == "((), " * 50_000 + "v" * 1_000_000 + ")" * 50_000
 
     def test_printing_an_overlong_constant_is_a_real_error(self):
         c = core_of_source(

@@ -450,6 +450,49 @@ class TestConstructors:
         assert sum(isinstance(x, core.PrRight) for x in nodes) == 1
 
 
+class TestArglessNames:
+    """An argless name that is no generic parameter in scope is resolved once
+    per compile; a generic parameter of the same name still wins where it is
+    in scope."""
+
+    @pytest.fixture
+    def named(self, monkeypatch):
+        """The ``(sort, name)`` of each definition lookup elaboration makes."""
+        named, calls = preprocess.Elaborator._named, []
+
+        def counting(self, sort, name, *args):
+            calls.append((sort, name))
+            return named(self, sort, name, *args)
+
+        monkeypatch.setattr(preprocess.Elaborator, "_named", counting)
+        return calls
+
+    def test_a_constructor_used_50_times_is_looked_up_once(self, named):
+        main = "(&0, " * 49 + "&0" + ")" * 49
+        core_of_source(main)
+        assert len([c for c in named if c[1] == "0"]) <= 2
+
+    SCOPE = (
+        "def &x : Bit := &1 end\n"
+        "def &f{&x : Bit} : Bit * Bit := (&x, &x) end\n"
+    )
+    ZERO, ONE = "left{Unit, Unit}(())", "right{Unit, Unit}(())"
+
+    def test_a_parameter_shadows_a_definition_resolved_before_it(self):
+        c = core_of_source(self.SCOPE + "(&x, &f{&0})")
+        assert core.to_str(c) == f"({self.ONE}, ({self.ZERO}, {self.ZERO}))"
+
+    def test_a_definition_is_resolved_outside_a_parameter_used_before_it(self):
+        c = core_of_source(self.SCOPE + "(&f{&0}, &x)")
+        assert core.to_str(c) == f"(({self.ZERO}, {self.ZERO}), {self.ONE})"
+
+    def test_a_type_name_is_never_a_type_parameter(self):
+        c = core_of_source(
+            "type A := Unit end  def &n{'A} : Maybe{'A} := &Nothing{A} end  &n{Bit}"
+        )
+        assert core.to_str(c) == "left{Unit, Unit}(())"
+
+
 class TestRealElaboration:
     """A real elaborates to its value at one evaluator step per node, and
     equal exact angles of one compile are one node."""
