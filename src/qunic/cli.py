@@ -1,16 +1,30 @@
 """The ``qunic`` command: compile one Qunity source file.
 
-    qunic FILE|- [--dump-core] [--no-prelude] [--stats]
+    qunic FILE|- [--dump-tokens] [--dump-surface] [--dump-core] [--no-prelude] [--stats]
 
-``FILE`` is read as UTF-8, and ``-`` reads standard input.  ``--dump-core``
-prints the elaborated core, ``--no-prelude`` compiles without the prelude's
-definitions, and ``--stats`` prints one JSON object as the last line:
+``FILE`` is read as UTF-8, and ``-`` reads standard input.  Each dump prints
+one stage of the pipeline, in pipeline order:
+
+* ``--dump-tokens``: the tokens of ``FILE`` (not the prelude's), one per
+  line, as ``line:col``, kind and text (in quotes) separated by tabs, ending
+  with the end-of-input token.  ``FILE`` is tokenized for this only when it
+  is asked for;
+* ``--dump-surface``: the parsed file, definitions and main expression,
+  printed by :func:`~qunic.core.to_str`, which the parser reads back to an
+  equal file;
+* ``--dump-core``: the elaborated core.
+
+``--no-prelude`` compiles without the prelude's definitions, and ``--stats``
+prints one JSON object as the last line:
 
 * ``parse_ms``, ``elaborate_ms`` and ``print_ms`` (null without
   ``--dump-core``): the milliseconds of each stage.  Parsing includes the
   prelude, which is parsed once per process.
 * ``instantiations``, against ``unroll_budget``: the definitions instantiated,
   and how many the elaborator allows.
+* ``regions_reused``: how many times the elaborator returned the kept core of
+  a pattern or closed program that reads no generic parameter, instead of
+  elaborating it again.
 * ``core_dag_nodes`` and ``core_tree_nodes``: the distinct nodes of the core,
   and the nodes of the tree it stands for, counted over the DAG.
 * ``peak_rss_mb``: the peak resident memory of the ``qunic`` process so far,
@@ -45,6 +59,7 @@ except ImportError:  # Windows has no resource module
 
 from .core import node_counts, to_str
 from .errors import CapacityError, QunityError
+from .lexer import tokenize
 from .parser import parse_file
 from .preprocess import UNROLL_BUDGET, Elaborator, load_prelude_defs
 
@@ -56,6 +71,8 @@ _MAXRSS_PER_MIB = 2**20 if sys.platform == "darwin" else 2**10  # bytes on macOS
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="qunic", description="Compile a Qunity source file.")
     ap.add_argument("file", metavar="FILE|-", help="the source file, or - for standard input")
+    ap.add_argument("--dump-tokens", action="store_true", help="print the tokens of FILE")
+    ap.add_argument("--dump-surface", action="store_true", help="print the parsed file")
     ap.add_argument("--dump-core", action="store_true", help="print the elaborated core")
     ap.add_argument("--no-prelude", action="store_true", help="compile without the prelude")
     ap.add_argument("--stats", action="store_true", help="print a JSON record of the compile")
@@ -68,22 +85,22 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"qunic: cannot read {args.file}: {exc}", file=sys.stderr)
         return 1
+    dumps = {stage for stage in ("tokens", "surface", "core") if getattr(args, f"dump_{stage}")}
     try:
-        text, stats = _on_deep_stack(
-            _compile, source, not args.no_prelude, args.dump_core, args.stats
-        )
+        texts, stats = _on_deep_stack(_compile, source, not args.no_prelude, dumps, args.stats)
     except QunityError as exc:
         print(f"qunic: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, CapacityError) else 1
-    if text is not None:
+    for text in texts:
         print(text)
     if stats is not None:
         print(json.dumps(stats))
     return 0
 
 
-def _compile(source: str, use_prelude: bool, dump: bool, stats: bool):
-    """The core's text if ``dump``, and the ``--stats`` record if ``stats``."""
+def _compile(source: str, use_prelude: bool, dumps: set[str], stats: bool):
+    """The texts of the stages in ``dumps``, ``"tokens"``, ``"surface"`` and
+    ``"core"``, in pipeline order, and the ``--stats`` record if ``stats``."""
     clock = time.perf_counter
     start = clock()
     if use_prelude:
@@ -93,16 +110,26 @@ def _compile(source: str, use_prelude: bool, dump: bool, stats: bool):
     elaborator = Elaborator(qf.defs, use_prelude)
     core = elaborator.elaborate(qf.main)
     elaborated = clock()
+    dump = "core" in dumps
     text = to_str(core) if dump else None
     printed = clock()
+    texts = []
+    if "tokens" in dumps:
+        tokens = tokenize(source)
+        texts.append("\n".join(f"{t.line}:{t.column}\t{t.kind}\t{t.text!r}" for t in tokens))
+    if "surface" in dumps:
+        texts.append(to_str(qf).removesuffix("\n"))  # print adds the newline
+    if dump:
+        texts.append(text)
     if not stats:
-        return text, None
+        return texts, None
     dag, tree = node_counts(core)
-    return text, {
+    return texts, {
         "parse_ms": (parsed - start) * 1e3,
         "elaborate_ms": (elaborated - parsed) * 1e3,
         "print_ms": (printed - elaborated) * 1e3 if dump else None,
         "instantiations": elaborator.instantiations,
+        "regions_reused": elaborator.reused,
         "unroll_budget": UNROLL_BUDGET,
         "core_dag_nodes": dag,
         "core_tree_nodes": tree,

@@ -63,6 +63,18 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   ``(lambda p -> b)(v)``, which passes what its body needs through its value
   and pattern, and ``gphase{r}`` as ``rphase{_, r, r}``, whose ``_`` is
   ``_%0``;
+* a region entered from a fixed scope, a pattern outside any other (it binds
+  from an empty table) or a closed program (no variables, binders from 0),
+  is elaborated once per compile if it reads no generic parameter, a type
+  variable or a name in ``generics``: its core, with a pattern's variables
+  and the binder count after it, is kept under the region's id, the binder
+  count at entry and ``fresh``, and returned when the region is entered
+  again.  Nothing else differs between two entries: a name's definition, an
+  argless name's value and a memoized instantiation are the same all
+  compile long.  A counter of the parameters read tells whether the
+  region's elaboration read one; it counts those that instantiated
+  definitions read too, which keeps less, never more.  Nothing is kept for
+  a region that raises;
 * every node is built by :meth:`Elaborator._make`, which keeps one node per
   class and fields for the compile, under the class, the ids of the
   children (which are canonical already) and the scalar fields.  So a
@@ -261,6 +273,12 @@ class Elaborator:
         # entry stays when its instantiation raises, so after an error the
         # table reads as the chain of instantiations that led to it.
         self._in_progress: dict[object, str] = {}
+        # The core of each region whose elaboration read no generic parameter,
+        # under (id of the region, binder count at entry, env.fresh), with the
+        # region itself, so that its id stays its own (see _pattern).
+        self._kept: dict[tuple, tuple] = {}
+        self._reads = 0  # generic parameters read so far
+        self.reused = 0  # kept regions returned
         self.instantiations = 0
         self._binders = 0  # binders numbered so far in the innermost program
         for d in defs:
@@ -485,6 +503,7 @@ class Elaborator:
             left, right = x.sort, (x.sort, x.name)
             v = env.generics.get(right) if left != "t" else None
             if v is not None:
+                self._reads += 1
                 if x.args:
                     raise PreprocessError(f"parameter {_OWNERS[left]}{x.name} takes no arguments")
                 if left == "e" and env.closed:
@@ -539,18 +558,33 @@ class Elaborator:
         if t is ExApp:
             return self._make(ExApp, self.elab(x.fn, env), self.elab(x.arg, env))
         # A program numbers its binders from 0, and the program around it
-        # goes on from where it was after.
-        if t is PrPmatch:
+        # goes on from where it was after.  One that read no generic
+        # parameter is kept, and returned when it is entered again.  An
+        # ``rphase`` is a closed program like a lambda with no body; its
+        # angles are reals, which read no variable and bind none.
+        if t is PrPmatch or t is PrAbs or t is PrRphase:
             n, self._binders = self._binders, 0
-            env = _Env(env.generics, {}, env.fresh, None, True)
-            v = self._make(PrPmatch, self._elab_arms(x.arms, env))
-            self._binders = n
-            return v
-        if t is PrAbs:
-            n, self._binders = self._binders, 0
-            env = _Env(env.generics, {}, env.fresh, None, True)
-            left, right = self._pattern(x.pattern, env)
-            v = self._make(PrAbs, left, self.elab(x.body, right))
+            key = id(x), 0, env.fresh
+            v = self._kept.get(key)
+            if v is None:
+                reads = self._reads
+                inner = _Env(env.generics, {}, env.fresh, None, True)
+                if t is PrAbs:
+                    left, inner = self._pattern(x.pattern, inner)
+                    v = self._make(PrAbs, left, self.elab(x.body, inner))
+                elif t is PrPmatch:
+                    v = self._make(PrPmatch, self._elab_arms(x.arms, inner))
+                else:
+                    left = self._pattern(x.pattern, inner)[0]
+                    # ``gphase{r}`` is ``rphase{_, r, r}`` with one ``r``, elaborated once
+                    right = self.elab(x.on_phase, env)
+                    v = right if x.off_phase is x.on_phase else self.elab(x.off_phase, env)
+                    v = self._make(PrRphase, left, self._real_node(right), self._real_node(v))
+                if reads == self._reads:
+                    self._kept[key] = v, x
+            else:
+                v = v[0]
+                self.reused += 1
             self._binders = n
             return v
         if t is ExCtrl or t is ExMatch:
@@ -561,17 +595,10 @@ class Elaborator:
             v = env.generics.get(("t", x.name))
             if v is None:
                 raise PreprocessError(f"unbound type variable '{x.name}")
+            self._reads += 1
             return v
         if t is RPi:
             return 0, 1
-        if t is PrRphase:  # a closed program, like a lambda with no body
-            n, self._binders = self._binders, 0
-            left = self._pattern(x.pattern, _Env(env.generics, {}, env.fresh, None, True))[0]
-            self._binders = n
-            # ``gphase{r}`` is ``rphase{_, r, r}`` with one ``r``, elaborated once
-            right = self.elab(x.on_phase, env)
-            v = right if x.off_phase is x.on_phase else self.elab(x.off_phase, env)
-            return self._make(PrRphase, left, self._real_node(right), self._real_node(v))
         if t is TyProd:
             return self._make(TyProd, self.elab(x.left, env), self.elab(x.right, env))
         if t is ExUnit or t is TyUnit or t is TyVoid:
@@ -620,14 +647,29 @@ class Elaborator:
         """Elaborate ``p`` in binding mode; return it and the scope it opens.
 
         A pattern nested in another one (an arm inside a pattern) opens its
-        scope over the enclosing pattern's, which is still binding.
+        scope over the enclosing pattern's, which is still binding.  Any
+        other binds from an empty table, so if it read no generic parameter,
+        its core, the variables it binds and the binder count after it are
+        kept under its id, the binder count before it and ``env.fresh``.
+        A kept entry holds ``p`` itself, as an id is unique only while its
+        object lives.
         """
         binds: dict[str, ExVar] = {}
         g, fresh, closed = env.generics, env.fresh, env.closed
-        pattern = self.elab(p, _Env(g, binds, fresh, binds, closed))
-        if env.binds is None:
-            return pattern, _Env(g, {**env.qrename, **binds}, fresh, None, closed)
-        return pattern, _Env(g, ChainMap(binds, env.qrename), fresh, env.binds, closed)
+        if env.binds is not None:
+            pattern = self.elab(p, _Env(g, binds, fresh, binds, closed))
+            return pattern, _Env(g, ChainMap(binds, env.qrename), fresh, env.binds, closed)
+        key = id(p), self._binders, fresh
+        kept = self._kept.get(key)
+        if kept is None:
+            reads = self._reads
+            pattern = self.elab(p, _Env(g, binds, fresh, binds, closed))
+            if reads == self._reads:
+                self._kept[key] = pattern, binds, self._binders, p
+        else:
+            pattern, binds, self._binders, _ = kept
+            self.reused += 1
+        return pattern, _Env(g, {**env.qrename, **binds}, fresh, None, closed)
 
     def _elab_arms(self, arms: tuple[CoreArm, ...], env: _Env) -> tuple[CoreArm, ...]:
         out = []

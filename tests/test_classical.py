@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from qunic import semantics
 from qunic.classical import LEFT, RIGHT, run
+from qunic.core import PrAbs, PrPmatch
 from qunic.errors import ClassicalError
 from qunic.preprocess import core_of_source
 
@@ -136,9 +138,38 @@ def test_x_is_recognized_by_its_exact_angles():
         ("&0 |> @reflect{Bit, &1}", "PrRphase is not classical"),
         ("&0 |> lambda x -> try @not(x) catch x", "ExTry is not classical"),
         ("&num_to_state{2, 1} |> @adjoint{Num{2}, Num{2}, @add_const{2, 1}}", "not an injection"),
+        ("&0 |> lambda b -> match b [(lambda x -> @not(x))(y) -> y]", "PrAbs, not an injection"),
         ("&order_finding{3, 7}", "not u3{pi, 0, pi}"),
     ],
 )
 def test_what_is_not_classical_is_refused(source, what):
     with pytest.raises(ClassicalError, match=what):
         run(core_of_source(source), {})
+
+
+# A variant of three alternatives: @C's constructor is a lambda over two
+# right injections, which a pattern reads as their tags.
+VARIANT = "type T := &A | &B | @C of Bit end\n"
+BITS = [(LEFT, ()), (RIGHT, ())]
+TS = [(LEFT, ()), (RIGHT, (LEFT, ()))] + [(RIGHT, (RIGHT, b)) for b in BITS]
+
+
+@pytest.mark.parametrize(
+    "main, inputs",
+    [
+        ("&A |> lambda t -> match t [@C(x) -> x; else -> &0]", TS),
+        (
+            "(&A, &0) |> lambda (t, y) -> ctrl t [@C(x) -> (t, @not(y)); &A -> (t, y); &B -> (t, y)]",
+            [(t, b) for t in TS for b in BITS],
+        ),
+        ("&A |> pmatch [@C(x) -> @C(@not(x)); &A -> &B; &B -> &A]", TS),
+    ],
+    ids=["match", "ctrl", "pmatch"],
+)
+def test_a_constructor_with_a_payload_matches_as_in_the_semantics(main, inputs):
+    f = core_of_source(VARIANT + main).fn
+    assert isinstance(f, (PrAbs, PrPmatch))
+    for v in inputs:
+        out = run(f, v)
+        assert out is not None
+        assert semantics.probabilities(semantics.run(f, v)) == pytest.approx({out: 1})

@@ -1,5 +1,5 @@
-"""The ``qunic`` command: its exit codes, ``--dump-core`` and ``--stats``, and
-the one deep stack on which it runs every pass."""
+"""The ``qunic`` command: its exit codes, its dumps and ``--stats``, and the
+one deep stack on which it runs every pass."""
 
 import io
 import json
@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from qunic import cli, core, preprocess
+from qunic import cli, core, parser, preprocess
 from qunic.errors import CapacityError
 from qunic.preprocess import core_of_source
 
@@ -91,14 +91,59 @@ def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
     assert code == 0
     # Exactly the keys that the qunic.cli docstring documents.
     assert set(stats) == {
-        "parse_ms", "elaborate_ms", "print_ms", "instantiations", "unroll_budget",
-        "core_dag_nodes", "core_tree_nodes", "peak_rss_mb",
+        "parse_ms", "elaborate_ms", "print_ms", "instantiations", "regions_reused",
+        "unroll_budget", "core_dag_nodes", "core_tree_nodes", "peak_rss_mb",
     }
     assert text == core.to_str(c)
     assert (stats["core_dag_nodes"], stats["core_tree_nodes"]) == core.node_counts(c)
     assert 0 < stats["instantiations"] < stats["unroll_budget"] == preprocess.UNROLL_BUDGET
     assert min(stats["parse_ms"], stats["elaborate_ms"], stats["print_ms"]) >= 0
     assert stats["peak_rss_mb"] > 0
+
+
+@pytest.mark.parametrize("source, reused", [("&order_finding{8, 7}", True), ("@had(&0)", False)])
+def test_stats_counts_the_regions_the_elaborator_reused(tmp_path, capsys, source, reused):
+    code, out, _ = qunic(tmp_path, capsys, source, "--dump-core", "--stats")
+    stats = json.loads(out.rstrip("\n").split("\n")[-1])
+    assert code == 0
+    assert (stats["regions_reused"] > 0) == reused
+
+
+SURFACE = """
+type T := &A | &B | @C of Bit end
+def @f{#n} : Bit -> Bit := if #n = 0 then @id{Bit} else lambda x -> @not(x) endif end
+def &g : T := @C(&0 |> @f{1}) end
+&g
+"""
+
+
+def test_the_surface_dump_parses_back_to_the_same_file(tmp_path, capsys):
+    code, out, _ = qunic(tmp_path, capsys, SURFACE, "--dump-surface")
+    assert code == 0
+    assert parser.parse_file(out) == parser.parse_file(SURFACE)
+
+
+def test_the_token_dump_lists_the_tokens_of_the_file(tmp_path, capsys):
+    code, out, _ = qunic(tmp_path, capsys, "&0 |> @had", "--dump-tokens")
+    lines = [line.split("\t") for line in out.rstrip("\n").split("\n")]
+    assert code == 0
+    assert lines == [
+        ["1:1", "e", "'0'"],
+        ["1:4", "|>", "'|>'"],
+        ["1:7", "f", "'had'"],
+        ["1:11", "end of input", "''"],
+    ]
+
+
+def test_the_dumps_come_in_pipeline_order_and_the_stats_last(tmp_path, capsys):
+    source = "&0 |> @had"
+    flags = ("--stats", "--dump-core", "--dump-surface", "--dump-tokens")
+    code, out, _ = qunic(tmp_path, capsys, source, *flags)
+    lines = out.rstrip("\n").split("\n")
+    assert code == 0
+    assert lines[0] == "1:1\te\t'0'" and lines[3] == "1:11\tend of input\t''"
+    assert lines[4:-1] == ["@had(&0)", core.to_str(core_of_source(source))]
+    assert set(json.loads(lines[-1])) >= {"instantiations", "regions_reused"}
 
 
 def test_the_prelude_as_user_source_gives_the_packaged_core(tmp_path, capsys):
@@ -127,7 +172,7 @@ def test_the_pipeline_runs_on_one_worker_thread_with_the_deep_stack(tmp_path, ca
     def probe(*args):
         thread = threading.current_thread()
         seen.append((thread is threading.main_thread(), sys.getrecursionlimit()))
-        return None, None
+        return [], None
 
     monkeypatch.setattr(cli, "_compile", probe)
     limit, threads = sys.getrecursionlimit(), threading.active_count()

@@ -3,9 +3,12 @@ texts, pattern binding and scope, the shared prelude, and prelude definitions
 checked against reference copies."""
 
 import dataclasses
+import hashlib
+import importlib
 import itertools
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -926,3 +929,70 @@ class TestModularArithmetic:
             c = core_of_source(f"&num_to_state{{0, 0}} |> @mod_mult{{0, {a}}}")
             assert c.fn == core_of_source("() |> @id{Unit}").fn
         core_of_source("(&repeated{1, Bit, &plus}, &num_to_state{0, 1}) |> @mod_exp{1, 0, 3}")
+
+
+class TestKeptRegions:
+    """A pattern outside any other, or a closed program, whose elaboration
+    read no generic parameter is elaborated once per compile: the same
+    region entered again returns the kept core."""
+
+    # The sha256 of the core texts, each after the one before and a newline,
+    # of the benchmark's op_list(workload, 5, 15) and of PRELUDE_MAINS, as
+    # elaborated before any region was kept.
+    TEXTS = {
+        "small_programs": "86200084d323ff49945d7755ab4be6d6f14df4f9a957c556c8352f84f0487a05",
+        "shor_unroll": "c63e9409b9d284c061d5bb6ca063b2b3bc56ca63b15039af745c8b8547510949",
+        "dump_core": "bdc7189d6ea1ce54a1ddb24e3d488c11a68e17c4bc67a37437f9cb41b95f6a99",
+        "PRELUDE_MAINS": "c487a559ec5f11da56cbd009837dc5f41253e1191f59a7f2b33d293160c6c398",
+    }
+
+    @pytest.mark.parametrize("name", TEXTS)
+    def test_the_core_text_is_unchanged(self, name, monkeypatch):
+        if name == "PRELUDE_MAINS":
+            sources = PRELUDE_MAINS
+        else:
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+            workloads = importlib.import_module("workloads")
+            sources = [op.source for op in workloads.op_list(workloads.WORKLOADS[name], 5, 15)]
+        text = "\n".join(core.to_str(core_of_source(s)) for s in sources)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.TEXTS[name]
+
+    def test_a_pattern_that_reads_a_parameter_is_not_shared(self):
+        # @is_odd_sum{#n}'s arm @ListCons{#n, Bit}(&0, l') at n = 3, 2, 1
+        c = core_of_source("&grover{List{3, Bit}, &equal_superpos_list{3}, @is_odd_sum{3}, 1}")
+        patterns = [
+            x.arms[1].pattern
+            for x in reachable(c)
+            if isinstance(x, core.ExMatch) and len(x.arms) == 3
+        ]
+        assert len(patterns) == 3
+        assert all(a != b for a, b in itertools.combinations(patterns, 2))
+
+    def test_a_generic_free_let_lambda_is_elaborated_once(self, monkeypatch):
+        # @rotations{#n}'s let (y0, (y1, y)), reached at n = 2..6
+        made, make = [], preprocess.Elaborator._make
+
+        def counting(self, cls, *fields):
+            node = make(self, cls, *fields)
+            made.append(node)
+            return node
+
+        monkeypatch.setattr(preprocess.Elaborator, "_make", counting)
+        qf = parser.parse_file("&num_to_state{6, 1} |> @qft{6}")
+        elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
+        c = elaborator.elaborate(qf.main)
+        text = "(lambda ((y0%0, y1%1), y%2) -> (y0%0, (y1%1, y%2)))"
+        (let,) = [x for x in reachable(c) if core.to_str(x) == text]
+        assert [x is let for x in made].count(True) == 1
+        assert elaborator.reused >= 1
+
+    def test_a_region_that_raises_is_not_kept(self):
+        qf = parser.parse_file("def @bad{#n} : Bit -> Bit := lambda x -> y end")
+        elaborator, region = preprocess.Elaborator(qf.defs), qf.defs[0].body
+        errors = []
+        for n in (1, 2):
+            with pytest.raises(PreprocessError) as info:
+                elaborator.elaborate(parser.parse_expr_string(f"&0 |> @bad{{{n}}}"))
+            errors.append(str(info.value))
+            assert all(key[0] != id(region) for key in elaborator._kept)
+        assert errors == ["unbound variable y"] * 2
