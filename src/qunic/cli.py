@@ -18,8 +18,12 @@ one stage of the pipeline, in pipeline order:
 prints one JSON object as the last line:
 
 * ``parse_ms``, ``elaborate_ms`` and ``print_ms`` (null without
-  ``--dump-core``): the milliseconds of each stage.  Parsing includes the
-  prelude, which is parsed once per process.
+  ``--dump-core``): the milliseconds of each stage.  Parsing includes
+  splitting the prelude into its definitions and parsing its ``type``
+  definitions, once per process; a prelude definition is parsed when a
+  compile first reaches it, which counts in ``elaborate_ms``.
+* ``prelude_defs_parsed``: how many of the prelude's definitions this
+  process has parsed so far.
 * ``instantiations``, against ``unroll_budget``: the definitions instantiated,
   and how many the elaborator allows.
 * ``regions_reused``: how many times the elaborator returned the kept core of
@@ -49,7 +53,6 @@ import json
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 try:
@@ -61,7 +64,7 @@ from .core import node_counts, to_str
 from .errors import CapacityError, QunityError
 from .lexer import tokenize
 from .parser import parse_file
-from .preprocess import UNROLL_BUDGET, Elaborator, load_prelude_defs
+from .preprocess import UNROLL_BUDGET, Elaborator, _prelude_table, prelude_defs_parsed
 
 STACK_BYTES = 512 * 2**20
 RECURSION_LIMIT = 200_000
@@ -104,7 +107,7 @@ def _compile(source: str, use_prelude: bool, dumps: set[str], stats: bool):
     clock = time.perf_counter
     start = clock()
     if use_prelude:
-        load_prelude_defs()  # parsed here, so that parse_ms counts it
+        _prelude_table()  # built here, so that parse_ms counts it
     qf = parse_file(source)
     parsed = clock()
     elaborator = Elaborator(qf.defs, use_prelude)
@@ -130,6 +133,7 @@ def _compile(source: str, use_prelude: bool, dumps: set[str], stats: bool):
         "print_ms": (printed - elaborated) * 1e3 if dump else None,
         "instantiations": elaborator.instantiations,
         "regions_reused": elaborator.reused,
+        "prelude_defs_parsed": prelude_defs_parsed(),
         "unroll_budget": UNROLL_BUDGET,
         "core_dag_nodes": dag,
         "core_tree_nodes": tree,
@@ -143,15 +147,28 @@ def _on_deep_stack(fn, *args):
 
     Both settings are the process's own: they are set before the thread
     starts, and restored after it has ended."""
+    outcome = []  # (True, the result) or (False, the exception)
+
+    def run():
+        try:
+            outcome.append((True, fn(*args)))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
     limit = sys.getrecursionlimit()
     size = threading.stack_size(STACK_BYTES)
     try:
         sys.setrecursionlimit(RECURSION_LIMIT)
-        with ThreadPoolExecutor(1, "qunic-pipeline") as worker:
-            return worker.submit(fn, *args).result()
+        worker = threading.Thread(target=run, name="qunic-pipeline")
+        worker.start()
+        worker.join()
     finally:
         sys.setrecursionlimit(limit)
         threading.stack_size(size)
+    ok, value = outcome[0]
+    if ok:
+        return value
+    raise value
 
 
 if __name__ == "__main__":

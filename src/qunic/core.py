@@ -41,14 +41,15 @@ single-line syntax that the parser reads back for every term it parsed:
 products, ``lambda`` and ``if`` programs always in parentheses, an
 application's argument in parentheses of its own (``f((a, b))``), and
 arithmetic and conditions with minimal parentheses.  It is a writer: it
-appends pieces of text to one list and joins that list once, at the end.  A
-walk without recursion first finds the nodes with more than one parent; on
-its first occurrence such a node writes into a list of its own, joins it
-once and keeps the string, in a dict that lives for the call, and every
-later occurrence appends that string.  So printing visits each distinct node
-once, copies each shared text once per reference to it and joins the output
-once; a printer that returned each node's text with its children's inside
-would copy every character once per ancestor.  Hence a node's text must not
+appends pieces of text to one list and joins that list once, at the end.  It
+finds the shared nodes as it writes: it remembers where the pieces of each
+node's text start and end in the list, in a dict that lives for the call.
+The second time a node is reached, that slice is joined once, the string
+kept in its place in the dict and appended, and every later occurrence
+appends the kept string.  So printing visits each distinct node once,
+copies each shared text once per reference to it and joins the output once;
+a printer that returned each node's text with its children's inside would
+copy every character once per ancestor.  Hence a node's text must not
 depend on where the node appears: the parent decides whether a child's text
 goes in parentheses, and writes them.  A term nested too deeply for the
 interpreter's stack raises :class:`~qunic.errors.CapacityError`.
@@ -699,36 +700,13 @@ def to_str(root: _Node) -> str:
     """
     out: list[str] = []
     try:
-        _show(root, _shared(root), {}, out)
+        _show(root, {}, out)
     except RecursionError:
         raise CapacityError("term nested too deeply to print") from None
     return "".join(out)
 
 
 core_expr_to_str = to_str  # the name the benchmark calls
-
-
-def _shared(root: _Node) -> set[int]:
-    """The ids of the nodes below ``root`` that the printer reaches along more
-    than one edge: a node that two parents hold, or one parent holds twice.
-
-    A pre-order with no recursion enters each node once and counts an edge
-    for each of its :func:`children`.  Not a :func:`fold`: an in-degree count
-    through one took 6.1 ms against 1.8 ms for this loop on ``@qft{64}``
-    (CPython 3.11.7, best of 15).
-    """
-    seen: set[int] = set()
-    shared: set[int] = set()
-    stack = [root]
-    while stack:
-        for c in children(stack.pop()):
-            key = id(c)
-            if key in seen:
-                shared.add(key)
-            else:
-                seen.add(key)
-                stack.append(c)
-    return shared
 
 
 _ATOM = 4  # binds tighter than every operator
@@ -750,106 +728,106 @@ def _binds(x: _Node) -> int:
 
 
 def _show(
-    x: _Node | tuple[GenArg, ...], shared: set[int], texts: dict[int, str], out: list[str]
+    x: _Node | tuple[GenArg, ...], texts: dict[int, tuple[int, int] | str], out: list[str]
 ) -> None:
-    """Append the text of ``x`` to ``out``; ``texts`` keeps the text of each
-    node of ``shared`` once it is built.
+    """Append the text of ``x`` to ``out``; ``texts`` holds, under the id of
+    each node written so far, where its pieces start and end in ``out``, or
+    its text once the node has been reached twice.
 
-    A node of ``shared`` whose text is kept appends that string.  One whose
-    text is not built yet writes into a fresh list of its own, joins it once
-    on the way out, keeps the string and appends it to ``out``.  Checking,
-    dispatching and storing sit in this one body, so each level of the term
-    costs one frame.  A parent writes the parentheses around a child's text,
-    before and after it, where :func:`_binds` says it must.  The core cases
-    come first, then reals and conditions, sugar, and definitions and files.
+    The second time a node is reached it joins its slice of ``out`` once,
+    keeps the string in ``texts`` and appends it; later visits append the
+    kept string.  Checking, dispatching and storing sit in this one body, so
+    each level of the term costs one frame.  A parent writes the parentheses
+    around a child's text, before and after it, where :func:`_binds` says it
+    must.  The core cases come first, then reals and conditions, sugar, and
+    definitions and files.
     """
     key = id(x)
-    if key in shared:
-        s = texts.get(key)
-        if s is not None:
-            out.append(s)
-            return
-        parent, out = out, []
-    else:
-        parent = None
+    s = texts.get(key)
+    if s is not None:
+        if type(s) is tuple:
+            s = texts[key] = "".join(out[s[0] : s[1]])
+        out.append(s)
+        return
+    start = len(out)
     w = out.append
     t = type(x)
     if t is ExVar:
         w(x.name)
     elif t is ExPair:
         w("(")
-        _show(x.left, shared, texts, out)
+        _show(x.left, texts, out)
         w(", ")
-        _show(x.right, shared, texts, out)
+        _show(x.right, texts, out)
         w(")")
     elif t is ExApp:
-        _show(x.fn, shared, texts, out)
+        _show(x.fn, texts, out)
         w("(")
-        _show(x.arg, shared, texts, out)
+        _show(x.arg, texts, out)
         w(")")
     elif t is PrAbs:
         w("(lambda ")
-        _show(x.pattern, shared, texts, out)
+        _show(x.pattern, texts, out)
         w(" -> ")
-        _show(x.body, shared, texts, out)
+        _show(x.body, texts, out)
         w(")")
     elif t is ExUnit:
         w("()")
     elif t is PrLeft or t is PrRight:
         w("left{" if t is PrLeft else "right{")
-        _show(x.left_ty, shared, texts, out)
+        _show(x.left_ty, texts, out)
         w(", ")
-        _show(x.right_ty, shared, texts, out)
+        _show(x.right_ty, texts, out)
         w("}")
     elif t is PrRphase:
         w("rphase{")
-        _show(x.pattern, shared, texts, out)
+        _show(x.pattern, texts, out)
         w(", ")
-        _show(x.on_phase, shared, texts, out)
+        _show(x.on_phase, texts, out)
         w(", ")
-        _show(x.off_phase, shared, texts, out)
+        _show(x.off_phase, texts, out)
         w("}")
     elif t is CoreArm:
-        _show(x.pattern, shared, texts, out)
+        _show(x.pattern, texts, out)
         w(" -> ")
-        _show(x.body, shared, texts, out)
+        _show(x.body, texts, out)
     elif t is ExCtrl or t is ExMatch or t is PrPmatch:
         if t is PrPmatch:
             w("pmatch [")
         else:
             w("ctrl " if t is ExCtrl else "match ")
-            _show(x.scrutinee, shared, texts, out)
+            _show(x.scrutinee, texts, out)
             w(" [")
         for i, arm in enumerate(x.arms):
             if i:
                 w("; ")
-            _show(arm, shared, texts, out)
+            _show(arm, texts, out)
         if t is not PrPmatch and x.else_body is not None:
             w("; else -> " if x.arms else "else -> ")
-            _show(x.else_body, shared, texts, out)
+            _show(x.else_body, texts, out)
         w("]")
     elif t is ExTry:
         w("try ")
-        _show(x.attempt, shared, texts, out)
+        _show(x.attempt, texts, out)
         w(" catch ")
-        _show(x.fallback, shared, texts, out)
+        _show(x.fallback, texts, out)
     elif t is TyUnit:
         w("Unit")
     elif t is TyVoid:
         w("Void")
     elif t is TySum or t is TyProd:
         w("(")
-        _show(x.left, shared, texts, out)
+        _show(x.left, texts, out)
         w(" + " if t is TySum else " * ")
-        _show(x.right, shared, texts, out)
+        _show(x.right, texts, out)
         w(")")
     elif t is PrU3:
         w("u3{")
-        _show(x.theta, shared, texts, out)
+        _show(x.theta, texts, out)
         w(", ")
-        _show(x.phi, shared, texts, out)
+        _show(x.phi, texts, out)
         w(", ")
-        _show(x.lam, shared, texts, out)
+        _show(x.lam, texts, out)
         w("}")
     elif t is RConst:
         try:
@@ -865,27 +843,27 @@ def _show(
         wrap_right = _binds(x.right) < prec + (op != "^")
         if wrap_left:
             w("(")
-        _show(x.left, shared, texts, out)
+        _show(x.left, texts, out)
         w((") " if wrap_left else " ") + op + (" (" if wrap_right else " "))
-        _show(x.right, shared, texts, out)
+        _show(x.right, texts, out)
         if wrap_right:
             w(")")
     elif t is RPi:
         w("pi")
     elif t is RUnary:
         w(x.op + "(")
-        _show(x.arg, shared, texts, out)
+        _show(x.arg, texts, out)
         w(")")
     elif t is REuler:
         w("euler")
     elif t is BCmp:
-        _show(x.left, shared, texts, out)
+        _show(x.left, texts, out)
         w(f" {x.op} ")
-        _show(x.right, shared, texts, out)
+        _show(x.right, texts, out)
     elif t is BNot:
         wrap_left = _binds(x.arg) < _ATOM
         w("!(" if wrap_left else "!")
-        _show(x.arg, shared, texts, out)
+        _show(x.arg, texts, out)
         if wrap_left:
             w(")")
     elif t is TVar:
@@ -893,63 +871,61 @@ def _show(
     elif t is Name:
         w(SIGILS[x.sort] + x.name)
         if x.args:
-            _show(x.args, shared, texts, out)
+            _show(x.args, texts, out)
     elif t is tuple:  # generic arguments, or a definition's parameters
         if x:
             w("{")
             for i, arg in enumerate(x):
                 if i:
                     w(", ")
-                _show(arg, shared, texts, out)
+                _show(arg, texts, out)
             w("}")
     elif t is If:
         w("(if " if x.sort == "f" else "if ")
-        _show(x.cond, shared, texts, out)
+        _show(x.cond, texts, out)
         w(" then ")
-        _show(x.then, shared, texts, out)
+        _show(x.then, texts, out)
         w(" else ")
-        _show(x.els, shared, texts, out)
+        _show(x.els, texts, out)
         w(" endif)" if x.sort == "f" else " endif")
     elif t is Param or t is Def:
         if t is Param:
             w(PARAM_SIGILS[x.sort] + x.name)
         else:
             w(("type " if x.sort == "t" else "def ") + SIGILS[x.sort] + x.name)
-            _show(x.params, shared, texts, out)
+            _show(x.params, texts, out)
         for i, ty in enumerate(x.sig):
             w(" -> " if i else " : ")
-            _show(ty, shared, texts, out)
+            _show(ty, texts, out)
         if t is Def:
             w(" := ")
-            _show(x.body, shared, texts, out)
+            _show(x.body, texts, out)
             w(" end")
     elif t is VariantAlt:
         if x.payload is None:
             w("&" + x.name)
         else:
             w(f"@{x.name} of ")
-            _show(x.payload, shared, texts, out)
+            _show(x.payload, texts, out)
     elif t is VariantDef:
         w("type " + x.name)
-        _show(x.params, shared, texts, out)
+        _show(x.params, texts, out)
         w(" := ")
         for i, alt in enumerate(x.alts):
             if i:
                 w(" | ")
-            _show(alt, shared, texts, out)
+            _show(alt, texts, out)
         w(" end")
     elif t is QFile:
         for i, d in enumerate(x.defs):
             if i:
                 w("\n\n")
-            _show(d, shared, texts, out)
+            _show(d, texts, out)
         if x.main is not None:
             if x.defs:
                 w("\n\n")
-            _show(x.main, shared, texts, out)
+            _show(x.main, texts, out)
         w("\n")
     else:
         raise TypeError(f"not a node of the syntax tree: {x!r}")
-    if parent is not None:
-        s = texts[key] = "".join(out)
-        parent.append(s)
+    texts[key] = start, len(out)

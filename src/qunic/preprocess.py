@@ -24,6 +24,16 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   never a type parameter.  An argless name that is no parameter in scope
   (``&0``, ``Bit``, ``#r``) means the same wherever it appears, so it is
   resolved once per compile and its value kept for later uses;
+* the prelude's table is built once per process from its text, split at
+  each line that begins with ``def`` or ``type``: a ``type`` definition is
+  parsed at once, as a variant registers its constructors, and a ``def`` is
+  kept as its text until a compile first looks its name up.  That lookup
+  parses, in one loop and into the shared table, the definition and every
+  unparsed prelude definition it names, transitively.  A compile first
+  reaches a prelude name near the top of its stack, so parsing the whole
+  closure there puts no parser frame on the deep end of an elaboration, and
+  the largest program that elaborates within a recursion limit stays the
+  same as with a prelude parsed up front;
 * a real elaborates to its value, computed by one evaluator step
   (:func:`~qunic.reals.step`) per node from its children's values, so no
   subtree is evaluated twice.  A left-nested operator chain, such as a flat
@@ -89,8 +99,8 @@ them needs the scrutinee's type, which is the typechecker's business.
 
 from __future__ import annotations
 
-import functools
 import math
+import re
 from collections import ChainMap
 from importlib import resources
 from typing import Mapping, NamedTuple, Union
@@ -137,10 +147,12 @@ from .core import (
     TyUnit,
     TyVoid,
     VariantDef,
+    children,
     free_qvars,
     sort_of,
 )
 from .errors import CapacityError, PreprocessError
+from .lexer import tokenize
 from .parser import parse_file
 from .reals import Rational, Value, compare, step
 
@@ -169,35 +181,111 @@ def default_prelude_text() -> str:
     return resources.files("qunic").joinpath("prelude.qunity").read_text(encoding="utf-8")
 
 
-@functools.cache
-def load_prelude_defs() -> tuple[Def | VariantDef, ...]:
-    """The prelude's definitions, parsed on the first call and shared after it.
-
-    The prelude is parsed once per process, never at import.  Sharing is safe
-    because definitions, like every node, are frozen ``core._Node`` dataclasses
-    with tuple fields.  Their table is built once too, by
-    :func:`_prelude_table`, and each :class:`Elaborator` copies it.
-    """
-    qf = parse_file(default_prelude_text())
-    if qf.main is not None:
-        raise PreprocessError("a prelude file must not contain a main expression")
-    return qf.defs
+# A line of the prelude that begins a definition; for a ``def``, its name's
+# sigil and the name.
+_CHUNK = re.compile(r"^(?:type\b|def\b(?:\s+([&@#])\s*([\w']+))?)", re.M)
+_SIGIL_SORTS = {"&": "e", "@": "f", "#": "r"}
 
 
-# The definitions of the prelude's table and the table, built once per process.
-_prelude: tuple = ((), {}, {})
+class _Unparsed:
+    """A prelude ``def`` not parsed yet: its sort and name, read from its
+    head, its text, and the line of the prelude on which that text begins."""
+
+    __slots__ = ("sort", "name", "text", "line")
+
+    def __init__(self, sort: str, name: str, text: str, line: int) -> None:
+        self.sort, self.name, self.text, self.line = sort, name, text, line
+
+
+# The prelude's table, its constructors and the keys of its definitions in
+# file order, built by _prelude_table once per process.
+_prelude: tuple[dict, dict, tuple[tuple[str, str], ...]] | None = None
 
 
 def _prelude_table() -> tuple[dict, dict]:
     """``Elaborator.defs`` and ``Elaborator.ctors`` with the prelude's
-    definitions alone, built on the first call for the tuple
-    :func:`load_prelude_defs` returns, and shared after it: callers copy them."""
+    definitions alone, built on the first call and shared after it: callers
+    copy them.
+
+    The prelude is split at each line that begins with ``def`` or ``type``,
+    and what comes before the first definition must hold no token.  A
+    ``type`` chunk is parsed at once, as a variant registers its
+    constructors; a ``def`` chunk is registered as an :class:`_Unparsed`
+    entry, which :meth:`Elaborator._named` parses when a compile first looks
+    it up.
+    """
     global _prelude
-    defs = load_prelude_defs()
-    if _prelude[0] is not defs:
-        elaborator = Elaborator(defs)
-        _prelude = defs, elaborator.defs, elaborator.ctors
-    return _prelude[1], _prelude[2]
+    if _prelude is None:
+        text = default_prelude_text()
+        heads = list(_CHUNK.finditer(text))
+        head = text[: heads[0].start()] if heads else text
+        if len(tokenize(head)) > 1:
+            raise PreprocessError("the prelude holds text before its first definition")
+        elaborator, keys, line = Elaborator(()), [], 1 + head.count("\n")
+        ends = [m.start() for m in heads[1:]] + [len(text)]
+        for m, end in zip(heads, ends):
+            chunk = text[m.start() : end]
+            if m[1] is None:
+                d = _parse_chunk(chunk, line)
+            else:
+                d = _Unparsed(_SIGIL_SORTS[m[1]], m[2], chunk, line)
+            elaborator._register(d)
+            keys.append(("t" if type(d) is VariantDef else d.sort, d.name))
+            line += chunk.count("\n")
+        _prelude = elaborator.defs, elaborator.ctors, tuple(keys)
+    return _prelude[0], _prelude[1]
+
+
+def _parse_chunk(text: str, line: int) -> Def | VariantDef:
+    """The one definition of the prelude chunk ``text``, which begins on
+    ``line``: it is parsed after the newlines before it, so its tokens keep
+    their ``line:col`` in the prelude."""
+    qf = parse_file("\n" * (line - 1) + text)
+    if qf.main is not None:
+        raise PreprocessError("a prelude file must not contain a main expression")
+    if len(qf.defs) != 1:
+        raise PreprocessError(f"prelude line {line}: {len(qf.defs)} definitions, not one")
+    return qf.defs[0]
+
+
+def _parse_entry(table: dict, key: tuple[str, str]) -> Def:
+    """Parse the :class:`_Unparsed` entry of ``table`` under ``key``, and
+    store its definition there in its place."""
+    u = table[key]
+    d = table[key] = _parse_chunk(u.text, u.line)
+    _check_params(d, _OWNERS[u.sort] + u.name)
+    return d
+
+
+def load_prelude_defs() -> tuple[Def | VariantDef, ...]:
+    """The prelude's definitions in file order, each parsed through the
+    prelude's table, so each is parsed once per process and shared.
+
+    Sharing is safe because definitions, like every node, are frozen
+    ``core._Node`` dataclasses with tuple fields.
+    """
+    table, _ = _prelude_table()
+    keys = _prelude[2]
+    for key in keys:
+        if type(table[key]) is _Unparsed:
+            _parse_entry(table, key)
+    return tuple(table[key] for key in keys)
+
+
+def prelude_defs_parsed() -> int:
+    """How many of the prelude's definitions this process has parsed so far."""
+    if _prelude is None:
+        return 0
+    table, _, keys = _prelude
+    return sum(type(table[key]) is not _Unparsed for key in keys)
+
+
+def _check_params(d: Def | VariantDef, what: str) -> None:
+    seen = set()
+    for p in d.params:
+        if (p.sort, p.name) in seen:
+            raise PreprocessError(f"duplicate parameter {PARAM_SIGILS[p.sort]}{p.name} in {what}")
+        seen.add((p.sort, p.name))
 
 
 class _Env(NamedTuple):
@@ -259,8 +347,10 @@ class Elaborator:
         """An elaborator of ``defs``, registered on top of a copy of the
         prelude's table if ``use_prelude``, so they clash with its names."""
         table, ctors = _prelude_table() if use_prelude else ({}, {})
+        # The prelude's shared table, where a definition parsed here is kept
+        self._prelude = table
         # (sort, name) -> definition, and constructor -> its alternative's index
-        self.defs: dict[tuple[str, str], Def | VariantDef] = dict(table)
+        self.defs: dict[tuple[str, str], Def | VariantDef | _Unparsed] = dict(table)
         self.ctors: dict[str, int] = dict(ctors)
         self._memo: dict[object, object] = {}
         # (sort, name) -> the value of an argless name that is no generic
@@ -290,6 +380,8 @@ class Elaborator:
         interpreter's stack raises :class:`~qunic.errors.CapacityError`."""
         if main is None:
             raise PreprocessError("program has no main expression")
+        # A call that raised can leave both set
+        self._in_progress, self._binders = {}, 0
         try:
             return self.elab(main, _Env({}, {}))
         except RecursionError:
@@ -302,19 +394,16 @@ class Elaborator:
 
     # -- definition table ----------------------------------------------------
 
-    def _register(self, d: Def | VariantDef) -> None:
+    def _register(self, d: Def | VariantDef | _Unparsed) -> None:
+        """Add ``d`` to the table; an unparsed prelude entry's parameters are
+        checked when it is parsed."""
         sort = "t" if type(d) is VariantDef else d.sort
         what = _OWNERS[sort] + d.name
         if (sort, d.name) in self.defs or (sort in "ef" and d.name in self.ctors):
             kind = f"type definition {d.name}" if sort == "t" else f"definition {what}"
             raise PreprocessError(f"duplicate {kind}")
-        seen = set()
-        for p in d.params:
-            if (p.sort, p.name) in seen:
-                raise PreprocessError(
-                    f"duplicate parameter {PARAM_SIGILS[p.sort]}{p.name} in {what}"
-                )
-            seen.add((p.sort, p.name))
+        if type(d) is not _Unparsed:
+            _check_params(d, what)
         self.defs[sort, d.name] = d
         if isinstance(d, VariantDef):
             for i, alt in enumerate(d.alts):
@@ -376,6 +465,8 @@ class Elaborator:
         d = self.defs.get((sort, name))
         if d is None:
             return None
+        if type(d) is _Unparsed:
+            d = self._parse_prelude((sort, name))
         what = _OWNERS[sort] + name
         bound, key = self._elab_args(what, d.params, args, env)
         variant = isinstance(d, VariantDef)
@@ -401,6 +492,31 @@ class Elaborator:
         del self._in_progress[memo_key]
         self._memo[memo_key] = result
         return result
+
+    def _parse_prelude(self, key: tuple[str, str]) -> Def:
+        """The prelude definition under ``key``, parsed with every unparsed
+        prelude definition that it names, transitively, in this one loop.
+
+        Each is kept in the prelude's shared table, for later compiles, and
+        in this elaborator's.  A compile first looks a prelude name up near
+        the top of its stack, so parsing the whole closure there leaves no
+        parser frame for the deep end of the elaboration, where the
+        definitions it names are looked up.
+        """
+        table, todo = self._prelude, [key]
+        while todo:
+            k = todo.pop()
+            d = table[k]
+            if type(d) is _Unparsed:
+                d = _parse_entry(table, k)
+                nodes = [d.body]
+                while nodes:
+                    x = nodes.pop()
+                    if type(x) is Name and type(table.get((x.sort, x.name))) is _Unparsed:
+                        todo.append((x.sort, x.name))
+                    nodes += children(x)
+            self.defs[k] = d
+        return self.defs[key]
 
     def _variant(self, d: VariantDef, payloads: tuple[CoreType, ...]) -> tuple[CoreType, tuple]:
         """The sum type of ``d`` at these payload types and each constructor's core value.
@@ -689,7 +805,9 @@ def elaborate_file(qf: QFile, use_prelude: bool = False) -> CoreExpr:
 def core_of_source(source: str, use_prelude: bool = True) -> CoreExpr:
     """Parse and elaborate source text in one step (the common entry point).
 
-    The prelude is parsed, and its table built, once per process, by the
-    first call that uses it; with ``use_prelude=False`` it is never read.
+    The prelude's table is built once per process, by the first call that
+    uses it, and each prelude definition is parsed once per process, by the
+    first compile that reaches it; with ``use_prelude=False`` the prelude is
+    never read.
     """
     return elaborate_file(parse_file(source), use_prelude)

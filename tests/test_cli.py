@@ -3,6 +3,9 @@ one deep stack on which it runs every pass."""
 
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 
@@ -92,13 +95,15 @@ def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
     # Exactly the keys that the qunic.cli docstring documents.
     assert set(stats) == {
         "parse_ms", "elaborate_ms", "print_ms", "instantiations", "regions_reused",
-        "unroll_budget", "core_dag_nodes", "core_tree_nodes", "peak_rss_mb",
+        "prelude_defs_parsed", "unroll_budget", "core_dag_nodes", "core_tree_nodes",
+        "peak_rss_mb",
     }
     assert text == core.to_str(c)
     assert (stats["core_dag_nodes"], stats["core_tree_nodes"]) == core.node_counts(c)
     assert 0 < stats["instantiations"] < stats["unroll_budget"] == preprocess.UNROLL_BUDGET
     assert min(stats["parse_ms"], stats["elaborate_ms"], stats["print_ms"]) >= 0
     assert stats["peak_rss_mb"] > 0
+    assert 0 < stats["prelude_defs_parsed"] == preprocess.prelude_defs_parsed() <= 40
 
 
 @pytest.mark.parametrize("source, reused", [("&order_finding{8, 7}", True), ("@had(&0)", False)])
@@ -180,3 +185,36 @@ def test_the_pipeline_runs_on_one_worker_thread_with_the_deep_stack(tmp_path, ca
     assert seen == [(False, cli.RECURSION_LIMIT)]
     assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, 0)
     assert threading.active_count() == threads
+
+
+def test_the_command_starts_without_a_thread_pool_or_logging():
+    script = "import sys, qunic.cli\nprint(*sys.modules)\n"
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert not set(out.stdout.split()) & {"concurrent.futures", "logging"}
+
+
+def test_stats_counts_the_prelude_definitions_parsed_so_far():
+    script = (
+        "import sys\n"
+        "from qunic import cli\n"
+        "sys.exit(cli.main(['--stats', sys.argv[1]]))\n"
+    )
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, "-"],
+        input="@had(&0)",
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["prelude_defs_parsed"] == 6  # its five types and @had

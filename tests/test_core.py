@@ -387,12 +387,16 @@ def test_free_variables_match_a_recursive_reference(e):
 
 
 @given(_terms)
-def test_shared_nodes_are_those_with_two_incoming_edges(term):
+def test_the_printer_keeps_the_text_of_each_node_with_two_incoming_edges(term):
+    nodes = _distinct(term, {})
     indegree: dict[int, int] = {}
-    for x in _distinct(term, {}).values():
+    for x in nodes.values():
         for c in _parts(x):
             indegree[id(c)] = indegree.get(id(c), 0) + 1
-    assert core._shared(term) == {k for k, n in indegree.items() if n >= 2}
+    texts: dict = {}
+    core._show(term, texts, [])
+    kept = {k for k, v in texts.items() if type(v) is str and k in nodes}
+    assert kept == {k for k, n in indegree.items() if n >= 2}
 
 
 @given(_reals)

@@ -7,15 +7,17 @@ import hashlib
 import importlib
 import itertools
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qunic import core, parser, preprocess
+from qunic import core, lexer, parser, preprocess
 from qunic.core import RBinary, RConst, REuler, RPi, RUnary
-from qunic.errors import CapacityError, PreprocessError, RealError
+from qunic.errors import CapacityError, PreprocessError, QunityError, RealError
 from qunic.preprocess import core_of_source, load_prelude_defs
 from qunic.reals import as_pi_multiple, as_rational, evaluate_real
 
@@ -744,7 +746,7 @@ class TestInterning:
 
         monkeypatch.setattr(core, "_hash_dag", structural)
         monkeypatch.setattr(core, "_eq_dag", structural)
-        load_prelude_defs.cache_clear()
+        monkeypatch.setattr(preprocess, "_prelude", None)  # parsed with the hooks in place
         for main in [
             "&order_finding{6, 7}",
             "&grover{List{3, Bit}, &equal_superpos_list{3}, @is_odd_sum{3}, 2}",
@@ -756,8 +758,32 @@ class TestInterning:
         assert c.left.fn is c.right.fn
 
 
+def _prelude_entries():
+    """The entries of the prelude's table in file order, as built by a fresh
+    table: a parsed ``type`` definition, or an unparsed ``def``."""
+    table, _ = preprocess._prelude_table()
+    return [table[key] for key in preprocess._prelude[2]]
+
+
 class TestSharedPrelude:
-    def test_prelude_is_tokenized_once_per_process(self, monkeypatch):
+    def test_each_chunk_parses_to_its_definition_in_the_whole_prelude(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_prelude", None)
+        text = preprocess.default_prelude_text()
+        whole = parser.parse_file(text).defs
+        entries = _prelude_entries()
+        assert [e.name for e in entries] == [d.name for d in whole]
+        unparsed = [e for e in entries if type(e) is preprocess._Unparsed]
+        assert len(whole) == 40 and len(unparsed) == 35
+        assert all(e.sort == d.sort for e, d in zip(entries, whole) if e in unparsed)
+        assert [preprocess._parse_chunk(e.text, e.line) for e in unparsed] == [
+            d for e, d in zip(entries, whole) if e in unparsed
+        ]
+        # the chunks' tokens are the prelude's, at their place in it
+        tokens = [t for e in unparsed for t in lexer.tokenize("\n" * (e.line - 1) + e.text)[:-1]]
+        assert tokens == lexer.tokenize(text)[-1 - len(tokens) : -1]
+        assert load_prelude_defs() == whole
+
+    def test_each_chunk_is_tokenized_at_most_once_per_process(self, monkeypatch):
         prelude = preprocess.default_prelude_text()
         tokenize, sources = parser.tokenize, []
 
@@ -766,11 +792,58 @@ class TestSharedPrelude:
             return tokenize(source)
 
         monkeypatch.setattr(parser, "tokenize", counting)
-        load_prelude_defs.cache_clear()
-        core_of_source("@had(&0)")
-        core_of_source("@had(&0)")
-        assert sources.count(prelude) == 1
-        assert len(sources) == 3
+        monkeypatch.setattr(preprocess, "_prelude", None)
+        for main in ("@had(&0)", "@had(&0)", "&order_finding{4, 7}", "&num_to_state{2, 1}"):
+            core_of_source(main)
+        load_prelude_defs()
+        chunks = [s for s in sources if s.lstrip("\n").startswith(("def", "type"))]
+        assert len(chunks) == len(set(chunks)) == 40
+        assert prelude not in sources
+        assert len(sources) == 44  # and the four mains
+
+    def test_a_first_compile_parses_only_the_definitions_it_reaches(self):
+        script = (
+            "from qunic import preprocess\n"
+            "preprocess.core_of_source('@had(&0)')\n"
+            "table, _, keys = preprocess._prelude\n"
+            "print(*(n for s, n in keys if type(table[s, n]) is not preprocess._Unparsed))\n"
+            "print(preprocess.prelude_defs_parsed())\n"
+        )
+        src = str(Path(preprocess.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == "Bit Maybe Array Num List had\n6\n"
+
+    def test_a_prelude_name_clashes_before_its_definition_is_parsed(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_prelude", None)
+        with pytest.raises(PreprocessError, match="^duplicate definition @qft$"):
+            core_of_source("def @qft : Bit -> Bit := @not end\n@qft(&0)")
+        clash = "type T := &A | @qft of Bit end\n&A"
+        with pytest.raises(PreprocessError, match="^constructor @qft clashes with an existing name$"):
+            core_of_source(clash)
+        assert type(preprocess._prelude[0]["f", "qft"]) is preprocess._Unparsed
+
+    @pytest.mark.parametrize(
+        "prelude, message",
+        [
+            ("&0\ndef &z : Unit := () end\n", "the prelude holds text before its first definition"),
+            ("def @d{#n, #n} : Unit -> Unit := @id{Unit} end\n", "duplicate parameter #n in @d"),
+            ("\n\ndef @d : Unit -> Unit := lambda -> () end\n", "^3:33: "),
+            ("def &z : Unit := () end &z\n", "must not contain a main expression"),
+        ],
+        ids=["leading-token", "duplicate-parameter", "parse-error-place", "main-expression"],
+    )
+    def test_a_bad_prelude_chunk_is_refused(self, monkeypatch, prelude, message):
+        monkeypatch.setattr(preprocess, "default_prelude_text", lambda: prelude)
+        monkeypatch.setattr(preprocess, "_prelude", None)
+        with pytest.raises(QunityError, match=message):
+            core_of_source("@d(())" if "@d" in prelude else "&z")
 
     def test_redefining_a_prelude_name_fails_on_every_call(self):
         src = "def @had : Bit -> Bit := @had end\n@had(&0)"
@@ -815,7 +888,7 @@ class TestSharedPrelude:
             raise AssertionError("the prelude was read")
 
         monkeypatch.setattr(preprocess, "default_prelude_text", unread)
-        load_prelude_defs.cache_clear()
+        monkeypatch.setattr(preprocess, "_prelude", None)
         src = "def &z : Unit := () end\n&z"
         assert core_of_source(src, use_prelude=False) == core.ExUnit()
 
@@ -996,3 +1069,28 @@ class TestKeptRegions:
             errors.append(str(info.value))
             assert all(key[0] != id(region) for key in elaborator._kept)
         assert errors == ["unbound variable y"] * 2
+
+
+class TestElaboratorAfterAnError:
+    """An elaborator that raised compiles again as a fresh one would: no
+    instantiation is left under way, and binders are numbered from 0."""
+
+    BAD = "def @bad{#n} : Bit -> Bit := lambda x -> y end\n"
+    # binders numbered outside any program, from the count at entry
+    SWAP = "def &swap : Bit * Bit := match (&0, &1) [(a, b) -> (b, a)] end\n"
+
+    def test_the_same_error_is_raised_again(self):
+        elaborator = preprocess.Elaborator(parser.parse_file(self.BAD).defs)
+        main = parser.parse_expr_string("&0 |> @bad{1}")
+        for _ in range(2):
+            with pytest.raises(PreprocessError, match="^unbound variable y$"):
+                elaborator.elaborate(main)
+
+    def test_a_good_compile_after_a_failed_one_gives_the_fresh_core(self):
+        defs = parser.parse_file(self.BAD + self.SWAP).defs
+        good = parser.parse_expr_string("(&swap, &num_to_state{3, 5} |> @qft{3})")
+        used = preprocess.Elaborator(defs, use_prelude=True)
+        with pytest.raises(PreprocessError, match="^unbound variable y$"):
+            used.elaborate(parser.parse_expr_string("&0 |> @bad{1}"))
+        fresh = preprocess.Elaborator(defs, use_prelude=True).elaborate(good)
+        assert core.to_str(used.elaborate(good)) == core.to_str(fresh)
