@@ -18,20 +18,18 @@ A program maps a value to a value, or to None where no pattern of its
 an expression maps an environment, a dict from variable names to values, to
 a value or None.  ``ctrl`` and ``match`` take the first arm whose pattern
 matches the scrutinee, else the ``else`` body, else None.  A pattern binds
-its variables by :func:`_match`; it is built from variables, pairs, ``()``,
-sum injections, and variant constructors with a payload.  Such a
-constructor, in a variant of three or more alternatives, elaborates to
-``lambda x -> right{..}(right{..}(x))``, a ``lambda`` of one variable whose
-body is a chain of injections ending in that variable; a pattern reads its
-tags from the outside in.
+its variables by :func:`_match`; it is built from variables, pairs, ``()``
+and applications.  An injection's application reads its tag; any other
+``f(e)`` matches ``e`` against the value of ``f^dagger``, by
+:func:`qunic.core.adjoint`.  So ``@adjoint``'s ``pmatch [@f(x) -> x]`` runs,
+as does a variant constructor with a payload, a ``lambda`` over injections.
 
 What is not classical is refused with :class:`~qunic.errors.ClassicalError`
 where the evaluation meets it, never answered: an ``rphase``, any other
-``u3``, a ``try``, and a pattern that applies a program other than an
-injection or a chain of injections under a ``lambda`` (``@adjoint``'s
-``pmatch``, or any other ``lambda``).  An arm that a basis value does not
-take is not evaluated, so it is not checked either: on a basis value, it
-contributes nothing.
+``u3``, a ``try``, and a pattern that applies a program with no adjoint, one
+whose arm erases a variable.  An arm that a basis value does not take is not
+evaluated, so it is not checked either: on a basis value, it contributes
+nothing.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from .core import (
     PrPmatch,
     PrRight,
     PrU3,
+    adjoint,
     to_str,
 )
 from .errors import ClassicalError
@@ -106,28 +105,15 @@ def _match(p, v, binds: dict) -> bool:
     if t is ExPair:
         return _match(p.left, v[0], binds) and _match(p.right, v[1], binds)
     if t is ExApp:
-        for tag in _tags(p.fn):
-            if v[0] != tag:
-                return False
-            v = v[1]
-        return _match(p.arg, v, binds)
+        tag = TAGS.get(type(p.fn))
+        if tag is not None:
+            return v[0] == tag and _match(p.arg, v[1], binds)
+        dagger = adjoint(p.fn)
+        if dagger is None:
+            raise ClassicalError("no adjoint: a pattern variable is erased")
+        w = run(dagger, v)
+        return w is not None and _match(p.arg, w, binds)
     if t is ExUnit:
         return v == ()
     raise ClassicalError(f"{type(p).__name__} is not a pattern")
 
-
-def _tags(f) -> list[str]:
-    """The tags that the program ``f`` of a pattern puts on a value, from the
-    outside in: an injection's one, or those of ``lambda x -> inj(.. inj(x))``,
-    a variant constructor with a payload.  Any other program is refused."""
-    tag = TAGS.get(type(f))
-    if tag is not None:
-        return [tag]
-    if type(f) is PrAbs and type(f.pattern) is ExVar:
-        tags, e = [], f.body
-        while type(e) is ExApp and type(e.fn) in TAGS:
-            tags.append(TAGS[type(e.fn)])
-            e = e.arg
-        if type(e) is ExVar and e.name == f.pattern.name:
-            return tags
-    raise ClassicalError(f"a pattern applies a {type(f).__name__}, not an injection")

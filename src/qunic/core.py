@@ -73,6 +73,9 @@ A pass that computes a node's value from its :func:`children`' values is a
 :func:`fold`, the one post-order loop: no recursion, each distinct node once.
 :func:`node_counts` (distinct nodes and tree nodes), :func:`free_qvars` and
 the evaluator of reals (:func:`qunic.reals.evaluate_real`) are folds.
+
+:func:`adjoint` is the one rule for ``f^dagger``, which every pass runs
+where a pattern applies ``f``.
 """
 
 from __future__ import annotations
@@ -609,7 +612,7 @@ class QFile(_Node):
 
 
 # --------------------------------------------------------------------------
-# Folds over the DAG
+# Folds over the DAG, and the adjoint
 
 
 def children(x: _Node) -> list[_Node]:
@@ -683,6 +686,35 @@ def node_counts(root: _Node) -> tuple[int, int]:
     finished: list[_Node] = []
     tree = fold(root, lambda x, sizes: finished.append(x) or 1 + sum(sizes))
     return len(finished), tree
+
+
+def adjoint(f: CoreProg) -> CoreProg | None:
+    """``f^dagger``, built one level deep, or None where an arm's pattern
+    binds a variable that its body does not use.
+
+    ``lambda`` and ``pmatch`` swap each arm's pattern and body, ``u3{t, p,
+    l}`` becomes ``u3{t, pi - l, pi - p}`` (exactly U^dagger; X maps to itself),
+    ``rphase{e, r, r'}`` becomes ``rphase{e, 0 - r, 0 - r'}``, and an
+    injection ``lambda inj(x) -> x``.  A program inside an arm is left as it
+    is: a pass meets it in a pattern, where it builds its adjoint, or runs it.
+    """
+    t = type(f)
+    if t is PrAbs or t is PrPmatch:
+        arms = (f,) if t is PrAbs else f.arms
+        if any(free_qvars(arm.pattern) - free_qvars(arm.body) for arm in arms):
+            return None
+        if t is PrAbs:
+            return PrAbs(f.body, f.pattern)
+        return PrPmatch(tuple(CoreArm(arm.body, arm.pattern) for arm in arms))
+    if t is PrU3:
+        return PrU3(f.theta, RBinary("-", RPi(), f.lam), RBinary("-", RPi(), f.phi))
+    if t is PrRphase:
+        zero = RConst(0)
+        return PrRphase(f.pattern, RBinary("-", zero, f.on_phase), RBinary("-", zero, f.off_phase))
+    if t is PrLeft or t is PrRight:
+        x = ExVar("x")
+        return PrAbs(ExApp(f, x), x)
+    raise TypeError(f"not a core program: {f!r}")
 
 
 # --------------------------------------------------------------------------

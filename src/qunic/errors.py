@@ -51,10 +51,6 @@ class TypeCheckError(QunityError):
         self.rule = rule
 
 
-class CompileError(QunityError):
-    """Raised when a well-typed term cannot be lowered to a circuit."""
-
-
 class CapacityError(QunityError):
     """Raised when a dimension, qubit count, or unrolling budget is exceeded."""
 

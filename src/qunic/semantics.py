@@ -27,13 +27,12 @@ memoized on ``(id(program), basis value)`` for one run
   application runs the program on each value of its argument's state.
 * A pattern ``p`` is matched against ``v`` by computing ``[[p]]^dagger v``
   (:meth:`Semantics.match`): variables, pairs, ``()`` and injections bind or
-  fail, and an application ``f(e)`` matches ``e`` against ``f^dagger v``.
-  So ``@adjoint``'s ``pmatch [@f(x) -> x]`` needs no type.
-* ``f^dagger`` (:meth:`Semantics.adjoint`) is built from the same pieces:
-  ``u3`` becomes its conjugate transpose, an injection strips its tag,
-  ``rphase`` negates both phases, and ``lambda`` and ``pmatch`` swap pattern
-  and body.  The adjoint of a program whose body erases a variable is
-  refused.
+  fail, and an application ``f(e)`` matches ``e`` against the state of
+  ``f^dagger`` at ``v``, where ``f^dagger`` is :func:`qunic.core.adjoint`'s
+  program, built once per ``f``.  So ``@adjoint``'s ``pmatch [@f(x) -> x]``
+  needs no type.  A program whose arm erases a variable is refused when its
+  adjoint is built, before any arm is tried; so is an adjoint that leaves
+  garbage.
 * ``lambda``, ``pmatch``, ``ctrl`` and ``match`` take, for each arm, the
   body at what the pattern binds, weighted by the match's amplitude, and stop
   at the first arm that takes all of ``v``; so on basis patterns the first
@@ -52,8 +51,10 @@ memoized on ``(id(program), basis value)`` for one run
 * ``try`` is refused.
 
 What the semantics does not define is refused with
-:class:`~qunic.errors.SemanticsError`, never answered.  Amplitudes below
-``EPS`` in magnitude are dropped, so cancelled branches leave the state.
+:class:`~qunic.errors.SemanticsError`, never answered, and a program nested
+too deeply for the interpreter's stack raises
+:class:`~qunic.errors.CapacityError`.  Amplitudes below ``EPS`` in magnitude
+are dropped, so cancelled branches leave the state.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ from .core import (
     PrRight,
     PrRphase,
     PrU3,
+    adjoint,
     free_qvars,
 )
-from .errors import SemanticsError
+from .errors import CapacityError, SemanticsError
 from .reals import as_pi_multiple, as_rational, evaluate_real
 
 ZERO, ONE = (LEFT, ()), (RIGHT, ())
@@ -130,11 +132,18 @@ class Semantics:
 
     def __init__(self) -> None:
         self.memo: dict = {}  # (id(program), value) -> its state
-        self.adjoints: dict = {}  # (id(program), value) -> {value: amplitude} of its adjoint
+        self.daggers: dict = {}  # id(program) -> its adjoint, by core.adjoint
         self.gates: dict = {}  # id(u3 or rphase) -> its columns or phases
         self.erased: dict = {}  # id(arm) -> names its pattern binds that its body does not use
 
     def run(self, x, arg) -> dict:
+        """The state of ``x`` at ``arg``, as :func:`run` gives it."""
+        try:
+            return self._run(x, arg)
+        except RecursionError:
+            raise CapacityError("program nested too deeply to run") from None
+
+    def _run(self, x, arg) -> dict:
         t = type(x)
         if t in _PROGRAMS:
             key = (id(x), arg)
@@ -146,14 +155,14 @@ class Semantics:
             return {(arg[x.name], ()): 1}
         if t is ExApp:
             out: dict = {}
-            for (v, g), a in self.run(x.arg, arg).items():
-                for (w, h), b in self.run(x.fn, v).items():
+            for (v, g), a in self._run(x.arg, arg).items():
+                for (w, h), b in self._run(x.fn, v).items():
                     _add(out, (w, g + h), a * b)
             return _pruned(out)
         if t is ExPair:
-            right = self.run(x.right, arg)
+            right = self._run(x.right, arg)
             out = {}
-            for (v, g), a in self.run(x.left, arg).items():
+            for (v, g), a in self._run(x.left, arg).items():
                 for (w, h), b in right.items():
                     _add(out, ((v, w), g + h), a * b)
             return out
@@ -161,7 +170,7 @@ class Semantics:
             return {((), ()): 1}
         if t is ExCtrl or t is ExMatch:
             out = {}
-            for (v, g), a in self.run(x.scrutinee, arg).items():
+            for (v, g), a in self._run(x.scrutinee, arg).items():
                 kept = () if t is ExCtrl else (*g, v)
                 for (w, h), b in self._arms(x.arms, v, arg, x.else_body).items():
                     _add(out, (w, kept + h), a * b)
@@ -178,27 +187,24 @@ class Semantics:
             return {(w, ()): a for w, a in self._u3(x)[v == ONE].items()}
         if t is PrLeft or t is PrRight:
             return {((TAGS[t], v), ()): 1}
-        return {(w, ()): a for w, a in self._rphase(x, v, 1).items()}
+        return {(w, ()): a for w, a in self._rphase(x, v).items()}
 
-    def _arms(self, arms, v, env, else_body, adjoint=False) -> dict:
+    def _arms(self, arms, v, env, else_body) -> dict:
         """``sum_j [[body_j]][[pattern_j]]^dagger v`` over ``arms``, or the
         ``else`` body where no pattern takes any of ``v``.
 
         ``env`` is None for the arms of a program, which erase what their
-        body does not use, else the scope of a ``ctrl`` or ``match``.  With
-        ``adjoint``, each arm runs from its body to its pattern.  The arms
-        stop at the first one that takes all of ``v``.
+        body does not use, else the scope of a ``ctrl`` or ``match``.  The
+        arms stop at the first one that takes all of ``v``.
         """
         out: dict = {}
         weight = 0.0
         for arm in arms:
-            pattern, body = (arm.body, arm.pattern) if adjoint else (arm.pattern, arm.body)
             erased = self._erased(arm) if env is None else ()
-            if adjoint and erased:
-                raise SemanticsError(f"no adjoint: a pattern variable is erased ({erased[0]})")
-            for binds, a in self.match(pattern, v):
+            for binds, a in self.match(arm.pattern, v):
                 kept = tuple(binds[name] for name in erased)
-                for (w, h), b in self.run(body, binds if env is None else {**env, **binds}).items():
+                scope = binds if env is None else {**env, **binds}
+                for (w, h), b in self._run(arm.body, scope).items():
                     _add(out, (w, kept + h), a * b)
                 weight += abs(a) ** 2
             if weight > 1 - EPS:
@@ -206,7 +212,7 @@ class Semantics:
         if else_body is not None:
             if weight > EPS:
                 raise SemanticsError("an else arm after a pattern that takes part of a value")
-            out = self.run(else_body, env)
+            out = self._run(else_body, env)
         return _pruned(out)
 
     def _erased(self, arm) -> tuple[str, ...]:
@@ -233,16 +239,15 @@ class Semantics:
             self.gates[id(x)] = got
         return got
 
-    def _rphase(self, x, v, sign: int) -> dict:
-        """``rphase``'s image of ``v``, or its adjoint's with ``sign`` -1."""
-        got = self.gates.get(id(x))
-        if got is None:
-            got = self.gates[id(x)] = _phase(x.on_phase), _phase(x.off_phase)
-        on, off = got if sign == 1 else (got[0].conjugate(), got[1].conjugate())
+    def _rphase(self, x, v) -> dict:
+        """``rphase``'s image of ``v``."""
+        if id(x) not in self.gates:
+            self.gates[id(x)] = _phase(x.on_phase), _phase(x.off_phase)
+        on, off = self.gates[id(x)]
         out = {v: off}
         if on != off:
             for binds, a in self.match(x.pattern, v):
-                for (w, _), b in self.run(x.pattern, binds).items():
+                for (w, _), b in self._run(x.pattern, binds).items():
                     _add(out, w, (on - off) * a * b)
         return _pruned(out)
 
@@ -263,38 +268,17 @@ class Semantics:
             tag = TAGS.get(type(p.fn))
             if tag is not None:
                 return self.match(p.arg, v[1]) if v[0] == tag else []
-            return [
-                (binds, a * b)
-                for w, a in self.adjoint(p.fn, v).items()
-                for binds, b in self.match(p.arg, w)
-            ]
+            dagger = self.daggers.get(id(p.fn))
+            if dagger is None:
+                dagger = self.daggers[id(p.fn)] = adjoint(p.fn)
+                if dagger is None:
+                    raise SemanticsError("no adjoint: a pattern variable is erased")
+            out = []
+            for (w, g), a in self._run(dagger, v).items():
+                if g:
+                    raise SemanticsError("no adjoint: a pattern erases a value")
+                out += [(binds, a * b) for binds, b in self.match(p.arg, w)]
+            return out
         if t is ExUnit:
             return [({}, 1)] if v == () else []
         raise SemanticsError(f"{t.__name__} is not a pattern")
-
-    def adjoint(self, f, v) -> dict:
-        """``f^dagger v``, a dict from values to amplitudes."""
-        key = (id(f), v)
-        got = self.adjoints.get(key)
-        if got is None:
-            got = self.adjoints[key] = self._adjoint(f, v)
-        return got
-
-    def _adjoint(self, f, v) -> dict:
-        t = type(f)
-        if t is PrAbs or t is PrPmatch:
-            out: dict = {}
-            arms = (f,) if t is PrAbs else f.arms
-            for (w, g), a in self._arms(arms, v, None, None, True).items():
-                if g:
-                    raise SemanticsError("no adjoint: a pattern erases a value")
-                out[w] = a
-            return out
-        if t is PrU3:
-            columns = self._u3(f)
-            return _pruned({w: col.get(v, 0).conjugate() for w, col in zip((ZERO, ONE), columns)})
-        if t is PrLeft or t is PrRight:
-            return {v[1]: 1} if v[0] == TAGS[t] else {}
-        if t is PrRphase:
-            return self._rphase(f, v, -1)
-        raise SemanticsError(f"{t.__name__} is not a core program")

@@ -57,6 +57,15 @@ def test_add_const_adds_mod_2_to_the_n(a):
         assert to_int(run(f, num(N, x))) == (x + a) % 2**N
 
 
+@pytest.mark.parametrize("a", [0, 1, 12345, 2**N - 1, -3])
+def test_the_adjoint_of_add_const_subtracts_mod_2_to_the_n(a):
+    f = program(f"@adjoint{{Num{{{N}}}, Num{{{N}}}, @add_const{{{N}, {a}}}}}", N)
+    rng = random.Random(a)
+    for _ in range(SAMPLES):
+        x = rng.randrange(2**N)
+        assert to_int(run(f, num(N, x))) == (x - a) % 2**N
+
+
 @pytest.mark.parametrize("a", [1, 3, 7, 12345, 2**N - 1, -5])
 def test_mod_mult_multiplies_by_an_odd_constant_mod_2_to_the_n(a):
     f, rng = program(f"@mod_mult{{{N}, {a}}}", N), random.Random(a)
@@ -123,6 +132,13 @@ def test_ctrl_keeps_the_variables_of_its_scope_and_its_arms_shadow_them():
     assert run(f, ((LEFT, ()), (RIGHT, ()))) == ((LEFT, ()), (RIGHT, ()))
 
 
+def test_a_pattern_matches_any_program_through_its_adjoint():
+    f = core_of_source("&0 |> lambda b -> match b [(lambda x -> @not(x))(y) -> y]").fn
+    for v, out in (((LEFT, ()), (RIGHT, ())), ((RIGHT, ()), (LEFT, ()))):
+        assert run(f, v) == out
+        assert semantics.probabilities(semantics.run(f, v)) == {out: 1}
+
+
 def test_x_is_recognized_by_its_exact_angles():
     assert run(core_of_source("&0 |> u3{2 * pi / 2, 0 * pi, 3 * pi - 2 * pi}"), {}) == (RIGHT, ())
 
@@ -137,8 +153,9 @@ def test_x_is_recognized_by_its_exact_angles():
         ("&0 |> gphase{pi}", "PrRphase is not classical"),
         ("&0 |> @reflect{Bit, &1}", "PrRphase is not classical"),
         ("&0 |> lambda x -> try @not(x) catch x", "ExTry is not classical"),
-        ("&num_to_state{2, 1} |> @adjoint{Num{2}, Num{2}, @add_const{2, 1}}", "not an injection"),
-        ("&0 |> lambda b -> match b [(lambda x -> @not(x))(y) -> y]", "PrAbs, not an injection"),
+        ("(&0, &0) |> @adjoint{Bit, Bit * Bit, @fst{Bit, Bit}}", "no adjoint"),
+        # its adjoint's pattern is the ctrl of its body, which no pattern reads
+        ("&num_to_state{3, 1} |> @adjoint{Num{3}, Num{3}, @mod_mult{3, 5}}", "ExCtrl is not a"),
         ("&order_finding{3, 7}", "not u3{pi, 0, pi}"),
     ],
 )
@@ -148,7 +165,7 @@ def test_what_is_not_classical_is_refused(source, what):
 
 
 # A variant of three alternatives: @C's constructor is a lambda over two
-# right injections, which a pattern reads as their tags.
+# right injections, which a pattern reads through its adjoint.
 VARIANT = "type T := &A | &B | @C of Bit end\n"
 BITS = [(LEFT, ()), (RIGHT, ())]
 TS = [(LEFT, ()), (RIGHT, (LEFT, ()))] + [(RIGHT, (RIGHT, b)) for b in BITS]

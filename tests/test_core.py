@@ -183,8 +183,10 @@ class TestSharedCores:
                     delattr(node, name)
             assert [getattr(node, name) for name in cls.__slots__] == [None] * len(cls.__slots__)
 
-    def test_importing_the_compiler_loads_no_later_stage(self):
-        script = "import sys, qunic.preprocess\nprint(*sys.modules)\n"
+    @staticmethod
+    def loaded_by(module: str) -> set[str]:
+        """The modules that importing ``module`` loads, in a new interpreter."""
+        script = f"import sys, {module}\nprint(*sys.modules)\n"
         src = str(pathlib.Path(core.__file__).parents[1])
         out = subprocess.run(
             [sys.executable, "-W", "error", "-c", script],
@@ -195,8 +197,16 @@ class TestSharedCores:
         )
         assert out.returncode == 0, out.stderr
         loaded = set(out.stdout.split())
-        assert "qunic.preprocess" in loaded
+        assert module in loaded
+        return loaded
+
+    def test_importing_the_compiler_loads_no_later_stage(self):
+        loaded = self.loaded_by("qunic.preprocess")
         assert not loaded & {"qunic.semantics", "qunic.classical", "qunic.cli"}
+
+    def test_importing_the_tree_with_its_adjoint_loads_no_evaluator(self):
+        loaded = self.loaded_by("qunic.core")
+        assert not loaded & {"qunic.reals", "qunic.semantics", "qunic.classical", "qunic.cli"}
 
     @pytest.mark.parametrize(
         "first", ["qunic.reals", "qunic.core", "qunic.surface", "qunic.parser", "qunic.preprocess"]

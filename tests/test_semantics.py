@@ -6,11 +6,15 @@ import cmath
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qunic import classical
-from qunic.errors import SemanticsError
+from qunic.classical import LEFT, RIGHT, is_x
+from qunic.core import PrLeft, PrRight, PrU3, RBinary, RConst, RPi, TyUnit, adjoint
+from qunic.errors import CapacityError, SemanticsError
 from qunic.preprocess import core_of_source
 from qunic.semantics import ONE, ZERO, Semantics, probabilities, run
 from test_classical import N, SAMPLES, num, program
@@ -56,6 +60,78 @@ def test_adjoint_after_the_program_is_the_identity(name, n):
     s = Semantics()
     for x in range(2**n):
         assert close(s.run(g, num(n, x)), {(num(n, x), ()): 1})
+
+
+def matrix(f) -> list[list[complex]]:
+    """The matrix of the program ``f`` on ``Bit``: row ``w``, column ``v``
+    is the amplitude of ``w`` in the state of ``f`` at ``v``."""
+    columns = [run(f, v) for v in (ZERO, ONE)]
+    return [[column.get((w, ()), 0) for column in columns] for w in (ZERO, ONE)]
+
+
+def is_adjoint_matrix(f) -> bool:
+    """Whether the matrix of ``adjoint(f)`` is the conjugate transpose of
+    ``f``'s, within 1e-12."""
+    m, d = matrix(f), matrix(adjoint(f))
+    return all(abs(d[i][j] - m[j][i].conjugate()) < 1e-12 for i in range(2) for j in range(2))
+
+
+# An angle: an exact multiple of pi / 4, or a float as the exact fraction it is
+_angles = st.one_of(
+    st.integers(-16, 16).map(lambda k: RBinary("*", RConst(k), RBinary("/", RPi(), RConst(4)))),
+    st.floats(-10, 10).map(Fraction).map(
+        lambda q: RBinary("/", RConst(q.numerator), RConst(q.denominator))
+    ),
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_angles, _angles, _angles)
+def test_the_adjoint_of_u3_is_its_conjugate_transpose(theta, phi, lam):
+    assert is_adjoint_matrix(PrU3(theta, phi, lam))
+
+
+def test_the_adjoint_of_x_is_exactly_x():
+    assert is_x(adjoint(PrU3(RPi(), RConst(0), RPi())))
+
+
+@pytest.mark.parametrize("source", ["rphase{&plus, 1 / 3, 2}", "rphase{&1, pi / 4, 0}"])
+def test_the_adjoint_of_rphase_conjugates_its_phases(source):
+    assert is_adjoint_matrix(core_of_source(f"&0 |> {source}").fn)
+
+
+def test_the_adjoint_of_an_injection_strips_its_tag():
+    for inj, tag, other in ((PrLeft, LEFT, RIGHT), (PrRight, RIGHT, LEFT)):
+        f = adjoint(inj(TyUnit(), TyUnit()))
+        assert run(f, (tag, ())) == {((), ()): 1} and run(f, (other, ())) == {}
+        assert classical.run(f, (tag, ())) == () and classical.run(f, (other, ())) is None
+
+
+# Its second arm erases y, so it has no adjoint
+ERASES_IN_ITS_SECOND_ARM = "pmatch [(&0, x) -> (&0, x); (&1, y) -> (&1, &0)]"
+
+
+@pytest.mark.parametrize(
+    "source", ["(&0, &0) |> @fst{Bit, Bit}", f"(&0, &1) |> {ERASES_IN_ITS_SECOND_ARM}"]
+)
+def test_a_program_that_erases_a_variable_has_no_adjoint(source):
+    assert adjoint(core_of_source(source).fn) is None
+
+
+@pytest.mark.parametrize(
+    "source, inputs",
+    [
+        ("&num_to_state{3, 0} |> @qft{3}", [num(3, x) for x in range(8)]),
+        ("&num_to_state{4, 0} |> @add_const{4, 5}", [num(4, x) for x in range(16)]),
+        ("&0 |> @had", [ZERO, ONE]),
+        ("&0 |> rphase{&plus, 1 / 3, 2}", [ZERO, ONE]),
+    ],
+)
+def test_the_adjoint_of_the_adjoint_runs_like_the_program(source, inputs):
+    f = core_of_source(source).fn
+    ff, s = adjoint(adjoint(f)), Semantics()
+    for v in inputs:
+        assert close(s.run(ff, v), s.run(f, v))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -112,6 +188,11 @@ def test_grover_amplifies_as_the_sine_squared(n):
     "name, widths, draw",
     [
         (f"@add_const{{{N}, 12345}}", (N,), lambda rng: num(N, rng.randrange(2**N))),
+        (
+            f"@adjoint{{Num{{{N}}}, Num{{{N}}}, @add_const{{{N}, 12345}}}}",
+            (N,),
+            lambda rng: num(N, rng.randrange(2**N)),
+        ),
         (f"@mod_mult{{{N}, 12345}}", (N,), lambda rng: num(N, rng.randrange(2**N))),
         (
             f"@rev_adder{{{N}}}",
@@ -171,12 +252,25 @@ def test_rphase_reflects_about_a_superposed_pattern():
         ("&0 |> lambda x -> try @not(x) catch x", "try is not defined"),
         ("&0 |> lambda x -> ctrl x [&plus -> &1; else -> &0]", "an else arm after a pattern"),
         ("(&0, &0) |> @adjoint{Bit, Bit * Bit, @fst{Bit, Bit}}", "no adjoint: a pattern variable"),
+        # refused when the adjoint is built, though (&0, &1) takes only the first arm
+        (
+            f"(&0, &1) |> @adjoint{{Bit * Bit, Bit * Bit, {ERASES_IN_ITS_SECOND_ARM}}}",
+            "no adjoint: a pattern variable",
+        ),
         (
             "((&0, &0), &0) |> @adjoint{Bit * Bit * Bit, Bit * Bit * Bit, @cdkm_maj}",
             "ExCtrl is not a pattern",
         ),
+        # the adjoint, lambda x -> @fst(x), leaves the second bit in the garbage
+        ("(&0, &0) |> @adjoint{Bit * Bit, Bit, lambda @fst{Bit, Bit}(x) -> x}", "erases a value"),
     ],
 )
 def test_what_it_does_not_define_is_refused(source, what):
     with pytest.raises(SemanticsError, match=what):
         run(core_of_source(source), {})
+
+
+def test_a_program_too_deep_for_the_stack_is_a_capacity_error():
+    core = core_of_source("(&num_to_state{100, 1}, &num_to_state{100, 2}) |> @rev_adder{100}")
+    with pytest.raises(CapacityError, match="nested too deeply"):
+        run(core, {})
