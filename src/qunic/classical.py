@@ -21,7 +21,8 @@ matches the scrutinee, else the ``else`` body, else None.  A pattern binds
 its variables by :func:`_match`; it is built from variables, pairs, ``()``
 and applications.  An injection's application reads its tag; any other
 ``f(e)`` matches ``e`` against the value of ``f^dagger``, by
-:func:`qunic.core.adjoint`.  So ``@adjoint``'s ``pmatch [@f(x) -> x]`` runs,
+:func:`qunic.core.adjoint`, which builds it once per program and keeps it
+on the program's node.  So ``@adjoint``'s ``pmatch [@f(x) -> x]`` runs,
 as does a variant constructor with a payload, a ``lambda`` over injections.
 
 What is not classical is refused with :class:`~qunic.errors.ClassicalError`

@@ -29,6 +29,11 @@ prints one JSON object as the last line:
 * ``regions_reused``: how many times the elaborator returned the kept core of
   a pattern or closed program that reads no generic parameter, instead of
   elaborating it again.
+* ``kernel_hits``: how many evaluations of an integer expression its kernel
+  answered, instead of elaborating the expression node by node (see
+  :func:`qunic.reals.kernel`).  A kernel is built at an expression's second
+  evaluation in the process, and kept, so a later compile of the same
+  program in one process counts more.
 * ``core_dag_nodes`` and ``core_tree_nodes``: the distinct nodes of the core,
   and the nodes of the tree it stands for, counted over the DAG.
 * ``peak_rss_mb``: the peak resident memory of the ``qunic`` process so far,
@@ -133,6 +138,7 @@ def _compile(source: str, use_prelude: bool, dumps: set[str], stats: bool):
         "print_ms": (printed - elaborated) * 1e3 if dump else None,
         "instantiations": elaborator.instantiations,
         "regions_reused": elaborator.reused,
+        "kernel_hits": elaborator.kernel_hits,
         "prelude_defs_parsed": prelude_defs_parsed(),
         "unroll_budget": UNROLL_BUDGET,
         "core_dag_nodes": dag,

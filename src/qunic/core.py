@@ -75,7 +75,8 @@ A pass that computes a node's value from its :func:`children`' values is a
 the evaluator of reals (:func:`qunic.reals.evaluate_real`) are folds.
 
 :func:`adjoint` is the one rule for ``f^dagger``, which every pass runs
-where a pattern applies ``f``.
+where a pattern applies ``f``; it is built once per program node and kept
+on it.
 """
 
 from __future__ import annotations
@@ -96,9 +97,9 @@ class _Node:
     ``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__`` and
     ``__delattr__``; the five below apply.  Nodes are frozen here, once for
     every class: assigning or deleting any attribute raises
-    :class:`dataclasses.FrozenInstanceError`, and only ``__init__`` and the
-    kept hash write a slot, through ``object.__setattr__``.  Nothing copies
-    or pickles a node, so no class has ``__getstate__``/``__setstate__``.
+    :class:`dataclasses.FrozenInstanceError`; only ``__init__`` and the two
+    kept slots below are written, through ``object.__setattr__``.  Nothing
+    copies or pickles a node, so no class has ``__getstate__``/``__setstate__``.
     Elaboration shares subterms, so a term is a DAG whose tree can be millions
     of times larger; ``hash`` and ``==`` cost work in proportion to the DAG,
     and ``repr`` prints the dataclass form only ``_REPR_DEPTH`` nodes deep.
@@ -109,13 +110,18 @@ class _Node:
     * ``==`` is true on identity and false on two kept hashes that differ;
       otherwise it walks pairs of nodes with an explicit stack, visiting each
       ``(id(a), id(b))`` pair once.
+    * The ``_derived`` slot, like ``_hash`` no dataclass field and outside
+      ``hash`` and ``==``, keeps what a pass derives from the node alone, on
+      the pass's first need: a program's :func:`adjoint`, or, on an integer
+      expression, the state of its kernel (see
+      :meth:`qunic.preprocess.Elaborator.elab`).
 
     This class does not intern: equal nodes built apart are distinct objects,
     equal by the walk.  The elaborator interns what it builds, so within one
     compile equal nodes are one object.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_derived")
 
     def __hash__(self) -> int:
         try:
@@ -697,7 +703,21 @@ def adjoint(f: CoreProg) -> CoreProg | None:
     ``rphase{e, r, r'}`` becomes ``rphase{e, 0 - r, 0 - r'}``, and an
     injection ``lambda inj(x) -> x``.  A program inside an arm is left as it
     is: a pass meets it in a pattern, where it builds its adjoint, or runs it.
+
+    Built once per program node and kept in its ``_derived`` slot, so every
+    pass and every run that meets ``f`` in a pattern shares one ``f^dagger``.
     """
+    if type(f) not in _CORE_PROGS:
+        raise TypeError(f"not a core program: {f!r}")
+    try:
+        return f._derived
+    except AttributeError:
+        dagger = _adjoint(f)
+        object.__setattr__(f, "_derived", dagger)
+        return dagger
+
+
+def _adjoint(f: CoreProg) -> CoreProg | None:
     t = type(f)
     if t is PrAbs or t is PrPmatch:
         arms = (f,) if t is PrAbs else f.arms
@@ -711,10 +731,11 @@ def adjoint(f: CoreProg) -> CoreProg | None:
     if t is PrRphase:
         zero = RConst(0)
         return PrRphase(f.pattern, RBinary("-", zero, f.on_phase), RBinary("-", zero, f.off_phase))
-    if t is PrLeft or t is PrRight:
-        x = ExVar("x")
-        return PrAbs(ExApp(f, x), x)
-    raise TypeError(f"not a core program: {f!r}")
+    x = ExVar("x")  # an injection
+    return PrAbs(ExApp(f, x), x)
+
+
+_CORE_PROGS = frozenset(get_args(CoreProg))
 
 
 # --------------------------------------------------------------------------

@@ -45,6 +45,18 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   where the core needs one, an angle of ``u3`` or ``rphase``, and each
   exact value becomes one node per compile, its canonical tree ``p``,
   ``p / q``, ``pi`` or ``q * pi``, so equal angles are one object;
+* an integer expression, an operator or a comparison over int constants and
+  ``#`` parameters (:func:`~qunic.reals.kernel` says which), is evaluated by
+  its kernel, closures that compute it in one pass, from its second
+  evaluation on: the first marks the node, the second builds the kernel,
+  and the node keeps it in its ``_derived`` slot, outside equality, as it
+  keeps its hash.  So a user expression evaluated once never pays for a
+  build, and a prelude expression's kernel is built once per process (two
+  compiles on two threads may both build it; either kernel serves).  When
+  the kernel answers, its count of parameter reads is added to the region
+  counter below, which keeps exactly what the walk would; when it gives no
+  value, the expression is walked, which gives every other value and every
+  error;
 * ``if .. then .. else .. endif`` conditionals are decided by comparing the
   values of their (closed, by the time substitution has happened) reals;
 * variant constructors become chains of sum injections (a single-alternative
@@ -154,7 +166,7 @@ from .core import (
 from .errors import CapacityError, PreprocessError
 from .lexer import tokenize
 from .parser import parse_file
-from .reals import Rational, Value, compare, step
+from .reals import Rational, Value, compare, kernel, step
 
 # Not called here: the benchmark's tracer hooks these three names on this
 # module, so they stay importable from it.
@@ -369,6 +381,7 @@ class Elaborator:
         self._kept: dict[tuple, tuple] = {}
         self._reads = 0  # generic parameters read so far
         self.reused = 0  # kept regions returned
+        self.kernel_hits = 0  # evaluations that a kernel answered
         self.instantiations = 0
         self._binders = 0  # binders numbered so far in the innermost program
         for d in defs:
@@ -587,6 +600,25 @@ class Elaborator:
             t = type(x)
         if t is RConst:
             return x.value, 0
+        if t is RBinary or t is BCmp:
+            # An integer expression met before runs its kernel, if it has one
+            # and it answers: the slot holds False after a first evaluation,
+            # then the kernel that the second one builds, or None.
+            try:
+                v = x._derived
+            except AttributeError:
+                object.__setattr__(x, "_derived", False)
+                v = None
+            else:
+                if v is False:
+                    v = kernel(x)
+                    object.__setattr__(x, "_derived", v)
+            if v is not None:
+                left = v[0](env.generics)
+                if left is not None:
+                    self._reads += v[1]
+                    self.kernel_hits += 1
+                    return left
         if t is RBinary:
             # A left-nested chain in a loop, so a flat ``1 - 1 - ... - 1``
             # takes no frame per operator: down its left spine, keeping the

@@ -31,6 +31,16 @@ recursion, so a flat chain of any length evaluates.  The preprocessor calls
 subtree twice, and decides a condition with :func:`compare`, which
 :func:`evaluate_bool` uses too.
 
+The integer rule also exists in compiled form: :func:`kernel` turns an
+integer expression over int constants and ``#`` parameters, ``+ - * % / ^``
+with at most one comparison at its root and at most ``KERNEL_NODES`` nodes,
+into nested closures (Feeley and Lapalme, "Using closures for code
+generation", 1987) that apply the rule with all its guards and give no value
+wherever :func:`step` would leave the rule or raise.  The elaborator runs an
+expression's kernel instead of walking it, and walks it when the kernel
+gives no value.  A property test in ``tests/test_reals.py`` pins each kernel
+to the walk: the same value and types, or no value.
+
 A real may also be a :class:`~qunic.core.Name` or an
 :class:`~qunic.core.If` of sort ``"r"``, which exist only in surface syntax.
 The preprocessor substitutes definitions and resolves conditionals, so
@@ -49,6 +59,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from typing import Union
 
@@ -98,16 +109,46 @@ _COMPARISONS = {
 }
 
 
+def _mul(a: int, c: int) -> int | None:
+    v = a * c
+    return v if v.bit_length() <= EXACT_BITS else None
+
+
+def _mod(a: int, c: int) -> int | None:
+    return a % c if c else None
+
+
+def _div(a: int, c: int) -> int | None:
+    if c and a % c == 0:
+        v = a // c
+        return v if v.bit_length() <= EXACT_BITS else None
+    return None
+
+
+def _pow(a: int, c: int) -> int | None:
+    if c < 0 or (a.bit_length() - 1) * c > EXACT_BITS:
+        return None
+    v = a**c
+    return v if v.bit_length() <= EXACT_BITS else None
+
+
+# The integer rule: each operator on two ints, or None for a case that it
+# leaves to the general rules: a zero divisor, a / that does not divide, a
+# negative exponent, and a result over EXACT_BITS, which they refuse.  step
+# and every kernel apply it.
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": _mul, "%": _mod, "/": _div, "^": _pow}
+
+
 def step(op: str, x: Value, y: Value | None = None) -> Value:
     """The value of ``op`` on the values ``x`` and, for a binary operator,
     ``y``: every exact rule and every domain check lives here.
 
     ``ceil``/``floor`` are exact on any argument; every other operation with
     no exact rule below is computed on floats.  Two pi-free int operands take
-    the integer rule first, which equals the general rules on those ints (a
-    property test pins it) without building a Fraction; a zero divisor, a
-    ``/`` that does not divide and a negative exponent are left to the
-    general rules.
+    the integer rule, ``_INT_OPS``, first, which equals the general rules on
+    those ints (a property test pins it) without building a Fraction; what
+    it leaves, a result over ``EXACT_BITS`` included, the general rules
+    compute or refuse.
     """
     if y is None:
         q = x[0] if isinstance(x, tuple) and x[1] == 0 else None
@@ -123,23 +164,11 @@ def step(op: str, x: Value, y: Value | None = None) -> Value:
         exact = type(x) is tuple and type(y) is tuple
         if exact:
             (a, b), (c, d) = x, y
-            if type(a) is int and type(c) is int and b == 0 and d == 0:
+            if type(a) is int and type(c) is int and b == 0 and d == 0 and op in _INT_OPS:
                 # The integer rule; what it leaves falls through to the general rules.
-                if op == "-":
-                    return a - c, 0
-                if op == "%" and c:
-                    return a % c, 0
-                if op == "^" and c >= 0:
-                    bits = (a.bit_length() - 1) * c  # the bound below, for an int base
-                    if bits > EXACT_BITS:
-                        raise _too_large(bits)
-                    return _capped(a**c), 0
-                if op == "/" and c and a % c == 0:
-                    return _capped(a // c), 0
-                if op == "+":
-                    return a + c, 0
-                if op == "*":
-                    return _capped(a * c), 0
+                v = _INT_OPS[op](a, c)
+                if v is not None:
+                    return v, 0
         if op in ("/", "%") and y in ((0, 0), 0.0):  # an exact or a float zero
             what = "division" if op == "/" else "modulus"
             raise RealError(f"{what} by zero in real expression")
@@ -176,12 +205,173 @@ def step(op: str, x: Value, y: Value | None = None) -> Value:
         if math.isfinite(v):
             return v
         problem = "overflows"
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # a nonzero exact divisor can round to 0.0
         problem = "is undefined"
     except OverflowError:
         problem = "overflows"
     shown = f"{op}({fs[0]})" if len(fs) == 1 else f"{fs[0]} {op} {fs[1]}"
     raise RealError(f"{shown} {problem}")
+
+
+# -- kernels: the integer rule, compiled -------------------------------------
+
+# The most nodes of an expression that gets a kernel: 31 operators, as a tree
+# of binary operators has an odd number of nodes.  A kernel's closures nest at
+# most as deep as its tree, so this bounds what running one adds to the stack.
+# The largest expression in the prelude, @add_const's second argument, has 17.
+KERNEL_NODES = 63
+
+# A kernel takes the generic parameters in scope, under ("r", name) as the
+# elaborator keeps them, and gives the value of its expression or None.
+Kernel = Callable[[Mapping[tuple[str, str], object]], Union[Value, bool, None]]
+
+
+def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:
+    """The kernel of ``x`` and the number of parameter reads it stands for,
+    or None when ``x`` has none.
+
+    ``x`` has one when its leaves are int constants and argless ``#`` names,
+    its operators are those of the integer rule, with at most one comparison,
+    at the root, and it has at most ``KERNEL_NODES`` nodes.  The kernel is
+    one closure per operator, each applying :func:`step`'s integer rule to
+    the ints below it, with a constant, and a name on the left, read in its
+    parent's closure, and a constant operation folded.  It gives the value that elaborating ``x``
+    gives, ``(v, 0)`` or a bool, when every name is a parameter whose value
+    is a pi-free int and the rule covers every operation; otherwise None,
+    and elaboration walks ``x``, which gives every other value and every
+    error.  Built with an explicit stack, not by recursion.
+    """
+    if type(x) is BCmp:
+        if x.op not in _COMPARISONS:
+            return None
+        nodes, stack = [x], [x.right, x.left]
+    else:
+        nodes, stack = [], [x]
+    reads = 0
+    while stack:  # the nodes in pre-order, so each comes after its parent
+        y = stack.pop()
+        t = type(y)
+        if t is RBinary and y.op in _INT_OPS:
+            stack += (y.right, y.left)
+        elif t is Name and y.sort == "r" and not y.args:
+            reads += 1
+        elif t is not RConst or type(y.value) is not int:
+            return None
+        nodes.append(y)
+        if len(nodes) > KERNEL_NODES:
+            return None
+    # An operand: ("c", its int), ("n", its key in the parameters), or
+    # ("k", the closure that computes it), under the id of its node.
+    built: dict[int, tuple[str, object]] = {}
+    for y in reversed(nodes):
+        t = type(y)
+        if t is RConst:
+            built[id(y)] = "c", y.value
+        elif t is Name:
+            built[id(y)] = "n", ("r", y.name)
+        else:
+            f = _INT_OPS[y.op] if t is RBinary else _COMPARISONS[y.op]
+            operand = _operation(f, built[id(y.left)], built[id(y.right)])
+            if operand is None:  # a constant operation that has no value
+                return None
+            built[id(y)] = operand
+    kind, root = built[id(x)]
+    if kind == "c":
+        value = root if type(x) is BCmp else (root, 0)
+        return (lambda g: value), reads
+    return (root if type(x) is BCmp else _as_value(root)), reads
+
+
+def _as_value(k: Callable) -> Kernel:
+    def run(g):
+        v = k(g)
+        return None if v is None else (v, 0)
+
+    return run
+
+
+def _operation(f: Callable, left: tuple[str, object], right: tuple[str, object]):
+    """The operand that applies ``f`` to ``left`` and ``right``: a constant
+    when both are, else a closure.  A name on the left is read in place; one
+    on the right, unless a constant, through a closure of its own."""
+    (lk, a), (rk, c) = left, right
+    if rk == "c":
+        if lk == "c":
+            v = f(a, c)
+            return None if v is None else ("c", v)
+        if f is _mod:  # a nonzero constant divisor needs no guard
+            if not c:
+                return None
+            f = operator.mod
+        return "k", (_name_const(f, a, c) if lk == "n" else _kernel_const(f, a, c))
+    if rk == "n":
+        c = _name(c)
+    if lk == "c":
+        return "k", _const_kernel(f, a, c)
+    return "k", (_name_kernel(f, a, c) if lk == "n" else _kernel_kernel(f, a, c))
+
+
+# The closures, one per shape of operands.  A name's value is an operand when
+# it is a tuple whose parts are an int and a 0: a pi-free int.
+
+
+def _name(key):
+    def run(g):
+        v = g.get(key)
+        if type(v) is tuple and type(v[0]) is int and v[1] == 0:
+            return v[0]
+        return None
+
+    return run
+
+
+def _name_const(f, key, c):
+    def run(g):
+        v = g.get(key)
+        if type(v) is tuple and type(v[0]) is int and v[1] == 0:
+            return f(v[0], c)
+        return None
+
+    return run
+
+
+def _name_kernel(f, key, right):
+    def run(g):
+        v = g.get(key)
+        if type(v) is tuple and type(v[0]) is int and v[1] == 0:
+            c = right(g)
+            if c is not None:
+                return f(v[0], c)
+        return None
+
+    return run
+
+
+def _kernel_const(f, left, c):
+    def run(g):
+        a = left(g)
+        return None if a is None else f(a, c)
+
+    return run
+
+
+def _const_kernel(f, a, right):
+    def run(g):
+        c = right(g)
+        return None if c is None else f(a, c)
+
+    return run
+
+
+def _kernel_kernel(f, left, right):
+    def run(g):
+        a = left(g)
+        if a is None:
+            return None
+        c = right(g)
+        return None if c is None else f(a, c)
+
+    return run
 
 
 def _value(r: Real) -> Value:
@@ -231,7 +421,12 @@ def _capped(q: Rational) -> Rational:
 
 
 def _too_large(bits: int) -> CapacityError:
-    return CapacityError(f"an exact real of at least {bits} bits is over the limit of {EXACT_BITS}")
+    # A count too long to convert to a string (2 ^ 2 ^ 65535 needs 2^65535
+    # bits) is shown as the power of 2 at or below it.
+    shown = bits if bits < 2**64 else f"2^{bits.bit_length() - 1}"
+    return CapacityError(
+        f"an exact real of at least {shown} bits is over the limit of {EXACT_BITS}"
+    )
 
 
 def _to_float(v: Value) -> float:

@@ -29,8 +29,8 @@ memoized on ``(id(program), basis value)`` for one run
   (:meth:`Semantics.match`): variables, pairs, ``()`` and injections bind or
   fail, and an application ``f(e)`` matches ``e`` against the state of
   ``f^dagger`` at ``v``, where ``f^dagger`` is :func:`qunic.core.adjoint`'s
-  program, built once per ``f``.  So ``@adjoint``'s ``pmatch [@f(x) -> x]``
-  needs no type.  A program whose arm erases a variable is refused when its
+  program, built once per ``f`` and kept on it.  So ``@adjoint``'s
+  ``pmatch [@f(x) -> x]`` needs no type.  A program whose arm erases a variable is refused when its
   adjoint is built, before any arm is tried; so is an adjoint that leaves
   garbage.
 * ``lambda``, ``pmatch``, ``ctrl`` and ``match`` take, for each arm, the
@@ -132,7 +132,6 @@ class Semantics:
 
     def __init__(self) -> None:
         self.memo: dict = {}  # (id(program), value) -> its state
-        self.daggers: dict = {}  # id(program) -> its adjoint, by core.adjoint
         self.gates: dict = {}  # id(u3 or rphase) -> its columns or phases
         self.erased: dict = {}  # id(arm) -> names its pattern binds that its body does not use
 
@@ -268,11 +267,9 @@ class Semantics:
             tag = TAGS.get(type(p.fn))
             if tag is not None:
                 return self.match(p.arg, v[1]) if v[0] == tag else []
-            dagger = self.daggers.get(id(p.fn))
+            dagger = adjoint(p.fn)
             if dagger is None:
-                dagger = self.daggers[id(p.fn)] = adjoint(p.fn)
-                if dagger is None:
-                    raise SemanticsError("no adjoint: a pattern variable is erased")
+                raise SemanticsError("no adjoint: a pattern variable is erased")
             out = []
             for (w, g), a in self._run(dagger, v).items():
                 if g:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qunic import semantics
+from qunic import core, semantics
 from qunic.classical import LEFT, RIGHT, run
 from qunic.core import PrAbs, PrPmatch
 from qunic.errors import ClassicalError
@@ -64,6 +64,21 @@ def test_the_adjoint_of_add_const_subtracts_mod_2_to_the_n(a):
     for _ in range(SAMPLES):
         x = rng.randrange(2**N)
         assert to_int(run(f, num(N, x))) == (x - a) % 2**N
+
+
+def test_each_programs_adjoint_is_built_once_for_every_pass(monkeypatch):
+    # A pattern @add_const{..}(x) runs that program's adjoint: core.adjoint
+    # builds it once, keeps it on the program's node, and the classical
+    # evaluator and every run of the semantics share it.
+    built, build = [], core._adjoint
+    monkeypatch.setattr(core, "_adjoint", lambda f: built.append(f) or build(f))
+    f = program(f"@adjoint{{Num{{{N}}}, Num{{{N}}}, @add_const{{{N}, 12345}}}}", N)
+    rng = random.Random(2)
+    for _ in range(SAMPLES):
+        x = rng.randrange(2**N)
+        assert to_int(run(f, num(N, x))) == (x - 12345) % 2**N
+        semantics.run(f, num(N, x))
+    assert len(built) == len({id(g) for g in built}) > 0
 
 
 @pytest.mark.parametrize("a", [1, 3, 7, 12345, 2**N - 1, -5])

@@ -95,8 +95,8 @@ def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
     # Exactly the keys that the qunic.cli docstring documents.
     assert set(stats) == {
         "parse_ms", "elaborate_ms", "print_ms", "instantiations", "regions_reused",
-        "prelude_defs_parsed", "unroll_budget", "core_dag_nodes", "core_tree_nodes",
-        "peak_rss_mb",
+        "kernel_hits", "prelude_defs_parsed", "unroll_budget", "core_dag_nodes",
+        "core_tree_nodes", "peak_rss_mb",
     }
     assert text == core.to_str(c)
     assert (stats["core_dag_nodes"], stats["core_tree_nodes"]) == core.node_counts(c)
@@ -112,6 +112,22 @@ def test_stats_counts_the_regions_the_elaborator_reused(tmp_path, capsys, source
     stats = json.loads(out.rstrip("\n").split("\n")[-1])
     assert code == 0
     assert (stats["regions_reused"] > 0) == reused
+
+
+@pytest.mark.parametrize(
+    "source, hits",
+    [
+        ("&order_finding{8, 7}", True),
+        # evaluated once per compile, and parsed anew by each
+        ("&0 |> u3{(3 + 4) % 5, 0, 0}", False),
+        ("@had(&0)", False),
+    ],
+)
+def test_stats_counts_the_evaluations_a_kernel_answered(tmp_path, capsys, source, hits):
+    for _ in range(2):
+        code, out, _ = qunic(tmp_path, capsys, source, "--stats")
+        assert code == 0
+        assert (json.loads(out.rstrip("\n").split("\n")[-1])["kernel_hits"] > 0) == hits
 
 
 SURFACE = """

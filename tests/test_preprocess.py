@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qunic import core, lexer, parser, preprocess
+from qunic import core, lexer, parser, preprocess, reals
 from qunic.core import RBinary, RConst, REuler, RPi, RUnary
 from qunic.errors import CapacityError, PreprocessError, QunityError, RealError
 from qunic.preprocess import core_of_source, load_prelude_defs
@@ -399,6 +399,30 @@ class TestDepth:
             assert core.to_str(core_of_source(main))
         finally:
             sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize(
+        "ops, hits",
+        [(reals.KERNEL_NODES // 2, 1), (reals.KERNEL_NODES // 2 + 1, 0)],
+        ids=["at-the-cap", "over-the-cap"],
+    )
+    def test_an_integer_expression_at_and_over_the_kernel_cap(self, ops, hits):
+        # A flat chain of ``ops`` operators has 2 * ops + 1 nodes: 63, the
+        # most a kernel takes, or 65.  Its definition is instantiated twice,
+        # so at the cap the second evaluation builds the kernel and runs it;
+        # over the cap both are walked.
+        chain = " - ".join(["#x"] + ["1"] * ops)
+        src = f"def #e{{#x}} := {chain} end\n&0 |> u3{{#e{{100}}, #e{{200}}, 0}}"
+        qf = parser.parse_file(src)
+        elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            u3 = elaborator.elaborate(qf.main).fn
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (as_rational(u3.theta), as_rational(u3.phi)) == (100 - ops, 200 - ops)
+        assert elaborator.kernel_hits == hits
+        assert (reals.kernel(qf.defs[0].body) is None) == (hits == 0)
 
     def test_a_flat_chain_compiles_at_the_default_limit(self):
         # The left spine of an operator chain is a loop in the elaborator,

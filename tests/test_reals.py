@@ -5,14 +5,15 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qunic.core import BAnd, BCmp, If, Name, RBinary, RConst, REuler, RPi, RUnary, to_str
-from qunic.errors import CapacityError, RealError
+from qunic.errors import CapacityError, QunityError, RealError
 from qunic.parser import parse_real_string
-from qunic.preprocess import core_of_source
+from qunic.preprocess import Elaborator, _Env, _Inexact, core_of_source
 from qunic.reals import (
-    as_pi_multiple, as_rational, compare, evaluate_bool, evaluate_real, step,
+    EXACT_BITS, KERNEL_NODES, as_pi_multiple, as_rational, compare, evaluate_bool, evaluate_real,
+    kernel, step,
 )
 
 
@@ -321,6 +322,122 @@ def test_the_integer_rule_equals_the_general_rules(op, a, c):
     assert _outcome(step, op, (a, 0), (c, 0)) == general
 
 
+# Constants for kernels: 0, negatives, and the edges of EXACT_BITS, as a value
+# and as an exponent.
+_EDGES = [0, 1, -1, 2, -3, 7, EXACT_BITS, EXACT_BITS + 1, 2**EXACT_BITS - 1, -(2**EXACT_BITS)]
+
+
+def _edge(i: int) -> int:
+    return _EDGES[i]
+
+
+# drawn by index, as Hypothesis shows its strategies' values, and the edges
+# are too long to show
+_kernel_ints = st.one_of(st.integers(0, len(_EDGES) - 1).map(_edge), st.integers(-(2**70), 2**70))
+
+
+def _kernel_trees(depth: int):
+    leaf = st.one_of(_kernel_ints.map(RConst), st.sampled_from("abc").map(lambda n: Name("r", n)))
+    if depth == 0:
+        return leaf
+    sub = _kernel_trees(depth - 1)
+    return st.one_of(leaf, st.builds(RBinary, st.sampled_from("+-*%/^"), sub, sub))
+
+
+def _kernel_roots():
+    tree = st.builds(RBinary, st.sampled_from("+-*%/^"), _kernel_trees(2), _kernel_trees(2))
+    comparison = st.builds(BCmp, st.sampled_from(["=", "!=", "<=", "<", ">=", ">"]), tree, tree)
+    return st.one_of(tree, comparison)
+
+
+_E = _Inexact(REuler(), 2.718281828459045)
+
+# What a parameter may be bound to, as the elaborator keeps it: a pi-free int,
+# a Fraction, a multiple of pi, an inexact value (a float, or an exact value
+# with both parts nonzero, which keeps its tree), or nothing.
+_bindings = st.one_of(
+    _kernel_ints.map(lambda n: (n, 0)),
+    # k + r/d with 0 < r < d, never integral
+    st.builds(
+        lambda k, d, r: (k + Fraction(1 + r % (d - 1), d), 0),
+        _kernel_ints, st.integers(2, 2**70), st.integers(0, 2**70),
+    ),
+    st.sampled_from([(0, 1), (0, -2), (0, Fraction(1, 3))]),
+    st.just(_E),
+    st.just(_Inexact(RBinary("+", RConst(1), RPi()), (1, 1))),
+    st.none(),
+)
+
+
+@settings(deadline=None)  # a power at the edge of EXACT_BITS takes milliseconds
+@given(_kernel_roots(), st.dictionaries(st.sampled_from("abc"), _bindings))
+@example(RBinary("-", Name("r", "a"), RConst(1)), {"a": (5, 0)})
+@example(BCmp("=", RBinary("%", Name("r", "a"), RConst(2)), RConst(1)), {"a": (7, 0)})
+@example(RBinary("^", RConst(2), Name("r", "a")), {"a": (EXACT_BITS, 0)})  # over after
+@example(RBinary("^", RConst(3), Name("r", "a")), {"a": (EXACT_BITS + 1, 0)})  # over before
+@example(RBinary("^", RConst(2), RConst(_edge(8))), {})  # a bound too long to print
+@example(RBinary("/", Name("r", "a"), RConst(0)), {"a": (6, 0)})
+@example(RBinary("%", Name("r", "a"), RBinary("^", RConst(2), RConst(-1075))), {"a": _E})
+@example(RBinary("/", Name("r", "a"), RConst(4)), {"a": (6, 0)})  # does not divide
+@example(RBinary("^", Name("r", "a"), RConst(-1)), {"a": (2, 0)})
+@example(RBinary("*", Name("r", "a"), Name("r", "b")), {"a": (0, 1), "b": (2, 0)})
+def test_a_kernel_gives_the_walks_value_or_none(x, bound):
+    generics = {("r", name): v for name, v in bound.items() if v is not None}
+    elaborator = Elaborator(())
+    try:
+        walked = elaborator.elab(x, _Env(generics, {}))  # a node's first evaluation walks it
+    except QunityError:
+        walked = None
+    built = kernel(x)
+    if built is None:
+        return
+    run, reads = built
+    got = run(generics)
+    if got is None:
+        return
+    assert walked is not None
+    assert got == walked
+    parts = (lambda v: [type(p) for p in v]) if type(got) is tuple else type
+    assert parts(got) == parts(walked)
+    assert reads == elaborator._reads
+
+
+@pytest.mark.parametrize(
+    "src, bound, value, reads",
+    [
+        ("#n - 1", {"n": 12}, (11, 0), 1),
+        ("#n <= 0", {"n": 12}, False, 1),
+        ("#a % 2 = 1", {"a": 12345}, True, 1),
+        ("((#a - #a % 2) / 2 + #a % 2) % 2 ^ (#n - 1)", {"a": 12345, "n": 16}, (6173, 0), 4),
+        ("#a * #a % 2 ^ #n", {"a": 7, "n": 4}, (1, 0), 3),
+        ("2 ^ 10 - 1", {}, (1023, 0), 0),
+    ],
+)
+def test_a_kernel_answers_on_ints(src, bound, value, reads):
+    if type(value) is bool:
+        x = parse_real_string(f"if {src} then 1 else 0 endif").cond
+    else:
+        x = parse_real_string(src)
+    run, n = kernel(x)
+    assert run({("r", name): (v, 0) for name, v in bound.items()}) == value
+    assert n == reads
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "#n - 1 + pi",  # a leaf that is no int
+        "#n{1} - 1",  # a name with arguments
+        "sqrt(#n) - 1",  # an operator outside the integer rule
+        "#n % 0",  # a constant operation with no value
+        "2 ^ -1 + #n",
+        " + ".join(["#n"] * (KERNEL_NODES // 2 + 2)),  # 65 nodes, over the cap
+    ],
+)
+def test_what_gets_no_kernel(src):
+    assert kernel(parse_real_string(src)) is None
+
+
 @pytest.mark.parametrize(
     "op, holds",
     [
@@ -358,6 +475,18 @@ def test_an_exact_value_too_large_is_a_capacity_error(source):
     # 3^(2^24) has about 26.6 million bits; the bound stops it long before.
     with pytest.raises(CapacityError, match=r"exact real of at least \d+ bits"):
         core_of_source(source)
+
+
+@pytest.mark.parametrize("op", ["/", "%"])
+def test_a_float_over_an_exact_divisor_that_rounds_to_0_is_undefined(op):
+    # 2 ^ -1075 is exact and nonzero, and 0.0 as a float.
+    with pytest.raises(RealError, match=rf"2.718281828459045 \{op} 0.0 is undefined"):
+        core_of_source(f"&0 |> u3{{euler {op} 2 ^ -1075, 0, 0}}")
+
+
+def test_a_bound_too_long_to_print_is_shown_as_a_power_of_2():
+    with pytest.raises(CapacityError, match=r"at least 2\^65535 bits"):
+        core_of_source("&0 |> u3{2 ^ 2 ^ 65535, 0, 0}")
 
 
 def test_a_flat_chain_evaluates_at_the_default_recursion_limit():
