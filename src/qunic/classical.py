@@ -12,7 +12,9 @@ product, and ``(LEFT, v)`` or ``(RIGHT, v)`` of a sum.  No types are needed:
 a program is run on a value of its input type, which the patterns read as
 they meet it, and an injection carries its own type.
 
-:func:`run` is one structural recursion with one case per core node class.
+:func:`run` is one structural recursion with one case per core node class,
+and turns a :class:`RecursionError` into a
+:class:`~qunic.errors.CapacityError`, as :func:`qunic.semantics.run` does.
 A program maps a value to a value, or to None where no pattern of its
 ``lambda`` or ``pmatch`` matches (the program maps that state to nothing);
 an expression maps an environment, a dict from variable names to values, to
@@ -50,7 +52,7 @@ from .core import (
     adjoint,
     to_str,
 )
-from .errors import ClassicalError
+from .errors import CapacityError, ClassicalError
 from .reals import as_pi_multiple, as_rational
 
 LEFT, RIGHT = "left", "right"
@@ -65,29 +67,36 @@ def is_x(x: PrU3) -> bool:
 def run(x, arg):
     """The value of the program ``x`` at the value ``arg``, or of the
     expression ``x`` in the environment ``arg``; None for no value."""
+    try:
+        return _run(x, arg)
+    except RecursionError:
+        raise CapacityError("program nested too deeply to run") from None
+
+
+def _run(x, arg):
     t = type(x)
     if t is ExVar:
         return arg[x.name]
     if t is ExApp:
-        v = run(x.arg, arg)
-        return None if v is None else run(x.fn, v)
+        v = _run(x.arg, arg)
+        return None if v is None else _run(x.fn, v)
     if t is ExPair:
-        left, right = run(x.left, arg), run(x.right, arg)
+        left, right = _run(x.left, arg), _run(x.right, arg)
         return None if left is None or right is None else (left, right)
     if t is PrAbs:
         binds = {}
-        return run(x.body, binds) if _match(x.pattern, arg, binds) else None
+        return _run(x.body, binds) if _match(x.pattern, arg, binds) else None
     if t is PrLeft or t is PrRight:
         return TAGS[t], arg
     if t is ExCtrl or t is ExMatch or t is PrPmatch:
-        v = arg if t is PrPmatch else run(x.scrutinee, arg)
+        v = arg if t is PrPmatch else _run(x.scrutinee, arg)
         if v is None:
             return None
         for arm in x.arms:
             binds = {}
             if _match(arm.pattern, v, binds):
-                return run(arm.body, binds if t is PrPmatch else {**arg, **binds})
-        return None if t is PrPmatch or x.else_body is None else run(x.else_body, arg)
+                return _run(arm.body, binds if t is PrPmatch else {**arg, **binds})
+        return None if t is PrPmatch or x.else_body is None else _run(x.else_body, arg)
     if t is ExUnit:
         return ()
     if t is PrU3:
@@ -112,7 +121,7 @@ def _match(p, v, binds: dict) -> bool:
         dagger = adjoint(p.fn)
         if dagger is None:
             raise ClassicalError("no adjoint: a pattern variable is erased")
-        w = run(dagger, v)
+        w = _run(dagger, v)
         return w is not None and _match(p.arg, w, binds)
     if t is ExUnit:
         return v == ()

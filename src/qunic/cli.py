@@ -42,7 +42,7 @@ prints one JSON object as the last line:
 
 The exit status is 0 on success, 1 for an error in the program
 (:class:`~qunic.errors.QunityError`) and 2 for a program too large to compile
-(:class:`~qunic.errors.CapacityError`).  Any other exception is an internal
+or to print (:class:`~qunic.errors.CapacityError`).  Any other exception is an internal
 error, and ends the command with its traceback.
 
 Every pass is one structural recursion, as deep as the term, so the pipeline

@@ -52,7 +52,9 @@ a printer that returned each node's text with its children's inside would
 copy every character once per ancestor.  Hence a node's text must not
 depend on where the node appears: the parent decides whether a child's text
 goes in parentheses, and writes them.  A term nested too deeply for the
-interpreter's stack raises :class:`~qunic.errors.CapacityError`.
+interpreter's stack raises :class:`~qunic.errors.CapacityError`, and so does
+a text longer than ``TEXT_CHARS``, before it builds a much longer string:
+the tree of a DAG can be far larger than memory.
 
 Elaboration memoizes instantiations, so a core term is a DAG whose tree can
 be millions of times larger.  Every node class is a slotted dataclass made by
@@ -742,6 +744,13 @@ _CORE_PROGS = frozenset(get_args(CoreProg))
 # Printer (used by --dump-core, error messages and whole files)
 
 
+# The longest text the printer writes, 64 Mi characters: far above the dumps
+# in use (@qft{128}'s is 2,191,795), far below a tree-sized text of a wide
+# DAG (@add_const{20, 12345}'s would be 159,383,905, and @add_const{100, ·}'s
+# more than memory holds).
+TEXT_CHARS = 1 << 26
+
+
 def to_str(root: _Node) -> str:
     """The text of ``root``, written as pieces into one list and joined once.
 
@@ -749,14 +758,43 @@ def to_str(root: _Node) -> str:
     edges or more is joined once and its string reused at every later
     occurrence, so a character is copied about once per reference to a shared
     node that holds it, not once per ancestor.  A constant too long for
-    ``str`` raises :class:`~qunic.errors.RealError`.
+    ``str`` raises :class:`~qunic.errors.RealError`, and a text longer than
+    ``TEXT_CHARS`` :class:`~qunic.errors.CapacityError`: the whole text, or a
+    shared node's, is refused before a join longer than the bound plus the
+    distinct nodes' own text.
     """
     out: list[str] = []
+    texts: dict[int | None, tuple[int, int] | str | int] = {}
     try:
-        _show(root, {}, out)
+        _show(root, texts, out)
     except RecursionError:
         raise CapacityError("term nested too deeply to print") from None
-    return "".join(out)
+    return _joined(out, texts)
+
+
+def _joined(pieces: list[str], texts: dict[int | None, tuple[int, int] | str | int]) -> str:
+    """``pieces`` joined, if the text has at most ``TEXT_CHARS`` characters;
+    ``texts`` keeps the length of the longest text joined so far under None.
+
+    A piece is either a kept text, at most that long, or a distinct node's
+    own, which is written once.  So while the count of pieces times that
+    length is within the bound, no join can be much longer than it, and the
+    text is checked once joined; past it, the pieces are counted first.
+    """
+    longest = texts.get(None, 0)
+    if len(pieces) * longest > TEXT_CHARS:
+        n = sum(map(len, pieces))
+        if n > TEXT_CHARS:
+            raise _too_long(n)
+    s = "".join(pieces)
+    if len(s) > TEXT_CHARS:
+        raise _too_long(len(s))
+    texts[None] = max(longest, len(s))
+    return s
+
+
+def _too_long(n: int) -> CapacityError:
+    return CapacityError(f"a text of {n} characters is over the limit of {TEXT_CHARS}")
 
 
 core_expr_to_str = to_str  # the name the benchmark calls
@@ -781,25 +819,28 @@ def _binds(x: _Node) -> int:
 
 
 def _show(
-    x: _Node | tuple[GenArg, ...], texts: dict[int, tuple[int, int] | str], out: list[str]
+    x: _Node | tuple[GenArg, ...],
+    texts: dict[int | None, tuple[int, int] | str | int],
+    out: list[str],
 ) -> None:
     """Append the text of ``x`` to ``out``; ``texts`` holds, under the id of
     each node written so far, where its pieces start and end in ``out``, or
-    its text once the node has been reached twice.
+    its text once the node has been reached twice (and what :func:`_joined`
+    keeps under None).
 
-    The second time a node is reached it joins its slice of ``out`` once,
-    keeps the string in ``texts`` and appends it; later visits append the
-    kept string.  Checking, dispatching and storing sit in this one body, so
-    each level of the term costs one frame.  A parent writes the parentheses
-    around a child's text, before and after it, where :func:`_binds` says it
-    must.  The core cases come first, then reals and conditions, sugar, and
-    definitions and files.
+    The second time a node is reached it joins its slice of ``out`` once, if
+    it is at most ``TEXT_CHARS`` long, keeps the string in ``texts`` and
+    appends it; later visits append the kept string.  Checking, dispatching
+    and storing sit in this one body, so each level of the term costs one
+    frame.  A parent writes the parentheses around a child's text, before and
+    after it, where :func:`_binds` says it must.  The core cases come first,
+    then reals and conditions, sugar, and definitions and files.
     """
     key = id(x)
     s = texts.get(key)
     if s is not None:
         if type(s) is tuple:
-            s = texts[key] = "".join(out[s[0] : s[1]])
+            s = texts[key] = _joined(out[s[0] : s[1]], texts)
         out.append(s)
         return
     start = len(out)

@@ -47,8 +47,8 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   ``p / q``, ``pi`` or ``q * pi``, so equal angles are one object;
 * an integer expression, an operator or a comparison over int constants and
   ``#`` parameters (:func:`~qunic.reals.kernel` says which), is evaluated by
-  its kernel, closures that compute it in one pass, from its second
-  evaluation on: the first marks the node, the second builds the kernel,
+  its kernel, one generated function that computes it in one frame, from its
+  second evaluation on: the first marks the node, the second builds the kernel,
   and the node keeps it in its ``_derived`` slot, outside equality, as it
   keeps its hash.  So a user expression evaluated once never pays for a
   build, and a prelude expression's kernel is built once per process (two

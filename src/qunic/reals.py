@@ -20,26 +20,20 @@ three.
 
 :func:`step` is the evaluator: it computes the value of one operation from
 the values of its operands, and every exact rule and domain check is there.
-Its first exact rule is the integer rule: on two pi-free int operands it
-computes ``+ - * %``, a ``/`` that divides and a ``^`` with an exponent of at
-least 0 on ints directly, and leaves every other case to the general rules
-on ``a + b*pi``.  It gives what they give, the same value and types or the
-same error, and a property test in ``tests/test_reals.py`` pins it to them.
 :func:`_value` folds it over a term with :func:`qunic.core.fold`, without
 recursion, so a flat chain of any length evaluates.  The preprocessor calls
 :func:`step` itself, once per node as it elaborates, so it never evaluates a
 subtree twice, and decides a condition with :func:`compare`, which
 :func:`evaluate_bool` uses too.
 
-The integer rule also exists in compiled form: :func:`kernel` turns an
-integer expression over int constants and ``#`` parameters, ``+ - * % / ^``
-with at most one comparison at its root and at most ``KERNEL_NODES`` nodes,
-into nested closures (Feeley and Lapalme, "Using closures for code
-generation", 1987) that apply the rule with all its guards and give no value
-wherever :func:`step` would leave the rule or raise.  The elaborator runs an
-expression's kernel instead of walking it, and walks it when the kernel
-gives no value.  A property test in ``tests/test_reals.py`` pins each kernel
-to the walk: the same value and types, or no value.
+The integer rule, ``_INT_OPS``, lives in kernels only: :func:`kernel` turns
+a small integer expression over ``#`` parameters into one generated
+straight-line function that applies the rule and gives no value wherever
+the rule leaves the case.  The elaborator runs an expression's kernel
+instead of walking it, and walks it with :func:`step` when the kernel gives
+no value.  Property tests in ``tests/test_reals.py`` pin the rule to
+:func:`step` on ints, and each kernel to the walk: the same value and types,
+or no value.
 
 A real may also be a :class:`~qunic.core.Name` or an
 :class:`~qunic.core.If` of sort ``"r"``, which exist only in surface syntax.
@@ -134,8 +128,9 @@ def _pow(a: int, c: int) -> int | None:
 
 # The integer rule: each operator on two ints, or None for a case that it
 # leaves to the general rules: a zero divisor, a / that does not divide, a
-# negative exponent, and a result over EXACT_BITS, which they refuse.  step
-# and every kernel apply it.
+# negative exponent, and a result over EXACT_BITS, which they refuse.  Only
+# kernels apply it; where it gives a value, step gives the same on those ints
+# (a property test pins it).
 _INT_OPS = {"+": operator.add, "-": operator.sub, "*": _mul, "%": _mod, "/": _div, "^": _pow}
 
 
@@ -144,11 +139,7 @@ def step(op: str, x: Value, y: Value | None = None) -> Value:
     ``y``: every exact rule and every domain check lives here.
 
     ``ceil``/``floor`` are exact on any argument; every other operation with
-    no exact rule below is computed on floats.  Two pi-free int operands take
-    the integer rule, ``_INT_OPS``, first, which equals the general rules on
-    those ints (a property test pins it) without building a Fraction; what
-    it leaves, a result over ``EXACT_BITS`` included, the general rules
-    compute or refuse.
+    no exact rule below is computed on floats.
     """
     if y is None:
         q = x[0] if isinstance(x, tuple) and x[1] == 0 else None
@@ -161,18 +152,11 @@ def step(op: str, x: Value, y: Value | None = None) -> Value:
                 return _exact(Fraction(ns, ds)), 0
         args = (x,)
     else:
-        exact = type(x) is tuple and type(y) is tuple
-        if exact:
-            (a, b), (c, d) = x, y
-            if type(a) is int and type(c) is int and b == 0 and d == 0 and op in _INT_OPS:
-                # The integer rule; what it leaves falls through to the general rules.
-                v = _INT_OPS[op](a, c)
-                if v is not None:
-                    return v, 0
         if op in ("/", "%") and y in ((0, 0), 0.0):  # an exact or a float zero
             what = "division" if op == "/" else "modulus"
             raise RealError(f"{what} by zero in real expression")
-        if exact:
+        if type(x) is tuple and type(y) is tuple:
+            (a, b), (c, d) = x, y
             if op == "+":
                 return _exact(a + c), _exact(b + d)
             if op == "-":
@@ -216,9 +200,10 @@ def step(op: str, x: Value, y: Value | None = None) -> Value:
 # -- kernels: the integer rule, compiled -------------------------------------
 
 # The most nodes of an expression that gets a kernel: 31 operators, as a tree
-# of binary operators has an odd number of nodes.  A kernel's closures nest at
-# most as deep as its tree, so this bounds what running one adds to the stack.
-# The largest expression in the prelude, @add_const's second argument, has 17.
+# of binary operators has an odd number of nodes.  A kernel runs in one frame
+# however deep its tree, so this bounds what building one costs: its text and
+# its compile grow with its nodes.  The largest expression in the prelude,
+# @add_const's second argument, has 17.
 KERNEL_NODES = 63
 
 # A kernel takes the generic parameters in scope, under ("r", name) as the
@@ -232,27 +217,27 @@ def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:
 
     ``x`` has one when its leaves are int constants and argless ``#`` names,
     its operators are those of the integer rule, with at most one comparison,
-    at the root, and it has at most ``KERNEL_NODES`` nodes.  The kernel is
-    one closure per operator, each applying :func:`step`'s integer rule to
-    the ints below it, with a constant, and a name on the left, read in its
-    parent's closure, and a constant operation folded.  It gives the value that elaborating ``x``
-    gives, ``(v, 0)`` or a bool, when every name is a parameter whose value
-    is a pi-free int and the rule covers every operation; otherwise None,
-    and elaboration walks ``x``, which gives every other value and every
-    error.  Built with an explicit stack, not by recursion.
+    at the root, and it has at most ``KERNEL_NODES`` nodes.  The kernel is one
+    generated function, one statement per operator, leaves up, applying
+    ``_INT_OPS`` (``_COMPARISONS`` at the root) to ints, each name read once;
+    it returns None where the rule leaves the case, and a constant operation
+    is folded as it is built.  It gives the value that elaborating ``x``
+    gives, ``(v, 0)`` or a bool, when every name is a parameter whose value is
+    a pi-free int and the rule covers every operation; otherwise None, and
+    elaboration walks ``x``, which gives every other value and every error.
     """
     if type(x) is BCmp:
         if x.op not in _COMPARISONS:
             return None
-        nodes, stack = [x], [x.right, x.left]
+        nodes, stack = [x], [x.left, x.right]
     else:
         nodes, stack = [], [x]
     reads = 0
-    while stack:  # the nodes in pre-order, so each comes after its parent
+    while stack:  # the nodes in pre-order, right first: reversed, in post-order
         y = stack.pop()
         t = type(y)
         if t is RBinary and y.op in _INT_OPS:
-            stack += (y.right, y.left)
+            stack += (y.left, y.right)
         elif t is Name and y.sort == "r" and not y.args:
             reads += 1
         elif t is not RConst or type(y.value) is not int:
@@ -260,118 +245,56 @@ def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:
         nodes.append(y)
         if len(nodes) > KERNEL_NODES:
             return None
-    # An operand: ("c", its int), ("n", its key in the parameters), or
-    # ("k", the closure that computes it), under the id of its node.
-    built: dict[int, tuple[str, object]] = {}
+    # The text holds generated identifiers only: each constant, parameter key
+    # and operator is a global, as a constant may be too long for str and a
+    # name need not be an identifier.
+    scope: dict[str, object] = {}
+    lines = ["def run(g):"]
+    # Each node's operand: a constant's value, else the local that holds its
+    # value, or at a root comparison, the call that computes it.
+    built: dict[int, object] = {}
+    local: dict[str, str] = {}  # the local that holds each name's int
     for y in reversed(nodes):
         t = type(y)
         if t is RConst:
-            built[id(y)] = "c", y.value
+            built[id(y)] = y.value
         elif t is Name:
-            built[id(y)] = "n", ("r", y.name)
+            v = local.get(y.name)
+            if v is None:  # read once, and no value unless it is a pi-free int
+                v = local[y.name] = f"n{len(local)}"
+                lines.append(
+                    f" v = g.get({_global(scope, ('r', y.name))})\n if type(v) is not tuple"
+                    f" or type(v[0]) is not int or v[1] != 0: return None\n {v} = v[0]"
+                )
+            built[id(y)] = v
         else:
             f = _INT_OPS[y.op] if t is RBinary else _COMPARISONS[y.op]
-            operand = _operation(f, built[id(y.left)], built[id(y.right)])
-            if operand is None:  # a constant operation that has no value
-                return None
-            built[id(y)] = operand
-    kind, root = built[id(x)]
-    if kind == "c":
-        value = root if type(x) is BCmp else (root, 0)
-        return (lambda g: value), reads
-    return (root if type(x) is BCmp else _as_value(root)), reads
+            a, c = built[id(y.left)], built[id(y.right)]
+            if type(a) is not str and type(c) is not str:
+                v = built[id(y)] = f(a, c)
+                if v is None:  # a constant operation that has no value
+                    return None
+                continue
+            a, c = (v if type(v) is str else _global(scope, v) for v in (a, c))
+            v = f"{_global(scope, f)}({a}, {c})"
+            if t is RBinary:
+                temp = f"t{len(lines)}"
+                lines.append(f" {temp} = {v}\n if {temp} is None: return None")
+                v = temp
+            built[id(y)] = v
+    v = built[id(x)]
+    if type(x) is RBinary:
+        v = f"{v}, 0" if type(v) is str else (v, 0)
+    lines.append(f" return {v if type(v) is str else _global(scope, v)}")
+    exec("\n".join(lines), scope)
+    return scope["run"], reads
 
 
-def _as_value(k: Callable) -> Kernel:
-    def run(g):
-        v = k(g)
-        return None if v is None else (v, 0)
-
-    return run
-
-
-def _operation(f: Callable, left: tuple[str, object], right: tuple[str, object]):
-    """The operand that applies ``f`` to ``left`` and ``right``: a constant
-    when both are, else a closure.  A name on the left is read in place; one
-    on the right, unless a constant, through a closure of its own."""
-    (lk, a), (rk, c) = left, right
-    if rk == "c":
-        if lk == "c":
-            v = f(a, c)
-            return None if v is None else ("c", v)
-        if f is _mod:  # a nonzero constant divisor needs no guard
-            if not c:
-                return None
-            f = operator.mod
-        return "k", (_name_const(f, a, c) if lk == "n" else _kernel_const(f, a, c))
-    if rk == "n":
-        c = _name(c)
-    if lk == "c":
-        return "k", _const_kernel(f, a, c)
-    return "k", (_name_kernel(f, a, c) if lk == "n" else _kernel_kernel(f, a, c))
-
-
-# The closures, one per shape of operands.  A name's value is an operand when
-# it is a tuple whose parts are an int and a 0: a pi-free int.
-
-
-def _name(key):
-    def run(g):
-        v = g.get(key)
-        if type(v) is tuple and type(v[0]) is int and v[1] == 0:
-            return v[0]
-        return None
-
-    return run
-
-
-def _name_const(f, key, c):
-    def run(g):
-        v = g.get(key)
-        if type(v) is tuple and type(v[0]) is int and v[1] == 0:
-            return f(v[0], c)
-        return None
-
-    return run
-
-
-def _name_kernel(f, key, right):
-    def run(g):
-        v = g.get(key)
-        if type(v) is tuple and type(v[0]) is int and v[1] == 0:
-            c = right(g)
-            if c is not None:
-                return f(v[0], c)
-        return None
-
-    return run
-
-
-def _kernel_const(f, left, c):
-    def run(g):
-        a = left(g)
-        return None if a is None else f(a, c)
-
-    return run
-
-
-def _const_kernel(f, a, right):
-    def run(g):
-        c = right(g)
-        return None if c is None else f(a, c)
-
-    return run
-
-
-def _kernel_kernel(f, left, right):
-    def run(g):
-        a = left(g)
-        if a is None:
-            return None
-        c = right(g)
-        return None if c is None else f(a, c)
-
-    return run
+def _global(scope: dict[str, object], value: object) -> str:
+    """A new identifier, under which ``scope`` holds ``value``."""
+    name = f"c{len(scope)}"
+    scope[name] = value
+    return name
 
 
 def _value(r: Real) -> Value:
@@ -410,11 +333,8 @@ def _exact(q: Fraction) -> Rational:
 def _capped(q: Rational) -> Rational:
     """``_exact(q)``, if it has at most ``EXACT_BITS`` bits (the more of its
     numerator's and denominator's); a CapacityError otherwise."""
-    if type(q) is int:
-        bits = q.bit_length()
-    else:
-        n, d = q.numerator, q.denominator
-        q, bits = (n, n.bit_length()) if d == 1 else (q, max(n.bit_length(), d.bit_length()))
+    q = _exact(q)
+    bits = max(q.numerator.bit_length(), q.denominator.bit_length())
     if bits > EXACT_BITS:
         raise _too_large(bits)
     return q

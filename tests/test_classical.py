@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from qunic import core, semantics
+from qunic import cli, core, semantics
 from qunic.classical import LEFT, RIGHT, run
 from qunic.core import PrAbs, PrPmatch
-from qunic.errors import ClassicalError
+from qunic.errors import CapacityError, ClassicalError
 from qunic.preprocess import core_of_source
 
 N = 16
@@ -205,3 +205,10 @@ def test_a_constructor_with_a_payload_matches_as_in_the_semantics(main, inputs):
         out = run(f, v)
         assert out is not None
         assert semantics.probabilities(semantics.run(f, v)) == pytest.approx({out: 1})
+
+
+def test_a_program_too_deep_for_the_stack_is_a_capacity_error():
+    # It compiles on the CLI's deep stack and runs at the default limit.
+    c = cli._on_deep_stack(core_of_source, "&num_to_state{400, 5} |> @add_const{400, 3}")
+    with pytest.raises(CapacityError, match="nested too deeply"):
+        run(c, {})

@@ -71,6 +71,15 @@ def test_an_error_in_the_program_exits_with_its_code(tmp_path, capsys, source, c
     assert err.startswith(f"qunic: {message}")
 
 
+def test_a_dump_over_the_printers_bound_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(core, "TEXT_CHARS", 10_000)
+    code, out, err = qunic(
+        tmp_path, capsys, "&num_to_state{8, 1} |> @add_const{8, 12345}", "--dump-core"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("qunic: CapacityError: a text of ")
+
+
 def test_an_internal_error_ends_in_its_traceback(tmp_path, capsys, monkeypatch):
     def broken(source):
         raise RuntimeError("internal")

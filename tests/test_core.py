@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -146,6 +147,22 @@ class TestSharedCores:
         )
         with pytest.raises(RealError, match="5071 digits"):
             core.to_str(c)
+
+    def test_a_text_over_the_bound_is_refused(self, monkeypatch):
+        # @add_const's halves are shared, so its text is far longer than its
+        # DAG.  At a bound one character short, the final join refuses it; at
+        # a small bound, the join of a shared node's text does.
+        c = core_of_source("&num_to_state{8, 1} |> @add_const{8, 12345}")
+        text = core.to_str(c)
+        monkeypatch.setattr(core, "TEXT_CHARS", len(text))
+        assert core.to_str(c) == text
+        monkeypatch.setattr(core, "TEXT_CHARS", len(text) - 1)
+        with pytest.raises(CapacityError, match=f"a text of {len(text)} characters is over"):
+            core.to_str(c)
+        monkeypatch.setattr(core, "TEXT_CHARS", 1000)
+        with pytest.raises(CapacityError, match="over the limit of 1000$") as refused:
+            core.to_str(c)
+        assert 1000 < int(re.search(r"a text of (\d+)", str(refused.value))[1]) < len(text)
 
     def test_nodes_have_no_dict_and_only_their_declared_fields(self):
         assert len(NODE_CLASSES) == 35

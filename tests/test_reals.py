@@ -12,8 +12,8 @@ from qunic.errors import CapacityError, QunityError, RealError
 from qunic.parser import parse_real_string
 from qunic.preprocess import Elaborator, _Env, _Inexact, core_of_source
 from qunic.reals import (
-    EXACT_BITS, KERNEL_NODES, as_pi_multiple, as_rational, compare, evaluate_bool, evaluate_real,
-    kernel, step,
+    _INT_OPS, EXACT_BITS, KERNEL_NODES, as_pi_multiple, as_rational, compare, evaluate_bool,
+    evaluate_real, kernel, step,
 )
 
 
@@ -317,9 +317,11 @@ def _outcome(fn, *args):
 @example(2**40, 2**40)
 @example(7, 3)  # a / that does not divide
 def test_the_integer_rule_equals_the_general_rules(op, a, c):
-    # Fraction operands never take the integer rule.
-    general = _outcome(step, op, (Fraction(a), 0), (Fraction(c), 0))
-    assert _outcome(step, op, (a, 0), (c, 0)) == general
+    # Where the rule gives a value, step gives it as an int; what the rule
+    # leaves, step computes or refuses on its own.
+    v = _INT_OPS[op](a, c)
+    if v is not None:
+        assert _outcome(step, op, (a, 0), (c, 0)) == ((v, 0), [int, int])
 
 
 # Constants for kernels: 0, negatives, and the edges of EXACT_BITS, as a value
@@ -336,8 +338,12 @@ def _edge(i: int) -> int:
 _kernel_ints = st.one_of(st.integers(0, len(_EDGES) - 1).map(_edge), st.integers(-(2**70), 2**70))
 
 
+# Parameter names, one of them no Python identifier.
+_kernel_names = st.sampled_from(["a", "b", "c", "n'"])
+
+
 def _kernel_trees(depth: int):
-    leaf = st.one_of(_kernel_ints.map(RConst), st.sampled_from("abc").map(lambda n: Name("r", n)))
+    leaf = st.one_of(_kernel_ints.map(RConst), _kernel_names.map(lambda n: Name("r", n)))
     if depth == 0:
         return leaf
     sub = _kernel_trees(depth - 1)
@@ -370,7 +376,7 @@ _bindings = st.one_of(
 
 
 @settings(deadline=None)  # a power at the edge of EXACT_BITS takes milliseconds
-@given(_kernel_roots(), st.dictionaries(st.sampled_from("abc"), _bindings))
+@given(_kernel_roots(), st.dictionaries(_kernel_names, _bindings))
 @example(RBinary("-", Name("r", "a"), RConst(1)), {"a": (5, 0)})
 @example(BCmp("=", RBinary("%", Name("r", "a"), RConst(2)), RConst(1)), {"a": (7, 0)})
 @example(RBinary("^", RConst(2), Name("r", "a")), {"a": (EXACT_BITS, 0)})  # over after
@@ -381,6 +387,7 @@ _bindings = st.one_of(
 @example(RBinary("/", Name("r", "a"), RConst(4)), {"a": (6, 0)})  # does not divide
 @example(RBinary("^", Name("r", "a"), RConst(-1)), {"a": (2, 0)})
 @example(RBinary("*", Name("r", "a"), Name("r", "b")), {"a": (0, 1), "b": (2, 0)})
+@example(RBinary("-", Name("r", "n'"), RConst(_edge(8))), {"n'": (1, 0)})
 def test_a_kernel_gives_the_walks_value_or_none(x, bound):
     generics = {("r", name): v for name, v in bound.items() if v is not None}
     elaborator = Elaborator(())
@@ -429,13 +436,44 @@ def test_a_kernel_answers_on_ints(src, bound, value, reads):
         "#n - 1 + pi",  # a leaf that is no int
         "#n{1} - 1",  # a name with arguments
         "sqrt(#n) - 1",  # an operator outside the integer rule
-        "#n % 0",  # a constant operation with no value
-        "2 ^ -1 + #n",
+        "2 ^ -1 + #n",  # a constant operation with no value
         " + ".join(["#n"] * (KERNEL_NODES // 2 + 2)),  # 65 nodes, over the cap
     ],
 )
 def test_what_gets_no_kernel(src):
     assert kernel(parse_real_string(src)) is None
+
+
+def test_a_modulus_by_zero_has_a_kernel_that_gives_no_value():
+    # The kernel leaves the case, and the walk raises.
+    x = parse_real_string("#n % 0")
+    run, reads = kernel(x)
+    generics = {("r", "n"): (5, 0)}
+    assert run(generics) is None and reads == 1
+    with pytest.raises(RealError, match="modulus by zero"):
+        Elaborator(()).elab(x, _Env(generics, {}))
+
+
+def _depth() -> int:
+    f, n = sys._getframe(), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
+def test_a_kernel_runs_in_one_frame():
+    # A left-nested chain of 31 operators, the most a kernel takes, runs at a
+    # recursion limit a few frames above this test's depth.
+    x = parse_real_string("#n" + " - 1" * (KERNEL_NODES // 2))
+    run, _ = kernel(x)
+    generics = {("r", "n"): (100, 0)}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 10)
+    try:
+        got = run(generics)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (100 - KERNEL_NODES // 2, 0)
 
 
 @pytest.mark.parametrize(
