@@ -20,17 +20,22 @@ A program maps a value to a value, or to None where no pattern of its
 an expression maps an environment, a dict from variable names to values, to
 a value or None.  ``ctrl`` and ``match`` take the first arm whose pattern
 matches the scrutinee, else the ``else`` body, else None.  A pattern binds
-its variables by :func:`_match`; it is built from variables, pairs, ``()``
-and applications.  An injection's application reads its tag; any other
-``f(e)`` matches ``e`` against the value of ``f^dagger``, by
+its variables by :func:`_match`; it is built from variables, pairs, ``()``,
+applications and ``ctrl``.  An injection's application reads its tag; any
+other ``f(e)`` matches ``e`` against the value of ``f^dagger``, by
 :func:`qunic.core.adjoint`, which builds it once per program and keeps it
 on the program's node.  So ``@adjoint``'s ``pmatch [@f(x) -> x]`` runs,
 as does a variant constructor with a payload, a ``lambda`` over injections.
+A ``ctrl`` matches by :func:`qunic.core.ctrl_bindings`: through the first
+arm whose body matches the value and whose pattern the scrutinee, evaluated
+in those bindings, takes.  So the adjoint of a program built on ``ctrl``
+(``@mod_mult``, ``@rev_adder``) runs.
 
 What is not classical is refused with :class:`~qunic.errors.ClassicalError`
 where the evaluation meets it, never answered: an ``rphase``, any other
-``u3``, a ``try``, and a pattern that applies a program with no adjoint, one
-whose arm erases a variable.  An arm that a basis value does not take is not
+``u3``, a ``try``, a pattern that applies a program with no adjoint, one
+whose arm erases a variable, and a ``match`` in a pattern, which erases its
+scrutinee.  An arm that a basis value does not take is not
 evaluated, so it is not checked either: on a basis value, it contributes
 nothing.
 """
@@ -50,6 +55,7 @@ from .core import (
     PrRight,
     PrU3,
     adjoint,
+    ctrl_bindings,
     to_str,
 )
 from .errors import CapacityError, ClassicalError
@@ -125,5 +131,18 @@ def _match(p, v, binds: dict) -> bool:
         return w is not None and _match(p.arg, w, binds)
     if t is ExUnit:
         return v == ()
+    if t is ExCtrl:
+        for got, _ in ctrl_bindings(p, v, _bindings, _run, ClassicalError):
+            return all(binds.setdefault(name, w) == w for name, w in got.items())
+        return False
+    if t is ExMatch:
+        raise ClassicalError("a match is not a pattern: a match erases its scrutinee")
     raise ClassicalError(f"{type(p).__name__} is not a pattern")
+
+
+def _bindings(p, v) -> list[tuple[dict, int]]:
+    """:func:`_match` as a list of ``(bindings, amplitude)``, the form that
+    :func:`qunic.core.ctrl_bindings` reads."""
+    binds: dict = {}
+    return [(binds, 1)] if _match(p, v, binds) else []
 

@@ -64,12 +64,19 @@ or pickles a node.  A node's hash is computed on first use and kept, and ``==``
 is true on identity, else false on two kept hashes that differ, else decided
 by walking pairs of nodes, each ``(id(a), id(b))`` pair once.  Both cost work
 in proportion to the DAG, not the tree, and neither recurses.  ``repr``
-prints the dataclass form down to a fixed depth and ``...`` below it.  The
-elaborator interns every node it builds, once per compile
-(:meth:`qunic.preprocess.Elaborator._make`), so the core of one compile has
-one object per distinct node and ``==`` within it is true on identity.  The
-parser does not intern, and separate compiles share nothing: equal terms
-built apart stay distinct objects and compare equal by the walk.
+prints the dataclass form down to a fixed depth and ``...`` below it.
+
+Nodes are built two ways, to the same object graph.  The parser,
+:func:`adjoint` and tests call a class's ``__init__``.  The elaborator
+interns every node it builds, once per compile: its one entry,
+:meth:`qunic.preprocess.Elaborator._make`, runs the class's interning step
+``_intern`` (:func:`_intern_step`, made by :func:`_node` beside the
+``__init__``), which looks the fields up in the compile's table and, on a
+miss, makes the node with ``object.__new__`` and its slots' descriptors.  So
+the core of one compile has one object per distinct node and ``==`` within
+it is true on identity.  The parser does not intern, and separate compiles
+share nothing: equal terms built apart stay distinct objects and compare
+equal by the walk.
 
 A pass that computes a node's value from its :func:`children`' values is a
 :func:`fold`, the one post-order loop: no recursion, each distinct node once.
@@ -78,7 +85,9 @@ the evaluator of reals (:func:`qunic.reals.evaluate_real`) are folds.
 
 :func:`adjoint` is the one rule for ``f^dagger``, which every pass runs
 where a pattern applies ``f``; it is built once per program node and kept
-on it.
+on it.  Its pattern holds a ``ctrl`` where ``f``'s body does, and
+:func:`ctrl_bindings` is the one rule by which every pass reads a ``ctrl``
+as a pattern.
 """
 
 from __future__ import annotations
@@ -95,13 +104,16 @@ class _Node:
     """Base of every node of the syntax tree.
 
     Subclasses are made by :func:`_node`: slotted dataclasses whose fields are
-    their slots, with one generated ``__init__`` and none of the dataclass's
+    their slots, with one generated ``__init__``, an interning step
+    ``_intern`` (:func:`_intern_step`), and none of the dataclass's
     ``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__`` and
     ``__delattr__``; the five below apply.  Nodes are frozen here, once for
     every class: assigning or deleting any attribute raises
-    :class:`dataclasses.FrozenInstanceError`; only ``__init__`` and the two
-    kept slots below are written, through ``object.__setattr__``.  Nothing
-    copies or pickles a node, so no class has ``__getstate__``/``__setstate__``.
+    :class:`dataclasses.FrozenInstanceError`.  Only a node's builder writes
+    its fields, ``__init__`` through ``object.__setattr__`` and ``_intern``
+    through the slots' descriptors, and a pass writes only the two kept
+    slots below, through ``object.__setattr__``.  Nothing copies or pickles
+    a node, so no class has ``__getstate__``/``__setstate__``.
     Elaboration shares subterms, so a term is a DAG whose tree can be millions
     of times larger; ``hash`` and ``==`` cost work in proportion to the DAG,
     and ``repr`` prints the dataclass form only ``_REPR_DEPTH`` nodes deep.
@@ -114,8 +126,9 @@ class _Node:
       ``(id(a), id(b))`` pair once.
     * The ``_derived`` slot, like ``_hash`` no dataclass field and outside
       ``hash`` and ``==``, keeps what a pass derives from the node alone, on
-      the pass's first need: a program's :func:`adjoint`, or, on an integer
-      expression, the state of its kernel (see
+      the pass's first need: a program's :func:`adjoint`, on a ``ctrl`` met
+      in a pattern its arms as :func:`ctrl_bindings` reads them, or, on an
+      integer expression, the state of its kernel (see
       :meth:`qunic.preprocess.Elaborator.elab`).
 
     This class does not intern: equal nodes built apart are distinct objects,
@@ -154,7 +167,8 @@ class _Node:
 
 
 def _node(cls: type) -> type:
-    """``cls`` as a slotted dataclass with one generated ``__init__``.
+    """``cls`` as a slotted dataclass with one generated ``__init__`` and,
+    for a class of at most three fields, one interning step, ``_intern``.
 
     ``dataclass`` writes no method here; the ``__init__`` takes the fields
     in order, with their defaults, and sets each through
@@ -169,7 +183,74 @@ def _node(cls: type) -> type:
     init.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING) or None
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
+    if len(names) <= 3:
+        cls._intern = _intern_step(cls)
     return cls
+
+
+def _intern_step(cls: type) -> Callable:
+    """The interning step of ``cls``: ``step(nodes, a, b, c)`` is the one node
+    of ``cls`` with the fields ``a``, ``b``, ``c`` (as many as it has) in the
+    table ``nodes``, built on a miss.
+
+    The key is the class and the id of each field: a node of the table, the
+    table's canonical tuple of a node's arms, or None, so no node is hashed.
+    A first field declared ``str`` or ``int`` (a variable's name, a constant,
+    an operator) is keyed as it is.  A miss makes the node with
+    ``object.__new__`` and sets its fields through their slots' descriptors,
+    with no ``__init__`` frame and no ``__setattr__``.  One closure per
+    number of fields, not generated text: compiling text for every class at
+    import cost about 1.9 ms.
+    """
+    new = object.__new__
+    sets = [cls.__dict__[name].__set__ for name in cls.__slots__]
+    raw = bool(sets) and fields(cls)[0].type in ("str", "int")
+    if not sets:
+
+        def step(nodes, a, b, c):
+            node = nodes.get(cls)
+            if node is None:
+                node = nodes[cls] = new(cls)
+            return node
+
+    elif len(sets) == 1:
+        (set_a,) = sets
+
+        def step(nodes, a, b, c):
+            key = (cls, a if raw else id(a))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = new(cls)
+                set_a(node, a)
+            return node
+
+    elif len(sets) == 2:
+        set_a, set_b = sets
+
+        def step(nodes, a, b, c):
+            key = (cls, a if raw else id(a), id(b))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = new(cls)
+                set_a(node, a)
+                set_b(node, b)
+            return node
+
+    else:
+        set_a, set_b, set_c = sets
+
+        def step(nodes, a, b, c):
+            key = (cls, a if raw else id(a), id(b), id(c))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = new(cls)
+                set_a(node, a)
+                set_b(node, b)
+                set_c(node, c)
+            return node
+
+    step.__qualname__ = f"{cls.__qualname__}._intern"
+    return step
 
 
 _REPR_DEPTH = 6
@@ -738,6 +819,68 @@ def _adjoint(f: CoreProg) -> CoreProg | None:
 
 
 _CORE_PROGS = frozenset(get_args(CoreProg))
+
+
+def ctrl_bindings(p: ExCtrl, v, match, value, error: type[Exception]):
+    """The ``ctrl`` ``p`` read as a pattern at the basis value ``v``: each
+    binding of its free variables under which ``p`` gives ``v``, with its
+    amplitude, by one reader's ``match`` and ``value``.
+
+    ``match(q, w)`` lists the reader's ``(bindings, amplitude)`` of the
+    pattern ``q`` at the basis value ``w``, and ``value(e, env)`` is the basis
+    value of the expression ``e`` in ``env``, or None where it has none.  An
+    arm ``p_j -> b_j`` gives each binding B of ``v`` against ``b_j`` under
+    which the scrutinee, evaluated in B less ``p_j``'s own variables, takes
+    arm ``j``: it matches ``p_j`` with the values B gives them, and no
+    earlier pattern.  The ``else`` arm gives each binding of ``v`` against
+    its body under which the scrutinee matches no pattern.  A ``ctrl``'s
+    scrutinee is classical, so its value is one basis value.
+
+    ``p`` is refused with ``error``, before any arm is tried, where an arm's
+    body leaves one of ``p``'s free variables unbound: ``v`` would not tell
+    its value.  The arms and their own variables are derived once and kept
+    in ``p``'s ``_derived`` slot.  A generator: a reader that wants the
+    first binding stops there.
+    """
+    try:
+        arms = p._derived
+    except AttributeError:
+        arms = _ctrl_pattern(p)
+        object.__setattr__(p, "_derived", arms)
+    if type(arms) is str:
+        raise error(arms)
+    for j, (body, own) in enumerate(arms):
+        for binds, a in match(body, v):
+            outer = {name: w for name, w in binds.items() if name not in own}
+            u = value(p.scrutinee, outer)
+            if u is None:
+                continue
+            for i, arm in enumerate(p.arms):
+                got = match(arm.pattern, u)
+                if i < j:
+                    if got:
+                        break  # u takes an earlier arm
+                    continue
+                for inner, b in got:
+                    if all(binds.get(name, w) == w for name, w in inner.items()):
+                        yield outer, a * b
+                break
+            else:  # j is the else arm, and u matches no pattern
+                yield outer, a
+
+
+def _ctrl_pattern(p: ExCtrl) -> list[tuple[CoreExpr, frozenset[str]]] | str:
+    """``p``'s arms as ``(body, its pattern's variables)``, the ``else`` arm
+    last with none; or why ``p`` is no pattern."""
+    frees = free_qvars(p)
+    arms = [(arm.body, free_qvars(arm.pattern)) for arm in p.arms]
+    if p.else_body is not None:
+        arms.append((p.else_body, frozenset()))
+    for body, own in arms:
+        missing = frees - (free_qvars(body) - own)
+        if missing:
+            return f"a ctrl in a pattern whose arm does not give {', '.join(sorted(missing))}"
+    return arms
 
 
 # --------------------------------------------------------------------------

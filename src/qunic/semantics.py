@@ -32,7 +32,10 @@ memoized on ``(id(program), basis value)`` for one run
   program, built once per ``f`` and kept on it.  So ``@adjoint``'s
   ``pmatch [@f(x) -> x]`` needs no type.  A program whose arm erases a variable is refused when its
   adjoint is built, before any arm is tried; so is an adjoint that leaves
-  garbage.
+  garbage.  A ``ctrl`` matches by :func:`qunic.core.ctrl_bindings`: for
+  each arm, each binding of its body at ``v`` under which the scrutinee, a
+  basis value, takes that arm.  A ``match`` in a pattern is refused: it
+  erases its scrutinee.
 * ``lambda``, ``pmatch``, ``ctrl`` and ``match`` take, for each arm, the
   body at what the pattern binds, weighted by the match's amplitude, and stop
   at the first arm that takes all of ``v``; so on basis patterns the first
@@ -78,6 +81,7 @@ from .core import (
     PrRphase,
     PrU3,
     adjoint,
+    ctrl_bindings,
     free_qvars,
 )
 from .errors import CapacityError, SemanticsError
@@ -278,4 +282,20 @@ class Semantics:
             return out
         if t is ExUnit:
             return [({}, 1)] if v == () else []
+        if t is ExCtrl:
+            return list(ctrl_bindings(p, v, self.match, self._basis, SemanticsError))
+        if t is ExMatch:
+            raise SemanticsError("a match is not a pattern: a match erases its scrutinee")
         raise SemanticsError(f"{t.__name__} is not a pattern")
+
+    def _basis(self, e, env):
+        """The basis value of the classical expression ``e`` in ``env``, or
+        None where it has none; its garbage is dropped, as ``ctrl`` drops its
+        scrutinee's."""
+        state = self._run(e, env)
+        if not state:
+            return None
+        ((w, _), a), *rest = state.items()
+        if rest or abs(a - 1) > EPS:
+            raise SemanticsError("a ctrl's scrutinee in a pattern is not one basis value")
+        return w

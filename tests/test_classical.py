@@ -89,6 +89,18 @@ def test_mod_mult_multiplies_by_an_odd_constant_mod_2_to_the_n(a):
         assert to_int(run(f, num(N, x))) == x * a % 2**N
 
 
+@pytest.mark.parametrize("a", [1, 3, 5, 12345, 2**N - 1, -5])
+def test_the_adjoint_of_mod_mult_multiplies_by_the_inverse_constant(a):
+    # Its adjoint's pattern is the ctrl of @mod_mult's body
+    f = program(f"@adjoint{{Num{{{N}}}, Num{{{N}}}, @mod_mult{{{N}, {a}}}}}", N)
+    rng, inverse = random.Random(a), pow(a, -1, 2**N)
+    for _ in range(SAMPLES):
+        x = rng.randrange(2**N)
+        assert to_int(run(f, num(N, x))) == x * inverse % 2**N
+    main = "&num_to_state{3, 1} |> @adjoint{Num{3}, Num{3}, @mod_mult{3, 5}}"
+    assert to_int(run(core_of_source(main), {})) == 5  # 5 * 5 = 1 mod 8
+
+
 def test_rev_adder_adds_its_first_register_into_its_second():
     f, rng = program(f"@rev_adder{{{N}}}", N, N), random.Random(1)
     for _ in range(SAMPLES):
@@ -169,8 +181,17 @@ def test_x_is_recognized_by_its_exact_angles():
         ("&0 |> @reflect{Bit, &1}", "PrRphase is not classical"),
         ("&0 |> lambda x -> try @not(x) catch x", "ExTry is not classical"),
         ("(&0, &0) |> @adjoint{Bit, Bit * Bit, @fst{Bit, Bit}}", "no adjoint"),
-        # its adjoint's pattern is the ctrl of its body, which no pattern reads
-        ("&num_to_state{3, 1} |> @adjoint{Num{3}, Num{3}, @mod_mult{3, 5}}", "ExCtrl is not a"),
+        # its adjoint's pattern is a match, which erases what it matches
+        (
+            "&0 |> @adjoint{Bit, Bit, lambda x -> match x [&0 -> &1; &1 -> &0]}",
+            "a match erases its scrutinee",
+        ),
+        # its adjoint's pattern is a ctrl whose second arm does not give x
+        (
+            "(&0, &0) |> @adjoint{Bit * Bit, Bit * Bit, "
+            "lambda (c, x) -> ctrl c [&0 -> (c, x); &1 -> (c, &0)]}",
+            "arm does not give x",
+        ),
         ("&order_finding{3, 7}", "not u3{pi, 0, pi}"),
     ],
 )

@@ -782,6 +782,95 @@ class TestInterning:
         assert c.left.fn is c.right.fn
 
 
+def _fields_of(cls, make):
+    """Example fields of a node of ``cls``, the nodes among them built by
+    ``make(cls, *fields)``; a tuple of arms is built once per call."""
+    x, unit, pi, one = make(core.ExVar, "x%0"), make(core.ExUnit), make(RPi), make(RConst, 1)
+    bit = make(core.TyUnit)
+    arms = (make(core.CoreArm, x, unit),)
+    return {
+        core.ExVar: ("x%" + str(0),),  # equal to x's name, another str
+        RConst: (int("123456789012345678901234567890"),),  # past the small ints' cache
+        RBinary: ("*", one, pi),
+        RUnary: ("sin", one),
+        core.ExUnit: (),
+        core.TyUnit: (),
+        core.TyVoid: (),
+        RPi: (),
+        REuler: (),
+        core.ExPair: (x, unit),
+        core.ExApp: (make(core.PrLeft, bit, bit), x),
+        core.ExTry: (x, unit),
+        core.CoreArm: (x, unit),
+        core.TyProd: (bit, make(core.TyVoid)),
+        core.TySum: (bit, make(core.TyVoid)),
+        core.PrLeft: (bit, bit),
+        core.PrRight: (bit, bit),
+        core.PrAbs: (x, x),
+        core.PrPmatch: (arms,),
+        core.PrRphase: (x, make(RConst, 0), pi),
+        core.PrU3: (pi, make(RConst, 0), pi),
+        core.ExCtrl: (x, arms, None),
+        core.ExMatch: (x, arms, unit),
+    }[cls]
+
+
+# Every class the elaborator builds: four keyed by their first field as it
+# is, a no-field class, tuple-field classes and the rest.
+INTERNED = [
+    core.ExVar, RConst, RBinary, RUnary, core.ExUnit, core.TyUnit, core.TyVoid, RPi, REuler,
+    core.ExPair, core.ExApp, core.ExTry, core.CoreArm, core.TyProd, core.TySum, core.PrLeft,
+    core.PrRight, core.PrAbs, core.PrPmatch, core.PrRphase, core.PrU3, core.ExCtrl, core.ExMatch,
+]
+
+
+class TestInternStep:
+    """A node that ``Elaborator._make`` builds through its class's interning
+    step is the node that ``__init__`` builds from the same fields."""
+
+    @pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
+    def test_a_made_node_is_the_node_init_builds(self, cls):
+        elaborator = preprocess.Elaborator(())
+        made = elaborator._make(cls, *_fields_of(cls, elaborator._make))
+        built = cls(*_fields_of(cls, lambda c, *f: c(*f)))
+        assert made is not built
+        assert type(made) is type(built) is cls
+        assert made == built and built == made
+        assert hash(made) == hash(built)
+        assert repr(made) == repr(built)
+        assert dataclasses.fields(made) == dataclasses.fields(built)
+        assert not hasattr(made, "__dict__")
+        for node in (made, built):
+            for name in (*cls.__slots__, "_hash", "not_a_field"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(node, name)
+        assert made == built
+
+    @pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
+    def test_equal_fields_give_one_node_in_a_compile(self, cls):
+        elaborator = preprocess.Elaborator(())
+        fields = _fields_of(cls, elaborator._make)
+        node = elaborator._make(cls, *fields)
+        # a name or a constant equal to the first, but another object
+        again = _fields_of(cls, elaborator._make) if cls in (core.ExVar, RConst) else fields
+        assert again == fields
+        assert elaborator._make(cls, *again) is node
+        assert preprocess.Elaborator(())._make(cls, *fields) is not node
+
+    def test_the_steps_keep_classes_and_their_first_fields_apart(self):
+        elaborator = preprocess.Elaborator(())
+        make = elaborator._make
+        one = make(RConst, 1)
+        assert make(core.ExVar, "1") is not make(RConst, 1)
+        assert make(RUnary, "sin", one) is not make(RUnary, "cos", one)
+        assert make(RBinary, "+", one, one) is not make(RBinary, "-", one, one)
+        assert make(core.TyProd, one, one) is not make(core.TySum, one, one)
+        assert make(core.TyUnit) is not make(core.TyVoid)
+        assert len({make(cls) for cls in (core.ExUnit, core.TyUnit, core.TyVoid, RPi)}) == 4
+
+
 def _prelude_entries():
     """The entries of the prelude's table in file order, as built by a fresh
     table: a parsed ``type`` definition, or an unparsed ``def``."""

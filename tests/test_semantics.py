@@ -213,6 +213,79 @@ def test_on_classical_programs_it_is_the_classical_evaluator(name, widths, draw)
         assert s.run(f, v) == {(classical.run(f, v), ()): 1}
 
 
+def registers(*widths: int) -> list:
+    """Every basis value of ``Num{w}``, or of ``Num{w1} * Num{w2}``."""
+    values = [num(widths[0], x) for x in range(2 ** widths[0])]
+    if len(widths) == 1:
+        return values
+    return [(v, num(widths[1], y)) for v in values for y in range(2 ** widths[1])]
+
+
+# Prelude programs whose bodies hold a ctrl, so their adjoints' patterns do:
+# (program, its type A, a value of A, every basis value of A)
+BUILT_ON_CTRL = [
+    case
+    for n in range(1, 5)
+    for case in (
+        (f"@mod_mult{{{n}, 3}}", f"Num{{{n}}}", f"&num_to_state{{{n}, 0}}", registers(n)),
+        (
+            f"@mod_exp{{2, {n}, 3}}",
+            f"Num{{2}} * Num{{{n}}}",
+            f"(&num_to_state{{2, 0}}, &num_to_state{{{n}, 0}})",
+            registers(2, n),
+        ),
+        (
+            f"@rev_adder{{{n}}}",
+            f"Num{{{n}}} * Num{{{n}}}",
+            f"(&num_to_state{{{n}, 0}}, &num_to_state{{{n}, 0}})",
+            registers(n, n),
+        ),
+    )
+] + [
+    (
+        "@cdkm_maj",
+        "Bit * Bit * Bit",
+        "((&0, &0), &0)",
+        [((a, b), c) for a in (ZERO, ONE) for b in (ZERO, ONE) for c in (ZERO, ONE)],
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "name, ty, arg, values", BUILT_ON_CTRL, ids=[case[0] for case in BUILT_ON_CTRL]
+)
+def test_the_adjoint_inverts_a_program_built_on_ctrl(name, ty, arg, values):
+    f = core_of_source(f"{arg} |> lambda x -> @adjoint{{{ty}, {ty}, {name}}}({name}(x))").fn
+    s = Semantics()
+    for v in values:
+        assert s.run(f, v) == {(v, ()): 1}
+        assert classical.run(f, v) == v
+
+
+def test_a_ctrl_in_a_pattern_reads_a_superposed_arm():
+    # A controlled Hadamard: its adjoint reads (c, @had(x)) as a pattern
+    f = program("lambda (c, x) -> ctrl c [&0 -> (c, x); &1 -> (c, @had(x))]", 1, 1)
+    dagger, s = adjoint(f), Semantics()
+    for v in [(c, x) for c in (ZERO, ONE) for x in (ZERO, ONE)]:
+        back: dict = {}
+        for (w, _), a in s.run(f, v).items():
+            for (u, _), b in s.run(dagger, w).items():
+                back[u] = back.get(u, 0) + a * b
+        assert close({(u, ()): a for u, a in back.items()}, {(v, ()): 1})
+
+
+def test_a_ctrl_in_a_pattern_takes_the_arm_its_scrutinee_takes():
+    # y matches every x, so the forward program never takes the second arm,
+    # and its adjoint maps (x, &1) to nothing
+    f = program("lambda x -> ctrl x [y -> (x, &0); &0 -> (x, &1)]", 1)
+    dagger = adjoint(f)
+    for x in (ZERO, ONE):
+        assert run(dagger, (x, ZERO)) == {(x, ()): 1}
+        assert classical.run(dagger, (x, ZERO)) == x
+        assert run(dagger, (x, ONE)) == {}
+        assert classical.run(dagger, (x, ONE)) is None
+
+
 def test_a_lambda_erases_what_its_body_does_not_use_and_ctrl_drops_it():
     # @fst erases the second bit, so the first is left mixed
     state = run(core_of_source("(&plus, &plus) |> @fst{Bit, Bit}"), {})
@@ -258,8 +331,13 @@ def test_rphase_reflects_about_a_superposed_pattern():
             "no adjoint: a pattern variable",
         ),
         (
-            "((&0, &0), &0) |> @adjoint{Bit * Bit * Bit, Bit * Bit * Bit, @cdkm_maj}",
-            "ExCtrl is not a pattern",
+            "&0 |> @adjoint{Bit, Bit, lambda x -> match x [&0 -> &1; &1 -> &0]}",
+            "a match erases its scrutinee",
+        ),
+        (
+            "(&0, &0) |> @adjoint{Bit * Bit, Bit * Bit, "
+            "lambda (c, x) -> ctrl c [&0 -> (c, x); &1 -> (c, &0)]}",
+            "arm does not give x",
         ),
         # the adjoint, lambda x -> @fst(x), leaves the second bit in the garbage
         ("(&0, &0) |> @adjoint{Bit * Bit, Bit, lambda @fst{Bit, Bit}(x) -> x}", "erases a value"),
