@@ -34,10 +34,11 @@ in those bindings, takes.  So the adjoint of a program built on ``ctrl``
 What is not classical is refused with :class:`~qunic.errors.ClassicalError`
 where the evaluation meets it, never answered: an ``rphase``, any other
 ``u3``, a ``try``, a pattern that applies a program with no adjoint, one
-whose arm erases a variable, and a ``match`` in a pattern, which erases its
-scrutinee.  An arm that a basis value does not take is not
-evaluated, so it is not checked either: on a basis value, it contributes
-nothing.
+whose arm erases a variable, a ``match`` in a pattern, which erases its
+scrutinee, and a value of another shape than a pair pattern, an injection
+pattern or a ``u3`` reads, as nothing types the core before it runs.  An
+arm that a basis value does not take is not evaluated, so it is not checked
+either: on a basis value, it contributes nothing.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .errors import CapacityError, ClassicalError
 from .reals import as_pi_multiple, as_rational
 
 LEFT, RIGHT = "left", "right"
+ZERO, ONE = (LEFT, ()), (RIGHT, ())  # &0 and &1
 TAGS = {PrLeft: LEFT, PrRight: RIGHT}  # the tag of each injection
 
 
@@ -106,9 +108,13 @@ def _run(x, arg):
     if t is ExUnit:
         return ()
     if t is PrU3:
-        if is_x(x):
-            return (RIGHT if arg[0] == LEFT else LEFT), ()
-        raise ClassicalError(f"{to_str(x)} is not u3{{pi, 0, pi}}, so it is not classical")
+        if not is_x(x):
+            raise ClassicalError(f"{to_str(x)} is not u3{{pi, 0, pi}}, so it is not classical")
+        if arg == ZERO:
+            return ONE
+        if arg == ONE:
+            return ZERO
+        raise ClassicalError("u3 on a value that is not a bit")
     raise ClassicalError(f"{type(x).__name__} is not classical")
 
 
@@ -119,11 +125,17 @@ def _match(p, v, binds: dict) -> bool:
     if t is ExVar:
         return binds.setdefault(p.name, v) == v
     if t is ExPair:
+        if not v or type(v[0]) is str:
+            raise ClassicalError("a pair pattern on a value that is not a pair")
         return _match(p.left, v[0], binds) and _match(p.right, v[1], binds)
     if t is ExApp:
         tag = TAGS.get(type(p.fn))
         if tag is not None:
-            return v[0] == tag and _match(p.arg, v[1], binds)
+            if v and v[0] == tag:
+                return _match(p.arg, v[1], binds)
+            if not v or type(v[0]) is not str:
+                raise ClassicalError("an injection pattern on a value that is not tagged")
+            return False
         dagger = adjoint(p.fn)
         if dagger is None:
             raise ClassicalError("no adjoint: a pattern variable is erased")

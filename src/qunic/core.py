@@ -61,10 +61,12 @@ be millions of times larger.  Every node class is a slotted dataclass made by
 :func:`_node`, with one generated ``__init__``, and is frozen by
 :class:`_Node`, which refuses every assignment and deletion; nothing copies
 or pickles a node.  A node's hash is computed on first use and kept, and ``==``
-is true on identity, else false on two kept hashes that differ, else decided
-by walking pairs of nodes, each ``(id(a), id(b))`` pair once.  Both cost work
-in proportion to the DAG, not the tree, and neither recurses.  ``repr``
-prints the dataclass form down to a fixed depth and ``...`` below it.
+is true on identity, else decided by walking pairs of nodes, each
+``(id(a), id(b))`` pair once.  Both cost work in proportion to the DAG, not
+the tree, and neither recurses.  No compile hashes or compares a node: the
+elaborator interns, so within a compile identity is equality, and only the
+tests and the benchmark's checks call them.  ``repr`` prints the dataclass
+form down to a fixed depth and ``...`` below it.
 
 Nodes are built two ways, to the same object graph.  The parser,
 :func:`adjoint` and tests call a class's ``__init__``.  The elaborator
@@ -80,8 +82,9 @@ equal by the walk.
 
 A pass that computes a node's value from its :func:`children`' values is a
 :func:`fold`, the one post-order loop: no recursion, each distinct node once.
-:func:`node_counts` (distinct nodes and tree nodes), :func:`free_qvars` and
-the evaluator of reals (:func:`qunic.reals.evaluate_real`) are folds.
+:func:`node_counts` (distinct nodes and tree nodes), :func:`free_qvars`, a
+node's first ``hash`` and the evaluator of reals
+(:func:`qunic.reals.evaluate_real`) are folds.
 
 :func:`adjoint` is the one rule for ``f^dagger``, which every pass runs
 where a pattern applies ``f``; it is built once per program node and kept
@@ -118,12 +121,12 @@ class _Node:
     of times larger; ``hash`` and ``==`` cost work in proportion to the DAG,
     and ``repr`` prints the dataclass form only ``_REPR_DEPTH`` nodes deep.
 
-    * ``hash`` is computed on first use and kept in the ``_hash`` slot, which
-      is not a dataclass field.  Computing it visits only the nodes below
-      whose hash is not kept yet, in an explicit post-order with no recursion.
-    * ``==`` is true on identity and false on two kept hashes that differ;
-      otherwise it walks pairs of nodes with an explicit stack, visiting each
-      ``(id(a), id(b))`` pair once.
+    * ``hash`` is ``hash((type(x), *fields))``, computed on first use and
+      kept in the ``_hash`` slot, which is not a dataclass field.  Computing
+      it is a :func:`fold` over only the nodes below whose hash is not kept
+      yet.
+    * ``==`` is true on identity; otherwise it walks pairs of nodes with an
+      explicit stack, visiting each ``(id(a), id(b))`` pair once.
     * The ``_derived`` slot, like ``_hash`` no dataclass field and outside
       ``hash`` and ``==``, keeps what a pass derives from the node alone, on
       the pass's first need: a program's :func:`adjoint`, on a ``ctrl`` met
@@ -149,11 +152,6 @@ class _Node:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        try:
-            if self._hash != other._hash:
-                return False
-        except AttributeError:  # a hash not computed yet
-            pass
         return _eq_dag(self, other)
 
     def __repr__(self) -> str:
@@ -280,34 +278,20 @@ def _digit_count(n: int) -> int:
 
 
 def _hash_dag(root: _Node) -> int:
-    """Keep the hash of ``root`` and of every node below it that has none yet.
+    """Keep the hash of ``root`` and of every node below it that has none yet:
+    a :func:`fold` whose parts are a node's children with no kept hash, so
+    each field's hash is kept by the time its node's is computed."""
+    return fold(root, _keep_hash, _unhashed)
 
-    A stack entry ``(node, None)`` asks to visit ``node``; ``(node, values)``
-    sits below the entries of its children without a kept hash, and keeps
-    the hash of ``node`` once they have theirs.  Not a :func:`fold`: through
-    one, the first ``hash`` of ``&order_finding{12, 7}`` took 6.3–11.3 ms
-    against 3.3–6.6 ms for this loop (CPython 3.11.7, 15 compiles each).
-    """
-    stack: list[tuple[_Node, list | None]] = [(root, None)]
-    while stack:
-        node, values = stack.pop()
-        if values is None:
-            values = [getattr(node, name) for name in node.__slots__]
-            stack.append((node, values))
-            waiting = len(stack)
-            for v in values:
-                if isinstance(v, _Node):
-                    if not hasattr(v, "_hash"):
-                        stack.append((v, None))
-                elif type(v) is tuple:
-                    stack += [
-                        (c, None) for c in v if isinstance(c, _Node) and not hasattr(c, "_hash")
-                    ]
-            if len(stack) > waiting:
-                continue
-            stack.pop()
-        object.__setattr__(node, "_hash", hash((type(node), *values)))
-    return root._hash
+
+def _unhashed(x: _Node) -> list[_Node]:
+    return [c for c in children(x) if not hasattr(c, "_hash")]
+
+
+def _keep_hash(x: _Node, _) -> int:
+    h = hash((type(x), *[getattr(x, name) for name in x.__slots__]))
+    object.__setattr__(x, "_hash", h)
+    return h
 
 
 def _eq_dag(a: _Node, b: _Node) -> bool:
@@ -790,7 +774,7 @@ def adjoint(f: CoreProg) -> CoreProg | None:
     Built once per program node and kept in its ``_derived`` slot, so every
     pass and every run that meets ``f`` in a pattern shares one ``f^dagger``.
     """
-    if type(f) not in _CORE_PROGS:
+    if type(f) not in CORE_PROGS:
         raise TypeError(f"not a core program: {f!r}")
     try:
         return f._derived
@@ -818,7 +802,7 @@ def _adjoint(f: CoreProg) -> CoreProg | None:
     return PrAbs(ExApp(f, x), x)
 
 
-_CORE_PROGS = frozenset(get_args(CoreProg))
+CORE_PROGS = frozenset(get_args(CoreProg))
 
 
 def ctrl_bindings(p: ExCtrl, v, match, value, error: type[Exception]):

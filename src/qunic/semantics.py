@@ -54,9 +54,10 @@ memoized on ``(id(program), basis value)`` for one run
 * ``try`` is refused.
 
 What the semantics does not define is refused with
-:class:`~qunic.errors.SemanticsError`, never answered, and a program nested
-too deeply for the interpreter's stack raises
-:class:`~qunic.errors.CapacityError`.  Amplitudes below ``EPS`` in magnitude
+:class:`~qunic.errors.SemanticsError`, never answered: among it a value of
+another shape than a pair pattern, an injection pattern or a ``u3`` reads,
+as nothing types the core before it runs.  A program nested too deeply for
+the interpreter's stack raises :class:`~qunic.errors.CapacityError`.  Amplitudes below ``EPS`` in magnitude
 are dropped, so cancelled branches leave the state.
 """
 
@@ -65,8 +66,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from .classical import LEFT, RIGHT, TAGS, is_x
+from .classical import ONE, TAGS, ZERO, is_x
 from .core import (
+    CORE_PROGS,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -78,7 +80,6 @@ from .core import (
     PrLeft,
     PrPmatch,
     PrRight,
-    PrRphase,
     PrU3,
     adjoint,
     ctrl_bindings,
@@ -87,10 +88,7 @@ from .core import (
 from .errors import CapacityError, SemanticsError
 from .reals import as_pi_multiple, as_rational, evaluate_real
 
-ZERO, ONE = (LEFT, ()), (RIGHT, ())
 EPS = 1e-12
-
-_PROGRAMS = frozenset((PrU3, PrLeft, PrRight, PrAbs, PrRphase, PrPmatch))
 
 
 def run(x, arg) -> dict:
@@ -118,6 +116,20 @@ def _phase(r) -> complex:
     return cmath.exp(1j * float(evaluate_real(r)))
 
 
+def _u3(x, v) -> dict:
+    """The column of ``x``'s matrix at ``v``, ``&0`` or ``&1``."""
+    if v != ZERO and v != ONE:
+        raise SemanticsError("u3 on a value that is not a bit")
+    if is_x(x):
+        return {ONE if v == ZERO else ZERO: 1}  # X, exactly
+    theta = float(evaluate_real(x.theta))
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    if v == ZERO:
+        return _pruned({ZERO: c, ONE: _phase(x.phi) * s})
+    lam = _phase(x.lam)
+    return _pruned({ZERO: -lam * s, ONE: _phase(x.phi) * lam * c})
+
+
 def _add(out: dict, key, a) -> None:
     out[key] = out.get(key, 0) + a
 
@@ -130,13 +142,15 @@ class Semantics:
     """The memos of one run: one call of :func:`run`, or the calls of one
     object's :meth:`run`, which share them (on several inputs of a program).
 
-    A memo is keyed by a node's ``id``, so the nodes must live as long as
-    the object does.
+    ``memo`` keeps the state of each program at each input, so a ``u3``'s
+    column and an ``rphase``'s phases are computed once per input, and
+    ``erased`` the variables that each arm of a program erases.  A memo is
+    keyed by a node's ``id``, so the nodes must live as long as the object
+    does.
     """
 
     def __init__(self) -> None:
         self.memo: dict = {}  # (id(program), value) -> its state
-        self.gates: dict = {}  # id(u3 or rphase) -> its columns or phases
         self.erased: dict = {}  # id(arm) -> names its pattern binds that its body does not use
 
     def run(self, x, arg) -> dict:
@@ -148,7 +162,7 @@ class Semantics:
 
     def _run(self, x, arg) -> dict:
         t = type(x)
-        if t in _PROGRAMS:
+        if t in CORE_PROGS:
             key = (id(x), arg)
             state = self.memo.get(key)
             if state is None:
@@ -186,11 +200,10 @@ class Semantics:
         if t is PrAbs or t is PrPmatch:
             arms = (x,) if t is PrAbs else x.arms
             return self._arms(arms, v, None, None)
-        if t is PrU3:
-            return {(w, ()): a for w, a in self._u3(x)[v == ONE].items()}
         if t is PrLeft or t is PrRight:
             return {((TAGS[t], v), ()): 1}
-        return {(w, ()): a for w, a in self._rphase(x, v).items()}
+        out = _u3(x, v) if t is PrU3 else self._rphase(x, v)
+        return {(w, ()): a for w, a in out.items()}
 
     def _arms(self, arms, v, env, else_body) -> dict:
         """``sum_j [[body_j]][[pattern_j]]^dagger v`` over ``arms``, or the
@@ -225,28 +238,9 @@ class Semantics:
             self.erased[id(arm)] = got
         return got
 
-    def _u3(self, x) -> tuple[dict, dict]:
-        """The columns of ``x``'s matrix, for ``&0`` and ``&1``."""
-        got = self.gates.get(id(x))
-        if got is None:
-            if is_x(x):
-                got = {ONE: 1}, {ZERO: 1}  # X, exactly
-            else:
-                theta = float(evaluate_real(x.theta))
-                c, s = math.cos(theta / 2), math.sin(theta / 2)
-                phi, lam = _phase(x.phi), _phase(x.lam)
-                got = (
-                    _pruned({ZERO: c, ONE: phi * s}),
-                    _pruned({ZERO: -lam * s, ONE: phi * lam * c}),
-                )
-            self.gates[id(x)] = got
-        return got
-
     def _rphase(self, x, v) -> dict:
         """``rphase``'s image of ``v``."""
-        if id(x) not in self.gates:
-            self.gates[id(x)] = _phase(x.on_phase), _phase(x.off_phase)
-        on, off = self.gates[id(x)]
+        on, off = _phase(x.on_phase), _phase(x.off_phase)
         out = {v: off}
         if on != off:
             for binds, a in self.match(x.pattern, v):
@@ -260,6 +254,8 @@ class Semantics:
         if t is ExVar:
             return [({p.name: v}, 1)]
         if t is ExPair:
+            if not v or type(v[0]) is str:
+                raise SemanticsError("a pair pattern on a value that is not a pair")
             out = []
             for left, a in self.match(p.left, v[0]):
                 for right, b in self.match(p.right, v[1]):
@@ -270,7 +266,11 @@ class Semantics:
         if t is ExApp:
             tag = TAGS.get(type(p.fn))
             if tag is not None:
-                return self.match(p.arg, v[1]) if v[0] == tag else []
+                if v and v[0] == tag:
+                    return self.match(p.arg, v[1])
+                if not v or type(v[0]) is not str:
+                    raise SemanticsError("an injection pattern on a value that is not tagged")
+                return []
             dagger = adjoint(p.fn)
             if dagger is None:
                 raise SemanticsError("no adjoint: a pattern variable is erased")

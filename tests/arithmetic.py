@@ -1,0 +1,32 @@
+"""The prelude's arithmetic registers, shared by the evaluators' tests:
+``Num{n}`` values, and the core programs that act on them."""
+
+from qunic.classical import LEFT, RIGHT
+from qunic.preprocess import core_of_source
+
+N = 16  # the width of a register
+SAMPLES = 25  # random inputs per program
+
+
+def num(n: int, k: int):
+    """The little-endian ``Num{n}`` value of ``k mod 2^n``."""
+    v = ()
+    for i in reversed(range(n)):
+        v = ((RIGHT if k >> i & 1 else LEFT, ()), v)
+    return v
+
+
+def to_int(v) -> int:
+    """The number a ``Num{n}`` value encodes, little-endian."""
+    k, i = 0, 0
+    while v != ():
+        k |= (v[0][0] == RIGHT) << i
+        v, i = v[1], i + 1
+    return k
+
+
+def program(name: str, *inputs: int):
+    """The core program ``name``, applied to ``&num_to_state`` inputs of these widths."""
+    states = [f"&num_to_state{{{n}, 0}}" for n in inputs]
+    arg = states[0] if len(states) == 1 else f"({', '.join(states)})"
+    return core_of_source(f"{arg} |> {name}").fn

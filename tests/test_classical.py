@@ -2,9 +2,9 @@
 at sizes no dense operator reaches, and what is not classical is refused."""
 
 import random
-import sys
 
 import pytest
+from arithmetic import N, SAMPLES, num, program, to_int
 
 from qunic import cli, core, semantics
 from qunic.classical import LEFT, RIGHT, run
@@ -12,41 +12,12 @@ from qunic.core import PrAbs, PrPmatch
 from qunic.errors import CapacityError, ClassicalError
 from qunic.preprocess import core_of_source
 
-N = 16
-SAMPLES = 25
-
 
 @pytest.fixture(autouse=True)
-def default_recursion_limit():
+def default_recursion_limit(recursion_limit):
     """Every test here runs at the interpreter's default recursion limit."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(limit)
-
-
-def num(n: int, k: int):
-    """The little-endian ``Num{n}`` value of ``k mod 2^n``."""
-    v = ()
-    for i in reversed(range(n)):
-        v = ((RIGHT if k >> i & 1 else LEFT, ()), v)
-    return v
-
-
-def to_int(v) -> int:
-    """The number a ``Num{n}`` value encodes, little-endian."""
-    k, i = 0, 0
-    while v != ():
-        k |= (v[0][0] == RIGHT) << i
-        v, i = v[1], i + 1
-    return k
-
-
-def program(name: str, *inputs: int):
-    """The core program ``name``, applied to ``&num_to_state`` inputs of these widths."""
-    states = [f"&num_to_state{{{n}, 0}}" for n in inputs]
-    arg = states[0] if len(states) == 1 else f"({', '.join(states)})"
-    return core_of_source(f"{arg} |> {name}").fn
+    with recursion_limit(1000):
+        yield
 
 
 @pytest.mark.parametrize("a", [0, 1, 5, 12345, 2**N - 1, 2**N + 3, -3])
@@ -126,6 +97,9 @@ def test_a_lambda_whose_pattern_does_not_match_gives_none():
     f = core_of_source("(&0, &1) |> lambda (x, &0) -> x").fn
     assert run(f, ((LEFT, ()), (RIGHT, ()))) is None
     assert run(f, ((RIGHT, ()), (LEFT, ()))) == (RIGHT, ())
+    # a () pattern takes only (): on &0 it gives no value, and refuses nothing
+    f = core_of_source("&0 |> lambda () -> &1").fn
+    assert run(f, (LEFT, ())) is None and semantics.run(f, (LEFT, ())) == {}
 
 
 def test_nothing_passes_through_an_application_and_a_pair():
@@ -193,6 +167,12 @@ def test_x_is_recognized_by_its_exact_angles():
             "arm does not give x",
         ),
         ("&order_finding{3, 7}", "not u3{pi, 0, pi}"),
+        # values of another shape than their pattern or gate reads: nothing
+        # types the core before it runs
+        ("() |> @not", "u3 on a value that is not a bit"),
+        ("(&0, &1) |> @had", "not u3{pi, 0, pi}"),
+        ("&0 |> lambda (x, y) -> x", "a pair pattern on a value that is not a pair"),
+        ("() |> lambda &0 -> &1", "an injection pattern on a value that is not tagged"),
     ],
 )
 def test_what_is_not_classical_is_refused(source, what):

@@ -37,14 +37,11 @@ DEEP = [
 
 
 @pytest.mark.parametrize("source", DEEP)
-def test_what_the_default_stack_refuses_compiles_on_the_worker_stack(tmp_path, capsys, source):
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        with pytest.raises(CapacityError):
-            core.to_str(core_of_source(source))
-    finally:
-        sys.setrecursionlimit(limit)
+def test_what_the_default_stack_refuses_compiles_on_the_worker_stack(
+    tmp_path, capsys, recursion_limit, source
+):
+    with recursion_limit(1000), pytest.raises(CapacityError):
+        core.to_str(core_of_source(source))
     code, out, err = qunic(tmp_path, capsys, source, "--dump-core")
     assert (code, err) == (0, "")
     assert out.endswith(")\n")

@@ -528,11 +528,7 @@ def _negated_conjunctions(n):
 
 
 @pytest.mark.parametrize("build", [_sum_of_sines, _tower_of_twos, _negated_conjunctions])
-def test_an_operand_chain_costs_one_frame_per_level(build):
+def test_an_operand_chain_costs_one_frame_per_level(recursion_limit, build):
     term = build(900)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
+    with recursion_limit(1000):
         assert core.to_str(term)
-    finally:
-        sys.setrecursionlimit(limit)

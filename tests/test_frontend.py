@@ -1,7 +1,5 @@
 """Lexer, parser, and pretty-printer behavior on surface syntax."""
 
-import sys
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -490,13 +488,6 @@ def _nested(head, middle, tail):
     return lambda n: head * n + middle + tail * n
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 # Each shape parses at this depth when the parser has the default recursion
 # limit of 1000 frames to itself, as it has when a script calls it; the floors
 # sit a little below what it reaches, so that a change that costs one more
@@ -520,14 +511,10 @@ def _stack_depth():
         "type_if", "type_args", "applied_lambda", "power_tower",
     ],
 )
-def test_each_nesting_shape_parses_at_its_floor(parse, build, depth):
+def test_each_nesting_shape_parses_at_its_floor(recursion_limit, stack_depth, parse, build, depth):
     text = build(depth)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000 + _stack_depth())  # not counting pytest's own frames
-    try:
+    with recursion_limit(1000 + stack_depth()):  # not counting pytest's own frames
         assert parse(text)
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 class TestPrettyPrinter:

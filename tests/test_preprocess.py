@@ -392,20 +392,16 @@ class TestDepth:
             "(&num_to_state{96, 1}, &num_to_state{96, 1}) |> @rev_adder{96}",
         ],
     )
-    def test_wide_circuit_compiles_and_prints_at_the_default_limit(self, main):
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
+    def test_wide_circuit_compiles_and_prints_at_the_default_limit(self, recursion_limit, main):
+        with recursion_limit(1000):
             assert core.to_str(core_of_source(main))
-        finally:
-            sys.setrecursionlimit(limit)
 
     @pytest.mark.parametrize(
         "ops, hits",
         [(reals.KERNEL_NODES // 2, 1), (reals.KERNEL_NODES // 2 + 1, 0)],
         ids=["at-the-cap", "over-the-cap"],
     )
-    def test_an_integer_expression_at_and_over_the_kernel_cap(self, ops, hits):
+    def test_an_integer_expression_at_and_over_the_kernel_cap(self, recursion_limit, ops, hits):
         # A flat chain of ``ops`` operators has 2 * ops + 1 nodes: 63, the
         # most a kernel takes, or 65.  Its definition is instantiated twice,
         # so at the cap the second evaluation builds the kernel and runs it;
@@ -414,29 +410,21 @@ class TestDepth:
         src = f"def #e{{#x}} := {chain} end\n&0 |> u3{{#e{{100}}, #e{{200}}, 0}}"
         qf = parser.parse_file(src)
         elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
+        with recursion_limit(1000):
             u3 = elaborator.elaborate(qf.main).fn
-        finally:
-            sys.setrecursionlimit(limit)
         assert (as_rational(u3.theta), as_rational(u3.phi)) == (100 - ops, 200 - ops)
         assert elaborator.kernel_hits == hits
         assert (reals.kernel(qf.defs[0].body) is None) == (hits == 0)
 
-    def test_a_flat_chain_compiles_at_the_default_limit(self):
+    def test_a_flat_chain_compiles_at_the_default_limit(self, recursion_limit):
         # The left spine of an operator chain is a loop in the elaborator,
         # as it is in the parser and in reals._value.
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
+        with recursion_limit(1000):
             flat = core_of_source("&0 |> u3{" + " - ".join(["1"] * 20_000) + ", 0, 0}")
             # pi - pi is exact, so only the last node is neither rational nor
             # a multiple of pi; in 1 + pi + ... + pi every node is inexact.
             last = core_of_source("&0 |> u3{" + " - ".join(["pi"] * 2_999) + " + 1, 0, 0}")
             every = core_of_source("&0 |> u3{1 + " + " + ".join(["pi"] * 2_999) + ", 0, 0}")
-        finally:
-            sys.setrecursionlimit(limit)
         assert core.to_str(flat.fn) == "u3{-19998, 0, 0}"
         assert core.to_str(last.fn) == "u3{(-2997) * pi + 1, 0, 0}"
         assert isinstance(every.fn.theta, RBinary)

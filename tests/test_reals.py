@@ -454,25 +454,14 @@ def test_a_modulus_by_zero_has_a_kernel_that_gives_no_value():
         Elaborator(()).elab(x, _Env(generics, {}))
 
 
-def _depth() -> int:
-    f, n = sys._getframe(), 0
-    while f is not None:
-        f, n = f.f_back, n + 1
-    return n
-
-
-def test_a_kernel_runs_in_one_frame():
+def test_a_kernel_runs_in_one_frame(recursion_limit, stack_depth):
     # A left-nested chain of 31 operators, the most a kernel takes, runs at a
     # recursion limit a few frames above this test's depth.
     x = parse_real_string("#n" + " - 1" * (KERNEL_NODES // 2))
     run, _ = kernel(x)
     generics = {("r", "n"): (100, 0)}
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_depth() + 10)
-    try:
+    with recursion_limit(stack_depth() + 10):
         got = run(generics)
-    finally:
-        sys.setrecursionlimit(limit)
     assert got == (100 - KERNEL_NODES // 2, 0)
 
 

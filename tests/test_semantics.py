@@ -5,10 +5,10 @@ classical evaluator where both apply."""
 import cmath
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
+from arithmetic import N, SAMPLES, num, program
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qunic import classical
@@ -17,16 +17,13 @@ from qunic.core import PrLeft, PrRight, PrU3, RBinary, RConst, RPi, TyUnit, adjo
 from qunic.errors import CapacityError, SemanticsError
 from qunic.preprocess import core_of_source
 from qunic.semantics import ONE, ZERO, Semantics, probabilities, run
-from test_classical import N, SAMPLES, num, program
 
 
 @pytest.fixture(autouse=True)
-def default_recursion_limit():
+def default_recursion_limit(recursion_limit):
     """Every test here runs at the interpreter's default recursion limit."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(limit)
+    with recursion_limit(1000):
+        yield
 
 
 def big_endian(v) -> int:
@@ -341,11 +338,28 @@ def test_rphase_reflects_about_a_superposed_pattern():
         ),
         # the adjoint, lambda x -> @fst(x), leaves the second bit in the garbage
         ("(&0, &0) |> @adjoint{Bit * Bit, Bit, lambda @fst{Bit, Bit}(x) -> x}", "erases a value"),
+        # values of another shape than their pattern or gate reads: nothing
+        # types the core before it runs
+        ("() |> @not", "u3 on a value that is not a bit"),
+        ("(&0, &1) |> @had", "u3 on a value that is not a bit"),
+        ("&0 |> lambda (x, y) -> x", "a pair pattern on a value that is not a pair"),
+        ("() |> lambda &0 -> &1", "an injection pattern on a value that is not tagged"),
     ],
 )
 def test_what_it_does_not_define_is_refused(source, what):
     with pytest.raises(SemanticsError, match=what):
         run(core_of_source(source), {})
+
+
+def test_one_semantics_object_runs_gates_as_fresh_runs_do():
+    # Its program memo keeps one state per (gate, input): each u3 and rphase
+    # of @qft{3} and of its adjoint, met again, gives the state it gave first.
+    s = Semantics()
+    programs = [program(f, 3) for f in ("@qft{3}", "@adjoint{Num{3}, Num{3}, @qft{3}}")]
+    for _ in range(2):
+        for f in programs:
+            for v in registers(3):
+                assert s.run(f, v) == run(f, v)
 
 
 def test_a_program_too_deep_for_the_stack_is_a_capacity_error():
