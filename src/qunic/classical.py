@@ -55,12 +55,12 @@ from .core import (
     PrPmatch,
     PrRight,
     PrU3,
+    RExact,
     adjoint,
     ctrl_bindings,
     to_str,
 )
 from .errors import CapacityError, ClassicalError
-from .reals import as_pi_multiple, as_rational
 
 LEFT, RIGHT = "left", "right"
 ZERO, ONE = (LEFT, ()), (RIGHT, ())  # &0 and &1
@@ -68,8 +68,14 @@ TAGS = {PrLeft: LEFT, PrRight: RIGHT}  # the tag of each injection
 
 
 def is_x(x: PrU3) -> bool:
-    """Whether the ``u3`` node ``x`` is exactly ``u3{pi, 0, pi}``, the X gate."""
-    return as_pi_multiple(x.theta) == 1 == as_pi_multiple(x.lam) and as_rational(x.phi) == 0
+    """Whether the ``u3`` node ``x`` is exactly ``u3{pi, 0, pi}``, the X gate:
+    read from its angles' exact leaves, as the core holds every exact angle."""
+    return _exact(x.theta) == _exact(x.lam) == (0, 1) and _exact(x.phi) == (0, 0)
+
+
+def _exact(r) -> tuple | None:
+    """The value ``(a, b)`` of ``r``, an exact leaf, or None for any other node."""
+    return (r.a, r.b) if type(r) is RExact else None
 
 
 def run(x, arg):

@@ -9,13 +9,17 @@ Core types are built from Void, Unit, sums, and products; core expressions
 keep only the quantum constructs (unit, variables, pairs, ``ctrl``,
 ``match``, ``try``, application) and core programs only the primitives
 (``u3``, the two sum injections, abstraction, ``rphase``, ``pmatch``), whose
-angles are closed reals.  The sugar nodes are type variables, names with
-generic arguments (of types, expressions, programs, reals, and variant
-constructors) and compile-time conditionals (``if .. then .. else .. endif``),
-the three that need compile-time values; :data:`CoreType`, :data:`CoreExpr` and
-:data:`CoreProg` exclude them, :data:`Type`, :data:`Expr`, :data:`Prog` and
-:data:`Real` do not.  ``let`` and ``gphase`` have no class: the parser reads
-them as their core forms.  The sum injections never come from parsed input.
+angles are closed reals.  An exact angle ``a + b*pi`` is one leaf,
+:class:`RExact`, which the passes read as a value and the printer writes as
+the tree that spells it; an inexact one (a float such as ``sin(1)``) keeps
+its tree, whose exact parts are leaves.  The parser never builds a leaf.
+The sugar nodes are type variables, names with generic arguments (of types,
+expressions, programs, reals, and variant constructors) and compile-time
+conditionals (``if .. then .. else .. endif``), the three that need
+compile-time values; :data:`CoreType`, :data:`CoreExpr` and :data:`CoreProg`
+exclude them, :data:`Type`, :data:`Expr`, :data:`Prog` and :data:`Real` do
+not.  ``let`` and ``gphase`` have no class: the parser reads them as their
+core forms.  The sum injections never come from parsed input.
 :mod:`qunic.reals` evaluates the reals and conditions.
 
 Types, expressions, programs and reals are the four *sorts*, ``"t"``,
@@ -98,6 +102,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from fractions import Fraction
 from typing import Union, get_args
 
 from .errors import CapacityError, RealError
@@ -193,8 +198,9 @@ def _intern_step(cls: type) -> Callable:
 
     The key is the class and the id of each field: a node of the table, the
     table's canonical tuple of a node's arms, or None, so no node is hashed.
-    A first field declared ``str`` or ``int`` (a variable's name, a constant,
-    an operator) is keyed as it is.  A miss makes the node with
+    A field declared ``str``, ``int`` or ``Rational`` (a variable's name, an
+    operator, a constant, an exact real's parts) is keyed as it is, by
+    value.  A miss makes the node with
     ``object.__new__`` and sets its fields through their slots' descriptors,
     with no ``__init__`` frame and no ``__setattr__``.  One closure per
     number of fields, not generated text: compiling text for every class at
@@ -202,7 +208,7 @@ def _intern_step(cls: type) -> Callable:
     """
     new = object.__new__
     sets = [cls.__dict__[name].__set__ for name in cls.__slots__]
-    raw = bool(sets) and fields(cls)[0].type in ("str", "int")
+    ra, rb, rc = [f.type in _RAW for f in fields(cls)] + [False] * (3 - len(sets))
     if not sets:
 
         def step(nodes, a, b, c):
@@ -215,7 +221,7 @@ def _intern_step(cls: type) -> Callable:
         (set_a,) = sets
 
         def step(nodes, a, b, c):
-            key = (cls, a if raw else id(a))
+            key = (cls, a if ra else id(a))
             node = nodes.get(key)
             if node is None:
                 node = nodes[key] = new(cls)
@@ -226,7 +232,7 @@ def _intern_step(cls: type) -> Callable:
         set_a, set_b = sets
 
         def step(nodes, a, b, c):
-            key = (cls, a if raw else id(a), id(b))
+            key = (cls, a if ra else id(a), b if rb else id(b))
             node = nodes.get(key)
             if node is None:
                 node = nodes[key] = new(cls)
@@ -238,7 +244,7 @@ def _intern_step(cls: type) -> Callable:
         set_a, set_b, set_c = sets
 
         def step(nodes, a, b, c):
-            key = (cls, a if raw else id(a), id(b), id(c))
+            key = (cls, a if ra else id(a), b if rb else id(b), c if rc else id(c))
             node = nodes.get(key)
             if node is None:
                 node = nodes[key] = new(cls)
@@ -251,6 +257,9 @@ def _intern_step(cls: type) -> Callable:
     return step
 
 
+# The declared types of the fields that a key holds by value (see _intern_step).
+_RAW = ("str", "int", "Rational")
+
 _REPR_DEPTH = 6
 
 
@@ -262,7 +271,9 @@ def _repr(x: object, depth: int) -> str:
     if not isinstance(x, _Node):
         try:
             return repr(x)
-        except ValueError:  # an int over the interpreter's limit on integer-string conversion
+        except ValueError:  # a number over the interpreter's limit on integer-string conversion
+            if type(x) is Fraction:
+                return f"Fraction({_repr(x.numerator, depth)}, {_repr(x.denominator, depth)})"
             return f"<an integer of {_digit_count(x)} digits>"
     if depth == 0:
         return "..."
@@ -367,6 +378,20 @@ class RConst(_Node):
     value: int
 
 
+Rational = Union[int, Fraction]  # an exact part: an int when integral
+
+
+@_node
+class RExact(_Node):
+    """The exact real ``a + b*pi``, the core's one node of an exact value;
+    ``a`` and ``b`` are ints when integral, else Fractions.  It prints as
+    the tree that spells it (``p``, ``p / q``, ``pi``, ``q * pi``, or the
+    ``+`` of a rational and a multiple of pi), which the parser reads back."""
+
+    a: Rational
+    b: Rational
+
+
 @_node
 class RPi(_Node):
     """``pi``."""
@@ -399,7 +424,7 @@ class RBinary(_Node):
     right: "Real"
 
 
-Real = Union[RConst, RPi, REuler, RUnary, RBinary, Name, If]
+Real = Union[RExact, RConst, RPi, REuler, RUnary, RBinary, Name, If]
 
 # How tightly each arithmetic operator binds: ``+ -`` group to the left, then
 # ``* / %`` to the left, then ``^`` to the right.  The parser reads by it too.
@@ -767,9 +792,12 @@ def adjoint(f: CoreProg) -> CoreProg | None:
 
     ``lambda`` and ``pmatch`` swap each arm's pattern and body, ``u3{t, p,
     l}`` becomes ``u3{t, pi - l, pi - p}`` (exactly U^dagger; X maps to itself),
-    ``rphase{e, r, r'}`` becomes ``rphase{e, 0 - r, 0 - r'}``, and an
-    injection ``lambda inj(x) -> x``.  A program inside an arm is left as it
-    is: a pass meets it in a pattern, where it builds its adjoint, or runs it.
+    ``rphase{e, r, r'}`` becomes ``rphase{e, -r, -r'}``, and an injection
+    ``lambda inj(x) -> x``.  An exact angle, an :class:`RExact` leaf, is
+    negated as a value, to a leaf, so ``adjoint(adjoint(f)) == f``; an
+    inexact one becomes the tree ``pi - r`` or ``0 - r``.  A program inside an
+    arm is left as it is: a pass meets it in a pattern, where it builds its
+    adjoint, or runs it.
 
     Built once per program node and kept in its ``_derived`` slot, so every
     pass and every run that meets ``f`` in a pattern shares one ``f^dagger``.
@@ -794,12 +822,18 @@ def _adjoint(f: CoreProg) -> CoreProg | None:
             return PrAbs(f.body, f.pattern)
         return PrPmatch(tuple(CoreArm(arm.body, arm.pattern) for arm in arms))
     if t is PrU3:
-        return PrU3(f.theta, RBinary("-", RPi(), f.lam), RBinary("-", RPi(), f.phi))
+        return PrU3(f.theta, _minus(1, f.lam), _minus(1, f.phi))
     if t is PrRphase:
-        zero = RConst(0)
-        return PrRphase(f.pattern, RBinary("-", zero, f.on_phase), RBinary("-", zero, f.off_phase))
+        return PrRphase(f.pattern, _minus(0, f.on_phase), _minus(0, f.off_phase))
     x = ExVar("x")  # an injection
     return PrAbs(ExApp(f, x), x)
+
+
+def _minus(b: int, r: Real) -> Real:
+    """``b*pi - r``: a leaf where ``r`` is one, else a tree over the leaf of ``b*pi``."""
+    if type(r) is RExact:
+        return RExact(-r.a, b - r.b)
+    return RBinary("-", RExact(0, b), r)
 
 
 CORE_PROGS = frozenset(get_args(CoreProg))
@@ -932,17 +966,39 @@ _ATOM = 4  # binds tighter than every operator
 
 def _binds(x: _Node) -> int:
     """How tightly ``x`` holds together as an operand: its operator's
-    precedence, 0 for a negative constant so that one is never left bare, and
-    ``_ATOM`` for the rest.  The parent compares it with what the operand's
-    position needs and wraps the operand's text when it falls short."""
+    precedence (an exact leaf's, that of the tree it prints), 0 for a
+    negative constant so that one is never left bare, and ``_ATOM`` for the
+    rest.  The parent compares it with what the operand's position needs and
+    wraps the operand's text when it falls short."""
     t = type(x)
     if t is RBinary:
         return BIN_PREC[x.op]
+    if t is RExact:
+        a, b = x.a, x.b
+        if b:
+            return 1 if a else _ATOM if b == 1 else 2  # a + ..., pi, q * pi
+        return 2 if type(a) is not int else _ATOM if a >= 0 else 0  # p / q, p
     if t is RConst:
         return _ATOM if x.value >= 0 else 0
     if t is BOr:
         return 1
     return 2 if t is BAnd else _ATOM
+
+
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # over the interpreter's limit on integer-string conversion
+        raise RealError(f"a constant of {_digit_count(n)} digits is too long to print") from None
+
+
+def _rational_text(q: Rational, operand: bool) -> str:
+    """``q`` as ``p`` or ``p / q``, a negative constant in parentheses where it
+    is an operand: the whole of ``q`` if ``operand``, or ``p / q``'s ``p``."""
+    p = _int_text(q.numerator)
+    if q < 0 and (operand or type(q) is not int):
+        p = f"({p})"
+    return p if type(q) is int else f"{p} / {_int_text(q.denominator)}"
 
 
 def _show(
@@ -1051,12 +1107,17 @@ def _show(
         _show(x.lam, texts, out)
         w("}")
     elif t is RConst:
-        try:
-            w(str(x.value))
-        except ValueError:  # over the interpreter's limit on integer-string conversion
-            raise RealError(
-                f"a constant of {_digit_count(x.value)} digits is too long to print"
-            ) from None
+        w(_int_text(x.value))
+    elif t is RExact:  # a, a + b * pi or b * pi, each part a constant or p / q
+        a, b = x.a, x.b
+        if a or not b:
+            w(_rational_text(a, b != 0))
+            if b:
+                w(" + ")
+        if b == 1:
+            w("pi")
+        elif b:
+            w(_rational_text(b, True) + " * pi")
     elif t is RBinary or t is BAnd or t is BOr:  # '^' groups to the right, the others left
         op = x.op if t is RBinary else "&&" if t is BAnd else "||"
         prec = _binds(x)

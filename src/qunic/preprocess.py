@@ -39,12 +39,12 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   subtree is evaluated twice.  A left-nested operator chain, such as a flat
   ``1 - 1 - ... - 1``, is elaborated in a loop down its left spine, so it
   takes one frame however long it is; ``gphase{r}``'s one ``r`` is
-  elaborated once.  A rational or an exact nonzero multiple of pi
-  is a plain ``(a, b)`` pair for ``a + b*pi``, which generic arguments and
-  memo keys hold; any other value keeps its tree.  A node is built only
-  where the core needs one, an angle of ``u3`` or ``rphase``, and each
-  exact value becomes one node per compile, its canonical tree ``p``,
-  ``p / q``, ``pi`` or ``q * pi``, so equal angles are one object;
+  elaborated once.  An exact value is a plain ``(a, b)`` pair for ``a +
+  b*pi``, which generic arguments and memo keys hold; a float keeps its
+  tree.  A node is built only where the core needs one, an angle of ``u3``
+  or ``rphase`` or an exact operand of a float's tree, and each exact value
+  becomes one leaf per compile, :class:`~qunic.core.RExact`, so equal
+  angles are one object however they were written;
 * an integer expression, an operator or a comparison over int constants and
   ``#`` parameters (:func:`~qunic.reals.kernel` says which), is evaluated by
   its kernel, one generated function that computes it in one frame, from its
@@ -152,6 +152,7 @@ from .core import (
     RConst,
     Real,
     REuler,
+    RExact,
     RPi,
     RUnary,
     TVar,
@@ -338,12 +339,12 @@ _new = tuple.__new__  # _new(_Env, (generics, qrename, fresh, binds, closed))
 
 
 class _Inexact:
-    """An elaborated real with no canonical tree: a float, or an exact
-    ``a + b*pi`` with ``a`` and ``b`` both nonzero.
+    """An elaborated real whose value is a float.
 
-    It keeps its tree, whose exact subtrees are canonical, with its value.
-    The tree is the one node of its kind in the compile, so a memo key holds
-    its id, and two such reals are one key exactly when their trees are equal.
+    It keeps its tree, whose exact subtrees are :class:`~qunic.core.RExact`
+    leaves, with its value.  The tree is the one node of its kind in the
+    compile, so a memo key holds its id, and two such reals are one key
+    exactly when their trees are equal.
     """
 
     __slots__ = ("node", "value")
@@ -633,7 +634,7 @@ class Elaborator:
                     left.value if type(left) is _Inexact else left,
                     right.value if type(right) is _Inexact else right,
                 )
-                if type(v) is tuple and (v[1] == 0 or v[0] == 0):
+                if type(v) is tuple:
                     left = v
                 else:
                     left, right = self._real_node(left), self._real_node(right)
@@ -756,7 +757,7 @@ class Elaborator:
         if t is RUnary:
             left = self.elab(x.arg, env)
             v = step(x.op, left.value if type(left) is _Inexact else left)
-            if type(v) is tuple and (v[1] == 0 or v[0] == 0):
+            if type(v) is tuple:
                 return v
             return _Inexact(self._make(RUnary, x.op, self._real_node(left)), v)
         if t is ExTry:
@@ -773,20 +774,10 @@ class Elaborator:
 
     def _real_node(self, v: RealValue) -> Real:
         """The node of the value ``v``: an inexact value's own tree, or the
-        canonical tree of an exact one, ``p``, ``p / q``, ``pi`` or ``q * pi``."""
+        leaf of an exact one."""
         if type(v) is _Inexact:
             return v.node
-        a, b = v
-        if b == 0:
-            return self._fraction(a)
-        pi = self._make(RPi)
-        return pi if b == 1 else self._make(RBinary, "*", self._fraction(b), pi)
-
-    def _fraction(self, q: Rational) -> Real:
-        p = self._make(RConst, q.numerator)
-        if q.denominator == 1:
-            return p
-        return self._make(RBinary, "/", p, self._make(RConst, q.denominator))
+        return self._make(RExact, v[0], v[1])
 
     def _pattern(self, p: Expr, env: _Env) -> tuple[CoreExpr, _Env]:
         """Elaborate ``p`` in binding mode; return it and the scope it opens.

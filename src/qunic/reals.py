@@ -12,19 +12,19 @@ finite float.  Exactness ends at the first operation the pair cannot express:
 a transcendental function, a ``pi^2`` term, a non-integer power, a ``%`` or
 ``sqrt`` involving ``pi``, an irrational ``sqrt``, or ``euler``.  From there
 on the value is a float.  :func:`evaluate_real`, :func:`as_rational` and
-:func:`as_pi_multiple` are views of that value; the last one is how the
-compiler knows that a gate angle is exactly a rational multiple of pi.  An
-undefined value (division by zero, ``ln`` of a negative number...) and a
-value too large for a float raise :class:`~qunic.errors.RealError` from all
-three.
+:func:`as_pi_multiple` are views of that value.  An exact gate angle of the
+core needs none of them: it is a :class:`~qunic.core.RExact` leaf, which
+holds its value.  An undefined value (division by zero, ``ln`` of a negative
+number...) and a value too large for a float raise
+:class:`~qunic.errors.RealError` from all three.
 
 :func:`step` is the evaluator: it computes the value of one operation from
 the values of its operands, and every exact rule and domain check is there.
 :func:`_value` folds it over a term with :func:`qunic.core.fold`, without
-recursion, so a flat chain of any length evaluates.  The preprocessor calls
-:func:`step` itself, once per node as it elaborates, so it never evaluates a
-subtree twice, and decides a condition with :func:`compare`, which
-:func:`evaluate_bool` uses too.
+recursion, so a flat chain of any length evaluates; an exact leaf is its own
+value.  The preprocessor calls :func:`step` itself, once per node as it
+elaborates, so it never evaluates a subtree twice, and decides a condition
+with :func:`compare`, which :func:`evaluate_bool` uses too.
 
 The integer rule, ``_INT_OPS``, lives in kernels only: :func:`kernel` turns
 a small integer expression over ``#`` parameters into one generated
@@ -58,16 +58,16 @@ from fractions import Fraction
 from typing import Union
 
 from .core import (
-    BAnd, BCmp, BNot, BoolExpr, BOr, Name, Real, RBinary, RConst, REuler, RPi, RUnary, fold,
-    sort_of,
+    BAnd, BCmp, BNot, BoolExpr, BOr, Name, Rational, Real, RBinary, RConst, REuler, RExact, RPi,
+    RUnary, fold, sort_of,
 )
 from .errors import CapacityError, RealError
 
 Number = Union[Fraction, float]
 
 # An exact pair ``(a, b)`` stands for ``a + b*pi``; a float is always finite.
-# Exact parts are ints while they are integral, and Fractions otherwise.
-Rational = Union[int, Fraction]
+# Exact parts are ints while they are integral, and Fractions otherwise
+# (core.Rational), as in the core's exact leaf, core.RExact.
 Value = Union[tuple[Rational, Rational], float]
 
 # The most bits an exact part may have (the larger of a fraction's numerator
@@ -312,6 +312,8 @@ def _node_value(r: Real, operands: list[Value]) -> Value:
     t = type(r)
     if t is RBinary or t is RUnary:
         return step(r.op, *operands)
+    if t is RExact:
+        return r.a, r.b
     if t is RConst:
         return r.value, 0
     if t is RPi:

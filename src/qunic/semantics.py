@@ -81,12 +81,13 @@ from .core import (
     PrPmatch,
     PrRight,
     PrU3,
+    RExact,
     adjoint,
     ctrl_bindings,
     free_qvars,
 )
 from .errors import CapacityError, SemanticsError
-from .reals import as_pi_multiple, as_rational, evaluate_real
+from .reals import evaluate_real
 
 EPS = 1e-12
 
@@ -107,12 +108,9 @@ def probabilities(state: dict) -> dict:
 
 
 def _phase(r) -> complex:
-    """``e^(i r)``, exact where ``r`` is a multiple of ``pi / 2``."""
-    if as_rational(r) == 0:
-        return 1
-    q = as_pi_multiple(r)
-    if q is not None and (2 * q).denominator == 1:
-        return (1, 1j, -1, -1j)[int(2 * q) % 4]
+    """``e^(i r)``, exact where ``r`` is an exact leaf ``b*pi`` with ``2b`` whole."""
+    if type(r) is RExact and r.a == 0 and (2 * r.b).denominator == 1:
+        return (1, 1j, -1, -1j)[int(2 * r.b) % 4]
     return cmath.exp(1j * float(evaluate_real(r)))
 
 

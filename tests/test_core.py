@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +38,7 @@ from qunic.core import (
     QFile,
     RBinary,
     RConst,
+    RExact,
     RPi,
     RUnary,
     TVar,
@@ -148,6 +150,35 @@ class TestSharedCores:
         with pytest.raises(RealError, match="5071 digits"):
             core.to_str(c)
 
+    @pytest.mark.parametrize(
+        "leaf, text",
+        [
+            (RExact(7, 0), "7"),
+            (RExact(-7, 0), "-7"),
+            (RExact(Fraction(-1, 3), 0), "(-1) / 3"),
+            (RExact(0, 1), "pi"),
+            (RExact(0, -1), "(-1) * pi"),
+            (RExact(0, Fraction(-1, 3)), "(-1) / 3 * pi"),
+            (RExact(1, -2997), "1 + (-2997) * pi"),
+            (RExact(Fraction(1, 2), 1), "1 / 2 + pi"),
+            (RExact(-1, Fraction(2, 3)), "(-1) + 2 / 3 * pi"),
+            # as an operand, it is wrapped as the tree it prints
+            (RBinary("*", RUnary("sin", RExact(1, 0)), RExact(1, 1)), "sin(1) * (1 + pi)"),
+            (RBinary("-", RExact(0, 0), RExact(-1, 0)), "0 - (-1)"),
+            (RBinary("^", RExact(Fraction(1, 2), 0), RUnary("sin", RExact(0, 2))),
+             "(1 / 2) ^ sin(2 * pi)"),
+        ],
+    )
+    def test_an_exact_leaf_prints_as_the_tree_that_spells_it(self, leaf, text):
+        assert core.to_str(leaf) == text
+
+    @pytest.mark.parametrize(
+        "leaf", [RExact(7**6000, 0), RExact(0, Fraction(1, 7**6000)), RExact(1, -(7**6000))]
+    )
+    def test_printing_an_overlong_exact_part_is_a_real_error(self, leaf):
+        with pytest.raises(RealError, match="5071 digits"):
+            core.to_str(leaf)
+
     def test_a_text_over_the_bound_is_refused(self, monkeypatch):
         # @add_const's halves are shared, so its text is far longer than its
         # DAG.  At a bound one character short, the final join refuses it; at
@@ -165,7 +196,7 @@ class TestSharedCores:
         assert 1000 < int(re.search(r"a text of (\d+)", str(refused.value))[1]) < len(text)
 
     def test_nodes_have_no_dict_and_only_their_declared_fields(self):
-        assert len(NODE_CLASSES) == 35
+        assert len(NODE_CLASSES) == 36
         for cls in NODE_CLASSES:
             declared = list(cls.__annotations__)
             assert [f.name for f in dataclasses.fields(cls)] == declared
@@ -272,6 +303,9 @@ class TestSharedCores:
         assert repr(deep).startswith("ExPair(left=ExPair(left=")
         assert "left=..., right=..." in repr(deep)
         assert repr(RConst(7**6000)) == "RConst(value=<an integer of 5071 digits>)"
+        assert repr(RExact(Fraction(1, 7**6000), 0)) == (
+            "RExact(a=Fraction(1, <an integer of 5071 digits>), b=0)"
+        )
         # Far deeper than the interpreter's stack as a tree walk.
         text = repr(core_of_source("&num_to_state{80, 5} |> @qft{80}"))
         assert text.startswith("ExApp(") and len(text) < 10_000

@@ -6,20 +6,20 @@ import dataclasses
 import hashlib
 import importlib
 import itertools
-import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qunic import core, lexer, parser, preprocess, reals
-from qunic.core import RBinary, RConst, REuler, RPi, RUnary
+from qunic.core import RBinary, RConst, REuler, RExact, RPi, RUnary
 from qunic.errors import CapacityError, PreprocessError, QunityError, RealError
 from qunic.preprocess import core_of_source, load_prelude_defs
-from qunic.reals import as_pi_multiple, as_rational, evaluate_real
+from qunic.reals import as_pi_multiple, as_rational
 
 
 def gate_angles(root) -> set:
@@ -43,21 +43,26 @@ def gate_angles(root) -> set:
 def u3_theta(theta: str):
     """The elaborated ``theta`` of ``u3{theta, 0, 0}``, for a nonzero theta."""
     angles = gate_angles(core_of_source(f"&0 |> u3{{{theta}, 0, 0}}"))
-    (theta,) = angles - {RConst(0)}
+    (theta,) = angles - {RExact(0, 0)}
     return theta
 
 
 class TestGateAngles:
     def test_qft_angles_are_canonical_pi_multiples(self):
         angles = gate_angles(core_of_source("@qft{3}((&1, (&0, (&1, ()))))"))
-        pi_times = lambda p, q: RBinary("*", RBinary("/", RConst(p), RConst(q)), RPi())
-        assert angles == {RConst(0), RPi(), pi_times(1, 2), pi_times(1, 4)}
+        pi_times = lambda p, q: RExact(0, Fraction(p, q))
+        assert angles == {RExact(0, 0), RExact(0, 1), pi_times(1, 2), pi_times(1, 4)}
 
     def test_ceil_of_a_float_elaborates_to_a_constant(self):
-        assert u3_theta("ceil(sqrt(2))") == RConst(2)
+        assert u3_theta("ceil(sqrt(2))") == RExact(2, 0)
 
     def test_an_angle_chosen_by_a_condition(self):
-        assert u3_theta("if 1 < 2 && !(2 < 1) || 0 > 1 then pi else 0 endif") == RPi()
+        assert u3_theta("if 1 < 2 && !(2 < 1) || 0 > 1 then pi else 0 endif") == RExact(0, 1)
+
+    def test_an_exact_angle_is_one_leaf_however_it_is_written(self):
+        c = core_of_source("(&0 |> u3{1 + pi, 0, 0}, &0 |> u3{pi + 1, 0, 0})")
+        assert c.left.fn.theta is c.right.fn.theta
+        assert c.left.fn.theta == RExact(1, 1)
 
     @pytest.mark.parametrize(
         "theta",
@@ -421,14 +426,12 @@ class TestDepth:
         # as it is in the parser and in reals._value.
         with recursion_limit(1000):
             flat = core_of_source("&0 |> u3{" + " - ".join(["1"] * 20_000) + ", 0, 0}")
-            # pi - pi is exact, so only the last node is neither rational nor
-            # a multiple of pi; in 1 + pi + ... + pi every node is inexact.
+            # Every node of both chains is exact, so each elaborates to one leaf.
             last = core_of_source("&0 |> u3{" + " - ".join(["pi"] * 2_999) + " + 1, 0, 0}")
             every = core_of_source("&0 |> u3{1 + " + " + ".join(["pi"] * 2_999) + ", 0, 0}")
         assert core.to_str(flat.fn) == "u3{-19998, 0, 0}"
-        assert core.to_str(last.fn) == "u3{(-2997) * pi + 1, 0, 0}"
-        assert isinstance(every.fn.theta, RBinary)
-        assert evaluate_real(every.fn.theta) == pytest.approx(1 + 2_999 * math.pi)
+        assert core.to_str(last.fn) == "u3{1 + (-2997) * pi, 0, 0}"
+        assert every.fn.theta == RExact(1, 2_999)
 
 
 def reachable(root):
@@ -565,7 +568,7 @@ def _canonical(r):
     evaluator's views: a leaf stays itself; any other node is rebuilt on its
     children's canonical trees and then collapsed to ``p``, ``p / q``, ``pi``
     or ``q * pi`` when it is exactly rational or exactly a nonzero multiple of
-    pi."""
+    pi, and to the ``+`` of the two when it is exact with both parts nonzero."""
     if isinstance(r, RUnary):
         r = RUnary(r.op, _canonical(r.arg))
     elif isinstance(r, RBinary):
@@ -578,12 +581,18 @@ def _canonical(r):
             return RConst(q.numerator)
         return RBinary("/", RConst(q.numerator), RConst(q.denominator))
 
+    def pi_times(p):
+        return RPi() if p == 1 else RBinary("*", fraction(p), RPi())
+
     q = as_rational(r)
     if q is not None:
         return fraction(q)
     p = as_pi_multiple(r)
     if p is not None:
-        return RPi() if p == 1 else RBinary("*", fraction(p), RPi())
+        return pi_times(p)
+    v = reals._value(r)
+    if isinstance(v, tuple):  # exact, with both parts nonzero
+        return RBinary("+", fraction(Fraction(v[0])), pi_times(Fraction(v[1])))
     return r
 
 
@@ -615,6 +624,19 @@ def test_an_angle_elaborates_to_its_canonical_tree(r):
     raises RealError exactly when building that tree does."""
     elaborated = lambda: core_of_source(f"&0 |> u3{{{core.to_str(r)}, 0, 0}}").fn.theta
     assert _text_or_error(elaborated) == _text_or_error(lambda: _canonical(r))
+
+
+# Exact parts as the evaluator keeps them: an int when integral.
+_exact_parts = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12).map(
+    lambda q: q.numerator if q.denominator == 1 else q
+)
+
+
+@given(_exact_parts, _exact_parts)
+def test_an_exact_leaf_prints_as_text_that_elaborates_back_to_it(a, b):
+    leaf = RExact(a, b)
+    text = core.to_str(leaf)
+    assert core_of_source(f"&0 |> u3{{{text}, 0, 0}}").fn.theta == leaf
 
 
 def alpha_normal(root):
@@ -779,6 +801,7 @@ def _fields_of(cls, make):
     return {
         core.ExVar: ("x%" + str(0),),  # equal to x's name, another str
         RConst: (int("123456789012345678901234567890"),),  # past the small ints' cache
+        RExact: (Fraction(-1, 3), int("123456789012345678901234567890")),
         RBinary: ("*", one, pi),
         RUnary: ("sin", one),
         core.ExUnit: (),
@@ -803,10 +826,11 @@ def _fields_of(cls, make):
     }[cls]
 
 
-# Every class the elaborator builds: four keyed by their first field as it
-# is, a no-field class, tuple-field classes and the rest.
+# Every class with an interning step that the elaborator builds, and RConst
+# and RPi, which it built before RExact: four keyed by their first field as
+# it is, RExact by both, no-field classes, tuple-field classes and the rest.
 INTERNED = [
-    core.ExVar, RConst, RBinary, RUnary, core.ExUnit, core.TyUnit, core.TyVoid, RPi, REuler,
+    core.ExVar, RConst, RExact, RBinary, RUnary, core.ExUnit, core.TyUnit, core.TyVoid, RPi, REuler,
     core.ExPair, core.ExApp, core.ExTry, core.CoreArm, core.TyProd, core.TySum, core.PrLeft,
     core.PrRight, core.PrAbs, core.PrPmatch, core.PrRphase, core.PrU3, core.ExCtrl, core.ExMatch,
 ]
@@ -842,7 +866,7 @@ class TestInternStep:
         fields = _fields_of(cls, elaborator._make)
         node = elaborator._make(cls, *fields)
         # a name or a constant equal to the first, but another object
-        again = _fields_of(cls, elaborator._make) if cls in (core.ExVar, RConst) else fields
+        again = _fields_of(cls, elaborator._make) if cls in (core.ExVar, RConst, RExact) else fields
         assert again == fields
         assert elaborator._make(cls, *again) is node
         assert preprocess.Elaborator(())._make(cls, *fields) is not node
@@ -852,6 +876,8 @@ class TestInternStep:
         make = elaborator._make
         one = make(RConst, 1)
         assert make(core.ExVar, "1") is not make(RConst, 1)
+        assert make(RExact, 1, 0) is not make(RConst, 1)
+        assert make(RExact, 1, 0) is not make(RExact, 0, 1)
         assert make(RUnary, "sin", one) is not make(RUnary, "cos", one)
         assert make(RBinary, "+", one, one) is not make(RBinary, "-", one, one)
         assert make(core.TyProd, one, one) is not make(core.TySum, one, one)

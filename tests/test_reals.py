@@ -359,8 +359,8 @@ def _kernel_roots():
 _E = _Inexact(REuler(), 2.718281828459045)
 
 # What a parameter may be bound to, as the elaborator keeps it: a pi-free int,
-# a Fraction, a multiple of pi, an inexact value (a float, or an exact value
-# with both parts nonzero, which keeps its tree), or nothing.
+# a Fraction, a multiple of pi, an exact value with both parts nonzero, an
+# inexact value (a float, which keeps its tree), or nothing.
 _bindings = st.one_of(
     _kernel_ints.map(lambda n: (n, 0)),
     # k + r/d with 0 < r < d, never integral
@@ -370,7 +370,7 @@ _bindings = st.one_of(
     ),
     st.sampled_from([(0, 1), (0, -2), (0, Fraction(1, 3))]),
     st.just(_E),
-    st.just(_Inexact(RBinary("+", RConst(1), RPi()), (1, 1))),
+    st.just((1, 1)),
     st.none(),
 )
 

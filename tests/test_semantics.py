@@ -13,7 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qunic import classical
 from qunic.classical import LEFT, RIGHT, is_x
-from qunic.core import PrLeft, PrRight, PrU3, RBinary, RConst, RPi, TyUnit, adjoint
+from qunic.core import (
+    PrLeft, PrRight, PrU3, RBinary, RConst, RExact, RPi, TyUnit, adjoint, to_str,
+)
 from qunic.errors import CapacityError, SemanticsError
 from qunic.preprocess import core_of_source
 from qunic.semantics import ONE, ZERO, Semantics, probabilities, run
@@ -89,7 +91,25 @@ def test_the_adjoint_of_u3_is_its_conjugate_transpose(theta, phi, lam):
 
 
 def test_the_adjoint_of_x_is_exactly_x():
-    assert is_x(adjoint(PrU3(RPi(), RConst(0), RPi())))
+    pi, zero = RExact(0, 1), RExact(0, 0)
+    assert is_x(adjoint(PrU3(pi, zero, pi)))
+
+
+@pytest.mark.parametrize(
+    "source, text",
+    [
+        ("&0 |> @not", "u3{pi, 0, pi}"),
+        ("&0 |> @had", "u3{1 / 2 * pi, 0, pi}"),
+        ("&0 |> rphase{x, 1 / 3 * pi, 0}", "rphase{x, (-1) / 3 * pi, 0}"),
+    ],
+)
+def test_an_exact_angle_is_negated_as_a_value(source, text):
+    f = core_of_source(source).fn
+    dagger = adjoint(f)
+    assert to_str(dagger) == text
+    assert adjoint(dagger) == f
+    if type(f) is PrU3:
+        assert is_x(dagger) == is_x(f)
 
 
 @pytest.mark.parametrize("source", ["rphase{&plus, 1 / 3, 2}", "rphase{&1, pi / 4, 0}"])
