@@ -3,7 +3,8 @@
     qunic FILE|- [--dump-tokens] [--dump-surface] [--dump-core] [--no-prelude] [--stats]
 
 ``FILE`` is read as UTF-8, and ``-`` reads standard input.  Each dump prints
-one stage of the pipeline, in pipeline order:
+one stage of the pipeline, in pipeline order, when that stage ends, so the
+stages before one that fails are still printed:
 
 * ``--dump-tokens``: the tokens of ``FILE`` (not the prelude's), one per
   line, as ``line:col``, kind and text (in quotes) separated by tabs, ending
@@ -95,47 +96,46 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     dumps = {stage for stage in ("tokens", "surface", "core") if getattr(args, f"dump_{stage}")}
     try:
-        texts, stats = _on_deep_stack(_compile, source, not args.no_prelude, dumps, args.stats)
+        stats = _on_deep_stack(_compile, source, not args.no_prelude, dumps, args.stats)
     except QunityError as exc:
         print(f"qunic: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, CapacityError) else 1
-    for text in texts:
-        print(text)
     if stats is not None:
         print(json.dumps(stats))
     return 0
 
 
 def _compile(source: str, use_prelude: bool, dumps: set[str], stats: bool):
-    """The texts of the stages in ``dumps``, ``"tokens"``, ``"surface"`` and
-    ``"core"``, in pipeline order, and the ``--stats`` record if ``stats``."""
+    """Print the stages in ``dumps``, ``"tokens"``, ``"surface"`` and
+    ``"core"``, each as its stage ends, so an error in a later stage leaves
+    the earlier ones printed; return the ``--stats`` record if ``stats``."""
+    if "tokens" in dumps:
+        print("\n".join(f"{t.line}:{t.column}\t{t.kind}\t{t.text!r}" for t in tokenize(source)))
     clock = time.perf_counter
     start = clock()
     if use_prelude:
         _prelude_table()  # built here, so that parse_ms counts it
     qf = parse_file(source)
-    parsed = clock()
+    parse_ms = (clock() - start) * 1e3
+    if "surface" in dumps:
+        print(to_str(qf).removesuffix("\n"))  # print adds the newline
+    start = clock()
     elaborator = Elaborator(qf.defs, use_prelude)
     core = elaborator.elaborate(qf.main)
-    elaborated = clock()
-    dump = "core" in dumps
-    text = to_str(core) if dump else None
-    printed = clock()
-    texts = []
-    if "tokens" in dumps:
-        tokens = tokenize(source)
-        texts.append("\n".join(f"{t.line}:{t.column}\t{t.kind}\t{t.text!r}" for t in tokens))
-    if "surface" in dumps:
-        texts.append(to_str(qf).removesuffix("\n"))  # print adds the newline
-    if dump:
-        texts.append(text)
+    elaborate_ms = (clock() - start) * 1e3
+    print_ms = None
+    if "core" in dumps:
+        start = clock()
+        text = to_str(core)
+        print_ms = (clock() - start) * 1e3
+        print(text)
     if not stats:
-        return texts, None
+        return None
     dag, tree = node_counts(core)
-    return texts, {
-        "parse_ms": (parsed - start) * 1e3,
-        "elaborate_ms": (elaborated - parsed) * 1e3,
-        "print_ms": (printed - elaborated) * 1e3 if dump else None,
+    return {
+        "parse_ms": parse_ms,
+        "elaborate_ms": elaborate_ms,
+        "print_ms": print_ms,
         "instantiations": elaborator.instantiations,
         "regions_reused": elaborator.reused,
         "kernel_hits": elaborator.kernel_hits,

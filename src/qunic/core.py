@@ -64,12 +64,13 @@ Elaboration memoizes instantiations, so a core term is a DAG whose tree can
 be millions of times larger.  Every node class is a slotted dataclass made by
 :func:`_node`, with one generated ``__init__``, and is frozen by
 :class:`_Node`, which refuses every assignment and deletion; nothing copies
-or pickles a node.  A node's hash is computed on first use and kept, and ``==``
-is true on identity, else decided by walking pairs of nodes, each
-``(id(a), id(b))`` pair once.  Both cost work in proportion to the DAG, not
-the tree, and neither recurses.  No compile hashes or compares a node: the
-elaborator interns, so within a compile identity is equality, and only the
-tests and the benchmark's checks call them.  ``repr`` prints the dataclass
+or pickles a node.  A node keeps no hash: ``hash`` is a :func:`fold` over
+the DAG on every call, and ``==`` is true on identity, else decided by
+walking pairs of nodes, each ``(id(a), id(b))`` pair once.  Both cost work in
+proportion to the DAG, not the tree, and neither recurses.  No compile
+hashes or compares a node: the elaborator interns, so within a compile
+identity is equality, and only the tests and the benchmark's checks call
+them.  ``repr`` prints the dataclass
 form down to a fixed depth and ``...`` below it.
 
 Nodes are built two ways, to the same object graph.  The parser,
@@ -86,9 +87,9 @@ equal by the walk.
 
 A pass that computes a node's value from its :func:`children`' values is a
 :func:`fold`, the one post-order loop: no recursion, each distinct node once.
-:func:`node_counts` (distinct nodes and tree nodes), :func:`free_qvars`, a
-node's first ``hash`` and the evaluator of reals
-(:func:`qunic.reals.evaluate_real`) are folds.
+:func:`node_counts` (distinct nodes and tree nodes), :func:`free_qvars`,
+``hash`` and the evaluator of reals (:func:`qunic.reals.evaluate_real`) are
+folds.
 
 :func:`adjoint` is the one rule for ``f^dagger``, which every pass runs
 where a pattern applies ``f``; it is built once per program node and kept
@@ -119,23 +120,22 @@ class _Node:
     every class: assigning or deleting any attribute raises
     :class:`dataclasses.FrozenInstanceError`.  Only a node's builder writes
     its fields, ``__init__`` through ``object.__setattr__`` and ``_intern``
-    through the slots' descriptors, and a pass writes only the two kept
-    slots below, through ``object.__setattr__``.  Nothing copies or pickles
-    a node, so no class has ``__getstate__``/``__setstate__``.
+    through the slots' descriptors, and a pass writes only the kept
+    ``_derived`` slot below, through ``object.__setattr__``.  Nothing copies
+    or pickles a node, so no class has ``__getstate__``/``__setstate__``.
     Elaboration shares subterms, so a term is a DAG whose tree can be millions
     of times larger; ``hash`` and ``==`` cost work in proportion to the DAG,
     and ``repr`` prints the dataclass form only ``_REPR_DEPTH`` nodes deep.
 
-    * ``hash`` is ``hash((type(x), *fields))``, computed on first use and
-      kept in the ``_hash`` slot, which is not a dataclass field.  Computing
-      it is a :func:`fold` over only the nodes below whose hash is not kept
-      yet.
+    * ``hash`` is a :func:`fold` that hashes each node's class, its fields
+      that hold no node, and its children's hashes, on every call: no node
+      keeps its hash.
     * ``==`` is true on identity; otherwise it walks pairs of nodes with an
       explicit stack, visiting each ``(id(a), id(b))`` pair once.
-    * The ``_derived`` slot, like ``_hash`` no dataclass field and outside
-      ``hash`` and ``==``, keeps what a pass derives from the node alone, on
-      the pass's first need: a program's :func:`adjoint`, on a ``ctrl`` met
-      in a pattern its arms as :func:`ctrl_bindings` reads them, or, on an
+    * The ``_derived`` slot, no dataclass field and outside ``hash`` and
+      ``==``, keeps what a pass derives from the node alone, on the pass's
+      first need: a program's :func:`adjoint`, on a ``ctrl`` met in a
+      pattern its arms as :func:`ctrl_bindings` reads them, or, on an
       integer expression, the state of its kernel (see
       :meth:`qunic.preprocess.Elaborator.elab`).
 
@@ -144,13 +144,10 @@ class _Node:
     compile equal nodes are one object.
     """
 
-    __slots__ = ("_hash", "_derived")
+    __slots__ = ("_derived",)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return _hash_dag(self)
+        return fold(self, _hash_of)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -288,21 +285,12 @@ def _digit_count(n: int) -> int:
     return k + (n >= 10**k)
 
 
-def _hash_dag(root: _Node) -> int:
-    """Keep the hash of ``root`` and of every node below it that has none yet:
-    a :func:`fold` whose parts are a node's children with no kept hash, so
-    each field's hash is kept by the time its node's is computed."""
-    return fold(root, _keep_hash, _unhashed)
-
-
-def _unhashed(x: _Node) -> list[_Node]:
-    return [c for c in children(x) if not hasattr(c, "_hash")]
-
-
-def _keep_hash(x: _Node, _) -> int:
-    h = hash((type(x), *[getattr(x, name) for name in x.__slots__]))
-    object.__setattr__(x, "_hash", h)
-    return h
+def _hash_of(x: _Node, hashes: list[int]) -> int:
+    """The hash of ``x``'s class, its fields that hold no node, and its
+    children's ``hashes``, in order: equal nodes agree on all three."""
+    fields = [getattr(x, name) for name in x.__slots__]
+    plain = [v for v in fields if type(v) is not tuple and not isinstance(v, _Node)]
+    return hash((type(x), *plain, *hashes))
 
 
 def _eq_dag(a: _Node, b: _Node) -> bool:

@@ -49,8 +49,8 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   ``#`` parameters (:func:`~qunic.reals.kernel` says which), is evaluated by
   its kernel, one generated function that computes it in one frame, from its
   second evaluation on: the first marks the node, the second builds the kernel,
-  and the node keeps it in its ``_derived`` slot, outside equality, as it
-  keeps its hash.  So a user expression evaluated once never pays for a
+  and the node keeps it in its ``_derived`` slot, outside ``hash`` and
+  equality.  So a user expression evaluated once never pays for a
   build, and a prelude expression's kernel is built once per process (two
   compiles on two threads may both build it; either kernel serves).  When
   the kernel answers, its count of parameter reads is added to the region

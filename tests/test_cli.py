@@ -173,6 +173,25 @@ def test_the_dumps_come_in_pipeline_order_and_the_stats_last(tmp_path, capsys):
     assert set(json.loads(lines[-1])) >= {"instantiations", "regions_reused"}
 
 
+@pytest.mark.parametrize(
+    "source, flag, dump, message",
+    [
+        (
+            "&0 |>\n",
+            "--dump-tokens",
+            "1:1\te\t'0'\n1:4\t|>\t'|>'\n2:1\tend of input\t''\n",
+            "ParseError: 2:1",
+        ),
+        ("&0 |> @nope\n", "--dump-surface", "@nope(&0)\n", "PreprocessError: unknown program"),
+    ],
+    ids=["tokens-then-parse", "surface-then-elaborate"],
+)
+def test_a_dump_is_printed_when_a_later_stage_fails(tmp_path, capsys, source, flag, dump, message):
+    code, out, err = qunic(tmp_path, capsys, source, flag)
+    assert (code, out) == (1, dump)
+    assert err.startswith(f"qunic: {message}")
+
+
 def test_the_prelude_as_user_source_gives_the_packaged_core(tmp_path, capsys):
     # Every definition and parameter form goes through the command, and the
     # prelude's lets and gphases are read as their core forms.

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qunic import core, lexer, parser, preprocess, reals
+from qunic import classical, core, lexer, parser, preprocess, reals, semantics
 from qunic.core import RBinary, RConst, REuler, RExact, RPi, RUnary
 from qunic.errors import CapacityError, PreprocessError, QunityError, RealError
 from qunic.preprocess import core_of_source, load_prelude_defs
@@ -774,22 +774,39 @@ class TestInterning:
             "((left{Unit, Unit}(()), right{Unit, Unit}(())))))"
         )
 
-    def test_elaboration_never_hashes_or_compares_nodes(self, monkeypatch):
+    @pytest.fixture
+    def no_structural(self, monkeypatch):
+        """Every hash of a node, and every == of two nodes that are not one
+        object, fails; the prelude is parsed again with the hooks in place."""
+
         def structural(*args):
             raise AssertionError("a node was hashed or compared structurally")
 
-        monkeypatch.setattr(core, "_hash_dag", structural)
+        monkeypatch.setattr(core, "_hash_of", structural)
         monkeypatch.setattr(core, "_eq_dag", structural)
-        monkeypatch.setattr(preprocess, "_prelude", None)  # parsed with the hooks in place
-        for main in [
-            "&order_finding{6, 7}",
-            "&grover{List{3, Bit}, &equal_superpos_list{3}, @is_odd_sum{3}, 2}",
-            # an inexact real as a memo key, twice
-            "(&0 |> @had_then{sin(1)}, &1 |> @had_then{sin(1)})",
-        ]:
-            src = "def @had_then{#t} : Bit -> Bit := lambda x -> u3{#t, 0, 0}(@had(x)) end\n"
-            c = core_of_source(src + main)
+        monkeypatch.setattr(preprocess, "_prelude", None)
+
+    HAD_THEN = "def @had_then{#t} : Bit -> Bit := lambda x -> u3{#t, 0, 0}(@had(x)) end\n"
+    UNHASHED = [
+        "&order_finding{6, 7}",
+        "&grover{List{3, Bit}, &equal_superpos_list{3}, @is_odd_sum{3}, 2}",
+        # an inexact real as a memo key, twice
+        "(&0 |> @had_then{sin(1)}, &1 |> @had_then{sin(1)})",
+    ]
+
+    def test_elaboration_never_hashes_or_compares_nodes(self, no_structural):
+        for main in self.UNHASHED:
+            c = core_of_source(self.HAD_THEN + main)
         assert c.left.fn is c.right.fn
+
+    def test_printing_and_running_never_hash_or_compare_nodes(self, no_structural):
+        for main in self.UNHASHED:
+            c = core_of_source(self.HAD_THEN + main)
+            assert core.to_str(c)
+            assert semantics.run(c, {})
+        c = core_of_source("&num_to_state{4, 3} |> @adjoint{Num{4}, Num{4}, @mod_mult{4, 3}}")
+        assert core.to_str(c)
+        assert semantics.run(c, {}) == {(classical.run(c, {}), ()): 1}
 
 
 def _fields_of(cls, make):
@@ -853,7 +870,7 @@ class TestInternStep:
         assert dataclasses.fields(made) == dataclasses.fields(built)
         assert not hasattr(made, "__dict__")
         for node in (made, built):
-            for name in (*cls.__slots__, "_hash", "not_a_field"):
+            for name in (*cls.__slots__, "_derived", "not_a_field"):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(node, name, None)
                 with pytest.raises(dataclasses.FrozenInstanceError):
