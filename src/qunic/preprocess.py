@@ -65,16 +65,19 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
 * a pattern is elaborated in *binding mode*: each variable it has not bound
   yet is bound by it, in the same pass that builds the core pattern, so an
   ``if`` in a pattern is decided once.  A binder inside an inlined
-  definition body, and each ``_``, is named ``x%k`` from its source name
-  ``x`` and the number ``k`` of binders numbered before it in its closed
-  program, the innermost ``lambda``, ``pmatch`` or ``rphase``, so alpha-equal
-  programs get equal names and a ``_`` is a throwaway of its own.  Such a
-  binder is numbered past every variable in scope, so it never captures a
-  free variable of an expression argument.  A memoized expression reused in
-  another program keeps the names it got in the first one.  That captures
-  nothing either: its free variables are those of its arguments, which are
-  the same objects, and its binders were numbered past them; at most it
-  shadows a variable of the new program that it never mentions;
+  definition body, and each ``_``, is named ``v%k`` from the number ``k``
+  of binders numbered before it in its closed program, the innermost
+  ``lambda``, ``pmatch`` or ``rphase``, whatever its source name, as de
+  Bruijn's nameless dummies are: so alpha-equal subterms get equal names and
+  are one node, and a ``_`` is a throwaway of its own.  A binder of the main
+  expression keeps its source name, which has no ``%``, so a message about
+  it names the user's own variable.  A numbered binder is numbered past
+  every variable in scope, so it never captures a free variable of an
+  expression argument.  A memoized expression reused in another program
+  keeps the names it got in the first one.  That captures nothing either:
+  its free variables are those of its arguments, which are the same objects,
+  and its binders were numbered past them; at most it shadows a variable of
+  the new program that it never mentions, which may have the same name;
 * outside a pattern, a variable that no enclosing binder binds is an error
   ("unbound variable"), so a definition body never picks up a variable of
   the code that uses it;
@@ -84,7 +87,7 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   is unbound inside them.  The parser reads ``let p = v in b`` as
   ``(lambda p -> b)(v)``, which passes what its body needs through its value
   and pattern, and ``gphase{r}`` as ``rphase{_, r, r}``, whose ``_`` is
-  ``_%0``;
+  ``v%0``;
 * a region entered from a fixed scope, a pattern outside any other (it binds
   from an empty table) or a closed program (no variables, binders from 0),
   is elaborated once per compile if it reads no generic parameter, a type
@@ -313,7 +316,7 @@ class _Env(NamedTuple):
     already-elaborated values; it is replaced wholesale when entering a
     definition body.  ``qrename`` maps each variable in scope to its core
     variable; ``fresh`` is set inside definition bodies so that every binder
-    gets a name numbered in its program.
+    gets the name ``v%k``, numbered in its program, whatever its source name.
 
     ``binds`` is set while a pattern is elaborated (binding mode) and collects
     the names that pattern binds.  In binding mode ``qrename`` holds only what
@@ -432,10 +435,10 @@ class Elaborator:
                 self.ctors[alt.name] = i
                 self.defs["c", alt.name] = d
 
-    def _fresh(self, base: str) -> str:
+    def _fresh(self) -> str:
         n = self._binders
         self._binders = n + 1
-        return f"{base}%{n}"
+        return f"v%{n}"
 
     def _make(self, cls: type, a=None, b=None, c=None):
         """The one node of class ``cls`` with the fields ``a``, ``b``, ``c``
@@ -552,7 +555,7 @@ class Elaborator:
                 values.append(chain[0])
                 continue
             # the one binder of a closed program, so numbered 0
-            x = unit if alt.payload is None else make(ExVar, "x%0")
+            x = unit if alt.payload is None else make(ExVar, "v%0")
             e = x
             for f in reversed(chain):
                 e = make(ExApp, f, e)
@@ -687,7 +690,7 @@ class Elaborator:
         if t is ExVar:
             v = env.qrename.get(x.name)
             if env.binds is not None and (v is None or x.name == "_"):
-                v = self._fresh(x.name) if env.fresh or x.name == "_" else x.name
+                v = self._fresh() if env.fresh or x.name == "_" else x.name
                 v = env.binds[x.name] = self._make(ExVar, v)
             elif v is None:
                 raise PreprocessError(f"unbound variable {x.name}")

@@ -47,10 +47,10 @@ memoized on ``(id(program), basis value)`` for one run
   ``e^(i r') v + (e^(i r) - e^(i r')) [[e]][[e]]^dagger v``; the pattern
   ``e`` may be a superposition, as in ``@reflect{&equal_superpos}``.
 * Erasure: a ``lambda`` or ``pmatch`` variable that is bound but not free in
-  its body goes to the garbage, in the order of the variables' names.  A
-  ``match`` puts its scrutinee's value in the garbage.  A ``ctrl`` drops its
-  scrutinee's garbage: the scrutinee is uncomputed, as its context is
-  classical.  (The typing rules of Qunity are to confirm both readings.)
+  its body goes to the garbage, in the order of the variables' names as
+  strings, so ``v%10`` comes before ``v%2``.  A ``match`` puts its
+  scrutinee's value in the garbage.  A ``ctrl`` drops its scrutinee's
+  garbage: the scrutinee is uncomputed, as its context is classical.  (The typing rules of Qunity are to confirm both readings.)
 * ``try`` is refused.
 
 What the semantics does not define is refused with

@@ -327,14 +327,14 @@ ERRORS = [
         "open-argument-in-a-program",
         "def @f{&v : Bit} : Bit -> Bit * Bit := lambda x -> (x, &v) end\n"
         "def @g : Bit -> Bit * Bit := lambda x -> @f{x}(x) end\n&0 |> @g",
-        "&v is used inside a program but has the free variable(s) x%0 of its caller",
+        "&v is used inside a program but has the free variable(s) v%0 of its caller",
     ),
     (
-        # So does the pattern of an rphase, whose x would make (x%0, x%0).
+        # So does the pattern of an rphase, whose x would make (v%0, v%0).
         "open-argument-in-an-rphase",
         "def @f{&v : Bit} : Bit * Bit -> Bit * Bit := rphase{(&v, x), 0, pi} end\n"
         "def @g : Bit -> Bit * Bit := lambda x -> (x, &0) |> @f{x} end\n&0 |> @g",
-        "&v is used inside a program but has the free variable(s) x%0 of its caller",
+        "&v is used inside a program but has the free variable(s) v%0 of its caller",
     ),
 ]
 
@@ -640,30 +640,51 @@ def test_an_exact_leaf_prints_as_text_that_elaborates_back_to_it(a, b):
 
 
 def alpha_normal(root):
-    """``root`` with its variables renamed ``v0``, ``v1``, ... by first appearance.
+    """``root`` with its variables renamed ``v0``, ``v1``, ... by binder.
 
-    Names are numbered afresh inside every program, which is closed, so two
-    cores with equal normal forms are alpha-equivalent.
+    Each binding occurrence gets the next number of its closed program, in
+    the order the walk meets its variable, and each use the name of the
+    binder in scope: an arm's pattern binds its variables over its body, a
+    ``lambda``'s over its body and an ``rphase``'s in its pattern alone.  So
+    two binders with one name, an inner one that shadows an outer one, get
+    two numbers.  Names are numbered afresh inside every program, which is
+    closed, so two cores with equal normal forms are alpha-equivalent.
     """
     programs = {}  # id of a program node -> its normal form, shared as in the DAG
+    closed = (core.PrAbs, core.PrPmatch, core.PrRphase)
 
-    def walk(x, names):
+    def walk(x, scope, count):
         if isinstance(x, core.ExVar):
-            return core.ExVar(names.setdefault(x.name, f"v{len(names)}"))
-        if isinstance(x, (core.PrAbs, core.PrPmatch, core.PrRphase)):
+            return core.ExVar(scope[x.name])
+        if isinstance(x, closed):
             if id(x) not in programs:
-                programs[id(x)] = rebuild(x, {})
+                programs[id(x)] = rebuild(x, {}, itertools.count())
             return programs[id(x)]
         if isinstance(x, tuple):
-            return tuple(walk(y, names) for y in x)
+            return tuple(walk(y, scope, count) for y in x)
         if dataclasses.is_dataclass(x):
-            return rebuild(x, names)
+            return rebuild(x, scope, count)
         return x
 
-    def rebuild(x, names):
-        return type(x)(*(walk(getattr(x, f.name), names) for f in dataclasses.fields(x)))
+    def rebuild(x, scope, count):
+        if isinstance(x, (core.PrAbs, core.PrRphase, core.CoreArm)):
+            binds = core.free_qvars(x.pattern)
+            new = [n for n in dict.fromkeys(met(x.pattern)) if n in binds]
+            scope = {**scope, **{n: f"v{next(count)}" for n in new}}
+        return type(x)(*(walk(getattr(x, f.name), scope, count) for f in dataclasses.fields(x)))
 
-    return walk(root, {})
+    def met(x):
+        """The names of ``x``'s variables, in the order the walk meets them."""
+        if isinstance(x, core.ExVar):
+            yield x.name
+        elif isinstance(x, tuple):
+            for y in x:
+                yield from met(y)
+        elif dataclasses.is_dataclass(x) and not isinstance(x, closed):
+            for f in dataclasses.fields(x):
+                yield from met(getattr(x, f.name))
+
+    return walk(root, {}, itertools.count())
 
 
 _SUGAR = (core.TVar, core.Name, core.If)
@@ -717,16 +738,55 @@ def @k : Bit * Bit -> (Bit * Bit) * Bit := lambda (y, x) -> (&f{x}, y) end
 """
 
 
+_VARIABLES = st.from_regex(r"[a-z][a-z0-9']{0,3}", fullmatch=True).filter(
+    lambda w: w not in lexer.KEYWORDS
+)
+
+
+@st.composite
+def _pair_tree(draw, leaves):
+    """The leaves in order, nested in pairs of a drawn shape."""
+    if len(leaves) == 1:
+        return leaves[0]
+    k = draw(st.integers(1, len(leaves) - 1))
+    return draw(_pair_tree(leaves[:k])), draw(_pair_tree(leaves[k:]))
+
+
+@st.composite
+def _shuffles(draw):
+    """A ``lambda`` that shuffles pairs: its pattern and body as pair trees
+    of the numbers of its variables, and two lists of names for them."""
+    n = draw(st.integers(1, 5))
+    pattern = draw(_pair_tree(list(range(n))))
+    body = draw(_pair_tree(draw(st.permutations(range(n)))))
+    names = st.lists(_VARIABLES, min_size=n, max_size=n, unique=True)
+    return pattern, body, draw(names), draw(names)
+
+
 class TestInterning:
-    """One compile has one object per distinct node, and binders are numbered
-    within their closed program, so alpha-equal programs are one object."""
+    """One compile has one object per distinct node, and a binder is named by
+    its number within its closed program alone, so alpha-equal programs are
+    one object."""
 
     MAINS = PRELUDE_MAINS + ["&order_finding{8, 7}"]
 
     @pytest.mark.parametrize("main", MAINS)
     def test_equal_nodes_are_one_object(self, main):
-        nodes = list(reachable(core_of_source(main)))
-        assert len(set(nodes)) == len(nodes)
+        # One fold keys each distinct node by its class, its fields that hold
+        # no node and its children's ids, so it costs the DAG.  In a smallest
+        # pair of distinct equal nodes the children are one object each, so
+        # the two would share a key.
+        nodes = {}
+
+        def key(x, _):
+            fields = [getattr(x, name) for name in x.__slots__]
+            k = type(x), *(
+                tuple(map(id, v)) if type(v) is tuple else id(v) if isinstance(v, core._Node) else v
+                for v in fields
+            )
+            assert nodes.setdefault(k, x) is x, f"two equal {type(x).__name__} nodes"
+
+        core.fold(core_of_source(main), key)
 
     @pytest.mark.parametrize("main", MAINS)
     def test_alpha_equal_programs_are_one_object(self, main):
@@ -756,9 +816,9 @@ class TestInterning:
         )
         c = core_of_source(src)
         bare, inner, phase = c.left.fn, c.right.left.fn.body.fn, c.right.right.fn.body.fn
-        assert core.to_str(bare) == "rphase{x%0, 0, pi}"
+        assert core.to_str(bare) == "rphase{v%0, 0, pi}"
         assert inner is bare
-        assert core.to_str(phase) == "rphase{_%0, 1 / 2 * pi, 1 / 2 * pi}"
+        assert core.to_str(phase) == "rphase{v%0, 1 / 2 * pi, 1 / 2 * pi}"
         assert phase.on_phase is phase.off_phase
 
     def test_a_memoized_expression_captures_no_variable(self):
@@ -773,6 +833,43 @@ class TestInterning:
             "(lambda (v0, v1) -> (ctrl v1 [v2 -> (v2, v1)], v0))"
             "((left{Unit, Unit}(()), right{Unit, Unit}(())))))"
         )
+        # @h's y and the arm binder of &f, reused from @g, are both v%1: the
+        # arm binds v%1 in its body alone, so S runs @h as it did when the
+        # two had names of their own.
+        assert h.pattern.right is h.body.left.arms[0].pattern
+        zero, one = classical.ZERO, classical.ONE
+        value = ((zero, zero), (((zero, zero), one), ((one, one), zero)))
+        assert semantics.run(c, {}) == {(value, ()): 1}
+
+    SWAPS = (
+        "def @s1 : Bit * Bit -> Bit * Bit := lambda (x, y) -> (y, x) end\n"
+        "def @s2 : Bit * Bit -> Bit * Bit := lambda (a, b) -> (b, a) end\n"
+    )
+
+    def test_alpha_equal_definitions_are_one_object(self):
+        c = core_of_source(self.SWAPS + "(&0, &1) |> @s1 |> @s2")
+        assert c.fn is c.arg.fn
+        assert core.to_str(c.fn) == "(lambda (v%0, v%1) -> (v%1, v%0))"
+
+    @settings(max_examples=50, deadline=None)
+    @given(_shuffles())
+    def test_a_shuffle_is_one_object_whatever_its_names(self, shuffle):
+        pattern, body, names, others = shuffle
+        text = lambda tree, leaf, sep=", ": (
+            leaf(tree)
+            if type(tree) is int
+            else f"({text(tree[0], leaf, sep)}{sep}{text(tree[1], leaf, sep)})"
+        )
+        bits = lambda tree: text(tree, lambda i: "Bit", " * ")
+        signature = f"{bits(pattern)} -> {bits(body)}"
+        src = "".join(
+            f"def @{f} : {signature} := "
+            f"lambda {text(pattern, vs.__getitem__)} -> {text(body, vs.__getitem__)} end\n"
+            for f, vs in (("p", names), ("q", others))
+        )
+        arg = text(pattern, lambda i: "&0")
+        c = core_of_source(src + f"({arg} |> @p, {arg} |> @q)")
+        assert c.left.fn is c.right.fn
 
     @pytest.fixture
     def no_structural(self, monkeypatch):
@@ -1155,12 +1252,13 @@ class TestKeptRegions:
 
     # The sha256 of the core texts, each after the one before and a newline,
     # of the benchmark's op_list(workload, 5, 15) and of PRELUDE_MAINS, as
-    # elaborated before any region was kept.
+    # elaborated before any region was kept, with each binder ``x%k`` spelt
+    # ``v%k`` as the elaborator now names it.
     TEXTS = {
-        "small_programs": "86200084d323ff49945d7755ab4be6d6f14df4f9a957c556c8352f84f0487a05",
-        "shor_unroll": "c63e9409b9d284c061d5bb6ca063b2b3bc56ca63b15039af745c8b8547510949",
-        "dump_core": "bdc7189d6ea1ce54a1ddb24e3d488c11a68e17c4bc67a37437f9cb41b95f6a99",
-        "PRELUDE_MAINS": "c487a559ec5f11da56cbd009837dc5f41253e1191f59a7f2b33d293160c6c398",
+        "small_programs": "7d2c6b99dab089f214ed44d74227f5640cfcd4995af5fc45f00fd368bc2c563d",
+        "shor_unroll": "66046fc3658e97fa9c5cafbb8804fe9bcf49af2bba2dec33d9fc4b94cc0845bd",
+        "dump_core": "d327a0142098ed7bfc5cf7765aa18da453a0a720caef289c3414870e5944811a",
+        "PRELUDE_MAINS": "c93660e8a3db80407dcc08df50e89489018a82aff6330199e1bfea39427d9af2",
     }
 
     @pytest.mark.parametrize("name", TEXTS)
@@ -1198,7 +1296,7 @@ class TestKeptRegions:
         qf = parser.parse_file("&num_to_state{6, 1} |> @qft{6}")
         elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
         c = elaborator.elaborate(qf.main)
-        text = "(lambda ((y0%0, y1%1), y%2) -> (y0%0, (y1%1, y%2)))"
+        text = "(lambda ((v%0, v%1), v%2) -> (v%0, (v%1, v%2)))"
         (let,) = [x for x in reachable(c) if core.to_str(x) == text]
         assert [x is let for x in made].count(True) == 1
         assert elaborator.reused >= 1
