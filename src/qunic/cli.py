@@ -42,8 +42,10 @@ prints one JSON object as the last line:
   in bytes on macOS); null where the ``resource`` module does not exist.
 
 The exit status is 0 on success, 1 for an error in the program
-(:class:`~qunic.errors.QunityError`) and 2 for a program too large to compile
-or to print (:class:`~qunic.errors.CapacityError`).  Any other exception is an internal
+(:class:`~qunic.errors.QunityError`) or for a reader of the output that
+quits before its end (a broken pipe, as in ``qunic --dump-core - | head``),
+and 2 for a program too large to compile or to print
+(:class:`~qunic.errors.CapacityError`).  Any other exception is an internal
 error, and ends the command with its traceback.
 
 Every pass is one structural recursion, as deep as the term, so the pipeline
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import threading
 import time
@@ -97,11 +100,18 @@ def main(argv: list[str] | None = None) -> int:
     dumps = {stage for stage in ("tokens", "surface", "core") if getattr(args, f"dump_{stage}")}
     try:
         stats = _on_deep_stack(_compile, source, not args.no_prelude, dumps, args.stats)
+        if stats is not None:
+            print(json.dumps(stats))
+        if sys.stdout is not None:  # None where the command starts with its output closed
+            sys.stdout.flush()  # so that a broken pipe is met here, not at exit
     except QunityError as exc:
         print(f"qunic: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, CapacityError) else 1
-    if stats is not None:
-        print(json.dumps(stats))
+    except BrokenPipeError:
+        # The reader has gone: what is left of the output goes to devnull, so
+        # that the interpreter's flush at exit finds no broken pipe either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -55,12 +55,9 @@ class CapacityError(QunityError):
     """Raised when a dimension, qubit count, or unrolling budget is exceeded."""
 
 
-class ClassicalError(QunityError):
-    """Raised when the classical evaluator meets a program that is not
-    classical: one that need not map basis states to basis states."""
-
-
 class SemanticsError(QunityError):
     """Raised when the reference semantics meets what it does not define:
-    a ``try``, an expression in a pattern that is no pattern, or the
-    adjoint of a program that erases a variable."""
+    a ``try``, an expression in a pattern that is no pattern, the adjoint of
+    a program that erases a variable, or a state that is not one basis value
+    where one is read, as a ``ctrl``'s scrutinee or by
+    :func:`qunic.semantics.value`."""

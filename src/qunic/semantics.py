@@ -3,20 +3,25 @@
 This follows the semantics of Qunity (Voichick, Li, Rand, Hicks, "Qunity: A
 Unified Language for Quantum and Classical Computing", POPL 2023), on basis
 values instead of typed vectors, so that it reaches the prelude's workloads:
-a state holds only the basis values that have an amplitude.
+a state holds only the basis values that have an amplitude.  It is the one
+evaluator of the core.
 
-A basis value is :mod:`qunic.classical`'s: a nested tuple, ``()`` of
-``Unit``, a pair ``(a, b)`` of a product, and ``(LEFT, v)`` or ``(RIGHT, v)``
-of a sum, so ``&0`` is ``(LEFT, ())`` and ``&1`` is ``(RIGHT, ())``.  No
+A basis value is a nested tuple: ``()`` of ``Unit``, a pair ``(a, b)`` of a
+product, and ``(LEFT, v)`` or ``(RIGHT, v)`` of a sum (``TAGS``), so ``&0``
+is ``ZERO``, ``(LEFT, ())``, and ``&1`` is ``ONE``, ``(RIGHT, ())``.  No
 types are needed: a program runs on a value of its input type, which the
 patterns read as they meet it, and an injection carries its own type.
+:func:`is_x` tells the X gate by its exact angles, so a program of X gates,
+injections and patterns maps a basis value to one basis value exactly.
 
 A *state* is a dict from ``(value, garbage)`` to a complex amplitude, where
 the garbage is a tuple of erased basis values: the state is a purification,
 and the probability of an output ``w`` is the sum of ``|a(w, g)|^2`` over the
 garbage ``g`` (:func:`probabilities`).  By linearity, it is enough to run a
 program on one basis value and an expression in one basis environment, a
-dict from variable names to values.
+dict from variable names to values.  :func:`value` is for a caller that
+wants one basis value: it reads the state's one entry, at amplitude 1, and
+drops its garbage; it gives None for the empty state and refuses any other.
 
 :func:`run` is one structural recursion with one case per core node class,
 memoized on ``(id(program), basis value)`` for one run
@@ -39,7 +44,9 @@ memoized on ``(id(program), basis value)`` for one run
 * ``lambda``, ``pmatch``, ``ctrl`` and ``match`` take, for each arm, the
   body at what the pattern binds, weighted by the match's amplitude, and stop
   at the first arm that takes all of ``v``; so on basis patterns the first
-  arm that matches is taken.  ``else`` is taken where no pattern takes any
+  arm that matches is taken.  A ``ctrl``'s scrutinee is classical: it is
+  read by :meth:`Semantics.value`, so one that is not one basis value, as
+  ``@had(x)``, is refused.  ``else`` is taken where no pattern takes any
   of ``v``, which on basis patterns is ``I - sum_j [[p_j]][[p_j]]^dagger``;
   after a superposed pattern that takes part of ``v``, the ``else`` body
   would need the rest expanded into patterns by its type, so it is refused.
@@ -49,16 +56,19 @@ memoized on ``(id(program), basis value)`` for one run
 * Erasure: a ``lambda`` or ``pmatch`` variable that is bound but not free in
   its body goes to the garbage, in the order of the variables' names as
   strings, so ``v%10`` comes before ``v%2``.  A ``match`` puts its
-  scrutinee's value in the garbage.  A ``ctrl`` drops its scrutinee's
-  garbage: the scrutinee is uncomputed, as its context is classical.  (The typing rules of Qunity are to confirm both readings.)
+  scrutinee's value in the garbage, and so keeps a superposed scrutinee.  A
+  ``ctrl`` drops its scrutinee's garbage: the scrutinee is uncomputed, as
+  its context is classical.  (The typing rules of Qunity are to confirm both
+  readings.)
 * ``try`` is refused.
 
 What the semantics does not define is refused with
 :class:`~qunic.errors.SemanticsError`, never answered: among it a value of
 another shape than a pair pattern, an injection pattern or a ``u3`` reads,
 as nothing types the core before it runs.  A program nested too deeply for
-the interpreter's stack raises :class:`~qunic.errors.CapacityError`.  Amplitudes below ``EPS`` in magnitude
-are dropped, so cancelled branches leave the state.
+the interpreter's stack raises :class:`~qunic.errors.CapacityError`, in
+:func:`run` and :func:`value`.  Amplitudes below ``EPS`` in magnitude are
+dropped, so cancelled branches leave the state.
 """
 
 from __future__ import annotations
@@ -66,7 +76,6 @@ from __future__ import annotations
 import cmath
 import math
 
-from .classical import ONE, TAGS, ZERO, is_x
 from .core import (
     CORE_PROGS,
     ExApp,
@@ -90,6 +99,20 @@ from .errors import CapacityError, SemanticsError
 from .reals import evaluate_real
 
 EPS = 1e-12
+LEFT, RIGHT = "left", "right"
+ZERO, ONE = (LEFT, ()), (RIGHT, ())  # &0 and &1
+TAGS = {PrLeft: LEFT, PrRight: RIGHT}  # the tag of each injection
+
+
+def is_x(x: PrU3) -> bool:
+    """Whether the ``u3`` node ``x`` is exactly ``u3{pi, 0, pi}``, the X gate:
+    read from its angles' exact leaves, as the core holds every exact angle."""
+    return _exact(x.theta) == _exact(x.lam) == (0, 1) and _exact(x.phi) == (0, 0)
+
+
+def _exact(r) -> tuple | None:
+    """The value ``(a, b)`` of ``r``, an exact leaf, or None for any other node."""
+    return (r.a, r.b) if type(r) is RExact else None
 
 
 def run(x, arg) -> dict:
@@ -97,6 +120,14 @@ def run(x, arg) -> dict:
     expression ``x`` in the environment ``arg``, by a :class:`Semantics` of
     its own."""
     return Semantics().run(x, arg)
+
+
+def value(x, arg):
+    """The basis value of the program ``x`` at the value ``arg``, or of the
+    expression ``x`` in the environment ``arg``, by a :class:`Semantics` of
+    its own: the one entry of its state, at amplitude 1.  None for the empty
+    state; any other state raises :class:`~qunic.errors.SemanticsError`."""
+    return Semantics().value(x, arg)
 
 
 def probabilities(state: dict) -> dict:
@@ -137,8 +168,9 @@ def _pruned(out: dict) -> dict:
 
 
 class Semantics:
-    """The memos of one run: one call of :func:`run`, or the calls of one
-    object's :meth:`run`, which share them (on several inputs of a program).
+    """The memos of one run: one call of :func:`run` or :func:`value`, or
+    the calls of one object's :meth:`run` and :meth:`value`, which share them
+    (on several inputs of a program).
 
     ``memo`` keeps the state of each program at each input, so a ``u3``'s
     column and an ``rphase``'s phases are computed once per input, and
@@ -183,12 +215,14 @@ class Semantics:
             return out
         if t is ExUnit:
             return {((), ()): 1}
-        if t is ExCtrl or t is ExMatch:
+        if t is ExCtrl:
+            v = self.value(x.scrutinee, arg)
+            return {} if v is None else self._arms(x.arms, v, arg, x.else_body)
+        if t is ExMatch:
             out = {}
             for (v, g), a in self._run(x.scrutinee, arg).items():
-                kept = () if t is ExCtrl else (*g, v)
                 for (w, h), b in self._arms(x.arms, v, arg, x.else_body).items():
-                    _add(out, (w, kept + h), a * b)
+                    _add(out, (w, (*g, v) + h), a * b)
             return _pruned(out)
         if t is ExTry:
             raise SemanticsError("try is not defined on sparse states yet")
@@ -281,19 +315,21 @@ class Semantics:
         if t is ExUnit:
             return [({}, 1)] if v == () else []
         if t is ExCtrl:
-            return list(ctrl_bindings(p, v, self.match, self._basis, SemanticsError))
+            return list(ctrl_bindings(p, v, self.match, self.value, SemanticsError))
         if t is ExMatch:
             raise SemanticsError("a match is not a pattern: a match erases its scrutinee")
         raise SemanticsError(f"{t.__name__} is not a pattern")
 
-    def _basis(self, e, env):
-        """The basis value of the classical expression ``e`` in ``env``, or
-        None where it has none; its garbage is dropped, as ``ctrl`` drops its
-        scrutinee's."""
-        state = self._run(e, env)
+    def value(self, e, env):
+        """The basis value of ``e`` in ``env``, as :func:`value` gives it; its
+        garbage is dropped, as ``ctrl`` drops its scrutinee's."""
+        state = self.run(e, env)
         if not state:
             return None
         ((w, _), a), *rest = state.items()
         if rest or abs(a - 1) > EPS:
-            raise SemanticsError("a ctrl's scrutinee in a pattern is not one basis value")
+            what = f"the state of {type(e).__name__}"
+            if rest:
+                raise SemanticsError(f"{what} has {len(state)} entries, not one basis value")
+            raise SemanticsError(f"{what} is one basis value at amplitude {a:.6g}, not 1")
         return w

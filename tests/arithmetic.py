@@ -1,8 +1,8 @@
-"""The prelude's arithmetic registers, shared by the evaluators' tests:
+"""The prelude's arithmetic registers, shared by the tests of S:
 ``Num{n}`` values, and the core programs that act on them."""
 
-from qunic.classical import LEFT, RIGHT
 from qunic.preprocess import core_of_source
+from qunic.semantics import LEFT, RIGHT
 
 N = 16  # the width of a register
 SAMPLES = 25  # random inputs per program

@@ -242,6 +242,40 @@ def test_the_command_starts_without_a_thread_pool_or_logging():
     assert not set(out.stdout.split()) & {"concurrent.futures", "logging"}
 
 
+def test_a_reader_that_quits_early_ends_the_command_with_1_and_no_traceback():
+    # The dump, 502,736 characters, is more than a pipe holds, so the command
+    # is still writing when its reader closes the pipe.
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "qunic.cli", "--dump-core", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        proc.stdin.write(b"&num_to_state{64, 1} |> @qft{64}")
+        proc.stdin.close()
+        assert proc.stdout.read(7) == b"(lambda"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and err == ""
+
+
+def test_the_command_runs_with_its_output_closed():
+    # Python then has no sys.stdout, and print writes nothing.
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m qunic.cli --stats - >&-', sys.executable],
+        input="@had(&0)",
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+
+
 def test_stats_counts_the_prelude_definitions_parsed_so_far():
     script = (
         "import sys\n"

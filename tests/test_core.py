@@ -254,11 +254,11 @@ class TestSharedCores:
 
     def test_importing_the_compiler_loads_no_later_stage(self):
         loaded = self.loaded_by("qunic.preprocess")
-        assert not loaded & {"qunic.semantics", "qunic.classical", "qunic.cli"}
+        assert not loaded & {"qunic.semantics", "qunic.cli"}
 
     def test_importing_the_tree_with_its_adjoint_loads_no_evaluator(self):
         loaded = self.loaded_by("qunic.core")
-        assert not loaded & {"qunic.reals", "qunic.semantics", "qunic.classical", "qunic.cli"}
+        assert not loaded & {"qunic.reals", "qunic.semantics", "qunic.cli"}
 
     @pytest.mark.parametrize(
         "first", ["qunic.reals", "qunic.core", "qunic.surface", "qunic.parser", "qunic.preprocess"]

@@ -1,6 +1,7 @@
 """The settings in ``pyproject.toml``: warnings are errors, a failing
 Hypothesis property still lets every later test report, and every declared
-console script exists; and every module of ``qunic`` uses what it imports."""
+console script exists; and every module of ``qunic`` uses what it imports,
+all of it from the standard library."""
 
 import ast
 import importlib
@@ -68,3 +69,17 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported.items() if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_absolute_import_is_of_the_standard_library(path):
+    # pyproject.toml declares no dependency, and no module may need one.
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    stdlib = sys.stdlib_module_names
+    outside = sorted(name for name in names if name.partition(".")[0] not in stdlib)
+    assert not outside, f"{path.name} imports from outside the standard library: {outside}"
