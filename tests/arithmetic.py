@@ -30,3 +30,20 @@ def program(name: str, *inputs: int):
     states = [f"&num_to_state{{{n}, 0}}" for n in inputs]
     arg = states[0] if len(states) == 1 else f"({', '.join(states)})"
     return core_of_source(f"{arg} |> {name}").fn
+
+
+# The prelude's @add_const as it was before it was built on @inc, as a user
+# definition: a match on the low bit with one call per arm, so its tree
+# doubles with each bit while its DAG grows with #n.
+ADD_CONST_TREE = """
+def @add_const_tree{#n, #a} : Num{#n} -> Num{#n} :=
+  if #n <= 0 then @id{Unit}
+  else pmatch [
+    (&0, x) -> (if #a % 2 = 1 then &1 else &0 endif,
+                @add_const_tree{#n - 1, ((#a - #a % 2) / 2) % 2 ^ (#n - 1)}(x));
+    (&1, x) -> (if #a % 2 = 1 then &0 else &1 endif,
+                @add_const_tree{#n - 1, ((#a - #a % 2) / 2 + #a % 2) % 2 ^ (#n - 1)}(x))
+  ]
+  endif
+end
+"""

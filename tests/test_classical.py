@@ -39,6 +39,30 @@ def test_the_adjoint_of_add_const_subtracts_mod_2_to_the_n(a):
         assert to_int(s.value(f, num(N, x))) == (x - a) % 2**N
 
 
+def _adders(n: int):
+    """``@inc{n}`` and ``@add_const{n, a}`` for every a in [-2^n, 2^(n+1)),
+    each with the constant it adds."""
+    yield f"@inc{{{n}}}", 1
+    for a in range(-(2**n), 2 ** (n + 1)):
+        yield f"@add_const{{{n}, {a}}}", a
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_inc_and_add_const_add_mod_2_to_the_n_on_every_input(n):
+    for name, a in _adders(n):
+        f, s = program(name, n), Semantics()  # a memo is keyed by its nodes' ids
+        for x in range(2**n):
+            assert to_int(s.value(f, num(n, x))) == (x + a) % 2**n, (name, x)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_the_adjoints_of_inc_and_add_const_subtract_on_every_input(n):
+    for name, a in _adders(n):
+        f, s = program(f"@adjoint{{Num{{{n}}}, Num{{{n}}}, {name}}}", n), Semantics()
+        for x in range(2**n):
+            assert to_int(s.value(f, num(n, x))) == (x - a) % 2**n, (name, x)
+
+
 def test_each_programs_adjoint_is_built_once_for_every_pass(monkeypatch):
     # A pattern @add_const{..}(x) runs that program's adjoint: core.adjoint
     # builds it once and keeps it on the program's node, and every run of

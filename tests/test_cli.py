@@ -10,6 +10,7 @@ import sys
 import threading
 
 import pytest
+from arithmetic import ADD_CONST_TREE
 
 from qunic import cli, core, parser, preprocess
 from qunic.errors import CapacityError
@@ -59,8 +60,13 @@ def test_input_too_deep_for_the_worker_stack_exits_2(tmp_path, capsys):
         ("&0 |> u3{3 ^ 2 ^ 30, 0, 0}", 2, "CapacityError: an exact real"),
         ("y", 1, "PreprocessError: unbound variable y"),
         ("&0 |>", 1, "ParseError: 1:6"),
+        (
+            "&num_to_state{2, 1} |> @add_const{2, 1/2}",
+            1,
+            "PreprocessError: unknown program definition @add_const_needs_an_integer_constant",
+        ),
     ],
-    ids=["capacity", "program", "parse"],
+    ids=["capacity", "program", "parse", "refusal"],
 )
 def test_an_error_in_the_program_exits_with_its_code(tmp_path, capsys, source, code, message):
     got, out, err = qunic(tmp_path, capsys, source)
@@ -70,9 +76,8 @@ def test_an_error_in_the_program_exits_with_its_code(tmp_path, capsys, source, c
 
 def test_a_dump_over_the_printers_bound_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(core, "TEXT_CHARS", 10_000)
-    code, out, err = qunic(
-        tmp_path, capsys, "&num_to_state{8, 1} |> @add_const{8, 12345}", "--dump-core"
-    )
+    main = "&num_to_state{8, 1} |> @add_const_tree{8, 12345}"
+    code, out, err = qunic(tmp_path, capsys, ADD_CONST_TREE + main, "--dump-core")
     assert (code, out) == (2, "")
     assert err.startswith("qunic: CapacityError: a text of ")
 

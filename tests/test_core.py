@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from arithmetic import ADD_CONST_TREE
 from hypothesis import given, strategies as st
 
 from qunic import cli, core, reals
@@ -182,10 +183,10 @@ class TestSharedCores:
             core.to_str(leaf)
 
     def test_a_text_over_the_bound_is_refused(self, monkeypatch):
-        # @add_const's halves are shared, so its text is far longer than its
-        # DAG.  At a bound one character short, the final join refuses it; at
-        # a small bound, the join of a shared node's text does.
-        c = core_of_source("&num_to_state{8, 1} |> @add_const{8, 12345}")
+        # @add_const_tree's halves are shared, so its text is far longer than
+        # its DAG.  At a bound one character short, the final join refuses it;
+        # at a small bound, the join of a shared node's text does.
+        c = core_of_source(ADD_CONST_TREE + "&num_to_state{8, 1} |> @add_const_tree{8, 12345}")
         text = core.to_str(c)
         monkeypatch.setattr(core, "TEXT_CHARS", len(text))
         assert core.to_str(c) == text

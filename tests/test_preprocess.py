@@ -1015,7 +1015,7 @@ class TestSharedPrelude:
         entries = _prelude_entries()
         assert [e.name for e in entries] == [d.name for d in whole]
         unparsed = [e for e in entries if type(e) is preprocess._Unparsed]
-        assert len(whole) == 40 and len(unparsed) == 35
+        assert len(whole) == 41 and len(unparsed) == 36
         assert all(e.sort == d.sort for e, d in zip(entries, whole) if e in unparsed)
         assert [preprocess._parse_chunk(e.text, e.line) for e in unparsed] == [
             d for e, d in zip(entries, whole) if e in unparsed
@@ -1039,9 +1039,9 @@ class TestSharedPrelude:
             core_of_source(main)
         load_prelude_defs()
         chunks = [s for s in sources if s.lstrip("\n").startswith(("def", "type"))]
-        assert len(chunks) == len(set(chunks)) == 40
+        assert len(chunks) == len(set(chunks)) == 41
         assert prelude not in sources
-        assert len(sources) == 44  # and the four mains
+        assert len(sources) == 45  # and the four mains
 
     def test_a_first_compile_parses_only_the_definitions_it_reaches(self):
         script = (
@@ -1168,18 +1168,23 @@ class TestModExp:
         assert self.mod_exp("mod_exp", 3, 3) != self.mod_exp("mod_exp", 3, 5)
 
 
-# @add_const and @mod_mult as they were before the constants they pass down
-# were reduced mod 2^(#n - 1).
+# @add_const and @mod_mult as they would be without reducing the constants
+# they pass down mod 2^(#n - 1).
 ARITH_UNREDUCED = """
 def @add_const_unreduced{#n, #a} : Num{#n} -> Num{#n} :=
   if #n <= 0 then @id{Unit}
-  else pmatch [
-    (&0, x) -> (if #a % 2 = 1 then &1 else &0 endif,
-                @add_const_unreduced{#n - 1, (#a - #a % 2) / 2}(x));
-    (&1, x) -> (if #a % 2 = 1 then &0 else &1 endif,
-                @add_const_unreduced{#n - 1, (#a - #a % 2) / 2 + #a % 2}(x))
-  ]
-  endif
+  else if #n = 1 then
+    if #a % 1 = 0 then pmatch [
+      (&0, x) -> (if #a % 2 = 1 then &1 else &0 endif, @id{Unit}(x));
+      (&1, x) -> (if #a % 2 = 1 then &0 else &1 endif, @id{Unit}(x))
+    ]
+    else @add_const_needs_an_integer_constant
+    endif
+  else if #a % 2 = 1 then
+    lambda x -> let (x0, x) = @inc{#n}(x) in
+      (x0, @add_const_unreduced{#n - 1, (#a - 1) / 2}(x))
+  else lambda (x0, x) -> (x0, @add_const_unreduced{#n - 1, #a / 2}(x))
+  endif endif endif
 end
 
 def @mod_mult_unreduced{#n, #a} : Num{#n} -> Num{#n} :=
@@ -1235,9 +1240,37 @@ class TestModularArithmetic:
         with pytest.raises(PreprocessError, match="mod_mult_needs_an_odd_constant"):
             core_of_source(f"&num_to_state{{{n}, 0}} |> @mod_mult{{{n}, {a}}}")
 
+    @pytest.mark.parametrize(
+        "main",
+        [
+            "&num_to_state{2, 1} |> @add_const{2, 1/2}",
+            "&num_to_state{2, 1} |> @add_const{2, 5/3}",
+            "&num_to_state{1, 1} |> @add_const{1, 1/2}",
+            "&num_to_state{8, 1} |> @add_const{8, -7/2}",
+            "&num_to_state{3, 1} |> @mod_mult{3, 1/2}",
+        ],
+    )
+    def test_add_const_refuses_a_constant_that_is_not_an_integer(self, main):
+        # it compiled to a program that was not x + a
+        with pytest.raises(PreprocessError, match="add_const_needs_an_integer_constant"):
+            core_of_source(main)
+
+    def test_the_tree_of_add_const_grows_with_n_squared(self):
+        # W's inline lowering follows the tree.  20,755 and 80,435 nodes, where
+        # a match on the low bit with one call per arm gave 1.5e11 at n = 32.
+        def tree(n):
+            main = f"&num_to_state{{{n}, 0}} |> @add_const{{{n}, {2**n - 1}}}"
+            return core.node_counts(core_of_source(main))[1]
+
+        assert tree(64) <= 4.5 * tree(32)
+
+    def test_the_tree_of_order_finding_20_is_under_a_million_nodes(self):
+        # 178,080 nodes, where it was 754,988,756
+        assert core.node_counts(core_of_source("&order_finding{20, 7}"))[1] < 10**6
+
     def test_order_finding_instantiates_each_residue_once(self):
-        # 697 with unreduced constants
-        assert _elaborated("&order_finding{12, 7}").instantiations <= 317
+        # 697 with unreduced constants, 317 with @add_const a match on the low bit
+        assert _elaborated("&order_finding{12, 7}").instantiations <= 316
 
     def test_mod_mult_of_no_bits_is_the_identity(self):
         for a in (3, 2):
@@ -1253,13 +1286,13 @@ class TestKeptRegions:
 
     # The sha256 of the core texts, each after the one before and a newline,
     # of the benchmark's op_list(workload, 5, 15) and of PRELUDE_MAINS, as
-    # elaborated before any region was kept, with each binder ``x%k`` spelt
-    # ``v%k`` as the elaborator now names it.
+    # elaborated with no region kept, with each binder ``x%k`` spelt ``v%k``
+    # as the elaborator now names it and ``@add_const`` built on ``@inc``.
     TEXTS = {
-        "small_programs": "7d2c6b99dab089f214ed44d74227f5640cfcd4995af5fc45f00fd368bc2c563d",
-        "shor_unroll": "66046fc3658e97fa9c5cafbb8804fe9bcf49af2bba2dec33d9fc4b94cc0845bd",
+        "small_programs": "e601368dc0553c2d4acb6ffd4aa23c3f147161a5a7f86e0d2c3bfe1445dc3de8",
+        "shor_unroll": "3d0d06f29f7800358b52f2e6fa0d498abdf976c4db64a2ca564e6ade41d84aa4",
         "dump_core": "d327a0142098ed7bfc5cf7765aa18da453a0a720caef289c3414870e5944811a",
-        "PRELUDE_MAINS": "c93660e8a3db80407dcc08df50e89489018a82aff6330199e1bfea39427d9af2",
+        "PRELUDE_MAINS": "4793a56d97fedd64ebd7707cdc266e4fdbce669889a05a2fafe705488e551968",
     }
 
     @pytest.mark.parametrize("name", TEXTS)

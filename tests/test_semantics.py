@@ -168,10 +168,11 @@ def test_phase_estimation_reads_its_phase_big_endian(n):
         assert abs(sum(p.values()) - 1) < 1e-9
 
 
-@pytest.mark.parametrize("n, r", [(4, 2), (5, 4), (6, 8)])
-def test_order_finding_peaks_on_multiples_of_2_to_the_n_over_the_order(n, r):
-    assert pow(7, r, 2**n) == 1 and pow(7, r // 2, 2**n) != 1
-    p = probabilities(run(core_of_source(f"&order_finding{{{n}, 7}}"), {}))
+@pytest.mark.parametrize("a", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_order_finding_peaks_on_multiples_of_2_to_the_n_over_the_order(n, a):
+    r = next(r for r in range(1, 2**n) if pow(a, r, 2**n) == 1)
+    p = probabilities(run(core_of_source(f"&order_finding{{{n}, {a}}}"), {}))
     peaks = {big_endian(v): q for v, q in p.items() if q > 1e-9}
     assert sorted(peaks) == [j * 2**n // r for j in range(r)]
     assert all(abs(q - 1 / r) < 1e-9 for q in peaks.values())
