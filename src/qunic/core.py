@@ -135,9 +135,12 @@ class _Node:
     * The ``_derived`` slot, no dataclass field and outside ``hash`` and
       ``==``, keeps what a pass derives from the node alone, on the pass's
       first need: a program's :func:`adjoint`, on a ``ctrl`` met in a
-      pattern its arms as :func:`ctrl_bindings` reads them, or, on an
-      integer expression, the state of its kernel (see
-      :meth:`qunic.preprocess.Elaborator.elab`).
+      pattern its arms as :func:`ctrl_bindings` reads them, on an integer
+      expression the state of its kernel (see
+      :meth:`qunic.preprocess.Elaborator.elab`), or, on a name with generic
+      arguments, the state of its call-site cache, which derives from the
+      node and the process's prelude table (see
+      :meth:`qunic.preprocess.Elaborator._named`).
 
     This class does not intern: equal nodes built apart are distinct objects,
     equal by the walk.  The elaborator interns what it builds, so within one

@@ -57,6 +57,18 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   counter below, which keeps exactly what the walk would; when it gives no
   value, the expression is walked, which gives every other value and every
   error;
+* a call site with generic arguments that resolves to a prelude definition
+  (``@add_const{#n - 1, ...}`` in a prelude body) is resolved once per
+  process by the same rule: the first evaluation marks the node, and the
+  second, once the walk has checked the arity and each argument's sort,
+  keeps in the slot the definition and a reader per argument (see
+  :meth:`Elaborator._named`).  Later evaluations take a constant, a ``#``
+  parameter or a type variable in scope, or a kernel's answer with no
+  frame, counting what the walk counts.  Only a prelude definition is
+  cached: it is one object for the process, which each compile's table is
+  checked to hold, while a user's is one per parse and the same parsed call
+  site may meet another compile's.  Argless names, variants, constructors,
+  user definitions and every error take the walk;
 * ``if .. then .. else .. endif`` conditionals are decided by comparing the
   values of their (closed, by the time substitution has happened) reals;
 * variant constructors become chains of sum injections (a single-alternative
@@ -143,7 +155,6 @@ from .core import (
     GenArg,
     If,
     Name,
-    Param,
     PrAbs,
     PrLeft,
     PrPmatch,
@@ -359,6 +370,23 @@ class _Inexact:
 
 RealValue = Union[tuple[Rational, Rational], _Inexact]
 
+
+def _reader(a: GenArg, p: tuple[str, str]) -> tuple:
+    """How a call site's cache reads its generic argument ``a``, bound to the
+    parameter under ``p``: ``(kind, r, a, p)``, where kind 0 is a constant
+    of value ``r``, 1 a ``#`` name or a type variable, the parameter under
+    ``r`` in scope, 2 an integer expression, by its kernel ``r``, and 3 any
+    other; 1 and 2 fall back on :meth:`Elaborator.elab`, and 3 is it."""
+    t = type(a)
+    if t is RConst:
+        return 0, (a.value, 0), a, p
+    if t is TVar or (t is Name and a.sort == "r" and not a.args):
+        return 1, ("t" if t is TVar else "r", a.name), a, p
+    if t is RBinary and type(a._derived) is tuple:
+        return 2, a._derived, a, p
+    return 3, None, a, p
+
+
 class Elaborator:
     def __init__(self, defs: tuple[Def | VariantDef, ...], use_prelude: bool = False) -> None:
         """An elaborator of ``defs``, registered on top of a copy of the
@@ -462,9 +490,12 @@ class Elaborator:
 
     # -- names and generic arguments -------------------------------------------
 
-    def _named(self, sort: str, name: str, args: tuple[GenArg, ...], env: _Env):
-        """The value of the definition ``name`` of ``sort`` at ``args``, or
-        None if there is none; :meth:`elab` looks up a generic parameter first.
+    def _named(self, x: Name, env: _Env, site):
+        """The value of the name ``x``, which names no generic parameter in
+        scope and, if argless, was not resolved before in this compile: a
+        definition, else a constructor.  ``site`` is the state of ``x``'s
+        slot as :meth:`elab` read it: None at a first evaluation, False at
+        the second, then the cache that the second built, or None.
 
         A definition is instantiated once per elaborated argument tuple, in a
         scope of its own, and memoized under ``(sort, name, key)``, where
@@ -472,40 +503,107 @@ class Elaborator:
         each real; a variant, reached from a type name or a constructor, under
         ``("v", variant, key)`` as its sum type and its constructors' core
         values.
+
+        From its second evaluation on, a call site with generic arguments
+        whose definition is the prelude's keeps in its slot the key it looked
+        up, the definition, its ``what`` and a :func:`_reader` per argument,
+        whose arity and sort the walk checked then; it serves every compile
+        whose table holds that definition under that key.  Everything else,
+        and every error, takes the walk.
+
         The body is elaborated from this frame, with no helper between, because
         every frame per instantiation level lowers the largest program that
         compiles.
         """
-        d = self.defs.get((sort, name))
-        if d is None:
-            return None
-        if type(d) is _Unparsed:
-            d = self._parse_prelude((sort, name))
-        what = _OWNERS[sort] + name
-        bound, key = self._elab_args(what, d.params, args, env)
-        variant = isinstance(d, VariantDef)
-        if variant:
-            memo_key, what = ("v", d.name, key), f"type {d.name}"
+        name, args = x.name, x.args
+        variant = False
+        if site and self.defs.get(site[0]) is site[1]:
+            _, d, what, readers = site
+            sort, g, bound, key, reads, hits = x.sort, env.generics, {}, [], 0, 0
+            for kind, r, a, p in readers:
+                if kind == 0:  # a constant
+                    v = r
+                elif kind == 1:  # a parameter, if one is in scope
+                    v = g.get(r)
+                    if v is None:
+                        v = self.elab(a, env)
+                    else:
+                        reads += 1
+                else:  # a kernel, if it answers
+                    v = r[0](g) if kind == 2 else None
+                    if v is None:
+                        v = self.elab(a, env)
+                    else:
+                        reads += r[1]
+                        hits += 1
+                bound[p] = v
+                key.append(v if type(v) is tuple else id(v.node if type(v) is _Inexact else v))
+            self._reads += reads
+            self.kernel_hits += hits
+            memo_key = sort, name, tuple(key)
         else:
-            memo_key = (sort, name, key)
+            sort = x.sort
+            d = self.defs.get((sort, name))
+            if d is None:
+                ctor = self.ctors.get(name) if sort in "ef" else None
+                if ctor is None:
+                    raise PreprocessError(f"unknown {_UNKNOWN[sort]}{name}")
+                if (self.defs["c", name].alts[ctor].payload is None) == (sort == "f"):
+                    raise PreprocessError(
+                        f"&{name} is a nullary constructor, not a program"
+                        if sort == "f"
+                        else f"@{name} carries a payload and must be applied"
+                    )
+                sort, d = "c", self.defs["c", name]
+            elif type(d) is _Unparsed:
+                d = self._parse_prelude((sort, name))
+            what = _OWNERS[sort] + name
+            if len(d.params) != len(args):
+                raise PreprocessError(
+                    f"{what} expects {len(d.params)} generic argument(s), got {len(args)}"
+                )
+            bound, key = {}, []
+            for p, a in zip(d.params, args):
+                if sort_of(a) != p.sort:
+                    where = f"{what}: argument for {PARAM_SIGILS[p.sort]}{p.name}"
+                    raise PreprocessError(f"{where} must be {_KINDS[p.sort]}")
+                v = bound[p.sort, p.name] = self.elab(a, env)
+                key.append(v if type(v) is tuple else id(v.node if type(v) is _Inexact else v))
+            if type(d) is VariantDef:
+                variant = True
+                memo_key, what = ("v", d.name, tuple(key)), f"type {d.name}"
+            else:
+                memo_key = sort, name, tuple(key)
+            if site is False:  # the second evaluation: build the cache, or None
+                if args and not variant and self._prelude.get((sort, name)) is d:
+                    # bound holds the parameters' keys in their order
+                    site = (sort, name), d, what, tuple(map(_reader, args, bound))
+                object.__setattr__(x, "_derived", site or None)
         if memo_key in self._memo:
-            return self._memo[memo_key]
-        if memo_key in self._in_progress:
-            raise PreprocessError(f"{what} recursively instantiates itself at the same arguments")
-        self._in_progress[memo_key] = what
-        self._tick(what)
-        inner = _new(_Env, (bound, {}, sort in "ef", None, False))
-        if variant:
-            payloads = tuple(
-                self._make(TyUnit) if alt.payload is None else self.elab(alt.payload, inner)
-                for alt in d.alts
-            )
-            result = self._variant(d, payloads)
+            v = self._memo[memo_key]
         else:
-            result = self.elab(d.body, inner)
-        del self._in_progress[memo_key]
-        self._memo[memo_key] = result
-        return result
+            if memo_key in self._in_progress:
+                raise PreprocessError(
+                    f"{what} recursively instantiates itself at the same arguments"
+                )
+            self._in_progress[memo_key] = what
+            self._tick(what)
+            inner = _new(_Env, (bound, {}, sort in "ef", None, False))
+            if variant:
+                payloads = tuple(
+                    self._make(TyUnit) if alt.payload is None else self.elab(alt.payload, inner)
+                    for alt in d.alts
+                )
+                v = self._variant(d, payloads)
+            else:
+                v = self.elab(d.body, inner)
+            del self._in_progress[memo_key]
+            self._memo[memo_key] = v
+        if variant:  # a type name's sum type, or a constructor's core value
+            v = v[0] if sort == "t" else v[1][self.ctors[name]]
+        if not args:
+            self._argless[x.sort, name] = v
+        return v
 
     def _parse_prelude(self, key: tuple[str, str]) -> Def:
         """The prelude definition under ``key``, parsed with every unparsed
@@ -562,23 +660,6 @@ class Elaborator:
             values.append(e if x is unit else make(PrAbs, x, e))
         return tails[0], tuple(values)
 
-    def _elab_args(
-        self, owner: str, params: tuple[Param, ...], args: tuple[GenArg, ...], env: _Env
-    ) -> tuple[dict[tuple[str, str], object], tuple[object, ...]]:
-        if len(params) != len(args):
-            raise PreprocessError(
-                f"{owner} expects {len(params)} generic argument(s), got {len(args)}"
-            )
-        bound: dict[tuple[str, str], object] = {}
-        key = []  # a node is canonical, so the key holds its id
-        for p, a in zip(params, args):
-            if sort_of(a) != p.sort:
-                where = f"{owner}: argument for {PARAM_SIGILS[p.sort]}{p.name}"
-                raise PreprocessError(f"{where} must be {_KINDS[p.sort]}")
-            v = bound[p.sort, p.name] = self.elab(a, env)
-            key.append(v if type(v) is tuple else id(v.node if type(v) is _Inexact else v))
-        return bound, tuple(key)
-
     # -- the one recursion ---------------------------------------------------------
 
     def elab(self, x, env: _Env):
@@ -601,19 +682,43 @@ class Elaborator:
             t = type(x)
         if t is RConst:
             return x.value, 0
-        if t is RBinary or t is BCmp:
-            # An integer expression met before runs its kernel, if it has one
-            # and it answers: the slot holds False after a first evaluation,
-            # then the kernel that the second one builds, or None.
+        if t is Name:
+            # A generic parameter in scope (never for a type name), else the
+            # value of an argless name as this compile first resolved it;
+            # anything else is instantiated by _named.
+            left, right = x.sort, (x.sort, x.name)
+            v = env.generics.get(right) if left != "t" else None
+            if v is not None:
+                self._reads += 1
+                if x.args:
+                    raise PreprocessError(f"parameter {_OWNERS[left]}{x.name} takes no arguments")
+                if left == "e" and env.closed:
+                    n = free_qvars(v)
+                    if n:
+                        raise PreprocessError(
+                            f"&{x.name} is used inside a program but has the free "
+                            f"variable(s) {', '.join(sorted(n))} of its caller"
+                        )
+                return v
+            if not x.args:
+                v = self._argless.get(right)
+                if v is not None:
+                    return v
+        if t is RBinary or t is BCmp or t is Name:
+            # An integer expression or a name met before: the slot holds
+            # False after a first evaluation, then what the second one
+            # builds, the expression's kernel or the call site's cache (see
+            # _named), or None.  A kernel runs here, if it answers.
             try:
                 v = x._derived
             except AttributeError:
                 object.__setattr__(x, "_derived", False)
                 v = None
-            else:
-                if v is False:
-                    v = kernel(x)
-                    object.__setattr__(x, "_derived", v)
+            if t is Name:
+                return self._named(x, env, v)
+            if v is False:
+                v = kernel(x)
+                object.__setattr__(x, "_derived", v)
             if v is not None:
                 left = v[0](env.generics)
                 if left is not None:
@@ -645,48 +750,6 @@ class Elaborator:
                 if n is None:
                     return left
                 x, n = n
-        if t is Name:
-            # A generic parameter in scope (never for a type name), else the
-            # value of an argless name as this compile first resolved it, else
-            # a definition, else a constructor.
-            left, right = x.sort, (x.sort, x.name)
-            v = env.generics.get(right) if left != "t" else None
-            if v is not None:
-                self._reads += 1
-                if x.args:
-                    raise PreprocessError(f"parameter {_OWNERS[left]}{x.name} takes no arguments")
-                if left == "e" and env.closed:
-                    n = free_qvars(v)
-                    if n:
-                        raise PreprocessError(
-                            f"&{x.name} is used inside a program but has the free "
-                            f"variable(s) {', '.join(sorted(n))} of its caller"
-                        )
-                return v
-            if x.args:
-                right = None
-            else:
-                v = self._argless.get(right)
-                if v is not None:
-                    return v
-            v = self._named(left, x.name, x.args, env)
-            if v is not None:
-                if left == "t" and type(v) is tuple:  # a variant: its sum type
-                    v = v[0]
-            elif left in "ef" and x.name in self.ctors:
-                n = self.ctors[x.name]
-                if (self.defs["c", x.name].alts[n].payload is None) == (left == "f"):
-                    raise PreprocessError(
-                        f"&{x.name} is a nullary constructor, not a program"
-                        if left == "f"
-                        else f"@{x.name} carries a payload and must be applied"
-                    )
-                v = self._named("c", x.name, x.args, env)[1][n]
-            else:
-                raise PreprocessError(f"unknown {_UNKNOWN[left]}{x.name}")
-            if right is not None:
-                self._argless[right] = v
-            return v
         if t is ExVar:
             v = env.qrename.get(x.name)
             if env.binds is not None and (v is None or x.name == "_"):

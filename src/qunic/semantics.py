@@ -175,13 +175,15 @@ class Semantics:
     ``memo`` keeps the state of each program at each input, so a ``u3``'s
     column and an ``rphase``'s phases are computed once per input, and
     ``erased`` the variables that each arm of a program erases.  A memo is
-    keyed by a node's ``id``, so the nodes must live as long as the object
-    does.
+    keyed by a node's ``id`` and keeps the node beside its entry, so no id is
+    reused while the object lives: one object may run the programs of several
+    compiles, each core freed after its runs.
     """
 
     def __init__(self) -> None:
-        self.memo: dict = {}  # (id(program), value) -> its state
-        self.erased: dict = {}  # id(arm) -> names its pattern binds that its body does not use
+        self.memo: dict = {}  # (id(program), value) -> (program, its state)
+        # id(arm) -> (arm, the names its pattern binds that its body does not use)
+        self.erased: dict = {}
 
     def run(self, x, arg) -> dict:
         """The state of ``x`` at ``arg``, as :func:`run` gives it."""
@@ -194,10 +196,10 @@ class Semantics:
         t = type(x)
         if t in CORE_PROGS:
             key = (id(x), arg)
-            state = self.memo.get(key)
-            if state is None:
-                state = self.memo[key] = self._program(x, t, arg)
-            return state
+            entry = self.memo.get(key)
+            if entry is None:
+                entry = self.memo[key] = x, self._program(x, t, arg)
+            return entry[1]
         if t is ExVar:
             return {(arg[x.name], ()): 1}
         if t is ExApp:
@@ -264,11 +266,11 @@ class Semantics:
         return _pruned(out)
 
     def _erased(self, arm) -> tuple[str, ...]:
-        got = self.erased.get(id(arm))
-        if got is None:
-            got = tuple(sorted(free_qvars(arm.pattern) - free_qvars(arm.body)))
-            self.erased[id(arm)] = got
-        return got
+        entry = self.erased.get(id(arm))
+        if entry is None:
+            names = tuple(sorted(free_qvars(arm.pattern) - free_qvars(arm.body)))
+            entry = self.erased[id(arm)] = arm, names
+        return entry[1]
 
     def _rphase(self, x, v) -> dict:
         """``rphase``'s image of ``v``."""

@@ -1251,8 +1251,10 @@ class TestModularArithmetic:
         ],
     )
     def test_add_const_refuses_a_constant_that_is_not_an_integer(self, main):
-        # it compiled to a program that was not x + a
-        with pytest.raises(PreprocessError, match="add_const_needs_an_integer_constant"):
+        # it compiled to a program that was not x + a; @mod_mult tests that
+        # its constant is odd before it reaches @add_const
+        name = "mod_mult_needs_an_odd" if "@mod_mult" in main else "add_const_needs_an_integer"
+        with pytest.raises(PreprocessError, match=f"{name}_constant"):
             core_of_source(main)
 
     def test_the_tree_of_add_const_grows_with_n_squared(self):
@@ -1279,6 +1281,16 @@ class TestModularArithmetic:
         core_of_source("(&repeated{1, Bit, &plus}, &num_to_state{0, 1}) |> @mod_exp{1, 0, 3}")
 
 
+def _sources(name: str, seconds: int, monkeypatch) -> list[str]:
+    """``PRELUDE_MAINS``, or the sources of the benchmark's
+    ``op_list(workload, 5, seconds)`` for the workload ``name``."""
+    if name == "PRELUDE_MAINS":
+        return PRELUDE_MAINS
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    return [op.source for op in workloads.op_list(workloads.WORKLOADS[name], 5, seconds)]
+
+
 class TestKeptRegions:
     """A pattern outside any other, or a closed program, whose elaboration
     read no generic parameter is elaborated once per compile: the same
@@ -1297,12 +1309,7 @@ class TestKeptRegions:
 
     @pytest.mark.parametrize("name", TEXTS)
     def test_the_core_text_is_unchanged(self, name, monkeypatch):
-        if name == "PRELUDE_MAINS":
-            sources = PRELUDE_MAINS
-        else:
-            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-            workloads = importlib.import_module("workloads")
-            sources = [op.source for op in workloads.op_list(workloads.WORKLOADS[name], 5, 15)]
+        sources = _sources(name, 15, monkeypatch)
         text = "\n".join(core.to_str(core_of_source(s)) for s in sources)
         assert hashlib.sha256(text.encode()).hexdigest() == self.TEXTS[name]
 
@@ -1345,6 +1352,102 @@ class TestKeptRegions:
             errors.append(str(info.value))
             assert all(key[0] != id(region) for key in elaborator._kept)
         assert errors == ["unbound variable y"] * 2
+
+
+class TestCallSiteCaches:
+    """A call site with generic arguments that resolves to a prelude
+    definition keeps its resolution, from its second evaluation on, for the
+    rest of the process: nothing a compile gives may change."""
+
+    # @f's call site is evaluated once per compile, so a cache would serve it
+    # from the third compile on.
+    CALLER = "def @f : Unit -> Unit := @{g}{{1, 1}} end\n() |> @f"
+    MINE = ("lambda x -> x", "u3{pi, 0, pi}")
+
+    @pytest.mark.parametrize("g", ["g", "add_const"])
+    def test_each_elaborator_gets_its_own_definition(self, g):
+        caller = self.CALLER.format(g=g)
+        qf = parser.parse_file(caller)
+        compiles = []  # (@g's definitions, use_prelude, the core of a fresh parse)
+        for body in self.MINE:
+            mine = f"def @{g}{{#n, #a}} : Unit -> Unit := {body} end\n"
+            fresh = preprocess.elaborate_file(parser.parse_file(mine + caller))
+            compiles.append((parser.parse_file(mine).defs, False, fresh))
+        if g == "add_const":  # and the prelude's, to whose call sites a cache is kept
+            compiles.append(((), True, core_of_source(caller)))
+        assert len({core.to_str(c) for _, _, c in compiles}) == len(compiles)
+        # the last one twice first, so that with the prelude's the second
+        # evaluation builds the site's cache, and the others meet it
+        for defs, use_prelude, fresh in compiles[-1:] * 2 + compiles * 3:
+            got = preprocess.Elaborator(qf.defs + defs, use_prelude).elaborate(qf.main)
+            assert got == fresh
+        site = qf.defs[0].body
+        assert (type(site._derived) is tuple) == (g == "add_const")
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("&0 |> @add_const{1}", "@add_const expects 2 generic argument(s), got 1"),
+            ("&0 |> @add_const{1, Bit}", "@add_const: argument for #a must be a real"),
+            (
+                "def @h{@p : Bit -> Bit} : Bit -> Bit := @p{1} end\n&0 |> @h{@not}",
+                "parameter @p takes no arguments",
+            ),
+            ("&0 |> @add_const{1, #m}", "unknown real definition #m"),
+        ],
+        ids=["arity", "sort", "parameter", "argument"],
+    )
+    def test_an_error_reads_the_same_on_every_evaluation(self, src, message):
+        qf = parser.parse_file(src)
+        for _ in range(3):
+            with pytest.raises(PreprocessError) as info:
+                preprocess.Elaborator(qf.defs, use_prelude=True).elaborate(qf.main)
+            assert str(info.value) == message
+
+    def test_a_region_that_reads_a_parameter_in_a_cached_argument_is_not_kept(self):
+        # @u{#k}'s lambda reads #k only in the argument of its call site,
+        # which the cache reads from its third evaluation on, at @u{5} and
+        # @u{7}, where @add_const{2, #k} is memoized: a read it failed to
+        # count would keep @u{5}'s lambda and return it for @u{7}.
+        u = "def @u{#k} : Num{2} -> Num{2} := lambda x -> @add_const{2, #k}(x) end\n"
+        calls = [f"@add_const{{2, {k}}}" for k in (5, 7)] + [f"@u{{{k}}}" for k in (1, 3, 5, 7)]
+        main, want = "()", ()
+        for f, k in zip(reversed(calls), (7, 5, 3, 1, 7, 5)):
+            main, want = f"({f}(&num_to_state{{2, 0}}), {main})", (num(2, k), want)
+        assert semantics.value(core_of_source(u + main), {}) == want
+
+    # The sha256 of each source's counts, one line per source, in a fresh
+    # process and then in a warm one, of one round of the benchmark's
+    # op_list(workload, 5, 1) and of PRELUDE_MAINS, as elaborated with no
+    # call site cached.  A kernel is built at an expression's second
+    # evaluation, so the warm process counts more kernel hits.
+    COUNTS = {
+        "small_programs": "f1c7aeabd1c6b62f69a0f628fb5699118fa12b1fd20ff08cde6b1666e08a501c",
+        "shor_unroll": "1a9d4dc7e382503457abe1e5686339897b9a49868b4112c4a420565fc4c79bb1",
+        "dump_core": "0868a9eb21964940b08f51f8a2e156a75de0c368fa371ec9e7c23f2f925edc9e",
+        "PRELUDE_MAINS": "fd24209e5bb3bc2f31cc2e4ad999b03b41772fc55801f397da37d5496ee81d04",
+    }
+
+    @staticmethod
+    def _compile(source: str) -> tuple[str, tuple]:
+        """The core text of ``source`` and its ``--stats`` counts."""
+        qf = parser.parse_file(source)
+        elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
+        c = elaborator.elaborate(qf.main)
+        counts = elaborator.instantiations, elaborator.reused, elaborator.kernel_hits
+        return core.to_str(c), (*counts, *core.node_counts(c), preprocess.prelude_defs_parsed())
+
+    @pytest.mark.parametrize("name", COUNTS)
+    def test_a_warm_process_compiles_as_a_fresh_one(self, name, monkeypatch):
+        lines = []
+        for source in _sources(name, 1, monkeypatch):
+            # a fresh prelude table is what a fresh process has: definitions
+            # whose nodes hold no kernel and no cache
+            monkeypatch.setattr(preprocess, "_prelude", None)
+            fresh, warm, again = (self._compile(source) for _ in range(3))
+            assert fresh[0] == warm[0] and warm == again, source
+            lines.append(f"{fresh[1]} {warm[1]}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.COUNTS[name]
 
 
 class TestElaboratorAfterAnError:

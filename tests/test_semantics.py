@@ -385,6 +385,16 @@ def test_one_semantics_object_runs_gates_as_fresh_runs_do():
                 assert s.run(f, v) == run(f, v)
 
 
+def test_one_semantics_object_runs_the_programs_of_compiles_already_freed():
+    # Each @add_const{1, a} is its own compile, freed after its run, so the
+    # next compile may reuse its nodes' ids: a memo keyed by ids alone read
+    # @add_const{1, 3} as the identity from an even constant's entries.
+    s = Semantics()
+    for a in range(-2, 8):
+        got = s.value(program(f"@add_const{{1, {a}}}", 1), num(1, 1))
+        assert got == num(1, 1 + a), a
+
+
 def test_a_program_too_deep_for_the_stack_is_a_capacity_error():
     core = core_of_source("(&num_to_state{100, 1}, &num_to_state{100, 2}) |> @rev_adder{100}")
     with pytest.raises(CapacityError, match="nested too deeply"):
