@@ -70,7 +70,8 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   site may meet another compile's.  Argless names, variants, constructors,
   user definitions and every error take the walk;
 * ``if .. then .. else .. endif`` conditionals are decided by comparing the
-  values of their (closed, by the time substitution has happened) reals;
+  values of their (closed, by the time substitution has happened) reals, in
+  the frame of the ``if``, which also runs a comparison's kernel;
 * variant constructors become chains of sum injections (a single-alternative
   variant's constructor is the identity), built once per instantiation of
   their variant and shared by every use;
@@ -112,14 +113,15 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   region's elaboration read one; it counts those that instantiated
   definitions read too, which keeps less, never more.  Nothing is kept for
   a region that raises;
-* every node is built by :meth:`Elaborator._make`, which keeps one node per
-  class and fields for the compile, through the class's interning step
-  (:func:`qunic.core._intern_step`): under the class, the ids of the
-  children (which are canonical already) and the scalar fields.  So a
-  compile's core has exactly one object per distinct node, equal subterms
-  are one object, and elaboration never hashes or compares two nodes.
-  Separate compiles share nothing, and compare by the structural ``==`` of
-  :class:`~qunic.core._Node`.
+* every node is built by its class's interning step,
+  ``cls._intern(nodes, a, b, c)`` (:func:`qunic.core._intern_step`), called
+  where the node is built, with no frame between, on the compile's table
+  ``Elaborator._nodes``.  The step keeps one node per class and fields:
+  under the class, the ids of the children (which are canonical already)
+  and the scalar fields.  So a compile's core has exactly one object per
+  distinct node, equal subterms are one object, and elaboration never
+  hashes or compares two nodes.  Separate compiles share nothing, and
+  compare by the structural ``==`` of :class:`~qunic.core._Node`.
 
 ``ctrl``/``match`` ``else`` arms survive into the core untouched: expanding
 them needs the scrutinee's type, which is the typechecker's business.
@@ -402,7 +404,7 @@ class Elaborator:
         # parameter, resolved on its first use in the compile (see elab)
         self._argless: dict[tuple[str, str], object] = {}
         # The one node of each distinct node this compile builds, under its
-        # class, its children's ids and its other fields (see _make).
+        # class, its children's ids and its other fields (see elab).
         self._nodes: dict[tuple, object] = {}
         # Instantiations under way, innermost last, mapped to their names.  An
         # entry stays when its instantiation raises, so after an error the
@@ -467,18 +469,6 @@ class Elaborator:
         n = self._binders
         self._binders = n + 1
         return f"v%{n}"
-
-    def _make(self, cls: type, a=None, b=None, c=None):
-        """The one node of class ``cls`` with the fields ``a``, ``b``, ``c``
-        (as many as it has) in this compile, built on the first request.
-
-        The one entry through which elaboration builds a node: it runs the
-        class's interning step (see :func:`qunic.core._intern_step`) on this
-        compile's table, which keys a node by its class and the ids of its
-        fields, so it never hashes a node.  The fields are named, not
-        ``*fields``, as that halves the cost of a call.
-        """
-        return cls._intern(self._nodes, a, b, c)
 
     def _tick(self, what: str) -> None:
         self.instantiations += 1
@@ -591,7 +581,9 @@ class Elaborator:
             inner = _new(_Env, (bound, {}, sort in "ef", None, False))
             if variant:
                 payloads = tuple(
-                    self._make(TyUnit) if alt.payload is None else self.elab(alt.payload, inner)
+                    TyUnit._intern(self._nodes, None, None, None)
+                    if alt.payload is None
+                    else self.elab(alt.payload, inner)
                     for alt in d.alts
                 )
                 v = self._variant(d, payloads)
@@ -639,25 +631,25 @@ class Elaborator:
         injection, or its injections under one ``lambda`` (the identity when
         there is one alternative).
         """
-        make = self._make
+        nodes = self._nodes
         tails = [payloads[-1]]  # tails[i]: the sum of the alternatives from i on
         for p in reversed(payloads[:-1]):
-            tails.insert(0, make(TySum, p, tails[0]))
-        rights = [make(PrRight, p, tail) for p, tail in zip(payloads, tails[1:])]
-        unit, values = make(ExUnit), []
+            tails.insert(0, TySum._intern(nodes, p, tails[0], None))
+        rights = [PrRight._intern(nodes, p, tail, None) for p, tail in zip(payloads, tails[1:])]
+        unit, values = ExUnit._intern(nodes, None, None, None), []
         for i, alt in enumerate(d.alts):
             chain = rights[:i]
             if i < len(rights):
-                chain.append(make(PrLeft, payloads[i], tails[i + 1]))
+                chain.append(PrLeft._intern(nodes, payloads[i], tails[i + 1], None))
             if alt.payload is not None and len(chain) == 1:
                 values.append(chain[0])
                 continue
             # the one binder of a closed program, so numbered 0
-            x = unit if alt.payload is None else make(ExVar, "v%0")
+            x = unit if alt.payload is None else ExVar._intern(nodes, "v%0", None, None)
             e = x
             for f in reversed(chain):
-                e = make(ExApp, f, e)
-            values.append(e if x is unit else make(PrAbs, x, e))
+                e = ExApp._intern(nodes, f, e, None)
+            values.append(e if x is unit else PrAbs._intern(nodes, x, e, None))
         return tails[0], tuple(values)
 
     # -- the one recursion ---------------------------------------------------------
@@ -666,22 +658,51 @@ class Elaborator:
         """The core node of a type, expression or program ``x``, the
         :data:`RealValue` of a real, or the bool of a condition.
 
-        One case per node class, most frequent first.  Every node is built
-        by :meth:`_make`, so each is the compile's one node of its kind; an
-        inexact real keeps the tree of ``x`` over its children's nodes.
-        Callers call this directly, so each level of the term costs one frame,
-        and an ``if`` none: the loop at the top replaces it by the branch its
-        condition picks, in this frame.
+        One case per node class, most frequent first, as counted on the
+        benchmark's workloads.  Each node is built in the frame of its case,
+        by its class's interning step on the compile's table, so it is the
+        compile's one node of its kind; an inexact real keeps the tree of
+        ``x`` over its children's nodes.  Callers call this directly, so each
+        level of the term costs one frame at most, and two kinds of node
+        none: an ``if`` is replaced by the branch its condition picks, in the
+        loop at the top, which runs the condition's kernel there too; and
+        outside a pattern, a variable that is a pair's operand or an
+        application's argument is looked up in the frame of the pair or the
+        application.  Each shortcut falls back on this recursion where it has
+        no answer, so every value and every error is the walk's.
         """
         # Every call sets up a slot for each local, and this recursion is as
         # deep as the term, so the cases share ``left``, ``right``, ``v`` and
         # ``n``.
         t = type(x)
         while t is If:
-            x = x.then if self.elab(x.cond, env) else x.els
+            # A comparison whose kernel is built runs it here, and counts what
+            # the walk would; any other condition, or a kernel that gives no
+            # value, is elaborated, which builds the kernel or walks it.
+            v = x.cond
+            n = getattr(v, "_derived", None) if type(v) is BCmp else None
+            left = n[0](env.generics) if type(n) is tuple else None
+            if left is None:
+                left = self.elab(v, env)
+            else:
+                self._reads += n[1]
+                self.kernel_hits += 1
+            x = x.then if left else x.els
             t = type(x)
-        if t is RConst:
-            return x.value, 0
+        if t is ExApp:
+            # Outside a pattern, an argument that is a variable is looked up
+            # here; any other, and one not in scope, is elaborated.
+            left, right = self.elab(x.fn, env), x.arg
+            v = env.qrename.get(right.name) if type(right) is ExVar and env.binds is None else None
+            return ExApp._intern(self._nodes, left, self.elab(right, env) if v is None else v, None)
+        if t is ExPair:
+            # Each operand as an application's argument, the left one first.
+            left, right, v = x.left, x.right, env.qrename if env.binds is None else {}
+            left = v.get(left.name) if type(left) is ExVar else None
+            right = v.get(right.name) if type(right) is ExVar else None
+            left = self.elab(x.left, env) if left is None else left
+            right = self.elab(x.right, env) if right is None else right
+            return ExPair._intern(self._nodes, left, right, None)
         if t is Name:
             # A generic parameter in scope (never for a type name), else the
             # value of an argless name as this compile first resolved it;
@@ -704,11 +725,11 @@ class Elaborator:
                 v = self._argless.get(right)
                 if v is not None:
                     return v
-        if t is RBinary or t is BCmp or t is Name:
-            # An integer expression or a name met before: the slot holds
+        if t is Name or t is RBinary or t is BCmp:
+            # A name or an integer expression met before: the slot holds
             # False after a first evaluation, then what the second one
-            # builds, the expression's kernel or the call site's cache (see
-            # _named), or None.  A kernel runs here, if it answers.
+            # builds, the call site's cache (see _named) or the expression's
+            # kernel, or None.  A kernel runs here, if it answers.
             try:
                 v = x._derived
             except AttributeError:
@@ -725,6 +746,47 @@ class Elaborator:
                     self._reads += v[1]
                     self.kernel_hits += 1
                     return left
+        # A program numbers its binders from 0, and the program around it
+        # goes on from where it was after.  One that read no generic
+        # parameter is kept, and returned when it is entered again.  An
+        # ``rphase`` is a closed program like a lambda with no body; its
+        # angles are reals, which read no variable and bind none.
+        if t is PrAbs or t is PrRphase or t is PrPmatch:
+            n, self._binders = self._binders, 0
+            key = id(x), 0, env.fresh
+            v = self._kept.get(key)
+            if v is None:
+                reads = self._reads
+                inner = _new(_Env, (env.generics, {}, env.fresh, None, True))
+                if t is PrAbs:
+                    left, inner = self._pattern(x.pattern, inner)
+                    v = PrAbs._intern(self._nodes, left, self.elab(x.body, inner), None)
+                elif t is PrPmatch:
+                    v = PrPmatch._intern(self._nodes, self._elab_arms(x.arms, inner), None, None)
+                else:
+                    left = self._pattern(x.pattern, inner)[0]
+                    # ``gphase{r}`` is ``rphase{_, r, r}`` with one ``r``, elaborated once
+                    right = self.elab(x.on_phase, env)
+                    v = right if x.off_phase is x.on_phase else self.elab(x.off_phase, env)
+                    right, v = self._real_node(right), self._real_node(v)
+                    v = PrRphase._intern(self._nodes, left, right, v)
+                if reads == self._reads:
+                    self._kept[key] = v, x
+            else:
+                v = v[0]
+                self.reused += 1
+            self._binders = n
+            return v
+        if t is ExVar:
+            v = env.qrename.get(x.name)
+            if env.binds is not None and (v is None or x.name == "_"):
+                v = self._fresh() if env.fresh or x.name == "_" else x.name
+                v = env.binds[x.name] = ExVar._intern(self._nodes, v, None, None)
+            elif v is None:
+                raise PreprocessError(f"unbound variable {x.name}")
+            return v
+        if t is RConst:
+            return x.value, 0
         if t is RBinary:
             # A left-nested chain in a loop, so a flat ``1 - 1 - ... - 1``
             # takes no frame per operator: down its left spine, keeping the
@@ -746,20 +808,28 @@ class Elaborator:
                     left = v
                 else:
                     left, right = self._real_node(left), self._real_node(right)
-                    left = _Inexact(self._make(RBinary, x.op, left, right), v)
+                    left = _Inexact(RBinary._intern(self._nodes, x.op, left, right), v)
                 if n is None:
                     return left
                 x, n = n
-        if t is ExVar:
-            v = env.qrename.get(x.name)
-            if env.binds is not None and (v is None or x.name == "_"):
-                v = self._fresh() if env.fresh or x.name == "_" else x.name
-                v = env.binds[x.name] = self._make(ExVar, v)
-            elif v is None:
-                raise PreprocessError(f"unbound variable {x.name}")
+        if t is ExCtrl or t is ExMatch:
+            left, right = self.elab(x.scrutinee, env), self._elab_arms(x.arms, env)
+            v = None if x.else_body is None else self.elab(x.else_body, env)
+            return t._intern(self._nodes, left, right, v)
+        if t is RPi:
+            return 0, 1
+        if t is TVar:
+            v = env.generics.get(("t", x.name))
+            if v is None:
+                raise PreprocessError(f"unbound type variable '{x.name}")
+            self._reads += 1
             return v
-        if t is ExPair:
-            return self._make(ExPair, self.elab(x.left, env), self.elab(x.right, env))
+        if t is ExUnit or t is TyUnit or t is TyVoid:
+            return t._intern(self._nodes, None, None, None)
+        if t is PrU3:
+            left, right, v = self.elab(x.theta, env), self.elab(x.phi, env), self.elab(x.lam, env)
+            left, right, v = self._real_node(left), self._real_node(right), self._real_node(v)
+            return PrU3._intern(self._nodes, left, right, v)
         if t is BCmp:
             left, right = self.elab(x.left, env), self.elab(x.right, env)
             return compare(
@@ -767,67 +837,18 @@ class Elaborator:
                 left.value if type(left) is _Inexact else left,
                 right.value if type(right) is _Inexact else right,
             )
-        if t is ExApp:
-            return self._make(ExApp, self.elab(x.fn, env), self.elab(x.arg, env))
-        # A program numbers its binders from 0, and the program around it
-        # goes on from where it was after.  One that read no generic
-        # parameter is kept, and returned when it is entered again.  An
-        # ``rphase`` is a closed program like a lambda with no body; its
-        # angles are reals, which read no variable and bind none.
-        if t is PrPmatch or t is PrAbs or t is PrRphase:
-            n, self._binders = self._binders, 0
-            key = id(x), 0, env.fresh
-            v = self._kept.get(key)
-            if v is None:
-                reads = self._reads
-                inner = _new(_Env, (env.generics, {}, env.fresh, None, True))
-                if t is PrAbs:
-                    left, inner = self._pattern(x.pattern, inner)
-                    v = self._make(PrAbs, left, self.elab(x.body, inner))
-                elif t is PrPmatch:
-                    v = self._make(PrPmatch, self._elab_arms(x.arms, inner))
-                else:
-                    left = self._pattern(x.pattern, inner)[0]
-                    # ``gphase{r}`` is ``rphase{_, r, r}`` with one ``r``, elaborated once
-                    right = self.elab(x.on_phase, env)
-                    v = right if x.off_phase is x.on_phase else self.elab(x.off_phase, env)
-                    v = self._make(PrRphase, left, self._real_node(right), self._real_node(v))
-                if reads == self._reads:
-                    self._kept[key] = v, x
-            else:
-                v = v[0]
-                self.reused += 1
-            self._binders = n
-            return v
-        if t is ExCtrl or t is ExMatch:
-            left, right = self.elab(x.scrutinee, env), self._elab_arms(x.arms, env)
-            v = None if x.else_body is None else self.elab(x.else_body, env)
-            return self._make(t, left, right, v)
-        if t is TVar:
-            v = env.generics.get(("t", x.name))
-            if v is None:
-                raise PreprocessError(f"unbound type variable '{x.name}")
-            self._reads += 1
-            return v
-        if t is RPi:
-            return 0, 1
         if t is TyProd:
-            return self._make(TyProd, self.elab(x.left, env), self.elab(x.right, env))
-        if t is ExUnit or t is TyUnit or t is TyVoid:
-            return self._make(t)
-        if t is PrU3:
-            left, right, v = self.elab(x.theta, env), self.elab(x.phi, env), self.elab(x.lam, env)
-            return self._make(
-                PrU3, self._real_node(left), self._real_node(right), self._real_node(v)
-            )
+            left, right = self.elab(x.left, env), self.elab(x.right, env)
+            return TyProd._intern(self._nodes, left, right, None)
         if t is RUnary:
             left = self.elab(x.arg, env)
             v = step(x.op, left.value if type(left) is _Inexact else left)
             if type(v) is tuple:
                 return v
-            return _Inexact(self._make(RUnary, x.op, self._real_node(left)), v)
+            return _Inexact(RUnary._intern(self._nodes, x.op, self._real_node(left), None), v)
         if t is ExTry:
-            return self._make(ExTry, self.elab(x.attempt, env), self.elab(x.fallback, env))
+            left, right = self.elab(x.attempt, env), self.elab(x.fallback, env)
+            return ExTry._intern(self._nodes, left, right, None)
         if t is BNot:
             return not self.elab(x.arg, env)
         if t is BAnd:
@@ -835,7 +856,7 @@ class Elaborator:
         if t is BOr:
             return self.elab(x.left, env) or self.elab(x.right, env)
         if t is REuler:
-            return _Inexact(self._make(REuler), math.e)
+            return _Inexact(REuler._intern(self._nodes, None, None, None), math.e)
         raise PreprocessError(f"cannot elaborate {x!r}")
 
     def _real_node(self, v: RealValue) -> Real:
@@ -843,7 +864,7 @@ class Elaborator:
         leaf of an exact one."""
         if type(v) is _Inexact:
             return v.node
-        return self._make(RExact, v[0], v[1])
+        return RExact._intern(self._nodes, v[0], v[1], None)
 
     def _pattern(self, p: Expr, env: _Env) -> tuple[CoreExpr, _Env]:
         """Elaborate ``p`` in binding mode; return it and the scope it opens.
@@ -871,13 +892,18 @@ class Elaborator:
         else:
             pattern, binds, self._binders, _ = kept
             self.reused += 1
-        return pattern, _new(_Env, (g, {**env.qrename, **binds}, fresh, None, closed))
+        # Over a scope with no variables, ``binds``, kept or not, is the new
+        # scope as it is, with no copy.  That is safe because no scope dict is
+        # written after its pattern is bound: only a pattern being bound
+        # writes, into its own ``binds``.
+        q = env.qrename
+        return pattern, _new(_Env, (g, {**q, **binds} if q else binds, fresh, None, closed))
 
     def _elab_arms(self, arms: tuple[CoreArm, ...], env: _Env) -> tuple[CoreArm, ...]:
         out = []
         for arm in arms:  # a loop, not a generator, so an arm costs no frame of its own
             pattern, inner = self._pattern(arm.pattern, env)
-            out.append(self._make(CoreArm, pattern, self.elab(arm.body, inner)))
+            out.append(CoreArm._intern(self._nodes, pattern, self.elab(arm.body, inner), None))
         arms = tuple(out)
         return self._nodes.setdefault((tuple, *map(id, arms)), arms)
 

@@ -402,6 +402,23 @@ class TestDepth:
         with recursion_limit(1000):
             assert core.to_str(core_of_source(main))
 
+    # Floors: when they were set, each n was the largest that compiled and
+    # printed at recursion limit 1000 in a plain script on CPython 3.10.13,
+    # the lowest of 3.10 to 3.13.  A change that adds a frame per level
+    # fails here.
+    @pytest.mark.parametrize(
+        "main",
+        [
+            "&num_to_state{139, 1} |> @qft{139}",
+            "(&num_to_state{121, 1}, &num_to_state{121, 1}) |> @rev_adder{121}",
+            "&phase_estimation{138, 1/3}",
+        ],
+        ids=["qft", "rev_adder", "phase_estimation"],
+    )
+    def test_the_depth_floor_of_each_family(self, recursion_limit, stack_depth, main):
+        with recursion_limit(1000 + stack_depth()):  # not counting pytest's own frames
+            assert core.to_str(core_of_source(main))
+
     @pytest.mark.parametrize(
         "ops, hits",
         [(reals.KERNEL_NODES // 2, 1), (reals.KERNEL_NODES // 2 + 1, 0)],
@@ -907,6 +924,17 @@ class TestInterning:
         assert semantics.run(c, {}) == {(num(4, 1), ()): 1}  # 3 * 3^-1 = 1 mod 16
 
 
+def _step(elaborator):
+    """``make(cls, *fields)``: the node of ``cls`` with ``fields`` in the
+    table of ``elaborator``, through the class's interning step, the step by
+    which the elaborator builds every node."""
+
+    def make(cls, a=None, b=None, c=None):
+        return cls._intern(elaborator._nodes, a, b, c)
+
+    return make
+
+
 def _fields_of(cls, make):
     """Example fields of a node of ``cls``, the nodes among them built by
     ``make(cls, *fields)``; a tuple of arms is built once per call."""
@@ -952,13 +980,13 @@ INTERNED = [
 
 
 class TestInternStep:
-    """A node that ``Elaborator._make`` builds through its class's interning
-    step is the node that ``__init__`` builds from the same fields."""
+    """A node that its class's interning step builds in an elaborator's
+    table is the node that ``__init__`` builds from the same fields."""
 
     @pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
     def test_a_made_node_is_the_node_init_builds(self, cls):
-        elaborator = preprocess.Elaborator(())
-        made = elaborator._make(cls, *_fields_of(cls, elaborator._make))
+        make = _step(preprocess.Elaborator(()))
+        made = make(cls, *_fields_of(cls, make))
         built = cls(*_fields_of(cls, lambda c, *f: c(*f)))
         assert made is not built
         assert type(made) is type(built) is cls
@@ -977,18 +1005,17 @@ class TestInternStep:
 
     @pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
     def test_equal_fields_give_one_node_in_a_compile(self, cls):
-        elaborator = preprocess.Elaborator(())
-        fields = _fields_of(cls, elaborator._make)
-        node = elaborator._make(cls, *fields)
+        make = _step(preprocess.Elaborator(()))
+        fields = _fields_of(cls, make)
+        node = make(cls, *fields)
         # a name or a constant equal to the first, but another object
-        again = _fields_of(cls, elaborator._make) if cls in (core.ExVar, RConst, RExact) else fields
+        again = _fields_of(cls, make) if cls in (core.ExVar, RConst, RExact) else fields
         assert again == fields
-        assert elaborator._make(cls, *again) is node
-        assert preprocess.Elaborator(())._make(cls, *fields) is not node
+        assert make(cls, *again) is node
+        assert _step(preprocess.Elaborator(()))(cls, *fields) is not node
 
     def test_the_steps_keep_classes_and_their_first_fields_apart(self):
-        elaborator = preprocess.Elaborator(())
-        make = elaborator._make
+        make = _step(preprocess.Elaborator(()))
         one = make(RConst, 1)
         assert make(core.ExVar, "1") is not make(RConst, 1)
         assert make(RExact, 1, 0) is not make(RConst, 1)
@@ -1326,14 +1353,14 @@ class TestKeptRegions:
 
     def test_a_generic_free_let_lambda_is_elaborated_once(self, monkeypatch):
         # @rotations{#n}'s let (y0, (y1, y)), reached at n = 2..6
-        made, make = [], preprocess.Elaborator._make
+        made, step = [], core.PrAbs._intern
 
-        def counting(self, cls, *fields):
-            node = make(self, cls, *fields)
+        def counting(nodes, a, b, c):
+            node = step(nodes, a, b, c)
             made.append(node)
             return node
 
-        monkeypatch.setattr(preprocess.Elaborator, "_make", counting)
+        monkeypatch.setattr(core.PrAbs, "_intern", counting)
         qf = parser.parse_file("&num_to_state{6, 1} |> @qft{6}")
         elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
         c = elaborator.elaborate(qf.main)
@@ -1448,6 +1475,50 @@ class TestCallSiteCaches:
             assert fresh[0] == warm[0] and warm == again, source
             lines.append(f"{fresh[1]} {warm[1]}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.COUNTS[name]
+
+
+class TestShortcuts:
+    """A variable read in the frame of its pair or application, and an
+    ``if`` condition's kernel run in the ``if`` loop, fall back on the walk
+    where they have no answer: each of three compiles of one parsed file in
+    one process gives what the walk gives.  A kernel is built at the second
+    evaluation, so the third compile is the first that runs it."""
+
+    @pytest.mark.parametrize(
+        "body",
+        ["lambda x -> (y, x)", "lambda x -> (x, y)", "lambda x -> @not(y)"],
+        ids=["left-operand", "right-operand", "argument"],
+    )
+    def test_an_unbound_operand_or_argument_is_reported(self, body):
+        qf = parser.parse_file(f"def @g{{#n}} : Bit -> Bit * Bit := {body} end\n&0 |> @g{{1}}")
+        for _ in range(3):
+            with pytest.raises(PreprocessError) as info:
+                preprocess.Elaborator(qf.defs, use_prelude=True).elaborate(qf.main)
+            assert str(info.value) == "unbound variable y"
+
+    def test_a_condition_whose_kernel_gives_no_value_is_walked(self):
+        qf = parser.parse_file(
+            "def @g{#n} : Bit -> Bit := if #n / 0 = 1 then @not else @had endif end\n&0 |> @g{1}"
+        )
+        cond = qf.defs[0].body.cond
+        assert reals.kernel(cond) is not None
+        for _ in range(3):
+            elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
+            with pytest.raises(RealError) as info:
+                elaborator.elaborate(qf.main)
+            assert str(info.value) == "division by zero in real expression"
+            assert elaborator.kernel_hits == 0
+        assert type(cond._derived) is tuple
+
+    def test_a_condition_with_no_kernel_is_walked(self):
+        g = "def @g{#n} : Bit -> Bit := if #n < pi then @not else @had endif end\n"
+        qf = parser.parse_file(g + "(&0 |> @g{3}, &0 |> @g{4})")
+        assert reals.kernel(qf.defs[0].body.cond) is None
+        want = core_of_source("(&0 |> @not, &0 |> @had)")
+        for _ in range(3):
+            elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
+            assert elaborator.elaborate(qf.main) == want
+            assert elaborator.kernel_hits == 0
 
 
 class TestElaboratorAfterAnError:
