@@ -75,11 +75,11 @@ form down to a fixed depth and ``...`` below it.
 
 Nodes are built two ways, to the same object graph.  The parser,
 :func:`adjoint` and tests call a class's ``__init__``.  The elaborator
-interns every node it builds, once per compile: its one entry,
-:meth:`qunic.preprocess.Elaborator._make`, runs the class's interning step
-``_intern`` (:func:`_intern_step`, made by :func:`_node` beside the
-``__init__``), which looks the fields up in the compile's table and, on a
-miss, makes the node with ``object.__new__`` and its slots' descriptors.  So
+interns every node it builds, once per compile: each site calls the class's
+interning step, ``cls._intern(elaborator._nodes, a, b, c)``
+(:func:`_intern_step`, made by :func:`_node` beside the ``__init__``), which
+looks the fields up in the compile's table and, on a miss, makes the node
+with ``object.__new__`` and its slots' descriptors.  So
 the core of one compile has one object per distinct node and ``==`` within
 it is true on identity.  The parser does not intern, and separate compiles
 share nothing: equal terms built apart stay distinct objects and compare
@@ -93,9 +93,10 @@ folds.
 
 :func:`adjoint` is the one rule for ``f^dagger``, which every pass runs
 where a pattern applies ``f``; it is built once per program node and kept
-on it.  Its pattern holds a ``ctrl`` where ``f``'s body does, and
-:func:`ctrl_bindings` is the one rule by which every pass reads a ``ctrl``
-as a pattern.
+on it.  Its pattern holds a ``ctrl`` where ``f``'s body does: what such a
+``ctrl``'s arms bind is :func:`ctrl_arms`, and what an arm's pattern binds
+that its body does not use, :func:`erased`.  These structural rules are
+every pass's; each pass searches for values by its own.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ class _Node:
     * The ``_derived`` slot, no dataclass field and outside ``hash`` and
       ``==``, keeps what a pass derives from the node alone, on the pass's
       first need: a program's :func:`adjoint`, on a ``ctrl`` met in a
-      pattern its arms as :func:`ctrl_bindings` reads them, on an integer
+      pattern its :func:`ctrl_arms` (:func:`erased` is not kept: a pass
+      memoizes it if it needs to, as S does per arm), on an integer
       expression the state of its kernel (see
       :meth:`qunic.preprocess.Elaborator.elab`), or, on a name with generic
       arguments, the state of its call-site cache, which derives from the
@@ -807,7 +809,7 @@ def _adjoint(f: CoreProg) -> CoreProg | None:
     t = type(f)
     if t is PrAbs or t is PrPmatch:
         arms = (f,) if t is PrAbs else f.arms
-        if any(free_qvars(arm.pattern) - free_qvars(arm.body) for arm in arms):
+        if any(erased(arm) for arm in arms):
             return None
         if t is PrAbs:
             return PrAbs(f.body, f.pattern)
@@ -830,57 +832,24 @@ def _minus(b: int, r: Real) -> Real:
 CORE_PROGS = frozenset(get_args(CoreProg))
 
 
-def ctrl_bindings(p: ExCtrl, v, match, value, error: type[Exception]):
-    """The ``ctrl`` ``p`` read as a pattern at the basis value ``v``: each
-    binding of its free variables under which ``p`` gives ``v``, with its
-    amplitude, by one reader's ``match`` and ``value``.
-
-    ``match(q, w)`` lists the reader's ``(bindings, amplitude)`` of the
-    pattern ``q`` at the basis value ``w``, and ``value(e, env)`` is the basis
-    value of the expression ``e`` in ``env``, or None where it has none.  An
-    arm ``p_j -> b_j`` gives each binding B of ``v`` against ``b_j`` under
-    which the scrutinee, evaluated in B less ``p_j``'s own variables, takes
-    arm ``j``: it matches ``p_j`` with the values B gives them, and no
-    earlier pattern.  The ``else`` arm gives each binding of ``v`` against
-    its body under which the scrutinee matches no pattern.  A ``ctrl``'s
-    scrutinee is classical, so its value is one basis value.
-
-    ``p`` is refused with ``error``, before any arm is tried, where an arm's
-    body leaves one of ``p``'s free variables unbound: ``v`` would not tell
-    its value.  The arms and their own variables are derived once and kept
-    in ``p``'s ``_derived`` slot.  A generator: a reader that wants the
-    first binding stops there.
+def ctrl_arms(p: ExCtrl) -> list[tuple[CoreExpr, frozenset[str]]] | str:
+    """The arms of the ``ctrl`` ``p`` read as a pattern, as ``(body, its
+    pattern's own variables)``, the ``else`` arm last with none: an arm binds
+    ``p``'s free variables by its body and reads the scrutinee without its
+    own variables.  Where a body leaves one of them unbound, a value would
+    not tell it, and this is the text of that refusal, on which each pass
+    raises its own error.  Kept in ``p``'s ``_derived`` slot, so every pass
+    and run that meets ``p`` in a pattern shares one list.
     """
     try:
-        arms = p._derived
+        return p._derived
     except AttributeError:
-        arms = _ctrl_pattern(p)
+        arms = _ctrl_arms(p)
         object.__setattr__(p, "_derived", arms)
-    if type(arms) is str:
-        raise error(arms)
-    for j, (body, own) in enumerate(arms):
-        for binds, a in match(body, v):
-            outer = {name: w for name, w in binds.items() if name not in own}
-            u = value(p.scrutinee, outer)
-            if u is None:
-                continue
-            for i, arm in enumerate(p.arms):
-                got = match(arm.pattern, u)
-                if i < j:
-                    if got:
-                        break  # u takes an earlier arm
-                    continue
-                for inner, b in got:
-                    if all(binds.get(name, w) == w for name, w in inner.items()):
-                        yield outer, a * b
-                break
-            else:  # j is the else arm, and u matches no pattern
-                yield outer, a
+        return arms
 
 
-def _ctrl_pattern(p: ExCtrl) -> list[tuple[CoreExpr, frozenset[str]]] | str:
-    """``p``'s arms as ``(body, its pattern's variables)``, the ``else`` arm
-    last with none; or why ``p`` is no pattern."""
+def _ctrl_arms(p: ExCtrl) -> list[tuple[CoreExpr, frozenset[str]]] | str:
     frees = free_qvars(p)
     arms = [(arm.body, free_qvars(arm.pattern)) for arm in p.arms]
     if p.else_body is not None:
@@ -890,6 +859,13 @@ def _ctrl_pattern(p: ExCtrl) -> list[tuple[CoreExpr, frozenset[str]]] | str:
         if missing:
             return f"a ctrl in a pattern whose arm does not give {', '.join(sorted(missing))}"
     return arms
+
+
+def erased(arm: CoreArm | PrAbs) -> tuple[str, ...]:
+    """The variables that ``arm``'s pattern binds and its body does not use,
+    sorted by name as strings, so ``v%10`` comes before ``v%2``: what the arm
+    erases, in the order a pass puts it in the garbage."""
+    return tuple(sorted(free_qvars(arm.pattern) - free_qvars(arm.body)))
 
 
 # --------------------------------------------------------------------------

@@ -37,10 +37,10 @@ memoized on ``(id(program), basis value)`` for one run
   program, built once per ``f`` and kept on it.  So ``@adjoint``'s
   ``pmatch [@f(x) -> x]`` needs no type.  A program whose arm erases a variable is refused when its
   adjoint is built, before any arm is tried; so is an adjoint that leaves
-  garbage.  A ``ctrl`` matches by :func:`qunic.core.ctrl_bindings`: for
-  each arm, each binding of its body at ``v`` under which the scrutinee, a
-  basis value, takes that arm.  A ``match`` in a pattern is refused: it
-  erases its scrutinee.
+  garbage.  A ``ctrl`` matches by its :func:`qunic.core.ctrl_arms`, or is
+  refused before any arm: for each arm, each binding of its body at ``v``
+  under which the scrutinee, a basis value, takes that arm.  A ``match`` in
+  a pattern is refused: it erases its scrutinee.
 * ``lambda``, ``pmatch``, ``ctrl`` and ``match`` take, for each arm, the
   body at what the pattern binds, weighted by the match's amplitude, and stop
   at the first arm that takes all of ``v``; so on basis patterns the first
@@ -54,8 +54,8 @@ memoized on ``(id(program), basis value)`` for one run
   ``e^(i r') v + (e^(i r) - e^(i r')) [[e]][[e]]^dagger v``; the pattern
   ``e`` may be a superposition, as in ``@reflect{&equal_superpos}``.
 * Erasure: a ``lambda`` or ``pmatch`` variable that is bound but not free in
-  its body goes to the garbage, in the order of the variables' names as
-  strings, so ``v%10`` comes before ``v%2``.  A ``match`` puts its
+  its body goes to the garbage in :func:`qunic.core.erased`'s order, by name
+  as strings, so ``v%10`` comes before ``v%2``.  A ``match`` puts its
   scrutinee's value in the garbage, and so keeps a superposed scrutinee.  A
   ``ctrl`` drops its scrutinee's garbage: the scrutinee is uncomputed, as
   its context is classical.  (The typing rules of Qunity are to confirm both
@@ -92,8 +92,8 @@ from .core import (
     PrU3,
     RExact,
     adjoint,
-    ctrl_bindings,
-    free_qvars,
+    ctrl_arms,
+    erased,
 )
 from .errors import CapacityError, SemanticsError
 from .reals import evaluate_real
@@ -157,6 +157,11 @@ def _u3(x, v) -> dict:
         return _pruned({ZERO: c, ONE: _phase(x.phi) * s})
     lam = _phase(x.lam)
     return _pruned({ZERO: -lam * s, ONE: _phase(x.phi) * lam * c})
+
+
+def _agree(a: dict, b: dict) -> bool:
+    """Whether a variable that both bindings bind has one value in both."""
+    return all(a.get(name, w) == w for name, w in b.items())
 
 
 def _add(out: dict, key, a) -> None:
@@ -268,8 +273,7 @@ class Semantics:
     def _erased(self, arm) -> tuple[str, ...]:
         entry = self.erased.get(id(arm))
         if entry is None:
-            names = tuple(sorted(free_qvars(arm.pattern) - free_qvars(arm.body)))
-            entry = self.erased[id(arm)] = arm, names
+            entry = self.erased[id(arm)] = arm, erased(arm)
         return entry[1]
 
     def _rphase(self, x, v) -> dict:
@@ -293,8 +297,7 @@ class Semantics:
             out = []
             for left, a in self.match(p.left, v[0]):
                 for right, b in self.match(p.right, v[1]):
-                    # a variable twice must match equal values
-                    if all(left.get(name, w) == w for name, w in right.items()):
+                    if _agree(left, right):
                         out.append(({**left, **right}, a * b))
             return out
         if t is ExApp:
@@ -317,10 +320,30 @@ class Semantics:
         if t is ExUnit:
             return [({}, 1)] if v == () else []
         if t is ExCtrl:
-            return list(ctrl_bindings(p, v, self.match, self.value, SemanticsError))
+            return self._ctrl(p, v)
         if t is ExMatch:
             raise SemanticsError("a match is not a pattern: a match erases its scrutinee")
         raise SemanticsError(f"{t.__name__} is not a pattern")
+
+    def _ctrl(self, p, v) -> list[tuple[dict, complex]]:
+        """The ``ctrl`` ``p`` read as a pattern at ``v``: each arm of
+        :func:`qunic.core.ctrl_arms` gives each binding B of ``v`` against its
+        body under which the scrutinee, read in B less the arm's own
+        variables, takes that arm with the values B gives them."""
+        arms = ctrl_arms(p)
+        if type(arms) is str:
+            raise SemanticsError(arms)
+        out = []
+        for j, (body, own) in enumerate(arms):
+            for binds, a in self.match(body, v):
+                outer = {name: w for name, w in binds.items() if name not in own}
+                u = self.value(p.scrutinee, outer)
+                if u is None or any(self.match(arm.pattern, u) for arm in p.arms[:j]):
+                    continue  # no value, or one that an earlier arm takes
+                # the else arm takes what no pattern matches, binding nothing
+                got = self.match(p.arms[j].pattern, u) if j < len(p.arms) else [({}, 1)]
+                out += [(outer, a * b) for inner, b in got if _agree(binds, inner)]
+        return out
 
     def value(self, e, env):
         """The basis value of ``e`` in ``env``, as :func:`value` gives it; its

@@ -77,6 +77,23 @@ def test_each_programs_adjoint_is_built_once_for_every_pass(monkeypatch):
     assert len(built) == len({id(g) for g in built}) > 0
 
 
+def test_ctrl_arms_are_worked_out_once_per_node_for_every_pass(monkeypatch):
+    # The adjoint of @mod_mult reads the ctrl of its body as a pattern:
+    # core.ctrl_arms works its arms out once and keeps them on the ctrl's
+    # node, and two runs of the semantics, each with memos of its own, share
+    # them.
+    built, build = [], core._ctrl_arms
+    monkeypatch.setattr(core, "_ctrl_arms", lambda p: built.append(p) or build(p))
+    f = program(f"@adjoint{{Num{{{N}}}, Num{{{N}}}, @mod_mult{{{N}, 5}}}}", N)
+    rng, inverse = random.Random(5), pow(5, -1, 2**N)
+    for s in (Semantics(), Semantics()):
+        for _ in range(SAMPLES):
+            x = rng.randrange(2**N)
+            assert to_int(s.value(f, num(N, x))) == x * inverse % 2**N
+    assert len(built) == len({id(p) for p in built}) > 0
+    assert all(core.ctrl_arms(p) is p._derived for p in built)
+
+
 @pytest.mark.parametrize("a", [1, 3, 7, 12345, 2**N - 1, -5])
 def test_mod_mult_multiplies_by_an_odd_constant_mod_2_to_the_n(a):
     f, rng, s = program(f"@mod_mult{{{N}, {a}}}", N), random.Random(a), Semantics()

@@ -1,6 +1,7 @@
 """The ``qunic`` command: its exit codes, its dumps and ``--stats``, and the
 one deep stack on which it runs every pass."""
 
+import hashlib
 import io
 import json
 import os
@@ -86,6 +87,97 @@ def test_a_dump_over_the_printers_bound_exits_2(tmp_path, capsys, monkeypatch):
     code, out, err = qunic(tmp_path, capsys, ADD_CONST_TREE + main, "--dump-core")
     assert (code, out) == (2, "")
     assert err.startswith("qunic: CapacityError: a text of ")
+
+
+QFT_128 = "&num_to_state{128, 1} |> @qft{128}"
+ORDER_FINDING = "&order_finding{10, 7}"
+COUNTS = ("core_dag_nodes", "instantiations", "regions_reused", "kernel_hits")
+
+# The command's pins, the same on every Python of the matrix: a dump's text,
+# with its newline, by its sha256; the --stats COUNTS, where a change to
+# interning that loses sharing leaves the text as it is but moves
+# core_dag_nodes, and an edit that stops the integer kernels from firing
+# moves kernel_hits; and a refusal by its message.
+PINS = [
+    # 2,061,235 characters; each exact angle is one leaf per value in a compile
+    pytest.param(
+        QFT_128,
+        "--dump-core",
+        "8e4a63f134c7aa0d573f65459d9f7c178d884fbbabc27167db332a4ca9613d9a",
+        id="qft-128-dump",
+    ),
+    pytest.param(QFT_128, "--stats", "2445 516 884 1270", id="qft-128-stats"),
+    # 86,038 characters, most of them from patterns and closed programs that
+    # the elaborator keeps and returns again
+    pytest.param(
+        ORDER_FINDING,
+        "--dump-core",
+        "08885e39f3675f6a6feb41f22ed916e262b78fc29a1a20cd857ae0dbbe2f6652",
+        id="order-finding-dump",
+    ),
+    pytest.param(ORDER_FINDING, "--stats", "951 227 391 822", id="order-finding-stats"),
+    # the benchmark's dump_core families, whose Fourier and adder if
+    # conditions the elaborator decides by their kernels
+    pytest.param("&phase_estimation{40, 1/3}", "--stats", "1376 331 501 665", id="phase-est"),
+    pytest.param("&num_to_state{80, 1} |> @qft{80}", "--stats", "1533 324 548 790", id="qft-80"),
+    pytest.param(
+        "(&num_to_state{56, 1}, &num_to_state{56, 2}) |> @rev_adder{56}",
+        "--stats",
+        "513 140 174 357",
+        id="rev-adder-56",
+    ),
+    # 1,405 distinct nodes whose tree has 4.6e31, refused at the real
+    # core.TEXT_CHARS before any text is built
+    pytest.param(
+        ADD_CONST_TREE + "&num_to_state{100, 1} |> @add_const_tree{100, 12345}",
+        "--dump-core",
+        "qunic: CapacityError: a text of 79691643 characters is over the limit of 67108864",
+        id="add-const-tree-refused",
+    ),
+]
+
+# Runs qunic's main on the same arguments a number of times in one process,
+# and prints each run's exit code, output and error output as a JSON line.
+PIN_RUNS = (
+    "import contextlib, io, json, sys\n"
+    "from qunic import cli\n"
+    "for _ in range(int(sys.argv[1])):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        code = cli.main(sys.argv[2:])\n"
+    "    print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
+)
+
+
+@pytest.mark.parametrize("source, flag, pin", PINS)
+def test_the_pinned_outputs_of_a_fresh_process(tmp_path, source, flag, pin):
+    # Each row runs in a fresh process, as a one-shot qunic does: kernel_hits
+    # counts the kernels that the process has built, so a later compile in it
+    # reads more.  A dump is run twice: the second compile meets the kernels
+    # and call-site caches that the first built on the prelude's nodes, and
+    # must give the pinned text too.
+    path = tmp_path / "main.qunity"
+    path.write_text(source, encoding="utf-8")
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    runs = 2 if flag == "--dump-core" else 1
+    out = subprocess.run(
+        [sys.executable, "-c", PIN_RUNS, str(runs), flag, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    got = []
+    for line in out.stdout.splitlines():
+        code, text, err = json.loads(line)
+        if code:
+            got.append(err.rstrip("\n"))
+        elif flag == "--dump-core":
+            got.append(hashlib.sha256(text.encode()).hexdigest())
+        else:
+            got.append(" ".join(str(json.loads(text)[k]) for k in COUNTS))
+    assert got == [pin] * runs
 
 
 def test_an_internal_error_ends_in_its_traceback(tmp_path, capsys, monkeypatch):

@@ -823,6 +823,16 @@ class TestInterning:
         pair = core_of_source(src)
         assert pair.left.fn is pair.right.fn
 
+    def test_programs_that_differ_only_in_their_variables_names_are_one_object(self):
+        # A binder is named by its number in its closed program alone.
+        src = (
+            "def @s1 : Bit * Bit -> Bit * Bit := lambda (x, y) -> (y, x) end\n"
+            "def @s2 : Bit * Bit -> Bit * Bit := lambda (a, b) -> (b, a) end\n"
+            "(&0, &1) |> @s1 |> @s2"
+        )
+        app = core_of_source(src)
+        assert app.fn is app.arg.fn
+
     def test_rphase_numbers_its_binders_from_0(self):
         # One rphase bare, one after the binder y: a closed program numbers
         # its binders from 0 wherever it sits, so the two are one object.

@@ -12,7 +12,8 @@ from arithmetic import N, SAMPLES, num, program
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qunic.core import (
-    PrLeft, PrRight, PrU3, RBinary, RConst, RExact, RPi, TyUnit, adjoint, to_str,
+    PrLeft, PrRight, PrU3, RBinary, RConst, RExact, RPi, TyUnit, adjoint, ctrl_arms, erased,
+    to_str,
 )
 from qunic.errors import CapacityError, SemanticsError
 from qunic.preprocess import core_of_source
@@ -305,6 +306,36 @@ def test_a_lambda_erases_what_its_body_does_not_use_and_ctrl_drops_it():
     # ctrl uncomputes its scrutinee, so its garbage goes and x stays coherent
     source = "&plus |> lambda x -> ctrl (lambda y -> &0)(x) [&0 -> x] |> @had"
     assert close(run(core_of_source(source), {}), {(ZERO, ()): 1})
+
+
+def test_erased_variables_go_to_the_garbage_in_the_order_of_their_names_as_strings():
+    # A definition's binders are v%0 .. v%11; the body keeps v%0, and the
+    # garbage follows core.erased: v%1, v%10, v%11, v%2, ..., v%9.
+    pattern = "()"
+    for i in reversed(range(12)):
+        pattern = f"(x{i}, {pattern})"
+    f = core_of_source(
+        f"def @f : Num{{12}} -> Bit := lambda {pattern} -> x0 end\n&num_to_state{{12, 0}} |> @f"
+    ).fn
+    order = [1, 10, 11, *range(2, 10)]
+    assert erased(f) == tuple(f"v%{i}" for i in order)
+    for i in range(1, 12):
+        garbage = tuple(ONE if j == i else ZERO for j in order)
+        assert run(f, num(12, 1 << i)) == {(ZERO, garbage): 1}
+
+
+def test_a_ctrl_that_is_no_pattern_is_refused_before_any_arm_runs(monkeypatch):
+    # Arm 1's body leaves x unbound.  (&0, &0) would match arm 0's body.
+    f = program("lambda (c, x) -> ctrl c [&0 -> (c, x); &1 -> (c, &0)]", 1, 1)
+    p = adjoint(f).pattern
+    assert ctrl_arms(p) == "a ctrl in a pattern whose arm does not give x"
+    s = Semantics()
+    seen, match = [], s.match
+    monkeypatch.setattr(s, "match", lambda q, v: seen.append(q) or match(q, v))
+    for _ in range(2):
+        with pytest.raises(SemanticsError, match="arm does not give x"):
+            s.match(p, (ZERO, ZERO))
+    assert seen == [p, p]
 
 
 def test_a_ctrl_on_a_superposed_variable_entangles():
