@@ -61,17 +61,21 @@ a text longer than ``TEXT_CHARS``, before it builds a much longer string:
 the tree of a DAG can be far larger than memory.
 
 Elaboration memoizes instantiations, so a core term is a DAG whose tree can
-be millions of times larger.  Every node class is a slotted dataclass made by
-:func:`_node`, with one generated ``__init__``, and is frozen by
-:class:`_Node`, which refuses every assignment and deletion; nothing copies
-or pickles a node.  A node keeps no hash: ``hash`` is a :func:`fold` over
-the DAG on every call, and ``==`` is true on identity, else decided by
-walking pairs of nodes, each ``(id(a), id(b))`` pair once.  Both cost work in
-proportion to the DAG, not the tree, and neither recurses.  No compile
+be millions of times larger.  Every node class is a plain slotted class made
+by :func:`_node`, its fields its annotations, with one generated
+``__init__``, and is frozen by :class:`_Node`, which refuses every
+assignment and deletion; nothing copies or pickles a node.  Importing this
+module imports no :mod:`dataclasses`, which every start of the compiler
+would pay for and no compile uses: a class's dataclass form, for the readers
+that walk nodes through ``dataclasses.fields``, is made on first ask
+(:class:`_DataclassView`).  A node keeps no hash: ``hash`` is a :func:`fold`
+over the DAG on every call, and ``==`` is true on identity, else decided by
+walking pairs of nodes, each ``(id(a), id(b))`` pair once.  Both cost work
+in proportion to the DAG, not the tree, and neither recurses.  No compile
 hashes or compares a node: the elaborator interns, so within a compile
 identity is equality, and only the tests and the benchmark's checks call
-them.  ``repr`` prints the dataclass
-form down to a fixed depth and ``...`` below it.
+them.  ``repr`` prints the dataclass form, ``Class(field=...)``, down to a
+fixed depth and ``...`` below it.
 
 Nodes are built two ways, to the same object graph.  The parser,
 :func:`adjoint` and tests call a class's ``__init__``.  The elaborator
@@ -103,27 +107,61 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from typing import Union, get_args
 
 from .errors import CapacityError, RealError
 
 
+class _DataclassView:
+    """The ``__dataclass_fields__`` of a node class, made on first ask.
+
+    The compiler reads a node's fields as its ``__slots__``.  The dataclass
+    form is for the readers that walk nodes through :mod:`dataclasses`
+    (``is_dataclass`` and ``fields``), as the benchmark's checks and the
+    tests do, and none of them is on the compile path.  So a class's first
+    ask imports :mod:`dataclasses`, applies ``dataclass(init=False,
+    eq=False, repr=False)`` to an unslotted twin with the class's
+    annotations and defaults, and stores the twin's fields on the class,
+    where later asks find them before this descriptor.  :class:`_Node`
+    itself is no dataclass.  This view can go once every such reader walks
+    :func:`children` instead.
+    """
+
+    def __get__(self, node: _Node | None, cls: type) -> dict:
+        if cls is _Node:
+            raise AttributeError("_Node is no dataclass")
+        from dataclasses import dataclass
+
+        slots, defaults = cls.__slots__, cls.__init__.__defaults__ or ()
+        ns = dict(zip(slots[len(slots) - len(defaults):], defaults))
+        ns.update(
+            __module__=cls.__module__,
+            __qualname__=cls.__qualname__,
+            __doc__=cls.__doc__,
+            __annotations__=cls.__dict__.get("__annotations__", {}),
+        )
+        view = dataclass(init=False, eq=False, repr=False)(type(cls.__name__, (), ns)).__dataclass_fields__
+        cls.__dataclass_fields__ = view
+        return view
+
+
 class _Node:
     """Base of every node of the syntax tree.
 
-    Subclasses are made by :func:`_node`: slotted dataclasses whose fields are
-    their slots, with one generated ``__init__``, an interning step
-    ``_intern`` (:func:`_intern_step`), and none of the dataclass's
-    ``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__`` and
-    ``__delattr__``; the five below apply.  Nodes are frozen here, once for
-    every class: assigning or deleting any attribute raises
-    :class:`dataclasses.FrozenInstanceError`.  Only a node's builder writes
-    its fields, ``__init__`` through ``object.__setattr__`` and ``_intern``
-    through the slots' descriptors, and a pass writes only the kept
-    ``_derived`` slot below, through ``object.__setattr__``.  Nothing copies
-    or pickles a node, so no class has ``__getstate__``/``__setstate__``.
+    Subclasses are made by :func:`_node`: slotted classes whose fields are
+    their slots, with one generated ``__init__`` and an interning step
+    ``_intern`` (:func:`_intern_step`); the five methods below apply.  They
+    are plain classes, with no metaclass and no :mod:`dataclasses` import
+    behind them; their dataclass form is made on first ask
+    (:class:`_DataclassView`).  Nodes are frozen here, once for every
+    class: assigning or deleting any attribute raises
+    :class:`dataclasses.FrozenInstanceError`, imported only to be raised.
+    Only a node's builder writes its fields, ``__init__`` through
+    ``object.__setattr__`` and ``_intern`` through the slots' descriptors,
+    and a pass writes only the kept ``_derived`` slot below, through
+    ``object.__setattr__``.  Nothing copies or pickles a node, so no class
+    has ``__getstate__``/``__setstate__``.
     Elaboration shares subterms, so a term is a DAG whose tree can be millions
     of times larger; ``hash`` and ``==`` cost work in proportion to the DAG,
     and ``repr`` prints the dataclass form only ``_REPR_DEPTH`` nodes deep.
@@ -150,6 +188,7 @@ class _Node:
     """
 
     __slots__ = ("_derived",)
+    __dataclass_fields__ = _DataclassView()
 
     def __hash__(self) -> int:
         return fold(self, _hash_of)
@@ -165,27 +204,42 @@ class _Node:
         return _repr(self, _REPR_DEPTH)
 
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _node(cls: type) -> type:
-    """``cls`` as a slotted dataclass with one generated ``__init__`` and,
-    for a class of at most three fields, one interning step, ``_intern``.
+    """``cls`` remade with its annotated fields as its slots, one generated
+    ``__init__`` and, for a class of at most three fields, one interning
+    step, ``_intern``.
 
-    ``dataclass`` writes no method here; the ``__init__`` takes the fields
-    in order, with their defaults, and sets each through
-    ``object.__setattr__``, as :class:`_Node` forbids assignment.
+    One ``type`` call builds the slotted class from ``cls``'s namespace: the
+    fields are the annotations in order, and their class-body values are
+    the ``__init__``'s defaults.  The ``__init__`` takes the fields in order
+    and sets each through ``object.__setattr__``, as :class:`_Node` forbids
+    assignment.  Nothing here imports :mod:`dataclasses`, which would cost
+    every start of the compiler its import and a second build of each class
+    for its slots; :class:`_DataclassView` makes the dataclass form when a
+    reader asks for it.
     """
-    cls = dataclass(init=False, eq=False, repr=False, slots=True)(cls)
-    names = cls.__slots__
+    ns = dict(cls.__dict__)
+    names = tuple(ns.get("__annotations__", ()))
+    defaults = {n: ns.pop(n) for n in names if n in ns}
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    ns.update(__slots__=names, __match_args__=names, __qualname__=cls.__qualname__)
+    cls = type(cls.__name__, cls.__bases__, ns)
+    params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
     body = "".join(f"\n _set(self, {n!r}, {n})" for n in names) or "\n pass"
     scope: dict = {}
-    exec(f"def __init__(self, {', '.join(names)}):{body}", {"_set": object.__setattr__}, scope)
+    exec(f"def __init__(self, {params}):{body}", {"_set": object.__setattr__, "_defaults": defaults}, scope)
     init = scope["__init__"]
-    init.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING) or None
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
     if len(names) <= 3:
@@ -210,7 +264,7 @@ def _intern_step(cls: type) -> Callable:
     """
     new = object.__new__
     sets = [cls.__dict__[name].__set__ for name in cls.__slots__]
-    ra, rb, rc = [f.type in _RAW for f in fields(cls)] + [False] * (3 - len(sets))
+    ra, rb, rc = [cls.__annotations__[n] in _RAW for n in cls.__slots__] + [False] * (3 - len(sets))
     if not sets:
 
         def step(nodes, a, b, c):

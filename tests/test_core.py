@@ -212,6 +212,9 @@ class TestSharedCores:
         for cls in NODE_CLASSES:
             assert dataclasses.is_dataclass(cls)
             assert tuple(f.name for f in dataclasses.fields(cls)) == cls.__slots__
+            # each field's type is its annotation's text, as declared
+            assert [f.type for f in dataclasses.fields(cls)] == list(cls.__annotations__.values())
+            assert all(type(f.type) is str for f in dataclasses.fields(cls))
             assert cls.__doc__ and cls.__doc__.strip(), cls.__name__
             # __init__ takes the fields in order, with their defaults
             params = list(inspect.signature(cls).parameters.values())
@@ -221,6 +224,8 @@ class TestSharedCores:
             ]
         assert ExCtrl(scrutinee=ExVar("x"), arms=()).else_body is None
         assert Name("e", "x") == Name(sort="e", name="x", args=())
+        assert dataclasses.fields(ExCtrl)[2].type == "'Expr | None'"  # its source text, quotes and all
+        assert not dataclasses.is_dataclass(core._Node)
 
     def test_assigning_or_deleting_any_field_is_refused(self):
         for cls in NODE_CLASSES:
@@ -256,6 +261,30 @@ class TestSharedCores:
     def test_importing_the_compiler_loads_no_later_stage(self):
         loaded = self.loaded_by("qunic.preprocess")
         assert not loaded & {"qunic.semantics", "qunic.cli"}
+
+    def test_importing_and_compiling_load_no_dataclasses_or_importlib_resources(self):
+        # The node classes and the prelude's reader need neither import, nor
+        # inspect, which dataclasses imports.  -S, since a .pth file may
+        # import them itself (certifi's imports importlib.resources).
+        script = (
+            "import sys, qunic.preprocess\n"
+            "print(*sys.modules)\n"
+            "qunic.preprocess.core_of_source('&num_to_state{3, 5} |> @qft{3}')\n"
+            "print(*sys.modules)\n"
+        )
+        src = str(pathlib.Path(core.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-S", "-W", "error", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        imported, compiled = (set(line.split()) for line in out.stdout.splitlines())
+        assert "qunic.preprocess" in imported and "qunic.reals" in compiled
+        for loaded in (imported, compiled):
+            assert not loaded & {"dataclasses", "inspect", "importlib.resources"}
 
     def test_importing_the_tree_with_its_adjoint_loads_no_evaluator(self):
         loaded = self.loaded_by("qunic.core")

@@ -9,6 +9,7 @@ import itertools
 import os
 import subprocess
 import sys
+import zipfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -1098,6 +1099,33 @@ class TestSharedPrelude:
         )
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout == "Bit Maybe Array Num List had\n6\n"
+
+    def test_the_prelude_is_read_from_a_zipped_package(self, tmp_path):
+        package = Path(preprocess.__file__).parent
+        archive = tmp_path / "qunic.zip"
+        with zipfile.ZipFile(archive, "w") as z:
+            for f in sorted(package.glob("*.py")) + [package / "prelude.qunity"]:
+                z.write(f, f"qunic/{f.name}")
+        script = (
+            "import qunic\n"
+            "from qunic import core, preprocess\n"
+            "print(qunic.__file__)\n"
+            "print(core.to_str(preprocess.core_of_source('@had(&0)')))\n"
+        )
+        # -S and the zip alone on PYTHONPATH: no other copy of the package is importable
+        out = subprocess.run(
+            [sys.executable, "-S", "-W", "error", "-c", script],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(archive)},
+            timeout=60,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines() == [
+            str(archive / "qunic" / "__init__.py"),
+            core.to_str(core_of_source("@had(&0)")),
+        ]
 
     def test_a_prelude_name_clashes_before_its_definition_is_parsed(self, monkeypatch):
         monkeypatch.setattr(preprocess, "_prelude", None)
