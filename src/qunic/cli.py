@@ -11,7 +11,7 @@ stages before one that fails are still printed:
   with the end-of-input token.  ``FILE`` is tokenized for this only when it
   is asked for;
 * ``--dump-surface``: the parsed file, definitions and main expression,
-  printed by :func:`~qunic.core.to_str`, which the parser reads back to an
+  printed by :func:`~qunic.printer.to_str`, which the parser reads back to an
   equal file;
 * ``--dump-core``: the elaborated core.
 
@@ -69,7 +69,7 @@ try:
 except ImportError:  # Windows has no resource module
     getrusage = None
 
-from .core import node_counts, to_str
+from .core import node_counts
 from .errors import CapacityError, QunityError
 from .lexer import tokenize
 from .parser import parse_file
@@ -128,6 +128,8 @@ def _compile(source: str, use_prelude: bool, dumps: set[str], stats: bool):
     qf = parse_file(source)
     parse_ms = (clock() - start) * 1e3
     if "surface" in dumps:
+        from .printer import to_str  # only a dump loads the printer
+
         print(to_str(qf).removesuffix("\n"))  # print adds the newline
     start = clock()
     elaborator = Elaborator(qf.defs, use_prelude)
@@ -135,6 +137,8 @@ def _compile(source: str, use_prelude: bool, dumps: set[str], stats: bool):
     elaborate_ms = (clock() - start) * 1e3
     print_ms = None
     if "core" in dumps:
+        from .printer import to_str
+
         start = clock()
         text = to_str(core)
         print_ms = (clock() - start) * 1e3

@@ -48,7 +48,7 @@ two frames, ``_atom`` and ``_group`` or ``_if``, as the first operand of
 what holds it, and three after an operator: a level of
 ``(Bit * (Bit * ...))`` costs ``_atom``, ``_group`` and ``parse_type``.
 
-The printer, :func:`qunic.core.to_str`, writes an applied program as the
+The printer, :func:`qunic.printer.to_str`, writes an applied program as the
 program followed by its argument in parentheses, so an unparenthesized
 program followed by ``(`` in a generic argument is applied too
 (``&e{@f(x) |> @g}``).  It puts every ``lambda`` and every ``if`` program in

@@ -3,8 +3,8 @@
 Angles and classical parameters in Qunity are written as closed real
 expressions over ``pi``, ``euler``, integer literals, arithmetic, and a fixed
 set of analytic functions.  Their nodes, like every other node of the syntax
-tree, and their printer live in :mod:`qunic.core`; this module only
-evaluates them.
+tree, live in :mod:`qunic.core`, and their printer in :mod:`qunic.printer`;
+this module only evaluates them.
 
 The evaluator computes a single kind of value.  It is either an exact pair
 ``(a, b)`` standing for ``a + b*pi`` with rational ``a`` and ``b``, or a

@@ -13,7 +13,7 @@ import threading
 import pytest
 from arithmetic import ADD_CONST_TREE
 
-from qunic import cli, core, parser, preprocess
+from qunic import cli, core, parser, preprocess, printer
 from qunic.errors import CapacityError
 from qunic.preprocess import core_of_source
 
@@ -82,7 +82,7 @@ def test_an_error_in_the_program_exits_with_its_code(tmp_path, capsys, source, c
 
 
 def test_a_dump_over_the_printers_bound_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(core, "TEXT_CHARS", 10_000)
+    monkeypatch.setattr(printer, "TEXT_CHARS", 10_000)
     main = "&num_to_state{8, 1} |> @add_const_tree{8, 12345}"
     code, out, err = qunic(tmp_path, capsys, ADD_CONST_TREE + main, "--dump-core")
     assert (code, out) == (2, "")
@@ -127,7 +127,7 @@ PINS = [
         id="rev-adder-56",
     ),
     # 1,405 distinct nodes whose tree has 4.6e31, refused at the real
-    # core.TEXT_CHARS before any text is built
+    # printer.TEXT_CHARS before any text is built
     pytest.param(
         ADD_CONST_TREE + "&num_to_state{100, 1} |> @add_const_tree{100, 12345}",
         "--dump-core",
@@ -178,6 +178,37 @@ def test_the_pinned_outputs_of_a_fresh_process(tmp_path, source, flag, pin):
         else:
             got.append(" ".join(str(json.loads(text)[k]) for k in COUNTS))
     assert got == [pin] * runs
+
+
+# Runs qunic's main on its arguments, then says whether the printer is loaded.
+MAIN_THEN_PRINTER = (
+    "import sys\n"
+    "from qunic import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, 'qunic.printer' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize("flag, printer_loaded", [("--stats", False), ("--dump-core", True)])
+def test_only_a_dump_loads_the_printer(flag, printer_loaded):
+    # In a fresh process, as a one-shot qunic: a compile prints nothing, so
+    # --stats alone never loads the printer, and --dump-core loads it to print.
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", MAIN_THEN_PRINTER, flag, "-"],
+        input="@had(&0)",
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    *printed, last = out.stdout.splitlines()
+    assert last == f"0 {printer_loaded}"
+    if flag == "--stats":
+        assert json.loads(printed[0])["core_dag_nodes"] == core.node_counts(core_of_source("@had(&0)"))[0]
+    else:
+        assert printed == [core.to_str(core_of_source("@had(&0)"))]
 
 
 def test_an_internal_error_ends_in_its_traceback(tmp_path, capsys, monkeypatch):

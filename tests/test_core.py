@@ -14,7 +14,7 @@ import pytest
 from arithmetic import ADD_CONST_TREE
 from hypothesis import given, strategies as st
 
-from qunic import cli, core, reals
+from qunic import cli, core, printer, reals
 from qunic.core import (
     BAnd,
     BCmp,
@@ -58,6 +58,13 @@ NODE_CLASSES = [
     for cls in vars(core).values()
     if isinstance(cls, type) and issubclass(cls, core._Node) and cls is not core._Node
 ]
+# Every field with a default in a class body of core.py.
+CLASS_BODY_DEFAULTS = {
+    (Name, "args"): (),
+    (ExCtrl, "else_body"): None,
+    (ExMatch, "else_body"): None,
+    (core.Param, "sig"): (),
+}
 
 
 def _deep_u3(depth: int, theta: int) -> str:
@@ -188,12 +195,12 @@ class TestSharedCores:
         # at a small bound, the join of a shared node's text does.
         c = core_of_source(ADD_CONST_TREE + "&num_to_state{8, 1} |> @add_const_tree{8, 12345}")
         text = core.to_str(c)
-        monkeypatch.setattr(core, "TEXT_CHARS", len(text))
+        monkeypatch.setattr(printer, "TEXT_CHARS", len(text))
         assert core.to_str(c) == text
-        monkeypatch.setattr(core, "TEXT_CHARS", len(text) - 1)
+        monkeypatch.setattr(printer, "TEXT_CHARS", len(text) - 1)
         with pytest.raises(CapacityError, match=f"a text of {len(text)} characters is over"):
             core.to_str(c)
-        monkeypatch.setattr(core, "TEXT_CHARS", 1000)
+        monkeypatch.setattr(printer, "TEXT_CHARS", 1000)
         with pytest.raises(CapacityError, match="over the limit of 1000$") as refused:
             core.to_str(c)
         assert 1000 < int(re.search(r"a text of (\d+)", str(refused.value))[1]) < len(text)
@@ -222,10 +229,30 @@ class TestSharedCores:
                 (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
                 for f in dataclasses.fields(cls)
             ]
+            # ... which are the slots, with the class body's defaults
+            assert [(p.name, p.default) for p in params] == [
+                (name, CLASS_BODY_DEFAULTS.get((cls, name), inspect.Parameter.empty))
+                for name in cls.__slots__
+            ]
+            assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+            # each field is set from its own parameter, by position or by name
+            values = [object() for _ in cls.__slots__]
+            for node in (cls(*values), cls(**dict(zip(cls.__slots__, values)))):
+                assert [getattr(node, name) for name in cls.__slots__] == values
         assert ExCtrl(scrutinee=ExVar("x"), arms=()).else_body is None
         assert Name("e", "x") == Name(sort="e", name="x", args=())
         assert dataclasses.fields(ExCtrl)[2].type == "'Expr | None'"  # its source text, quotes and all
         assert not dataclasses.is_dataclass(core._Node)
+
+    def test_a_field_without_a_default_after_one_with_a_default_is_refused(self):
+        with pytest.raises(TypeError, match="Late: field 'b' has no default but follows one that has"):
+
+            @core._node
+            class Late(core._Node):
+                """A class whose second field has no default."""
+
+                a: str = ""
+                b: str
 
     def test_assigning_or_deleting_any_field_is_refused(self):
         for cls in NODE_CLASSES:
@@ -260,12 +287,13 @@ class TestSharedCores:
 
     def test_importing_the_compiler_loads_no_later_stage(self):
         loaded = self.loaded_by("qunic.preprocess")
-        assert not loaded & {"qunic.semantics", "qunic.cli"}
+        assert not loaded & {"qunic.semantics", "qunic.cli", "qunic.printer"}
 
     def test_importing_and_compiling_load_no_dataclasses_or_importlib_resources(self):
         # The node classes and the prelude's reader need neither import, nor
-        # inspect, which dataclasses imports.  -S, since a .pth file may
-        # import them itself (certifi's imports importlib.resources).
+        # inspect, which dataclasses imports, and no compile prints.  -S, since
+        # a .pth file may import them itself (certifi's imports
+        # importlib.resources).
         script = (
             "import sys, qunic.preprocess\n"
             "print(*sys.modules)\n"
@@ -284,14 +312,22 @@ class TestSharedCores:
         imported, compiled = (set(line.split()) for line in out.stdout.splitlines())
         assert "qunic.preprocess" in imported and "qunic.reals" in compiled
         for loaded in (imported, compiled):
-            assert not loaded & {"dataclasses", "inspect", "importlib.resources"}
+            assert not loaded & {"dataclasses", "inspect", "importlib.resources", "qunic.printer"}
 
     def test_importing_the_tree_with_its_adjoint_loads_no_evaluator(self):
         loaded = self.loaded_by("qunic.core")
         assert not loaded & {"qunic.reals", "qunic.semantics", "qunic.cli"}
 
     @pytest.mark.parametrize(
-        "first", ["qunic.reals", "qunic.core", "qunic.surface", "qunic.parser", "qunic.preprocess"]
+        "first",
+        [
+            "qunic.reals",
+            "qunic.core",
+            "qunic.printer",
+            "qunic.surface",
+            "qunic.parser",
+            "qunic.preprocess",
+        ],
     )
     def test_each_module_imports_first_without_a_cycle(self, first):
         # Whichever module comes first, the tree and its printer are whole:
@@ -489,7 +525,7 @@ def test_the_printer_keeps_the_text_of_each_node_with_two_incoming_edges(term):
         for c in _parts(x):
             indegree[id(c)] = indegree.get(id(c), 0) + 1
     texts: dict = {}
-    core._show(term, texts, [])
+    printer._show(term, texts, [])
     kept = {k for k, v in texts.items() if type(v) is str and k in nodes}
     assert kept == {k for k, n in indegree.items() if n >= 2}
 
