@@ -86,10 +86,21 @@ on it.  Its pattern holds a ``ctrl`` where ``f``'s body does: what such a
 ``ctrl``'s arms bind is :func:`ctrl_arms`, and what an arm's pattern binds
 that its body does not use, :func:`erased`.  These structural rules are
 every pass's; each pass searches for values by its own.
+
+No compile leaves cyclic garbage.  The core is acyclic: a node refers to
+its fields and, in its ``_derived`` slot, to what the elaborator derives
+from it, a kernel, which holds only its constants and keys, or a call-site
+cache; and every table of a compile holds nodes, values and other tables.
+The one cycle is kept for the process: the call-site cache of a recursive
+prelude definition holds the definition whose body holds the call site.  So
+elaboration and printing run with CPython's cyclic collector paused
+(:class:`paused_collector`), and reference counting frees what a compile
+drops.
 """
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Callable
 from fractions import Fraction
 from typing import Union, get_args
@@ -126,6 +137,28 @@ class _DataclassView:
         view = dataclass(init=False, eq=False, repr=False)(type(cls.__name__, (), ns)).__dataclass_fields__
         cls.__dataclass_fields__ = view
         return view
+
+
+class paused_collector:
+    """``with paused_collector():`` runs its block with the cyclic garbage
+    collector off, then turns it on again if it was on: on every exit, a
+    raise included.  A caller that turned it off keeps it off.
+
+    Elaboration and printing run in it, as no compile leaves cyclic garbage
+    (see the module's docstring).  The switch is the process's, so while one
+    compile runs, code on other threads runs with the collector paused too.
+    """
+
+    __slots__ = ("_was",)
+
+    def __enter__(self) -> None:
+        self._was = gc.isenabled()
+        if self._was:
+            gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        if self._was:
+            gc.enable()
 
 
 class _Node:

@@ -20,6 +20,13 @@ interpreter's stack raises :class:`~qunic.errors.CapacityError`, and so does
 a text longer than ``TEXT_CHARS``, before it builds a much longer string:
 the tree of a DAG can be far larger than memory.
 
+:func:`to_str` runs with CPython's cyclic garbage collector paused
+(:class:`~qunic.core.paused_collector`), and turns it on again as it returns
+or raises, if it was on.  Printing allocates a piece of text and a dict
+entry per node, which all live until it returns, and makes no reference
+cycle, so the collector's scans there would free nothing: reference counting
+frees the list and the dict.
+
 No compile prints, so importing the compiler does not load this module.  The
 dumps of the ``qunic`` command, :mod:`qunic.surface` and a node's first
 ``repr`` load it; ``core.to_str`` and ``core.core_expr_to_str`` are this
@@ -74,6 +81,7 @@ from .core import (
     VariantAlt,
     VariantDef,
     _Node,
+    paused_collector,
 )
 from .errors import CapacityError, RealError
 
@@ -98,11 +106,12 @@ def to_str(root: _Node) -> str:
     """
     out: list[str] = []
     texts: dict[int | None, tuple[int, int] | str | int] = {}
-    try:
-        _show(root, texts, out)
-    except RecursionError:
-        raise CapacityError("term nested too deeply to print") from None
-    return _joined(out, texts)
+    with paused_collector():
+        try:
+            _show(root, texts, out)
+        except RecursionError:
+            raise CapacityError("term nested too deeply to print") from None
+        return _joined(out, texts)
 
 
 def _joined(pieces: list[str], texts: dict[int | None, tuple[int, int] | str | int]) -> str:

@@ -26,14 +26,19 @@ value.  The preprocessor calls :func:`step` itself, once per node as it
 elaborates, so it never evaluates a subtree twice, and decides a condition
 with :func:`compare`, which :func:`evaluate_bool` uses too.
 
-The integer rule, ``_INT_OPS``, lives in kernels only: :func:`kernel` turns
+The integer rule, ``_INT_OPS``, is what kernels compute: :func:`kernel` turns
 a small integer expression over ``#`` parameters into one generated
-straight-line function that applies the rule and gives no value wherever
-the rule leaves the case.  The elaborator runs an expression's kernel
-instead of walking it, and walks it with :func:`step` when the kernel gives
-no value.  Property tests in ``tests/test_reals.py`` pin the rule to
-:func:`step` on ints, and each kernel to the walk: the same value and types,
-or no value.
+straight-line function with the rule written into its text, a few
+statements per operator and no call, which gives no value wherever the rule
+leaves the case.  The text names its constants and parameter keys by
+generated names only, so expressions of one shape have one text, compiled
+once per process; each kernel runs that code with its own constants.  The
+elaborator runs an expression's kernel instead of walking it, and walks it
+with :func:`step` when the kernel gives no value.  ``_INT_OPS`` folds the
+constant operations of a kernel as it is built, and is the reference: property
+tests in ``tests/test_reals.py`` pin it to :func:`step` on ints, each
+operator's kernel text to it, and each kernel to the walk: the same value
+and types, or no value.
 
 A real may also be a :class:`~qunic.core.Name` or an
 :class:`~qunic.core.If` of sort ``"r"``, which exist only in surface syntax.
@@ -51,6 +56,7 @@ int.  The three views still return Fractions.  An exact part may have at most
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Callable, Mapping
@@ -128,9 +134,10 @@ def _pow(a: int, c: int) -> int | None:
 
 # The integer rule: each operator on two ints, or None for a case that it
 # leaves to the general rules: a zero divisor, a / that does not divide, a
-# negative exponent, and a result over EXACT_BITS, which they refuse.  Only
-# kernels apply it; where it gives a value, step gives the same on those ints
-# (a property test pins it).
+# negative exponent, and a result over EXACT_BITS, which they refuse.  A
+# kernel computes it as _RULE_TEXT and folds its constant operations with it;
+# where it gives a value, step gives the same on those ints (a property test
+# pins it).
 _INT_OPS = {"+": operator.add, "-": operator.sub, "*": _mul, "%": _mod, "/": _div, "^": _pow}
 
 
@@ -218,13 +225,17 @@ def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:
     ``x`` has one when its leaves are int constants and argless ``#`` names,
     its operators are those of the integer rule, with at most one comparison,
     at the root, and it has at most ``KERNEL_NODES`` nodes.  The kernel is one
-    generated function, one statement per operator, leaves up, applying
-    ``_INT_OPS`` (``_COMPARISONS`` at the root) to ints, each name read once;
-    it returns None where the rule leaves the case, and a constant operation
-    is folded as it is built.  It gives the value that elaborating ``x``
-    gives, ``(v, 0)`` or a bool, when every name is a parameter whose value is
-    a pi-free int and the rule covers every operation; otherwise None, and
-    elaboration walks ``x``, which gives every other value and every error.
+    generated function, leaves up, with each operator's rule written in as
+    the statements of ``_RULE_TEXT`` (a Python comparison at the root) on
+    ints, each name read once; it returns None where the rule leaves the
+    case, and a constant operation is folded with ``_INT_OPS`` as it is
+    built.  Its text names the constants and keys ``c0``, ``c1``, ..., so
+    one text serves every expression of its shape: :func:`_maker` compiles
+    it once per process, and makes each kernel from its constants and keys.
+    The kernel gives the value that elaborating ``x`` gives, ``(v, 0)`` or a
+    bool, when every name is a parameter whose value is a pi-free int and
+    the rule covers every operation; otherwise None, and elaboration walks
+    ``x``, which gives every other value and every error.
     """
     if type(x) is BCmp:
         if x.op not in _COMPARISONS:
@@ -245,13 +256,14 @@ def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:
         nodes.append(y)
         if len(nodes) > KERNEL_NODES:
             return None
-    # The text holds generated identifiers only: each constant, parameter key
-    # and operator is a global, as a constant may be too long for str and a
-    # name need not be an identifier.
-    scope: dict[str, object] = {}
-    lines = ["def run(g):"]
+    # The text holds generated identifiers only: each constant and parameter
+    # key is a parameter of the function that makes the kernel, as a constant
+    # may be too long for str and a name need not be an identifier.  So two
+    # expressions of one shape have one text.
+    consts: list[object] = []
+    lines = []
     # Each node's operand: a constant's value, else the local that holds its
-    # value, or at a root comparison, the call that computes it.
+    # value, or at a root comparison, the comparison itself.
     built: dict[int, object] = {}
     local: dict[str, str] = {}  # the local that holds each name's int
     for y in reversed(nodes):
@@ -263,38 +275,77 @@ def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:
             if v is None:  # read once, and no value unless it is a pi-free int
                 v = local[y.name] = f"n{len(local)}"
                 lines.append(
-                    f" v = g.get({_global(scope, ('r', y.name))})\n if type(v) is not tuple"
-                    f" or type(v[0]) is not int or v[1] != 0: return None\n {v} = v[0]"
+                    f"v = g.get({_const(consts, ('r', y.name))})\nif type(v) is not tuple"
+                    f" or type(v[0]) is not int or v[1] != 0: return None\n{v} = v[0]"
                 )
             built[id(y)] = v
         else:
-            f = _INT_OPS[y.op] if t is RBinary else _COMPARISONS[y.op]
             a, c = built[id(y.left)], built[id(y.right)]
             if type(a) is not str and type(c) is not str:
+                f = _INT_OPS[y.op] if t is RBinary else _COMPARISONS[y.op]
                 v = built[id(y)] = f(a, c)
                 if v is None:  # a constant operation that has no value
                     return None
                 continue
-            a, c = (v if type(v) is str else _global(scope, v) for v in (a, c))
-            v = f"{_global(scope, f)}({a}, {c})"
+            a, c = (v if type(v) is str else _const(consts, v) for v in (a, c))
             if t is RBinary:
-                temp = f"t{len(lines)}"
-                lines.append(f" {temp} = {v}\n if {temp} is None: return None")
-                v = temp
+                v = f"t{len(lines)}"
+                lines.append(_RULE_TEXT[y.op].format(t=v, a=a, c=c, bits=EXACT_BITS))
+            else:
+                v = f"{a} {'==' if y.op == '=' else y.op} {c}"
             built[id(y)] = v
     v = built[id(x)]
     if type(x) is RBinary:
         v = f"{v}, 0" if type(v) is str else (v, 0)
-    lines.append(f" return {v if type(v) is str else _global(scope, v)}")
-    exec("\n".join(lines), scope)
-    return scope["run"], reads
+    lines.append(f"return {v if type(v) is str else _const(consts, v)}")
+    params = ", ".join(f"c{i}" for i in range(len(consts)))
+    body = "\n".join(lines).replace("\n", "\n  ")
+    return _maker(f"def make({params}):\n def run(g):\n  {body}\n return run")(*consts), reads
 
 
-def _global(scope: dict[str, object], value: object) -> str:
-    """A new identifier, under which ``scope`` holds ``value``."""
-    name = f"c{len(scope)}"
-    scope[name] = value
-    return name
+# The integer rule as kernel text: each operator's statements, which put the
+# value of ``a op c`` in ``t``, or return None where ``_INT_OPS`` gives None.
+_RULE_TEXT = {
+    "+": "{t} = {a} + {c}",
+    "-": "{t} = {a} - {c}",
+    "*": "{t} = {a} * {c}\nif {t}.bit_length() > {bits}: return None",
+    "%": "if not {c}: return None\n{t} = {a} % {c}",
+    "/": (
+        "if not {c} or {a} % {c}: return None\n{t} = {a} // {c}\n"
+        "if {t}.bit_length() > {bits}: return None"
+    ),
+    "^": (
+        "if {c} < 0 or ({a}.bit_length() - 1) * {c} > {bits}: return None\n"
+        "{t} = {a} ** {c}\nif {t}.bit_length() > {bits}: return None"
+    ),
+}
+
+# The globals of every kernel: none but the builtins, which exec adds.
+_KERNEL_GLOBALS: dict[str, object] = {}
+
+
+# Bounded, so that a process compiling many shapes of user expressions keeps
+# no more than that many texts; the prelude's kernels have 17.
+@functools.lru_cache(maxsize=1024)
+def _maker(text: str) -> Callable[..., Kernel]:
+    """The function that ``text`` defines, which makes a kernel from its
+    constants and keys, compiled once per process.  Every kernel it makes
+    runs the one code object of its ``run``, reads its constants and keys
+    from its own closure cells and shares the one globals dict of all
+    kernels: with a globals dict per kernel, the interpreter's caches of the
+    code's global lookups would miss from one kernel to the next, which made
+    kernel runs slower than compiling each text apart.  Nothing a kernel
+    holds refers back to it, so a dropped kernel is freed without the cyclic
+    collector."""
+    made: dict[str, object] = {}
+    exec(compile(text, "<kernel>", "exec"), _KERNEL_GLOBALS, made)
+    return made["make"]
+
+
+def _const(consts: list[object], value: object) -> str:
+    """The parameter under which ``consts`` holds ``value``, appended."""
+    consts.append(value)
+    return f"c{len(consts) - 1}"
 
 
 def _value(r: Real) -> Value:

@@ -1,6 +1,8 @@
-"""Fixtures shared by the test modules: the recursion limit for a block, and
-the depth of the stack."""
+"""Fixtures shared by the test modules: the recursion limit for a block, the
+depth of the stack, and a check that every test leaves the cyclic collector
+on."""
 
+import gc
 import sys
 from contextlib import contextmanager
 
@@ -36,3 +38,15 @@ def stack_depth():
     """``stack_depth()``, the number of frames on the stack from its caller's
     down, the caller's included."""
     return _depth
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_on():
+    """Fails a test that ends with the cyclic garbage collector off, and
+    turns it on again.  Elaboration and printing pause the collector and must
+    turn it on again on every exit: a missing ``finally`` or an early return
+    would leave it off for the rest of the process."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test ended with the cyclic garbage collector disabled")

@@ -3,6 +3,7 @@ texts, pattern binding and scope, the shared prelude, and prelude definitions
 checked against reference copies."""
 
 import dataclasses
+import gc
 import hashlib
 import importlib
 import itertools
@@ -17,7 +18,7 @@ import pytest
 from arithmetic import num
 from hypothesis import given, settings, strategies as st
 
-from qunic import core, lexer, parser, preprocess, reals, semantics
+from qunic import core, lexer, parser, preprocess, printer, reals, semantics
 from qunic.core import RBinary, RConst, REuler, RExact, RPi, RUnary
 from qunic.errors import CapacityError, PreprocessError, QunityError, RealError
 from qunic.preprocess import core_of_source, load_prelude_defs
@@ -1516,16 +1517,22 @@ class TestCallSiteCaches:
 
 
 class TestShortcuts:
-    """A variable read in the frame of its pair or application, and an
-    ``if`` condition's kernel run in the ``if`` loop, fall back on the walk
-    where they have no answer: each of three compiles of one parsed file in
-    one process gives what the walk gives.  A kernel is built at the second
+    """A variable read in the frame of its pair, application, ``ctrl`` or
+    ``match``, and an ``if`` condition's kernel run in the ``if`` loop, fall
+    back on the walk where they have no answer: each of three compiles of
+    one parsed file in one process gives what the walk gives.  A kernel is built at the second
     evaluation, so the third compile is the first that runs it."""
 
     @pytest.mark.parametrize(
         "body",
-        ["lambda x -> (y, x)", "lambda x -> (x, y)", "lambda x -> @not(y)"],
-        ids=["left-operand", "right-operand", "argument"],
+        [
+            "lambda x -> (y, x)",
+            "lambda x -> (x, y)",
+            "lambda x -> @not(y)",
+            "lambda x -> ctrl y [&0 -> (x, x); &1 -> (x, x)]",
+            "lambda x -> match y [&0 -> (x, x); &1 -> (x, x)]",
+        ],
+        ids=["left-operand", "right-operand", "argument", "ctrl-scrutinee", "match-scrutinee"],
     )
     def test_an_unbound_operand_or_argument_is_reported(self, body):
         qf = parser.parse_file(f"def @g{{#n}} : Bit -> Bit * Bit := {body} end\n&0 |> @g{{1}}")
@@ -1582,3 +1589,101 @@ class TestElaboratorAfterAnError:
             used.elaborate(parser.parse_expr_string("&0 |> @bad{1}"))
         fresh = preprocess.Elaborator(defs, use_prelude=True).elaborate(good)
         assert core.to_str(used.elaborate(good)) == core.to_str(fresh)
+
+
+def _deep_pairs() -> core.ExPair:
+    """A left-nested chain of 5,000 pairs of units, too deep for the stack
+    at a recursion limit of 1,000 to elaborate or print."""
+    e = core.ExUnit()
+    for _ in range(5000):
+        e = core.ExPair(e, core.ExUnit())
+    return e
+
+
+def _elaborate(source: str):
+    return preprocess.Elaborator((), use_prelude=True).elaborate(parser.parse_expr_string(source))
+
+
+class TestCollectorPause:
+    """Elaboration and printing run with the cyclic garbage collector paused,
+    which is safe because no compile leaves cyclic garbage, and leave it on
+    or off as they found it, whether they return or raise."""
+
+    # A user definition whose condition is evaluated twice, so that it gets
+    # a kernel, which is dropped with the parse.
+    KERNEL = (
+        "def @g{#n} : Bit -> Bit := if #n % 2 = 1 then @not else @had endif end\n"
+        "(&0 |> @g{3}, &0 |> @g{4})"
+    )
+    # Compiles that raise: an unknown name, an unbound variable, a term too
+    # deep for the stack at a recursion limit of 1,000, an undefined angle.
+    FAILING = [
+        "&0 |> @nope",
+        "&0 |> lambda x -> y",
+        "&num_to_state{192, 1} |> @qft{192}",
+        "&0 |> u3{1 / 0, 0, 0}",
+    ]
+
+    def test_a_compile_and_its_print_leave_no_cyclic_garbage(self, recursion_limit):
+        gc.collect()
+        gc.disable()
+        try:
+            for main in [*PRELUDE_MAINS, self.KERNEL, self.KERNEL]:
+                core.to_str(core_of_source(main))
+            raised = 0
+            with recursion_limit(1000):
+                for main in self.FAILING:
+                    try:
+                        core_of_source(main)
+                    except QunityError:
+                        raised += 1
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert (found, raised) == (0, len(self.FAILING))
+
+    def test_elaboration_and_printing_run_paused(self, monkeypatch):
+        seen = []
+
+        def spy(fn):
+            def call(*args):
+                seen.append((fn.__name__, gc.isenabled()))
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(preprocess, "step", spy(preprocess.step))
+        monkeypatch.setattr(printer, "_joined", spy(printer._joined))
+        core.to_str(_elaborate("&0 |> u3{pi / 3, 0, 0}"))
+        assert set(seen) == {("step", False), ("_joined", False)}
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            pytest.param(lambda: _elaborate("&0 |> @had"), None, id="elaborate-returns"),
+            pytest.param(lambda: _elaborate("&0 |> @nope"), PreprocessError, id="elaborate-raises"),
+            pytest.param(
+                lambda: preprocess.Elaborator(()).elaborate(_deep_pairs()),
+                CapacityError,
+                id="elaborate-too-deep",
+            ),
+            pytest.param(lambda: core.to_str(core.ExUnit()), None, id="print-returns"),
+            pytest.param(lambda: core.to_str(_deep_pairs()), CapacityError, id="print-too-deep"),
+        ],
+    )
+    def test_the_collector_is_left_as_it_was(self, recursion_limit, enabled, call, error):
+        if not enabled:
+            gc.disable()
+        try:
+            with recursion_limit(1000):
+                if error is None:
+                    call()
+                else:
+                    with pytest.raises(error):
+                        call()
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert after is enabled

@@ -454,6 +454,48 @@ def test_a_modulus_by_zero_has_a_kernel_that_gives_no_value():
         Elaborator(()).elab(x, _Env(generics, {}))
 
 
+# An operator's kernel over two parameters, or a parameter and a constant.
+_RULE_SHAPES = {
+    "names": lambda op, a, c: RBinary(op, Name("r", "a"), Name("r", "c")),
+    "constant-left": lambda op, a, c: RBinary(op, RConst(a), Name("r", "c")),
+    "constant-right": lambda op, a, c: RBinary(op, Name("r", "a"), RConst(c)),
+}
+
+
+@pytest.mark.parametrize("shape", _RULE_SHAPES)
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "%", "^"])
+@settings(deadline=None)  # a power at the edge of EXACT_BITS takes milliseconds
+@given(_kernel_ints, _kernel_ints)
+@example(1, 0)  # division or modulus by zero
+@example(0, -1)  # zero to a negative power
+@example(2, EXACT_BITS)  # a power over after it is computed
+@example(3, EXACT_BITS + 1)  # a power over before it is computed
+@example(2**EXACT_BITS - 1, 2)  # a product over
+@example(7, 3)  # a / that does not divide
+def test_a_kernel_applies_the_integer_rule(shape, op, a, c):
+    # The rule written into a kernel's text gives what _INT_OPS gives: the
+    # same int, or None.
+    run, _ = kernel(_RULE_SHAPES[shape](op, a, c))
+    v = _INT_OPS[op](a, c)
+    assert run({("r", "a"): (a, 0), ("r", "c"): (c, 0)}) == (None if v is None else (v, 0))
+
+
+def test_expressions_of_one_shape_share_one_code_object():
+    def run(src):
+        x = parse_real_string(src)
+        return kernel(x.cond if type(x) is If else x)[0]
+
+    n_less_1, m_less_7 = run("#n - 1"), run("#m - 7")
+    odd = run("if #n % 2 = 1 then 1 else 0 endif")
+    three_mod_7 = run("if #m % 7 = 3 then 1 else 0 endif")
+    assert n_less_1.__code__ is m_less_7.__code__
+    assert odd.__code__ is three_mod_7.__code__
+    assert n_less_1.__code__ is not odd.__code__
+    generics = {("r", "n"): (12, 0), ("r", "m"): (17, 0)}
+    assert (n_less_1(generics), m_less_7(generics)) == ((11, 0), (10, 0))
+    assert (odd(generics), three_mod_7(generics)) == (False, True)
+
+
 def test_a_kernel_runs_in_one_frame(recursion_limit, stack_depth):
     # A left-nested chain of 31 operators, the most a kernel takes, runs at a
     # recursion limit a few frames above this test's depth.
