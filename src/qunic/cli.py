@@ -2,9 +2,10 @@
 
     qunic FILE|- [--dump-tokens] [--dump-surface] [--dump-core] [--no-prelude] [--stats]
 
-``FILE`` is read as UTF-8, and ``-`` reads standard input.  Each dump prints
-one stage of the pipeline, in pipeline order, when that stage ends, so the
-stages before one that fails are still printed:
+``FILE`` is read as UTF-8, and ``-`` reads standard input; a byte-order
+mark at the start of either is dropped.  Each dump prints one stage of the
+pipeline, in pipeline order, when that stage ends, so the stages before one
+that fails are still printed:
 
 * ``--dump-tokens``: the tokens of ``FILE`` (not the prelude's), one per
   line, as ``line:col``, kind and text (in quotes) separated by tabs, ending
@@ -91,9 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.file == "-":
-            source = sys.stdin.read()
+            source = sys.stdin.read().removeprefix("\ufeff")
         else:
-            source = Path(args.file).read_text(encoding="utf-8")
+            source = Path(args.file).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"qunic: cannot read {args.file}: {exc}", file=sys.stderr)
         return 1

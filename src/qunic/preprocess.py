@@ -47,7 +47,9 @@ variant is a :class:`~qunic.core.VariantDef`.  It resolves all that is
   angles are one object however they were written;
 * an integer expression, an operator or a comparison over int constants and
   ``#`` parameters (:func:`~qunic.reals.kernel` says which), is evaluated by
-  its kernel, one generated function that computes it in one frame, from its
+  its kernel, one generated function that computes it in one frame by the
+  integer rule, with its constant operations folded by
+  :func:`~qunic.reals.step` as it is built.  It runs from the expression's
   second evaluation on: the first marks the node, the second builds the kernel,
   and the node keeps it in its ``_derived`` slot, outside ``hash`` and
   equality.  So a user expression evaluated once never pays for a

@@ -26,19 +26,19 @@ value.  The preprocessor calls :func:`step` itself, once per node as it
 elaborates, so it never evaluates a subtree twice, and decides a condition
 with :func:`compare`, which :func:`evaluate_bool` uses too.
 
-The integer rule, ``_INT_OPS``, is what kernels compute: :func:`kernel` turns
-a small integer expression over ``#`` parameters into one generated
+The integer rule, ``_RULE_TEXT``, is what kernels compute: :func:`kernel`
+turns a small integer expression over ``#`` parameters into one generated
 straight-line function with the rule written into its text, a few
 statements per operator and no call, which gives no value wherever the rule
 leaves the case.  The text names its constants and parameter keys by
 generated names only, so expressions of one shape have one text, compiled
 once per process; each kernel runs that code with its own constants.  The
 elaborator runs an expression's kernel instead of walking it, and walks it
-with :func:`step` when the kernel gives no value.  ``_INT_OPS`` folds the
-constant operations of a kernel as it is built, and is the reference: property
-tests in ``tests/test_reals.py`` pin it to :func:`step` on ints, each
-operator's kernel text to it, and each kernel to the walk: the same value
-and types, or no value.
+with :func:`step` when the kernel gives no value.  :func:`step` also folds
+the constant operations of a kernel as it is built, and is the reference:
+property tests in ``tests/test_reals.py`` pin each operator's kernel text to
+it on ints, and each kernel to the walk: the same value and types, or no
+value.
 
 A real may also be a :class:`~qunic.core.Name` or an
 :class:`~qunic.core.If` of sort ``"r"``, which exist only in surface syntax.
@@ -67,7 +67,7 @@ from .core import (
     BAnd, BCmp, BNot, BoolExpr, BOr, Name, Rational, Real, RBinary, RConst, REuler, RExact, RPi,
     RUnary, fold, sort_of,
 )
-from .errors import CapacityError, RealError
+from .errors import CapacityError, QunityError, RealError
 
 Number = Union[Fraction, float]
 
@@ -107,38 +107,6 @@ _COMPARISONS = {
     ">=": operator.ge,
     ">": operator.gt,
 }
-
-
-def _mul(a: int, c: int) -> int | None:
-    v = a * c
-    return v if v.bit_length() <= EXACT_BITS else None
-
-
-def _mod(a: int, c: int) -> int | None:
-    return a % c if c else None
-
-
-def _div(a: int, c: int) -> int | None:
-    if c and a % c == 0:
-        v = a // c
-        return v if v.bit_length() <= EXACT_BITS else None
-    return None
-
-
-def _pow(a: int, c: int) -> int | None:
-    if c < 0 or (a.bit_length() - 1) * c > EXACT_BITS:
-        return None
-    v = a**c
-    return v if v.bit_length() <= EXACT_BITS else None
-
-
-# The integer rule: each operator on two ints, or None for a case that it
-# leaves to the general rules: a zero divisor, a / that does not divide, a
-# negative exponent, and a result over EXACT_BITS, which they refuse.  A
-# kernel computes it as _RULE_TEXT and folds its constant operations with it;
-# where it gives a value, step gives the same on those ints (a property test
-# pins it).
-_INT_OPS = {"+": operator.add, "-": operator.sub, "*": _mul, "%": _mod, "/": _div, "^": _pow}
 
 
 def step(op: str, x: Value, y: Value | None = None) -> Value:
@@ -228,10 +196,12 @@ def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:
     generated function, leaves up, with each operator's rule written in as
     the statements of ``_RULE_TEXT`` (a Python comparison at the root) on
     ints, each name read once; it returns None where the rule leaves the
-    case, and a constant operation is folded with ``_INT_OPS`` as it is
-    built.  Its text names the constants and keys ``c0``, ``c1``, ..., so
-    one text serves every expression of its shape: :func:`_maker` compiles
-    it once per process, and makes each kernel from its constants and keys.
+    case.  A constant operation is folded as the kernel is built, by
+    :func:`step` (:func:`compare` at the root), and where that gives no int
+    or raises, ``x`` has no kernel.  Its text names the constants and keys
+    ``c0``, ``c1``, ..., so one text serves every expression of its shape:
+    :func:`_maker` compiles it once per process, and makes each kernel from
+    its constants and keys.
     The kernel gives the value that elaborating ``x`` gives, ``(v, 0)`` or a
     bool, when every name is a parameter whose value is a pi-free int and
     the rule covers every operation; otherwise None, and elaboration walks
@@ -247,7 +217,7 @@ def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:
     while stack:  # the nodes in pre-order, right first: reversed, in post-order
         y = stack.pop()
         t = type(y)
-        if t is RBinary and y.op in _INT_OPS:
+        if t is RBinary and y.op in _RULE_TEXT:
             stack += (y.left, y.right)
         elif t is Name and y.sort == "r" and not y.args:
             reads += 1
@@ -281,11 +251,16 @@ def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:
             built[id(y)] = v
         else:
             a, c = built[id(y.left)], built[id(y.right)]
-            if type(a) is not str and type(c) is not str:
-                f = _INT_OPS[y.op] if t is RBinary else _COMPARISONS[y.op]
-                v = built[id(y)] = f(a, c)
-                if v is None:  # a constant operation that has no value
+            if type(a) is not str and type(c) is not str:  # a constant operation
+                try:
+                    v = (step if t is RBinary else compare)(y.op, (a, 0), (c, 0))
+                except QunityError:
                     return None
+                if t is RBinary:  # a pair (q, 0), as both operands are ints
+                    v = v[0]
+                    if type(v) is not int:  # a Fraction: the rule is on ints
+                        return None
+                built[id(y)] = v
                 continue
             a, c = (v if type(v) is str else _const(consts, v) for v in (a, c))
             if t is RBinary:
@@ -304,7 +279,9 @@ def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:
 
 
 # The integer rule as kernel text: each operator's statements, which put the
-# value of ``a op c`` in ``t``, or return None where ``_INT_OPS`` gives None.
+# value of ``a op c`` on two ints in ``t``, as step gives it, or return None
+# for a case that the rule leaves to step: a zero divisor, a / that does not
+# divide, a negative exponent, and a result over EXACT_BITS.
 _RULE_TEXT = {
     "+": "{t} = {a} + {c}",
     "-": "{t} = {a} - {c}",

@@ -225,6 +225,20 @@ def test_an_unreadable_file_exits_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_a_file_that_starts_with_a_byte_order_mark_compiles(tmp_path, capsys):
+    path = tmp_path / "main.qunity"
+    path.write_text("&0 |> @had", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert cli.main(["--dump-core", str(path)]) == 0
+    assert capsys.readouterr().out == core.to_str(core_of_source("&0 |> @had")) + "\n"
+
+
+def test_standard_input_that_starts_with_a_byte_order_mark_compiles(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff&0 |> @had"))
+    assert cli.main(["--dump-core", "-"]) == 0
+    assert capsys.readouterr().out == core.to_str(core_of_source("&0 |> @had")) + "\n"
+
+
 def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
     source = "&num_to_state{8, 1} |> @qft{8}"
     code, out, _ = qunic(tmp_path, capsys, source, "--dump-core", "--stats")

@@ -30,16 +30,14 @@ def gate_angles(root) -> set:
     seen, stack, angles = set(), [root], set()
     while stack:
         x = stack.pop()
-        if id(x) in seen or not dataclasses.is_dataclass(x):
+        if id(x) in seen:
             continue
         seen.add(id(x))
         if isinstance(x, core.PrU3):
             angles |= {x.theta, x.phi, x.lam}
         elif isinstance(x, core.PrRphase):
             angles |= {x.on_phase, x.off_phase}
-        for f in dataclasses.fields(x):
-            v = getattr(x, f.name)
-            stack.extend(v if isinstance(v, tuple) else [v])
+        stack += core.children(x)
     return angles
 
 
@@ -459,12 +457,10 @@ def reachable(root):
     seen, stack = {id(root): root}, [root]
     while stack:
         x = stack.pop()
-        for f in dataclasses.fields(x):
-            v = getattr(x, f.name)
-            for c in v if isinstance(v, tuple) else (v,):
-                if dataclasses.is_dataclass(c) and id(c) not in seen:
-                    seen[id(c)] = c
-                    stack.append(c)
+        for c in core.children(x):
+            if id(c) not in seen:
+                seen[id(c)] = c
+                stack.append(c)
     return seen.values()
 
 
@@ -682,7 +678,7 @@ def alpha_normal(root):
             return programs[id(x)]
         if isinstance(x, tuple):
             return tuple(walk(y, scope, count) for y in x)
-        if dataclasses.is_dataclass(x):
+        if isinstance(x, core._Node):
             return rebuild(x, scope, count)
         return x
 
@@ -691,7 +687,7 @@ def alpha_normal(root):
             binds = core.free_qvars(x.pattern)
             new = [n for n in dict.fromkeys(met(x.pattern)) if n in binds]
             scope = {**scope, **{n: f"v{next(count)}" for n in new}}
-        return type(x)(*(walk(getattr(x, f.name), scope, count) for f in dataclasses.fields(x)))
+        return type(x)(*(walk(getattr(x, name), scope, count) for name in x.__slots__))
 
     def met(x):
         """The names of ``x``'s variables, in the order the walk meets them."""
@@ -700,9 +696,9 @@ def alpha_normal(root):
         elif isinstance(x, tuple):
             for y in x:
                 yield from met(y)
-        elif dataclasses.is_dataclass(x) and not isinstance(x, closed):
-            for f in dataclasses.fields(x):
-                yield from met(getattr(x, f.name))
+        elif isinstance(x, core._Node) and not isinstance(x, closed):
+            for name in x.__slots__:
+                yield from met(getattr(x, name))
 
     return walk(root, {}, itertools.count())
 
@@ -1005,7 +1001,8 @@ class TestInternStep:
         assert made == built and built == made
         assert hash(made) == hash(built)
         assert repr(made) == repr(built)
-        assert dataclasses.fields(made) == dataclasses.fields(built)
+        made_fields, built_fields = ([getattr(x, n) for n in cls.__slots__] for x in (made, built))
+        assert made_fields == built_fields
         assert not hasattr(made, "__dict__")
         for node in (made, built):
             for name in (*cls.__slots__, "_derived", "not_a_field"):

@@ -1,9 +1,11 @@
 """The settings in ``pyproject.toml``: warnings are errors, a failing
 Hypothesis property still lets every later test report, and every declared
-console script exists; and every module of ``qunic`` uses what it imports,
-all of it from the standard library."""
+console script exists; every module of ``qunic`` uses what it imports, all
+of it from the standard library; and every name that a module of ``qunic``
+defines is read somewhere."""
 
 import ast
+import collections
 import importlib
 import pathlib
 import subprocess
@@ -83,3 +85,45 @@ def test_every_absolute_import_is_of_the_standard_library(path):
     stdlib = sys.stdlib_module_names
     outside = sorted(name for name in names if name.partition(".")[0] not in stdlib)
     assert not outside, f"{path.name} imports from outside the standard library: {outside}"
+
+
+# Defined in qunic but read nowhere yet: ROADMAP item T (the typechecker)
+# raises it, with its rule.
+_UNREAD_ON_PURPOSE = {("errors.py", "TypeCheckError")}
+
+
+def _reads(tree) -> collections.Counter:
+    """How often each name is read in ``tree``: as a name, or as an attribute
+    (``reals.kernel``)."""
+    reads = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            reads[node.attr] += 1
+    return reads
+
+
+def test_every_module_level_name_is_read_somewhere():
+    # Each function, class and assigned name at the top of a module of qunic
+    # is read in src/, tests/ or bench/ outside its own definition, so a
+    # leftover table or helper fails here.  A dunder (__version__, a module's
+    # __getattr__) is read by Python itself.
+    paths = [p for d in ("src", "tests", "bench") for p in (PYPROJECT.parent / d).rglob("*.py")]
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    reads = sum((_reads(tree) for tree in trees.values()), collections.Counter())
+    unread = set()
+    for path in SOURCES:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _reads(node)
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")) and reads[name] == own[name]:
+                    unread.add((path.name, name))
+    assert unread == _UNREAD_ON_PURPOSE, f"defined but never read: {sorted(unread)}"
