@@ -92,6 +92,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.file == "-":
+            if sys.stdin is None:  # None where the command starts with its input closed
+                raise OSError("standard input is closed")
             source = sys.stdin.read().removeprefix("\ufeff")
         else:
             source = Path(args.file).read_text(encoding="utf-8-sig")

@@ -103,7 +103,6 @@ from __future__ import annotations
 import gc
 from collections.abc import Callable
 from fractions import Fraction
-from typing import Union, get_args
 
 
 class _DataclassView:
@@ -471,7 +470,7 @@ class RConst(_Node):
     value: int
 
 
-Rational = Union[int, Fraction]  # an exact part: an int when integral
+Rational = int | Fraction  # an exact part: an int when integral
 
 
 @_node
@@ -517,7 +516,7 @@ class RBinary(_Node):
     right: "Real"
 
 
-Real = Union[RExact, RConst, RPi, REuler, RUnary, RBinary, Name, If]
+Real = RExact | RConst | RPi | REuler | RUnary | RBinary | Name | If
 
 # How tightly each arithmetic operator binds: ``+ -`` group to the left, then
 # ``* / %`` to the left, then ``^`` to the right.  The parser reads by it too.
@@ -556,9 +555,7 @@ class BCmp(_Node):
     right: Real
 
 
-BoolExpr = Union[BNot, BAnd, BOr, BCmp]
-# ``isinstance`` checks a tuple about four times faster than the ``Union`` alias.
-BOOLS = get_args(BoolExpr)
+BoolExpr = BNot | BAnd | BOr | BCmp
 
 # --------------------------------------------------------------------------
 # Types
@@ -597,8 +594,8 @@ class TVar(_Node):
     name: str
 
 
-CoreType = Union[TyVoid, TyUnit, TySum, TyProd]
-Type = Union[CoreType, TVar, Name, If]
+CoreType = TyVoid | TyUnit | TySum | TyProd
+Type = CoreType | TVar | Name | If
 
 
 # --------------------------------------------------------------------------
@@ -667,8 +664,8 @@ class ExApp(_Node):
     arg: "Expr"
 
 
-CoreExpr = Union[ExUnit, ExVar, ExPair, ExCtrl, ExMatch, ExTry, ExApp]
-Expr = Union[CoreExpr, Name, If]
+CoreExpr = ExUnit | ExVar | ExPair | ExCtrl | ExMatch | ExTry | ExApp
+Expr = CoreExpr | Name | If
 
 
 @_node
@@ -721,16 +718,16 @@ class PrPmatch(_Node):
     arms: tuple[CoreArm, ...]
 
 
-CoreProg = Union[PrU3, PrLeft, PrRight, PrAbs, PrRphase, PrPmatch]
-Prog = Union[CoreProg, Name, If]
+CoreProg = PrU3 | PrLeft | PrRight | PrAbs | PrRphase | PrPmatch
+Prog = CoreProg | Name | If
 
-GenArg = Union[Type, Expr, Prog, Real]
+GenArg = Type | Expr | Prog | Real
 
 # The sort of each node class of one sort.
 _SORTS = {
     cls: sort
     for sort, union in (("t", Type), ("e", Expr), ("f", Prog), ("r", Real))
-    for cls in get_args(union)
+    for cls in union.__args__
     if cls is not Name and cls is not If
 }
 
@@ -852,14 +849,14 @@ def free_qvars(e: CoreExpr) -> frozenset[str]:
 
 
 def _qvar_parts(x: _Node) -> list[_Node]:
-    if type(x) in _QVAR_NODES:
+    if isinstance(x, _QVAR_NODES):
         return children(x)
     if sort_of(x) == "f":
         return []
     raise TypeError(f"not a core expression: {x!r}")
 
 
-_QVAR_NODES = frozenset((*get_args(CoreExpr), CoreArm))
+_QVAR_NODES = CoreExpr | CoreArm
 
 
 def _free(x: _Node, frees: list[frozenset[str]]) -> frozenset[str]:
@@ -895,7 +892,7 @@ def adjoint(f: CoreProg) -> CoreProg | None:
     Built once per program node and kept in its ``_derived`` slot, so every
     pass and every run that meets ``f`` in a pattern shares one ``f^dagger``.
     """
-    if type(f) not in CORE_PROGS:
+    if not isinstance(f, CoreProg):
         raise TypeError(f"not a core program: {f!r}")
     try:
         return f._derived
@@ -928,8 +925,6 @@ def _minus(b: int, r: Real) -> Real:
         return RExact(-r.a, b - r.b)
     return RBinary("-", RExact(0, b), r)
 
-
-CORE_PROGS = frozenset(get_args(CoreProg))
 
 
 def ctrl_arms(p: ExCtrl) -> list[tuple[CoreExpr, frozenset[str]]] | str:

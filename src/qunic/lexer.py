@@ -36,27 +36,24 @@ cannot continue.  Lines are counted at ``\n``; columns count characters from
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import UNARY_OPS
 from .errors import LexError
 
 
 class TokKind:
-    """The kinds of the tokens that are not a keyword or punctuation."""
+    """The kinds of the tokens that are not a keyword, punctuation or a name.
+    A name's kind is its sort, ``"t" "e" "f" "r"``, and the text of an
+    ``&``, ``@`` or ``#`` name has no sigil."""
 
-    TNAME, ENAME, FNAME, RNAME = "t", "e", "f", "r"  # a name's sort; &name's text has no sigil
     NUMBER = "a number"
     QVAR = "a variable"
     TYVAR = "a type variable"  # 'name, text stored without the quote
     EOF = "end of input"
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+Token = namedtuple("Token", "kind text line column")
 
 
 KEYWORDS = frozenset(

@@ -70,11 +70,10 @@ for the interpreter's stack is a :class:`~qunic.errors.CapacityError`.
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from collections.abc import Callable
 
 from .core import (
     BIN_PREC,
-    BOOLS,
     UNARY_OPS,
     BAnd,
     BCmp,
@@ -119,8 +118,6 @@ from .core import (
 )
 from .errors import CapacityError, ParseError
 from .lexer import Token, TokKind, tokenize
-
-_T = TypeVar("_T")
 
 _CMP_OPS = ("=", "!=", "<=", "<", ">=", ">")
 
@@ -345,7 +342,7 @@ class _Parser:
             self.take()
             return BNot(self._bool_not())
         atom = self._comparison()
-        if not isinstance(atom, BOOLS):
+        if not isinstance(atom, BoolExpr):
             raise self._fail("expected a comparison operator")
         return atom
 
@@ -355,10 +352,10 @@ class _Parser:
         if self.at("("):
             self.take()
             left = self._bool_not() if self.at("!") else self._comparison()
-            if isinstance(left, BOOLS):
+            if isinstance(left, BoolExpr):
                 left = self.parse_bool(left)
             self.expect(")")
-            if isinstance(left, BOOLS):
+            if isinstance(left, BoolExpr):
                 return left
         left = self.parse_real(left)
         if self.cur.kind in _CMP_OPS:
@@ -420,7 +417,7 @@ class _Parser:
     def maybe_generic_args(self) -> tuple[GenArg, ...]:
         return self._braced(self.parse_generic_arg)
 
-    def _braced(self, item: Callable[[], _T]) -> tuple[_T, ...]:
+    def _braced(self, item: Callable[[], GenArg | Param]) -> tuple[GenArg | Param, ...]:
         """``{a, b, ...}``, each read by ``item``; nothing if no ``{`` comes next."""
         if not self.at("{"):
             return ()
@@ -543,7 +540,7 @@ _PARAMS = {TokKind.TYVAR: "t", "e": "e", "f": "f", "r": "r"}
 _DEFS = {"e": _Parser.parse_expr, "f": _Parser.parse_prog, "r": _Parser.parse_real}
 
 
-def _parse(source: str, parse: Callable[[_Parser], _T]) -> _T:
+def _parse(source: str, parse: Callable[[_Parser], GenArg | QFile]) -> GenArg | QFile:
     """Read all of ``source`` with ``parse``; nesting too deep is a CapacityError."""
     p = _Parser(tokenize(source))
     try:

@@ -145,8 +145,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from collections import ChainMap
-from typing import Mapping, NamedTuple, Union
+from collections import ChainMap, namedtuple
 
 from .core import (
     PARAM_SIGILS,
@@ -234,7 +233,7 @@ def default_prelude_text() -> str:
 # A line of the prelude that begins a definition; for a ``def``, its name's
 # sigil and the name.
 _CHUNK = re.compile(r"^(?:type\b|def\b(?:\s+([&@#])\s*([\w']+))?)", re.M)
-_SIGIL_SORTS = {"&": "e", "@": "f", "#": "r"}
+_SIGIL_SORTS = {sigil: sort for sort, sigil in SIGILS.items() if sigil}
 
 
 class _Unparsed:
@@ -338,12 +337,18 @@ def _check_params(d: Def | VariantDef, what: str) -> None:
         seen.add((p.sort, p.name))
 
 
-class _Env(NamedTuple):
-    """Scope for one elaboration region.  Elaboration builds one for every
+_Env = namedtuple("_Env", "generics qrename fresh binds closed", defaults=(False, None, False))
+_Env.__doc__ = """Scope for one elaboration region.  Elaboration builds one for every
     pattern and program, about a thousand per ``&order_finding`` compile, so
     it is a named tuple, built with ``tuple.__new__`` (``_new``): the named
     tuple's own ``__new__`` is a Python frame, and cost 0.29 against 0.17 µs
-    a scope (CPython 3.11).
+    a scope (CPython 3.11).  Its fields, in order:
+
+    * ``generics: dict[tuple[str, str], object]``
+    * ``qrename: Mapping[str, ExVar]``
+    * ``fresh: bool = False``
+    * ``binds: dict[str, ExVar] | None = None``
+    * ``closed: bool = False``
 
     ``generics`` maps ``(sort, name)`` of generic parameters to their
     already-elaborated values; it is replaced wholesale when entering a
@@ -364,13 +369,6 @@ class _Env(NamedTuple):
     could capture that variable.
     """
 
-    generics: dict[tuple[str, str], object]
-    qrename: Mapping[str, ExVar]
-    fresh: bool = False
-    binds: dict[str, ExVar] | None = None
-    closed: bool = False
-
-
 _new = tuple.__new__  # _new(_Env, (generics, qrename, fresh, binds, closed))
 
 
@@ -390,7 +388,7 @@ class _Inexact:
         self.value = value
 
 
-RealValue = Union[tuple[Rational, Rational], _Inexact]
+RealValue = tuple[Rational, Rational] | _Inexact
 
 
 def _reader(a: GenArg, p: tuple[str, str]) -> tuple:

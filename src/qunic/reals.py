@@ -61,7 +61,6 @@ import math
 import operator
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Union
 
 from .core import (
     BAnd, BCmp, BNot, BoolExpr, BOr, Name, Rational, Real, RBinary, RConst, REuler, RExact, RPi,
@@ -69,12 +68,12 @@ from .core import (
 )
 from .errors import CapacityError, QunityError, RealError
 
-Number = Union[Fraction, float]
+Number = Fraction | float
 
 # An exact pair ``(a, b)`` stands for ``a + b*pi``; a float is always finite.
 # Exact parts are ints while they are integral, and Fractions otherwise
 # (core.Rational), as in the core's exact leaf, core.RExact.
-Value = Union[tuple[Rational, Rational], float]
+Value = tuple[Rational, Rational] | float
 
 # The most bits an exact part may have (the larger of a fraction's numerator
 # and denominator): well above the longest literal the parser takes (4,300
@@ -183,7 +182,7 @@ KERNEL_NODES = 63
 
 # A kernel takes the generic parameters in scope, under ("r", name) as the
 # elaborator keeps them, and gives the value of its expression or None.
-Kernel = Callable[[Mapping[tuple[str, str], object]], Union[Value, bool, None]]
+Kernel = Callable[[Mapping[tuple[str, str], object]], Value | bool | None]
 
 
 def kernel(x: RBinary | BCmp) -> tuple[Kernel, int] | None:

@@ -77,7 +77,7 @@ import cmath
 import math
 
 from .core import (
-    CORE_PROGS,
+    CoreProg,
     ExApp,
     ExCtrl,
     ExMatch,
@@ -199,7 +199,7 @@ class Semantics:
 
     def _run(self, x, arg) -> dict:
         t = type(x)
-        if t in CORE_PROGS:
+        if isinstance(x, CoreProg):
             key = (id(x), arg)
             entry = self.memo.get(key)
             if entry is None:

@@ -225,6 +225,12 @@ def test_an_unreadable_file_exits_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_standard_input_closed_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)  # as Python sets it for a command run with <&-
+    assert cli.main(["-"]) == 1
+    assert capsys.readouterr().err == "qunic: cannot read -: standard input is closed\n"
+
+
 def test_a_file_that_starts_with_a_byte_order_mark_compiles(tmp_path, capsys):
     path = tmp_path / "main.qunity"
     path.write_text("&0 |> @had", encoding="utf-8-sig")

@@ -289,11 +289,12 @@ class TestSharedCores:
         loaded = self.loaded_by("qunic.preprocess")
         assert not loaded & {"qunic.semantics", "qunic.cli", "qunic.printer"}
 
-    def test_importing_and_compiling_load_no_dataclasses_or_importlib_resources(self):
+    def test_importing_and_compiling_load_no_dataclasses_importlib_resources_or_typing(self):
         # The node classes and the prelude's reader need neither import, nor
-        # inspect, which dataclasses imports, and no compile prints.  -S, since
-        # a .pth file may import them itself (certifi's imports
-        # importlib.resources).
+        # inspect, which dataclasses imports, and no compile prints.  The
+        # unions of node classes are written with |, so nothing needs typing.
+        # -S, since a .pth file may import them itself (certifi's imports
+        # importlib.resources and typing).
         script = (
             "import sys, qunic.preprocess\n"
             "print(*sys.modules)\n"
@@ -311,8 +312,9 @@ class TestSharedCores:
         assert (out.returncode, out.stderr) == (0, "")
         imported, compiled = (set(line.split()) for line in out.stdout.splitlines())
         assert "qunic.preprocess" in imported and "qunic.reals" in compiled
+        refused = {"dataclasses", "inspect", "importlib.resources", "typing", "qunic.printer"}
         for loaded in (imported, compiled):
-            assert not loaded & {"dataclasses", "inspect", "importlib.resources", "qunic.printer"}
+            assert not loaded & refused
 
     def test_importing_the_tree_with_its_adjoint_loads_no_evaluator(self):
         loaded = self.loaded_by("qunic.core")

@@ -56,12 +56,12 @@ class TestLexer:
         toks = tokenize("&plus @had #n 'a x Bit 42")
         kinds = [t.kind for t in toks[:-1]]
         assert kinds == [
-            TokKind.ENAME,
-            TokKind.FNAME,
-            TokKind.RNAME,
+            "e",
+            "f",
+            "r",
             TokKind.TYVAR,
             TokKind.QVAR,
-            TokKind.TNAME,
+            "t",
             TokKind.NUMBER,
         ]
         assert toks[0].text == "plus"
@@ -95,12 +95,12 @@ class TestLexer:
             assert [t.kind for t in ands] == ["&&"]
         assert [(t.kind, t.text) for t in tokenize("&&&x")[:-1]] == [
             ("&&", "&&"),
-            (TokKind.ENAME, "x"),
+            ("e", "x"),
         ]
         for nl in ("\n", "\r\n"):
             toks = tokenize(f"&{nl}  A{nl}x")
             first = toks[0]
-            assert (first.kind, first.text, first.line, first.column) == (TokKind.ENAME, "A", 1, 1)
+            assert (first.kind, first.text, first.line, first.column) == ("e", "A", 1, 1)
             assert (toks[1].text, toks[1].line, toks[1].column) == ("x", 3, 1)
 
     def test_positions_across_multi_line_comments_and_a_sigil_before_a_newline(self):
@@ -109,9 +109,9 @@ class TestLexer:
             (TokKind.QVAR, "a", 1, 1),
             (TokKind.QVAR, "b", 3, 12),
             (TokKind.QVAR, "c", 5, 3),
-            (TokKind.ENAME, "x", 5, 5),
-            (TokKind.FNAME, "f", 6, 3),
-            (TokKind.RNAME, "n", 8, 5),
+            ("e", "x", 5, 5),
+            ("f", "f", 6, 3),
+            ("r", "n", 8, 5),
             (TokKind.TYVAR, "t", 8, 13),
             (TokKind.EOF, "", 8, 15),
         ]
@@ -159,7 +159,7 @@ def _lexemes(draw):
         if word in KEYWORDS:
             kind = word
         else:
-            kind = TokKind.TNAME if word[0].isupper() else TokKind.QVAR
+            kind = "t" if word[0].isupper() else TokKind.QVAR
         return word, kind, word
     if which == "number":
         digits = draw(st.from_regex(r"[0-9]{1,4}", fullmatch=True))
@@ -171,7 +171,7 @@ def _lexemes(draw):
     if which == "tyvar":
         return "'" + name, TokKind.TYVAR, name
     sigil = draw(st.sampled_from("&@#"))
-    kind = {"&": TokKind.ENAME, "@": TokKind.FNAME, "#": TokKind.RNAME}[sigil]
+    kind = {"&": "e", "@": "f", "#": "r"}[sigil]
     gap = "".join(draw(st.lists(_SPACES, max_size=2)))
     return sigil + gap + name, kind, name
 
@@ -198,8 +198,9 @@ def test_token_positions_point_at_their_text(pieces, trailer):
 
 def test_no_kind_is_a_text_and_a_names_kind_is_its_sort():
     # A kind that is not a keyword's or punctuation's text must differ from
-    # every such text, or the parser would take the one for the other.
-    kinds = {v for k, v in vars(TokKind).items() if not k.startswith("_")}
+    # every such text, or the parser would take the one for the other; a
+    # name's kind is its sort.
+    kinds = {v for k, v in vars(TokKind).items() if not k.startswith("_")} | set("tefr")
     assert len(kinds) == 8
     assert not kinds & KEYWORDS and not kinds & set(_PUNCT_TEXTS)
     for source in ("&x", "@f", "#n", "Bit", "&f{1}", "@g{Bit, #n}", "List{2, Bit}"):
