@@ -2,10 +2,10 @@
 
     qunic FILE|- [--dump-tokens] [--dump-surface] [--dump-core] [--no-prelude] [--stats]
 
-``FILE`` is read as UTF-8, and ``-`` reads standard input; a byte-order
-mark at the start of either is dropped.  Each dump prints one stage of the
-pipeline, in pipeline order, when that stage ends, so the stages before one
-that fails are still printed:
+``FILE`` and ``-``, standard input, are read as UTF-8, with a leading
+byte-order mark dropped, and every dump is written as UTF-8, whatever the
+locale.  Each dump prints one stage of the pipeline, in pipeline order, when
+that stage ends, so the stages before one that fails are still printed:
 
 * ``--dump-tokens``: the tokens of ``FILE`` (not the prelude's), one per
   line, as ``line:col``, kind and text (in quotes) separated by tabs, ending
@@ -94,13 +94,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.file == "-":
             if sys.stdin is None:  # None where the command starts with its input closed
                 raise OSError("standard input is closed")
-            source = sys.stdin.read().removeprefix("\ufeff")
+            data = sys.stdin.buffer.read()
         else:
-            source = Path(args.file).read_text(encoding="utf-8-sig")
+            data = Path(args.file).read_bytes()
+        source = data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"qunic: cannot read {args.file}: {exc}", file=sys.stderr)
         return 1
     dumps = {stage for stage in ("tokens", "surface", "core") if getattr(args, f"dump_{stage}")}
+    if hasattr(sys.stdout, "reconfigure"):  # not when the output is closed, nor a StringIO
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         stats = _on_deep_stack(_compile, source, not args.no_prelude, dumps, args.stats)
         if stats is not None:

@@ -1,12 +1,17 @@
-"""Fixtures shared by the test modules: the recursion limit for a block, the
-depth of the stack, and a check that every test leaves the cyclic collector
-on."""
+"""Fixtures shared by the test modules: the recursion limit for a block or a
+module, the depth of the stack, a fresh interpreter to run, and a check that
+every test leaves the cyclic collector on."""
 
 import gc
+import os
+import pathlib
+import subprocess
 import sys
 from contextlib import contextmanager
 
 import pytest
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 @contextmanager
@@ -34,10 +39,43 @@ def recursion_limit():
 
 
 @pytest.fixture
+def default_recursion_limit():
+    """Runs a test at the interpreter's default recursion limit; a module
+    takes it for every test with ``pytestmark``."""
+    with _at_limit(1000):
+        yield
+
+
+@pytest.fixture
 def stack_depth():
     """``stack_depth()``, the number of frames on the stack from its caller's
     down, the caller's included."""
     return _depth
+
+
+@pytest.fixture
+def python(tmp_path):
+    """``python(*args, input=None, env={}, path=SRC, shell="", popen=False,
+    timeout=60)`` runs ``python -W error *args`` in a fresh interpreter, in
+    ``tmp_path``, with ``path`` as its ``PYTHONPATH`` and ``env`` over the
+    environment, and returns the ``CompletedProcess``, its text read and
+    written as UTF-8, within ``timeout`` seconds; ``popen`` returns the
+    running ``Popen`` instead, with pipes of bytes.  A ``shell`` redirection,
+    such as ``<&-``, runs the interpreter through ``sh`` with it."""
+
+    def run(*args, input=None, env={}, path=SRC, shell="", popen=False, timeout=60):
+        argv = [sys.executable, "-W", "error", *args]
+        if shell:
+            argv = ["sh", "-c", f'exec "$@" {shell}', "sh", *argv]
+        options = {"cwd": tmp_path, "env": {**os.environ, "PYTHONPATH": path, **env}}
+        if popen:
+            pipe = subprocess.PIPE
+            return subprocess.Popen(argv, stdin=pipe, stdout=pipe, stderr=pipe, **options)
+        return subprocess.run(
+            argv, input=input, capture_output=True, encoding="utf-8", timeout=timeout, **options
+        )
+
+    return run
 
 
 @pytest.fixture(autouse=True)

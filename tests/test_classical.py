@@ -15,11 +15,7 @@ from qunic.preprocess import core_of_source
 from qunic.semantics import LEFT, ONE, RIGHT, ZERO, Semantics, is_x, value
 
 
-@pytest.fixture(autouse=True)
-def default_recursion_limit(recursion_limit):
-    """Every test here runs at the interpreter's default recursion limit."""
-    with recursion_limit(1000):
-        yield
+pytestmark = pytest.mark.usefixtures("default_recursion_limit")
 
 
 @pytest.mark.parametrize("a", [0, 1, 5, 12345, 2**N - 1, 2**N + 3, -3])

@@ -1,12 +1,9 @@
 """The ``qunic`` command: its exit codes, its dumps and ``--stats``, and the
 one deep stack on which it runs every pass."""
 
+import functools
 import hashlib
-import io
 import json
-import os
-import pathlib
-import subprocess
 import sys
 import threading
 
@@ -150,7 +147,7 @@ PIN_RUNS = (
 
 
 @pytest.mark.parametrize("source, flag, pin", PINS)
-def test_the_pinned_outputs_of_a_fresh_process(tmp_path, source, flag, pin):
+def test_the_pinned_outputs_of_a_fresh_process(tmp_path, python, source, flag, pin):
     # Each row runs in a fresh process, as a one-shot qunic does: kernel_hits
     # counts the kernels that the process has built, so a later compile in it
     # reads more.  A dump is run twice: the second compile meets the kernels
@@ -158,15 +155,8 @@ def test_the_pinned_outputs_of_a_fresh_process(tmp_path, source, flag, pin):
     # must give the pinned text too.
     path = tmp_path / "main.qunity"
     path.write_text(source, encoding="utf-8")
-    src = str(pathlib.Path(cli.__file__).parents[1])
     runs = 2 if flag == "--dump-core" else 1
-    out = subprocess.run(
-        [sys.executable, "-c", PIN_RUNS, str(runs), flag, str(path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
-    )
+    out = python("-c", PIN_RUNS, str(runs), flag, str(path), timeout=120)
     assert (out.returncode, out.stderr) == (0, "")
     got = []
     for line in out.stdout.splitlines():
@@ -190,18 +180,10 @@ MAIN_THEN_PRINTER = (
 
 
 @pytest.mark.parametrize("flag, printer_loaded", [("--stats", False), ("--dump-core", True)])
-def test_only_a_dump_loads_the_printer(flag, printer_loaded):
+def test_only_a_dump_loads_the_printer(python, flag, printer_loaded):
     # In a fresh process, as a one-shot qunic: a compile prints nothing, so
     # --stats alone never loads the printer, and --dump-core loads it to print.
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-W", "error", "-c", MAIN_THEN_PRINTER, flag, "-"],
-        input="@had(&0)",
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
+    out = python("-c", MAIN_THEN_PRINTER, flag, "-", input="@had(&0)")
     assert (out.returncode, out.stderr) == (0, "")
     *printed, last = out.stdout.splitlines()
     assert last == f"0 {printer_loaded}"
@@ -225,10 +207,9 @@ def test_an_unreadable_file_exits_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_standard_input_closed_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", None)  # as Python sets it for a command run with <&-
-    assert cli.main(["-"]) == 1
-    assert capsys.readouterr().err == "qunic: cannot read -: standard input is closed\n"
+def test_standard_input_closed_exits_1(python):
+    out = python("-m", "qunic.cli", "-", shell="<&-")  # Python then has no sys.stdin
+    assert (out.returncode, out.stderr) == (1, "qunic: cannot read -: standard input is closed\n")
 
 
 def test_a_file_that_starts_with_a_byte_order_mark_compiles(tmp_path, capsys):
@@ -239,10 +220,40 @@ def test_a_file_that_starts_with_a_byte_order_mark_compiles(tmp_path, capsys):
     assert capsys.readouterr().out == core.to_str(core_of_source("&0 |> @had")) + "\n"
 
 
-def test_standard_input_that_starts_with_a_byte_order_mark_compiles(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff&0 |> @had"))
-    assert cli.main(["--dump-core", "-"]) == 0
-    assert capsys.readouterr().out == core.to_str(core_of_source("&0 |> @had")) + "\n"
+def test_standard_input_that_starts_with_a_byte_order_mark_compiles(python):
+    out = python("-m", "qunic.cli", "--dump-core", "-", input="\ufeff&0 |> @had")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == core.to_str(core_of_source("&0 |> @had")) + "\n"
+
+
+CAFE = "() |> lambda café -> café"
+LOCALES = pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+
+
+@LOCALES
+def test_the_dumps_are_utf_8_whatever_the_locale(tmp_path, python, encoding):
+    # The runner reads the output as UTF-8: a dump written in the locale's
+    # codec would end in a UnicodeEncodeError, or in a byte 0xe9 that qunic
+    # FILE refuses.
+    (tmp_path / "main.qunity").write_text(CAFE, encoding="utf-8")
+    qunic = functools.partial(python, "-m", "qunic.cli", env={"PYTHONIOENCODING": encoding})
+    dumps = {}
+    for flag in ("--dump-tokens", "--dump-surface", "--dump-core"):
+        out = qunic(flag, "main.qunity")
+        assert (out.returncode, out.stderr) == (0, "")
+        assert "café" in out.stdout
+        dumps[flag] = out.stdout
+    (tmp_path / "surface.qunity").write_text(dumps["--dump-surface"], encoding="utf-8")
+    assert qunic("--dump-core", "surface.qunity").stdout == dumps["--dump-core"]
+
+
+@LOCALES
+def test_standard_input_is_read_as_utf_8_whatever_the_locale(tmp_path, python, encoding):
+    (tmp_path / "main.qunity").write_text(CAFE, encoding="utf-8")
+    from_file = python("-m", "qunic.cli", "--dump-tokens", "main.qunity")
+    env = {"PYTHONIOENCODING": encoding}
+    out = python("-m", "qunic.cli", "--dump-tokens", "-", input=CAFE, env=env)
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", from_file.stdout)
 
 
 def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
@@ -358,10 +369,11 @@ def test_the_prelude_as_user_source_gives_the_packaged_core(tmp_path, capsys):
     assert user == packaged
 
 
-def test_standard_input_without_the_prelude(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("def &z : Unit := () end\n&z"))
-    assert cli.main(["--no-prelude", "--stats", "-"]) == 0
-    stats = json.loads(capsys.readouterr().out)
+def test_standard_input_without_the_prelude(python):
+    source = "def &z : Unit := () end\n&z"
+    out = python("-m", "qunic.cli", "--no-prelude", "--stats", "-", input=source)
+    assert (out.returncode, out.stderr) == (0, "")
+    stats = json.loads(out.stdout)
     assert stats["print_ms"] is None
     assert (stats["core_dag_nodes"], stats["instantiations"]) == (1, 1)
 
@@ -382,31 +394,16 @@ def test_the_pipeline_runs_on_one_worker_thread_with_the_deep_stack(tmp_path, ca
     assert threading.active_count() == threads
 
 
-def test_the_command_starts_without_a_thread_pool_or_logging():
-    script = "import sys, qunic.cli\nprint(*sys.modules)\n"
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-W", "error", "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
+def test_the_command_starts_without_a_thread_pool_or_logging(python):
+    out = python("-c", "import sys, qunic.cli\nprint(*sys.modules)\n")
     assert out.returncode == 0, out.stderr
     assert not set(out.stdout.split()) & {"concurrent.futures", "logging"}
 
 
-def test_a_reader_that_quits_early_ends_the_command_with_1_and_no_traceback():
+def test_a_reader_that_quits_early_ends_the_command_with_1_and_no_traceback(python):
     # The dump, 502,736 characters, is more than a pipe holds, so the command
     # is still writing when its reader closes the pipe.
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    with subprocess.Popen(
-        [sys.executable, "-m", "qunic.cli", "--dump-core", "-"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src},
-    ) as proc:
+    with python("-m", "qunic.cli", "--dump-core", "-", popen=True) as proc:
         proc.stdin.write(b"&num_to_state{64, 1} |> @qft{64}")
         proc.stdin.close()
         assert proc.stdout.read(7) == b"(lambda"
@@ -416,34 +413,13 @@ def test_a_reader_that_quits_early_ends_the_command_with_1_and_no_traceback():
     assert "Traceback" not in err and err == ""
 
 
-def test_the_command_runs_with_its_output_closed():
+def test_the_command_runs_with_its_output_closed(python):
     # Python then has no sys.stdout, and print writes nothing.
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    out = subprocess.run(
-        ["sh", "-c", 'exec "$0" -m qunic.cli --stats - >&-', sys.executable],
-        input="@had(&0)",
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
+    out = python("-m", "qunic.cli", "--stats", "-", input="@had(&0)", shell=">&-")
     assert (out.returncode, out.stderr) == (0, "")
 
 
-def test_stats_counts_the_prelude_definitions_parsed_so_far():
-    script = (
-        "import sys\n"
-        "from qunic import cli\n"
-        "sys.exit(cli.main(['--stats', sys.argv[1]]))\n"
-    )
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-W", "error", "-c", script, "-"],
-        input="@had(&0)",
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
+def test_stats_counts_the_prelude_definitions_parsed_so_far(python):
+    out = python("-m", "qunic.cli", "--stats", "-", input="@had(&0)")
     assert (out.returncode, out.stderr) == (0, "")
     assert json.loads(out.stdout)["prelude_defs_parsed"] == 6  # its five types and @had

@@ -2,11 +2,7 @@
 
 import dataclasses
 import inspect
-import os
-import pathlib
 import re
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -269,27 +265,21 @@ class TestSharedCores:
             assert [getattr(node, name) for name in cls.__slots__] == [None] * len(cls.__slots__)
 
     @staticmethod
-    def loaded_by(module: str) -> set[str]:
+    def loaded_by(python, module: str) -> set[str]:
         """The modules that importing ``module`` loads, in a new interpreter."""
-        script = f"import sys, {module}\nprint(*sys.modules)\n"
-        src = str(pathlib.Path(core.__file__).parents[1])
-        out = subprocess.run(
-            [sys.executable, "-W", "error", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
-        )
+        out = python("-c", f"import sys, {module}\nprint(*sys.modules)\n")
         assert out.returncode == 0, out.stderr
         loaded = set(out.stdout.split())
         assert module in loaded
         return loaded
 
-    def test_importing_the_compiler_loads_no_later_stage(self):
-        loaded = self.loaded_by("qunic.preprocess")
+    def test_importing_the_compiler_loads_no_later_stage(self, python):
+        loaded = self.loaded_by(python, "qunic.preprocess")
         assert not loaded & {"qunic.semantics", "qunic.cli", "qunic.printer"}
 
-    def test_importing_and_compiling_load_no_dataclasses_importlib_resources_or_typing(self):
+    def test_importing_and_compiling_load_no_dataclasses_importlib_resources_or_typing(
+        self, python
+    ):
         # The node classes and the prelude's reader need neither import, nor
         # inspect, which dataclasses imports, and no compile prints.  The
         # unions of node classes are written with |, so nothing needs typing.
@@ -301,14 +291,7 @@ class TestSharedCores:
             "qunic.preprocess.core_of_source('&num_to_state{3, 5} |> @qft{3}')\n"
             "print(*sys.modules)\n"
         )
-        src = str(pathlib.Path(core.__file__).parents[1])
-        out = subprocess.run(
-            [sys.executable, "-S", "-W", "error", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
-        )
+        out = python("-S", "-c", script)
         assert (out.returncode, out.stderr) == (0, "")
         imported, compiled = (set(line.split()) for line in out.stdout.splitlines())
         assert "qunic.preprocess" in imported and "qunic.reals" in compiled
@@ -316,8 +299,8 @@ class TestSharedCores:
         for loaded in (imported, compiled):
             assert not loaded & refused
 
-    def test_importing_the_tree_with_its_adjoint_loads_no_evaluator(self):
-        loaded = self.loaded_by("qunic.core")
+    def test_importing_the_tree_with_its_adjoint_loads_no_evaluator(self, python):
+        loaded = self.loaded_by(python, "qunic.core")
         assert not loaded & {"qunic.reals", "qunic.semantics", "qunic.cli"}
 
     @pytest.mark.parametrize(
@@ -331,7 +314,7 @@ class TestSharedCores:
             "qunic.preprocess",
         ],
     )
-    def test_each_module_imports_first_without_a_cycle(self, first):
+    def test_each_module_imports_first_without_a_cycle(self, python, first):
         # Whichever module comes first, the tree and its printer are whole:
         # a real name in a generic argument prints with the rest.
         script = (
@@ -339,14 +322,7 @@ class TestSharedCores:
             "from qunic.core import Name, to_str\n"
             "print(to_str(Name('e', 'f', (Name('r', 'n', (Name('t', 'Bit'),)),))))\n"
         )
-        src = str(pathlib.Path(core.__file__).parents[1])
-        out = subprocess.run(
-            [sys.executable, "-W", "error", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
-        )
+        out = python("-c", script)
         assert (out.returncode, out.stderr, out.stdout) == (0, "", "&f{#n{Bit}}\n")
 
     def test_a_term_too_deep_to_print_is_a_capacity_error(self):

@@ -7,9 +7,6 @@ import gc
 import hashlib
 import importlib
 import itertools
-import os
-import subprocess
-import sys
 import zipfile
 from fractions import Fraction
 from pathlib import Path
@@ -1079,7 +1076,7 @@ class TestSharedPrelude:
         assert prelude not in sources
         assert len(sources) == 45  # and the four mains
 
-    def test_a_first_compile_parses_only_the_definitions_it_reaches(self):
+    def test_a_first_compile_parses_only_the_definitions_it_reaches(self, python):
         script = (
             "from qunic import preprocess\n"
             "preprocess.core_of_source('@had(&0)')\n"
@@ -1087,18 +1084,11 @@ class TestSharedPrelude:
             "print(*(n for s, n in keys if type(table[s, n]) is not preprocess._Unparsed))\n"
             "print(preprocess.prelude_defs_parsed())\n"
         )
-        src = str(Path(preprocess.__file__).parents[1])
-        out = subprocess.run(
-            [sys.executable, "-W", "error", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
-        )
+        out = python("-c", script)
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout == "Bit Maybe Array Num List had\n6\n"
 
-    def test_the_prelude_is_read_from_a_zipped_package(self, tmp_path):
+    def test_the_prelude_is_read_from_a_zipped_package(self, tmp_path, python):
         package = Path(preprocess.__file__).parent
         archive = tmp_path / "qunic.zip"
         with zipfile.ZipFile(archive, "w") as z:
@@ -1110,15 +1100,8 @@ class TestSharedPrelude:
             "print(qunic.__file__)\n"
             "print(core.to_str(preprocess.core_of_source('@had(&0)')))\n"
         )
-        # -S and the zip alone on PYTHONPATH: no other copy of the package is importable
-        out = subprocess.run(
-            [sys.executable, "-S", "-W", "error", "-c", script],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(archive)},
-            timeout=60,
-        )
+        # -S and the zip alone on the path: no other copy of the package is importable
+        out = python("-S", "-c", script, path=str(archive))
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout.splitlines() == [
             str(archive / "qunic" / "__init__.py"),

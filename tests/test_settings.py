@@ -8,7 +8,6 @@ import ast
 import collections
 import importlib
 import pathlib
-import subprocess
 import sys
 
 import pytest
@@ -30,16 +29,10 @@ def test_passes():
 """
 
 
-def test_a_failing_property_lets_later_tests_report(tmp_path):
+def test_a_failing_property_lets_later_tests_report(tmp_path, python):
     (tmp_path / "test_pair.py").write_text(FAILING_PROPERTY_THEN_PASSING_TEST)
-    out = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-        + ["-c", str(PYPROJECT), str(tmp_path)],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        timeout=300,
-    )
+    args = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT), ".")
+    out = python(*args, timeout=300)
     assert "INTERNALERROR" not in out.stdout + out.stderr
     assert "1 failed, 1 passed" in out.stdout
 
