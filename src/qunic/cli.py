@@ -3,9 +3,10 @@
     qunic FILE|- [--dump-tokens] [--dump-surface] [--dump-core] [--no-prelude] [--stats]
 
 ``FILE`` and ``-``, standard input, are read as UTF-8, with a leading
-byte-order mark dropped, and every dump is written as UTF-8, whatever the
-locale.  Each dump prints one stage of the pipeline, in pipeline order, when
-that stage ends, so the stages before one that fails are still printed:
+byte-order mark dropped, and every dump and error message is written as
+UTF-8, whatever the locale.  Each dump prints one stage of the pipeline, in
+pipeline order, when that stage ends, so the stages before one that fails are
+still printed:
 
 * ``--dump-tokens``: the tokens of ``FILE`` (not the prelude's), one per
   line, as ``line:col``, kind and text (in quotes) separated by tabs, ending
@@ -82,6 +83,9 @@ _MAXRSS_PER_MIB = 2**20 if sys.platform == "darwin" else 2**10  # bytes on macOS
 
 
 def main(argv: list[str] | None = None) -> int:
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):  # not when it is closed, nor a StringIO
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     ap = argparse.ArgumentParser(prog="qunic", description="Compile a Qunity source file.")
     ap.add_argument("file", metavar="FILE|-", help="the source file, or - for standard input")
     ap.add_argument("--dump-tokens", action="store_true", help="print the tokens of FILE")
@@ -102,8 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qunic: cannot read {args.file}: {exc}", file=sys.stderr)
         return 1
     dumps = {stage for stage in ("tokens", "surface", "core") if getattr(args, f"dump_{stage}")}
-    if hasattr(sys.stdout, "reconfigure"):  # not when the output is closed, nor a StringIO
-        sys.stdout.reconfigure(encoding="utf-8")
     try:
         stats = _on_deep_stack(_compile, source, not args.no_prelude, dumps, args.stats)
         if stats is not None:

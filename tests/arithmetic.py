@@ -16,13 +16,26 @@ def num(n: int, k: int):
     return v
 
 
-def to_int(v) -> int:
-    """The number a ``Num{n}`` value encodes, little-endian."""
-    k, i = 0, 0
-    while v != ():
-        k |= (v[0][0] == RIGHT) << i
-        v, i = v[1], i + 1
-    return k
+def registers_at(widths, ks):
+    """The basis value of ``Num{w}`` holding ``k``, for each pair of
+    ``widths`` and ``ks``: one register, or a pair."""
+    values = [num(w, k) for w, k in zip(widths, ks)]
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+def registers(*widths: int) -> list:
+    """Every basis value of ``Num{w}``, or of ``Num{w1} * Num{w2}``."""
+    values = [num(widths[0], x) for x in range(2 ** widths[0])]
+    if len(widths) == 1:
+        return values
+    return [(v, num(widths[1], y)) for v in values for y in range(2 ** widths[1])]
+
+
+def adjoint(name: str, *widths: int) -> str:
+    """``@adjoint{T, T, name}`` for ``T`` the registers of these widths:
+    ``Num{a}``, or ``Num{a} * Num{b}``."""
+    ty = " * ".join(f"Num{{{w}}}" for w in widths)
+    return f"@adjoint{{{ty}, {ty}, {name}}}"
 
 
 def program(name: str, *inputs: int):

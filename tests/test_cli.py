@@ -256,6 +256,19 @@ def test_standard_input_is_read_as_utf_8_whatever_the_locale(tmp_path, python, e
     assert (out.returncode, out.stderr, out.stdout) == (0, "", from_file.stdout)
 
 
+@LOCALES
+def test_an_error_message_is_utf_8_whatever_the_locale(python, encoding):
+    # In the locale's codec it would read caf\xe9 (ascii), or end in a byte
+    # 0xe9 that the runner cannot read as UTF-8 (latin-1).
+    out = python("-m", "qunic.cli", "-", input="café", env={"PYTHONIOENCODING": encoding})
+    assert (out.returncode, out.stderr) == (1, "qunic: PreprocessError: unbound variable café\n")
+
+
+def test_a_file_name_that_is_not_utf_8_exits_1(python):
+    out = python("-m", "qunic.cli", b"nope\xff.qunity")  # standard error escapes the byte
+    assert out.returncode == 1 and out.stderr.startswith("qunic: cannot read nope\\udcff.qunity")
+
+
 def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
     source = "&num_to_state{8, 1} |> @qft{8}"
     code, out, _ = qunic(tmp_path, capsys, source, "--dump-core", "--stats")

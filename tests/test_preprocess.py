@@ -22,32 +22,41 @@ from qunic.preprocess import core_of_source, load_prelude_defs
 from qunic.reals import as_pi_multiple, as_rational
 
 
-def gate_angles(root) -> set:
-    """The distinct ``u3`` and ``rphase`` angles of a core term."""
-    seen, stack, angles = set(), [root], set()
-    while stack:
-        x = stack.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
+def reachable(root) -> list:
+    """The distinct nodes of a core term, each once."""
+    nodes = []
+    core.fold(root, lambda x, _: nodes.append(x))
+    return nodes
+
+
+def gate_angles(root) -> list:
+    """The angles of the distinct ``u3`` and ``rphase`` nodes of a core term."""
+    angles = []
+    for x in reachable(root):
         if isinstance(x, core.PrU3):
-            angles |= {x.theta, x.phi, x.lam}
+            angles += [x.theta, x.phi, x.lam]
         elif isinstance(x, core.PrRphase):
-            angles |= {x.on_phase, x.off_phase}
-        stack += core.children(x)
+            angles += [x.on_phase, x.off_phase]
     return angles
+
+
+def elaborated(source: str) -> tuple:
+    """The elaborator that compiled ``source`` against the prelude, and the core."""
+    qf = parser.parse_file(source)
+    elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
+    return elaborator, elaborator.elaborate(qf.main)
 
 
 def u3_theta(theta: str):
     """The elaborated ``theta`` of ``u3{theta, 0, 0}``, for a nonzero theta."""
-    angles = gate_angles(core_of_source(f"&0 |> u3{{{theta}, 0, 0}}"))
+    angles = set(gate_angles(core_of_source(f"&0 |> u3{{{theta}, 0, 0}}")))
     (theta,) = angles - {RExact(0, 0)}
     return theta
 
 
 class TestGateAngles:
     def test_qft_angles_are_canonical_pi_multiples(self):
-        angles = gate_angles(core_of_source("@qft{3}((&1, (&0, (&1, ()))))"))
+        angles = set(gate_angles(core_of_source("@qft{3}((&1, (&0, (&1, ()))))")))
         pi_times = lambda p, q: RExact(0, Fraction(p, q))
         assert angles == {RExact(0, 0), RExact(0, 1), pi_times(1, 2), pi_times(1, 4)}
 
@@ -449,18 +458,6 @@ class TestDepth:
         assert every.fn.theta == RExact(1, 2_999)
 
 
-def reachable(root):
-    """The distinct nodes of a core term, each once."""
-    seen, stack = {id(root): root}, [root]
-    while stack:
-        x = stack.pop()
-        for c in core.children(x):
-            if id(c) not in seen:
-                seen[id(c)] = c
-                stack.append(c)
-    return seen.values()
-
-
 class TestConstructors:
     """A variant's constructors are built once per instantiation of the
     variant, so every use within one compile is the same object."""
@@ -560,13 +557,7 @@ class TestRealElaboration:
 
     @pytest.mark.parametrize("main", ["&order_finding{8, 7}", "&num_to_state{12, 1} |> @qft{12}"])
     def test_equal_exact_angles_are_one_object(self, main):
-        angles = []
-        for x in reachable(core_of_source(main)):
-            if isinstance(x, core.PrU3):
-                angles += [x.theta, x.phi, x.lam]
-            elif isinstance(x, core.PrRphase):
-                angles += [x.on_phase, x.off_phase]
-        by_value: dict = {}
+        angles, by_value = gate_angles(core_of_source(main)), {}
         for a in angles:
             value = (as_rational(a), as_pi_multiple(a))
             if value != (None, None):
@@ -1246,14 +1237,6 @@ end
 """
 
 
-def _elaborated(main: str) -> preprocess.Elaborator:
-    """The elaborator that compiled ``main`` against the prelude."""
-    qf = parser.parse_file(main)
-    elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
-    elaborator.elaborate(qf.main)
-    return elaborator
-
-
 class TestModularArithmetic:
     """@add_const and @mod_mult reduce the constant they pass down mod
     2^(#n - 1), so each residue is instantiated once."""
@@ -1272,7 +1255,7 @@ class TestModularArithmetic:
 
     @pytest.mark.parametrize("n", range(8, 13))
     def test_every_memoized_constant_is_a_residue(self, n):
-        memo = _elaborated(f"&order_finding{{{n}, 7}}")._memo
+        memo = elaborated(f"&order_finding{{{n}, 7}}")[0]._memo
         for name in ("add_const", "mod_mult"):
             # a program's memo key is ("f", name, args), and a rational argument a is (a, 0)
             args = [key[2] for key in memo if key[:2] == ("f", name)]
@@ -1318,7 +1301,7 @@ class TestModularArithmetic:
 
     def test_order_finding_instantiates_each_residue_once(self):
         # 697 with unreduced constants, 317 with @add_const a match on the low bit
-        assert _elaborated("&order_finding{12, 7}").instantiations <= 316
+        assert elaborated("&order_finding{12, 7}")[0].instantiations <= 316
 
     def test_mod_mult_of_no_bits_is_the_identity(self):
         for a in (3, 2):
@@ -1380,9 +1363,7 @@ class TestKeptRegions:
             return node
 
         monkeypatch.setattr(core.PrAbs, "_intern", counting)
-        qf = parser.parse_file("&num_to_state{6, 1} |> @qft{6}")
-        elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
-        c = elaborator.elaborate(qf.main)
+        elaborator, c = elaborated("&num_to_state{6, 1} |> @qft{6}")
         text = "(lambda ((v%0, v%1), v%2) -> (v%0, (v%1, v%2)))"
         (let,) = [x for x in reachable(c) if core.to_str(x) == text]
         assert [x is let for x in made].count(True) == 1
@@ -1477,9 +1458,7 @@ class TestCallSiteCaches:
     @staticmethod
     def _compile(source: str) -> tuple[str, tuple]:
         """The core text of ``source`` and its ``--stats`` counts."""
-        qf = parser.parse_file(source)
-        elaborator = preprocess.Elaborator(qf.defs, use_prelude=True)
-        c = elaborator.elaborate(qf.main)
+        elaborator, c = elaborated(source)
         counts = elaborator.instantiations, elaborator.reused, elaborator.kernel_hits
         return core.to_str(c), (*counts, *core.node_counts(c), preprocess.prelude_defs_parsed())
 
@@ -1580,10 +1559,6 @@ def _deep_pairs() -> core.ExPair:
     return e
 
 
-def _elaborate(source: str):
-    return preprocess.Elaborator((), use_prelude=True).elaborate(parser.parse_expr_string(source))
-
-
 class TestCollectorPause:
     """Elaboration and printing run with the cyclic garbage collector paused,
     which is safe because no compile leaves cyclic garbage, and leave it on
@@ -1634,7 +1609,7 @@ class TestCollectorPause:
 
         monkeypatch.setattr(preprocess, "step", spy(preprocess.step))
         monkeypatch.setattr(printer, "_joined", spy(printer._joined))
-        core.to_str(_elaborate("&0 |> u3{pi / 3, 0, 0}"))
+        core.to_str(elaborated("&0 |> u3{pi / 3, 0, 0}")[1])
         assert set(seen) == {("step", False), ("_joined", False)}
         assert gc.isenabled()
 
@@ -1642,8 +1617,8 @@ class TestCollectorPause:
     @pytest.mark.parametrize(
         "call, error",
         [
-            pytest.param(lambda: _elaborate("&0 |> @had"), None, id="elaborate-returns"),
-            pytest.param(lambda: _elaborate("&0 |> @nope"), PreprocessError, id="elaborate-raises"),
+            pytest.param(lambda: elaborated("&0 |> @had"), None, id="elaborate-returns"),
+            pytest.param(lambda: elaborated("&0 |> @nope"), PreprocessError, id="elaborate-raises"),
             pytest.param(
                 lambda: preprocess.Elaborator(()).elaborate(_deep_pairs()),
                 CapacityError,

@@ -1,23 +1,27 @@
 """The reference semantics on sparse states: the prelude's identities hold,
 its algorithms give the distributions they should, its arithmetic gives one
-basis value with no garbage, and what it does not define is refused."""
+basis value with no garbage, at sizes no dense operator reaches, its patterns,
+``match`` and ``ctrl`` take the arms they should, and what it does not define
+is refused."""
 
 import cmath
 import math
 import random
 from fractions import Fraction
 
+import arithmetic
 import pytest
-from arithmetic import N, SAMPLES, num, program
+from arithmetic import N, SAMPLES, num, program, registers, registers_at
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qunic import cli, core
 from qunic.core import (
-    PrLeft, PrRight, PrU3, RBinary, RConst, RExact, RPi, TyUnit, adjoint, ctrl_arms, erased,
-    to_str,
+    PrAbs, PrLeft, PrPmatch, PrRight, PrU3, RBinary, RConst, RExact, RPi, TyUnit, adjoint,
+    ctrl_arms, erased, to_str,
 )
 from qunic.errors import CapacityError, SemanticsError
 from qunic.preprocess import core_of_source
-from qunic.semantics import LEFT, ONE, RIGHT, ZERO, Semantics, is_x, probabilities, run
+from qunic.semantics import LEFT, ONE, RIGHT, ZERO, Semantics, is_x, probabilities, run, value
 
 
 pytestmark = pytest.mark.usefixtures("default_recursion_limit")
@@ -50,7 +54,7 @@ def test_had_twice_is_the_identity():
 )
 def test_adjoint_after_the_program_is_the_identity(name, n):
     f = name % n
-    g = program(f"lambda x -> @adjoint{{Num{{{n}}}, Num{{{n}}}, {f}}}({f}(x))", n)
+    g = program(f"lambda x -> {arithmetic.adjoint(f, n)}({f}(x))", n)
     s = Semantics()
     for x in range(2**n):
         assert close(s.run(g, num(n, x)), {(num(n, x), ()): 1})
@@ -196,80 +200,231 @@ def test_grover_amplifies_as_the_sine_squared(n):
         assert abs(odd - math.sin((2 * k + 1) * theta) ** 2) < 1e-9
 
 
-def registers_at(widths, ks):
-    """The basis value of ``Num{w}`` holding ``k``, for each pair of
-    ``widths`` and ``ks``: one register, or a pair."""
-    values = [num(w, k) for w, k in zip(widths, ks)]
-    return values[0] if len(values) == 1 else tuple(values)
+# Prelude arithmetic on Num{w} registers: (program, the widths of its
+# registers, what it gives on registers holding ks, mod 2^w as num reads it)
+CLOSED_FORMS = [
+    (f"@add_const{{{N}, {a}}}", (N,), lambda x, a=a: (x + a,))
+    for a in (0, 1, 5, 12345, 2**N - 1, 2**N + 3, -3)
+] + [
+    (arithmetic.adjoint(f"@add_const{{{N}, {a}}}", N), (N,), lambda x, a=a: (x - a,))
+    for a in (0, 1, 12345, 2**N - 1, -3)
+] + [
+    (f"@mod_mult{{{N}, {a}}}", (N,), lambda x, a=a: (x * a,))
+    for a in (1, 3, 7, 12345, 2**N - 1, -5)
+] + [
+    # Its adjoint's pattern is the ctrl of @mod_mult's body
+    (arithmetic.adjoint(f"@mod_mult{{{N}, {a}}}", N), (N,), lambda x, a=a: (x * pow(a, -1, 2**N),))
+    for a in (1, 3, 5, 12345, 2**N - 1, -5)
+] + [
+    (f"@rev_adder{{{N}}}", (N, N), lambda a, b: (a, a + b)),
+    (arithmetic.adjoint(f"@rev_adder{{{N}}}", N, N), (N, N), lambda a, b: (a, b - a)),
+    (f"@mod_exp{{8, {N}, 7}}", (8, N), lambda x, y: (x, y * pow(7, x, 2**N))),
+    (arithmetic.adjoint(f"@mod_exp{{8, {N}, 7}}", 8, N), (8, N), lambda x, y: (x, y * pow(7, -x, 2**N))),
+]
 
 
-@pytest.mark.parametrize(
-    "name, widths, want",
-    [
-        (f"@add_const{{{N}, 12345}}", (N,), lambda x: ((x + 12345) % 2**N,)),
-        (
-            f"@adjoint{{Num{{{N}}}, Num{{{N}}}, @add_const{{{N}, 12345}}}}",
-            (N,),
-            lambda x: ((x - 12345) % 2**N,),
-        ),
-        (f"@mod_mult{{{N}, 12345}}", (N,), lambda x: (x * 12345 % 2**N,)),
-        (f"@rev_adder{{{N}}}", (N, N), lambda a, b: (a, (a + b) % 2**N)),
-        (f"@mod_exp{{8, {N}, 7}}", (8, N), lambda x, y: (x, y * pow(7, x, 2**N) % 2**N)),
-    ],
-)
+@pytest.mark.parametrize("name, widths, want", CLOSED_FORMS, ids=[f[0] for f in CLOSED_FORMS])
 def test_on_classical_programs_it_is_one_basis_value_with_no_garbage(name, widths, want):
-    f, rng, s = program(name, *widths), random.Random(3), Semantics()
+    f, rng, s = program(name, *widths), random.Random(name), Semantics()
     for _ in range(SAMPLES):
         ks = [rng.randrange(2**w) for w in widths]
         assert s.run(f, registers_at(widths, ks)) == {(registers_at(widths, want(*ks)), ()): 1}
 
 
-def registers(*widths: int) -> list:
-    """Every basis value of ``Num{w}``, or of ``Num{w1} * Num{w2}``."""
-    values = [num(widths[0], x) for x in range(2 ** widths[0])]
-    if len(widths) == 1:
-        return values
-    return [(v, num(widths[1], y)) for v in values for y in range(2 ** widths[1])]
+def _adders(n: int):
+    """``@inc{n}`` and ``@add_const{n, a}`` for every a in [-2^n, 2^(n+1)),
+    each with the constant it adds."""
+    yield f"@inc{{{n}}}", 1
+    for a in range(-(2**n), 2 ** (n + 1)):
+        yield f"@add_const{{{n}, {a}}}", a
 
 
-# Prelude programs whose bodies hold a ctrl, so their adjoints' patterns do:
-# (program, its type A, a value of A, every basis value of A)
+# The adders on Num{n}, and their adjoints, which subtract
+@pytest.mark.parametrize(
+    "n, sign",
+    [pytest.param(n, 1, id=f"add-{n}") for n in range(7)]
+    + [pytest.param(n, -1, id=f"subtract-{n}") for n in range(5)],
+)
+def test_inc_and_add_const_and_their_adjoints_on_every_input(n, sign):
+    for name, a in _adders(n):
+        f = program(name if sign == 1 else arithmetic.adjoint(name, n), n)
+        s = Semantics()  # a memo is keyed by its nodes' ids
+        for x in range(2**n):
+            assert s.run(f, num(n, x)) == {(num(n, x + sign * a), ()): 1}, (name, x)
+
+
+def test_each_programs_adjoint_is_built_once_for_every_pass(monkeypatch):
+    # A pattern @add_const{..}(x) runs that program's adjoint: core.adjoint
+    # builds it once and keeps it on the program's node, and every run of
+    # the semantics, each with memos of its own, shares it.
+    built, build = [], core._adjoint
+    monkeypatch.setattr(core, "_adjoint", lambda f: built.append(f) or build(f))
+    f = program(arithmetic.adjoint(f"@add_const{{{N}, 12345}}", N), N)
+    rng = random.Random(2)
+    for _ in range(SAMPLES):
+        x = rng.randrange(2**N)
+        assert value(f, num(N, x)) == num(N, x - 12345)
+    assert len(built) == len({id(g) for g in built}) > 0
+
+
+def test_ctrl_arms_are_worked_out_once_per_node_for_every_pass(monkeypatch):
+    # The adjoint of @mod_mult reads the ctrl of its body as a pattern:
+    # core.ctrl_arms works its arms out once and keeps them on the ctrl's
+    # node, and two runs of the semantics, each with memos of its own, share
+    # them.
+    built, build = [], core._ctrl_arms
+    monkeypatch.setattr(core, "_ctrl_arms", lambda p: built.append(p) or build(p))
+    f = program(arithmetic.adjoint(f"@mod_mult{{{N}, 5}}", N), N)
+    rng, inverse = random.Random(5), pow(5, -1, 2**N)
+    for s in (Semantics(), Semantics()):
+        for _ in range(SAMPLES):
+            x = rng.randrange(2**N)
+            assert s.value(f, num(N, x)) == num(N, x * inverse)
+    assert len(built) == len({id(p) for p in built}) > 0
+    assert all(core.ctrl_arms(p) is p._derived for p in built)
+
+
+def test_a_main_expression_runs_in_an_empty_environment():
+    main = f"&num_to_state{{{N}, 3}} |> @add_const{{{N}, 4}}"
+    assert value(core_of_source(main), {}) == num(N, 7)
+    main = f"&num_to_state{{3, 1}} |> {arithmetic.adjoint('@mod_mult{3, 5}', 3)}"
+    assert value(core_of_source(main), {}) == num(3, 5)  # 5 * 5 = 1 mod 8
+
+
+# Prelude programs whose bodies hold a ctrl, so their adjoints' patterns do,
+# with the widths of their registers
 BUILT_ON_CTRL = [
-    case
-    for n in range(1, 5)
+    case for n in range(1, 5)
     for case in (
-        (f"@mod_mult{{{n}, 3}}", f"Num{{{n}}}", f"&num_to_state{{{n}, 0}}", registers(n)),
-        (
-            f"@mod_exp{{2, {n}, 3}}",
-            f"Num{{2}} * Num{{{n}}}",
-            f"(&num_to_state{{2, 0}}, &num_to_state{{{n}, 0}})",
-            registers(2, n),
-        ),
-        (
-            f"@rev_adder{{{n}}}",
-            f"Num{{{n}}} * Num{{{n}}}",
-            f"(&num_to_state{{{n}, 0}}, &num_to_state{{{n}, 0}})",
-            registers(n, n),
-        ),
-    )
-] + [
-    (
-        "@cdkm_maj",
-        "Bit * Bit * Bit",
-        "((&0, &0), &0)",
-        [((a, b), c) for a in (ZERO, ONE) for b in (ZERO, ONE) for c in (ZERO, ONE)],
+        (f"@mod_mult{{{n}, 3}}", (n,)),
+        (f"@mod_exp{{2, {n}, 3}}", (2, n)),
+        (f"@rev_adder{{{n}}}", (n, n)),
     )
 ]
 
 
-@pytest.mark.parametrize(
-    "name, ty, arg, values", BUILT_ON_CTRL, ids=[case[0] for case in BUILT_ON_CTRL]
-)
-def test_the_adjoint_inverts_a_program_built_on_ctrl(name, ty, arg, values):
-    f = core_of_source(f"{arg} |> lambda x -> @adjoint{{{ty}, {ty}, {name}}}({name}(x))").fn
+@pytest.mark.parametrize("name, widths", BUILT_ON_CTRL, ids=[case[0] for case in BUILT_ON_CTRL])
+def test_the_adjoint_inverts_a_program_built_on_ctrl(name, widths):
+    f = program(f"lambda x -> {arithmetic.adjoint(name, *widths)}({name}(x))", *widths)
     s = Semantics()
-    for v in values:
+    for v in registers(*widths):
         assert s.run(f, v) == {(v, ()): 1}
+
+
+def test_the_adjoint_inverts_cdkm_maj_on_three_bits():
+    ty = "Bit * Bit * Bit"  # not a Num register
+    f = core_of_source(
+        f"((&0, &0), &0) |> lambda x -> @adjoint{{{ty}, {ty}, @cdkm_maj}}(@cdkm_maj(x))"
+    ).fn
+    s = Semantics()
+    for v in [((a, b), c) for a in (ZERO, ONE) for b in (ZERO, ONE) for c in (ZERO, ONE)]:
+        assert s.run(f, v) == {(v, ()): 1}
+
+
+def test_a_lambda_whose_pattern_does_not_match_gives_none():
+    f = core_of_source("(&0, &1) |> lambda (x, &0) -> x").fn
+    assert value(f, (ZERO, ONE)) is None
+    assert value(f, (ONE, ZERO)) == ONE
+    # a () pattern takes only (): on &0 it gives no value, and refuses nothing
+    f = core_of_source("&0 |> lambda () -> &1").fn
+    assert value(f, ZERO) is None
+
+
+def test_nothing_passes_through_an_application_and_a_pair():
+    f = core_of_source("(&0, &1) |> lambda p -> (@not((lambda (x, &0) -> x)(p)), &0)").fn
+    assert value(f, (ZERO, ONE)) is None
+    assert value(f, (ZERO, ZERO)) == (ONE, ZERO)
+
+
+def test_a_variable_twice_in_a_pattern_matches_equal_values():
+    f = core_of_source("(&0, &0) |> lambda (x, x) -> x").fn
+    assert value(f, (ONE, ONE)) == ONE
+    assert value(f, (ONE, ZERO)) is None
+
+
+def test_match_takes_the_first_arm_that_matches_else_the_else_body():
+    f = core_of_source("&0 |> lambda x -> match x [y -> &1; &0 -> &0]").fn
+    assert value(f, ZERO) == ONE
+    f = program("@and", 1, 1)  # match [(&1, &1) -> &1; else -> &0]
+    table = {(a, b): value(f, (a, b)) for a in (ZERO, ONE) for b in (ZERO, ONE)}
+    assert table == {(ZERO, ZERO): ZERO, (ZERO, ONE): ZERO, (ONE, ZERO): ZERO, (ONE, ONE): ONE}
+
+
+def test_ctrl_keeps_the_variables_of_its_scope_and_its_arms_shadow_them():
+    f = core_of_source("(&1, &0) |> lambda (c, x) -> ctrl c [&0 -> (c, x); x -> (x, @not(c))]").fn
+    assert value(f, (ONE, ZERO)) == (ONE, ZERO)
+    assert value(f, (ZERO, ONE)) == (ZERO, ONE)
+
+
+def test_a_pattern_matches_any_program_through_its_adjoint():
+    f = core_of_source("&0 |> lambda b -> match b [(lambda x -> @not(x))(y) -> y]").fn
+    assert (value(f, ZERO), value(f, ONE)) == (ONE, ZERO)
+
+
+@pytest.mark.parametrize(
+    "gate, x",
+    [
+        ("u3{2 * pi / 2, 0 * pi, 3 * pi - 2 * pi}", True),
+        ("@not", True),
+        ("@had", False),
+        ("u3{pi + 0 * sin(1), 0, pi}", False),  # a float near pi
+        ("u3{3 * pi, 0, pi}", False),  # -X
+        ("u3{pi, pi, pi}", False),  # X up to a phase
+    ],
+)
+def test_x_is_recognized_by_its_exact_angles(gate, x):
+    assert is_x(core_of_source(f"&0 |> {gate}").fn) is x
+
+
+@pytest.mark.parametrize(
+    "source, what",
+    [
+        ("&0 |> @had", "ExApp has 2 entries, not one basis value"),
+        ("&0 |> gphase{pi}", "ExApp is one basis value at amplitude -1, not 1"),
+        ("&order_finding{3, 7}", r"ExApp has \d+ entries, not one basis value"),
+    ],
+)
+def test_a_state_that_is_not_one_basis_value_is_refused(source, what):
+    with pytest.raises(SemanticsError, match=what):
+        value(core_of_source(source), {})
+
+
+# A variant of three alternatives: @C's constructor is a lambda over two
+# right injections, which a pattern reads through its adjoint.
+VARIANT = "type T := &A | &B | @C of Bit end\n"
+A, B = (LEFT, ()), (RIGHT, (LEFT, ()))
+C = {b: (RIGHT, (RIGHT, b)) for b in (ZERO, ONE)}
+NOT = {ZERO: ONE, ONE: ZERO}
+
+
+@pytest.mark.parametrize(
+    "main, want",
+    [
+        (
+            "&A |> lambda t -> match t [@C(x) -> x; else -> &0]",
+            {A: ZERO, B: ZERO, C[ZERO]: ZERO, C[ONE]: ONE},
+        ),
+        (
+            "(&A, &0) |> lambda (t, y) -> "
+            "ctrl t [@C(x) -> (t, @not(y)); &A -> (t, y); &B -> (t, y)]",
+            {
+                (t, y): (t, NOT[y] if t in C.values() else y)
+                for t in (A, B, *C.values())
+                for y in NOT
+            },
+        ),
+        (
+            "&A |> pmatch [@C(x) -> @C(@not(x)); &A -> &B; &B -> &A]",
+            {A: B, B: A, C[ZERO]: C[ONE], C[ONE]: C[ZERO]},
+        ),
+    ],
+    ids=["match", "ctrl", "pmatch"],
+)
+def test_a_constructor_with_a_payload_matches_in_every_arm_form(main, want):
+    f = core_of_source(VARIANT + main).fn
+    assert isinstance(f, (PrAbs, PrPmatch))
+    s = Semantics()
+    assert {v: s.value(f, v) for v in want} == want
 
 
 def test_a_ctrl_in_a_pattern_reads_a_superposed_arm():
@@ -405,7 +560,7 @@ def test_one_semantics_object_runs_gates_as_fresh_runs_do():
     # Its program memo keeps one state per (gate, input): each u3 and rphase
     # of @qft{3} and of its adjoint, met again, gives the state it gave first.
     s = Semantics()
-    programs = [program(f, 3) for f in ("@qft{3}", "@adjoint{Num{3}, Num{3}, @qft{3}}")]
+    programs = [program(f, 3) for f in ("@qft{3}", arithmetic.adjoint("@qft{3}", 3))]
     for _ in range(2):
         for f in programs:
             for v in registers(3):
@@ -422,7 +577,16 @@ def test_one_semantics_object_runs_the_programs_of_compiles_already_freed():
         assert got == num(1, 1 + a), a
 
 
-def test_a_program_too_deep_for_the_stack_is_a_capacity_error():
-    core = core_of_source("(&num_to_state{100, 1}, &num_to_state{100, 2}) |> @rev_adder{100}")
+@pytest.mark.parametrize(
+    "read, main",
+    [
+        (run, "(&num_to_state{100, 1}, &num_to_state{100, 2}) |> @rev_adder{100}"),
+        (value, "&num_to_state{400, 5} |> @add_const{400, 3}"),
+    ],
+    ids=["run", "value"],
+)
+def test_a_program_too_deep_for_the_stack_is_a_capacity_error(read, main):
+    # It compiles on the CLI's deep stack and is read at the default limit.
+    c = cli._on_deep_stack(core_of_source, main)
     with pytest.raises(CapacityError, match="nested too deeply"):
-        run(core, {})
+        read(c, {})
