@@ -103,7 +103,9 @@ def main(argv: list[str] | None = None) -> int:
             data = Path(args.file).read_bytes()
         source = data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"qunic: cannot read {args.file}: {exc}", file=sys.stderr)
+        name = os.fsencode(args.file).decode("utf-8", "backslashreplace")  # by its bytes
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's, without the name
+        print(f"qunic: cannot read {name}: {reason}", file=sys.stderr)
         return 1
     dumps = {stage for stage in ("tokens", "surface", "core") if getattr(args, f"dump_{stage}")}
     try:

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules: the recursion limit for a block or a
-module, the depth of the stack, a fresh interpreter to run, and a check that
-every test leaves the cyclic collector on."""
+module, the depth of the stack, a fresh interpreter to run, a recorder of a
+function's calls, and a check that every test leaves the cyclic collector
+on."""
 
 import gc
 import os
@@ -76,6 +77,26 @@ def python(tmp_path):
         )
 
     return run
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(owner, name)`` replaces ``owner.name`` for the test with a
+    wrapper that calls through, and returns the list of the argument tuples
+    of its calls, a method's ``self`` first.  A call is recorded before it
+    runs, so one that raises is recorded too."""
+
+    def install(owner, name):
+        fn, calls = getattr(owner, name), []
+
+        def call(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, call)
+        return calls
+
+    return install
 
 
 @pytest.fixture(autouse=True)

@@ -265,8 +265,9 @@ def test_an_error_message_is_utf_8_whatever_the_locale(python, encoding):
 
 
 def test_a_file_name_that_is_not_utf_8_exits_1(python):
-    out = python("-m", "qunic.cli", b"nope\xff.qunity")  # standard error escapes the byte
-    assert out.returncode == 1 and out.stderr.startswith("qunic: cannot read nope\\udcff.qunity")
+    out = python("-m", "qunic.cli", b"nope\xff.qunity")  # the message escapes the byte
+    error = "qunic: cannot read nope\\xff.qunity: No such file or directory\n"
+    assert (out.returncode, out.stderr) == (1, error)
 
 
 def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from arithmetic import ADD_CONST_TREE
 from hypothesis import given, strategies as st
+from terms import real_trees
 
 from qunic import cli, core, printer, reals
 from qunic.core import (
@@ -368,20 +369,18 @@ def _structural_eq(a, b) -> bool:
         return False
     if type(a) is tuple:
         return len(a) == len(b) and all(_structural_eq(x, y) for x, y in zip(a, b))
-    if not dataclasses.is_dataclass(a):
+    if not isinstance(a, core._Node):
         return a == b
-    return all(
-        _structural_eq(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
-    )
+    return all(_structural_eq(getattr(a, n), getattr(b, n)) for n in a.__slots__)
 
 
 def _rebuild(x):
     """An equal term that shares no node with ``x``."""
     if type(x) is tuple:
         return tuple(_rebuild(v) for v in x)
-    if not dataclasses.is_dataclass(x):
+    if not isinstance(x, core._Node):
         return x
-    return type(x)(*[_rebuild(getattr(x, f.name)) for f in dataclasses.fields(x)])
+    return type(x)(*[_rebuild(getattr(x, n)) for n in x.__slots__])
 
 
 _types = st.recursive(
@@ -389,12 +388,7 @@ _types = st.recursive(
     lambda sub: st.builds(TySum, sub, sub) | st.builds(TyProd, sub, sub),
     max_leaves=4,
 )
-_reals = st.recursive(
-    st.integers(0, 2).map(RConst) | st.just(RPi()),
-    lambda sub: st.builds(RUnary, st.just("sin"), sub)
-    | st.builds(RBinary, st.sampled_from(["+", "*"]), sub, sub),
-    max_leaves=3,
-)
+_reals = real_trees(st.integers(0, 2).map(RConst) | st.just(RPi()), 2, ("sin",), "+*")
 
 
 def _exprs_and_progs():
@@ -446,8 +440,8 @@ def test_dag_equality_agrees_with_structural_equality(data):
 def _parts(x) -> list:
     """The nodes in the fields of ``x``, with the items of a tuple field."""
     out = []
-    for f in dataclasses.fields(x):
-        v = getattr(x, f.name)
+    for n in x.__slots__:
+        v = getattr(x, n)
         out += [c for c in (v if type(v) is tuple else (v,)) if isinstance(c, core._Node)]
     return out
 

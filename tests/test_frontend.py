@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from terms import real_trees
 
 from qunic.core import (
     BAnd,
@@ -28,7 +29,6 @@ from qunic.core import (
     RBinary,
     RConst,
     RPi,
-    RUnary,
     TVar,
     TyProd,
     TyUnit,
@@ -319,11 +319,8 @@ class TestParser:
             parse_file("&0{(}")
         assert (exc.value.line, exc.value.column) == (1, 5)
 
-    def test_each_prelude_token_is_taken_once(self, monkeypatch):
-        text = default_prelude_text()
-        taken = []
-        take = _Parser.take
-        monkeypatch.setattr(_Parser, "take", lambda self: taken.append(1) or take(self))
+    def test_each_prelude_token_is_taken_once(self, spy):
+        text, taken = default_prelude_text(), spy(_Parser, "take")
         parse_file(text)
         assert len(taken) == len(tokenize(text)) - 1  # every token but EOF
 
@@ -568,20 +565,13 @@ _tyvars = st.sampled_from(["a", "b"])
 _rnames = st.sampled_from(["n", "k"])
 
 
+_real_leaves = st.one_of(
+    st.integers(-20, 20).map(RConst), st.just(RPi()), _rnames.map(lambda n: Name("r", n, ()))
+)
+
+
 def _reals(depth: int):
-    base = st.one_of(
-        st.integers(-20, 20).map(RConst),
-        st.just(RPi()),
-        _rnames.map(lambda n: Name("r", n, ())),
-    )
-    if depth == 0:
-        return base
-    sub = _reals(depth - 1)
-    return st.one_of(
-        base,
-        st.builds(RUnary, st.sampled_from(["sqrt", "cos"]), sub),
-        st.builds(RBinary, st.sampled_from(["+", "-", "*", "/", "^", "%"]), sub, sub),
-    )
+    return real_trees(_real_leaves, depth, ("sqrt", "cos"))
 
 
 def _bools(depth: int):

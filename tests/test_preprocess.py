@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from arithmetic import num
 from hypothesis import given, settings, strategies as st
+from terms import real_trees
 
 from qunic import core, lexer, parser, preprocess, printer, reals, semantics
 from qunic.core import RBinary, RConst, REuler, RExact, RPi, RUnary
@@ -485,22 +486,10 @@ class TestArglessNames:
     per compile; a generic parameter of the same name still wins where it is
     in scope."""
 
-    @pytest.fixture
-    def named(self, monkeypatch):
-        """The ``(sort, name)`` of each definition lookup elaboration makes."""
-        named, calls = preprocess.Elaborator._named, []
-
-        def counting(self, sort, name, *args):
-            calls.append((sort, name))
-            return named(self, sort, name, *args)
-
-        monkeypatch.setattr(preprocess.Elaborator, "_named", counting)
-        return calls
-
-    def test_a_constructor_used_50_times_is_looked_up_once(self, named):
-        main = "(&0, " * 49 + "&0" + ")" * 49
-        core_of_source(main)
-        assert len([c for c in named if c[1] == "0"]) <= 2
+    def test_a_constructor_used_50_times_is_looked_up_once(self, spy):
+        named = spy(preprocess.Elaborator, "_named")  # (self, x, env, site)
+        core_of_source("(&0, " * 49 + "&0" + ")" * 49)
+        assert 1 <= [x.name for _, x, _, _ in named].count("0") <= 2
 
     SCOPE = (
         "def &x : Bit := &1 end\n"
@@ -527,28 +516,16 @@ class TestRealElaboration:
     """A real elaborates to its value at one evaluator step per node, and
     equal exact angles of one compile are one node."""
 
-    @pytest.fixture
-    def steps(self, monkeypatch):
-        """The operators of the evaluator steps elaboration takes, in order."""
-        step, calls = preprocess.step, []
-
-        def counting(*args):
-            calls.append(args[0])
-            return step(*args)
-
-        monkeypatch.setattr(preprocess, "step", counting)
-        return calls
-
-    def test_one_step_per_real_node(self, steps):
-        extra = set()
+    def test_one_step_per_real_node(self, spy):
+        steps, extra = spy(preprocess, "step"), set()
         for d in (50, 200, 400):
             steps.clear()
             core_of_source(f"&0 |> u3{{{'sin(' * d}1{')' * d}, 0, 0}}")
             extra.add(len(steps) - d)
         assert len(extra) == 1
 
-    def test_a_gphase_evaluates_its_phase_once(self, steps):
-        counts = []
+    def test_a_gphase_evaluates_its_phase_once(self, spy):
+        steps, counts = spy(preprocess, "step"), []
         for main in ("&0 |> gphase{2 * pi * 3 / 8}", "&0 |> u3{2 * pi * 3 / 8, 0, 0}"):
             steps.clear()
             core_of_source(main)
@@ -600,18 +577,9 @@ def _canonical(r):
     return r
 
 
-def _closed_reals(depth: int):
-    leaves = st.one_of(st.integers(-9, 9).map(RConst), st.just(RPi()), st.just(REuler()))
-    if depth == 0:
-        return leaves
-    sub = _closed_reals(depth - 1)
-    return st.one_of(
-        sub,
-        st.builds(RUnary, st.sampled_from(["sin", "sqrt", "ceil", "floor"]), sub),
-        st.builds(RBinary, st.sampled_from(["+", "-", "*", "/", "%"]), sub, sub),
-        # a small exponent keeps exact powers small
-        st.builds(RBinary, st.just("^"), sub, leaves),
-    )
+_closed = st.one_of(st.integers(-9, 9).map(RConst), st.just(RPi()), st.just(REuler()))
+# a small exponent keeps exact powers small
+_closed_reals = real_trees(_closed, 4, ("sin", "sqrt", "ceil", "floor"), "+-*/%", exponents=_closed)
 
 
 def _text_or_error(make):
@@ -622,7 +590,7 @@ def _text_or_error(make):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_closed_reals(4))
+@given(_closed_reals)
 def test_an_angle_elaborates_to_its_canonical_tree(r):
     """An angle elaborates to a node that prints as its canonical tree, and
     raises RealError exactly when building that tree does."""
@@ -1049,22 +1017,16 @@ class TestSharedPrelude:
         assert tokens == lexer.tokenize(text)[-1 - len(tokens) : -1]
         assert load_prelude_defs() == whole
 
-    def test_each_chunk_is_tokenized_at_most_once_per_process(self, monkeypatch):
+    def test_each_chunk_is_tokenized_at_most_once_per_process(self, monkeypatch, spy):
         prelude = preprocess.default_prelude_text()
-        tokenize, sources = parser.tokenize, []
-
-        def counting(source):
-            sources.append(source)
-            return tokenize(source)
-
-        monkeypatch.setattr(parser, "tokenize", counting)
+        sources = spy(parser, "tokenize")  # (source,)
         monkeypatch.setattr(preprocess, "_prelude", None)
         for main in ("@had(&0)", "@had(&0)", "&order_finding{4, 7}", "&num_to_state{2, 1}"):
             core_of_source(main)
         load_prelude_defs()
-        chunks = [s for s in sources if s.lstrip("\n").startswith(("def", "type"))]
+        chunks = [s for (s,) in sources if s.lstrip("\n").startswith(("def", "type"))]
         assert len(chunks) == len(set(chunks)) == 41
-        assert prelude not in sources
+        assert (prelude,) not in sources
         assert len(sources) == 45  # and the four mains
 
     def test_a_first_compile_parses_only_the_definitions_it_reaches(self, python):
@@ -1139,22 +1101,13 @@ class TestSharedPrelude:
     def test_shared_definitions_are_deeply_immutable(self):
         hash(load_prelude_defs())
 
-    def test_the_prelude_table_is_built_once_and_user_definitions_stay_out_of_it(
-        self, monkeypatch
-    ):
+    def test_the_prelude_table_is_built_once_and_user_definitions_stay_out_of_it(self, spy):
         core_of_source("@had(&0)")
-        registered = []
-        register = preprocess.Elaborator._register
-
-        def counting(self, d):
-            registered.append(d.name)
-            return register(self, d)
-
-        monkeypatch.setattr(preprocess.Elaborator, "_register", counting)
+        registered = spy(preprocess.Elaborator, "_register")  # (self, d)
         mine = "def @mine : Bit -> Bit := @not end\n@mine(&0)"
         for _ in range(2):  # no duplicate: the first compile's @mine is gone
             core_of_source(mine)
-        assert registered == ["mine", "mine"]
+        assert [d.name for _, d in registered] == ["mine", "mine"]
         with pytest.raises(PreprocessError, match="unknown program definition @mine"):
             core_of_source("@mine(&0)")
         clash = "type T := &ListEmpty | &Other end\n&Other"
@@ -1353,20 +1306,13 @@ class TestKeptRegions:
         assert len(patterns) == 3
         assert all(a != b for a, b in itertools.combinations(patterns, 2))
 
-    def test_a_generic_free_let_lambda_is_elaborated_once(self, monkeypatch):
+    def test_a_generic_free_let_lambda_is_elaborated_once(self, spy):
         # @rotations{#n}'s let (y0, (y1, y)), reached at n = 2..6
-        made, step = [], core.PrAbs._intern
-
-        def counting(nodes, a, b, c):
-            node = step(nodes, a, b, c)
-            made.append(node)
-            return node
-
-        monkeypatch.setattr(core.PrAbs, "_intern", counting)
+        made = spy(core.PrAbs, "_intern")  # (nodes, pattern, body, None)
         elaborator, c = elaborated("&num_to_state{6, 1} |> @qft{6}")
         text = "(lambda ((v%0, v%1), v%2) -> (v%0, (v%1, v%2)))"
         (let,) = [x for x in reachable(c) if core.to_str(x) == text]
-        assert [x is let for x in made].count(True) == 1
+        assert [a is let.pattern and b is let.body for _, a, b, _ in made].count(True) == 1
         assert elaborator.reused >= 1
 
     def test_a_region_that_raises_is_not_kept(self):
@@ -1600,15 +1546,15 @@ class TestCollectorPause:
     def test_elaboration_and_printing_run_paused(self, monkeypatch):
         seen = []
 
-        def spy(fn):
+        def probe(fn):
             def call(*args):
                 seen.append((fn.__name__, gc.isenabled()))
                 return fn(*args)
 
             return call
 
-        monkeypatch.setattr(preprocess, "step", spy(preprocess.step))
-        monkeypatch.setattr(printer, "_joined", spy(printer._joined))
+        monkeypatch.setattr(preprocess, "step", probe(preprocess.step))
+        monkeypatch.setattr(printer, "_joined", probe(printer._joined))
         core.to_str(elaborated("&0 |> u3{pi / 3, 0, 0}")[1])
         assert set(seen) == {("step", False), ("_joined", False)}
         assert gc.isenabled()

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from terms import real_trees
 
-from qunic.core import BAnd, BCmp, If, Name, RBinary, RConst, REuler, RPi, RUnary, to_str
+from qunic.core import BAnd, BCmp, If, Name, RBinary, RConst, REuler, RPi, to_str
 from qunic.errors import CapacityError, QunityError, RealError
 from qunic.parser import parse_real_string
 from qunic.preprocess import Elaborator, _Env, _Inexact, core_of_source
@@ -187,29 +188,18 @@ class TestBooleans:
 # Printing round-trips
 
 
-_rnames = st.sampled_from(["n", "k", "a'", "p_0"])
-
-
-def _real_trees(depth: int):
-    if depth == 0:
-        return st.one_of(
-            st.integers(-50, 50).map(RConst),
-            st.just(RPi()),
-            st.just(REuler()),
-            _rnames.map(lambda n: Name("r", n, ())),
-        )
-    sub = _real_trees(depth - 1)
-    return st.one_of(
-        sub,
-        st.builds(RUnary, st.sampled_from(["sin", "sqrt", "floor", "ln"]), sub),
-        st.builds(RBinary, st.sampled_from(["+", "-", "*", "/", "^", "%"]), sub, sub),
-    )
+_real_leaves = st.one_of(
+    st.integers(-50, 50).map(RConst),
+    st.just(RPi()),
+    st.just(REuler()),
+    st.sampled_from(["n", "k", "a'", "p_0"]).map(lambda n: Name("r", n, ())),
+)
 
 
 _BOTH = BAnd(BCmp("<", RConst(1), RConst(2)), BCmp(">=", RPi(), Name("r", "k")))
 
 
-@given(_real_trees(4))
+@given(real_trees(_real_leaves, 4, ("sin", "sqrt", "floor", "ln")))
 @example(If("r", _BOTH, Name("r", "n", (Name("t", "Bit"), RConst(2))), RConst(-1)))
 @example(RBinary("^", Name("r", "a'"), If("r", _BOTH, RPi(), RBinary("-", RConst(1), RPi()))))
 def test_real_print_parse_round_trip(r):
@@ -219,16 +209,8 @@ def test_real_print_parse_round_trip(r):
 # ---------------------------------------------------------------------------
 # Exact arithmetic on ints agrees with Fractions
 
-
-def _integer_trees(depth: int):
-    if depth == 0:
-        return st.integers(-6, 6).map(RConst)
-    sub = _integer_trees(depth - 1)
-    return st.one_of(
-        sub,
-        st.builds(RBinary, st.sampled_from(["+", "-", "*", "/", "%"]), sub, sub),
-        st.builds(RBinary, st.just("^"), sub, st.integers(-3, 3).map(RConst)),
-    )
+# a small exponent keeps exact powers small
+_small = st.integers(-3, 3).map(RConst)
 
 
 def _reference(r) -> Fraction:
@@ -249,7 +231,7 @@ def _reference(r) -> Fraction:
     return x ** int(y)
 
 
-@given(_integer_trees(3))
+@given(real_trees(st.integers(-6, 6).map(RConst), 3, binary="+-*/%", exponents=_small))
 def test_exact_values_match_a_fraction_reference(r):
     try:
         expected = _reference(r)
@@ -316,16 +298,10 @@ _kernel_ints = st.one_of(st.integers(0, len(_EDGES) - 1).map(_edge), st.integers
 _kernel_names = st.sampled_from(["a", "b", "c", "n'"])
 
 
-def _kernel_trees(depth: int):
-    leaf = st.one_of(_kernel_ints.map(RConst), _kernel_names.map(lambda n: Name("r", n)))
-    if depth == 0:
-        return leaf
-    sub = _kernel_trees(depth - 1)
-    return st.one_of(leaf, st.builds(RBinary, st.sampled_from("+-*%/^"), sub, sub))
-
-
 def _kernel_roots():
-    tree = st.builds(RBinary, st.sampled_from("+-*%/^"), _kernel_trees(2), _kernel_trees(2))
+    leaf = st.one_of(_kernel_ints.map(RConst), _kernel_names.map(lambda n: Name("r", n)))
+    sub = real_trees(leaf, 2)
+    tree = st.builds(RBinary, st.sampled_from("+-*%/^"), sub, sub)
     comparison = st.builds(BCmp, st.sampled_from(["=", "!=", "<=", "<", ">=", ">"]), tree, tree)
     return st.one_of(tree, comparison)
 

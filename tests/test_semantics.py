@@ -253,35 +253,33 @@ def test_inc_and_add_const_and_their_adjoints_on_every_input(n, sign):
             assert s.run(f, num(n, x)) == {(num(n, x + sign * a), ()): 1}, (name, x)
 
 
-def test_each_programs_adjoint_is_built_once_for_every_pass(monkeypatch):
+def test_each_programs_adjoint_is_built_once_for_every_pass(spy):
     # A pattern @add_const{..}(x) runs that program's adjoint: core.adjoint
     # builds it once and keeps it on the program's node, and every run of
     # the semantics, each with memos of its own, shares it.
-    built, build = [], core._adjoint
-    monkeypatch.setattr(core, "_adjoint", lambda f: built.append(f) or build(f))
+    built = spy(core, "_adjoint")  # (f,)
     f = program(arithmetic.adjoint(f"@add_const{{{N}, 12345}}", N), N)
     rng = random.Random(2)
     for _ in range(SAMPLES):
         x = rng.randrange(2**N)
         assert value(f, num(N, x)) == num(N, x - 12345)
-    assert len(built) == len({id(g) for g in built}) > 0
+    assert len(built) == len({id(g) for (g,) in built}) > 0
 
 
-def test_ctrl_arms_are_worked_out_once_per_node_for_every_pass(monkeypatch):
+def test_ctrl_arms_are_worked_out_once_per_node_for_every_pass(spy):
     # The adjoint of @mod_mult reads the ctrl of its body as a pattern:
     # core.ctrl_arms works its arms out once and keeps them on the ctrl's
     # node, and two runs of the semantics, each with memos of its own, share
     # them.
-    built, build = [], core._ctrl_arms
-    monkeypatch.setattr(core, "_ctrl_arms", lambda p: built.append(p) or build(p))
+    built = spy(core, "_ctrl_arms")  # (p,)
     f = program(arithmetic.adjoint(f"@mod_mult{{{N}, 5}}", N), N)
     rng, inverse = random.Random(5), pow(5, -1, 2**N)
     for s in (Semantics(), Semantics()):
         for _ in range(SAMPLES):
             x = rng.randrange(2**N)
             assert s.value(f, num(N, x)) == num(N, x * inverse)
-    assert len(built) == len({id(p) for p in built}) > 0
-    assert all(core.ctrl_arms(p) is p._derived for p in built)
+    assert len(built) == len({id(p) for (p,) in built}) > 0
+    assert all(core.ctrl_arms(p) is p._derived for (p,) in built)
 
 
 def test_a_main_expression_runs_in_an_empty_environment():
@@ -475,18 +473,17 @@ def test_erased_variables_go_to_the_garbage_in_the_order_of_their_names_as_strin
         assert run(f, num(12, 1 << i)) == {(ZERO, garbage): 1}
 
 
-def test_a_ctrl_that_is_no_pattern_is_refused_before_any_arm_runs(monkeypatch):
+def test_a_ctrl_that_is_no_pattern_is_refused_before_any_arm_runs(spy):
     # Arm 1's body leaves x unbound.  (&0, &0) would match arm 0's body.
     f = program("lambda (c, x) -> ctrl c [&0 -> (c, x); &1 -> (c, &0)]", 1, 1)
     p = adjoint(f).pattern
     assert ctrl_arms(p) == "a ctrl in a pattern whose arm does not give x"
     s = Semantics()
-    seen, match = [], s.match
-    monkeypatch.setattr(s, "match", lambda q, v: seen.append(q) or match(q, v))
+    seen = spy(s, "match")
     for _ in range(2):
         with pytest.raises(SemanticsError, match="arm does not give x"):
             s.match(p, (ZERO, ZERO))
-    assert seen == [p, p]
+    assert seen == [(p, (ZERO, ZERO))] * 2
 
 
 def test_a_ctrl_on_a_superposed_variable_entangles():
