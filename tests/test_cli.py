@@ -270,6 +270,12 @@ def test_a_file_name_that_is_not_utf_8_exits_1(python):
     assert (out.returncode, out.stderr) == (1, error)
 
 
+def test_an_unknown_option_that_is_not_utf_8_exits_2_with_the_usage(python):
+    out = python("-m", "qunic.cli", b"--x\xff", "main.qunity")  # \udcff stands for the byte
+    assert out.returncode == 2 and out.stderr.startswith("usage: qunic ")
+    assert out.stderr.endswith("\nqunic: error: unrecognized arguments: --x\\udcff\n")
+
+
 def test_stats_is_one_json_record_after_the_core(tmp_path, capsys):
     source = "&num_to_state{8, 1} |> @qft{8}"
     code, out, _ = qunic(tmp_path, capsys, source, "--dump-core", "--stats")

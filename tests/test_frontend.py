@@ -51,92 +51,68 @@ from qunic.parser import (
 from qunic.preprocess import core_of_source, default_prelude_text
 
 
-class TestLexer:
-    def test_sigils_and_kinds(self):
-        toks = tokenize("&plus @had #n 'a x Bit 42")
-        kinds = [t.kind for t in toks[:-1]]
-        assert kinds == [
-            "e",
-            "f",
-            "r",
-            TokKind.TYVAR,
-            TokKind.QVAR,
-            "t",
-            TokKind.NUMBER,
-        ]
-        assert toks[0].text == "plus"
-        assert toks[-1].kind is TokKind.EOF
+_Q, _TV, _NUM, _EOF = TokKind.QVAR, TokKind.TYVAR, TokKind.NUMBER, TokKind.EOF
+# Comments across lines, and a sigil with its name on the next line.
+_LINES = "a /* one\ntwo\n  three */ b\n/*\n*/c &\nx @\n\n  f #\tn /**/'t"
 
-    def test_primes_inside_identifiers(self):
-        toks = tokenize("y0' 'a")
-        assert (toks[0].kind, toks[0].text) == (TokKind.QVAR, "y0'")
-        assert (toks[1].kind, toks[1].text) == (TokKind.TYVAR, "a")
+# A source and its tokens, as (kind, text, line, column), end of input last.
+TOKENS = [
+    ("&plus @had #n 'a x Bit 42", [
+        ("e", "plus", 1, 1), ("f", "had", 1, 7), ("r", "n", 1, 12), (_TV, "a", 1, 15),
+        (_Q, "x", 1, 18), ("t", "Bit", 1, 20), (_NUM, "42", 1, 24), (_EOF, "", 1, 26),
+    ]),
+    ("y0' 'a", [(_Q, "y0'", 1, 1), (_TV, "a", 1, 5), (_EOF, "", 1, 7)]),
+    ("ctrl ctrlx", [("ctrl", "ctrl", 1, 1), (_Q, "ctrlx", 1, 6), (_EOF, "", 1, 11)]),
+    # the longest punctuation wins, and && is never a sigil
+    ("|> || | := : -> !=", [
+        ("|>", "|>", 1, 1), ("||", "||", 1, 4), ("|", "|", 1, 7), (":=", ":=", 1, 9),
+        (":", ":", 1, 12), ("->", "->", 1, 14), ("!=", "!=", 1, 17), (_EOF, "", 1, 19),
+    ]),
+    ("x&&y", [(_Q, "x", 1, 1), ("&&", "&&", 1, 2), (_Q, "y", 1, 4), (_EOF, "", 1, 5)]),
+    ("#n < 1 && #k < 2", [
+        ("r", "n", 1, 1), ("<", "<", 1, 4), (_NUM, "1", 1, 6), ("&&", "&&", 1, 8),
+        ("r", "k", 1, 11), ("<", "<", 1, 14), (_NUM, "2", 1, 16), (_EOF, "", 1, 17),
+    ]),
+    ("&&&x", [("&&", "&&", 1, 1), ("e", "x", 1, 3), (_EOF, "", 1, 5)]),
+    # a comment is skipped, and a sigil's token sits at the sigil
+    ("x /* anything |> &here */ y", [(_Q, "x", 1, 1), (_Q, "y", 1, 27), (_EOF, "", 1, 28)]),
+    ("&\n  A\nx", [("e", "A", 1, 1), (_Q, "x", 3, 1), (_EOF, "", 3, 2)]),
+    ("&\r\n  A\r\nx", [("e", "A", 1, 1), (_Q, "x", 3, 1), (_EOF, "", 3, 2)]),
+    ("&\nx y", [("e", "x", 1, 1), (_Q, "y", 2, 3), (_EOF, "", 2, 4)]),
+    (_LINES, [
+        (_Q, "a", 1, 1), (_Q, "b", 3, 12), (_Q, "c", 5, 3), ("e", "x", 5, 5),
+        ("f", "f", 6, 3), ("r", "n", 8, 5), (_TV, "t", 8, 13), (_EOF, "", 8, 15),
+    ]),
+]
 
-    def test_longest_match_punctuation(self):
-        toks = tokenize("|> || | := : -> !=")
-        assert [t.text for t in toks[:-1]] == ["|>", "||", "|", ":=", ":", "->", "!="]
+# A source and the whole message of its LexError.
+LEX_ERRORS = [
+    ("x /* oops", "1:3: unterminated comment"),
+    (_LINES + " /* never\nclosed", "8:16: unterminated comment"),
+    ("& ", "1:1: dangling '&' sigil"),
+    ("&", "1:1: dangling '&' sigil"),
+    ("@\n", "1:1: dangling '@' sigil"),
+    ("#\t", "1:1: dangling '#' sigil"),
+    ("'", "1:1: dangling type-variable quote"),
+    # '²' passes str.isdigit() but not int()
+    ("²", "1:1: unexpected character '²'"),
+    ("1 + ²", "1:5: unexpected character '²'"),
+    # an upper-case character that is no letter starts no type name
+    ("Ⅻ", "1:1: unexpected character 'Ⅻ'"),
+]
 
-    def test_comments_skipped(self):
-        toks = tokenize("x /* anything |> &here */ y")
-        assert [t.text for t in toks[:-1]] == ["x", "y"]
 
-    def test_unterminated_comment(self):
-        with pytest.raises(LexError):
-            tokenize("x /* oops")
+@pytest.mark.parametrize("source, tokens", TOKENS)
+def test_a_source_lexes_to_its_tokens(source, tokens):
+    assert [tuple(t) for t in tokenize(source)] == tokens
 
-    def test_dangling_sigil(self):
-        for src in ("& ", "&", "@\n", "#\t"):
-            with pytest.raises(LexError):
-                tokenize(src)
 
-    def test_and_operator_and_spaced_sigil(self):
-        for src in ("x&&y", "#n < 1 && #k < 2"):
-            ands = [t for t in tokenize(src) if t.text == "&&"]
-            assert [t.kind for t in ands] == ["&&"]
-        assert [(t.kind, t.text) for t in tokenize("&&&x")[:-1]] == [
-            ("&&", "&&"),
-            ("e", "x"),
-        ]
-        for nl in ("\n", "\r\n"):
-            toks = tokenize(f"&{nl}  A{nl}x")
-            first = toks[0]
-            assert (first.kind, first.text, first.line, first.column) == ("e", "A", 1, 1)
-            assert (toks[1].text, toks[1].line, toks[1].column) == ("x", 3, 1)
-
-    def test_positions_across_multi_line_comments_and_a_sigil_before_a_newline(self):
-        source = "a /* one\ntwo\n  three */ b\n/*\n*/c &\nx @\n\n  f #\tn /**/'t"
-        assert [tuple(t) for t in tokenize(source)] == [
-            (TokKind.QVAR, "a", 1, 1),
-            (TokKind.QVAR, "b", 3, 12),
-            (TokKind.QVAR, "c", 5, 3),
-            ("e", "x", 5, 5),
-            ("f", "f", 6, 3),
-            ("r", "n", 8, 5),
-            (TokKind.TYVAR, "t", 8, 13),
-            (TokKind.EOF, "", 8, 15),
-        ]
-        assert tuple(tokenize("&\nx y")[1]) == (TokKind.QVAR, "y", 2, 3)
-        with pytest.raises(LexError) as error:
-            tokenize(source + " /* never\nclosed")
-        assert (error.value.line, error.value.column) == (8, 16)
-
-    def test_non_decimal_digits_are_not_numbers(self):
-        # '²' passes str.isdigit() but not int(); a decimal digit of any
-        # script ('٣', ARABIC-INDIC DIGIT THREE) is a number.
-        with pytest.raises(LexError, match="unexpected character '²'"):
-            parse_real_string("²")
-        with pytest.raises(LexError) as err:
-            tokenize("1 + ²")
-        assert (err.value.line, err.value.column) == (1, 5)
-        assert parse_real_string("٣") == RConst(3)
-        # an upper-case character that is no letter starts no type name
-        with pytest.raises(LexError, match="unexpected character 'Ⅻ'"):
-            tokenize("Ⅻ")
-
-    def test_keywords_not_identifiers(self):
-        toks = tokenize("ctrl ctrlx")
-        assert (toks[0].kind, toks[0].text) == ("ctrl", "ctrl")
-        assert (toks[1].kind, toks[1].text) == (TokKind.QVAR, "ctrlx")
+@pytest.mark.parametrize("source, message", LEX_ERRORS)
+def test_a_lex_error_has_its_message(source, message):
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert str(exc.value) == message
+    assert message.startswith(f"{exc.value.line}:{exc.value.column}: ")
 
 
 _SPACES = st.sampled_from([" ", "\t", "\n", "\r\n"])
@@ -209,146 +185,209 @@ def test_no_kind_is_a_text_and_a_names_kind_is_its_sort():
         assert type(name) is Name and (token.kind, token.text) == (sort_of(name), name.name)
 
 
+def _n(sort, name, *args):
+    return Name(sort, name, args)
+
+
+_BIT, _X, _Y, _AB = _n("t", "Bit"), ExVar("x"), ExVar("y"), ExPair(ExVar("a"), ExVar("b"))
+_E0, _E1, _F, _G = _n("e", "0"), _n("e", "1"), _n("f", "f"), _n("f", "g")
+_E11, _C, _ONE_LT_TWO = ExPair(_E1, _E1), ExVar("c"), BCmp("<", RConst(1), RConst(2))
+_A, _N, _N_1 = TVar("a"), _n("r", "n"), RBinary("-", _n("r", "n"), RConst(1))
+_VARIANT = QFile((VariantDef("T", (), (VariantAlt("A", None), VariantAlt("B", TyUnit()))),), _X)
+
+# A parser, a source, and the tree it parses to.  Each tree is built from the
+# node classes, so that neither the parser nor the printer makes it.
+PARSES = [
+    # a pipe is an application, and a lambda's body extends through pipes
+    (parse_expr_string, "x |> @f |> @g", ExApp(_G, ExApp(_F, _X))),
+    (parse_prog_string, "lambda x -> x |> @f |> @g", PrAbs(_X, ExApp(_G, ExApp(_F, _X)))),
+    # an application's parentheses double as a pair's
+    (parse_expr_string, "@f(a, b)", ExApp(_F, _AB)),
+    (parse_expr_string, "@f((a, b))", ExApp(_F, _AB)),
+    (parse_expr_string, "@f(())", ExApp(_F, ExUnit())),
+    (parse_expr_string, "(lambda x -> x)(&0)", ExApp(PrAbs(_X, _X), _E0)),
+    (
+        parse_expr_string,
+        "let (x, y) = p in (y, x)",
+        ExApp(PrAbs(ExPair(_X, _Y), ExPair(_Y, _X)), ExVar("p")),
+    ),
+    (
+        parse_expr_string,
+        "ctrl (a, b) [(&1, &1) -> ((a, b), @not(c)); else -> ((a, b), c);]",
+        ExCtrl(_AB, (CoreArm(_E11, ExPair(_AB, ExApp(_n("f", "not"), _C))),), ExPair(_AB, _C)),
+    ),
+    (
+        parse_expr_string,
+        "match x [(&1, &1) -> &1; else -> &0;]",
+        ExMatch(_X, (CoreArm(_E11, _E1),), _E0),
+    ),
+    (parse_expr_string, "try @f(x) catch &0", ExTry(ExApp(_F, _X), _E0)),
+    # a product and a tuple associate to the left
+    (parse_type_string, "Bit * Bit * Bit", TyProd(TyProd(_BIT, _BIT), _BIT)),
+    (parse_expr_string, "((a, b), c)", ExPair(_AB, _C)),
+    (
+        parse_prog_string,
+        "rphase{(&1, &1), 2 * pi / 2 ^ #k, 0}",
+        PrRphase(
+            _E11,
+            RBinary("/", RBinary("*", RConst(2), RPi()), RBinary("^", RConst(2), _n("r", "k"))),
+            RConst(0),
+        ),
+    ),
+    # a negative literal is a constant's, and a digit of any script is a
+    # number ('٣', ARABIC-INDIC DIGIT THREE)
+    (parse_real_string, "1 - -2", RBinary("-", RConst(1), RConst(-2))),
+    (parse_real_string, "٣", RConst(3)),
+    (
+        parse_type_string,
+        "if #n <= 0 then Unit else 'a * Array{#n - 1, 'a} endif",
+        If("t", BCmp("<=", _N, RConst(0)), TyUnit(), TyProd(_A, _n("t", "Array", _N_1, _A))),
+    ),
+    (
+        parse_expr_string,
+        "if #a % 2 = 1 then &1 else &0 endif",
+        If("e", BCmp("=", RBinary("%", _n("r", "a"), RConst(2)), RConst(1)), _E1, _E0),
+    ),
+    (
+        parse_prog_string,
+        "if #n = 0 then @id{Unit} else @f endif",
+        If("f", BCmp("=", _N, RConst(0)), _n("f", "id", TyUnit()), _F),
+    ),
+    # a parenthesis in a condition
+    (
+        parse_type_string,
+        "if ((1) + 2) < 3 then Unit else Void endif",
+        If("t", BCmp("<", RBinary("+", RConst(1), RConst(2)), RConst(3)), TyUnit(), TyVoid()),
+    ),
+    (
+        parse_type_string,
+        "if ((1 < 2)) && !(2 < 1) then Unit else Void endif",
+        If("t", BAnd(_ONE_LT_TWO, BNot(BCmp("<", RConst(2), RConst(1)))), TyUnit(), TyVoid()),
+    ),
+    # generic arguments of mixed classes, each continuing its class
+    (
+        parse_expr_string,
+        "&repeated{5, Bit, &plus}",
+        _n("e", "repeated", RConst(5), _BIT, _n("e", "plus")),
+    ),
+    (parse_expr_string, "&0{@f(())}", _n("e", "0", ExApp(_F, ExUnit()))),
+    (parse_expr_string, "&0{@f(x) |> @g}", _n("e", "0", ExApp(_G, ExApp(_F, _X)))),
+    (
+        parse_expr_string,
+        "&f{(#a - 1) / 2}",
+        _n("e", "f", RBinary("/", RBinary("-", _n("r", "a"), RConst(1)), RConst(2))),
+    ),
+    (parse_expr_string, "&f{(Bit) * Bit}", _n("e", "f", TyProd(_BIT, _BIT))),
+    (parse_expr_string, "&f{((1))}", _n("e", "f", RConst(1))),
+    (parse_expr_string, "&f{()}", _n("e", "f", ExUnit())),
+    (parse_expr_string, "&f{(@g)}", _n("e", "f", _G)),
+    (parse_expr_string, "&f{(@g)(x) |> @h}", _n("e", "f", ExApp(_n("f", "h"), ExApp(_G, _X)))),
+    (parse_expr_string, "&f{(lambda x -> x)(y)}", _n("e", "f", ExApp(PrAbs(_X, _X), _Y))),
+    (
+        parse_expr_string,
+        "&f{if 1 < 2 then Bit else Unit endif * Bit}",
+        _n("e", "f", TyProd(If("t", _ONE_LT_TWO, _BIT, TyUnit()), _BIT)),
+    ),
+    (
+        parse_expr_string,
+        "&f{if 1 < 2 then 1 else 2 endif + 3}",
+        _n("e", "f", RBinary("+", If("r", _ONE_LT_TWO, RConst(1), RConst(2)), RConst(3))),
+    ),
+    # a variant's leading bar is optional
+    (parse_file, "type T := | &    A | @B of Unit end x", _VARIANT),
+    (parse_file, "type T := &A | @B of Unit end x", _VARIANT),
+    (
+        parse_file,
+        "type Pair2{'a} := 'a * 'a end def &zz : Pair2{Bit} := (&0, &0) end\n"
+        "def @w{#n, @f : Bit -> Bit} : Bit -> Bit := @f end def #half{#x} := #x / 2 end",
+        QFile(
+            (
+                Def("t", "Pair2", (Param("t", "a"),), (), TyProd(_A, _A)),
+                Def("e", "zz", (), (_n("t", "Pair2", _BIT),), ExPair(_E0, _E0)),
+                Def("f", "w", (Param("r", "n"), Param("f", "f", (_BIT, _BIT))), (_BIT, _BIT), _F),
+                Def("r", "half", (Param("r", "x"),), (), RBinary("/", _n("r", "x"), RConst(2))),
+            ),
+            None,
+        ),
+    ),
+    (
+        parse_file,
+        "def &one : Bit := &1 end &one",
+        QFile((Def("e", "one", (), (_BIT,), _E1),), _n("e", "one")),
+    ),
+]
+
+_TOO_LONG = "numeric literal of 5000 digits is too long"  # past int()'s limit on digits
+
+# A parser, a source, and the whole message of its ParseError.  An atom of the
+# wrong class is refused where it starts; an expected keyword or punctuation is
+# quoted, another kind is named.
+PARSE_ERRORS = [
+    (parse_type_string, "rphase{x, 0, 0}", "1:1: expected a type, got 'rphase'"),
+    (parse_type_string, "Bit * sin(1)", "1:7: expected a type, got 'sin'"),
+    (parse_type_string, "(x)", "1:2: expected a type, got 'x'"),
+    (parse_type_string, "if 1 < 2 then Bit else 1 endif", "1:24: expected a type, got '1'"),
+    (parse_real_string, "T{Bit}", "1:1: expected a real expression, got 'T'"),
+    (parse_real_string, "1 + @f", "1:5: expected a real expression, got 'f'"),
+    (parse_prog_string, "ctrl x [&0 -> x]", "1:1: expected a program, got 'ctrl'"),
+    (parse_prog_string, "#n", "1:1: expected a program, got 'n'"),
+    (parse_expr_string, "Unit", "1:1: expected an expression, got 'Unit'"),
+    (parse_expr_string, "#n{Bit}", "1:1: expected an expression, got 'n'"),
+    (parse_expr_string, "x |> &y", "1:6: expected a program, got 'y'"),
+    (parse_expr_string, "ctrl x [&0 -> ]", "1:15: expected an expression, got ']'"),
+    (parse_expr_string, "let x = &0 x", "1:12: expected 'in', got 'x'"),
+    (parse_prog_string, "lambda x", "1:9: expected '->', got end of input"),
+    (parse_real_string, "- x", "1:3: expected a number after '-', got 'x'"),
+    (parse_real_string, "-pi", "1:2: expected a number after '-', got 'pi'"),
+    (parse_file, "type &T := Bit end", "1:6: expected a type name, got 'T'"),
+    # a real at expression position, and one with no comparison in a condition
+    (parse_expr_string, "(1 + 2)", "1:1: expected an expression in parentheses"),
+    (
+        parse_expr_string,
+        "if (1 + 2) then x else y endif",
+        "1:12: expected a comparison operator, got 'then'",
+    ),
+    # an 'if' program is not applied, and an 'if' argument has one class
+    (parse_expr_string, "&z{if 1 < 2 then @f else @g endif(x)}", "1:34: expected '}', got '('"),
+    (parse_expr_string, "&z{(if 1 < 2 then @f else @g endif(x))}", "1:35: expected ')', got '('"),
+    (
+        parse_expr_string,
+        "&f{if 1 < 2 then Bit else 1 endif}",
+        "1:29: the branches of an 'if' argument differ in class",
+    ),
+    (
+        parse_expr_string,
+        "&f{]}",
+        "1:4: expected a type, expression, program, or real argument, got ']'",
+    ),
+    # A parenthesised generic argument is read once, so its error is the one
+    # at the token where reading it failed.
+    (parse_file, "&0{(}", "1:5: expected a type, expression, program, or real argument, got '}'"),
+    pytest.param(parse_file, "&0{(" + "9" * 5000 + ")}", "1:5: " + _TOO_LONG, id="argument"),
+    pytest.param(parse_real_string, "1" * 5000, "1:1: " + _TOO_LONG, id="literal"),
+    pytest.param(parse_real_string, "1 - -" + "1" * 5000, "1:6: " + _TOO_LONG, id="negative"),
+    pytest.param(parse_file, "&0 |> u3{" + "9" * 5000 + ", 0, 0}", "1:10: " + _TOO_LONG, id="u3"),
+]
+
+
+@pytest.mark.parametrize("parse, source, tree", PARSES)
+def test_a_source_parses_to_its_tree(parse, source, tree):
+    assert parse(source) == tree
+
+
+@pytest.mark.parametrize("parse, source, message", PARSE_ERRORS)
+def test_a_parse_error_has_its_message(parse, source, message):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert str(exc.value) == message
+    assert message.startswith(f"{exc.value.line}:{exc.value.column}: ")
+
+
 class TestParser:
-    def test_pipe_desugars_to_application(self):
-        e = parse_expr_string("x |> @f |> @g")
-        assert e == ExApp(Name("f", "g"), ExApp(Name("f", "f"), ExVar("x")))
-
-    def test_application_parens_double_as_pair(self):
-        assert parse_expr_string("@f(a, b)") == parse_expr_string("@f((a, b))")
-
-    def test_unit_argument(self):
-        assert parse_expr_string("@f(())") == ExApp(Name("f", "f"), ExUnit())
-
-    def test_ctrl_with_else_and_trailing_semicolon(self):
-        e = parse_expr_string("ctrl (a, b) [(&1, &1) -> ((a, b), @not(c)); else -> ((a, b), c);]")
-        assert isinstance(e, ExCtrl)
-        assert len(e.arms) == 1
-        assert e.else_body is not None
-
-    def test_match_arms(self):
-        e = parse_expr_string("match x [(&1, &1) -> &1; else -> &0;]")
-        assert isinstance(e, ExMatch)
-        assert e.arms[0].pattern == ExPair(Name("e", "1"), Name("e", "1"))
-
-    def test_lambda_body_extends_through_pipes(self):
-        f = parse_prog_string("lambda x -> x |> @f |> @g")
-        assert isinstance(f, PrAbs)
-        assert f.body == ExApp(Name("f", "g"), ExApp(Name("f", "f"), ExVar("x")))
-
-    def test_parenthesized_lambda_application(self):
-        e = parse_expr_string("(lambda x -> x)(&0)")
-        assert isinstance(e, ExApp) and isinstance(e.fn, PrAbs)
-
-    def test_let_binding(self):
-        e = parse_expr_string("let (x, y) = p in (y, x)")
-        assert e == parse_expr_string("(lambda (x, y) -> (y, x))(p)")
-
-    def test_try_catch(self):
-        e = parse_expr_string("try @f(x) catch &0")
-        assert isinstance(e, ExTry)
-
-    def test_type_product_left_associative(self):
-        t = parse_type_string("Bit * Bit * Bit")
-        assert t == TyProd(TyProd(Name("t", "Bit"), Name("t", "Bit")), Name("t", "Bit"))
-
-    def test_tuple_pattern_matches_left_associated_product(self):
-        # ((a, b), c) is the pattern shape for Bit * Bit * Bit
-        e = parse_expr_string("((a, b), c)")
-        assert e == ExPair(ExPair(ExVar("a"), ExVar("b")), ExVar("c"))
-
-    def test_type_conditional(self):
-        t = parse_type_string("if #n <= 0 then Unit else 'a * Array{#n - 1, 'a} endif")
-        assert (type(t), t.sort) == (If, "t")
-        assert isinstance(t.els, TyProd)
-
-    def test_rphase_shape(self):
-        f = parse_prog_string("rphase{(&1, &1), 2 * pi / 2 ^ #k, 0}")
-        assert isinstance(f, PrRphase)
-        assert f.pattern == ExPair(Name("e", "1"), Name("e", "1"))
-        assert f.off_phase == RConst(0)
-
-    def test_expression_if(self):
-        e = parse_expr_string("if #a % 2 = 1 then &1 else &0 endif")
-        assert (type(e), e.sort) == (If, "e")
-
-    def test_generic_args_mixed_classes(self):
-        e = parse_expr_string("&repeated{5, Bit, &plus}")
-        assert (type(e), e.sort) == (Name, "e")
-        assert e.args == (RConst(5), Name("t", "Bit"), Name("e", "plus"))
-
-    def test_generic_arg_applied_program(self):
-        e = parse_expr_string("&0{@f(())}")
-        assert e == Name("e", "0", (ExApp(Name("f", "f"), ExUnit()),))
-        e = parse_expr_string("&0{@f(x) |> @g}")
-        assert e == Name("e", "0", (ExApp(Name("f", "g"), ExApp(Name("f", "f"), ExVar("x"))),))
-
-    def test_generic_arg_parenthesized_real(self):
-        e = parse_expr_string("&f{(#a - 1) / 2}")
-        (arg,) = e.args
-        assert arg == RBinary("/", RBinary("-", Name("r", "a"), RConst(1)), RConst(2))
-
-    def test_negative_literal_only_on_constants(self):
-        assert parse_real_string("1 - -2") == RBinary("-", RConst(1), RConst(-2))
-        with pytest.raises(ParseError):
-            parse_real_string("-pi")
-
-    @pytest.mark.parametrize(
-        "source, parse, column",
-        [
-            ("1" * 5000, parse_real_string, 1),
-            ("1 - -" + "1" * 5000, parse_real_string, 6),
-            ("&0 |> u3{" + "9" * 5000 + ", 0, 0}", parse_file, 10),
-        ],
-        ids=["literal", "negative_literal", "u3_argument"],
-    )
-    def test_overlong_literal_is_a_parse_error(self, source, parse, column):
-        # Longer than the interpreter's limit on integer-string conversion.
-        with pytest.raises(ParseError, match="5000 digits is too long") as exc:
-            parse(source)
-        assert (exc.value.line, exc.value.column) == (1, column)
-
-    def test_generic_argument_error_is_at_the_token_that_fails(self):
-        # A parenthesised generic argument is read once, so its error is the
-        # one at the token where reading it failed.
-        with pytest.raises(ParseError, match="5000 digits is too long") as exc:
-            parse_file("&0{(" + "9" * 5000 + ")}")
-        assert (exc.value.line, exc.value.column) == (1, 5)
-        # No argument starts with "}".
-        with pytest.raises(ParseError, match="expected a type, expression") as exc:
-            parse_file("&0{(}")
-        assert (exc.value.line, exc.value.column) == (1, 5)
-
     def test_each_prelude_token_is_taken_once(self, spy):
         text, taken = default_prelude_text(), spy(_Parser, "take")
         parse_file(text)
         assert len(taken) == len(tokenize(text)) - 1  # every token but EOF
-
-    _BIT = Name("t", "Bit")
-    _ONE_LT_TWO = BCmp("<", RConst(1), RConst(2))
-
-    @pytest.mark.parametrize(
-        "argument, tree",
-        [
-            ("(#a - 1) / 2", RBinary("/", RBinary("-", Name("r", "a"), RConst(1)), RConst(2))),
-            ("(Bit) * Bit", TyProd(_BIT, _BIT)),
-            ("((1))", RConst(1)),
-            ("()", ExUnit()),
-            ("(@g)", Name("f", "g")),
-            ("(@g)(x) |> @h", ExApp(Name("f", "h"), ExApp(Name("f", "g"), ExVar("x")))),
-            ("(lambda x -> x)(y)", ExApp(PrAbs(ExVar("x"), ExVar("x")), ExVar("y"))),
-            (
-                "if 1 < 2 then Bit else Unit endif * Bit",
-                TyProd(If("t", _ONE_LT_TWO, _BIT, TyUnit()), _BIT),
-            ),
-            (
-                "if 1 < 2 then 1 else 2 endif + 3",
-                RBinary("+", If("r", _ONE_LT_TWO, RConst(1), RConst(2)), RConst(3)),
-            ),
-        ],
-    )
-    def test_generic_argument_continues_its_class(self, argument, tree):
-        assert parse_expr_string("&f{" + argument + "}") == Name("e", "f", (tree,))
 
     @pytest.mark.parametrize(
         "argument, node, sort",
@@ -372,31 +411,6 @@ class TestParser:
         assert parse_expr_string(to_str(e)) == e
 
     @pytest.mark.parametrize(
-        "condition, tree",
-        [
-            ("((1) + 2) < 3", BCmp("<", RBinary("+", RConst(1), RConst(2)), RConst(3))),
-            ("((1 < 2)) && !(2 < 1)", BAnd(_ONE_LT_TWO, BNot(BCmp("<", RConst(2), RConst(1))))),
-        ],
-    )
-    def test_parenthesis_in_a_condition(self, condition, tree):
-        t = parse_type_string(f"if {condition} then Unit else Void endif")
-        assert t == If("t", tree, TyUnit(), TyVoid())
-
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "&z{if 1 < 2 then @f else @g endif(x)}",  # an 'if' program is not applied
-            "&z{(if 1 < 2 then @f else @g endif(x))}",
-            "&f{if 1 < 2 then Bit else 1 endif}",  # branches of two classes
-            "(1 + 2)",  # a real at expression position
-            "if (1 + 2) then x else y endif",  # a real with no comparison
-        ],
-    )
-    def test_ambiguous_prefix_rejected(self, source):
-        with pytest.raises(ParseError):
-            parse_expr_string(source)
-
-    @pytest.mark.parametrize(
         "parse, source",
         [
             (parse_file, "(" * 5000 + "x" + ")" * 5000),
@@ -407,79 +421,6 @@ class TestParser:
     def test_deep_nesting_is_a_capacity_error(self, parse, source):
         with pytest.raises(CapacityError, match=r"^1:\d+: input nested too deeply"):
             parse(source)
-
-    @pytest.mark.parametrize(
-        "parse, source, message",
-        [
-            (parse_type_string, "rphase{x, 0, 0}", "1:1: expected a type, got 'rphase'"),
-            (parse_type_string, "Bit * sin(1)", "1:7: expected a type, got 'sin'"),
-            (parse_type_string, "(x)", "1:2: expected a type, got 'x'"),
-            (parse_type_string, "if 1 < 2 then Bit else 1 endif", "1:24: expected a type, got '1'"),
-            (parse_real_string, "T{Bit}", "1:1: expected a real expression, got 'T'"),
-            (parse_real_string, "1 + @f", "1:5: expected a real expression, got 'f'"),
-            (parse_prog_string, "ctrl x [&0 -> x]", "1:1: expected a program, got 'ctrl'"),
-            (parse_prog_string, "#n", "1:1: expected a program, got 'n'"),
-            (parse_expr_string, "Unit", "1:1: expected an expression, got 'Unit'"),
-            (parse_expr_string, "#n{Bit}", "1:1: expected an expression, got 'n'"),
-            (parse_expr_string, "x |> &y", "1:6: expected a program, got 'y'"),
-            (parse_expr_string, "(1 + 2)", "1:1: expected an expression in parentheses"),
-            (
-                parse_expr_string,
-                "&f{]}",
-                "1:4: expected a type, expression, program, or real argument, got ']'",
-            ),
-            (
-                parse_expr_string,
-                "&f{if 1 < 2 then Bit else 1 endif}",
-                "1:29: the branches of an 'if' argument differ in class",
-            ),
-        ],
-    )
-    def test_an_atom_of_the_wrong_class_is_rejected_where_it_starts(self, parse, source, message):
-        with pytest.raises(ParseError) as exc:
-            parse(source)
-        assert str(exc.value) == message
-
-    def test_unexpected_token_reports_position(self):
-        with pytest.raises(ParseError) as exc:
-            parse_expr_string("ctrl x [&0 -> ]")
-        assert exc.value.line == 1
-        # An expected keyword or punctuation is quoted, another kind is named.
-        for parse, source, message in [
-            (parse_expr_string, "let x = &0 x", "1:12: expected 'in', got 'x'"),
-            (parse_prog_string, "lambda x", "1:9: expected '->', got end of input"),
-            (parse_real_string, "- x", "1:3: expected a number after '-', got 'x'"),
-            (parse_file, "type &T := Bit end", "1:6: expected a type name, got 'T'"),
-        ]:
-            with pytest.raises(ParseError) as exc:
-                parse(source)
-            assert str(exc.value) == message
-
-    def test_variant_def_leading_bar_optional(self):
-        with_bar = parse_file("type T := | &    A | @B of Unit end x")
-        without = parse_file("type T := &A | @B of Unit end x")
-        assert with_bar.defs == without.defs
-
-    def test_def_forms(self):
-        qf = parse_file(
-            """
-            type Pair2{'a} := 'a * 'a end
-            def &zz : Pair2{Bit} := (&0, &0) end
-            def @w{#n, @f : Bit -> Bit} : Bit -> Bit := @f end
-            def #half{#x} := #x / 2 end
-            """
-        )
-        kinds = [(type(d), d.sort, len(d.sig)) for d in qf.defs]
-        assert kinds == [(Def, "t", 0), (Def, "e", 1), (Def, "f", 2), (Def, "r", 0)]
-        assert qf.main is None
-
-    def test_file_requires_defs_then_main(self):
-        qf = parse_file("def &one : Bit := &1 end &one")
-        assert qf.main == Name("e", "one")
-
-    def test_prog_if(self):
-        f = parse_prog_string("if #n = 0 then @id{Unit} else @f endif")
-        assert (type(f), f.sort) == (If, "f")
 
 
 def _nested(head, middle, tail):

@@ -438,13 +438,17 @@ def test_a_ctrl_in_a_pattern_reads_a_superposed_arm():
 
 
 def test_a_ctrl_in_a_pattern_takes_the_arm_its_scrutinee_takes():
-    # y matches every x, so the forward program never takes the second arm,
-    # and its adjoint maps (x, &1) to nothing
-    f = program("lambda x -> ctrl x [y -> (x, &0); &0 -> (x, &1)]", 1)
-    dagger = adjoint(f)
-    for x in (ZERO, ONE):
-        assert run(dagger, (x, ZERO)) == {(x, ()): 1}
-        assert run(dagger, (x, ONE)) == {}
+    # The adjoint maps (x, second[x]) to x and (x, the other bit) to nothing:
+    # y matches every x, so the first program never takes its second arm, and
+    # the second program's arm binds a to the scrutinee's value.
+    for source, second in [
+        ("lambda x -> ctrl x [y -> (x, &0); &0 -> (x, &1)]", {ZERO: ZERO, ONE: ZERO}),
+        ("lambda x -> ctrl x [a -> (x, a)]", {ZERO: ZERO, ONE: ONE}),
+    ]:
+        dagger = adjoint(program(source, 1))
+        for x in (ZERO, ONE):
+            for y in (ZERO, ONE):
+                assert run(dagger, (x, y)) == ({(x, ()): 1} if y == second[x] else {})
 
 
 def test_a_lambda_erases_what_its_body_does_not_use_and_ctrl_drops_it():
@@ -514,6 +518,10 @@ def test_rphase_reflects_about_a_superposed_pattern():
     assert close(run(f, ONE), {(ZERO, ()): 1})
     g = program("gphase{pi / 2}", 1)
     assert run(g, ZERO) == {(ZERO, ()): 1j}
+    # I - 2|psi><psi| for psi = (&0 + i &1) / sqrt 2, a pattern of complex amplitudes
+    h = program("rphase{u3{pi / 2, pi / 2, 0}(&0), pi, 0}", 1)
+    assert close(run(h, ZERO), {(ONE, ()): -1j})
+    assert close(run(h, ONE), {(ZERO, ()): 1j})
 
 
 @pytest.mark.parametrize(
